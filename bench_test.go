@@ -182,9 +182,13 @@ func BenchmarkReuseHitVsMismatch(b *testing.B) {
 }
 
 // BenchmarkTransports compares the in-process channel network with the
-// TCP loopback network on an RMI round trip.
+// TCP loopback network on an RMI round trip. tcp-parallel drives the
+// same echo from GOMAXPROCS callers at once — the handle for profiling
+// the transport under contention:
+//
+//	go test -run '^$' -bench Transports/tcp -cpuprofile cpu.out
 func BenchmarkTransports(b *testing.B) {
-	bench := func(b *testing.B, nw transport.Network) {
+	bench := func(b *testing.B, nw transport.Network, parallel bool) {
 		cluster := rmi.New(2, rmi.WithNetwork(nw))
 		defer cluster.Close()
 		svc := &rmi.Service{Name: "Echo", Methods: map[string]rmi.Method{
@@ -196,23 +200,37 @@ func BenchmarkTransports(b *testing.B) {
 			ArgPlans: []*serial.Plan{serial.PrimitivePlan("b", model.FInt)},
 			RetPlans: []*serial.Plan{serial.PrimitivePlan("b", model.FInt)},
 		})
+		b.ReportAllocs()
 		b.ResetTimer()
+		if parallel {
+			b.RunParallel(func(pb *testing.PB) {
+				for i := int64(0); pb.Next(); i++ {
+					if _, err := cs.Invoke(cluster.Node(0), ref, []model.Value{model.Int(i)}); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+			return
+		}
 		for i := 0; i < b.N; i++ {
 			if _, err := cs.Invoke(cluster.Node(0), ref, []model.Value{model.Int(int64(i))}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	b.Run("channel", func(b *testing.B) {
-		bench(b, transport.NewChannelNetwork(2, 256))
-	})
-	b.Run("tcp", func(b *testing.B) {
+	tcp := func(b *testing.B, parallel bool) {
 		nw, err := transport.NewTCPNetworkLocal(2)
 		if err != nil {
 			b.Fatal(err)
 		}
-		bench(b, nw)
+		bench(b, nw, parallel)
+	}
+	b.Run("channel", func(b *testing.B) {
+		bench(b, transport.NewChannelNetwork(2, 256), false)
 	})
+	b.Run("tcp", func(b *testing.B) { tcp(b, false) })
+	b.Run("tcp-parallel", func(b *testing.B) { tcp(b, true) })
 }
 
 // BenchmarkCompiler measures the full compile pipeline (parse, check,

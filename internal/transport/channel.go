@@ -3,6 +3,8 @@ package transport
 import (
 	"fmt"
 	"sync"
+
+	"cormi/internal/wire"
 )
 
 // ChannelNetwork is an in-process network: one buffered inbox channel
@@ -12,8 +14,8 @@ import (
 // Buffer ownership: Send hands the payload buffer through to the
 // receiver zero-copy — the sender gives up ownership (Endpoint.Send
 // contract) and the receiver releases the buffer to the wire pool when
-// done. Packets dropped at shutdown simply fall to the garbage
-// collector.
+// done; a Send that fails releases it itself. Packets still queued when
+// the last receiver leaves simply fall to the garbage collector.
 //
 // Shutdown protocol: Close never closes the inbox channels (a send
 // blocked on a full inbox would race with the close); instead it
@@ -72,6 +74,15 @@ type channelEndpoint struct {
 }
 
 func (e *channelEndpoint) Send(p Packet) error {
+	err := e.send(p)
+	if err != nil {
+		// Undelivered, but the sender gave up ownership all the same.
+		wire.PutBuf(p.Payload)
+	}
+	return err
+}
+
+func (e *channelEndpoint) send(p Packet) error {
 	if p.To < 0 || p.To >= len(e.net.inboxes) {
 		return fmt.Errorf("transport: no node %d", p.To)
 	}

@@ -159,9 +159,10 @@ func (f *FaultyNetwork) rates(from, to int) FaultRates {
 const holdFlushDelay = 2 * time.Millisecond
 
 type holdSlot struct {
-	mu    sync.Mutex
-	p     *Packet
-	timer *time.Timer
+	mu     sync.Mutex
+	p      *Packet
+	timer  *time.Timer
+	closed bool // set by dropHeld: nothing is held back after Close
 }
 
 type faultyEndpoint struct {
@@ -205,6 +206,7 @@ func (e *faultyEndpoint) Send(p Packet) error {
 	p.From = e.id
 	if f.Partitioned(e.id, p.To) {
 		f.Stats.Blocked.Add(1)
+		wire.PutBuf(p.Payload)
 		return nil
 	}
 	r := f.rates(e.id, p.To)
@@ -212,17 +214,14 @@ func (e *faultyEndpoint) Send(p Packet) error {
 	s := rng{state: uint64(f.cfg.Seed) ^ uint64(e.id)<<40 ^ uint64(p.To)<<24 ^ n}
 
 	if s.chance(r.Corrupt) && len(p.Payload) > 0 {
-		// Flip a byte in a private copy; the original is abandoned to
-		// the GC (it may not be pooled — under the ownership protocol we
-		// own it, but fault paths favor safety over recycling).
-		b := wire.GetBuf(len(p.Payload))
-		copy(b, p.Payload)
+		// Flip a byte in place: Send owns the payload.
+		b := p.Payload
 		b[int(s.next()%uint64(len(b)))] ^= byte(1 + s.next()%255)
-		p.Payload = b
 		f.Stats.Corrupted.Add(1)
 	}
 	if s.chance(r.Drop) {
 		f.Stats.Dropped.Add(1)
+		wire.PutBuf(p.Payload)
 		return nil
 	}
 	if r.DelayNS > 0 {
@@ -255,7 +254,7 @@ func (e *faultyEndpoint) Send(p Packet) error {
 	if held != nil && h.timer != nil {
 		h.timer.Stop()
 	}
-	if reorder && held == nil {
+	if reorder && held == nil && !h.closed {
 		// Hold the current packet until the next one on this link (or a
 		// failsafe timer, so the last packet of a burst is not stranded).
 		cp := p
@@ -267,21 +266,21 @@ func (e *faultyEndpoint) Send(p Packet) error {
 	}
 	h.mu.Unlock()
 
-	if err := e.inner.Send(p); err != nil {
-		return err
-	}
+	// Every packet goes down even after a failure (the inner Send is
+	// what recycles its payload); the first error is the one reported.
+	err := e.inner.Send(p)
 	if dupPkt != nil {
 		f.Stats.Duplicated.Add(1)
-		if err := e.inner.Send(*dupPkt); err != nil {
-			return err
+		if derr := e.inner.Send(*dupPkt); err == nil {
+			err = derr
 		}
 	}
 	if held != nil {
-		if err := e.inner.Send(*held); err != nil {
-			return err
+		if herr := e.inner.Send(*held); err == nil {
+			err = herr
 		}
 	}
-	return nil
+	return err
 }
 
 // flushHeld delivers the packet held back for destination `to`, if any.
@@ -301,7 +300,11 @@ func (e *faultyEndpoint) dropHeld() {
 	for i := range e.holds {
 		h := &e.holds[i]
 		h.mu.Lock()
-		h.p = nil
+		h.closed = true
+		if h.p != nil {
+			wire.PutBuf(h.p.Payload)
+			h.p = nil
+		}
 		if h.timer != nil {
 			h.timer.Stop()
 		}

@@ -23,7 +23,13 @@ func TestTCPPooledRoundTrip(t *testing.T) {
 	e0, e1 := net.Endpoint(0), net.Endpoint(1)
 
 	const frames = 200
+	// Joined before returning: Send recycles the payload after the
+	// write, which can be after the receiver already has the frame — a
+	// put landing in a later test would skew its pool-balance check.
+	sent := make(chan struct{})
+	defer func() { <-sent }()
 	go func() {
+		defer close(sent)
 		for i := 0; i < frames; i++ {
 			size := 1 + (i*37)%4096
 			b := wire.GetBuf(size)

@@ -54,7 +54,8 @@ type Endpoint interface {
 	// A sender that needs the bytes later (retransmits) keeps its own
 	// copy. Implementations either hand the buffer through to the
 	// receiver unchanged (ChannelNetwork) or copy it onto the wire and
-	// release it to the frame pool (TCPNetwork).
+	// release it to the frame pool (TCPNetwork); a Send that fails, or
+	// that a FaultyNetwork drops, releases it too.
 	Send(p Packet) error
 	// Recv blocks for the next packet; ok is false once the endpoint
 	// is closed and drained. The receiver owns p.Payload and should

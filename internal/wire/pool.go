@@ -20,12 +20,13 @@ import (
 //     outlive the frame (reply caches, user object graphs) is copied
 //     out, never aliased.
 //
-// Two pools cooperate: msgPool recycles Message structs (a Detach
-// returns the struct bufless; Get re-attaches a buffer), and bufFree
-// recycles the byte buffers themselves. The buffer free list is a
-// channel rather than a sync.Pool because a []byte stored in an
-// interface box allocates its slice header on every Put — a channel of
-// slices keeps Put/Get allocation free, which is the whole point.
+// Two pools cooperate: msgPool recycles Message structs (always reset
+// and bufless: Detach hands the buffer to the transport, Release to
+// bufFree; Get attaches one), and bufFree recycles the byte buffers
+// themselves. The buffer free list is a channel rather than a
+// sync.Pool because a []byte stored in an interface box allocates its
+// slice header on every Put — a channel of slices keeps Put/Get
+// allocation free, which is the whole point.
 
 const (
 	// defaultBufCap sizes fresh buffers; pooled buffers keep whatever
@@ -83,7 +84,9 @@ func GetBuf(n int) []byte {
 	case b = <-bufFree:
 	default:
 	}
-	if cap(b) < n {
+	// b == nil: an empty free list must not turn GetBuf(0) into a nil
+	// slice, whose PutBuf is a no-op that would leave the get unmatched.
+	if b == nil || cap(b) < n {
 		c := n
 		if c < defaultBufCap {
 			c = defaultBufCap
@@ -114,21 +117,21 @@ func PutBuf(b []byte) {
 }
 
 // Get returns a pooled message ready for appending. Release it with
-// Release (buffer kept) or Detach (buffer handed off to the transport).
+// Release (buffer back to the frame pool) or Detach (buffer handed off
+// to the transport).
 func Get() *Message {
 	m := msgPool.Get().(*Message)
-	if m.buf == nil {
-		m.buf = GetBuf(0)
-	}
-	m.Reset()
+	m.buf = GetBuf(0)
 	return m
 }
 
-// Release returns the message and its buffer to the pool. The caller
-// must not touch m afterwards.
+// Release returns the message to the message pool and its buffer to
+// the frame pool. Structs in msgPool are always bufless: a buffer left
+// attached would stay counted in Stats().Outstanding and be lost
+// outright when GetReader repoints the struct or the GC empties the
+// sync.Pool. The caller must not touch m afterwards.
 func (m *Message) Release() {
-	m.Reset()
-	msgPool.Put(m)
+	PutBuf(m.Detach())
 }
 
 // Detach hands the caller ownership of the encoded buffer and returns
