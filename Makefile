@@ -3,7 +3,7 @@
 # concurrency-heavy; -race is part of its acceptance criteria), and
 # end-to-end smokes of the observability endpoints and the optimizer
 # decision explainer.
-.PHONY: verify test bench bench-transport verify-perf obs-smoke explain-smoke verify-precision verify-async verify-attrib verify-dtrace verify-analysis fuzz
+.PHONY: verify test bench bench-transport bench-codec verify-perf obs-smoke explain-smoke verify-precision verify-async verify-attrib verify-dtrace verify-analysis fuzz
 
 verify:
 	go vet ./...
@@ -117,6 +117,14 @@ bench:
 # -cpuprofile/-mutexprofile here to profile the TCP frame path.
 bench-transport:
 	go test -run '^$$' -bench 'BenchmarkTransports' -benchmem -count=3 .
+
+# Planned codec alone, per plan shape (a 100-node list on a trailing
+# link, a 16x16 double[][], a depth-6 binary tree) x {write, read} at
+# site+reuse+cycle in steady state: ns/op, MB/s and allocs/op (0).
+# Informational, no gate; the serial rung of the measurement ladder and
+# the profiling handle for internal/serial.
+bench-codec:
+	go test -run '^$$' -bench 'BenchmarkPlannedCodec' -benchmem -count=3 ./internal/serial
 
 # Opt-in perf gate: measure a fresh report and compare it against the
 # committed baseline. Fails on >10% ns/op growth or any allocs/op

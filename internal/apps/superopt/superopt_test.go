@@ -6,6 +6,7 @@ import (
 
 	"cormi/internal/core"
 	"cormi/internal/rmi"
+	"cormi/internal/stats"
 )
 
 func TestISAEvalBasics(t *testing.T) {
@@ -80,9 +81,14 @@ func TestSketchVerdicts(t *testing.T) {
 	}
 }
 
+// TestSearchFindsShiftAtAllLevels asserts the Table 5/6 shape on the
+// runtime counters, which depend only on the messages sent. The virtual
+// makespan (Outcome.Seconds) is not compared: several feeder goroutines
+// advance the producer node's clock, so it varies with their
+// interleaving by more than the gaps between levels when the host is
+// contended (go test -race ./... on two CPUs).
 func TestSearchFindsShiftAtAllLevels(t *testing.T) {
-	secs := map[rmi.OptLevel]float64{}
-	var lookups = map[rmi.OptLevel]int64{}
+	stat := map[rmi.OptLevel]stats.Snapshot{}
 	for _, level := range rmi.AllLevels {
 		out, err := Search(level, DefaultParams())
 		if err != nil {
@@ -101,28 +107,34 @@ func TestSearchFindsShiftAtAllLevels(t *testing.T) {
 			t.Fatalf("%v: tested=%d rpcs=%d/%d", level, out.Tested,
 				out.Stats.LocalRPCs, out.Stats.RemoteRPCs)
 		}
-		secs[level] = out.Seconds
-		lookups[level] = out.Stats.CycleLookups
+		stat[level] = out.Stats
 	}
-	// Table 5 shape: site helps some; cycle elimination is the big
-	// win; reuse contributes (almost) nothing.
-	if !(secs[rmi.LevelSite] < secs[rmi.LevelClass]) {
-		t.Fatal("site not faster than class")
+	class, site := stat[rmi.LevelClass], stat[rmi.LevelSite]
+	// Table 5 shape: site helps some — the per-object type information
+	// and dynamic serializer invocations go, the cycle table stays.
+	if !(site.TypeOps < class.TypeOps && site.SerializerCalls < class.SerializerCalls &&
+		site.TypeBytes < class.TypeBytes && site.WireBytes < class.WireBytes) {
+		t.Fatalf("site does not undercut class:\n class %v\n site  %v", class, site)
 	}
-	if !(secs[rmi.LevelSiteCycle] < secs[rmi.LevelSite]) {
-		t.Fatal("cycle elimination should be the dominant gain")
+	if site.CycleLookups != class.CycleLookups || class.CycleLookups == 0 {
+		t.Fatalf("cycle lookups: class %d, site %d; both should pay the same non-zero count",
+			class.CycleLookups, site.CycleLookups)
 	}
-	gainCycle := secs[rmi.LevelSite] - secs[rmi.LevelSiteCycle]
-	gainReuse := secs[rmi.LevelSite] - secs[rmi.LevelSiteReuse]
-	if gainReuse > gainCycle/2 {
-		t.Fatalf("reuse gain (%.6f) should be small next to cycle gain (%.6f)", gainReuse, gainCycle)
+	// Table 6 shape: cycle elimination is the big win — every table and
+	// lookup goes, and nothing else moves.
+	cycle := stat[rmi.LevelSiteCycle]
+	if cycle.CycleLookups != 0 || cycle.CycleTables != 0 {
+		t.Fatalf("with elimination: %d tables, %d lookups", cycle.CycleTables, cycle.CycleLookups)
 	}
-	// Table 6 shape: cycle lookups collapse with elimination.
-	if lookups[rmi.LevelSiteCycle] != 0 {
-		t.Fatalf("cycle lookups with elimination = %d", lookups[rmi.LevelSiteCycle])
+	cycle.CycleTables, cycle.CycleLookups = site.CycleTables, site.CycleLookups
+	if cycle != site {
+		t.Fatalf("cycle elimination moved more than the cycle counters:\n site       %v\n site+cycle %v", site, stat[rmi.LevelSiteCycle])
 	}
-	if lookups[rmi.LevelClass] == 0 {
-		t.Fatal("baseline should pay cycle lookups")
+	// Reuse contributes nothing: the queued programs escape, so the
+	// reuse levels run exactly like their bases.
+	if stat[rmi.LevelSiteReuse] != site || stat[rmi.LevelSiteReuseCycle] != stat[rmi.LevelSiteCycle] {
+		t.Fatalf("reuse changed the counters:\n site %v\n +reuse %v\n site+cycle %v\n +reuse %v",
+			site, stat[rmi.LevelSiteReuse], stat[rmi.LevelSiteCycle], stat[rmi.LevelSiteReuseCycle])
 	}
 }
 

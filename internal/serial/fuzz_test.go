@@ -26,6 +26,15 @@ func FuzzReadValues(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(append([]byte{1}, m.Bytes()...))
+	// A long planned list: hundreds of iterations of the reader's
+	// trailing-link loop for the mutator to cut, splice handles into and
+	// extend.
+	m = wire.NewMessage(0)
+	if _, err := WriteValues(m, []model.Value{model.Ref(seedWorld.makeList(600))},
+		[]*Plan{plan}, Config{Mode: ModeSite}, &c); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append([]byte{0}, m.Bytes()...))
 	m = wire.NewMessage(0)
 	if _, err := WriteValues(m, []model.Value{model.Ref(seedWorld.makeList(3)), model.Int(7)},
 		nil, Config{Mode: ModeClass}, &c); err != nil {

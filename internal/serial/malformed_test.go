@@ -264,3 +264,130 @@ func TestHandleOverflowErrorMentionsCap(t *testing.T) {
 		t.Fatalf("error %q does not mention %q", err, want)
 	}
 }
+
+// plannedListFrame hand-encodes a site-mode Node list of n nodes,
+// closed by end (a null marker or a handle), as nodeListPlan reads it.
+func plannedListFrame(n int, end func(m *wire.Message)) []byte {
+	m := wire.NewMessage(9*n + 8)
+	for i := 0; i < n; i++ {
+		m.AppendByte(refNew)
+		m.AppendInt64(int64(i))
+	}
+	end(m)
+	return m.Bytes()
+}
+
+// TestPlannedListDepthBoundPinned: the reader walks a planned list in a
+// loop that uses no stack, but the depth bound is part of what frames
+// the decoder accepts, so it must sit exactly where the recursive
+// walker had it — MaxDecodeDepth-1 nodes plus the closing null — and
+// one node more must be a typed rejection.
+func TestPlannedListDepthBoundPinned(t *testing.T) {
+	w := newWorld()
+	plans := []*Plan{w.nodeListPlan(true)}
+	null := func(m *wire.Message) { m.AppendByte(refNull) }
+	for _, cfg := range []Config{{Mode: ModeSite}, {Mode: ModeSite, Reuse: true, CycleElim: true}} {
+		var c stats.Counters
+		longest := MaxDecodeDepth - 1
+		got, roots, _, err := ReadValues(wire.FromBytes(plannedListFrame(longest, null)), w.reg, 1, plans, cfg, nil, &c)
+		if err != nil {
+			t.Fatalf("%d-node list rejected: %v", longest, err)
+		}
+		n := 0
+		for o := got[0].O; o != nil; o = o.GetRef("next") {
+			n++
+		}
+		if n != longest {
+			t.Fatalf("decoded %d nodes, want %d", n, longest)
+		}
+		before := ReadCtxStats().Outstanding
+		// Over donors too: the bound does not depend on reuse.
+		_, _, _, err = ReadValues(wire.FromBytes(plannedListFrame(longest+1, null)), w.reg, 1, plans, cfg, roots, &c)
+		if !errors.Is(err, wire.ErrMalformedFrame) || !strings.Contains(err.Error(), "nesting") {
+			t.Fatalf("%d-node list: err = %v, want a nesting rejection", longest+1, err)
+		}
+		if out := ReadCtxStats().Outstanding; out != before {
+			t.Fatalf("read contexts outstanding %d -> %d", before, out)
+		}
+		// The rejection restored the depth it had consumed.
+		if _, _, _, err := ReadValues(wire.FromBytes(plannedListFrame(10, null)), w.reg, 1, plans, cfg, nil, &c); err != nil {
+			t.Fatalf("decode after a depth rejection: %v", err)
+		}
+	}
+}
+
+// TestLoopRejectionsTypedBalancedAndCounted: a list cut off mid-loop
+// and a dangling handle inside the loop are typed rejections that
+// return their read context, and the objects materialized before the
+// rejection stay counted exactly as the reference walker counts them.
+func TestLoopRejectionsTypedBalancedAndCounted(t *testing.T) {
+	w := newWorld()
+	plans := []*Plan{w.nodeListPlan(true)}
+	cfg := Config{Mode: ModeSite, Reuse: true}
+	full := plannedListFrame(50, func(m *wire.Message) { m.AppendByte(refNull) })
+	cases := []struct {
+		name  string
+		frame []byte
+		nodes int64 // objects materialized before the rejection
+	}{
+		{"truncated mid-node", full[:9*20+4], 21},
+		{"truncated between nodes", full[:9*20], 20},
+		{"dangling handle", plannedListFrame(20, func(m *wire.Message) {
+			m.AppendByte(refHandle)
+			m.AppendInt32(20)
+		}), 20},
+		{"negative handle", plannedListFrame(20, func(m *wire.Message) {
+			m.AppendByte(refHandle)
+			m.AppendInt32(-1)
+		}), 20},
+		{"bad marker", plannedListFrame(20, func(m *wire.Message) { m.AppendByte(7) }), 20},
+	}
+	for _, tc := range cases {
+		for _, withDonors := range []bool{false, true} {
+			var donors, refDonors []*model.Object
+			if withDonors {
+				donors = []*model.Object{w.makeList(30)}
+				refDonors = []*model.Object{w.makeList(30)}
+			}
+			// readBoth asserts the typed verdict, the read-context balance
+			// and counters equal to the reference walker's.
+			_, _, got, err := readBoth(t, w.reg, tc.frame, diffCase{vals: make([]model.Value, 1), plans: plans, cfg: cfg}, donors, refDonors)
+			if err == nil {
+				t.Fatalf("%s: decoded", tc.name)
+			}
+			if got.AllocObjects+got.ReusedObjs != tc.nodes {
+				t.Fatalf("%s: %d allocated + %d reused, want %d materialized", tc.name, got.AllocObjects, got.ReusedObjs, tc.nodes)
+			}
+		}
+	}
+}
+
+// TestEmptyPlannedArrayWithoutDonor: a nil destination "fits" a
+// zero-length array, which the reader used to take for an in-place
+// reuse of a donor it did not have (nil dereference on a 5-byte frame).
+func TestEmptyPlannedArrayWithoutDonor(t *testing.T) {
+	w := newWorld()
+	for _, class := range []*model.Class{w.reg.DoubleArray(), w.reg.IntArray(), w.reg.ByteArray()} {
+		plans := []*Plan{{Site: "E.m.1", Kind: model.FRef, Root: &NodePlan{Class: class}, Reusable: true}}
+		frame := func() []byte {
+			m := wire.NewMessage(8)
+			m.AppendByte(refNew)
+			m.AppendInt32(0)
+			return m.Bytes()
+		}()
+		wrongDonor := []*model.Object{model.New(w.leaf)}
+		for _, cached := range [][]*model.Object{nil, wrongDonor} {
+			var c stats.Counters
+			got, _, _, err := ReadValues(wire.FromBytes(frame), w.reg, 1, plans, Config{Mode: ModeSite, Reuse: true}, cached, &c)
+			if err != nil {
+				t.Fatalf("%s: %v", class.Name, err)
+			}
+			if o := got[0].O; o == nil || o.Class != class || o.Len() != 0 {
+				t.Fatalf("%s: decoded %v", class.Name, o)
+			}
+			if s := c.Snapshot(); s.AllocObjects != 1 || s.ReusedObjs != 0 {
+				t.Fatalf("%s: %d allocated, %d reused", class.Name, s.AllocObjects, s.ReusedObjs)
+			}
+		}
+	}
+}

@@ -15,11 +15,14 @@ import (
 // bad frame drive an arbitrarily large allocation.
 const MaxWireValues = 1 << 16
 
-// MaxDecodeDepth caps readRef recursion. Legitimate graphs recurse one
+// MaxDecodeDepth caps reference nesting. Legitimate graphs nest one
 // level per parent-child edge — the paper's deepest structure is a
 // 100-element linked list — so 4096 leaves enormous headroom while
 // stopping a hostile frame from exhausting the goroutine stack with a
-// marker-per-byte nesting bomb.
+// marker-per-byte nesting bomb. The trailing-link loop of readRef uses
+// no stack but still counts a level per node: the set of frames the
+// decoder accepts is a property of the wire format, not of how this
+// implementation happens to walk it.
 const MaxDecodeDepth = 4096
 
 // ReadValues deserializes n values written by WriteValues under the
@@ -121,41 +124,89 @@ func readBody(rc *readCtx, n int, plans []*Plan, cfg Config, cached []*model.Obj
 // is the object deserialized at this position by the previous
 // invocation; if its shape matches, it is overwritten in place instead
 // of allocating (Figure 13).
+//
+// Like writeRef it loops instead of recursing when a planned object's
+// last step is a planned reference: each node of the chain is filled
+// up to its link, stored in its parent's link field, and the loop moves
+// on to the link. Handles are registered and depth is counted exactly
+// as the recursion would — one level per node, restored on exit — so
+// the same frames are accepted and rejected.
 func readRef(rc *readCtx, np *NodePlan, old *model.Object) (*model.Object, error) {
-	if rc.depth++; rc.depth > MaxDecodeDepth {
-		rc.depth--
-		return nil, fmt.Errorf("%w: reference nesting exceeds depth %d", wire.ErrMalformedFrame, MaxDecodeDepth)
+	var (
+		root   *model.Object // the reference this call was asked to read
+		parent *model.Object // node whose trailing link is being read; nil at the root
+		field  int           // parent's link field
+		err    error
+	)
+	entryDepth := rc.depth
+	for {
+		if rc.depth++; rc.depth > MaxDecodeDepth {
+			err = fmt.Errorf("%w: reference nesting exceeds depth %d", wire.ErrMalformedFrame, MaxDecodeDepth)
+			break
+		}
+		var o *model.Object
+		var link *Step // set when the walk continues at o's trailing link
+		switch marker := rc.m.ReadU8(); marker {
+		case refNull:
+		case refHandle:
+			h := rc.m.ReadInt32()
+			o = rc.resolve(h)
+			if o == nil && rc.m.Err() == nil {
+				err = fmt.Errorf("%w: dangling handle %d (table has %d entries)",
+					wire.ErrMalformedFrame, h, len(rc.handles))
+			}
+		case refNewDynamic:
+			o, err = readDynamicBody(rc)
+		case refNew:
+			switch {
+			case np == nil:
+				err = fmt.Errorf("%w: planned object on wire but no plan on reader", wire.ErrMalformedFrame)
+			case np.Class.Kind != model.KObject:
+				o, err = readPlannedArray(rc, np, old)
+			default:
+				if rc.takeDonor(old, np.Class) {
+					o = old
+					rc.reused(o)
+				} else {
+					o = model.New(np.Class)
+					rc.allocated(o)
+				}
+				rc.register(o)
+				steps := np.Steps
+				if last := len(steps) - 1; last >= 0 && steps[last].Op == OpRef {
+					link, steps = &steps[last], steps[:last]
+				}
+				err = readSteps(rc, o, steps, o == old)
+			}
+		default:
+			if err = rc.m.Err(); err == nil {
+				err = fmt.Errorf("%w: bad reference marker %d", wire.ErrMalformedFrame, marker)
+			}
+		}
+		if err != nil {
+			break
+		}
+		if parent == nil {
+			root = o
+		} else {
+			parent.Fields[field] = model.Ref(o)
+		}
+		if link == nil {
+			break
+		}
+		// Continue at o's trailing link; its previous referent is the
+		// donor when o itself was reused.
+		var oldChild *model.Object
+		if o == old {
+			oldChild = o.Fields[link.Field].O
+		}
+		parent, field, np, old = o, link.Field, link.Target, oldChild
 	}
-	o, err := readRefBody(rc, np, old)
-	rc.depth--
-	return o, err
-}
-
-func readRefBody(rc *readCtx, np *NodePlan, old *model.Object) (*model.Object, error) {
-	switch marker := rc.m.ReadU8(); marker {
-	case refNull:
-		return nil, nil
-	case refHandle:
-		h := rc.m.ReadInt32()
-		o := rc.resolve(h)
-		if o == nil && rc.m.Err() == nil {
-			return nil, fmt.Errorf("%w: dangling handle %d (table has %d entries)",
-				wire.ErrMalformedFrame, h, len(rc.handles))
-		}
-		return o, nil
-	case refNewDynamic:
-		return readDynamicBody(rc)
-	case refNew:
-		if np == nil {
-			return nil, fmt.Errorf("%w: planned object on wire but no plan on reader", wire.ErrMalformedFrame)
-		}
-		return readPlannedBody(rc, np, old)
-	default:
-		if rc.m.Err() != nil {
-			return nil, rc.m.Err()
-		}
-		return nil, fmt.Errorf("%w: bad reference marker %d", wire.ErrMalformedFrame, marker)
+	rc.depth = entryDepth
+	if err != nil {
+		return nil, err
 	}
+	return root, nil
 }
 
 // dynString accounts for deserializing a string through the dynamic
@@ -165,8 +216,7 @@ func (rc *readCtx) dynString(payload int) {
 	rc.ops.SerializerCalls += 2
 	rc.ops.TypeOps += 2
 	rc.ops.Allocs += 2
-	rc.c.AllocObjects.Add(2)
-	rc.c.AllocBytes.Add(int64(32 + payload))
+	rc.allocBytes += int64(32 + payload)
 }
 
 // dynArrayIntrospect mirrors the write-side array examination cost.
@@ -268,61 +318,58 @@ func readDynamicBody(rc *readCtx) (*model.Object, error) {
 	return nil, fmt.Errorf("serial: bad class kind %v", class.Kind)
 }
 
-// readPlannedBody reconstructs an object whose class is known from the
-// call site plan — no type information is read, field reads are
-// inlined, and the previous invocation's object is overwritten in
-// place when its shape matches.
-func readPlannedBody(rc *readCtx, np *NodePlan, old *model.Object) (*model.Object, error) {
-	switch np.Class.Kind {
-	case model.KObject:
-		var o *model.Object
-		if rc.takeDonor(old, np.Class) {
-			o = old
-			rc.reused(o)
-		} else {
-			o = model.New(np.Class)
-			rc.allocated(o)
-		}
-		rc.register(o)
-		for _, s := range np.Steps {
-			switch s.Op {
-			case OpInt:
-				o.Fields[s.Field] = model.Int(rc.m.ReadInt64())
-			case OpDouble:
-				o.Fields[s.Field] = model.Double(rc.m.ReadFloat64())
-			case OpBool:
-				o.Fields[s.Field] = model.Bool(rc.m.ReadBool())
-			case OpString:
-				o.Fields[s.Field] = model.Str(rc.m.ReadString())
-			case OpRef, OpRefDynamic:
-				var oldChild *model.Object
-				if o == old {
+// readSteps fills the fields of a planned KObject — no type
+// information is read, field reads are inlined. reused reports that o
+// is the previous invocation's object being overwritten in place, so
+// its current referents are the donors for its reference fields.
+func readSteps(rc *readCtx, o *model.Object, steps []Step, reused bool) error {
+	for i := range steps {
+		s := &steps[i]
+		switch s.Op {
+		case OpInt:
+			o.Fields[s.Field] = model.Int(rc.m.ReadInt64())
+		case OpDouble:
+			o.Fields[s.Field] = model.Double(rc.m.ReadFloat64())
+		case OpBool:
+			o.Fields[s.Field] = model.Bool(rc.m.ReadBool())
+		case OpString:
+			o.Fields[s.Field] = model.Str(rc.m.ReadString())
+		case OpRef, OpRefDynamic:
+			var target *NodePlan
+			var oldChild *model.Object
+			if s.Op == OpRef {
+				target = s.Target
+				if reused {
 					oldChild = o.Fields[s.Field].O
 				}
-				target := s.Target
-				if s.Op == OpRefDynamic {
-					target = nil
-					oldChild = nil
-				}
-				child, err := readRef(rc, target, oldChild)
-				if err != nil {
-					return nil, err
-				}
-				o.Fields[s.Field] = model.Ref(child)
-				continue
 			}
-			rc.ops.InlinedWrites++
+			child, err := readRef(rc, target, oldChild)
+			if err != nil {
+				return err
+			}
+			o.Fields[s.Field] = model.Ref(child)
+			continue
 		}
-		return o, nil
+		rc.ops.InlinedWrites++
+	}
+	return nil
+}
+
+// readPlannedArray reconstructs an array whose class is known from the
+// call site plan, overwriting the previous invocation's array in place
+// when its length matches.
+func readPlannedArray(rc *readCtx, np *NodePlan, old *model.Object) (*model.Object, error) {
+	switch np.Class.Kind {
 	case model.KDoubleArray:
 		var dst []float64
-		if rc.takeDonor(old, np.Class) {
+		donor := rc.takeDonor(old, np.Class)
+		if donor {
 			dst = old.Doubles
 		}
-		vs, reusedSlice := rc.m.ReadFloat64SliceInto(dst)
+		vs, fits := rc.m.ReadFloat64SliceInto(dst)
 		rc.ops.Elems += int64(len(vs))
 		rc.ops.InlinedWrites++
-		if reusedSlice {
+		if fits && donor { // a nil dst "fits" an empty array: that is no reuse
 			old.Doubles = vs
 			rc.reused(old)
 			rc.register(old)
@@ -334,13 +381,14 @@ func readPlannedBody(rc *readCtx, np *NodePlan, old *model.Object) (*model.Objec
 		return o, nil
 	case model.KIntArray:
 		var dst []int64
-		if rc.takeDonor(old, np.Class) {
+		donor := rc.takeDonor(old, np.Class)
+		if donor {
 			dst = old.Ints
 		}
-		vs, reusedSlice := rc.m.ReadInt64SliceInto(dst)
+		vs, fits := rc.m.ReadInt64SliceInto(dst)
 		rc.ops.Elems += int64(len(vs))
 		rc.ops.InlinedWrites++
-		if reusedSlice {
+		if fits && donor { // a nil dst "fits" an empty array: that is no reuse
 			old.Ints = vs
 			rc.reused(old)
 			rc.register(old)

@@ -14,8 +14,9 @@
 //     object graphs are reused across calls when escape analysis
 //     permits (§3.3, Figure 13).
 //
-// All operations are tallied into stats.Counters (for Tables 4/6/8) and
-// simtime.OpCount (for the virtual-time cost model).
+// All operations are tallied into simtime.OpCount (for the virtual-time
+// cost model, returned per message) and stats.Counters (for Tables
+// 4/6/8, published once per message when its context is released).
 package serial
 
 import (
@@ -56,16 +57,27 @@ const (
 )
 
 // writeCtx bundles the write-side state of one message. Contexts are
-// pooled: the embedded writeTable keeps its map across messages
-// (cleared, not reallocated), so serializing in steady state creates no
+// pooled: the cycle table keeps its slots across messages (emptied,
+// not reallocated), so serializing in steady state creates no
 // per-message context garbage.
+//
+// Statistics are tallied in the context and added to stats.Counters
+// once, in putWriteCtx — one atomic add per counter per message
+// instead of several per object. The counters that always move in step
+// with an OpCount field (TypeOps, SerializerCalls, IntrospectOps,
+// CycleTables, CycleLookups) are flushed from ops; the ones with no
+// such twin have their own field.
 type writeCtx struct {
 	m     *wire.Message
 	c     *stats.Counters
 	ops   simtime.OpCount
-	table *writeTable // nil when cycle detection is eliminated
-	wt    writeTable  // reusable backing storage for table
-	link  *LinkPlans  // negotiated per-link demotions; nil = all plans agree
+	table *ptrTable  // nil when cycle detection is eliminated
+	wt    ptrTable   // reusable backing storage for table
+	link  *LinkPlans // negotiated per-link demotions; nil = all plans agree
+
+	typeBytes     int64 // stats TypeBytes
+	inlinedWrites int64 // stats InlinedWrites (differs from ops.InlinedWrites)
+	planFallbacks int64 // stats PlanFallbacks
 }
 
 var writeCtxPool = sync.Pool{New: func() any { return new(writeCtx) }}
@@ -73,36 +85,53 @@ var writeCtxPool = sync.Pool{New: func() any { return new(writeCtx) }}
 func getWriteCtx(m *wire.Message, c *stats.Counters) *writeCtx {
 	w := writeCtxPool.Get().(*writeCtx)
 	w.m, w.c = m, c
-	w.ops = simtime.OpCount{}
-	w.table = nil
-	w.link = nil
 	return w
 }
 
+// putWriteCtx publishes the message's tally and returns the context,
+// emptied, to the pool. Every WriteValues path, error paths included,
+// ends here.
 func putWriteCtx(w *writeCtx) {
-	w.m, w.c, w.table, w.link = nil, nil, nil, nil
-	if w.wt.m != nil {
-		clear(w.wt.m)
-		w.wt.next = 0
+	c := w.c
+	flush(&c.TypeBytes, w.typeBytes)
+	flush(&c.TypeOps, w.ops.TypeOps)
+	flush(&c.SerializerCalls, w.ops.SerializerCalls)
+	flush(&c.InlinedWrites, w.inlinedWrites)
+	flush(&c.IntrospectOps, w.ops.IntrospectOps)
+	flush(&c.CycleTables, w.ops.CycleTables)
+	flush(&c.CycleLookups, w.ops.CycleLookups)
+	if w.planFallbacks != 0 {
+		c.PlanFallbacks.Add(w.planFallbacks)
 	}
+	w.wt.release()
+	*w = writeCtx{wt: w.wt}
 	writeCtxPool.Put(w)
 }
 
+// flush adds a message's tally to its shared counter, skipping the
+// atomic when the message never touched it.
+func flush(c *stats.PaddedInt64, n int64) {
+	if n != 0 {
+		c.Add(n)
+	}
+}
+
 // readCtx bundles the read-side state of one message. Contexts are
-// pooled: the handles slice and usedDonors map keep their capacity
+// pooled: the handles slice and the donors table keep their capacity
 // across messages (entries cleared on release so no object graph is
-// pinned by the pool).
+// pinned by the pool). Statistics are flushed once per message in
+// putReadCtx, like the write side's; AllocObjects is ops.Allocs.
 type readCtx struct {
 	m       *wire.Message
 	reg     *model.Registry
 	c       *stats.Counters
 	ops     simtime.OpCount
 	handles []*model.Object // objects in transmission order, for refHandle
-	// usedDonors guards the reuse walk: a cached graph may contain
-	// sharing (it was itself deserialized from a message with
-	// handles), so the same donor object could otherwise be offered to
-	// two distinct wire objects and collapse the new graph.
-	usedDonors map[*model.Object]bool
+	// donors guards the reuse walk: a cached graph may contain sharing
+	// (it was itself deserialized from a message with handles), so the
+	// same donor object could otherwise be offered to two distinct wire
+	// objects and collapse the new graph.
+	donors ptrTable
 	// budget is the remaining per-frame allocation allowance in bytes
 	// (decodeBudgetBase + decodeBudgetPerByte per payload byte). Every
 	// object the decoder materializes is charged through allocated();
@@ -111,9 +140,14 @@ type readCtx struct {
 	// frames sit far under the budget: decoded bytes are proportional
 	// to payload bytes with a small constant.
 	budget int64
-	// depth is the current readRef recursion depth, capped at
-	// MaxDecodeDepth to stop stack-exhaustion nesting bombs.
+	// depth is the current reference nesting depth — one per readRef
+	// frame plus one per iteration of its trailing-link loop — capped
+	// at MaxDecodeDepth to stop stack-exhaustion nesting bombs.
 	depth int
+
+	allocBytes  int64 // stats AllocBytes
+	reusedObjs  int64 // stats ReusedObjs
+	reusedBytes int64 // stats ReusedBytes
 }
 
 // Decode budgets. Vars rather than consts so the hardening tests can
@@ -150,22 +184,23 @@ func getReadCtx(m *wire.Message, reg *model.Registry, c *stats.Counters) *readCt
 	readCtxGets.Add(1)
 	rc := readCtxPool.Get().(*readCtx)
 	rc.m, rc.reg, rc.c = m, reg, c
-	rc.ops = simtime.OpCount{}
 	rc.budget = decodeBudgetBase + decodeBudgetPerByte*int64(m.Remaining())
-	rc.depth = 0
 	return rc
 }
 
+// putReadCtx publishes the message's tally and returns the context,
+// emptied, to the pool. Every ReadValues path, error paths included,
+// ends here — objects materialized before a rejection stay counted.
 func putReadCtx(rc *readCtx) {
 	readCtxPuts.Add(1)
-	rc.m, rc.reg, rc.c = nil, nil, nil
-	for i := range rc.handles {
-		rc.handles[i] = nil
-	}
-	rc.handles = rc.handles[:0]
-	if rc.usedDonors != nil {
-		clear(rc.usedDonors)
-	}
+	c := rc.c
+	flush(&c.AllocObjects, rc.ops.Allocs)
+	flush(&c.AllocBytes, rc.allocBytes)
+	flush(&c.ReusedObjs, rc.reusedObjs)
+	flush(&c.ReusedBytes, rc.reusedBytes)
+	clear(rc.handles)
+	rc.donors.release()
+	*rc = readCtx{handles: rc.handles[:0], donors: rc.donors}
 	readCtxPool.Put(rc)
 }
 
@@ -176,14 +211,8 @@ func (rc *readCtx) takeDonor(old *model.Object, class *model.Class) bool {
 	if old == nil || old.Class != class {
 		return false
 	}
-	if rc.usedDonors == nil {
-		rc.usedDonors = make(map[*model.Object]bool)
-	}
-	if rc.usedDonors[old] {
-		return false
-	}
-	rc.usedDonors[old] = true
-	return true
+	_, taken := rc.donors.lookupOrAdd(old, 0)
+	return !taken
 }
 
 func (rc *readCtx) register(o *model.Object) {
@@ -215,13 +244,12 @@ func (rc *readCtx) allocated(o *model.Object) {
 	if rc.budget < 0 {
 		rc.m.Fail(fmt.Errorf("%w: frame exceeded its decode allocation budget", wire.ErrMalformedFrame))
 	}
-	rc.c.AllocObjects.Add(1)
-	rc.c.AllocBytes.Add(sz)
+	rc.allocBytes += sz
 	rc.ops.Allocs++
 }
 
 // reused records an in-place reuse of a cached object.
 func (rc *readCtx) reused(o *model.Object) {
-	rc.c.ReusedObjs.Add(1)
-	rc.c.ReusedBytes.Add(o.SizeBytes())
+	rc.reusedObjs++
+	rc.reusedBytes += o.SizeBytes()
 }

@@ -71,14 +71,17 @@ func writeBody(w *writeCtx, vals []model.Value, plans []*Plan, cfg Config) error
 		w.ops.StubOps++
 	}
 	if needTable(vals, plans, cfg) {
-		w.table = w.wt.reset(w.c, &w.ops)
+		// The table the serializer conceptually creates per message; its
+		// storage is the pooled context's, emptied by putWriteCtx.
+		w.table = &w.wt
+		w.ops.CycleTables++
 	}
 	for i, v := range vals {
 		if cfg.Mode == ModeClass {
 			// Self-describing: kind byte per value plus per-object
 			// class IDs below.
 			w.m.AppendByte(byte(v.Kind))
-			w.c.TypeBytes.Add(1)
+			w.typeBytes++
 			if v.Kind == model.FString {
 				w.dynString()
 			}
@@ -118,42 +121,61 @@ func writeValue(w *writeCtx, v model.Value, np *NodePlan) {
 // writeRef writes an object reference: null marker, cycle handle,
 // plan-driven body (refNew, no type info) or dynamic body
 // (refNewDynamic, explicit class ID).
+//
+// A planned object whose last step is a reference to a planned class —
+// the LinkedList.Next shape — does not recurse for that step: the loop
+// continues with the child, the tail call a native compiler gives the
+// paper's generated marshalers. Every other reference (a link that is
+// not the last field, array elements, the dynamic path) recurses.
 func writeRef(w *writeCtx, o *model.Object, np *NodePlan) {
-	if o == nil {
-		w.m.AppendByte(refNull)
-		return
-	}
-	if w.table != nil {
-		if h, found := w.table.lookupOrAdd(o, w.c, &w.ops); found {
-			w.m.AppendByte(refHandle)
-			w.m.AppendInt32(h)
+	for {
+		if o == nil {
+			w.m.AppendByte(refNull)
 			return
 		}
-	}
-	if np != nil && o.Class == np.Class {
-		if w.link == nil || !w.link.Demoted(o.Class) {
-			w.m.AppendByte(refNew)
-			w.c.InlinedWrites.Add(1)
-			writePlannedBody(w, o, np)
+		if t := w.table; t != nil {
+			w.ops.CycleLookups++
+			if h, found := t.lookupOrAdd(o, int32(t.n)); found {
+				w.m.AppendByte(refHandle)
+				w.m.AppendInt32(h)
+				return
+			}
+		}
+		if np == nil || o.Class != np.Class {
+			break
+		}
+		if w.link != nil && w.link.Demoted(o.Class) {
+			// Negotiated fallback: the peer compiled a different plan for
+			// this class (fingerprint mismatch at HELLO), so the planned
+			// form would mis-decode there. Demote this object to the
+			// self-describing encoding below — the reader's marker
+			// dispatch handles refNewDynamic under any plan.
+			w.link.fallbacks.Add(1)
+			w.planFallbacks++
+			break
+		}
+		w.m.AppendByte(refNew)
+		w.inlinedWrites++
+		if np.Class.Kind != model.KObject {
+			writePlannedArray(w, o, np)
 			return
 		}
-		// Negotiated fallback: the peer compiled a different plan for
-		// this class (fingerprint mismatch at HELLO), so the planned
-		// form would mis-decode there. Demote this object to the
-		// self-describing encoding below — the reader's marker dispatch
-		// handles refNewDynamic under any plan.
-		w.link.fallbacks.Add(1)
-		w.c.PlanFallbacks.Add(1)
+		steps := np.Steps
+		last := len(steps) - 1
+		if last < 0 || steps[last].Op != OpRef {
+			writeSteps(w, o, steps)
+			return
+		}
+		writeSteps(w, o, steps[:last])
+		o, np = o.Fields[steps[last].Field].O, steps[last].Target
 	}
 	// Dynamic path: class mode, polymorphic fallback, negotiated
 	// demotion, or a plan miss (the object's runtime class differs from
 	// the static prediction).
 	w.m.AppendByte(refNewDynamic)
 	w.m.AppendInt32(o.Class.ID)
-	w.c.TypeBytes.Add(4)
-	w.c.TypeOps.Add(1)
+	w.typeBytes += 4
 	w.ops.TypeOps++
-	w.c.SerializerCalls.Add(1)
 	w.ops.SerializerCalls++
 	writeDynamicBody(w, o)
 }
@@ -164,20 +186,16 @@ func writeRef(w *writeCtx, o *model.Object, np *NodePlan) {
 // information — overhead the call-site plans remove by knowing the
 // field is a String statically.
 func (w *writeCtx) dynString() {
-	w.c.SerializerCalls.Add(2)
 	w.ops.SerializerCalls += 2
-	w.c.TypeOps.Add(2)
-	w.c.TypeBytes.Add(8)
 	w.ops.TypeOps += 2
+	w.typeBytes += 8
 }
 
 // dynArrayIntrospect accounts for the class-mode examination of an
 // array: "the arrays have to be inspected ... each sub array examined
 // to compute the size of the array's payload" (§4).
 func (w *writeCtx) dynArrayIntrospect(n int) {
-	steps := int64(n/4) + 1
-	w.c.IntrospectOps.Add(steps)
-	w.ops.IntrospectOps += steps
+	w.ops.IntrospectOps += int64(n/4) + 1
 }
 
 // writeDynamicBody emits an object through the per-class generated
@@ -187,7 +205,6 @@ func writeDynamicBody(w *writeCtx, o *model.Object) {
 	switch o.Class.Kind {
 	case model.KObject:
 		for i, f := range o.Class.AllFields() {
-			w.c.IntrospectOps.Add(1)
 			w.ops.IntrospectOps++
 			v := o.Fields[i]
 			switch f.Kind {
@@ -225,48 +242,50 @@ func writeDynamicBody(w *writeCtx, o *model.Object) {
 	}
 }
 
-// writePlannedBody emits an object through the call-site-specific
-// inlined code path: field writes are direct, statically known
-// referents carry no type information.
-func writePlannedBody(w *writeCtx, o *model.Object, np *NodePlan) {
-	switch np.Class.Kind {
-	case model.KObject:
-		for _, s := range np.Steps {
-			v := o.Fields[s.Field]
-			switch s.Op {
-			case OpInt:
-				w.m.AppendInt64(v.I)
-			case OpDouble:
-				w.m.AppendFloat64(v.D)
-			case OpBool:
-				w.m.AppendBool(v.AsBool())
-			case OpString:
-				w.m.AppendString(v.S)
-			case OpRef:
-				writeRef(w, v.O, s.Target)
-				continue
-			case OpRefDynamic:
-				writeRef(w, v.O, nil)
-				continue
-			}
-			w.c.InlinedWrites.Add(1)
-			w.ops.InlinedWrites++
+// writeSteps emits the fields of a planned KObject through the
+// call-site-specific inlined code path: field writes are direct,
+// statically known referents carry no type information.
+func writeSteps(w *writeCtx, o *model.Object, steps []Step) {
+	for i := range steps {
+		s := &steps[i]
+		v := &o.Fields[s.Field]
+		switch s.Op {
+		case OpInt:
+			w.m.AppendInt64(v.I)
+		case OpDouble:
+			w.m.AppendFloat64(v.D)
+		case OpBool:
+			w.m.AppendBool(v.AsBool())
+		case OpString:
+			w.m.AppendString(v.S)
+		case OpRef:
+			writeRef(w, v.O, s.Target)
+			continue
+		case OpRefDynamic:
+			writeRef(w, v.O, nil)
+			continue
 		}
+		w.inlinedWrites++
+		w.ops.InlinedWrites++
+	}
+}
+
+// writePlannedArray emits a planned array: one bulk copy for the
+// primitive kinds, a planned reference per element for KRefArray.
+func writePlannedArray(w *writeCtx, o *model.Object, np *NodePlan) {
+	w.ops.InlinedWrites++
+	switch np.Class.Kind {
 	case model.KDoubleArray:
 		w.m.AppendFloat64Slice(o.Doubles)
 		w.ops.Elems += int64(len(o.Doubles))
-		w.ops.InlinedWrites++
 	case model.KIntArray:
 		w.m.AppendInt64Slice(o.Ints)
 		w.ops.Elems += int64(len(o.Ints))
-		w.ops.InlinedWrites++
 	case model.KByteArray:
 		w.m.AppendBytes(o.Bytes)
 		w.ops.Elems += int64(len(o.Bytes))
-		w.ops.InlinedWrites++
 	case model.KRefArray:
 		w.m.AppendInt32(int32(len(o.Refs)))
-		w.ops.InlinedWrites++
 		for _, e := range o.Refs {
 			writeRef(w, e, np.Elem)
 		}

@@ -21,8 +21,15 @@ type PaddedInt64 struct {
 
 // Counters accumulates runtime events. All fields are safe for
 // concurrent use. A Counters value must not be copied after first use.
-// The counters bumped on every serialized field or message are padded
-// (PaddedInt64); rarely-touched fault counters stay unpadded.
+// The counters bumped on every message are padded (PaddedInt64);
+// rarely-touched fault counters stay unpadded.
+//
+// The serializer's counters (TypeBytes through ReusedBytes, and
+// PlanFallbacks) are tallied per message in the serial package's pooled
+// contexts and added here once when the message's WriteValues or
+// ReadValues call returns, successfully or not: a snapshot taken while
+// a message is being walked does not include that message yet, and one
+// taken after the call returns includes all of it.
 type Counters struct {
 	RemoteRPCs PaddedInt64  // RMIs on objects on another node
 	LocalRPCs  atomic.Int64 // RMIs that happened to be node-local
