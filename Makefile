@@ -3,7 +3,7 @@
 # concurrency-heavy; -race is part of its acceptance criteria), and
 # end-to-end smokes of the observability endpoints and the optimizer
 # decision explainer.
-.PHONY: verify test bench bench-transport bench-codec verify-perf obs-smoke explain-smoke verify-precision verify-async verify-attrib verify-dtrace verify-analysis fuzz
+.PHONY: verify test bench bench-transport bench-codec bench-compile verify-perf obs-smoke explain-smoke verify-precision verify-async verify-attrib verify-dtrace verify-analysis fuzz
 
 verify:
 	go vet ./...
@@ -87,9 +87,14 @@ verify-dtrace:
 # by 2x (fewer cores assert identity only). Incremental-invalidation
 # edge cases (recursive SCCs, edge add/remove, corrupted cache files)
 # are pinned by the unit tests in internal/heap and internal/heap/sched.
+# Those gates stop at the heap analysis (harness.AnalyzeCorpus); the
+# stage after it, core.buildSites with its escape check, is held linear
+# by the last line: a whole core.Compile must allocate no more than
+# 1.5x per function at 1440 functions than at 360, no wall clock read.
 verify-analysis:
 	go test -count=1 -run 'TestAnalysisCorpusGate|TestAnalysisIncrementalGate|TestAnalysisParallelSpeedup' ./internal/harness
 	go test -count=1 -run 'TestIncremental|TestSummary' ./internal/heap ./internal/heap/sched ./internal/heap/gen
+	go test -count=1 -run 'TestCompileAllocsLinearInFunctions' ./internal/core
 
 # Short native-fuzzing pass over the adversarial decode surfaces:
 # the HELLO handshake decoder, the value/reference payload decoder,
@@ -125,6 +130,14 @@ bench-transport:
 # the profiling handle for internal/serial.
 bench-codec:
 	go test -run '^$$' -bench 'BenchmarkPlannedCodec' -benchmem -count=3 ./internal/serial
+
+# Whole compiler (lang, ir, heap, core) cold over generated corpora of
+# 360, 1440 and 2200 functions: ns/op, allocs/op and ns/func, which
+# should stay flat as the program grows. Informational, no gate (the
+# gated form is TestCompileAllocsLinearInFunctions in verify-analysis);
+# the profiling handle for the compiler ladder.
+bench-compile:
+	go test -run '^$$' -bench 'BenchmarkCompileScaling' -benchmem -count=3 .
 
 # Opt-in perf gate: measure a fresh report and compare it against the
 # committed baseline. Fails on >10% ns/op growth or any allocs/op

@@ -15,6 +15,7 @@ import (
 	"cormi/internal/apps/superopt"
 	"cormi/internal/apps/webserver"
 	"cormi/internal/core"
+	"cormi/internal/heap/gen"
 	"cormi/internal/model"
 	"cormi/internal/rmi"
 	"cormi/internal/serial"
@@ -265,6 +266,35 @@ func BenchmarkHeapAnalysisScaling(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkCompileScaling runs the whole compiler (lang, ir, heap,
+// core) cold over generated corpora of growing size. ns/func should
+// stay flat: every stage, buildSites' escape check included, is linear
+// in program size. Informational, no gate (`make bench-compile`); the
+// machine-independent form is TestCompileAllocsLinearInFunctions.
+func BenchmarkCompileScaling(b *testing.B) {
+	for _, cfg := range []gen.Config{
+		{Seed: 2026, Components: 36, FuncsPerComponent: 8},
+		{Seed: 2026, Components: 144, FuncsPerComponent: 8},
+		{Seed: 2026, Components: 100, FuncsPerComponent: 20},
+	} {
+		src := gen.Generate(cfg).Source
+		res, err := core.Compile(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		funcs := len(res.IR.Funcs)
+		b.Run(fmt.Sprintf("funcs=%d", funcs), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Compile(src); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(funcs), "ns/func")
 		})
 	}
 }

@@ -7,16 +7,121 @@ import (
 	"cormi/internal/ir"
 )
 
-// escapeState caches program-wide escape seeds shared by all per-site
-// queries.
+// escapeState holds the program-wide part of the §3.3 escape check,
+// shared by every per-site query of one compile. Escaping is a fact
+// about the program, not about the query, so it is computed once — on
+// the first non-empty graph, so a sketch without reference arguments
+// pays nothing — and each query then costs O(|graph| × in-degree).
+// The state belongs to one Result and is never kept across compiles.
 type escapeState struct {
+	built bool
 	// globalReach is everything reachable from a static variable; any
 	// overlap means the graph outlives the invocation (Figure 11).
 	globalReach heap.NodeSet
+	// preds is the reverse of Heap.FieldEdges, by NodeID: every
+	// (holder, field key) with an edge to the node.
+	preds [][]fieldPred
+	// unknown records, by NodeID, the first store of the node through
+	// a reference whose points-to set is empty in some context, in
+	// scan order (function, instruction, context); seq 0 means none.
+	unknown []unknownStore
+	// receiverReach and returnedReach memoise the lifetime roots of a
+	// function: Reach of its receiver parameter and of its returned
+	// values. Every site of one callee asks for the same two sets.
+	receiverReach, returnedReach map[*ir.Func]heap.NodeSet
 }
 
-func (r *Result) escapeState() *escapeState {
-	return &escapeState{globalReach: r.Heap.Reach(r.Heap.GlobalSeeds())}
+type fieldPred struct {
+	holder heap.NodeID
+	key    string
+}
+
+type unknownStore struct {
+	seq int
+	fn  *ir.Func
+}
+
+func newEscapeState() *escapeState {
+	return &escapeState{
+		receiverReach: map[*ir.Func]heap.NodeSet{},
+		returnedReach: map[*ir.Func]heap.NodeSet{},
+	}
+}
+
+// build fills the program-wide indexes.
+func (es *escapeState) build(r *Result) {
+	es.built = true
+	es.globalReach = r.Heap.Reach(r.Heap.GlobalSeeds())
+
+	n := len(r.Heap.Nodes)
+	es.preds = make([][]fieldPred, n)
+	for i := 0; i < n; i++ {
+		holder := heap.NodeID(i)
+		for key, set := range r.Heap.FieldEdges(holder) {
+			for m := range set {
+				es.preds[m] = append(es.preds[m], fieldPred{holder, key})
+			}
+		}
+	}
+
+	// Stores through a reference with an empty points-to set. The
+	// check runs per analysis context: under 1-call-site sensitivity a
+	// target may be known in one context and unknowable in another,
+	// and the merged view would hide the unanalyzable store (the
+	// context-separated analysis never materializes its field edge, so
+	// no other rule can catch it).
+	es.unknown = make([]unknownStore, n)
+	seq := 0
+	for _, f := range r.IR.Funcs {
+		ctxs := r.Heap.Contexts(f)
+		f.Instrs(func(in *ir.Instr) bool {
+			var target, val *ir.Value
+			switch in.Op {
+			case ir.OpStore:
+				target, val = in.Args[0], in.Args[1]
+			case ir.OpStoreIdx:
+				target, val = in.Args[0], in.Args[2]
+			default:
+				return true
+			}
+			for _, c := range ctxs {
+				seq++
+				if len(r.Heap.PointsToIn(target, c)) > 0 {
+					continue
+				}
+				for id := range r.Heap.PointsToIn(val, c) {
+					if es.unknown[id].seq == 0 {
+						es.unknown[id] = unknownStore{seq, f}
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
+// returned is the memoised Reach of everything f may return.
+func (es *escapeState) returned(r *Result, f *ir.Func) heap.NodeSet {
+	reach, ok := es.returnedReach[f]
+	if !ok {
+		rets := heap.NodeSet{}
+		for _, rv := range ir.ReturnValues(f) {
+			rets.AddAll(r.Heap.PointsTo(rv))
+		}
+		reach = r.Heap.Reach(rets)
+		es.returnedReach[f] = reach
+	}
+	return reach
+}
+
+// receiver is the memoised Reach of f's receiver parameter.
+func (es *escapeState) receiver(r *Result, f *ir.Func) heap.NodeSet {
+	reach, ok := es.receiverReach[f]
+	if !ok {
+		reach = r.Heap.Reach(r.Heap.PointsTo(f.Params[0]))
+		es.receiverReach[f] = reach
+	}
+	return reach
 }
 
 // Escape-denial rules. Each names the §3.3 condition that blocked
@@ -61,111 +166,97 @@ func (r *Result) nodeWitness(rule string, id heap.NodeID, detail string) *Escape
 	return &EscapeWitness{Rule: rule, Node: id, Alloc: r.Heap.Nodes[id].Logical, Detail: detail}
 }
 
-// lifetimeRoot tags an extra escape seed set with the denial rule it
-// stands for, so a hit can be reported precisely.
+// lifetimeRoot tags an extra escape seed set, already closed under
+// Reach, with the denial rule it stands for, so a hit can be reported
+// precisely.
 type lifetimeRoot struct {
 	rule  string
-	roots heap.NodeSet
+	reach heap.NodeSet
 }
 
 // graphEscapeWitness implements the RMI-specific escape analysis of
 // §3.3 for an object graph that should die when its invocation
-// finishes: the graph escapes if any of its nodes
+// finishes (callers pass a non-empty one): the graph escapes if any of
+// its nodes
 //
 //   - is reachable from a static variable (stored to a global,
 //     directly or transitively — Figure 11),
 //   - is reachable from one of the extra lifetime roots (the remote
 //     receiver's own object graph, or the callee's return value for
 //     argument reuse: a returned argument flows back to the caller),
-//   - or is stored into a field of any object outside the graph
-//     (conservatively, the heap location may outlive the call).
+//   - is stored into a field of any object outside the graph
+//     (conservatively, the heap location may outlive the call),
+//   - or is stored through a reference with an empty points-to set
+//     (e.g. a receiver no analyzed code ever allocates): the target is
+//     unknowable, so assume the store escapes.
 //
 // Note the recursive rule the paper highlights: an object escapes if
 // anything it (transitively) references escapes — which holds here
 // because `graph` is the full reachable set of the argument.
 //
 // The return value is the denial witness, nil when nothing escapes.
+// The rules are tried in the order above and each reports its least
+// candidate: the lowest node id for the reachability rules, the lowest
+// (holder id, field key, node id) for a store outside the graph, and
+// the earliest store in scan order, then the lowest node id, for an
+// unanalyzable one. Every rule is one pass over the graph.
 func (r *Result) graphEscapeWitness(es *escapeState, graph heap.NodeSet, extra []lifetimeRoot) *EscapeWitness {
-	if len(graph) == 0 {
-		return nil
+	if !es.built {
+		es.build(r)
 	}
-	for _, id := range graph.Sorted() {
-		if es.globalReach.Has(id) {
-			return r.nodeWitness(RuleGlobalReachable, id, "reachable from a static variable")
-		}
+	if id, ok := leastCommon(graph, es.globalReach); ok {
+		return r.nodeWitness(RuleGlobalReachable, id, "reachable from a static variable")
 	}
 	for _, lr := range extra {
-		reach := r.Heap.Reach(lr.roots)
-		for _, id := range graph.Sorted() {
-			if reach.Has(id) {
-				return r.nodeWitness(lr.rule, id, "")
-			}
+		if id, ok := leastCommon(graph, lr.reach); ok {
+			return r.nodeWitness(lr.rule, id, "")
 		}
 	}
 	// Stored into a node outside the graph?
-	for i := range r.Heap.Nodes {
-		id := heap.NodeID(i)
-		if graph.Has(id) {
-			continue
-		}
-		for _, key := range fieldKeys(r.Heap, id) {
-			for _, m := range r.Heap.Field(id, key).Sorted() {
-				if graph.Has(m) {
-					return r.nodeWitness(RuleStoredOutside, m,
-						fmt.Sprintf("stored into %s of allocation %d", key, r.Heap.Nodes[id].Logical))
-				}
+	var node heap.NodeID
+	var via fieldPred
+	found := false
+	for m := range graph {
+		for _, p := range es.preds[m] {
+			if graph.Has(p.holder) {
+				continue
+			}
+			if !found || p.holder < via.holder ||
+				p.holder == via.holder && (p.key < via.key || p.key == via.key && m < node) {
+				node, via, found = m, p, true
 			}
 		}
 	}
-	// Stored through a reference with an empty points-to set (e.g. a
-	// receiver no analyzed code ever allocates): the target is
-	// unknowable, so assume the store escapes. The check runs per
-	// analysis context: under 1-call-site sensitivity a target may be
-	// known in one context and unknowable in another, and the merged
-	// view would hide the unanalyzable store (the context-separated
-	// analysis never materializes its field edge, so no other rule can
-	// catch it).
-	for _, f := range r.IR.Funcs {
-		var w *EscapeWitness
-		f.Instrs(func(in *ir.Instr) bool {
-			var target, val *ir.Value
-			switch in.Op {
-			case ir.OpStore:
-				target, val = in.Args[0], in.Args[1]
-			case ir.OpStoreIdx:
-				target, val = in.Args[0], in.Args[2]
-			default:
-				return true
-			}
-			for _, c := range r.Heap.Contexts(f) {
-				if len(r.Heap.PointsToIn(target, c)) > 0 {
-					continue
-				}
-				for _, id := range r.Heap.PointsToIn(val, c).Sorted() {
-					if graph.Has(id) {
-						w = r.nodeWitness(RuleUnknownStore, id,
-							fmt.Sprintf("stored through an unanalyzable reference in %s", f.Name))
-						return false
-					}
-				}
-			}
-			return true
-		})
-		if w != nil {
-			return w
+	if found {
+		return r.nodeWitness(RuleStoredOutside, node,
+			fmt.Sprintf("stored into %s of allocation %d", via.key, r.Heap.Nodes[via.holder].Logical))
+	}
+	// Stored through an unanalyzable reference?
+	var first unknownStore
+	for m := range graph {
+		u := es.unknown[m]
+		if u.seq == 0 {
+			continue
 		}
+		if first.seq == 0 || u.seq < first.seq || u.seq == first.seq && m < node {
+			node, first = m, u
+		}
+	}
+	if first.seq != 0 {
+		return r.nodeWitness(RuleUnknownStore, node,
+			fmt.Sprintf("stored through an unanalyzable reference in %s", first.fn.Name))
 	}
 	return nil
 }
 
-func fieldKeys(a *heap.Analysis, id heap.NodeID) []string {
-	var keys []string
-	// The analysis exposes field sets only via Field(key); enumerate
-	// via the node's recorded edges.
-	for key := range a.FieldEdges(id) {
-		keys = append(keys, key)
+// leastCommon returns the lowest node id in both sets.
+func leastCommon(graph, reach heap.NodeSet) (least heap.NodeID, ok bool) {
+	for id := range graph {
+		if (!ok || id < least) && reach.Has(id) {
+			least, ok = id, true
+		}
 	}
-	return keys
+	return least, ok
 }
 
 // argReuseDenial decides §3.3 for one serialized argument of a remote
@@ -185,20 +276,19 @@ func (r *Result) argReuseDenial(es *escapeState, site *ir.Instr, argNodes heap.N
 			Detail: "no callee-side clone of the argument graph was analyzed"}
 	}
 	graph := r.Heap.Reach(clones)
+	if len(graph) == 0 {
+		return nil
+	}
 
 	// Lifetime roots beyond globals: the receiver instance (storing an
 	// argument into a field of the remote object keeps it alive across
 	// calls) and the callee's returned graph (a returned argument
 	// flows back to the caller).
-	var extra []lifetimeRoot
+	extra := make([]lifetimeRoot, 0, 2)
 	if !site.Callee.Static && len(callee.Params) > 0 {
-		extra = append(extra, lifetimeRoot{RuleReceiverReachable, r.Heap.PointsTo(callee.Params[0])})
+		extra = append(extra, lifetimeRoot{RuleReceiverReachable, es.receiver(r, callee)})
 	}
-	rets := heap.NodeSet{}
-	for _, rv := range ir.ReturnValues(callee) {
-		rets.AddAll(r.Heap.PointsTo(rv))
-	}
-	extra = append(extra, lifetimeRoot{RuleReturned, rets})
+	extra = append(extra, lifetimeRoot{RuleReturned, es.returned(r, callee)})
 
 	return r.graphEscapeWitness(es, graph, extra)
 }
@@ -227,6 +317,9 @@ func (r *Result) retReuseDenial(es *escapeState, site *ir.Instr, retNodes heap.N
 			Detail: "no caller-side clone of the returned graph was analyzed"}
 	}
 	graph := r.Heap.Reach(clones)
+	if len(graph) == 0 {
+		return nil
+	}
 
 	// If the CONTAINING function can return part of this graph, it
 	// outlives the caller's frame. Only the containing function's
@@ -240,12 +333,7 @@ func (r *Result) retReuseDenial(es *escapeState, site *ir.Instr, retNodes heap.N
 	// any-function-returns rule was sound but defeated context
 	// sensitivity: a pass-through helper's merged return summary always
 	// contained the clone.
-	caller := site.Block.Func
-	rets := heap.NodeSet{}
-	for _, rv := range ir.ReturnValues(caller) {
-		rets.AddAll(r.Heap.PointsTo(rv))
-	}
-	extra := []lifetimeRoot{{RuleReturned, rets}}
+	extra := []lifetimeRoot{{RuleReturned, es.returned(r, site.Block.Func)}}
 
 	return r.graphEscapeWitness(es, graph, extra)
 }

@@ -12,7 +12,7 @@ import (
 // buildSites derives SiteInfo (plans + cycle + reuse + ack verdicts)
 // for every remote call site in the program.
 func (r *Result) buildSites() error {
-	es := r.escapeState()
+	es := newEscapeState()
 	seqPerFunc := map[*ir.Func]int{}
 	for siteID, in := range r.IR.RemoteSites {
 		si := &SiteInfo{SiteID: siteID}

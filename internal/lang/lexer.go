@@ -8,7 +8,10 @@ import (
 // Lex splits src into tokens, skipping // and /* */ comments.
 func Lex(src string) ([]Token, error) {
 	l := &lexer{src: src, line: 1, col: 1}
-	var toks []Token
+	// MiniJP source averages three bytes per token (indented code with
+	// comments, six or more); half the byte count holds denser code too
+	// without regrowing.
+	toks := make([]Token, 0, len(src)/2+1)
 	for {
 		t, err := l.next()
 		if err != nil {
@@ -181,7 +184,7 @@ func (l *lexer) next() (Token, error) {
 
 	case strings.IndexByte("(){}[];,.", c) >= 0:
 		l.advance()
-		return Token{Kind: TokPunct, Text: string(c), Pos: pos}, nil
+		return Token{Kind: TokPunct, Text: l.src[l.off-1 : l.off], Pos: pos}, nil
 
 	default:
 		// Operators, longest match first.
