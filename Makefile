@@ -2,8 +2,11 @@
 # suite under the race detector (the fault-tolerance layer is
 # concurrency-heavy; -race is part of its acceptance criteria), and
 # end-to-end smokes of the observability endpoints and the optimizer
-# decision explainer.
-.PHONY: verify test bench bench-transport bench-codec bench-compile verify-perf obs-smoke explain-smoke verify-precision verify-async verify-attrib verify-dtrace verify-analysis fuzz
+# decision explainer. Every fact gated here is deterministic; timings
+# and allocations per op are judged by the repo benchmark, parent
+# against change in ten alternating pairs: bash bench/run.sh
+# (EXPERIMENTS.md). The bench* targets below are informational.
+.PHONY: verify test bench bench-transport bench-codec bench-compile obs-smoke explain-smoke verify-precision verify-async verify-attrib verify-dtrace verify-analysis fuzz
 
 verify:
 	go vet ./...
@@ -38,7 +41,8 @@ explain-smoke:
 # Precision regression gate: run the full compiler over the MiniJP
 # corpus (examples/minijp) and diff the per-site verdict matrix — and
 # the context-insensitive baseline matrix — against the checked-in
-# goldens, then re-prove the sensitivity gain in-process (strictly more
+# goldens and the verdict totals of the four measured application
+# sketches, then re-prove the sensitivity gain in-process (strictly more
 # elided cycle checks and reuse grants than the baseline). A precision
 # regression fails; an intended improvement needs a reviewed golden
 # update (UPDATE_GOLDEN=1 go test ./internal/harness -run TestVerdictMatrix).
@@ -78,11 +82,12 @@ verify-dtrace:
 	go test -count=1 -run 'TestUntracedWithSamplingArmedAllocs|TestSampledPathAllocs' ./internal/apps/micro
 	go test -count=1 -run 'TestDTraceChainReconstructsSingleTree|TestBuildTree' ./internal/harness ./internal/trace
 
-# Analysis-at-scale gate (DESIGN.md §16): the 2k-function generated
-# corpus must analyze inside the wall budget with the expected region
-# structure and zero context-budget fallbacks; a one-function edit on a
-# warm summary cache must re-analyze under 10% of the corpus and merge
-# to a result bit-identical to a cold run; the parallel cold run must
+# Analysis-at-scale gate (DESIGN.md §16): the 2200- and 360-function
+# generated corpora must analyze inside the wall budget with exactly
+# their pinned structure and precision counters (zero context-budget
+# fallbacks among them); a one-function edit on a warm summary cache
+# must re-analyze its own region only, under 10% of the corpus, and
+# merge to a result bit-identical to a cold run; the parallel cold run must
 # be bit-identical to the sequential one and, with >= 4 CPUs, beat it
 # by 2x (fewer cores assert identity only). Incremental-invalidation
 # edge cases (recursive SCCs, edge add/remove, corrupted cache files)
@@ -110,12 +115,9 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzReadValues -fuzztime $(FUZZTIME) ./internal/serial
 	go test -run '^$$' -fuzz FuzzSummaryDecode -fuzztime $(FUZZTIME) ./internal/heap
 
-# Regenerate the human-readable Go benchmarks and the machine-readable
-# perf baseline consumed by benchdiff (commit BENCH_rmibench.json when
-# a perf change is intentional).
+# Every Go benchmark in the module. Informational, no gate.
 bench:
 	go test -bench=. -benchmem -count=5 ./...
-	go run ./cmd/rmibench -json > BENCH_rmibench.json
 
 # RMI echo round trip per transport: channel, tcp, and tcp-parallel
 # (GOMAXPROCS concurrent callers). Informational, no gate; add
@@ -138,11 +140,3 @@ bench-codec:
 # the profiling handle for the compiler ladder.
 bench-compile:
 	go test -run '^$$' -bench 'BenchmarkCompileScaling' -benchmem -count=3 .
-
-# Opt-in perf gate: measure a fresh report and compare it against the
-# committed baseline. Fails on >10% ns/op growth or any allocs/op
-# regression on any workload × optimization level row.
-verify-perf: verify
-	go run ./cmd/rmibench -json > /tmp/BENCH_rmibench.fresh.json
-	go run ./cmd/benchdiff BENCH_rmibench.json /tmp/BENCH_rmibench.fresh.json
-	rm -f /tmp/BENCH_rmibench.fresh.json

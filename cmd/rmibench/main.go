@@ -16,18 +16,12 @@
 //	rmibench -chain 8      # chained-dependency workload: sync vs
 //	                       # async vs pipelined vs batched, with
 //	                       # virtual chain latency and frames/op
-//	rmibench -json > BENCH_rmibench.json           # machine-readable
-//	                       # perf report (ns/op, B/op, allocs/op per
-//	                       # workload × optimization level) consumed by
-//	                       # cmd/benchdiff / `make verify-perf`
 //	rmibench -trace out.json   # traced micro pass: writes a
 //	                       # Perfetto-loadable Chrome trace to out.json
 //	                       # and prints per-phase p50/p95/p99 latencies
 //	rmibench -faults -trace out.json   # chaos with the flight recorder
 //	                       # attached: a timeout/partition auto-dumps
 //	                       # the recent spans to out.json
-//	rmibench -json -trace out.json     # perf report with a
-//	                       # phase_latency section, plus the trace file
 package main
 
 import (
@@ -50,36 +44,20 @@ func main() {
 	corrupt := flag.Float64("corrupt", -1, "chaos: payload corruption probability")
 	seed := flag.Int64("seed", 42, "chaos: fault injection seed")
 	skew := flag.Bool("skew", false, "mixed-version mode: run the workloads with one node's plan fingerprints skewed and verify negotiated fallback")
-	jsonOut := flag.Bool("json", false, "emit the machine-readable perf report (for benchdiff) and exit")
 	traceOut := flag.String("trace", "", "write a Perfetto-loadable Chrome trace to this file and print per-phase latency quantiles")
-	chain := flag.Int("chain", 0, "chained-dependency workload at this depth (sync/async/pipelined/batched); with -json, overrides the report's chain depth")
+	chain := flag.Int("chain", 0, "chained-dependency workload at this depth (sync/async/pipelined/batched), then the same chain traced across three nodes")
 	chains := flag.Int("chains", 100, "number of chains per mode for -chain")
 	flag.Parse()
 
-	if *jsonOut {
-		spec := harness.DefaultBenchSpec()
-		spec.TracePhases = *traceOut != ""
-		if *chain > 0 {
-			spec.ChainDepth = *chain
-			spec.ChainCount = *chains
-		}
-		report, err := harness.RunBench(spec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rmibench: bench run failed: %v\n", err)
-			os.Exit(1)
-		}
-		data, err := report.JSON()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rmibench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(string(data))
-		if *traceOut != "" {
-			// The report already folded the quantiles in; the trace
-			// file still wants the raw spans of a traced pass.
-			writeTraceFile(*traceOut)
-		}
-		return
+	var scale harness.Scale
+	switch *scaleName {
+	case "test":
+		scale = harness.TestScale()
+	case "paper":
+		scale = harness.PaperScale()
+	default:
+		fmt.Fprintf(os.Stderr, "rmibench: unknown scale %q\n", *scaleName)
+		os.Exit(2)
 	}
 
 	if *chain > 0 {
@@ -104,10 +82,6 @@ func main() {
 	}
 
 	if *skew {
-		scale := harness.TestScale()
-		if *scaleName == "paper" {
-			scale = harness.PaperScale()
-		}
 		report, err := harness.VersionSkew(scale, 1)
 		if report != nil {
 			fmt.Println(report.Format())
@@ -191,17 +165,6 @@ func main() {
 		return
 	}
 
-	var scale harness.Scale
-	switch *scaleName {
-	case "test":
-		scale = harness.TestScale()
-	case "paper":
-		scale = harness.PaperScale()
-	default:
-		fmt.Fprintf(os.Stderr, "rmibench: unknown scale %q\n", *scaleName)
-		os.Exit(2)
-	}
-
 	emit := func(tables ...*harness.Table) {
 		for _, t := range tables {
 			fmt.Println(t.Format())
@@ -245,10 +208,11 @@ func main() {
 	}
 }
 
-// writeTraceFile runs the traced micro pass, writes the Chrome trace,
-// and prints the per-phase latency summary.
+// writeTraceFile runs the traced micro pass (2000 sends per workload
+// and level: enough calls for a stable p99 row), writes the Chrome
+// trace, and prints the per-phase latency summary.
 func writeTraceFile(path string) {
-	rep, err := harness.RunTraced(harness.DefaultBenchSpec())
+	rep, err := harness.RunTraced(2000)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rmibench: traced run failed: %v\n", err)
 		os.Exit(1)

@@ -23,6 +23,47 @@ import (
 // functions.
 var gateCorpus = gen.Config{Seed: 2026, Components: 100, FuncsPerComponent: 20}
 
+// costCounters are the structure and precision counters of a cold run
+// that depend on the corpus alone, never on the host or worker count:
+// any drift means the analysis result itself changed.
+type costCounters struct {
+	functions, sccs, components, waves       int
+	contexts, nodes, strongKills, iterations int
+	budgetFallbacks                          int
+}
+
+func countersOf(c heap.CostStats) costCounters {
+	return costCounters{
+		functions: c.Functions, sccs: c.SCCs, components: c.Components, waves: c.Waves,
+		contexts: c.Contexts, nodes: c.Nodes, strongKills: c.StrongKills, iterations: c.Iterations,
+		budgetFallbacks: c.BudgetFallbacks,
+	}
+}
+
+// gateCorpora are the inputs of the corpus and incremental gates: the
+// 2200-function scalability corpus and a 360-function one (30 regions
+// x 10 helpers, the shape the repo benchmark's compile workload
+// compiles). Each names the one function edited for the warm run and
+// how many functions that edit must re-analyze. budgetFallbacks is 0
+// on both: their call fan-in is designed under the context budget, so
+// a fallback means the bounded-context rule regressed.
+var gateCorpora = []struct {
+	name         string
+	cfg          gen.Config
+	cold         costCounters
+	edit         string
+	warmAnalyzed int
+}{
+	{"funcs=2200", gateCorpus,
+		costCounters{functions: 2200, sccs: 2100, components: 100, waves: 18,
+			contexts: 2628, nodes: 700, strongKills: 0, iterations: 3, budgetFallbacks: 0},
+		"C42App.f13", 22},
+	{"funcs=360", gen.Config{Seed: 404, Components: 30, FuncsPerComponent: 10},
+		costCounters{functions: 360, sccs: 330, components: 30, waves: 8,
+			contexts: 329, nodes: 210, strongKills: 0, iterations: 3, budgetFallbacks: 0},
+		"C7App.f5", 12},
+}
+
 // analysisWallBudget caps the analysis driver's own wall time on the
 // gate corpus. The corpus solves in ~30ms on an unloaded dev machine;
 // the budget leaves two orders of magnitude for slow CI hardware while
@@ -37,71 +78,73 @@ func gateOpts(workers int, dir string) heap.Options {
 	return o
 }
 
-// TestAnalysisCorpusGate: the parallel cold run of the 2k-function
-// corpus must finish inside the budget, discover the expected
-// structure, and never fall back on the context budget (the corpus
-// fan-in is designed under it — a fallback here means the bounded-
-// context rule regressed).
+// TestAnalysisCorpusGate: the parallel cold run of each pinned corpus
+// must finish inside the budget and reproduce its structure and
+// precision counters exactly.
 func TestAnalysisCorpusGate(t *testing.T) {
-	a, err := AnalyzeCorpus(gateCorpus, gateOpts(0, "")) // Workers 0 = GOMAXPROCS
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := a.Cost
-	if c.Functions != 2200 {
-		t.Errorf("corpus has %d bodied functions, want 2200", c.Functions)
-	}
-	if c.Components != gateCorpus.Components {
-		t.Errorf("scheduler found %d regions, want %d", c.Components, gateCorpus.Components)
-	}
-	if c.BudgetFallbacks != 0 {
-		t.Errorf("%d context-budget fallbacks on the pinned corpus, want 0 (%v)",
-			c.BudgetFallbacks, c.FallbackFuncs)
-	}
-	if wall := time.Duration(c.WallNS); wall > analysisWallBudget {
-		t.Errorf("analysis wall time %v exceeds budget %v", wall, analysisWallBudget)
-	}
-	if c.FuncsAnalyzed != c.Functions {
-		t.Errorf("cold uncached run analyzed %d of %d functions", c.FuncsAnalyzed, c.Functions)
+	for _, g := range gateCorpora {
+		t.Run(g.name, func(t *testing.T) {
+			a, err := AnalyzeCorpus(g.cfg, gateOpts(0, "")) // Workers 0 = GOMAXPROCS
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := a.Cost
+			if got := countersOf(c); got != g.cold {
+				t.Errorf("cold counters\n got %+v\nwant %+v (fallbacks in %v)", got, g.cold, c.FallbackFuncs)
+			}
+			if wall := time.Duration(c.WallNS); wall > analysisWallBudget {
+				t.Errorf("analysis wall time %v exceeds budget %v", wall, analysisWallBudget)
+			}
+			if c.FuncsAnalyzed != c.Functions {
+				t.Errorf("cold uncached run analyzed %d of %d functions", c.FuncsAnalyzed, c.Functions)
+			}
+		})
 	}
 }
 
 // TestAnalysisIncrementalGate: after a cold cache populate, editing
-// ONE function must re-analyze strictly less than 10% of the corpus
-// and still produce a result bit-identical to an uncached cold run of
-// the edited program.
+// ONE function must re-analyze only its own region — strictly less
+// than 10% of the corpus — and still produce a result bit-identical to
+// an uncached cold run of the edited program.
 func TestAnalysisIncrementalGate(t *testing.T) {
-	dir := t.TempDir()
-	cold, err := AnalyzeCorpus(gateCorpus, gateOpts(0, dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Cost.CacheMisses != gateCorpus.Components {
-		t.Fatalf("cold populate: %d misses, want %d", cold.Cost.CacheMisses, gateCorpus.Components)
-	}
+	for _, g := range gateCorpora {
+		t.Run(g.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cold, err := AnalyzeCorpus(g.cfg, gateOpts(0, dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cold.Cost.CacheMisses != g.cfg.Components {
+				t.Fatalf("cold populate: %d misses, want %d", cold.Cost.CacheMisses, g.cfg.Components)
+			}
 
-	edited := gateCorpus
-	edited.Edits = map[string]int{"C42App.f13": 1}
-	warm, err := AnalyzeCorpus(edited, gateOpts(0, dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	frac := float64(warm.Cost.FuncsAnalyzed) / float64(warm.Cost.Functions)
-	if frac >= 0.10 {
-		t.Errorf("one-function edit re-analyzed %d/%d functions (%.1f%%), want < 10%%",
-			warm.Cost.FuncsAnalyzed, warm.Cost.Functions, 100*frac)
-	}
-	if warm.Cost.CacheHits != gateCorpus.Components-1 {
-		t.Errorf("warm run: %d hits, want %d (all but the edited region)",
-			warm.Cost.CacheHits, gateCorpus.Components-1)
-	}
+			edited := g.cfg
+			edited.Edits = map[string]int{g.edit: 1}
+			warm, err := AnalyzeCorpus(edited, gateOpts(0, dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warm.Cost.FuncsAnalyzed != g.warmAnalyzed {
+				t.Errorf("one-function edit re-analyzed %d functions, want %d",
+					warm.Cost.FuncsAnalyzed, g.warmAnalyzed)
+			}
+			if frac := float64(warm.Cost.FuncsAnalyzed) / float64(warm.Cost.Functions); frac >= 0.10 {
+				t.Errorf("one-function edit re-analyzed %d/%d functions (%.1f%%), want < 10%%",
+					warm.Cost.FuncsAnalyzed, warm.Cost.Functions, 100*frac)
+			}
+			if warm.Cost.CacheHits != g.cfg.Components-1 {
+				t.Errorf("warm run: %d hits, want %d (all but the edited region)",
+					warm.Cost.CacheHits, g.cfg.Components-1)
+			}
 
-	fresh, err := AnalyzeCorpus(edited, gateOpts(0, ""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Fingerprint() != fresh.Fingerprint() {
-		t.Error("incremental warm result differs from uncached cold run of the edited program")
+			fresh, err := AnalyzeCorpus(edited, gateOpts(0, ""))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warm.Fingerprint() != fresh.Fingerprint() {
+				t.Error("incremental warm result differs from uncached cold run of the edited program")
+			}
+		})
 	}
 }
 

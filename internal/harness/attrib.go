@@ -79,17 +79,16 @@ func (s AttribSpec) withDefaults() AttribSpec {
 	return s
 }
 
-// AttribRow is one site's cluster-wide attribution summary — the
-// `attribution` section of the bench report.
+// AttribRow is one site's cluster-wide attribution summary.
 type AttribRow struct {
-	Site          string  `json:"site"`
-	Calls         uint64  `json:"calls"`
-	P50NS         int64   `json:"p50_ns"`
-	P95NS         int64   `json:"p95_ns"`
-	P99NS         int64   `json:"p99_ns"`
-	TopBlame      string  `json:"top_blame"`
-	TopBlameShare float64 `json:"top_blame_share"`
-	Exemplars     int64   `json:"exemplars"`
+	Site          string
+	Calls         uint64
+	P50NS         int64
+	P95NS         int64
+	P99NS         int64
+	TopBlame      string
+	TopBlameShare float64
+	Exemplars     int64
 }
 
 // RunAttrib drives the scenario and returns the merged per-site rows

@@ -46,52 +46,10 @@ func TestRunAttribBlamesSlowExecutor(t *testing.T) {
 	}
 
 	out := FormatAttrib(rows)
+	t.Logf("merged attribution table:\n%s", out)
 	for _, want := range []string{attribSite, "top_blame", "execute"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("FormatAttrib missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestCompareAttribution(t *testing.T) {
-	base := &BenchReport{Attribution: []AttribRow{{
-		Site: attribSite, Calls: 48, P50NS: 1000, P95NS: 2000, P99NS: 3000,
-		TopBlame: "execute", TopBlameShare: 0.9, Exemplars: 2,
-	}}}
-	good := &BenchReport{Attribution: []AttribRow{{
-		Site: attribSite, Calls: 10, P50NS: 500, P95NS: 900, P99NS: 4000,
-		TopBlame: "execute", TopBlameShare: 0.8, Exemplars: 1,
-	}}}
-	if regs := CompareAttribution(base, good); len(regs) != 0 {
-		t.Errorf("good report flagged: %v", regs)
-	}
-
-	// Either side missing the section compares empty (old baselines).
-	if regs := CompareAttribution(&BenchReport{}, good); regs != nil {
-		t.Errorf("missing base section flagged: %v", regs)
-	}
-	if regs := CompareAttribution(base, &BenchReport{}); regs != nil {
-		t.Errorf("missing cur section flagged: %v", regs)
-	}
-
-	bad := &BenchReport{Attribution: []AttribRow{{
-		Site: attribSite, Calls: 0, P50NS: 3000, P95NS: 2000, P99NS: 1000,
-		TopBlame: "", Exemplars: 0,
-	}}}
-	regs := CompareAttribution(base, bad)
-	for _, want := range []string{"no calls", "not monotone", "no dominant blame", "no exemplars"} {
-		found := false
-		for _, r := range regs {
-			if strings.Contains(r, want) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("CompareAttribution missed %q in %v", want, regs)
-		}
-	}
-	if regs := CompareAttribution(base, &BenchReport{Attribution: []AttribRow{{Site: "other"}}}); len(regs) == 0 ||
-		!strings.Contains(regs[0], "missing") {
-		t.Errorf("missing site not flagged: %v", regs)
 	}
 }

@@ -39,29 +39,29 @@ const (
 	ChainBatched ChainMode = "batched"
 )
 
-// AllChainModes lists the modes in report order.
-var AllChainModes = []ChainMode{ChainSync, ChainAsync, ChainPipelined, ChainBatched}
+// allChainModes lists the modes in report order.
+var allChainModes = []ChainMode{ChainSync, ChainAsync, ChainPipelined, ChainBatched}
 
 // ChainRow is one measured mode of the chained workload.
 type ChainRow struct {
-	Mode   string `json:"mode"`
-	Depth  int    `json:"depth"`
-	Chains int    `json:"chains"`
+	Mode   string
+	Depth  int
+	Chains int
 	// ChainLatencyNS is the virtual-time cost of one depth-N chain:
 	// deterministic, so ratios between modes are exact properties of
 	// the protocol, not of the host machine.
-	ChainLatencyNS int64 `json:"chain_latency_ns"`
+	ChainLatencyNS int64
 	// FramesPerOp is physical network frames per call (calls + replies,
 	// after batching). Unbatched request/response traffic sits at 2.0.
-	FramesPerOp float64 `json:"frames_per_op"`
+	FramesPerOp float64
 	// Fallbacks counts pipelined sends demoted to resolve-then-send
 	// (nonzero only in async mode, where the capability is masked).
-	Fallbacks int64 `json:"fallbacks,omitempty"`
+	Fallbacks int64
 }
 
-// RunChainMode measures one mode of the depth-deep dependent chain,
+// runChainMode measures one mode of the depth-deep dependent chain,
 // repeated chains times.
-func RunChainMode(mode ChainMode, depth, chains int) (ChainRow, error) {
+func runChainMode(mode ChainMode, depth, chains int) (ChainRow, error) {
 	if depth < 1 || chains < 1 {
 		return ChainRow{}, fmt.Errorf("harness: chain needs depth and chains >= 1 (got %d, %d)", depth, chains)
 	}
@@ -162,9 +162,9 @@ func RunChainMode(mode ChainMode, depth, chains int) (ChainRow, error) {
 
 // RunChain measures every chain mode at the given depth.
 func RunChain(depth, chains int) ([]ChainRow, error) {
-	rows := make([]ChainRow, 0, len(AllChainModes))
-	for _, mode := range AllChainModes {
-		row, err := RunChainMode(mode, depth, chains)
+	rows := make([]ChainRow, 0, len(allChainModes))
+	for _, mode := range allChainModes {
+		row, err := runChainMode(mode, depth, chains)
 		if err != nil {
 			return nil, err
 		}

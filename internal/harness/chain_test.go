@@ -1,0 +1,59 @@
+package harness
+
+import (
+	"math"
+	"testing"
+)
+
+// TestChainModes pins the promise-pipelining result on the depth-8
+// chain. Latencies are simtime virtual nanoseconds, a function of the
+// protocol and the cost model alone, so they are asserted exactly: the
+// capability-demoted async mode costs what sync does and counts one
+// fallback per dependent call, pipelining collapses the chain to one
+// round trip, and batching changes the frame count, never the latency.
+func TestChainModes(t *testing.T) {
+	const depth, chains = 8, 100
+	rows, err := RunChain(depth, chains)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		mode      ChainMode
+		latencyNS int64
+		fallbacks int64
+	}{
+		{ChainSync, 327824, 0},
+		{ChainAsync, 327824, chains * (depth - 1)},
+		{ChainPipelined, 44478, 0},
+		{ChainBatched, 44478, 0},
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("got %d rows, want %d", len(rows), len(want))
+	}
+	for i, w := range want {
+		r := rows[i]
+		if r.Mode != string(w.mode) {
+			t.Fatalf("row %d is mode %q, want %q", i, r.Mode, w.mode)
+		}
+		if r.ChainLatencyNS != w.latencyNS {
+			t.Errorf("%s: chain latency %dns, want %d", r.Mode, r.ChainLatencyNS, w.latencyNS)
+		}
+		if r.Fallbacks != w.fallbacks {
+			t.Errorf("%s: %d pipeline fallbacks, want %d", r.Mode, r.Fallbacks, w.fallbacks)
+		}
+		// Only a chain's last future is awaited, so the counter can be
+		// read before the final chain's other replies are sent: unbatched
+		// request/response traffic reads 1.999-2.000, not exactly 2.
+		if w.mode != ChainBatched && math.Abs(r.FramesPerOp-2) > 0.02 {
+			t.Errorf("%s: %.3f frames/op, want within 1%% of 2", r.Mode, r.FramesPerOp)
+		}
+	}
+	sync, piped, batched := rows[0], rows[2], rows[3]
+	if 2*piped.ChainLatencyNS > sync.ChainLatencyNS {
+		t.Errorf("pipelined latency %dns exceeds half of sync %dns",
+			piped.ChainLatencyNS, sync.ChainLatencyNS)
+	}
+	if batched.FramesPerOp >= 1 {
+		t.Errorf("batched: %.3f frames/op, want below 1", batched.FramesPerOp)
+	}
+}

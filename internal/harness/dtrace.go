@@ -79,37 +79,37 @@ func (s DTraceSpec) withDefaults() DTraceSpec {
 	return s
 }
 
-// TracingRow is the distributed-tracing section of the bench report:
+// TracingRow is what `rmibench -chain` prints after the chain table:
 // structural facts of the reconstructed trees (identical across the
 // scenario's traces by construction, so asserted, not averaged) plus
 // the mean timing facts.
 type TracingRow struct {
-	Depth  int `json:"depth"`
-	Chains int `json:"chains"`
+	Depth  int
+	Chains int
 	// Traces is how many traces node 0's /traces listed (want Chains).
-	Traces int `json:"traces"`
+	Traces int
 	// SpansPerTrace is the reconstructed span count per tree (want
 	// 4*Depth: step caller+callee plus leaf caller+callee per link).
-	SpansPerTrace int `json:"spans_per_trace"`
+	SpansPerTrace int
 	// Roots is the maximum root count observed across trees (want 1: a
 	// whole reconstruction has exactly one hop-0 root).
-	Roots int `json:"roots"`
+	Roots int
 	// MaxHop is the deepest hop observed (want 2: node0 -> node1 ->
 	// node2).
-	MaxHop     int `json:"max_hop"`
-	Orphans    int `json:"orphans"`
-	Duplicates int `json:"duplicates"`
+	MaxHop     int
+	Orphans    int
+	Duplicates int
 	// CriticalPathNS / EndToEndNS / WallNS are per-chain means: the
 	// tree's end-to-end critical path, its root-to-last-span extent,
 	// and the caller-measured wall time of issuing and draining the
 	// chain.
-	CriticalPathNS int64 `json:"critical_path_ns"`
-	EndToEndNS     int64 `json:"end_to_end_ns"`
-	WallNS         int64 `json:"wall_ns"`
+	CriticalPathNS int64
+	EndToEndNS     int64
+	WallNS         int64
 	// CriticalPathRatio is CriticalPathNS / WallNS. The chain's cost is
 	// real executor sleeps, so a whole reconstruction accounts for
 	// nearly all of the measured wall time (ratio near 1).
-	CriticalPathRatio float64 `json:"critical_path_ratio"`
+	CriticalPathRatio float64
 }
 
 // RunDTrace drives the scenario and returns the verified row.

@@ -12,6 +12,7 @@ import (
 	"cormi/internal/apps/micro"
 	"cormi/internal/rmi"
 	"cormi/internal/stats"
+	"cormi/internal/trace"
 )
 
 // Scale sizes the workloads. The paper's sizes (1024 matrix, millions
@@ -134,4 +135,45 @@ func Table2(s Scale) (*Table, error) {
 		t.Rows = append(t.Rows, Row{Level: level, Value: out.Seconds, Stats: out.Stats})
 	}
 	return t, nil
+}
+
+// TraceReport is the outcome of a traced pass over the Table 1 and 2
+// workloads: the latency quantiles per (call site, phase) plus the
+// flight recorder's spans, exportable as Chrome-trace JSON with
+// trace.WriteChrome.
+type TraceReport struct {
+	Phases []trace.PhaseStat
+	Spans  []trace.SpanRecord
+}
+
+// RunTraced runs the micro workloads once per optimization level, iters
+// sends each, with a tracer attached. Tracing adds clock reads per
+// phase, so traced latencies are reported, never compared against
+// untraced ones.
+func RunTraced(iters int) (*TraceReport, error) {
+	tr := trace.New(trace.Config{RingSize: 4096})
+	for _, level := range rmi.AllLevels {
+		if _, err := micro.RunLinkedList(level, 100, iters, rmi.WithTracer(tr)); err != nil {
+			return nil, fmt.Errorf("harness: traced linkedlist @ %s: %w", level, err)
+		}
+		if _, err := micro.RunArray(level, 16, iters, rmi.WithTracer(tr)); err != nil {
+			return nil, fmt.Errorf("harness: traced array @ %s: %w", level, err)
+		}
+	}
+	return &TraceReport{Phases: tr.PhaseStats(), Spans: tr.Recent()}, nil
+}
+
+// FormatPhases renders phase quantiles as an aligned summary table.
+func FormatPhases(phases []trace.PhaseStat) string {
+	if len(phases) == 0 {
+		return "no traced phases recorded\n"
+	}
+	var b []byte
+	b = fmt.Appendf(b, "%-28s %-18s %9s %10s %10s %10s %10s\n",
+		"site", "phase", "count", "mean_ns", "p50_ns", "p95_ns", "p99_ns")
+	for _, p := range phases {
+		b = fmt.Appendf(b, "%-28s %-18s %9d %10.0f %10.0f %10.0f %10.0f\n",
+			p.Site, p.Phase, p.Count, p.MeanNS, p.P50NS, p.P95NS, p.P99NS)
+	}
+	return string(b)
 }

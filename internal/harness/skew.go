@@ -136,13 +136,13 @@ func VersionSkew(s Scale, skewNode int) (*SkewReport, error) {
 	return report, report.Failed()
 }
 
-// NegotiationReport is the rmibench negotiation section: evidence that
+// NegotiationReport is what `rmibench -skew` prints last: evidence that
 // the HELLO exchange, plan demotion and malformed-frame rejection all
 // fired in one probe cluster.
 type NegotiationReport struct {
-	PlanFallbacks   int64            `json:"plan_fallbacks"`
-	MalformedFrames int64            `json:"malformed_frames"`
-	Links           []stats.LinkStat `json:"links"`
+	PlanFallbacks   int64
+	MalformedFrames int64
+	Links           []stats.LinkStat
 }
 
 // NegotiationProbe runs a minimal two-node mixed-version cluster: node

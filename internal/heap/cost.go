@@ -5,9 +5,8 @@ package heap
 // effort (contexts, nodes, peak points-to, strong kills, iterations,
 // budget fallbacks), cache economics (hits, misses, functions loaded
 // vs analyzed), and wall time. CostStats is exported through
-// `rmic -analysis-stats` (text and the cormi-cost/1 JSON document),
-// rides in `rmibench -json` as the cost section, and is gated in CI
-// by `make verify-analysis`.
+// `rmic -analysis-stats` (text and the cormi-cost/1 JSON document)
+// and is gated in CI by `make verify-analysis`.
 
 import (
 	"encoding/json"
