@@ -1,5 +1,5 @@
-# Tier-1 verification gate: static checks, a full build, the test
-# suite under the race detector (the fault-tolerance layer is
+# Tier-1 verification gate: formatting and static checks, a full build,
+# the test suite under the race detector (the fault-tolerance layer is
 # concurrency-heavy; -race is part of its acceptance criteria), and
 # end-to-end smokes of the observability endpoints and the optimizer
 # decision explainer. Every fact gated here is deterministic; timings
@@ -9,6 +9,7 @@
 .PHONY: verify test bench bench-transport bench-codec bench-compile obs-smoke explain-smoke verify-precision verify-async verify-attrib verify-dtrace verify-analysis fuzz
 
 verify:
+	test -z "$$(gofmt -l .)"
 	go vet ./...
 	go build ./...
 	go test -race ./...
@@ -103,15 +104,15 @@ verify-analysis:
 
 # Short native-fuzzing pass over the adversarial decode surfaces:
 # the HELLO handshake decoder, the value/reference payload decoder,
-# the wire trace-context codec, and the analysis summary-cache
-# decoder. Each target always replays its
-# checked-in seed corpus (testdata/fuzz/) and then mutates for a few
-# seconds. Properties: no panics, typed ErrMalformedFrame on every
-# rejection, balanced read-context pool. Longer runs: FUZZTIME=10m make fuzz.
+# the call-header codec (fixed fields, trace context, promise section),
+# and the analysis summary-cache decoder. Each target always replays
+# its checked-in seed corpus (testdata/fuzz/) and then mutates for a
+# few seconds. Properties: no panics, typed ErrMalformedFrame on every
+# rejection, balanced pools. Longer runs: FUZZTIME=10m make fuzz.
 FUZZTIME ?= 5s
 fuzz:
 	go test -run '^$$' -fuzz FuzzDecodeHello -fuzztime $(FUZZTIME) ./internal/wire
-	go test -run '^$$' -fuzz FuzzTraceContext -fuzztime $(FUZZTIME) ./internal/wire
+	go test -run '^$$' -fuzz FuzzCallHeader -fuzztime $(FUZZTIME) ./internal/wire
 	go test -run '^$$' -fuzz FuzzReadValues -fuzztime $(FUZZTIME) ./internal/serial
 	go test -run '^$$' -fuzz FuzzSummaryDecode -fuzztime $(FUZZTIME) ./internal/heap
 

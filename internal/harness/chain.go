@@ -19,6 +19,36 @@ import (
 	"cormi/internal/wire"
 )
 
+// stepSite registers the int → int call site of a step(x) = x+1
+// service.
+func stepSite(c *rmi.Cluster, level rmi.OptLevel, site, method string) (*rmi.CallSite, error) {
+	return c.NewCallSite(level, rmi.SiteSpec{
+		Name:     site,
+		Method:   method,
+		ArgPlans: []*serial.Plan{serial.PrimitivePlan(site, model.FInt)},
+		RetPlans: []*serial.Plan{serial.PrimitivePlan(site, model.FInt)},
+		NumRet:   1,
+	})
+}
+
+// stepFixture is stepSite plus the service itself, exported on node:
+// method returns x+1 after running exec (nil for none).
+func stepFixture(c *rmi.Cluster, level rmi.OptLevel, node int, site, service, method string, exec func(*rmi.Call)) (*rmi.CallSite, rmi.Ref, error) {
+	cs, err := stepSite(c, level, site, method)
+	if err != nil {
+		return nil, rmi.Ref{}, err
+	}
+	ref := c.Node(node).Export(&rmi.Service{Name: service, Methods: map[string]rmi.Method{
+		method: func(call *rmi.Call, args []model.Value) []model.Value {
+			if exec != nil {
+				exec(call)
+			}
+			return []model.Value{model.Int(args[0].I + 1)}
+		},
+	}})
+	return cs, ref, nil
+}
+
 // ChainMode names one way of driving the dependent chain.
 type ChainMode string
 
@@ -81,28 +111,12 @@ func runChainMode(mode ChainMode, depth, chains int) (ChainRow, error) {
 	c := rmi.New(2, opts...)
 	defer c.Close()
 
-	const site = "Chain.step.1"
-	cs, err := c.NewCallSite(rmi.LevelSite, rmi.SiteSpec{
-		Name:     site,
-		Method:   "step",
-		ArgPlans: []*serial.Plan{serial.PrimitivePlan(site, model.FInt)},
-		RetPlans: []*serial.Plan{serial.PrimitivePlan(site, model.FInt)},
-		NumRet:   1,
-	})
+	// A fixed compute cost gives the virtual timeline an execution
+	// component as well as the flight legs.
+	cs, ref, err := stepFixture(c, rmi.LevelSite, 1, "Chain.step.1", "Chain", "step", func(call *rmi.Call) { call.Compute(500) })
 	if err != nil {
 		return ChainRow{}, err
 	}
-	// step(x) = x + 1 with a fixed compute cost, so the virtual timeline
-	// has an execution component as well as the flight legs.
-	ref := c.Node(1).Export(&rmi.Service{
-		Name: "Chain",
-		Methods: map[string]rmi.Method{
-			"step": func(call *rmi.Call, args []model.Value) []model.Value {
-				call.Compute(500)
-				return []model.Value{model.Int(args[0].I + 1)}
-			},
-		},
-	})
 	caller := c.Node(0)
 
 	framesBefore := c.Counters.NetFrames.Load()

@@ -17,7 +17,6 @@ import (
 	"cormi/internal/apps/appkit"
 	"cormi/internal/model"
 	"cormi/internal/rmi"
-	"cormi/internal/serial"
 )
 
 // ChaosAsync runs the depth-deep dependent chain with promised futures
@@ -45,28 +44,14 @@ func chaosAsyncRow(level rmi.OptLevel, spec ChaosSpec, row, depth, chains int) (
 	c := rmi.New(2, chaosOpts(spec, row)...)
 	defer c.Close()
 
-	const site = "AsyncChain.step.1"
-	cs, err := c.NewCallSite(level, rmi.SiteSpec{
-		Name:     site,
-		Method:   "step",
-		ArgPlans: []*serial.Plan{serial.PrimitivePlan(site, model.FInt)},
-		RetPlans: []*serial.Plan{serial.PrimitivePlan(site, model.FInt)},
-		NumRet:   1,
+	var execs atomic.Int64
+	cs, ref, err := stepFixture(c, level, 1, "AsyncChain.step.1", "AsyncChain", "step", func(call *rmi.Call) {
+		execs.Add(1)
+		call.Compute(500)
 	})
 	if err != nil {
 		return appkit.RunResult{}, 0, err
 	}
-	var execs atomic.Int64
-	ref := c.Node(1).Export(&rmi.Service{
-		Name: "AsyncChain",
-		Methods: map[string]rmi.Method{
-			"step": func(call *rmi.Call, args []model.Value) []model.Value {
-				execs.Add(1)
-				call.Compute(500)
-				return []model.Value{model.Int(args[0].I + 1)}
-			},
-		},
-	})
 	caller := c.Node(0)
 
 	for it := 0; it < chains; it++ {

@@ -24,7 +24,6 @@ import (
 	"cormi/internal/model"
 	"cormi/internal/obs"
 	"cormi/internal/rmi"
-	"cormi/internal/serial"
 	"cormi/internal/trace"
 )
 
@@ -153,34 +152,14 @@ func RunDTrace(spec DTraceSpec) (*TracingRow, error) {
 		addrs = append(addrs, srv.Addr())
 	}
 
-	leafCS, err := c.NewCallSite(rmi.LevelSite, rmi.SiteSpec{
-		Name: dtraceLeafSite, Method: "leaf",
-		ArgPlans: []*serial.Plan{serial.PrimitivePlan(dtraceLeafSite, model.FInt)},
-		RetPlans: []*serial.Plan{serial.PrimitivePlan(dtraceLeafSite, model.FInt)},
-		NumRet:   1,
-	})
+	leafCS, leafRef, err := stepFixture(c, rmi.LevelSite, 2, dtraceLeafSite, "DTraceLeaf", "leaf", func(*rmi.Call) { time.Sleep(spec.LeafDelay) })
 	if err != nil {
 		return nil, err
 	}
-	stepCS, err := c.NewCallSite(rmi.LevelSite, rmi.SiteSpec{
-		Name: dtraceStepSite, Method: "step",
-		ArgPlans: []*serial.Plan{serial.PrimitivePlan(dtraceStepSite, model.FInt)},
-		RetPlans: []*serial.Plan{serial.PrimitivePlan(dtraceStepSite, model.FInt)},
-		NumRet:   1,
-	})
+	stepCS, err := stepSite(c, rmi.LevelSite, dtraceStepSite, "step")
 	if err != nil {
 		return nil, err
 	}
-
-	leafRef := c.Node(2).Export(&rmi.Service{
-		Name: "DTraceLeaf",
-		Methods: map[string]rmi.Method{
-			"leaf": func(call *rmi.Call, args []model.Value) []model.Value {
-				time.Sleep(spec.LeafDelay)
-				return []model.Value{model.Int(args[0].I + 1)}
-			},
-		},
-	})
 	// step(x) = leaf(x) forwarded through a nested same-trace call:
 	// InvokeFrom threads the executing call's trace context, so the
 	// leaf spans join the chain's tree at hop 2.

@@ -192,7 +192,7 @@ func NegotiationProbe() (*NegotiationReport, error) {
 	// truncated after the message tag. The callee must reject it with
 	// the typed malformed counter — not crash, not dedup-cache it.
 	m := wire.Get()
-	m.AppendByte(0) // msgCall tag, then nothing: header decode must fail
+	m.AppendByte(wire.MsgCall) // the tag, then nothing: header decode must fail
 	m.SealFrame()
 	if err := c.Network().Endpoint(0).Send(transport.Packet{To: 1, Payload: m.Detach()}); err != nil {
 		return nil, fmt.Errorf("harness: negotiation probe inject: %w", err)

@@ -303,11 +303,11 @@ type Analysis struct {
 
 // Stats summarizes the analysis cost for the verdict matrix.
 type Stats struct {
-	Nodes       int // heap nodes (originals, context clones, RMI clones)
-	Contexts    int // total analysis contexts (incl. the merged one)
+	Nodes        int // heap nodes (originals, context clones, RMI clones)
+	Contexts     int // total analysis contexts (incl. the merged one)
 	PeakPointsTo int // largest per-context value points-to set
-	StrongKills int // stores removed by strong updates
-	Iterations  int // fixpoint passes of the final run
+	StrongKills  int // stores removed by strong updates
+	Iterations   int // fixpoint passes of the final run
 }
 
 // AnalysisStats reports the cost metrics of the finished analysis.

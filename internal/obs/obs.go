@@ -15,6 +15,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -116,110 +117,96 @@ func NewServer(opts Options) *Server {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = s.reg.WritePrometheus(w)
 	})
-	s.mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
-		if opts.Tracer == nil {
-			http.Error(w, "tracing off: no tracer attached", http.StatusNotFound)
-			return
+	// traced guards the endpoints that read the tracer.
+	traced := func(body jsonBody) jsonBody {
+		return func(r *http.Request) (any, int) {
+			if opts.Tracer == nil {
+				return "tracing off: no tracer attached", http.StatusNotFound
+			}
+			return body(r)
 		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = trace.WriteChrome(w, opts.Tracer.Recent(), "live")
-	})
-	s.mux.HandleFunc("/trace/stats", func(w http.ResponseWriter, r *http.Request) {
-		if opts.Tracer == nil {
-			http.Error(w, "tracing off: no tracer attached", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		st := opts.Tracer.PhaseStats()
-		if st == nil {
-			st = []trace.PhaseStat{}
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(st)
-	})
-	s.mux.HandleFunc("/callsites", func(w http.ResponseWriter, r *http.Request) {
+	}
+	serveJSON(s.mux, "/trace", traced(func(*http.Request) (any, int) {
+		return chromeJSON(func(w io.Writer) error { return trace.WriteChrome(w, opts.Tracer.Recent(), "live") }), http.StatusOK
+	}))
+	serveJSON(s.mux, "/trace/stats", traced(func(*http.Request) (any, int) {
+		return orEmpty(opts.Tracer.PhaseStats()), http.StatusOK
+	}))
+	serveJSON(s.mux, "/callsites", func(*http.Request) (any, int) {
 		if opts.SiteStats == nil {
-			http.Error(w, "no call-site stats source attached", http.StatusNotFound)
-			return
+			return "no call-site stats source attached", http.StatusNotFound
 		}
-		ss := opts.SiteStats()
-		if ss == nil {
-			ss = []stats.SiteStat{}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(ss)
+		return orEmpty(opts.SiteStats()), http.StatusOK
 	})
-	s.mux.HandleFunc("/links", func(w http.ResponseWriter, r *http.Request) {
+	serveJSON(s.mux, "/links", func(*http.Request) (any, int) {
 		if opts.Links == nil {
-			http.Error(w, "no link stats source attached", http.StatusNotFound)
-			return
+			return "no link stats source attached", http.StatusNotFound
 		}
-		ls := opts.Links()
-		if ls == nil {
-			ls = []stats.LinkStat{}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(ls)
+		return orEmpty(opts.Links()), http.StatusOK
 	})
-	s.mux.HandleFunc("/slow", func(w http.ResponseWriter, r *http.Request) {
-		if opts.Tracer == nil {
-			http.Error(w, "tracing off: no tracer attached", http.StatusNotFound)
-			return
-		}
-		exs := opts.Tracer.Slow()
-		if exs == nil {
-			exs = []trace.Exemplar{}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(exs)
-	})
-	s.mux.HandleFunc("/slow/trace", func(w http.ResponseWriter, r *http.Request) {
-		if opts.Tracer == nil {
-			http.Error(w, "tracing off: no tracer attached", http.StatusNotFound)
-			return
-		}
+	serveJSON(s.mux, "/slow", traced(func(*http.Request) (any, int) {
+		return orEmpty(opts.Tracer.Slow()), http.StatusOK
+	}))
+	serveJSON(s.mux, "/slow/trace", traced(func(*http.Request) (any, int) {
 		var spans []trace.SpanRecord
 		for _, ex := range opts.Tracer.Slow() {
 			spans = append(spans, ex.Spans...)
 		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = trace.WriteChrome(w, spans, "slow")
-	})
-	registerTraceHandlers(s.mux, opts)
-	s.mux.HandleFunc("/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(localSnapshot(opts))
-	})
-	s.mux.HandleFunc("/cluster", func(w http.ResponseWriter, r *http.Request) {
+		return chromeJSON(func(w io.Writer) error { return trace.WriteChrome(w, spans, "slow") }), http.StatusOK
+	}))
+	serveJSON(s.mux, "/traces", traced(func(*http.Request) (any, int) {
+		return TraceList{Version: TracesVersion, Node: nodeName(opts), Traces: orEmpty(opts.Tracer.Traces())}, http.StatusOK
+	}))
+	serveJSON(s.mux, "/traces/", traced(func(r *http.Request) (any, int) { return serveTrace(opts, r) }))
+	serveJSON(s.mux, "/snapshot", func(*http.Request) (any, int) { return localSnapshot(opts), http.StatusOK })
+	serveJSON(s.mux, "/cluster", func(r *http.Request) (any, int) {
 		peers := opts.Peers
 		if q := r.URL.Query().Get("peers"); q != "" {
 			peers = splitPeers(q)
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(buildClusterView(opts, peers))
+		return buildClusterView(opts, peers), http.StatusOK
 	})
-	s.mux.HandleFunc("/buildinfo", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(readBuildInfo())
-	})
+	serveJSON(s.mux, "/buildinfo", func(*http.Request) (any, int) { return readBuildInfo(), http.StatusOK })
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return s
+}
+
+// jsonBody computes one JSON endpoint's response: the document and
+// http.StatusOK, or an error message and its status.
+type jsonBody func(*http.Request) (any, int)
+
+// chromeJSON is a document that writes its own (Chrome trace-event)
+// JSON instead of going through the indenting encoder.
+type chromeJSON func(io.Writer) error
+
+// serveJSON mounts a JSON endpoint on mux.
+func serveJSON(mux *http.ServeMux, path string, body jsonBody) {
+	mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+		doc, status := body(r)
+		if status != http.StatusOK {
+			http.Error(w, doc.(string), status)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		if write, ok := doc.(chromeJSON); ok {
+			_ = write(w)
+			return
+		}
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(doc)
+	})
+}
+
+// orEmpty makes a nil slice encode as [] rather than null.
+func orEmpty[T any](s []T) []T {
+	if s == nil {
+		return []T{}
+	}
 	return s
 }
 

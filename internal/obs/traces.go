@@ -15,6 +15,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -62,62 +63,29 @@ func nodeName(opts Options) string {
 	return "local"
 }
 
-// registerTraceHandlers mounts /traces and /traces/<id> on the mux.
-func registerTraceHandlers(mux *http.ServeMux, opts Options) {
-	mux.HandleFunc("/traces", func(w http.ResponseWriter, r *http.Request) {
-		if opts.Tracer == nil {
-			http.Error(w, "tracing off: no tracer attached", http.StatusNotFound)
-			return
-		}
-		ts := opts.Tracer.Traces()
-		if ts == nil {
-			ts = []trace.TraceSummary{}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(TraceList{Version: TracesVersion, Node: nodeName(opts), Traces: ts})
-	})
-	mux.HandleFunc("/traces/", func(w http.ResponseWriter, r *http.Request) {
-		if opts.Tracer == nil {
-			http.Error(w, "tracing off: no tracer attached", http.StatusNotFound)
-			return
-		}
-		idStr := strings.TrimPrefix(r.URL.Path, "/traces/")
-		id, err := parseTraceID(idStr)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("bad trace id %q: %v", idStr, err), http.StatusBadRequest)
-			return
-		}
-		q := r.URL.Query()
-		peers := opts.Peers
-		if qp := q.Get("peers"); qp != "" {
-			peers = splitPeers(qp)
-		}
-		if q.Get("local") == "1" || (len(peers) == 0 && q.Get("merge") != "1") {
-			// Single-node document: this node's retained spans, verbatim.
-			// This is also what the aggregating node pulls from peers.
-			spans := opts.Tracer.TraceSpans(id)
-			if spans == nil {
-				spans = []trace.SpanRecord{}
-			}
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(TraceDoc{Version: TracesVersion, Node: nodeName(opts), TraceID: id, Spans: spans})
-			return
-		}
-		view := buildTraceView(opts, id, peers)
-		if q.Get("format") == "chrome" {
-			w.Header().Set("Content-Type", "application/json")
-			_ = trace.WriteChromeMerged(w, view.Tree)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(view)
-	})
+// serveTrace is the /traces/<id> body: one trace's local spans, or the
+// cross-node tree merged from the peers.
+func serveTrace(opts Options, r *http.Request) (any, int) {
+	idStr := strings.TrimPrefix(r.URL.Path, "/traces/")
+	id, err := parseTraceID(idStr)
+	if err != nil {
+		return fmt.Sprintf("bad trace id %q: %v", idStr, err), http.StatusBadRequest
+	}
+	q := r.URL.Query()
+	peers := opts.Peers
+	if qp := q.Get("peers"); qp != "" {
+		peers = splitPeers(qp)
+	}
+	if q.Get("local") == "1" || (len(peers) == 0 && q.Get("merge") != "1") {
+		// Single-node document: this node's retained spans, verbatim.
+		// This is also what the aggregating node pulls from peers.
+		return TraceDoc{Version: TracesVersion, Node: nodeName(opts), TraceID: id, Spans: orEmpty(opts.Tracer.TraceSpans(id))}, http.StatusOK
+	}
+	view := buildTraceView(opts, id, peers)
+	if q.Get("format") == "chrome" {
+		return chromeJSON(func(w io.Writer) error { return trace.WriteChromeMerged(w, view.Tree) }), http.StatusOK
+	}
+	return view, http.StatusOK
 }
 
 // parseTraceID accepts a decimal or 0x-prefixed hex trace ID.

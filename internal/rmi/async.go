@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"cormi/internal/model"
-	"cormi/internal/serial"
 	"cormi/internal/trace"
 	"cormi/internal/wire"
 )
@@ -50,7 +49,7 @@ type Future struct {
 	err      error
 	done     chan struct{}
 
-	// promised records that the call was sent with callFlagPromised on
+	// promised records that the call was sent with wire.CallPromised on
 	// a pipelining-capable link: its (from, seq) is a valid promise
 	// handle for a dependent call to the same node.
 	promised bool
@@ -129,13 +128,7 @@ func (f *Future) Release() {
 			return
 		}
 		f.resolve.Do(func() {
-			if f.pc.ch != nil {
-				f.pc.n.abandonCall(f.pc.seq, f.pc.ch)
-				f.pc.ch = nil
-			}
-			f.pc.sp.Fail("abandoned")
-			f.pc.sp.End()
-			f.complete(nil, fmt.Errorf("rmi: %s: future released before Wait", f.pc.cs.Name))
+			f.complete(nil, f.pc.fail("abandoned", fmt.Errorf("rmi: %s: future released before Wait", f.pc.cs.Name)))
 		})
 	}
 	c := f.c
@@ -280,11 +273,11 @@ func (cs *CallSite) InvokeAsync(n *Node, ref Ref, args []model.Value, opts Async
 // wire handles. All-or-nothing: one ineligible promise demotes the
 // whole call to the resolve-then-send fallback (mixing spliced and
 // parked positions would complicate the callee for no win).
-func promiseHandles(n *Node, ref Ref, args []model.Value, ps []PromiseArg, pipeOK bool) ([]serial.PromiseHandle, bool) {
-	if !pipeOK || len(ps) > serial.MaxPromiseHandles {
+func promiseHandles(n *Node, ref Ref, args []model.Value, ps []PromiseArg, pipeOK bool) ([]wire.PromiseHandle, bool) {
+	if !pipeOK || len(ps) > wire.MaxPromiseHandles {
 		return nil, false
 	}
-	handles := make([]serial.PromiseHandle, 0, len(ps))
+	handles := make([]wire.PromiseHandle, 0, len(ps))
 	seen := make(map[int]bool, len(ps))
 	for _, p := range ps {
 		fut := p.Fut
@@ -297,11 +290,11 @@ func promiseHandles(n *Node, ref Ref, args []model.Value, ps []PromiseArg, pipeO
 		if !fut.promised || fut.pc.n != n || fut.pc.ref.Node != ref.Node {
 			return nil, false
 		}
-		if p.Ret < 0 || p.Ret >= serial.MaxPromiseHandles {
+		if p.Ret < 0 || p.Ret >= wire.MaxPromiseHandles {
 			return nil, false
 		}
 		seen[p.Arg] = true
-		handles = append(handles, serial.PromiseHandle{Arg: int32(p.Arg), Seq: fut.pc.seq, Ret: int32(p.Ret)})
+		handles = append(handles, wire.PromiseHandle{Arg: int32(p.Arg), Seq: fut.pc.seq, Ret: int32(p.Ret)})
 	}
 	return handles, true
 }
@@ -349,7 +342,7 @@ func (cs *CallSite) InvokeOneWay(n *Node, ref Ref, args []model.Value) error {
 	if l == nil || l.caps&wire.CapOneWay == 0 {
 		// Peer does not speak one-way: demote to a discarded synchronous
 		// call (costs the round trip, keeps the semantics).
-		if _, err := cs.invokeRemote(n, ref, args, c.policy); err != nil {
+		if _, err := cs.invokeRemote(n, ref, args, c.policy, callExtras{}); err != nil {
 			c.Counters.OneWayErrors.Add(1)
 			n.tracer.DumpFailure("oneway-error")
 		}

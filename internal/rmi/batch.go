@@ -16,7 +16,7 @@ import (
 //
 // Small RMI frames — chained-workload calls, bare acknowledgments —
 // pay a full physical frame each. The batcher coalesces them: small
-// outbound frames to the same peer accumulate in one msgBatch
+// outbound frames to the same peer accumulate in one wire.MsgBatch
 // container and flush as a single physical frame when the container
 // reaches its byte/count budget or the flush window elapses. Each
 // sub-frame keeps its own CRC seal and its own virtual/wall send
@@ -150,7 +150,7 @@ func (b *linkBatcher) enqueue(pkt transport.Packet) error {
 	}
 	if b.pending == nil {
 		b.pending = wire.Get()
-		b.pending.AppendByte(msgBatch)
+		b.pending.AppendByte(wire.MsgBatch)
 		b.pending.AppendInt32(0) // entry count, patched at flush
 		if b.n.tracer != nil {
 			b.oldestWall = trace.Now()

@@ -8,7 +8,6 @@ import (
 
 	"cormi/internal/model"
 	"cormi/internal/serial"
-	"cormi/internal/simtime"
 	"cormi/internal/stats"
 	"cormi/internal/trace"
 	"cormi/internal/transport"
@@ -25,31 +24,12 @@ type CallSite struct {
 	Name   string // e.g. "Work.go.1"
 	Method string // callee method name
 
-	cfg      serial.Config
-	argPlans []*serial.Plan
-	retPlans []*serial.Plan
-	numRet   int
+	cfg        serial.Config
+	args, rets side
+	numRet     int
 	// ignoreRet marks call sites whose return value is unused; with
 	// site mode the callee sends a bare acknowledgment (§3.1).
 	ignoreRet bool
-
-	// Reuse caches are per node: the callee-side argument cache lives
-	// on whichever node serves the call, the caller-side return cache
-	// on whichever node issued it (the paper's static temp_arr is
-	// per-JVM state).
-	argCaches []serial.ReuseCache
-	retCaches []serial.ReuseCache
-
-	// argScratch/retScratch mark the value slices themselves as
-	// recyclable through the reuse caches. That is sound only when
-	// EVERY value is a reference covered by a §3.3 escape proof: such a
-	// slice only points at graphs that are overwritten in place on the
-	// next invocation anyway, so recycling it adds no observable
-	// mutation. A primitive value, by contrast, is a plain result the
-	// caller may legitimately retain — one primitive plan disables
-	// slice recycling for the whole site.
-	argScratch bool
-	retScratch bool
 
 	// statShards accumulates this site's runtime counters, one shard
 	// per node. They are always on — each call does a handful of atomic
@@ -59,13 +39,6 @@ type CallSite struct {
 	// is exactly one cache line) and keeps the writes off the cache
 	// lines holding the read-only plan data above.
 	statShards []stats.SiteCounters
-
-	// argTablesElided/retTablesElided count the reference values per
-	// message that §3.2 lets the writer serialize without allocating a
-	// cycle table; each successful serialization adds them to the
-	// CycleTablesAvoided counter.
-	argTablesElided int64
-	retTablesElided int64
 }
 
 // SiteSpec describes a call site to register.
@@ -106,21 +79,11 @@ func (c *Cluster) NewCallSite(level OptLevel, spec SiteSpec) (*CallSite, error) 
 		Name:       spec.Name,
 		Method:     spec.Method,
 		cfg:        scfg,
-		argPlans:   spec.ArgPlans,
-		retPlans:   spec.RetPlans,
+		args:       newSide(scfg, spec.ArgPlans, c.Size()),
+		rets:       newSide(scfg, spec.RetPlans, c.Size()),
 		numRet:     numRet,
 		ignoreRet:  spec.IgnoreRet,
-		argCaches:  make([]serial.ReuseCache, c.Size()),
-		retCaches:  make([]serial.ReuseCache, c.Size()),
 		statShards: make([]stats.SiteCounters, c.Size()),
-	}
-	if scfg.Mode == serial.ModeSite && scfg.Reuse {
-		cs.argScratch = refPlansReusable(spec.ArgPlans)
-		cs.retScratch = refPlansReusable(spec.RetPlans)
-	}
-	if scfg.Mode == serial.ModeSite && scfg.CycleElim {
-		cs.argTablesElided = tablesElided(spec.ArgPlans)
-		cs.retTablesElided = tablesElided(spec.RetPlans)
 	}
 	c.siteMu.Lock()
 	cs.ID = int32(len(c.sites))
@@ -150,142 +113,6 @@ func (cs *CallSite) Stats() stats.SiteStat {
 	return out
 }
 
-// tablesElided counts the reference plans proven acyclic by §3.2 —
-// each one is a cycle-table allocation the writer skips per message.
-func tablesElided(plans []*serial.Plan) int64 {
-	var n int64
-	for _, p := range plans {
-		if p != nil && p.Kind == model.FRef && !p.NeedCycle {
-			n++
-		}
-	}
-	return n
-}
-
-// claimViolated records one refuted compile-time claim: per-site and
-// global counters plus a flight-recorder dump, so the evidence around
-// the mis-prediction is preserved (nil tracer = no-op).
-func (cs *CallSite) claimViolated(c *Cluster, st *stats.SiteCounters) {
-	st.ClaimViolations.Add(1)
-	c.Counters.ClaimViolations.Add(1)
-	c.tracer.DumpFailure("claim-violation")
-}
-
-// writeChecked is WriteValues with the audit-mode §3.2 re-verification
-// in front: on sampled calls at a cycle-eliding site the value graphs
-// are walked first, and a repeated object — the static analysis
-// mis-predicted the runtime heap — falls back to serializing WITH the
-// cycle table. The fallback is wire-compatible (readers accept handle
-// markers unconditionally), so a refuted claim becomes a counted,
-// dumped event instead of silent corruption or a non-terminating
-// writer.
-// lp is the link's negotiated plan table (nil for local calls and
-// homogeneous links); it rides the serializer config so fingerprint-
-// mismatched classes take the class-level encoding.
-func (cs *CallSite) writeChecked(c *Cluster, st *stats.SiteCounters, m *wire.Message, vals []model.Value, plans []*serial.Plan, audit bool, lp *serial.LinkPlans) (simtime.OpCount, error) {
-	cfg := cs.cfg
-	cfg.Link = lp
-	if audit && cfg.Mode == serial.ModeSite && cfg.CycleElim {
-		if v := serial.CheckAcyclic(vals, plans); v != nil {
-			cs.claimViolated(c, st)
-			cfg.CycleElim = false
-			return serial.WriteValues(m, vals, plans, cfg, c.Counters)
-		}
-	}
-	return serial.WriteValues(m, vals, plans, cfg, c.Counters)
-}
-
-// takeDonors draws the donor graphs for one deserialization from a
-// reuse cache, counting the hit or miss, and — on audited calls —
-// validates donor shapes against the plans first: a donor whose class
-// differs from the plan's prediction refutes the §3.3 claim and is
-// nil'ed so the reader allocates fresh objects instead.
-func (cs *CallSite) takeDonors(c *Cluster, st *stats.SiteCounters, cache *serial.ReuseCache, plans []*serial.Plan, audit bool) ([]*model.Object, []model.Value) {
-	cached, scratch := cache.Take()
-	if cached == nil {
-		st.ReuseMisses.Add(1)
-	} else {
-		st.ReuseHits.Add(1)
-		if audit {
-			for range serial.CheckReuseShape(cached, plans) {
-				cs.claimViolated(c, st)
-			}
-		}
-	}
-	return cached, scratch
-}
-
-// refPlansReusable reports whether every plan is a reference carrying
-// the escape-analysis reuse proof — the precondition for recycling the
-// value slice itself (see CallSite.argScratch).
-func refPlansReusable(plans []*serial.Plan) bool {
-	for _, p := range plans {
-		if p.Kind != model.FRef || !p.Reusable {
-			return false
-		}
-	}
-	return true
-}
-
-// Message type tags.
-const (
-	msgCall  = 0
-	msgReply = 1
-	// msgBatch is a coalesced container of sealed call/reply sub-frames
-	// (see batch.go and wire.AppendBatchEntry).
-	msgBatch = 2
-)
-
-// Call header flags (byte following the msgCall tag).
-const (
-	// callFlagRetryable marks a call whose policy may retransmit it;
-	// only these calls need a cached reply for duplicate suppression on
-	// a fault-free interconnect.
-	callFlagRetryable = 1 << 0
-	// callFlagTraced marks a call whose invoker opened a trace span.
-	// The callee mirrors it with a callee-side span, and both call and
-	// reply packets carry wall-clock timestamps so each transit leg is
-	// measured end to end.
-	callFlagTraced = 1 << 1
-	// callFlagOneWay marks a fire-and-forget call: the callee executes
-	// it but sends no reply of any kind (errors are recorded callee-side
-	// in OneWayErrors and the flight recorder). Sent only on links that
-	// negotiated wire.CapOneWay.
-	callFlagOneWay = 1 << 2
-	// callFlagPromised marks a call whose result the caller may
-	// reference from a later pipelined call: the callee publishes the
-	// outcome in its promise table (keyed by this call's (from, seq))
-	// in addition to replying normally.
-	callFlagPromised = 1 << 3
-	// callFlagPipelined marks a call carrying a promise section: some
-	// argument positions are named by the (from, seq) of an earlier
-	// promised call instead of being serialized, and the callee splices
-	// them from its promise table. Sent only on links that negotiated
-	// wire.CapPipelining.
-	callFlagPipelined = 1 << 4
-	// callFlagTraceCtx marks a call carrying a distributed-trace context
-	// (wire.TraceContext, between the argument count and the promise
-	// section): the call belongs to a sampled trace and the callee's
-	// span joins the cross-node call tree. Sent only on links that
-	// negotiated wire.CapTracing — a link to a peer without the bit
-	// drops the context (the call still runs untraced downstream)
-	// instead of sending a frame the peer would reject.
-	callFlagTraceCtx = 1 << 5
-)
-
-// Reply flags.
-const (
-	replyAck    = 0
-	replyValues = 1
-	replyError  = 2
-	// replyMalformed reports that the callee's hardened decoder
-	// rejected the call frame (wire.ErrMalformedFrame). Distinct from
-	// replyError so the caller can surface the typed sentinel: a remote
-	// exception is the application's problem, a malformed frame is a
-	// protocol/security event.
-	replyMalformed = 3
-)
-
 // Invoke performs the RMI from caller node n on the object ref under
 // the cluster's default call policy. Node-local calls deep-clone
 // arguments and results instead of going over the wire (Figure 1's
@@ -300,7 +127,7 @@ func (cs *CallSite) InvokeWithPolicy(n *Node, ref Ref, args []model.Value, pol C
 	if ref.Node == n.ID {
 		return cs.invokeLocal(n, ref, args)
 	}
-	return cs.invokeRemote(n, ref, args, pol)
+	return cs.invokeRemote(n, ref, args, pol, callExtras{})
 }
 
 // InvokeFrom issues a nested synchronous call from inside a running
@@ -313,11 +140,19 @@ func (cs *CallSite) InvokeFrom(call *Call, ref Ref, args []model.Value) ([]model
 	if ref.Node == n.ID {
 		return cs.invokeLocal(n, ref, args)
 	}
-	var pc pendingCall
-	if err := cs.startRemote(&pc, n, ref, args, n.cluster.policy, callExtras{tctx: call.tctx}); err != nil {
-		return nil, err
-	}
-	return pc.await()
+	return cs.invokeRemote(n, ref, args, n.cluster.policy, callExtras{tctx: call.tctx})
+}
+
+// runGuarded runs a user method, converting a panic into an error
+// carrying the callee's stack — the same semantics wherever the object
+// is placed.
+func runGuarded(method Method, call *Call, args []model.Value) (rets []model.Value, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("method panicked on node %d: %v\n%s", call.Node.ID, r, debug.Stack())
+		}
+	}()
+	return method(call, args), nil
 }
 
 // invokeLocal handles the case where the remote object happens to live
@@ -348,86 +183,49 @@ func (cs *CallSite) invokeLocal(n *Node, ref Ref, args []model.Value) ([]model.V
 		return nil, fmt.Errorf("rmi: %s has no method %q", svc.Name, cs.Method)
 	}
 
-	clonedArgs, argRoots, err := cs.cloneThroughSerializer(n, args, cs.argPlans, &cs.argCaches[n.ID], cs.argScratch, audit)
+	cloned, roots, err := cs.clone(n, &cs.args, args, audit)
 	if err != nil {
 		return nil, err
 	}
-	if cs.argTablesElided != 0 {
-		st.CycleTablesAvoided.Add(cs.argTablesElided)
-	}
-	// Same panic semantics as the remote path: a panicking method
-	// becomes an error carrying the stack, regardless of placement.
-	var rets []model.Value
-	err = func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("rmi: method panicked on node %d: %v\n%s", n.ID, r, debug.Stack())
-			}
-		}()
-		rets = method(&Call{Node: n, From: n.ID, Site: cs}, clonedArgs)
-		return nil
-	}()
+	rets, err := runGuarded(method, &Call{Node: n, From: n.ID, Site: cs}, cloned)
 	// As on the remote path, the argument graphs go back into the
 	// cache only once the method is done with them.
-	if cs.cfg.Reuse {
-		var scratch []model.Value
-		if cs.argScratch {
-			scratch = clonedArgs
-		}
-		cs.argCaches[n.ID].Put(argRoots, scratch)
-	}
+	cs.args.recycle(n.ID, cloned, roots)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("rmi: %v", err)
 	}
 	if cs.ignoreRet && cs.cfg.Mode == serial.ModeSite {
 		// §3.1 applies to local calls too: a call site that ignores
 		// the return value skips the result-cloning step.
 		return nil, nil
 	}
-	cloned, retRoots, err := cs.cloneThroughSerializer(n, rets, cs.retPlans, &cs.retCaches[n.ID], cs.retScratch, audit)
+	cloned, roots, err = cs.clone(n, &cs.rets, rets, audit)
 	if err != nil {
 		return nil, err
 	}
-	if cs.retTablesElided != 0 {
-		st.CycleTablesAvoided.Add(cs.retTablesElided)
-	}
-	if cs.cfg.Reuse {
-		var scratch []model.Value
-		if cs.retScratch {
-			scratch = cloned
-		}
-		cs.retCaches[n.ID].Put(retRoots, scratch)
-	}
+	cs.rets.recycle(n.ID, cloned, roots)
 	return cloned, nil
 }
 
-// cloneThroughSerializer deep-copies vals by a serialize/deserialize
-// round trip on node n, honoring the call site's plans and drawing
-// donor graphs from cache; the caller is responsible for putting the
-// returned roots back once the values are dead. The round trip runs
-// through one pooled message: written forward, rewound, read back.
-func (cs *CallSite) cloneThroughSerializer(n *Node, vals []model.Value, plans []*serial.Plan, cache *serial.ReuseCache, useScratch, audit bool) ([]model.Value, []*model.Object, error) {
+// clone deep-copies vals by a serialize/deserialize round trip on node
+// n through side s, honoring its plans and drawing donor graphs from
+// its cache; the caller recycles the returned roots once the values
+// are dead. The round trip runs through one pooled message: written
+// forward, rewound, read back.
+func (cs *CallSite) clone(n *Node, s *side, vals []model.Value, audit bool) ([]model.Value, []*model.Object, error) {
 	c := n.cluster
 	if len(vals) == 0 {
 		return vals, nil, nil
 	}
 	st := &cs.statShards[n.ID]
 	m := wire.Get()
-	wops, err := cs.writeChecked(c, st, m, vals, plans, audit, nil)
+	wops, err := s.write(c, st, m, vals, argSet{}, audit, nil)
 	if err != nil {
 		m.Release()
 		return nil, nil, err
 	}
-	var cached []*model.Object
-	var scratch []model.Value
-	if cs.cfg.Reuse {
-		cached, scratch = cs.takeDonors(c, st, cache, plans, audit)
-		if !useScratch {
-			scratch = nil
-		}
-	}
 	m.Rewind()
-	out, roots, rops, err := serial.ReadValuesScratch(m, c.Registry, len(vals), plans, cs.cfg, cached, scratch, c.Counters)
+	out, roots, rops, err := s.read(c, n.ID, st, m, len(vals), argSet{}, audit)
 	m.Release()
 	if err != nil {
 		return nil, nil, err
@@ -441,9 +239,9 @@ func (cs *CallSite) cloneThroughSerializer(n *Node, vals []model.Value, plans []
 // block for its reply. The pendingCall lives on this goroutine's stack
 // — the asynchronous path (async.go) runs the same startRemote/await
 // pair with the pendingCall embedded in a pooled Future instead.
-func (cs *CallSite) invokeRemote(n *Node, ref Ref, args []model.Value, pol CallPolicy) ([]model.Value, error) {
+func (cs *CallSite) invokeRemote(n *Node, ref Ref, args []model.Value, pol CallPolicy, ex callExtras) ([]model.Value, error) {
 	var pc pendingCall
-	if err := cs.startRemote(&pc, n, ref, args, pol, callExtras{}); err != nil {
+	if err := cs.startRemote(&pc, n, ref, args, pol, ex); err != nil {
 		return nil, err
 	}
 	return pc.await()
@@ -459,7 +257,7 @@ type callExtras struct {
 	promised bool
 	// handles names argument positions to splice from the callee's
 	// promise table instead of serializing (promise pipelining).
-	handles []serial.PromiseHandle
+	handles []wire.PromiseHandle
 	// tctx, when non-zero, makes the call a child of an existing
 	// sampled trace: {TraceID, Parent: the parent span's ID, Hop: the
 	// depth this caller span records}. Zero-valued, the call is a trace
@@ -482,7 +280,6 @@ type pendingCall struct {
 	wireLen  int64
 	sp       *trace.Span
 	audit    bool
-	oneWay   bool
 	attempts int
 	attempt  int
 	// tctx is the call's trace inheritance handle ({TraceID, Parent:
@@ -497,6 +294,29 @@ type pendingCall struct {
 }
 
 func (pc *pendingCall) siteStats() *stats.SiteCounters { return &pc.cs.statShards[pc.n.ID] }
+
+// fail ends a call that will consume no reply — marshal or send
+// failure, shutdown, deadline, a reply that reports or is an error, a
+// future released unwaited: the pending slot and reply channel, when
+// still held, are reclaimed and the span closes with reason. It
+// returns err.
+func (pc *pendingCall) fail(reason string, err error) error {
+	if pc.ch != nil {
+		pc.n.abandonCall(pc.seq, pc.ch)
+		pc.ch = nil
+	}
+	pc.sp.Fail(reason)
+	pc.sp.End()
+	return err
+}
+
+func (pc *pendingCall) failClosed() error {
+	return pc.fail("cluster closed", fmt.Errorf("rmi: %s: %w", pc.cs.Name, ErrClusterClosed))
+}
+
+func (pc *pendingCall) failSend(err error) error {
+	return pc.fail("send: "+err.Error(), fmt.Errorf("rmi: send: %w", err))
+}
 
 // startRemote marshals, seals and sends the call's first attempt and
 // registers the pending reply slot. On return (nil error) the call is
@@ -514,14 +334,21 @@ func (cs *CallSite) startRemote(pc *pendingCall, n *Node, ref Ref, args []model.
 		c.Counters.ClaimChecks.Add(1)
 	}
 
+	h := wire.CallHeader{Site: cs.ID, Obj: ref.Obj, Seq: n.seq.Add(1), NArgs: int32(len(args)), Promises: ex.handles}
 	attempts := pol.attempts()
-	if ex.oneWay {
+	switch {
+	case ex.oneWay:
 		// No reply ever arms a retry timer, so a one-way call is sent
 		// exactly once; on a lossy network it is at-most-once by
 		// construction (see policy.go).
 		attempts = 1
+		h.Flags |= wire.CallOneWay
+	case attempts > 1:
+		h.Flags |= wire.CallRetryable
 	}
-	seq := n.seq.Add(1)
+	if ex.promised {
+		h.Flags |= wire.CallPromised
+	}
 	// First use of the link performs the HELLO fingerprint exchange;
 	// afterwards this is a bounds check plus a sync.Once fast path.
 	var lp *serial.LinkPlans
@@ -533,17 +360,22 @@ func (cs *CallSite) startRemote(pc *pendingCall, n *Node, ref Ref, args []model.
 	// With tracing off this is the observability layer's entire cost on
 	// the caller: StartCaller on a nil tracer returns a nil span whose
 	// methods are no-ops.
-	sp := n.tracer.StartCaller(cs.Name, cs.Method, n.ID, ref.Node, seq)
-	if ex.oneWay {
-		sp.SetOneWay()
-	}
-	// Distributed-trace identity: an inherited context (nested call,
-	// pipelined successor) continues its trace; a root call asks the
-	// head sampler. The unsampled path costs one atomic tick at roots
-	// and nothing anywhere else.
-	tctx := ex.tctx
-	var wireCtx wire.TraceContext
+	sp := n.tracer.StartCaller(cs.Name, cs.Method, n.ID, ref.Node, h.Seq)
+	// pc arrives zeroed (a fresh stack value, or a Future reset by
+	// Release); field stores keep the bulk write-barrier move a struct
+	// assignment would cost off the hot path.
+	pc.cs, pc.n, pc.ref, pc.pol, pc.seq = cs, n, ref, pol, h.Seq
+	pc.sp, pc.audit, pc.attempts, pc.attempt = sp, audit, attempts, 1
 	if sp != nil {
+		h.Flags |= wire.CallTraced
+		if ex.oneWay {
+			sp.SetOneWay()
+		}
+		// Distributed-trace identity: an inherited context (nested call,
+		// pipelined successor) continues its trace; a root call asks the
+		// head sampler. The unsampled path costs one atomic tick at roots
+		// and nothing anywhere else.
+		tctx := ex.tctx
 		if tctx.TraceID == 0 {
 			tctx.TraceID = n.tracer.SampleTrace()
 		}
@@ -557,58 +389,18 @@ func (cs *CallSite) startRemote(pc *pendingCall, n *Node, ref Ref, args []model.
 			// the frame without the context; the call still runs, the
 			// trace just ends at this link.
 			if linkCaps&wire.CapTracing != 0 && tctx.Hop < wire.MaxTraceHops {
-				wireCtx = wire.TraceContext{TraceID: tctx.TraceID, Parent: spanID, Hop: tctx.Hop + 1}
+				h.Trace = wire.TraceContext{TraceID: tctx.TraceID, Parent: spanID, Hop: tctx.Hop + 1}
 			}
 		}
 	}
 	sp.BeginPhase(trace.PhaseSerialize)
 	m := wire.Get()
-	m.AppendByte(msgCall)
-	var flags byte
-	if attempts > 1 {
-		flags |= callFlagRetryable
-	}
-	if sp != nil {
-		flags |= callFlagTraced
-	}
-	if ex.oneWay {
-		flags |= callFlagOneWay
-	}
-	if ex.promised {
-		flags |= callFlagPromised
-	}
-	if len(ex.handles) > 0 {
-		flags |= callFlagPipelined
-	}
-	if wireCtx.TraceID != 0 {
-		flags |= callFlagTraceCtx
-	}
-	m.AppendByte(flags)
-	m.AppendInt32(cs.ID)
-	m.AppendInt64(ref.Obj)
-	m.AppendInt64(seq)
-	m.AppendInt32(int32(len(args)))
-	if wireCtx.TraceID != 0 {
-		// The trace context rides between the argument count and the
-		// promise section (see wire.AppendTraceContext for the layout).
-		wire.AppendTraceContext(m, wireCtx)
-	}
-	wargs, wplans := args, cs.argPlans
-	if len(ex.handles) > 0 {
-		// The promise section rides between the argument count and the
-		// argument bytes; promised positions are named, not serialized.
-		serial.WritePromises(m, ex.handles)
-		wargs, wplans = pipelineSubset(args, cs.argPlans, ex.handles)
-	}
-	ops, err := cs.writeChecked(c, st, m, wargs, wplans, audit, lp)
+	h.Encode(m)
+	// Promised positions are named in the header, not serialized.
+	ops, err := cs.args.write(c, st, m, args, newArgSet(ex.handles), audit, lp)
 	if err != nil {
 		m.Release()
-		sp.Fail("marshal: " + err.Error())
-		sp.End()
-		return err
-	}
-	if cs.argTablesElided != 0 {
-		st.CycleTablesAvoided.Add(cs.argTablesElided)
+		return pc.fail("marshal: "+err.Error(), err)
 	}
 	n.Clock.Advance(c.Cost.CostNS(ops))
 
@@ -618,35 +410,22 @@ func (cs *CallSite) startRemote(pc *pendingCall, n *Node, ref Ref, args []model.
 	// buffer it is handed, so a retryable call keeps a private master
 	// copy to clone retransmits from; the common single-attempt call
 	// skips the copy.
-	wireLen := int64(m.Len())
+	pc.wireLen = int64(m.Len())
 	sealed := m.SealFrame()
-	var master []byte
 	if attempts > 1 {
-		master = append([]byte(nil), sealed...)
+		pc.master = append([]byte(nil), sealed...)
 	}
 	frame := m.Detach()
 	sp.EndPhase(trace.PhaseSerialize)
 
-	pc.cs, pc.n, pc.ref, pc.pol = cs, n, ref, pol
-	pc.seq, pc.master, pc.wireLen = seq, master, wireLen
-	pc.sp, pc.audit, pc.oneWay = sp, audit, ex.oneWay
-	pc.attempts, pc.attempt = attempts, 1
-	pc.issued = 0
-
 	if !ex.oneWay {
 		pc.ch = n.getReplyCh()
 		n.pendMu.Lock()
-		n.pending[seq] = pc.ch
+		n.pending[h.Seq] = pc.ch
 		n.pendMu.Unlock()
 	}
 	if err := pc.sendAttempt(frame); err != nil {
-		if pc.ch != nil {
-			n.abandonCall(seq, pc.ch)
-			pc.ch = nil
-		}
-		sp.Fail("send: " + err.Error())
-		sp.End()
-		return fmt.Errorf("rmi: send: %w", err)
+		return pc.failSend(err)
 	}
 	if ex.oneWay {
 		// Fire and forget: the span closes at wire handoff; there is no
@@ -677,46 +456,6 @@ func (pc *pendingCall) sendAttempt(frame []byte) error {
 	return err
 }
 
-// pipelineSubset filters out the promised argument positions, leaving
-// the values (and, in site mode, their matching plans) that actually
-// serialize. handles are validated by the async layer: in-range,
-// strictly covered by args, no duplicates.
-func pipelineSubset(args []model.Value, plans []*serial.Plan, handles []serial.PromiseHandle) ([]model.Value, []*serial.Plan) {
-	var mask uint64
-	var over map[int]bool
-	for _, h := range handles {
-		if h.Arg < 64 {
-			mask |= 1 << uint(h.Arg)
-		} else {
-			if over == nil {
-				over = make(map[int]bool)
-			}
-			over[int(h.Arg)] = true
-		}
-	}
-	promisedAt := func(i int) bool {
-		if i < 64 {
-			return mask&(1<<uint(i)) != 0
-		}
-		return over[i]
-	}
-	outArgs := make([]model.Value, 0, len(args)-len(handles))
-	var outPlans []*serial.Plan
-	if plans != nil {
-		outPlans = make([]*serial.Plan, 0, len(plans)-len(handles))
-	}
-	for i, v := range args {
-		if promisedAt(i) {
-			continue
-		}
-		outArgs = append(outArgs, v)
-		if plans != nil && i < len(plans) {
-			outPlans = append(outPlans, plans[i])
-		}
-	}
-	return outArgs, outPlans
-}
-
 // await blocks for the call's reply, driving retransmits and deadline
 // enforcement, then decodes the outcome. It may run on a different
 // goroutine than startRemote (Future.Wait); everything it touches
@@ -724,86 +463,66 @@ func pipelineSubset(args []model.Value, plans []*serial.Plan, handles []serial.P
 func (pc *pendingCall) await() ([]model.Value, error) {
 	cs, n, pol, sp, ch := pc.cs, pc.n, pc.pol, pc.sp, pc.ch
 	c := n.cluster
-	st := pc.siteStats()
 	var waitStart int64
 	if pc.issued != 0 && sp != nil {
 		waitStart = trace.Now()
 	}
 
 	var rep reply
+wait:
 	for {
-		if pol.Timeout <= 0 {
-			// No deadline: wait for the reply or cluster shutdown —
-			// never block unconditionally.
-			select {
-			case rep = <-ch:
-			case <-c.done:
-				n.abandonCall(pc.seq, ch)
-				pc.ch = nil
-				sp.Fail("cluster closed")
-				sp.End()
-				return nil, fmt.Errorf("rmi: %s: %w", cs.Name, ErrClusterClosed)
+		// Without a deadline expired stays nil and its case never fires:
+		// the wait ends with the reply or cluster shutdown — it never
+		// blocks unconditionally.
+		var timer *time.Timer
+		var expired <-chan time.Time
+		if pol.Timeout > 0 {
+			timer = time.NewTimer(pol.Timeout)
+			expired = timer.C
+		}
+		select {
+		case rep = <-ch:
+			if timer != nil {
+				timer.Stop()
 			}
-		} else {
-			timer := time.NewTimer(pol.Timeout)
+			break wait
+		case <-c.done:
+			if timer != nil {
+				timer.Stop()
+			}
+			return nil, pc.failClosed()
+		case <-expired:
+		}
+		if pc.attempt >= pc.attempts {
+			c.Counters.Timeouts.Add(1)
+			sp.EndPhase(trace.PhaseWaitReply)
+			peer := pc.ref.Node
+			reason := "timeout"
+			err := fmt.Errorf("rmi: %s to node %d after %d attempts of %v: %w", cs.Name, peer, pc.attempts, pol.Timeout, ErrTimeout)
+			if pr, ok := c.net.(transport.PartitionReporter); ok && (pr.Partitioned(n.ID, peer) || pr.Partitioned(peer, n.ID)) {
+				reason, err = "partitioned", fmt.Errorf("rmi: %s to node %d: %w", cs.Name, peer, ErrPartitioned)
+			}
+			// fail closes the span before the dump: the flight recorder
+			// must already hold the failing call when the dump is written.
+			err = pc.fail(reason, err)
+			n.tracer.DumpFailure(reason)
+			return nil, err
+		}
+		if d := pol.nextBackoff(pc.attempt); d > 0 {
 			select {
-			case rep = <-ch:
-				timer.Stop()
+			case <-time.After(d):
 			case <-c.done:
-				timer.Stop()
-				n.abandonCall(pc.seq, ch)
-				pc.ch = nil
-				sp.Fail("cluster closed")
-				sp.End()
-				return nil, fmt.Errorf("rmi: %s: %w", cs.Name, ErrClusterClosed)
-			case <-timer.C:
-				if pc.attempt < pc.attempts {
-					if d := pol.nextBackoff(pc.attempt); d > 0 {
-						select {
-						case <-time.After(d):
-						case <-c.done:
-							n.abandonCall(pc.seq, ch)
-							pc.ch = nil
-							sp.Fail("cluster closed")
-							sp.End()
-							return nil, fmt.Errorf("rmi: %s: %w", cs.Name, ErrClusterClosed)
-						}
-					}
-					c.Counters.Retries.Add(1)
-					sp.AddRetry()
-					f := wire.GetBuf(len(pc.master))
-					copy(f, pc.master)
-					pc.attempt++
-					if err := pc.sendAttempt(f); err != nil {
-						n.abandonCall(pc.seq, ch)
-						pc.ch = nil
-						sp.Fail("send: " + err.Error())
-						sp.End()
-						return nil, fmt.Errorf("rmi: send: %w", err)
-					}
-					continue
-				}
-				c.Counters.Timeouts.Add(1)
-				n.abandonCall(pc.seq, ch)
-				pc.ch = nil
-				sp.EndPhase(trace.PhaseWaitReply)
-				// Close the span before dumping: the flight recorder must
-				// already hold the failing call when the dump is written.
-				if pr, ok := c.net.(transport.PartitionReporter); ok &&
-					(pr.Partitioned(n.ID, pc.ref.Node) || pr.Partitioned(pc.ref.Node, n.ID)) {
-					sp.Fail("partitioned")
-					sp.End()
-					n.tracer.DumpFailure("partitioned")
-					return nil, fmt.Errorf("rmi: %s to node %d: %w", cs.Name, pc.ref.Node, ErrPartitioned)
-				}
-				sp.Fail("timeout")
-				sp.End()
-				n.tracer.DumpFailure("timeout")
-				return nil, fmt.Errorf("rmi: %s to node %d after %d attempts of %v: %w",
-					cs.Name, pc.ref.Node, pc.attempts, pol.Timeout, ErrTimeout)
+				return nil, pc.failClosed()
 			}
 		}
-		break
+		c.Counters.Retries.Add(1)
+		sp.AddRetry()
+		f := wire.GetBuf(len(pc.master))
+		copy(f, pc.master)
+		pc.attempt++
+		if err := pc.sendAttempt(f); err != nil {
+			return nil, pc.failSend(err)
+		}
 	}
 	// The reply landed, which means the receive loop removed the
 	// pending entry before sending: the channel is empty and no further
@@ -821,49 +540,29 @@ func (pc *pendingCall) await() ([]model.Value, error) {
 	}
 	if rep.err != nil {
 		wire.PutBuf(rep.buf)
-		sp.Fail(rep.err.Error())
-		sp.End()
-		return nil, rep.err
+		return nil, pc.fail(rep.err.Error(), rep.err)
 	}
 	n.Clock.Sync(rep.arrival)
 	n.Clock.Advance(c.Cost.DispatchNS)
 
-	switch rep.flag {
-	case replyAck:
+	switch rep.kind {
+	case wire.ReplyAck:
 		wire.PutBuf(rep.buf)
 		sp.End()
 		return nil, nil
-	case replyError:
-		rm := wire.GetReader(rep.payload)
-		msg := rm.ReadString()
-		rm.ReleaseReader()
-		wire.PutBuf(rep.buf)
-		sp.Fail("remote error: " + msg)
-		sp.End()
-		return nil, fmt.Errorf("rmi: remote error from %s: %s", cs.Name, msg)
-	case replyMalformed:
+	case wire.ReplyError:
+		msg := rep.message()
+		return nil, pc.fail("remote error: "+msg, fmt.Errorf("rmi: remote error from %s: %s", cs.Name, msg))
+	case wire.ReplyMalformed:
 		// The callee's hardened decoder rejected our frame. Surface the
 		// typed sentinel — retrying the same bytes cannot help.
-		rm := wire.GetReader(rep.payload)
-		msg := rm.ReadString()
-		rm.ReleaseReader()
-		wire.PutBuf(rep.buf)
-		sp.Fail("rejected as malformed: " + msg)
-		sp.End()
-		return nil, fmt.Errorf("rmi: %s: callee rejected frame (%s): %w", cs.Name, msg, ErrMalformedFrame)
-	case replyValues:
+		msg := rep.message()
+		return nil, pc.fail("rejected as malformed: "+msg,
+			fmt.Errorf("rmi: %s: callee rejected frame (%s): %w", cs.Name, msg, ErrMalformedFrame))
+	case wire.ReplyValues:
 		sp.BeginPhase(trace.PhaseReplyDeserialize)
 		rm := wire.GetReader(rep.payload)
-		nvals := int(rm.ReadInt32())
-		var cached []*model.Object
-		var scratch []model.Value
-		if cs.cfg.Reuse {
-			cached, scratch = cs.takeDonors(c, st, &cs.retCaches[n.ID], cs.retPlans, pc.audit)
-			if !cs.retScratch {
-				scratch = nil
-			}
-		}
-		vals, roots, ops, err := serial.ReadValuesScratch(rm, c.Registry, nvals, cs.retPlans, cs.cfg, cached, scratch, c.Counters)
+		vals, roots, ops, err := cs.rets.read(c, n.ID, pc.siteStats(), rm, int(rm.ReadInt32()), argSet{}, pc.audit)
 		rm.ReleaseReader()
 		wire.PutBuf(rep.buf)
 		sp.EndPhase(trace.PhaseReplyDeserialize)
@@ -873,24 +572,15 @@ func (pc *pendingCall) await() ([]model.Value, error) {
 				// the link it arrived on, same as the callee side does.
 				n.noteMalformed(pc.ref.Node)
 			}
-			sp.Fail("unmarshal reply: " + err.Error())
-			sp.End()
-			return nil, err
+			return nil, pc.fail("unmarshal reply: "+err.Error(), err)
 		}
 		n.Clock.Advance(c.Cost.CostNS(ops))
-		if cs.cfg.Reuse {
-			var scratch []model.Value
-			if cs.retScratch {
-				scratch = vals
-			}
-			cs.retCaches[n.ID].Put(roots, scratch)
-		}
+		cs.rets.recycle(n.ID, vals, roots)
 		sp.End()
 		return vals, nil
 	default:
 		wire.PutBuf(rep.buf)
-		sp.Fail(fmt.Sprintf("bad reply flag %d", rep.flag))
-		sp.End()
-		return nil, fmt.Errorf("rmi: bad reply flag %d", rep.flag)
+		msg := fmt.Sprintf("bad reply flag %d", rep.kind)
+		return nil, pc.fail(msg, errors.New("rmi: "+msg))
 	}
 }

@@ -3,7 +3,6 @@ package rmi
 import (
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"sync"
 
 	"cormi/internal/model"
@@ -50,14 +49,14 @@ func (n *Node) recvLoop(wg *sync.WaitGroup) {
 		p.Payload = payload
 		rd.ResetTo(payload)
 		switch t := rd.ReadU8(); t {
-		case msgCall:
+		case wire.MsgCall:
 			n.recvMu.Lock()
 			n.handleCall(p, rd)
 			n.recvMu.Unlock()
 			wire.PutBuf(frame)
-		case msgReply:
+		case wire.MsgReply:
 			n.routeReply(p, rd, frame)
-		case msgBatch:
+		case wire.MsgBatch:
 			n.handleBatch(p, rd, frame)
 		default:
 			// CRC-valid frame with an unknown message tag: the sender is
@@ -75,15 +74,14 @@ func (n *Node) recvLoop(wg *sync.WaitGroup) {
 // already in the channel" to recycle reply channels without leaking a
 // raced-in frame. It consumes frame.
 func (n *Node) routeReply(p transport.Packet, rd *wire.Message, frame []byte) {
-	seq := rd.ReadInt64()
-	flag := rd.ReadU8()
+	seq, kind := wire.ReadReplyHeader(rd)
 	if rd.Err() != nil {
 		n.cluster.Counters.CorruptDropped.Add(1)
 		wire.PutBuf(frame)
 		return
 	}
 	arrival := p.TS + n.cluster.Cost.MessageNS(len(p.Payload))
-	body := p.Payload[1+8+1:]
+	body := p.Payload[wire.ReplyHeaderLen:]
 	n.pendMu.Lock()
 	ch, ok := n.pending[seq]
 	if ok {
@@ -91,7 +89,7 @@ func (n *Node) routeReply(p transport.Packet, rd *wire.Message, frame []byte) {
 		// Buffered channel of one, sole reply for this entry: the send
 		// cannot block while holding the lock.
 		ch <- reply{
-			flag: flag, payload: body, buf: frame, arrival: arrival,
+			kind: kind, payload: body, buf: frame, arrival: arrival,
 			sentWall: p.Wall, recvWall: p.RecvWall,
 		}
 	}
@@ -143,11 +141,11 @@ func (n *Node) handleBatch(p transport.Packet, rd *wire.Message, frame []byte) {
 		}
 		sub.ResetTo(inner)
 		switch t := sub.ReadU8(); t {
-		case msgCall:
+		case wire.MsgCall:
 			n.recvMu.Lock()
 			n.handleCall(sp, sub)
 			n.recvMu.Unlock()
-		case msgReply:
+		case wire.MsgReply:
 			// Reply payloads outlive this container (the invoker recycles
 			// them after deserializing); give the reply its own buffer.
 			cp := wire.GetBuf(len(inner))
@@ -182,9 +180,9 @@ type execCtx struct {
 	// the call arrived unsampled), handed to the method through Call so
 	// nested calls stay in the tree.
 	tctx wire.TraceContext
-	// reuse returns the argument graphs to the site's §3.3 caches after
-	// the method runs; the pipelined path disables it (spliced arguments
-	// are not cache donors).
+	// reuse returns the argument graphs to the site's §3.3 cache after
+	// the method runs; off for a pipelined call (spliced arguments are
+	// not cache donors).
 	reuse bool
 }
 
@@ -200,46 +198,34 @@ func (n *Node) handleCall(p transport.Packet, m *wire.Message) {
 	arrival := p.TS + c.Cost.MessageNS(len(p.Payload))
 	start := arrival + c.Cost.DispatchNS
 
-	flags := m.ReadU8()
-	siteID := m.ReadInt32()
-	objID := m.ReadInt64()
-	seq := m.ReadInt64()
-	nargs := int(m.ReadInt32())
+	// A hostile trace context fails the message and takes the same
+	// malformed path as a broken header.
+	var h wire.CallHeader
+	if err := h.Decode(m); err != nil {
+		// The header itself is undecodable — nothing in this frame
+		// (including seq and the flags) can be trusted, so no dedup
+		// entry exists yet and the reply is best-effort.
+		n.noteMalformed(p.From)
+		n.sendFailure(p.From, h.Seq, start, wire.ReplyMalformed, fmt.Sprintf("bad call header: %v", err), false, nil)
+		return
+	}
 	// track decides whether this call needs dedup bookkeeping: the
 	// caller may retransmit it, or the interconnect itself can
 	// duplicate packets. On a fault-free non-retrying hot path a
 	// duplicate is impossible, so the map insert, entry and reply-copy
 	// costs are skipped entirely.
-	track := flags&callFlagRetryable != 0 || c.faulty
+	track := h.Flags&wire.CallRetryable != 0 || c.faulty
 	// traced mirrors the caller's span with a callee-side one; header
 	// and lookup errors reply before a span exists (nil span = no-op).
-	traced := n.tracer != nil && flags&callFlagTraced != 0
-	oneWay := flags&callFlagOneWay != 0
-	promised := flags&callFlagPromised != 0
-	pipelined := flags&callFlagPipelined != 0
-	// The optional trace context follows the argument count. It is read
-	// before the header error check: a hostile context fails the message
-	// and takes the same malformed path as a broken header.
-	var tctx wire.TraceContext
-	if flags&callFlagTraceCtx != 0 {
-		tctx, _ = wire.ReadTraceContext(m)
-	}
-	if m.Err() != nil {
-		// The header itself is undecodable — nothing in this frame
-		// (including seq and the flags) can be trusted, so no dedup
-		// entry exists yet and the reply is best-effort.
-		n.noteMalformed(p.From)
-		n.sendMalformed(p.From, seq, start, fmt.Sprintf("bad call header: %v", m.Err()), nil)
-		return
-	}
+	traced := n.tracer != nil && h.Flags&wire.CallTraced != 0
+	oneWay := h.Flags&wire.CallOneWay != 0
 
 	// Redelivery check before anything touches user state or the §3.3
 	// reuse caches: a retransmitted or duplicated call must not
 	// deserialize its arguments (that would clobber in-use donor
 	// graphs) and must not re-execute the user method.
 	if track {
-		key := dedupKey{from: p.From, seq: seq}
-		if e, fresh := n.dedupAdmit(key); !fresh {
+		if e, fresh := n.dedupAdmit(dedupKey{from: p.From, seq: h.Seq}); !fresh {
 			c.Counters.DupSuppressed.Add(1)
 			if e != nil && e.payload != nil {
 				// The call already completed: answer from the reply
@@ -258,22 +244,22 @@ func (n *Node) handleCall(p transport.Packet, m *wire.Message) {
 	}
 
 	ec := execCtx{
-		from: p.From, seq: seq, track: track,
-		oneWay: oneWay, promised: promised, reuse: !pipelined,
+		from: p.From, seq: h.Seq, track: track,
+		oneWay: oneWay, promised: h.Flags&wire.CallPromised != 0,
 	}
 
 	var lookupStart int64
 	if traced {
 		lookupStart = trace.Now()
 	}
-	cs, ok := c.site(siteID)
+	cs, ok := c.site(h.Site)
 	if !ok {
-		n.rejectCall(ec, start, fmt.Sprintf("unknown call site %d", siteID), nil, false)
+		n.rejectCall(ec, start, fmt.Sprintf("unknown call site %d", h.Site), nil, false)
 		return
 	}
-	svc, ok := n.lookup(objID)
+	svc, ok := n.lookup(h.Obj)
 	if !ok {
-		n.rejectCall(ec, start, fmt.Sprintf("no object %d on node %d", objID, n.ID), nil, false)
+		n.rejectCall(ec, start, fmt.Sprintf("no object %d on node %d", h.Obj, n.ID), nil, false)
 		return
 	}
 	method, ok := svc.Methods[cs.Method]
@@ -287,7 +273,7 @@ func (n *Node) handleCall(p transport.Packet, m *wire.Message) {
 		// The span starts at the packet's receive timestamp so the
 		// transit and plan-lookup phases measured before it existed still
 		// fall inside it.
-		sp = n.tracer.StartCallee(cs.Name, cs.Method, p.From, n.ID, seq, p.RecvWall)
+		sp = n.tracer.StartCallee(cs.Name, cs.Method, p.From, n.ID, h.Seq, p.RecvWall)
 		if oneWay {
 			sp.SetOneWay()
 		}
@@ -296,7 +282,7 @@ func (n *Node) handleCall(p transport.Packet, m *wire.Message) {
 			sp.SetPhase(trace.PhaseTransit, p.Wall, p.RecvWall-p.Wall)
 		}
 		sp.SetVirtualTransit(arrival - p.TS)
-		if tctx.TraceID != 0 {
+		if tctx := h.Trace; tctx.TraceID != 0 {
 			// Join the caller's sampled trace: this callee span hangs
 			// under the caller span named by the wire context, and
 			// everything the method does (via Call.TraceContext) hangs
@@ -307,22 +293,16 @@ func (n *Node) handleCall(p transport.Packet, m *wire.Message) {
 		}
 	}
 
-	// The promise section rides between the argument count and the
-	// argument bytes. Its hardened decoder bounds the handle count and
-	// argument positions before anything dereferences them.
-	var handles []serial.PromiseHandle
-	if pipelined {
-		var perr error
-		handles, perr = serial.ReadPromises(m, nargs)
-		if perr != nil {
-			n.noteMalformed(p.From)
-			if track {
-				n.dedupAbort(dedupKey{from: p.From, seq: seq})
-			}
-			n.rejectCall(ec, start, fmt.Sprintf("promise section: %v", perr), sp, true)
-			return
-		}
+	// The promise section is decoded only now, after the duplicate
+	// check kept a redelivery cheap; its hardened decoder bounds the
+	// handle count and argument positions before anything dereferences
+	// them.
+	if err := h.DecodePromises(m); err != nil {
+		n.rejectCall(ec, start, fmt.Sprintf("promise section: %v", err), sp, true)
+		return
 	}
+	skip := newArgSet(h.Promises)
+	ec.reuse = skip.n == 0
 
 	// The unmarshaler: take the cached argument graphs (Figure 13's
 	// temp_arr guard), deserialize — overwriting them in place when
@@ -337,62 +317,20 @@ func (n *Node) handleCall(p transport.Packet, m *wire.Message) {
 		st.ClaimChecks.Add(1)
 		c.Counters.ClaimChecks.Add(1)
 	}
-	// A pipelined call's argument slice mixes wire values with promise
-	// splices, so it reads with reuse off: no donors taken, nothing put
-	// back (ec.reuse is already false).
-	rcfg := cs.cfg
-	nwire := nargs
-	rplans := cs.argPlans
-	if pipelined {
-		rcfg.Reuse = false
-		nwire = nargs - len(handles)
-		rplans = subsetPlans(cs.argPlans, nargs, handles)
-	}
-	var cached []*model.Object
-	var scratch []model.Value
-	if rcfg.Reuse {
-		cached, scratch = cs.takeDonors(c, st, &cs.argCaches[n.ID], cs.argPlans, ec.audit)
-		if !cs.argScratch {
-			scratch = nil
-		}
-	}
 	sp.BeginPhase(trace.PhaseDeserialize)
-	args, roots, ops, err := serial.ReadValuesScratch(m, c.Registry, nwire, rplans, rcfg, cached, scratch, c.Counters)
+	args, roots, ops, err := cs.args.read(c, n.ID, st, m, int(h.NArgs), skip, ec.audit)
 	sp.EndPhase(trace.PhaseDeserialize)
 	if err != nil {
-		if errors.Is(err, wire.ErrMalformedFrame) {
-			// Hostile or version-skewed payload, rejected by the
-			// hardened decoder. Withdraw the in-flight dedup entry: its
-			// (from, seq) key came from the same untrusted frame, and
-			// leaving it cached would let a forged frame swallow an
-			// honest retransmit stream.
-			n.noteMalformed(p.From)
-			if track {
-				n.dedupAbort(dedupKey{from: p.From, seq: seq})
-			}
-			n.rejectCall(ec, start, fmt.Sprintf("unmarshal: %v", err), sp, true)
-			return
-		}
-		n.rejectCall(ec, start, fmt.Sprintf("unmarshal: %v", err), sp, false)
+		n.rejectCall(ec, start, fmt.Sprintf("unmarshal: %v", err), sp, errors.Is(err, wire.ErrMalformedFrame))
 		return
 	}
 	ec.start = start + c.Cost.CostNS(ops)
 
 	// "a new thread is created to invoke the user's code" (Figure 1).
 	sp.BeginPhase(trace.PhaseDispatch)
-	if pipelined {
-		// Spread the wire values over the full argument slice, leaving
-		// the promised positions for runPipelined to splice.
-		full := make([]model.Value, nargs)
-		at := promisedAt(handles)
-		idx := 0
-		for i := range full {
-			if !at(i) {
-				full[i] = args[idx]
-				idx++
-			}
-		}
-		go n.runPipelined(cs, method, ec, full, handles, sp)
+	if skip.n > 0 {
+		// args has the promised positions left for runPipelined to splice.
+		go n.runPipelined(cs, method, ec, args, h.Promises, sp)
 		return
 	}
 	go n.runMethod(cs, method, ec, args, roots, sp)
@@ -401,11 +339,24 @@ func (n *Node) handleCall(p transport.Packet, m *wire.Message) {
 // rejectCall answers a call that failed before the method could run,
 // honoring the call's mode: promised calls publish the failure so
 // pipelined dependents unblock, one-way calls record it without
-// replying, and malformed frames get the typed replyMalformed flag.
+// replying. malformed marks a hostile or version-skewed frame the
+// hardened decoder rejected: it is counted, answered with the typed
+// wire.ReplyMalformed, and its in-flight dedup entry is withdrawn — the
+// (from, seq) key came from the same untrusted frame, and leaving it
+// cached would let a forged frame swallow an honest retransmit stream.
 func (n *Node) rejectCall(ec execCtx, floor int64, msg string, sp *trace.Span, malformed bool) {
 	c := n.cluster
+	key := dedupKey{from: ec.from, seq: ec.seq}
+	kind, track := byte(wire.ReplyError), ec.track
+	if malformed {
+		n.noteMalformed(ec.from)
+		if ec.track {
+			n.dedupAbort(key)
+		}
+		kind, track = wire.ReplyMalformed, false
+	}
 	if ec.promised {
-		n.promiseFail(dedupKey{from: ec.from, seq: ec.seq}, msg, floor)
+		n.promiseFail(key, msg, floor)
 	}
 	if ec.oneWay {
 		c.Counters.OneWayErrors.Add(1)
@@ -414,50 +365,7 @@ func (n *Node) rejectCall(ec execCtx, floor int64, msg string, sp *trace.Span, m
 		n.tracer.DumpFailure("oneway-error")
 		return
 	}
-	if malformed {
-		n.sendMalformed(ec.from, ec.seq, floor, msg, sp)
-		return
-	}
-	n.sendError(ec.from, ec.seq, floor, msg, ec.track, sp)
-}
-
-// promisedAt builds a position-membership test over the (already
-// validated) promise handles.
-func promisedAt(handles []serial.PromiseHandle) func(int) bool {
-	var mask uint64
-	var over map[int]bool
-	for _, h := range handles {
-		if h.Arg < 64 {
-			mask |= 1 << uint(h.Arg)
-		} else {
-			if over == nil {
-				over = make(map[int]bool)
-			}
-			over[int(h.Arg)] = true
-		}
-	}
-	return func(i int) bool {
-		if i < 64 {
-			return mask&(1<<uint(i)) != 0
-		}
-		return over[i]
-	}
-}
-
-// subsetPlans drops the promised positions from a site-mode plan list
-// (nil in class mode stays nil).
-func subsetPlans(plans []*serial.Plan, nargs int, handles []serial.PromiseHandle) []*serial.Plan {
-	if plans == nil {
-		return nil
-	}
-	at := promisedAt(handles)
-	out := make([]*serial.Plan, 0, len(plans)-len(handles))
-	for i := 0; i < len(plans) && i < nargs; i++ {
-		if !at(i) {
-			out = append(out, plans[i])
-		}
-	}
-	return out
+	n.sendFailure(ec.from, ec.seq, floor, kind, msg, track, sp)
 }
 
 // runMethod executes the user method on the plain path. It runs in its
@@ -472,7 +380,7 @@ func (n *Node) runMethod(cs *CallSite, method Method, ec execCtx, args []model.V
 // raced ahead of them — splices the results into the argument slice,
 // and then executes like any other call. The caller's round trip never
 // covered the producers: that is the point of pipelining.
-func (n *Node) runPipelined(cs *CallSite, method Method, ec execCtx, args []model.Value, handles []serial.PromiseHandle, sp *trace.Span) {
+func (n *Node) runPipelined(cs *CallSite, method Method, ec execCtx, args []model.Value, handles []wire.PromiseHandle, sp *trace.Span) {
 	c := n.cluster
 	c.Counters.PipelinedCalls.Add(1)
 	sp.EndPhase(trace.PhaseDispatch)
@@ -538,27 +446,11 @@ func (ec execCtx) promisedReject(n *Node, msg string, sp *trace.Span) {
 func (n *Node) executeAndReply(cs *CallSite, method Method, ec execCtx, args []model.Value, roots []*model.Object, sp *trace.Span) {
 	c := n.cluster
 	call := &Call{Node: n, From: ec.from, Site: cs, start: ec.start, tctx: ec.tctx}
-	var rets []model.Value
 	sp.BeginPhase(trace.PhaseExecute)
-	err := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("method panicked on node %d: %v\n%s", n.ID, r, debug.Stack())
-			}
-		}()
-		rets = method(call, args)
-		return nil
-	}()
+	rets, err := runGuarded(method, call, args)
 	sp.EndPhase(trace.PhaseExecute)
-	// Escape analysis proved the argument graphs dead after the call;
-	// stash them (and, when every reference is covered by the proof,
-	// the argument slice itself) for the next invocation of this site.
-	if ec.reuse && cs.cfg.Reuse {
-		var scratch []model.Value
-		if cs.argScratch {
-			scratch = args
-		}
-		cs.argCaches[n.ID].Put(roots, scratch)
+	if ec.reuse {
+		cs.args.recycle(n.ID, args, roots)
 	}
 	// The reply leaves no earlier than the invocation's own progress
 	// (start + the CPU time the method reported) and no earlier than
@@ -583,8 +475,8 @@ func (n *Node) executeAndReply(cs *CallSite, method Method, ec execCtx, args []m
 			return
 		}
 		// A panic is one of the flight recorder's auto-dump triggers;
-		// sendError closes the span first, so the dump includes it.
-		n.sendError(ec.from, ec.seq, done, err.Error(), ec.track, sp)
+		// sendFailure closes the span first, so the dump includes it.
+		n.sendFailure(ec.from, ec.seq, done, wire.ReplyError, err.Error(), ec.track, sp)
 		c.tracer.DumpFailure("panic")
 		return
 	}
@@ -608,29 +500,24 @@ func (n *Node) executeAndReply(cs *CallSite, method Method, ec execCtx, args []m
 	sp.BeginPhase(trace.PhaseReplySerialize)
 	st := &cs.statShards[n.ID]
 	m := wire.Get()
-	m.AppendByte(msgReply)
-	m.AppendInt64(ec.seq)
 	var marshalNS int64
 	if cs.ignoreRet && cs.cfg.Mode == serial.ModeSite {
 		// §3.1: the return value is ignored at this call site — send a
 		// small acknowledgment instead of serializing it.
-		m.AppendByte(replyAck)
+		wire.AppendReplyHeader(m, ec.seq, wire.ReplyAck)
 		c.Counters.AcksOnly.Add(1)
 	} else {
-		m.AppendByte(replyValues)
+		wire.AppendReplyHeader(m, ec.seq, wire.ReplyValues)
 		m.AppendInt32(int32(len(rets)))
 		var lp *serial.LinkPlans
 		if l := n.linkTo(ec.from); l != nil {
 			lp = l.lp
 		}
-		ops, werr := cs.writeChecked(c, st, m, rets, cs.retPlans, ec.audit, lp)
+		ops, werr := cs.rets.write(c, st, m, rets, argSet{}, ec.audit, lp)
 		if werr != nil {
 			m.Release()
-			n.sendError(ec.from, ec.seq, done, fmt.Sprintf("marshal return: %v", werr), ec.track, sp)
+			n.sendFailure(ec.from, ec.seq, done, wire.ReplyError, fmt.Sprintf("marshal return: %v", werr), ec.track, sp)
 			return
-		}
-		if cs.retTablesElided != 0 {
-			st.CycleTablesAvoided.Add(cs.retTablesElided)
 		}
 		marshalNS = c.Cost.CostNS(ops)
 	}
@@ -665,29 +552,16 @@ func (n *Node) sendReply(to int, seq, ts int64, m *wire.Message, track bool, sp 
 	_ = n.send(pkt)
 }
 
-func (n *Node) sendError(to int, seq, floor int64, msg string, track bool, sp *trace.Span) {
+// sendFailure answers a call that produced no values: kind is
+// wire.ReplyError for a remote exception, or wire.ReplyMalformed for a
+// frame the decoder rejected, so the caller surfaces a typed
+// ErrMalformedFrame instead. Callers never track a malformed reply: the
+// dedup cache must hold nothing keyed by fields of an untrusted frame.
+func (n *Node) sendFailure(to int, seq, floor int64, kind byte, msg string, track bool, sp *trace.Span) {
 	sp.Fail(msg)
 	sp.BeginPhase(trace.PhaseReplySerialize)
 	m := wire.Get()
-	m.AppendByte(msgReply)
-	m.AppendInt64(seq)
-	m.AppendByte(replyError)
+	wire.AppendReplyHeader(m, seq, kind)
 	m.AppendString(msg)
 	n.sendReply(to, seq, floor, m, track, sp)
-}
-
-// sendMalformed answers a call whose frame the decoder rejected. The
-// reply carries the replyMalformed flag so the caller surfaces a typed
-// ErrMalformedFrame instead of a generic remote exception, and it is
-// never tracked: the dedup cache must hold nothing keyed by fields of
-// an untrusted frame.
-func (n *Node) sendMalformed(to int, seq, floor int64, msg string, sp *trace.Span) {
-	sp.Fail(msg)
-	sp.BeginPhase(trace.PhaseReplySerialize)
-	m := wire.Get()
-	m.AppendByte(msgReply)
-	m.AppendInt64(seq)
-	m.AppendByte(replyMalformed)
-	m.AppendString(msg)
-	n.sendReply(to, seq, floor, m, false, sp)
 }

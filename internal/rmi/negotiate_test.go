@@ -103,16 +103,11 @@ func TestMalformedCallFrameRejectedTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Craft the hostile frame: valid msgCall header addressed to the
-	// real site and object, one argument, then a bad reference marker.
+	// Craft the hostile frame: valid call header addressed to the real
+	// site and object, one argument, then a bad reference marker.
 	const forgedSeq = 999_999
 	m := wire.Get()
-	m.AppendByte(msgCall)
-	m.AppendByte(callFlagRetryable)
-	m.AppendInt32(cs.ID)
-	m.AppendInt64(ref.Obj)
-	m.AppendInt64(forgedSeq)
-	m.AppendInt32(1)
+	wire.CallHeader{Flags: wire.CallRetryable, Site: cs.ID, Obj: ref.Obj, Seq: forgedSeq, NArgs: 1}.Encode(m)
 	m.AppendByte(77) // no such reference marker
 	m.SealFrame()
 	if err := e.c.Network().Endpoint(0).Send(transport.Packet{To: 1, Payload: m.Detach()}); err != nil {

@@ -19,10 +19,9 @@ import (
 // The table is keyed by the same (from, seq) identity as the dedup
 // cache, so a handle can only name a call issued by the same caller —
 // a hostile peer cannot splice another node's results into its own
-// arguments. Entries are bounded (Cluster.promiseCap) with FIFO
-// eviction that prefers completed entries; evicting a still-pending
-// entry fails any calls parked on it rather than leaving them parked
-// forever.
+// arguments. Entries are bounded (promiseCap) with FIFO eviction that
+// prefers completed entries; evicting a still-pending entry fails any
+// calls parked on it rather than leaving them parked forever.
 
 // promiseEntry is one call's recorded outcome (or the rendezvous for
 // calls arriving before the outcome exists).
@@ -94,8 +93,7 @@ func (n *Node) promiseComplete(key dedupKey, vals []model.Value, errMsg string, 
 // entry is failed so its parked calls error out instead of waiting on
 // an entry the table no longer tracks.
 func (n *Node) promiseInsertLocked(key dedupKey, e *promiseEntry) {
-	cap := n.cluster.promiseCap
-	for cap > 0 && len(n.promises) >= cap && len(n.promQ) > 0 {
+	for len(n.promises) >= promiseCap && len(n.promQ) > 0 {
 		victimIdx := -1
 		for i, k := range n.promQ {
 			if v := n.promises[k]; v == nil {

@@ -211,9 +211,6 @@ type Cluster struct {
 	// (WithBatching) with the given flush window and budgets.
 	batch *BatchConfig
 
-	// promiseCap bounds each node's promise table (default 1024).
-	promiseCap int
-
 	// promiseParked tracks the executor goroutines currently parked on
 	// an unresolved promise (level, not a monotone total — see
 	// stats.OverloadStats.PromiseParked).
@@ -240,22 +237,30 @@ type Cluster struct {
 type Option func(*clusterOpts)
 
 type clusterOpts struct {
-	net        transport.Network
-	owns       bool
-	cost       simtime.CostModel
-	registry   *model.Registry
-	depth      int
-	policy     CallPolicy
-	faults     *transport.FaultConfig
-	dedupCap   int
-	tracer     *trace.Tracer
-	claimEvery int64
-	skew       map[int][]string
-	capsMask   map[int]uint32
+	net         transport.Network
+	owns        bool
+	cost        simtime.CostModel
+	registry    *model.Registry
+	policy      CallPolicy
+	faults      *transport.FaultConfig
+	dedupCap    int
+	tracer      *trace.Tracer
+	claimEvery  int64
+	skew        map[int][]string
+	capsMask    map[int]uint32
 	batch       *BatchConfig
-	promiseCap  int
 	nodeTracers map[int]*trace.Tracer
 }
+
+const (
+	// channelDepth is each node's inbox depth on the default in-process
+	// channel network.
+	channelDepth = 1024
+	// promiseCap bounds each node's promise table — the store a callee
+	// keeps so pipelined calls can reference the results of earlier
+	// promised calls (see promise.go).
+	promiseCap = 1024
+)
 
 // WithNetwork runs the cluster over an externally created network
 // (e.g. TCP); the cluster still closes it on Close.
@@ -367,22 +372,15 @@ func WithoutCaps(node int, caps uint32) Option {
 	}
 }
 
-// WithPromiseCap bounds each node's promise table — the per-link store
-// a callee keeps so pipelined calls can reference the results of
-// earlier promised calls (default 1024 entries).
-func WithPromiseCap(n int) Option {
-	return func(o *clusterOpts) { o.promiseCap = n }
-}
-
 // New creates a cluster of n nodes (default: in-process channel
 // network) and starts their receive loops.
 func New(n int, opts ...Option) *Cluster {
-	o := clusterOpts{cost: simtime.DefaultCostModel(), depth: 1024, dedupCap: 4096, promiseCap: 1024}
+	o := clusterOpts{cost: simtime.DefaultCostModel(), dedupCap: 4096}
 	for _, f := range opts {
 		f(&o)
 	}
 	if o.net == nil {
-		o.net = transport.NewChannelNetwork(n, o.depth)
+		o.net = transport.NewChannelNetwork(n, channelDepth)
 		o.owns = true
 	}
 	if o.faults != nil {
@@ -406,7 +404,6 @@ func New(n int, opts ...Option) *Cluster {
 		skew:       o.skew,
 		capsMask:   o.capsMask,
 		batch:      o.batch,
-		promiseCap: o.promiseCap,
 		done:       make(chan struct{}),
 	}
 	c.nodes = make([]*Node, n)
@@ -640,7 +637,7 @@ type dedupEntry struct {
 }
 
 type reply struct {
-	flag byte
+	kind byte // wire.Reply*
 	// payload is the reply body (header stripped); buf is the full
 	// pooled frame backing it, which the invoker returns with
 	// wire.PutBuf once the values are deserialized.
@@ -652,6 +649,16 @@ type reply struct {
 	// derives PhaseReplyTransit from them.
 	sentWall, recvWall int64
 	err                error
+}
+
+// message decodes the string body of an error or malformed reply and
+// recycles the frame.
+func (r reply) message() string {
+	rm := wire.GetReader(r.payload)
+	msg := rm.ReadString()
+	rm.ReleaseReader()
+	wire.PutBuf(r.buf)
+	return msg
 }
 
 func newNode(c *Cluster, id int) *Node {

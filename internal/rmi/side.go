@@ -1,0 +1,201 @@
+package rmi
+
+import (
+	"cormi/internal/model"
+	"cormi/internal/serial"
+	"cormi/internal/simtime"
+	"cormi/internal/stats"
+	"cormi/internal/wire"
+)
+
+// side is one direction of a call site — the arguments (caller writes,
+// callee reads) or the return values (callee writes, caller reads):
+// the plans the compiler generated for it and its reuse state. Local
+// calls run both halves of each side on one node.
+type side struct {
+	cfg   serial.Config
+	plans []*serial.Plan
+
+	// caches are per node: the callee-side argument cache lives on
+	// whichever node serves the call, the caller-side return cache on
+	// whichever node issued it (the paper's static temp_arr is per-JVM
+	// state).
+	caches []serial.ReuseCache
+
+	// scratch marks the value slice itself as recyclable through the
+	// reuse cache. That is sound only when EVERY value is a reference
+	// covered by a §3.3 escape proof: such a slice only points at graphs
+	// that are overwritten in place on the next invocation anyway, so
+	// recycling it adds no observable mutation. A primitive value, by
+	// contrast, is a plain result the caller may legitimately retain —
+	// one primitive plan disables slice recycling for the whole side.
+	scratch bool
+
+	// tablesElided counts the reference plans §3.2 proved acyclic — each
+	// is a cycle-table allocation the writer skips per message; every
+	// successful write adds it to the CycleTablesAvoided counter.
+	tablesElided int64
+}
+
+func newSide(cfg serial.Config, plans []*serial.Plan, nodes int) side {
+	s := side{cfg: cfg, plans: plans, caches: make([]serial.ReuseCache, nodes)}
+	if cfg.Mode != serial.ModeSite {
+		return s
+	}
+	s.scratch = cfg.Reuse
+	for _, p := range plans {
+		if p.Kind != model.FRef || !p.Reusable {
+			s.scratch = false
+		}
+		if cfg.CycleElim && p.Kind == model.FRef && !p.NeedCycle {
+			s.tablesElided++
+		}
+	}
+	return s
+}
+
+// subset is the plan list for n values of which the skip positions do
+// not travel (nil in class mode stays nil).
+func (s *side) subset(n int, skip argSet) []*serial.Plan {
+	return without(s.plans[:min(len(s.plans), n)], skip)
+}
+
+// write serializes vals into m, leaving out the skip positions. On
+// audited calls at a cycle-eliding site the value graphs are walked
+// first, and a repeated object — the static analysis mis-predicted the
+// runtime heap — falls back to serializing WITH the cycle table. The
+// fallback is wire-compatible (readers accept handle markers
+// unconditionally), so a refuted claim becomes a counted, dumped event
+// instead of silent corruption or a non-terminating writer. lp is the
+// link's negotiated plan table (nil for local calls and homogeneous
+// links): fingerprint-mismatched classes take the class-level encoding.
+func (s *side) write(c *Cluster, st *stats.SiteCounters, m *wire.Message, vals []model.Value, skip argSet, audit bool, lp *serial.LinkPlans) (simtime.OpCount, error) {
+	cfg, plans := s.cfg, s.plans
+	cfg.Link = lp
+	if skip.n > 0 {
+		plans, vals = s.subset(len(vals), skip), without(vals, skip)
+	}
+	if audit && cfg.Mode == serial.ModeSite && cfg.CycleElim && serial.CheckAcyclic(vals, plans) != nil {
+		claimViolated(c, st)
+		cfg.CycleElim = false
+	}
+	ops, err := serial.WriteValues(m, vals, plans, cfg, c.Counters)
+	if err == nil && s.tablesElided != 0 {
+		st.CycleTablesAvoided.Add(s.tablesElided)
+	}
+	return ops, err
+}
+
+// read deserializes n values from m on node: it takes the cached donor
+// graphs (Figure 13's temp_arr guard), counting the hit or miss,
+// overwrites them in place where shapes match, and returns the roots
+// for recycle once the values are dead. On audited calls a donor whose
+// class differs from the plan's prediction refutes the §3.3 claim and
+// is dropped so the reader allocates fresh objects instead. With skip
+// positions (a pipelined call) only the others are on the wire: the
+// result mixes wire values with slots the caller splices, so it reads
+// with reuse off — no donors taken, nothing to put back.
+func (s *side) read(c *Cluster, node int, st *stats.SiteCounters, m *wire.Message, n int, skip argSet, audit bool) ([]model.Value, []*model.Object, simtime.OpCount, error) {
+	cfg, plans := s.cfg, s.plans
+	var cached []*model.Object
+	var scratch []model.Value
+	if skip.n > 0 {
+		cfg.Reuse = false
+		plans = s.subset(n, skip)
+	} else if cfg.Reuse {
+		cached, scratch = s.caches[node].Take()
+		if cached == nil {
+			st.ReuseMisses.Add(1)
+		} else {
+			st.ReuseHits.Add(1)
+			if audit {
+				for range serial.CheckReuseShape(cached, plans) {
+					claimViolated(c, st)
+				}
+			}
+		}
+		if !s.scratch {
+			scratch = nil
+		}
+	}
+	vals, roots, ops, err := serial.ReadValuesScratch(m, c.Registry, n-skip.n, plans, cfg, cached, scratch, c.Counters)
+	if err != nil || skip.n == 0 {
+		return vals, roots, ops, err
+	}
+	full := make([]model.Value, n)
+	for i, next := 0, 0; i < n; i++ {
+		if !skip.has(i) {
+			full[i] = vals[next]
+			next++
+		}
+	}
+	return full, nil, ops, nil
+}
+
+// recycle returns graphs read on node to its cache once escape
+// analysis says they are dead — and, when every reference is covered by
+// the proof, the value slice itself — for the next invocation.
+func (s *side) recycle(node int, vals []model.Value, roots []*model.Object) {
+	if !s.cfg.Reuse {
+		return
+	}
+	if !s.scratch {
+		vals = nil
+	}
+	s.caches[node].Put(roots, vals)
+}
+
+// claimViolated records one refuted compile-time claim: per-site and
+// global counters plus a flight-recorder dump, so the evidence around
+// the mis-prediction is preserved (nil tracer = no-op).
+func claimViolated(c *Cluster, st *stats.SiteCounters) {
+	st.ClaimViolations.Add(1)
+	c.Counters.ClaimViolations.Add(1)
+	c.tracer.DumpFailure("claim-violation")
+}
+
+// argSet is the set of argument positions a pipelined call names by
+// promise handle instead of serializing. The handles are validated
+// before one is built (promiseHandles, wire.DecodePromises): in range,
+// no duplicates.
+type argSet struct {
+	n    int          // positions in the set
+	low  uint64       // positions 0..63
+	high map[int]bool // the rest
+}
+
+func newArgSet(handles []wire.PromiseHandle) argSet {
+	s := argSet{n: len(handles)}
+	for _, h := range handles {
+		if h.Arg < 64 {
+			s.low |= 1 << uint(h.Arg)
+			continue
+		}
+		if s.high == nil {
+			s.high = make(map[int]bool)
+		}
+		s.high[int(h.Arg)] = true
+	}
+	return s
+}
+
+func (s argSet) has(i int) bool {
+	if i < 64 {
+		return s.low&(1<<uint(i)) != 0
+	}
+	return s.high[i]
+}
+
+// without returns xs minus the skip positions; nil stays nil.
+func without[T any](xs []T, skip argSet) []T {
+	if xs == nil {
+		return nil
+	}
+	out := make([]T, 0, max(len(xs)-skip.n, 0))
+	for i, x := range xs {
+		if !skip.has(i) {
+			out = append(out, x)
+		}
+	}
+	return out
+}

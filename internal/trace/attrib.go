@@ -29,22 +29,22 @@ type PhaseSlice struct {
 // recorder is node-local, so a remote callee's half lives in the
 // peer's tracer).
 type Exemplar struct {
-	Site         string       `json:"site"`
-	Method       string       `json:"method"`
-	From         int          `json:"from"`
-	To           int          `json:"to"`
-	Seq          int64        `json:"seq"`
-	TotalNS      int64        `json:"total_ns"`
-	ThresholdNS  int64        `json:"threshold_ns"`
-	CapturedWall int64        `json:"captured_wall_ns"`
-	Err          string       `json:"err,omitempty"`
-	Retries      int          `json:"retries,omitempty"`
+	Site         string `json:"site"`
+	Method       string `json:"method"`
+	From         int    `json:"from"`
+	To           int    `json:"to"`
+	Seq          int64  `json:"seq"`
+	TotalNS      int64  `json:"total_ns"`
+	ThresholdNS  int64  `json:"threshold_ns"`
+	CapturedWall int64  `json:"captured_wall_ns"`
+	Err          string `json:"err,omitempty"`
+	Retries      int    `json:"retries,omitempty"`
 	// TraceID links a sampled slow call to its distributed trace
 	// (/traces/<id>); zero when the call was not sampled.
-	TraceID uint64 `json:"trace_id,omitempty"`
-	Blame   string `json:"blame"`
-	Caller       []PhaseSlice `json:"caller"`
-	Callee       []PhaseSlice `json:"callee,omitempty"`
+	TraceID uint64       `json:"trace_id,omitempty"`
+	Blame   string       `json:"blame"`
+	Caller  []PhaseSlice `json:"caller"`
+	Callee  []PhaseSlice `json:"callee,omitempty"`
 	// Spans carries the raw records for the Perfetto export
 	// (/slow/trace); the JSON view above is self-contained without it.
 	Spans []SpanRecord `json:"-"`

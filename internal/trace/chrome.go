@@ -35,6 +35,16 @@ const (
 	tidCallee = 2
 )
 
+// trackMetadata names one node's process and its caller and callee
+// tracks.
+func trackMetadata(pid int, process string) []chromeEvent {
+	return []chromeEvent{
+		{Name: "process_name", Ph: "M", PID: pid, TID: 0, Args: map[string]any{"name": process}},
+		{Name: "thread_name", Ph: "M", PID: pid, TID: tidCaller, Args: map[string]any{"name": "caller"}},
+		{Name: "thread_name", Ph: "M", PID: pid, TID: tidCallee, Args: map[string]any{"name": "callee"}},
+	}
+}
+
 // WriteChrome renders spans as Chrome trace-event JSON. The optional
 // reason tags the dump (flight-recorder failure dumps set it).
 // Timestamps are rebased to the earliest span so the timeline starts
@@ -61,14 +71,7 @@ func WriteChrome(w io.Writer, spans []SpanRecord, reason string) error {
 		}
 		if !seenPID[pid] {
 			seenPID[pid] = true
-			tr.TraceEvents = append(tr.TraceEvents,
-				chromeEvent{Name: "process_name", Ph: "M", PID: pid, TID: 0,
-					Args: map[string]any{"name": "node"}},
-				chromeEvent{Name: "thread_name", Ph: "M", PID: pid, TID: tidCaller,
-					Args: map[string]any{"name": "caller"}},
-				chromeEvent{Name: "thread_name", Ph: "M", PID: pid, TID: tidCallee,
-					Args: map[string]any{"name": "callee"}},
-			)
+			tr.TraceEvents = append(tr.TraceEvents, trackMetadata(pid, "node")...)
 		}
 		args := map[string]any{
 			"site": s.Site, "method": s.Method, "from": s.From, "to": s.To,

@@ -377,14 +377,7 @@ func WriteChromeMerged(w io.Writer, tr *Tree) error {
 	for i, n := range names {
 		pid := i + 1
 		pidOf[n] = pid
-		out.TraceEvents = append(out.TraceEvents,
-			chromeEvent{Name: "process_name", Ph: "M", PID: pid, TID: 0,
-				Args: map[string]any{"name": n}},
-			chromeEvent{Name: "thread_name", Ph: "M", PID: pid, TID: tidCaller,
-				Args: map[string]any{"name": "caller"}},
-			chromeEvent{Name: "thread_name", Ph: "M", PID: pid, TID: tidCallee,
-				Args: map[string]any{"name": "callee"}},
-		)
+		out.TraceEvents = append(out.TraceEvents, trackMetadata(pid, n)...)
 	}
 	for i := range tr.Spans {
 		s := &tr.Spans[i]

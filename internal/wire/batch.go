@@ -5,14 +5,14 @@ import "fmt"
 // Batch container framing.
 //
 // A batch frame coalesces several small sealed frames into one physical
-// network frame: [msgBatch tag] [count i32] then per entry a virtual
+// network frame: [MsgBatch tag] [count i32] then per entry a virtual
 // send timestamp, a wall-clock send timestamp (zero when untraced) and
 // the length-prefixed sealed sub-frame. The container is sealed again
 // by the sender, so the wire carries an outer CRC over the whole batch
 // and each sub-frame keeps its own seal — a receiver validates both,
 // and a sub-frame extracted from a batch is indistinguishable from one
 // that traveled alone. The tag byte itself lives at the RMI layer next
-// to msgCall/msgReply; this file owns the entry layout and its
+// to MsgCall/MsgReply; this file owns the entry layout and its
 // hardened reader.
 
 const (

@@ -1,0 +1,257 @@
+package wire
+
+import (
+	"encoding/hex"
+	"fmt"
+	"reflect"
+	"testing"
+)
+
+// The reference encoder: the call and reply header assembly as
+// internal/rmi wrote it by hand before CallHeader existed (startRemote,
+// executeAndReply, sendError, sendMalformed), lifted verbatim with its
+// own copy of every constant. It exists so Encode is held to the bytes
+// the protocol always had; the hex goldens below keep the reference
+// itself from drifting with the code.
+
+const (
+	msgCall  = 0
+	msgReply = 1
+
+	callFlagRetryable = 1 << 0
+	callFlagTraced    = 1 << 1
+	callFlagOneWay    = 1 << 2
+	callFlagPromised  = 1 << 3
+	callFlagPipelined = 1 << 4
+	callFlagTraceCtx  = 1 << 5
+
+	replyAck       = 0
+	replyValues    = 1
+	replyError     = 2
+	replyMalformed = 3
+)
+
+// refCall is what startRemote knew when it assembled a header.
+type refCall struct {
+	retryable, traced, oneWay, promised bool
+	site                                int32
+	obj, seq                            int64
+	nargs                               int
+	wireCtx                             TraceContext
+	handles                             []PromiseHandle
+}
+
+func refAppendTraceContext(m *Message, c TraceContext) {
+	m.AppendInt64(int64(c.TraceID))
+	m.AppendInt64(int64(c.Parent))
+	m.AppendByte(c.Hop)
+}
+
+func refWritePromises(m *Message, ps []PromiseHandle) {
+	m.AppendInt32(int32(len(ps)))
+	for _, p := range ps {
+		m.AppendInt32(p.Arg)
+		m.AppendInt64(p.Seq)
+		m.AppendInt32(p.Ret)
+	}
+}
+
+func refEncodeCall(m *Message, c refCall) {
+	m.AppendByte(msgCall)
+	var flags byte
+	if c.retryable {
+		flags |= callFlagRetryable
+	}
+	if c.traced {
+		flags |= callFlagTraced
+	}
+	if c.oneWay {
+		flags |= callFlagOneWay
+	}
+	if c.promised {
+		flags |= callFlagPromised
+	}
+	if len(c.handles) > 0 {
+		flags |= callFlagPipelined
+	}
+	if c.wireCtx.TraceID != 0 {
+		flags |= callFlagTraceCtx
+	}
+	m.AppendByte(flags)
+	m.AppendInt32(c.site)
+	m.AppendInt64(c.obj)
+	m.AppendInt64(c.seq)
+	m.AppendInt32(int32(c.nargs))
+	if c.wireCtx.TraceID != 0 {
+		refAppendTraceContext(m, c.wireCtx)
+	}
+	if len(c.handles) > 0 {
+		refWritePromises(m, c.handles)
+	}
+}
+
+func refEncodeReply(m *Message, seq int64, kind byte) {
+	m.AppendByte(msgReply)
+	m.AppendInt64(seq)
+	m.AppendByte(kind)
+}
+
+// header is the CallHeader a caller builds for c.
+func (c refCall) header() CallHeader {
+	h := CallHeader{Site: c.site, Obj: c.obj, Seq: c.seq, NArgs: int32(c.nargs), Trace: c.wireCtx, Promises: c.handles}
+	if c.retryable {
+		h.Flags |= CallRetryable
+	}
+	if c.traced {
+		h.Flags |= CallTraced
+	}
+	if c.oneWay {
+		h.Flags |= CallOneWay
+	}
+	if c.promised {
+		h.Flags |= CallPromised
+	}
+	return h
+}
+
+func encodeHeader(h CallHeader) []byte {
+	m := NewMessage(64)
+	h.Encode(m)
+	return m.Bytes()
+}
+
+// decodeHeader runs the receive path over b: tag, Decode,
+// DecodePromises. It returns the header and how many bytes it consumed.
+func decodeHeader(b []byte) (CallHeader, int, error) {
+	m := FromBytes(b)
+	var h CallHeader
+	if tag := m.ReadU8(); m.Err() == nil && tag != MsgCall {
+		return h, 0, fmt.Errorf("%w: tag %d is not a call", ErrMalformedFrame, tag)
+	}
+	if err := h.Decode(m); err != nil {
+		return h, 0, err
+	}
+	if err := h.DecodePromises(m); err != nil {
+		return h, 0, err
+	}
+	return h, len(b) - m.Remaining(), nil
+}
+
+var refHandles = []PromiseHandle{
+	{Arg: 0, Seq: 42, Ret: 0},
+	{Arg: 2, Seq: 7, Ret: 3},
+	{Arg: 3, Seq: 1 << 40, Ret: 1},
+}
+
+// TestCallHeaderDifferential holds Encode to the reference encoder
+// byte for byte over every flag combination × {no ctx, ctx} × {0, 1, 3
+// handles}, and Decode to Encode's inverse.
+func TestCallHeaderDifferential(t *testing.T) {
+	ctxs := []TraceContext{{}, {TraceID: 0xdeadbeefcafef00d, Parent: 7, Hop: 3}}
+	cases := 0
+	for bits := 0; bits < 16; bits++ {
+		for _, ctx := range ctxs {
+			for _, nh := range []int{0, 1, 3} {
+				c := refCall{
+					retryable: bits&1 != 0, traced: bits&2 != 0, oneWay: bits&4 != 0, promised: bits&8 != 0,
+					site: 0x01020304, obj: 0x1112131415161718, seq: 0x2122232425262728, nargs: 4,
+					wireCtx: ctx, handles: refHandles[:nh],
+				}
+				name := fmt.Sprintf("flags=%04b ctx=%v handles=%d", bits, ctx.TraceID != 0, nh)
+				ref := NewMessage(128)
+				refEncodeCall(ref, c)
+				h := c.header()
+				got := encodeHeader(h)
+				if hex.EncodeToString(got) != hex.EncodeToString(ref.Bytes()) {
+					t.Fatalf("%s:\n  Encode %x\nreference %x", name, got, ref.Bytes())
+				}
+				back, used, err := decodeHeader(got)
+				if err != nil {
+					t.Fatalf("%s: Decode(Encode(h)): %v", name, err)
+				}
+				if used != len(got) {
+					t.Fatalf("%s: Decode consumed %d of %d bytes", name, used, len(got))
+				}
+				want := h
+				want.Flags = h.wireFlags()
+				if nh == 0 {
+					want.Promises = nil
+				}
+				if !reflect.DeepEqual(back, want) {
+					t.Fatalf("%s: Decode(Encode(h)) = %+v, want %+v", name, back, want)
+				}
+				cases++
+			}
+		}
+	}
+	if cases != 96 {
+		t.Fatalf("covered %d combinations, want 96", cases)
+	}
+}
+
+// TestCallHeaderGoldens pins the reference encoder and Encode to
+// checked-in bytes, so neither can drift with the other. The same
+// prefixes appear on a live link in rmi.TestFramesOnTheWire.
+func TestCallHeaderGoldens(t *testing.T) {
+	calls := []struct {
+		name string
+		c    refCall
+		want string
+	}{
+		{"plain call", refCall{site: 3, obj: 5, seq: 9, nargs: 2},
+			"00" + "00" + "03000000" + "0500000000000000" + "0900000000000000" + "02000000"},
+		{"traced + ctx", refCall{retryable: true, traced: true, site: 1, obj: 2, seq: 0x0102030405060708, nargs: 1,
+			wireCtx: TraceContext{TraceID: 0x1122334455667788, Parent: 0x99aabbccddeeff00, Hop: 3}},
+			"00" + "23" + "01000000" + "0200000000000000" + "0807060504030201" + "01000000" +
+				"8877665544332211" + "00ffeeddccbbaa99" + "03"},
+		{"pipelined, 3 handles", refCall{promised: true, site: 2, obj: 0, seq: 7, nargs: 4, handles: []PromiseHandle{
+			{Arg: 0, Seq: 4, Ret: 0}, {Arg: 2, Seq: 5, Ret: 0}, {Arg: 3, Seq: 6, Ret: 1}}},
+			"00" + "18" + "02000000" + "0000000000000000" + "0700000000000000" + "04000000" +
+				"03000000" +
+				"00000000" + "0400000000000000" + "00000000" +
+				"02000000" + "0500000000000000" + "00000000" +
+				"03000000" + "0600000000000000" + "01000000"},
+	}
+	for _, tc := range calls {
+		ref := NewMessage(128)
+		refEncodeCall(ref, tc.c)
+		if got := hex.EncodeToString(ref.Bytes()); got != tc.want {
+			t.Errorf("%s: reference encoder\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+		if got := hex.EncodeToString(encodeHeader(tc.c.header())); got != tc.want {
+			t.Errorf("%s: Encode\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+	}
+
+	replies := []struct {
+		name     string
+		ref, got byte
+		want     string
+	}{
+		{"ack", replyAck, ReplyAck, "01" + "0900000000000000" + "00"},
+		{"values", replyValues, ReplyValues, "01" + "0900000000000000" + "01"},
+		{"error", replyError, ReplyError, "01" + "0900000000000000" + "02"},
+		{"malformed", replyMalformed, ReplyMalformed, "01" + "0900000000000000" + "03"},
+	}
+	for _, tc := range replies {
+		ref, m := NewMessage(16), NewMessage(16)
+		refEncodeReply(ref, 9, tc.ref)
+		AppendReplyHeader(m, 9, tc.got)
+		if got := hex.EncodeToString(ref.Bytes()); got != tc.want {
+			t.Errorf("%s reply: reference encoder\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+		if got := hex.EncodeToString(m.Bytes()); got != tc.want {
+			t.Errorf("%s reply: AppendReplyHeader\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+		if m.Len() != ReplyHeaderLen {
+			t.Errorf("%s reply: %d header bytes, ReplyHeaderLen says %d", tc.name, m.Len(), ReplyHeaderLen)
+		}
+		rd := FromBytes(m.Bytes())
+		if tag := rd.ReadU8(); tag != MsgReply {
+			t.Errorf("%s reply: tag %d", tc.name, tag)
+		}
+		if seq, kind := ReadReplyHeader(rd); seq != 9 || kind != tc.got || rd.Err() != nil || rd.Remaining() != 0 {
+			t.Errorf("%s reply: ReadReplyHeader = (%d, %d), err %v, %d bytes left", tc.name, seq, kind, rd.Err(), rd.Remaining())
+		}
+	}
+}

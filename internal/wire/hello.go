@@ -60,16 +60,16 @@ const (
 // feature on that link without affecting correctness.
 const (
 	// CapPipelining: the peer maintains a per-link promise table and
-	// accepts calls carrying promise-handle sections (callFlagPromised
-	// / callFlagPipelined at the RMI layer).
+	// accepts calls carrying promise-handle sections (CallPromised /
+	// CallPipelined in the call header).
 	CapPipelining uint32 = 1 << 0
 	// CapOneWay: the peer honors the one-way call flag (executes the
 	// method and suppresses the reply frame).
 	CapOneWay uint32 = 1 << 1
-	// CapBatching: the peer decodes msgBatch container frames.
+	// CapBatching: the peer decodes MsgBatch container frames.
 	CapBatching uint32 = 1 << 2
 	// CapTracing: the peer decodes the optional trace-context field in
-	// call frames (callFlagTraceCtx at the RMI layer). A link to a peer
+	// call frames (CallTraceCtx in the call header). A link to a peer
 	// without this bit drops the context — the call still runs, its
 	// downstream spans just fall out of the trace — instead of sending
 	// a frame the peer would reject as malformed.
