@@ -96,11 +96,18 @@ verify-dtrace:
 # Those gates stop at the heap analysis (harness.AnalyzeCorpus); the
 # stage after it, core.buildSites with its escape check, is held linear
 # by the last line: a whole core.Compile must allocate no more than
-# 1.5x per function at 1440 functions than at 360, no wall clock read.
+# 1.5x per function at 1440 functions than at 360 and no more than 36
+# per function at either size, and each of its six stages (the names
+# the repo benchmark's ladder uses) stays under its own per-function
+# allocation ceiling, so a regression names its stage; no wall clock
+# read. The corpus gate also pins Analysis.Fingerprint of both corpora
+# as constants, and the heap line holds the ordered NodeSet to the map
+# it replaced (the oracle in nodeset_ref_test.go) and Reach to a fixed
+# number of allocations whatever the graph size.
 verify-analysis:
 	go test -count=1 -run 'TestAnalysisCorpusGate|TestAnalysisIncrementalGate|TestAnalysisParallelSpeedup' ./internal/harness
-	go test -count=1 -run 'TestIncremental|TestSummary' ./internal/heap ./internal/heap/sched ./internal/heap/gen
-	go test -count=1 -run 'TestCompileAllocsLinearInFunctions' ./internal/core
+	go test -count=1 -run 'TestIncremental|TestSummary|TestNodeSet|TestReachAllocations|TestMergedView' ./internal/heap ./internal/heap/sched ./internal/heap/gen
+	go test -count=1 -run 'TestCompileAllocsLinearInFunctions|TestCompileStageAllocs' ./internal/core
 
 # Short native-fuzzing pass over the adversarial decode surfaces:
 # the HELLO handshake decoder, the value/reference payload decoder,
@@ -137,7 +144,13 @@ bench-codec:
 # Whole compiler (lang, ir, heap, core) cold over generated corpora of
 # 360, 1440 and 2200 functions: ns/op, allocs/op and ns/func, which
 # should stay flat as the program grows. Informational, no gate (the
-# gated form is TestCompileAllocsLinearInFunctions in verify-analysis);
-# the profiling handle for the compiler ladder.
+# gated forms are TestCompileAllocsLinearInFunctions and
+# TestCompileStageAllocs in verify-analysis); the profiling handle for
+# the compiler ladder. For the exact allocation-site table (every
+# allocation sampled; counts per compile = flat / iterations):
+#   go test -run '^$$' -bench 'BenchmarkCompileScaling/funcs=360' -benchtime 100x \
+#     -memprofilerate=1 -memprofile /tmp/mem.prof -o /tmp/cormi.test .
+#   go tool pprof -sample_index=alloc_objects -top /tmp/cormi.test /tmp/mem.prof
+# (-sample_index=alloc_space for bytes; add -cpuprofile for time).
 bench-compile:
 	go test -run '^$$' -bench 'BenchmarkCompileScaling' -benchmem -count=3 .

@@ -58,7 +58,7 @@ func (es *escapeState) build(r *Result) {
 	for i := 0; i < n; i++ {
 		holder := heap.NodeID(i)
 		for key, set := range r.Heap.FieldEdges(holder) {
-			for m := range set {
+			for _, m := range set {
 				es.preds[m] = append(es.preds[m], fieldPred{holder, key})
 			}
 		}
@@ -89,7 +89,7 @@ func (es *escapeState) build(r *Result) {
 				if len(r.Heap.PointsToIn(target, c)) > 0 {
 					continue
 				}
-				for id := range r.Heap.PointsToIn(val, c) {
+				for _, id := range r.Heap.PointsToIn(val, c) {
 					if es.unknown[id].seq == 0 {
 						es.unknown[id] = unknownStore{seq, f}
 					}
@@ -104,7 +104,7 @@ func (es *escapeState) build(r *Result) {
 func (es *escapeState) returned(r *Result, f *ir.Func) heap.NodeSet {
 	reach, ok := es.returnedReach[f]
 	if !ok {
-		rets := heap.NodeSet{}
+		var rets heap.NodeSet
 		for _, rv := range ir.ReturnValues(f) {
 			rets.AddAll(r.Heap.PointsTo(rv))
 		}
@@ -216,7 +216,7 @@ func (r *Result) graphEscapeWitness(es *escapeState, graph heap.NodeSet, extra [
 	var node heap.NodeID
 	var via fieldPred
 	found := false
-	for m := range graph {
+	for _, m := range graph {
 		for _, p := range es.preds[m] {
 			if graph.Has(p.holder) {
 				continue
@@ -233,7 +233,7 @@ func (r *Result) graphEscapeWitness(es *escapeState, graph heap.NodeSet, extra [
 	}
 	// Stored through an unanalyzable reference?
 	var first unknownStore
-	for m := range graph {
+	for _, m := range graph {
 		u := es.unknown[m]
 		if u.seq == 0 {
 			continue
@@ -249,14 +249,20 @@ func (r *Result) graphEscapeWitness(es *escapeState, graph heap.NodeSet, extra [
 	return nil
 }
 
-// leastCommon returns the lowest node id in both sets.
-func leastCommon(graph, reach heap.NodeSet) (least heap.NodeID, ok bool) {
-	for id := range graph {
-		if (!ok || id < least) && reach.Has(id) {
-			least, ok = id, true
+// leastCommon returns the lowest node id in both sets: one step of a
+// merge over the two ascending sequences.
+func leastCommon(graph, reach heap.NodeSet) (heap.NodeID, bool) {
+	for i, j := 0, 0; i < len(graph) && j < len(reach); {
+		switch {
+		case graph[i] < reach[j]:
+			i++
+		case graph[i] > reach[j]:
+			j++
+		default:
+			return graph[i], true
 		}
 	}
-	return least, ok
+	return 0, false
 }
 
 // argReuseDenial decides §3.3 for one serialized argument of a remote

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"strconv"
 
 	"cormi/internal/heap"
 	"cormi/internal/lang"
@@ -24,7 +24,7 @@ func (r *Result) buildPlan(siteName string, nodes heap.NodeSet, declType lang.Ty
 	if kind != model.FRef {
 		return serial.PrimitivePlan(siteName, kind), nil
 	}
-	memo := map[string]*serial.NodePlan{}
+	memo := &planMemo{plans: map[string]*serial.NodePlan{}}
 	root, err := r.buildNodePlan(nodes, declType, memo)
 	if err != nil {
 		return nil, err
@@ -36,24 +36,36 @@ func (r *Result) buildPlan(siteName string, nodes heap.NodeSet, declType lang.Ty
 	return p, nil
 }
 
-// planKey canonicalizes (node set, static type) for recursion
-// detection: a linked list's next field maps back to the same key and
-// therefore to the same (self-referential) NodePlan.
-func planKey(nodes heap.NodeSet, t lang.Type) string {
-	return fmt.Sprintf("%s@%s", nodes, t)
+// planMemo maps (node set, static type) to the NodePlan under
+// construction for it, for recursion detection: a linked list's next
+// field maps back to the same key and therefore to the same
+// (self-referential) NodePlan. The key is the set's ids, already in
+// canonical order, then the type, written into one reused buffer.
+type planMemo struct {
+	plans map[string]*serial.NodePlan
+	key   []byte
+}
+
+// setKey leaves the key of (nodes, t) in m.key.
+func (m *planMemo) setKey(nodes heap.NodeSet, t lang.Type) {
+	m.key = m.key[:0]
+	for _, id := range nodes {
+		m.key = append(strconv.AppendInt(m.key, int64(id), 10), ',')
+	}
+	m.key = append(append(m.key, '@'), t.String()...)
 }
 
 // buildNodePlan returns the object plan for a reference whose runtime
 // classes are those of nodes, or nil when the reference is polymorphic
 // (several possible classes) and must stay on the dynamic path.
-func (r *Result) buildNodePlan(nodes heap.NodeSet, declType lang.Type, memo map[string]*serial.NodePlan) (*serial.NodePlan, error) {
+func (r *Result) buildNodePlan(nodes heap.NodeSet, declType lang.Type, memo *planMemo) (*serial.NodePlan, error) {
 	// Determine the single concrete type, if any.
 	concrete := r.concreteType(nodes, declType)
 	if concrete == nil {
 		return nil, nil // polymorphic: dynamic fallback
 	}
-	key := planKey(nodes, concrete)
-	if np, ok := memo[key]; ok {
+	memo.setKey(nodes, concrete)
+	if np, ok := memo.plans[string(memo.key)]; ok {
 		return np, nil
 	}
 
@@ -64,10 +76,10 @@ func (r *Result) buildNodePlan(nodes heap.NodeSet, declType lang.Type, memo map[
 			return nil, err
 		}
 		np := &serial.NodePlan{Class: mc}
-		memo[key] = np
+		memo.plans[string(memo.key)] = np
 		if mc.Kind == model.KRefArray {
-			elems := heap.NodeSet{}
-			for id := range nodes {
+			var elems heap.NodeSet
+			for _, id := range nodes {
 				elems.AddAll(r.Heap.Field(id, heap.ElemKey))
 			}
 			elem, err := r.buildNodePlan(elems, t.Elem, memo)
@@ -84,7 +96,7 @@ func (r *Result) buildNodePlan(nodes heap.NodeSet, declType lang.Type, memo map[
 			return nil, fmt.Errorf("class %s not defined in model", t.Decl.Name)
 		}
 		np := &serial.NodePlan{Class: mc}
-		memo[key] = np
+		memo.plans[string(memo.key)] = np
 		for i, fd := range langFields(t.Decl) {
 			step := serial.Step{Field: i, FieldName: fd.Name}
 			switch ft := fd.Type.(type) {
@@ -102,8 +114,8 @@ func (r *Result) buildNodePlan(nodes heap.NodeSet, declType lang.Type, memo map[
 					return nil, fmt.Errorf("field %s.%s: bad type %s", t.Decl.Name, fd.Name, ft)
 				}
 			default:
-				targets := heap.NodeSet{}
-				for id := range nodes {
+				var targets heap.NodeSet
+				for _, id := range nodes {
 					targets.AddAll(r.Heap.Field(id, heap.FieldKey(fd)))
 				}
 				sub, err := r.buildNodePlan(targets, fd.Type, memo)
@@ -138,7 +150,7 @@ func (r *Result) concreteType(nodes heap.NodeSet, declType lang.Type) lang.Type 
 		return nil
 	}
 	var types []lang.Type
-	for _, id := range nodes.Sorted() {
+	for _, id := range nodes {
 		t := r.Heap.Node(id).Type
 		dup := false
 		for _, u := range types {
@@ -156,6 +168,5 @@ func (r *Result) concreteType(nodes heap.NodeSet, declType lang.Type) lang.Type 
 	}
 	// Multiple possible classes: polymorphic (the Figure 5 situation
 	// merged at a single site).
-	sort.Slice(types, func(i, j int) bool { return types[i].String() < types[j].String() })
 	return nil
 }

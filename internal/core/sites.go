@@ -78,7 +78,7 @@ func (r *Result) buildSites() error {
 		}
 
 		// Return value.
-		retNodes := heap.NodeSet{}
+		var retNodes heap.NodeSet
 		if si.NumRet == 1 {
 			if callee, ok := r.IR.FuncOf[in.Callee]; ok {
 				for _, rv := range ir.ReturnValues(callee) {

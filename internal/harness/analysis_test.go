@@ -46,22 +46,26 @@ func countersOf(c heap.CostStats) costCounters {
 // compiles). Each names the one function edited for the warm run and
 // how many functions that edit must re-analyze. budgetFallbacks is 0
 // on both: their call fan-in is designed under the context budget, so
-// a fallback means the bounded-context rule regressed.
+// a fallback means the bounded-context rule regressed. fingerprint is
+// Analysis.Fingerprint of the cold run, as a constant: the other gates
+// compare two runs of one build with each other, which a numbering
+// error made by both (a set mergeParts forgets to relocate) passes.
 var gateCorpora = []struct {
 	name         string
 	cfg          gen.Config
 	cold         costCounters
+	fingerprint  uint64
 	edit         string
 	warmAnalyzed int
 }{
 	{"funcs=2200", gateCorpus,
 		costCounters{functions: 2200, sccs: 2100, components: 100, waves: 18,
 			contexts: 2628, nodes: 700, strongKills: 0, iterations: 3, budgetFallbacks: 0},
-		"C42App.f13", 22},
+		0x090faccdbd36800a, "C42App.f13", 22},
 	{"funcs=360", gen.Config{Seed: 404, Components: 30, FuncsPerComponent: 10},
 		costCounters{functions: 360, sccs: 330, components: 30, waves: 8,
 			contexts: 329, nodes: 210, strongKills: 0, iterations: 3, budgetFallbacks: 0},
-		"C7App.f5", 12},
+		0xc37f416cb4bc682e, "C7App.f5", 12},
 }
 
 // analysisWallBudget caps the analysis driver's own wall time on the
@@ -91,6 +95,9 @@ func TestAnalysisCorpusGate(t *testing.T) {
 			c := a.Cost
 			if got := countersOf(c); got != g.cold {
 				t.Errorf("cold counters\n got %+v\nwant %+v (fallbacks in %v)", got, g.cold, c.FallbackFuncs)
+			}
+			if got := a.Fingerprint(); got != g.fingerprint {
+				t.Errorf("fingerprint %#016x, want %#016x: node or context numbering, or some points-to fact, moved", got, g.fingerprint)
 			}
 			if wall := time.Duration(c.WallNS); wall > analysisWallBudget {
 				t.Errorf("analysis wall time %v exceeds budget %v", wall, analysisWallBudget)

@@ -1,7 +1,9 @@
 package heap
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 	"time"
 
 	"cormi/internal/heap/sched"
@@ -105,17 +107,7 @@ func AnalyzeOpts(prog *ir.Program, opts Options) *Analysis {
 // kill stays a singleton (or shrinks to empty), keeping the kills
 // justified against the final result.
 func solveComponent(prog *ir.Program, plan *sched.Plan, ci int, opts Options) *Analysis {
-	comp := plan.Components[ci]
-	funcs := make([]*ir.Func, len(comp.Order))
-	for i, fi := range comp.Order {
-		funcs[i] = plan.Funcs[fi]
-	}
-	recursive := map[*ir.Func]bool{}
-	for _, fi := range comp.Funcs {
-		if plan.Recursive[fi] {
-			recursive[plan.Funcs[fi]] = true
-		}
-	}
+	funcs, recursive := componentFuncs(plan, ci)
 	a := runAnalysis(prog, opts, funcs, recursive, nil)
 	if !opts.StrongUpdates {
 		return a
@@ -129,16 +121,10 @@ func solveComponent(prog *ir.Program, plan *sched.Plan, ci int, opts Options) *A
 	return b
 }
 
-// runAnalysis is one complete fixpoint run over one function subset:
-// context prepass, then chaotic iteration over every (function, live
-// context, instruction) triple until nothing changes. funcs is the
-// region's bottom-up wave order — callees are visited before callers
-// within each pass, so summaries usually stabilize in fewer passes
-// than the old whole-program source order needed, and the order is a
-// fixed input, keeping node discovery (and so all numbering)
-// deterministic.
-func runAnalysis(prog *ir.Program, opts Options, funcs []*ir.Func, recursive map[*ir.Func]bool, killed map[instrCtx]bool) *Analysis {
-	a := &Analysis{
+// newAnalysis is the empty analysis state of one function subset (one
+// region while solving or decoding).
+func newAnalysis(prog *ir.Program, opts Options, funcs []*ir.Func, recursive map[*ir.Func]bool) *Analysis {
+	return &Analysis{
 		Prog:       prog,
 		Opts:       opts,
 		funcs:      funcs,
@@ -149,8 +135,22 @@ func runAnalysis(prog *ir.Program, opts Options, funcs []*ir.Func, recursive map
 		allocNode:  make(map[allocKey]NodeID),
 		cloneMemo:  make(map[cloneKey]NodeID),
 		clonePairs: make(map[clonePair]NodeID),
-		killed:     killed,
+		argCtxs:    make(map[*lang.MethodDecl]string),
+		retCtxs:    make(map[int]string),
 	}
+}
+
+// runAnalysis is one complete fixpoint run over one function subset:
+// context prepass, then chaotic iteration over every (function, live
+// context, instruction) triple until nothing changes. funcs is the
+// region's bottom-up wave order — callees are visited before callers
+// within each pass, so summaries usually stabilize in fewer passes
+// than the old whole-program source order needed, and the order is a
+// fixed input, keeping node discovery (and so all numbering)
+// deterministic.
+func runAnalysis(prog *ir.Program, opts Options, funcs []*ir.Func, recursive map[*ir.Func]bool, killed map[instrCtx]bool) *Analysis {
+	a := newAnalysis(prog, opts, funcs, recursive)
+	a.killed = killed
 	a.buildContexts()
 	for {
 		a.changed = false
@@ -174,33 +174,16 @@ func runAnalysis(prog *ir.Program, opts Options, funcs []*ir.Func, recursive map
 	}
 }
 
-// set returns (creating) the points-to set of v in context c, and the
-// merged view that backs PointsTo.
-func (a *Analysis) set(v *ir.Value, c Ctx) NodeSet {
-	k := valCtx{v, c}
-	s, ok := a.pts[k]
-	if !ok {
-		s = NodeSet{}
-		a.pts[k] = s
-	}
-	return s
-}
-
-func (a *Analysis) allSet(v *ir.Value) NodeSet {
-	s, ok := a.ptsAll[v]
-	if !ok {
-		s = NodeSet{}
-		a.ptsAll[v] = s
-	}
-	return s
-}
-
 // addNode inserts id into v's context-c set, mirroring into the merged
 // view and recording the change.
 func (a *Analysis) addNode(v *ir.Value, c Ctx, id NodeID) {
-	if a.set(v, c).Add(id) {
+	k := valCtx{v, c}
+	if s := a.pts[k]; s.Add(id) {
+		a.pts[k] = s
 		a.changed = true
-		a.allSet(v).Add(id)
+		if all := a.ptsAll[v]; all.Add(id) {
+			a.ptsAll[v] = all
+		}
 	}
 }
 
@@ -209,47 +192,44 @@ func (a *Analysis) addSet(v *ir.Value, c Ctx, src NodeSet) {
 	if len(src) == 0 {
 		return
 	}
-	dst := a.set(v, c)
-	var all NodeSet
-	for id := range src {
-		if dst.Add(id) {
-			a.changed = true
-			if all == nil {
-				all = a.allSet(v)
-			}
-			all.Add(id)
+	k := valCtx{v, c}
+	if s := a.pts[k]; s.AddAll(src) {
+		a.pts[k] = s
+		a.changed = true
+		if all := a.ptsAll[v]; all.AddAll(src) {
+			a.ptsAll[v] = all
 		}
 	}
 }
 
-func (a *Analysis) fieldSet(n NodeID, key string) NodeSet {
-	m := a.fields[n]
-	s, ok := m[key]
-	if !ok {
-		s = NodeSet{}
-		m[key] = s
+// addField unions src into the key edges of node n.
+func (a *Analysis) addField(n NodeID, key string, src NodeSet) {
+	if s := a.fields[n][key]; s.AddAll(src) {
+		a.putField(n, key, s)
 	}
-	return s
 }
 
-func (a *Analysis) globalSet(fd *lang.FieldDecl) NodeSet {
-	s, ok := a.globals[fd]
-	if !ok {
-		s = NodeSet{}
-		a.globals[fd] = s
+// putField stores s, grown, as the key edges of node n.
+func (a *Analysis) putField(n NodeID, key string, s NodeSet) {
+	if a.fields[n] == nil {
+		a.fields[n] = map[string]NodeSet{}
 	}
-	return s
+	a.fields[n][key] = s
+	a.changed = true
 }
 
-func (a *Analysis) note(changed bool) {
-	if changed {
-		a.changed = true
-	}
+// snapshot copies s into a buffer of the analysis, for the loops that
+// clone while walking a set: the set walked may be the one that grows
+// (a remote call passing on its own parameter, a clone that is its
+// own clone). One loop uses it at a time.
+func (a *Analysis) snapshot(s NodeSet) []NodeID {
+	a.idScratch = append(a.idScratch[:0], s...)
+	return a.idScratch
 }
 
 // newNode appends a heap node.
 func (a *Analysis) newNode(physical int, t lang.Type, site *ir.Instr, cloneOf NodeID, cloneCtx string, c Ctx, summary bool) *Node {
-	n := &Node{
+	n := a.nodes.Put(Node{
 		ID:       NodeID(len(a.Nodes)),
 		Logical:  len(a.Nodes),
 		Physical: physical,
@@ -259,9 +239,9 @@ func (a *Analysis) newNode(physical int, t lang.Type, site *ir.Instr, cloneOf No
 		Summary:  summary,
 		CloneOf:  cloneOf,
 		CloneCtx: cloneCtx,
-	}
+	})
 	a.Nodes = append(a.Nodes, n)
-	a.fields = append(a.fields, map[string]NodeSet{})
+	a.fields = append(a.fields, nil)
 	a.changed = true
 	return n
 }
@@ -312,27 +292,35 @@ func (a *Analysis) mirrorCloneEdges() {
 	// Iterate over a sorted snapshot: cloning children appends new
 	// pairs (picked up by the next fixpoint pass), and the ordering
 	// makes clone node IDs — and so every witness — deterministic.
-	pairs := make([]clonePair, 0, len(a.clonePairs))
+	pairs := a.pairScratch[:0]
 	for pk := range a.clonePairs {
 		pairs = append(pairs, pk)
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].ctx != pairs[j].ctx {
-			return pairs[i].ctx < pairs[j].ctx
+	slices.SortFunc(pairs, func(x, y clonePair) int {
+		if c := strings.Compare(x.ctx, y.ctx); c != 0 {
+			return c
 		}
-		return pairs[i].orig < pairs[j].orig
+		return cmp.Compare(x.orig, y.orig)
 	})
+	a.pairScratch = pairs
 	for _, pk := range pairs {
 		c := a.clonePairs[pk]
-		fkeys := make([]string, 0, len(a.fields[pk.orig]))
+		fkeys := a.keyScratch[:0]
 		for fkey := range a.fields[pk.orig] {
 			fkeys = append(fkeys, fkey)
 		}
-		sort.Strings(fkeys)
+		slices.Sort(fkeys)
+		a.keyScratch = fkeys
 		for _, fkey := range fkeys {
-			dst := a.fieldSet(c, fkey)
-			for _, m := range a.fields[pk.orig][fkey].Sorted() {
-				a.note(dst.Add(a.cloneOf(pk.ctx, m)))
+			dst := a.fields[c][fkey]
+			grew := false
+			for _, m := range a.snapshot(a.fields[pk.orig][fkey]) {
+				if dst.Add(a.cloneOf(pk.ctx, m)) {
+					grew = true
+				}
+			}
+			if grew {
+				a.putField(c, fkey, dst)
 			}
 		}
 	}
@@ -358,7 +346,7 @@ func (a *Analysis) transfer(in *ir.Instr, c Ctx) {
 			return
 		}
 		key := FieldKey(in.Field)
-		for n := range a.pts[valCtx{in.Args[0], c}] {
+		for _, n := range a.pts[valCtx{in.Args[0], c}] {
 			a.addSet(in.Dst, c, a.fields[n][key])
 		}
 
@@ -374,15 +362,15 @@ func (a *Analysis) transfer(in *ir.Instr, c Ctx) {
 		if len(src) == 0 {
 			return
 		}
-		for n := range a.pts[valCtx{in.Args[0], c}] {
-			a.note(a.fieldSet(n, key).AddAll(src))
+		for _, n := range a.pts[valCtx{in.Args[0], c}] {
+			a.addField(n, key, src)
 		}
 
 	case ir.OpLoadIdx:
 		if !lang.IsRef(in.Dst.Type) {
 			return
 		}
-		for n := range a.pts[valCtx{in.Args[0], c}] {
+		for _, n := range a.pts[valCtx{in.Args[0], c}] {
 			a.addSet(in.Dst, c, a.fields[n][ElemKey])
 		}
 
@@ -394,8 +382,8 @@ func (a *Analysis) transfer(in *ir.Instr, c Ctx) {
 		if len(src) == 0 {
 			return
 		}
-		for n := range a.pts[valCtx{in.Args[0], c}] {
-			a.note(a.fieldSet(n, ElemKey).AddAll(src))
+		for _, n := range a.pts[valCtx{in.Args[0], c}] {
+			a.addField(n, ElemKey, src)
 		}
 
 	case ir.OpLoadStatic:
@@ -408,7 +396,10 @@ func (a *Analysis) transfer(in *ir.Instr, c Ctx) {
 		if !lang.IsRef(in.Field.Type) {
 			return
 		}
-		a.note(a.globalSet(in.Field).AddAll(a.pts[valCtx{in.Args[0], c}]))
+		if s := a.globals[in.Field]; s.AddAll(a.pts[valCtx{in.Args[0], c}]) {
+			a.globals[in.Field] = s
+			a.changed = true
+		}
 
 	case ir.OpCall:
 		a.transferCall(in, c, false)
@@ -416,6 +407,26 @@ func (a *Analysis) transfer(in *ir.Instr, c Ctx) {
 	case ir.OpRemoteCall:
 		a.transferCall(in, c, true)
 	}
+}
+
+// argCtx and retCtx are ArgCtx and RetCtx built once per callee and
+// per site of the region, not once per transfer per fixpoint pass.
+func (a *Analysis) argCtx(callee *lang.MethodDecl) string {
+	ctx, ok := a.argCtxs[callee]
+	if !ok {
+		ctx = ArgCtx(callee)
+		a.argCtxs[callee] = ctx
+	}
+	return ctx
+}
+
+func (a *Analysis) retCtx(siteID int) string {
+	ctx, ok := a.retCtxs[siteID]
+	if !ok {
+		ctx = RetCtx(siteID)
+		a.retCtxs[siteID] = ctx
+	}
+	return ctx
 }
 
 // transferCall binds arguments to parameters and returns to the call
@@ -434,7 +445,6 @@ func (a *Analysis) transferCall(in *ir.Instr, c Ctx, remote bool) {
 	if !remote {
 		calleeCtx = a.ctxOfCall[in]
 	}
-	argCtx := ArgCtx(in.Callee)
 	for i, arg := range in.Args {
 		if i >= len(callee.Params) {
 			break
@@ -452,26 +462,30 @@ func (a *Analysis) transferCall(in *ir.Instr, c Ctx, remote bool) {
 			a.addSet(param, calleeCtx, src)
 			continue
 		}
-		for _, n := range src.Sorted() {
+		argCtx := a.argCtx(in.Callee)
+		for _, n := range a.snapshot(src) {
 			a.addNode(param, calleeCtx, a.cloneOf(argCtx, n))
 		}
 	}
 	if in.Dst == nil || !lang.IsRef(in.Dst.Type) {
 		return
 	}
-	retSet := NodeSet{}
+	if !remote {
+		for _, rv := range ir.ReturnValues(callee) {
+			a.addSet(in.Dst, c, a.pts[valCtx{rv, calleeCtx}])
+		}
+		return
+	}
+	retSet := NodeSet(a.idScratch[:0])
 	for _, rv := range ir.ReturnValues(callee) {
 		retSet.AddAll(a.pts[valCtx{rv, calleeCtx}])
 	}
+	a.idScratch = retSet
 	if len(retSet) == 0 {
 		return
 	}
-	if !remote {
-		a.addSet(in.Dst, c, retSet)
-		return
-	}
-	retCtx := RetCtx(in.SiteID)
-	for _, n := range retSet.Sorted() {
+	retCtx := a.retCtx(in.SiteID)
+	for _, n := range retSet {
 		a.addNode(in.Dst, c, a.cloneOf(retCtx, n))
 	}
 }

@@ -40,16 +40,16 @@ import (
 // from leaking spurious nodes into the merged PointsTo view.
 func (a *Analysis) buildContexts() {
 	prog := a.Prog
-	a.ctxsOf = map[*ir.Func][]Ctx{}
+	a.ctxsOf = make(map[*ir.Func][]Ctx, len(a.funcs))
 	a.ctxOfCall = map[*ir.Instr]Ctx{}
-	a.hasCaller = map[*ir.Func]bool{}
+	a.hasCaller = make(map[*ir.Func]bool, len(a.funcs))
 	a.BudgetFallbacks = map[string]int{}
 	a.ctxSite = []*ir.Instr{nil} // MergedCtx has no call site
 	if a.recursive == nil {
 		a.recursive = map[*ir.Func]bool{}
 	}
 
-	directSites := map[*ir.Func]int{}
+	directSites := make(map[*ir.Func]int, len(a.funcs))
 	remoteTarget := map[*ir.Func]bool{}
 	for _, f := range a.funcs {
 		for _, b := range f.Blocks {
@@ -71,9 +71,31 @@ func (a *Analysis) buildContexts() {
 		}
 	}
 
+	// The call counts decide every function's context list before any
+	// context is numbered: its direct sites each get a dedicated
+	// context, or they all fall back to the merged one. The lists are
+	// carved from one array, MergedCtx (if live) first.
 	budget := a.Opts.budget()
-	mergedBound := map[*ir.Func]bool{}
-	dedicated := map[*ir.Func][]Ctx{}
+	dedicated := func(f *ir.Func) bool {
+		return a.Opts.ContextSensitive && !a.recursive[f] && directSites[f] <= budget
+	}
+	total := 0
+	for _, f := range a.funcs {
+		total += 1 + directSites[f]
+	}
+	lists := make([]Ctx, 0, total)
+	for _, f := range a.funcs {
+		n := len(lists)
+		if !a.hasCaller[f] || remoteTarget[f] || directSites[f] > 0 && !dedicated(f) {
+			lists = append(lists, MergedCtx)
+		}
+		filled := len(lists)
+		if dedicated(f) {
+			lists = lists[:filled+directSites[f]] // numbered below
+		}
+		a.ctxsOf[f] = lists[n:filled:len(lists)]
+	}
+
 	for _, f := range a.funcs {
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
@@ -84,10 +106,9 @@ func (a *Analysis) buildContexts() {
 				if !ok {
 					continue
 				}
-				if !a.Opts.ContextSensitive || a.recursive[callee] || directSites[callee] > budget {
+				if !dedicated(callee) {
 					a.ctxOfCall[in] = MergedCtx
-					mergedBound[callee] = true
-					if a.Opts.ContextSensitive && !a.recursive[callee] && directSites[callee] > budget {
+					if a.Opts.ContextSensitive && !a.recursive[callee] {
 						a.BudgetFallbacks[in.Callee.QualifiedName()]++
 					}
 					continue
@@ -95,17 +116,8 @@ func (a *Analysis) buildContexts() {
 				c := Ctx(len(a.ctxSite))
 				a.ctxSite = append(a.ctxSite, in)
 				a.ctxOfCall[in] = c
-				dedicated[callee] = append(dedicated[callee], c)
+				a.ctxsOf[callee] = append(a.ctxsOf[callee], c)
 			}
 		}
-	}
-
-	for _, f := range a.funcs {
-		var ctxs []Ctx
-		if !a.hasCaller[f] || remoteTarget[f] || mergedBound[f] {
-			ctxs = append(ctxs, MergedCtx)
-		}
-		ctxs = append(ctxs, dedicated[f]...)
-		a.ctxsOf[f] = ctxs
 	}
 }

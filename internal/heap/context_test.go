@@ -247,7 +247,7 @@ func TestAnalysisDeterministic(t *testing.T) {
 		s := fmt.Sprintf("iters=%d kills=%d\n", a.Iterations, a.StrongKills)
 		for _, n := range a.Nodes {
 			s += n.String() + "\n"
-			for _, id := range a.Reach(NodeSet{n.ID: {}}).Sorted() {
+			for _, id := range a.Reach(NodeSet{n.ID}).Sorted() {
 				s += fmt.Sprintf(" reach %d", id)
 			}
 			s += "\n"

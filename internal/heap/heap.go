@@ -39,13 +39,15 @@ package heap
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 
 	"cormi/internal/heap/sched"
 	"cormi/internal/ir"
 	"cormi/internal/lang"
+	"cormi/internal/slab"
 )
 
 // NodeID identifies a heap node. The NodeID doubles as the logical
@@ -167,53 +169,6 @@ func (n *Node) String() string {
 	return fmt.Sprintf("node%d(log=%d, phys=%d, %s%s)", n.ID, n.Logical, n.Physical, n.Type, c)
 }
 
-// NodeSet is a set of heap nodes.
-type NodeSet map[NodeID]struct{}
-
-// Add inserts id, reporting whether the set changed.
-func (s NodeSet) Add(id NodeID) bool {
-	if _, ok := s[id]; ok {
-		return false
-	}
-	s[id] = struct{}{}
-	return true
-}
-
-// AddAll unions t into s, reporting whether s changed.
-func (s NodeSet) AddAll(t NodeSet) bool {
-	changed := false
-	for id := range t {
-		if s.Add(id) {
-			changed = true
-		}
-	}
-	return changed
-}
-
-// Has reports membership.
-func (s NodeSet) Has(id NodeID) bool {
-	_, ok := s[id]
-	return ok
-}
-
-// Sorted returns the ids in ascending order.
-func (s NodeSet) Sorted() []NodeID {
-	ids := make([]NodeID, 0, len(s))
-	for id := range s {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-func (s NodeSet) String() string {
-	parts := make([]string, 0, len(s))
-	for _, id := range s.Sorted() {
-		parts = append(parts, fmt.Sprintf("%d", id))
-	}
-	return "{" + strings.Join(parts, ",") + "}"
-}
-
 type cloneKey struct {
 	ctx      string
 	physical int
@@ -259,6 +214,9 @@ type Analysis struct {
 
 	Nodes []*Node
 
+	// The sets live in the maps by value: whoever grows one writes it
+	// back (see NodeSet). A node's field map is made on its first
+	// edge; most nodes of a region never get one.
 	pts       map[valCtx]NodeSet
 	ptsAll    map[*ir.Value]NodeSet // union over contexts, kept in sync
 	fields    []map[string]NodeSet  // by NodeID
@@ -267,6 +225,17 @@ type Analysis struct {
 
 	cloneMemo  map[cloneKey]NodeID
 	clonePairs map[clonePair]NodeID
+
+	// Solver scratch, owned by this (region's) Analysis: the node
+	// slab, the clone-context strings built once per callee and per
+	// site instead of once per transfer, and the buffers of
+	// mirrorCloneEdges and snapshot.
+	nodes       slab.Of[Node]
+	argCtxs     map[*lang.MethodDecl]string
+	retCtxs     map[int]string
+	pairScratch []clonePair
+	keyScratch  []string
+	idScratch   []NodeID
 
 	// Context machinery (filled by the static prepass).
 	ctxsOf    map[*ir.Func][]Ctx // live contexts, MergedCtx (if live) first
@@ -377,9 +346,7 @@ func (a *Analysis) FieldEdges(n NodeID) map[string]NodeSet {
 }
 
 // FieldKey names a declared field edge.
-func FieldKey(fd *lang.FieldDecl) string {
-	return fd.Owner.Name + "." + fd.Name
-}
+func FieldKey(fd *lang.FieldDecl) string { return fd.QualifiedName() }
 
 // Node returns the node by id.
 func (a *Analysis) Node(id NodeID) *Node { return a.Nodes[id] }
@@ -388,7 +355,7 @@ func (a *Analysis) Node(id NodeID) *Node { return a.Nodes[id] }
 // everything directly reachable from a global (the escape-analysis
 // seed set).
 func (a *Analysis) GlobalSeeds() NodeSet {
-	out := NodeSet{}
+	var out NodeSet
 	for _, s := range a.globals {
 		out.AddAll(s)
 	}
@@ -399,24 +366,45 @@ func (a *Analysis) GlobalSeeds() NodeSet {
 func (a *Analysis) Global(fd *lang.FieldDecl) NodeSet { return a.globals[fd] }
 
 // Reach returns roots plus everything transitively reachable through
-// field edges.
+// field edges. It costs at most three allocations whatever the graph:
+// a visited bitmap over the node table, the work list once it outgrows
+// the stack frame, and the result, which is read off the bitmap in
+// ascending order.
 func (a *Analysis) Reach(roots NodeSet) NodeSet {
-	out := NodeSet{}
-	var stack []NodeID
-	for id := range roots {
-		if out.Add(id) {
+	if len(roots) == 0 {
+		return nil
+	}
+	seen := make([]uint64, (len(a.Nodes)+63)/64)
+	var small [32]NodeID
+	stack := small[:0]
+	n := 0
+	mark := func(id NodeID) {
+		if w, bit := id/64, uint64(1)<<(id%64); seen[w]&bit == 0 {
+			seen[w] |= bit
+			if len(stack) == cap(stack) {
+				// A node is pushed at most once, when first marked.
+				stack = append(make([]NodeID, 0, len(a.Nodes)), stack...)
+			}
 			stack = append(stack, id)
+			n++
 		}
 	}
+	for _, id := range roots {
+		mark(id)
+	}
 	for len(stack) > 0 {
-		n := stack[len(stack)-1]
+		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, set := range a.fields[n] {
-			for m := range set {
-				if out.Add(m) {
-					stack = append(stack, m)
-				}
+		for _, set := range a.fields[id] {
+			for _, m := range set {
+				mark(m)
 			}
+		}
+	}
+	out := make(NodeSet, 0, n)
+	for w, word := range seen {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, NodeID(w*64+bits.TrailingZeros64(word)))
 		}
 	}
 	return out
@@ -425,13 +413,15 @@ func (a *Analysis) Reach(roots NodeSet) NodeSet {
 // CloneSetOf maps a caller-side node set to its clones under ctx,
 // returning only nodes that were actually cloned (memo hits).
 func (a *Analysis) CloneSetOf(ctx string, orig NodeSet) NodeSet {
-	out := NodeSet{}
-	for id := range orig {
+	var out NodeSet
+	for _, id := range orig {
 		if c, ok := a.clonePairs[clonePair{ctx: ctx, orig: id}]; ok {
-			out.Add(c)
+			out = append(out, c)
 		}
 	}
-	return out
+	// Distinct originals may share one clone (same physical number).
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // ArgCtx is the cloning context for arguments of a remote function
@@ -440,4 +430,4 @@ func (a *Analysis) CloneSetOf(ctx string, orig NodeSet) NodeSet {
 func ArgCtx(callee *lang.MethodDecl) string { return "arg:" + callee.QualifiedName() }
 
 // RetCtx is the cloning context for return values, per call site.
-func RetCtx(siteID int) string { return fmt.Sprintf("ret:site%d", siteID) }
+func RetCtx(siteID int) string { return "ret:site" + strconv.Itoa(siteID) }

@@ -80,7 +80,7 @@ func TestFigure2HeapGraph(t *testing.T) {
 	}
 	// The 3-dim array: outer node has "[]" edge to middle node; the
 	// innermost dimension is unsized so the chain stops there.
-	for outer := range aSet {
+	for _, outer := range aSet {
 		mid := a.Field(outer, ElemKey)
 		if len(mid) != 1 {
 			t.Fatalf("outer[] points to %s", mid)
@@ -88,21 +88,21 @@ func TestFigure2HeapGraph(t *testing.T) {
 		if a.Nodes[outer].Type.String() != "double[][][]" {
 			t.Fatalf("outer type %s", a.Nodes[outer].Type)
 		}
-		for m := range mid {
+		for _, m := range mid {
 			if a.Nodes[m].Type.String() != "double[][]" {
 				t.Fatalf("middle type %s", a.Nodes[m].Type)
 			}
 		}
 	}
 	// Dump must mention the allocations and the "[]" edge (Figure 2).
-	dump := a.DumpGraph(NodeSet{fooNode: struct{}{}})
+	dump := a.DumpGraph(NodeSet{fooNode})
 	for _, frag := range []string{"Foo", "Bar", "double[][][]", `"[]"`} {
 		if !strings.Contains(dump, frag) {
 			t.Fatalf("dump missing %q:\n%s", frag, dump)
 		}
 	}
 	// No cycles in this graph.
-	if a.MayCycleFrom([]NodeSet{{fooNode: struct{}{}}}) {
+	if a.MayCycleFrom([]NodeSet{{fooNode}}) {
 		t.Fatal("Figure 2 graph misflagged as cyclic")
 	}
 }
@@ -134,7 +134,7 @@ func TestFigure3TerminationAndTuples(t *testing.T) {
 		t.Fatalf("t points to %s, want exactly {orig, one clone}", tSet)
 	}
 	var orig, clone *Node
-	for id := range tSet {
+	for _, id := range tSet {
 		n := a.Nodes[id]
 		if n.IsClone() {
 			clone = n
@@ -153,7 +153,7 @@ func TestFigure3TerminationAndTuples(t *testing.T) {
 	}
 	// The callee parameter sees only clones (by-copy semantics).
 	callee := p.FuncOf[site.Callee]
-	for id := range a.PointsTo(callee.Params[1]) {
+	for _, id := range a.PointsTo(callee.Params[1]) {
 		if !a.Nodes[id].IsClone() {
 			t.Fatalf("callee param sees original node %s", a.Nodes[id])
 		}
@@ -290,7 +290,7 @@ remote class W {
 	if len(paramSet) != 1 {
 		t.Fatalf("param set %s", paramSet)
 	}
-	for id := range paramSet {
+	for _, id := range paramSet {
 		n := a.Nodes[id]
 		if !n.IsClone() {
 			t.Fatal("param node is not a clone")
@@ -299,7 +299,7 @@ remote class W {
 		if len(inner) != 1 {
 			t.Fatalf("clone field edges not mirrored: %s", inner)
 		}
-		for m := range inner {
+		for _, m := range inner {
 			if !a.Nodes[m].IsClone() {
 				t.Fatal("clone points to original child (graph not cloned deeply)")
 			}
@@ -333,7 +333,7 @@ class Holder {
 		t.Fatal("get has no return")
 	}
 	got := a.PointsTo(rvs[0])
-	for id := range seeds {
+	for _, id := range seeds {
 		if !got.Has(id) {
 			t.Fatalf("get() return %s missing global node %d", got, id)
 		}
@@ -367,7 +367,7 @@ class Lib {
 	if len(set) != 1 {
 		t.Fatalf("w points to %s, want exactly the wrapper alloc", set)
 	}
-	for id := range set {
+	for _, id := range set {
 		inner := a.Field(id, "Box.inner")
 		if len(inner) != 1 {
 			t.Fatalf("wrapper.inner = %s", inner)

@@ -20,82 +20,90 @@ import (
 // callee qualified name or a program-unique remote site number, both
 // owned by exactly one region.
 func mergeParts(prog *ir.Program, opts Options, parts []*Analysis) *Analysis {
+	var nNodes, nPts, nAll, nAllocs, nMemo, nPairs, nCalls int
+	for _, p := range parts {
+		nNodes += len(p.Nodes)
+		nPts += len(p.pts)
+		nAll += len(p.ptsAll)
+		nAllocs += len(p.allocNode)
+		nMemo += len(p.cloneMemo)
+		nPairs += len(p.clonePairs)
+		nCalls += len(p.ctxOfCall)
+	}
 	a := &Analysis{
 		Prog:            prog,
 		Opts:            opts,
 		funcs:           prog.Funcs,
-		pts:             make(map[valCtx]NodeSet),
-		ptsAll:          make(map[*ir.Value]NodeSet),
+		Nodes:           make([]*Node, 0, nNodes),
+		pts:             make(map[valCtx]NodeSet, nPts),
+		ptsAll:          make(map[*ir.Value]NodeSet, nAll),
+		fields:          make([]map[string]NodeSet, 0, nNodes),
 		globals:         make(map[*lang.FieldDecl]NodeSet),
-		allocNode:       make(map[allocKey]NodeID),
-		cloneMemo:       make(map[cloneKey]NodeID),
-		clonePairs:      make(map[clonePair]NodeID),
-		ctxsOf:          map[*ir.Func][]Ctx{},
-		ctxOfCall:       map[*ir.Instr]Ctx{},
+		allocNode:       make(map[allocKey]NodeID, nAllocs),
+		cloneMemo:       make(map[cloneKey]NodeID, nMemo),
+		clonePairs:      make(map[clonePair]NodeID, nPairs),
+		ctxsOf:          make(map[*ir.Func][]Ctx, len(prog.Funcs)),
+		ctxOfCall:       make(map[*ir.Instr]Ctx, nCalls),
 		recursive:       map[*ir.Func]bool{},
 		hasCaller:       map[*ir.Func]bool{},
 		BudgetFallbacks: map[string]int{},
 		ctxSite:         []*ir.Instr{nil},
 	}
-	nodeBase, ctxBase := 0, 0
+	var nodeBase NodeID
+	var ctxBase Ctx
 	for _, p := range parts {
 		remapCtx := func(c Ctx) Ctx {
 			if c == MergedCtx {
 				return MergedCtx
 			}
-			return c + Ctx(ctxBase)
-		}
-		remapNode := func(id NodeID) NodeID { return id + NodeID(nodeBase) }
-		remapSet := func(s NodeSet) NodeSet {
-			out := make(NodeSet, len(s))
-			for id := range s {
-				out[remapNode(id)] = struct{}{}
-			}
-			return out
+			return c + ctxBase
 		}
 		// The parts are private to this merge (freshly solved or
-		// freshly decoded), so their nodes are relocated in place.
+		// freshly decoded), so their nodes, sets, field maps and
+		// context lists are relocated in place and adopted, not
+		// copied. A set's order survives adding a constant.
 		for _, n := range p.Nodes {
-			n.ID = remapNode(n.ID)
-			n.Logical += nodeBase
+			n.ID += nodeBase
+			n.Logical += int(nodeBase)
 			if n.CloneOf >= 0 {
-				n.CloneOf = remapNode(n.CloneOf)
+				n.CloneOf += nodeBase
 			}
 			n.Ctx = remapCtx(n.Ctx)
-			a.Nodes = append(a.Nodes, n)
 		}
+		a.Nodes = append(a.Nodes, p.Nodes...)
 		for _, m := range p.fields {
-			nm := make(map[string]NodeSet, len(m))
-			for key, s := range m {
-				nm[key] = remapSet(s)
+			for _, s := range m {
+				s.relocate(nodeBase)
 			}
-			a.fields = append(a.fields, nm)
 		}
+		a.fields = append(a.fields, p.fields...)
 		for k, s := range p.pts {
-			a.pts[valCtx{k.v, remapCtx(k.c)}] = remapSet(s)
+			s.relocate(nodeBase)
+			a.pts[valCtx{k.v, remapCtx(k.c)}] = s
 		}
 		for v, s := range p.ptsAll {
-			a.ptsAll[v] = remapSet(s)
+			s.relocate(nodeBase)
+			a.ptsAll[v] = s
 		}
 		for fd, s := range p.globals {
-			a.globals[fd] = remapSet(s)
+			s.relocate(nodeBase)
+			a.globals[fd] = s
 		}
 		for k, id := range p.allocNode {
-			a.allocNode[allocKey{k.in, remapCtx(k.c)}] = remapNode(id)
+			a.allocNode[allocKey{k.in, remapCtx(k.c)}] = id + nodeBase
 		}
 		for k, id := range p.cloneMemo {
-			a.cloneMemo[k] = remapNode(id)
+			a.cloneMemo[k] = id + nodeBase
 		}
 		for k, id := range p.clonePairs {
-			a.clonePairs[clonePair{ctx: k.ctx, orig: remapNode(k.orig)}] = remapNode(id)
+			a.clonePairs[clonePair{ctx: k.ctx, orig: k.orig + nodeBase}] = id + nodeBase
 		}
 		a.ctxSite = append(a.ctxSite, p.ctxSite[1:]...)
 		for f, cs := range p.ctxsOf {
-			out := make([]Ctx, len(cs))
 			for i, c := range cs {
-				out[i] = remapCtx(c)
+				cs[i] = remapCtx(c)
 			}
-			a.ctxsOf[f] = out
+			a.ctxsOf[f] = cs
 		}
 		for in, c := range p.ctxOfCall {
 			a.ctxOfCall[in] = remapCtx(c)
@@ -117,8 +125,8 @@ func mergeParts(prog *ir.Program, opts Options, parts []*Analysis) *Analysis {
 		if p.Iterations > a.Iterations {
 			a.Iterations = p.Iterations
 		}
-		nodeBase += len(p.Nodes)
-		ctxBase += len(p.ctxSite) - 1
+		nodeBase += NodeID(len(p.Nodes))
+		ctxBase += Ctx(len(p.ctxSite) - 1)
 	}
 	return a
 }

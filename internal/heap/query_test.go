@@ -39,7 +39,7 @@ remote class W {
 		t.Fatalf("bogus ctx clones = %s", got)
 	}
 	// Node stringers mention clone provenance.
-	for id := range clones {
+	for _, id := range clones {
 		s := a.Node(id).String()
 		if !strings.Contains(s, "clone-of") {
 			t.Fatalf("clone node string %q", s)

@@ -70,11 +70,5 @@ func (a *Analysis) killsInBlock(b *ir.Block, c Ctx, kills map[instrCtx]bool) {
 // node.
 func (a *Analysis) strongBase(v *ir.Value, c Ctx) bool {
 	s := a.pts[valCtx{v, c}]
-	if len(s) != 1 {
-		return false
-	}
-	for id := range s {
-		return !a.Nodes[id].Summary
-	}
-	return false
+	return len(s) == 1 && !a.Nodes[s[0]].Summary
 }

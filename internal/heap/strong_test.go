@@ -223,7 +223,7 @@ class Main {
 	if len(roots) != 1 {
 		t.Fatalf("got %d root sets, want 1", len(roots))
 	}
-	for id := range a.Reach(roots[0]) {
+	for _, id := range a.Reach(roots[0]) {
 		if a.Nodes[id].Type.String() == "Cell" {
 			return // t is still reachable through the array
 		}

@@ -155,7 +155,7 @@ func (r *sumReader) bool() bool {
 // byte-identical).
 func (r *sumReader) setIn(nNodes int) NodeSet {
 	n := r.count(1)
-	s := make(NodeSet, n)
+	s := make(NodeSet, 0, n)
 	prev := -1
 	for i := 0; i < n; i++ {
 		id := r.index(nNodes)
@@ -163,7 +163,7 @@ func (r *sumReader) setIn(nNodes int) NodeSet {
 			r.fail()
 			return nil
 		}
-		s[NodeID(id)] = struct{}{}
+		s = append(s, NodeID(id))
 		prev = id
 	}
 	return s
@@ -356,18 +356,7 @@ func decodeComponent(prog *ir.Program, plan *sched.Plan, ci int, opts Options, p
 		}
 	}()
 	funcs, recursive := componentFuncs(plan, ci)
-	a := &Analysis{
-		Prog:       prog,
-		Opts:       opts,
-		funcs:      funcs,
-		recursive:  recursive,
-		pts:        make(map[valCtx]NodeSet),
-		ptsAll:     make(map[*ir.Value]NodeSet),
-		globals:    make(map[*lang.FieldDecl]NodeSet),
-		allocNode:  make(map[allocKey]NodeID),
-		cloneMemo:  make(map[cloneKey]NodeID),
-		clonePairs: make(map[clonePair]NodeID),
-	}
+	a := newAnalysis(prog, opts, funcs, recursive)
 	a.buildContexts()
 
 	r := &sumReader{data: payload}
@@ -417,7 +406,7 @@ func decodeComponent(prog *ir.Program, plan *sched.Plan, ci int, opts Options, p
 		if cloneOf < -1 || cloneOf >= NodeID(i) || (cloneOf >= 0) != (cloneCtx != "") {
 			return nil
 		}
-		a.Nodes = append(a.Nodes, &Node{
+		a.Nodes = append(a.Nodes, a.nodes.Put(Node{
 			ID:       NodeID(i),
 			Logical:  i,
 			Physical: site.AllocID,
@@ -427,9 +416,9 @@ func decodeComponent(prog *ir.Program, plan *sched.Plan, ci int, opts Options, p
 			Summary:  summary,
 			CloneOf:  cloneOf,
 			CloneCtx: cloneCtx,
-		})
-		a.fields = append(a.fields, map[string]NodeSet{})
+		}))
 	}
+	a.fields = make([]map[string]NodeSet, nNodes)
 
 	nPts := r.count(4)
 	for i := 0; i < nPts; i++ {
@@ -448,7 +437,9 @@ func decodeComponent(prog *ir.Program, plan *sched.Plan, ci int, opts Options, p
 			return nil
 		}
 		a.pts[k] = s
-		a.allSet(v).AddAll(s)
+		all := a.ptsAll[v]
+		all.AddAll(s)
+		a.ptsAll[v] = all
 	}
 
 	for i := 0; i < nNodes; i++ {
@@ -461,6 +452,9 @@ func decodeComponent(prog *ir.Program, plan *sched.Plan, ci int, opts Options, p
 			}
 			if _, dup := a.fields[i][key]; dup {
 				return nil
+			}
+			if a.fields[i] == nil {
+				a.fields[i] = make(map[string]NodeSet, nKeys)
 			}
 			a.fields[i][key] = s
 		}

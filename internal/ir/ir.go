@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"cormi/internal/lang"
+	"cormi/internal/slab"
 )
 
 // Op enumerates instruction operations.
@@ -81,6 +82,10 @@ type Value struct {
 	Type lang.Type
 	Name string // debug name
 	Uses []*Instr
+
+	// uses0 backs Uses until a third use appears: most values are
+	// used once or twice.
+	uses0 [2]*Instr
 }
 
 func (v *Value) String() string {
@@ -127,10 +132,10 @@ type Block struct {
 	Preds  []*Block
 	Succs  []*Block
 
-	// SSA construction state (Braun et al.).
-	sealed         bool
-	defs           map[int]*Value // variable key -> current definition
-	incompletePhis map[int]*Instr
+	// preds0 and succs0 back Preds and Succs: structured control flow
+	// gives a block at most two successors and rarely more
+	// predecessors.
+	preds0, succs0 [2]*Block
 }
 
 // Terminator returns the block's final control instruction, or nil.
@@ -156,6 +161,9 @@ type Func struct {
 	Blocks []*Block
 
 	nextValue int
+	// rets are the values the function's OpRet instructions return,
+	// in block order, collected once at the end of lowering.
+	rets []*Value
 }
 
 // Entry returns the entry block.
@@ -183,4 +191,16 @@ type Program struct {
 	// AllocSites indexes OpNew/OpNewArray instructions by AllocID
 	// (entries may be nil for allocation sites in bodiless methods).
 	AllocSites []*Instr
+
+	// Every Func, Block, Value and Instr of the program, and the
+	// pointer slices that link them, are carved from these slabs: the
+	// program is the allocation unit, and it owns them for as long as
+	// a core.Result keeps the IR.
+	funcs     slab.Of[Func]
+	blocks    slab.Of[Block]
+	values    slab.Of[Value]
+	instrs    slab.Of[Instr]
+	blockPtrs slab.Of[*Block]
+	valuePtrs slab.Of[*Value]
+	instrPtrs slab.Of[*Instr]
 }

@@ -348,11 +348,77 @@ remote class F {
 		F me = new F();
 		F t = me.f(me);
 	}
+	static void consts() {
+		String s = ""; double d = 0.0; boolean b = false; int i = 0;
+		F n = null; double e = 2.5;
+	}
 }`)
 	out := dumpFuncs(p)
-	for _, frag := range []string{"func F.go", "rcall F.f site=0", "new F @"} {
+	for _, frag := range []string{"func F.go", "rcall F.f site=0", "new F @",
+		`const ""`, "const 0.0", "const false", "const 0\n", "const null", "const 2.5"} {
 		if !strings.Contains(out, frag) {
 			t.Fatalf("dump missing %q:\n%s", frag, out)
 		}
+	}
+	// The empty string, 0.0 and false are three constants, not three
+	// spellings of the int 0.
+	if n := strings.Count(out, "const 0\n"); n != 1 {
+		t.Fatalf("%d constants print as the int 0, want 1:\n%s", n, out)
+	}
+}
+
+// TestLoweringDeterministic: a loop header with several loop-carried
+// variables gets its phis completed — and every value created on the
+// way numbered — in the order the placeholders were created, not in
+// map order. Lowering the same program 200 times must print one dump.
+func TestLoweringDeterministic(t *testing.T) {
+	const src = `
+class A {
+	static int f(int n) {
+		int a = 0; int b = 1; int c = 2; int d = 3;
+		int i = 0;
+		while (i < n) {
+			int j = 0;
+			while (j < n) {
+				a = a + b; b = b + c; c = c + d; d = d + a;
+				j = j + 1;
+			}
+			i = i + 1;
+		}
+		return a + b + c + d;
+	}
+}`
+	first := ""
+	distinct := 0
+	for run := 0; run < 200; run++ {
+		dump := fn(t, lower(t, src), "A.f").String()
+		if run == 0 {
+			first = dump
+		} else if dump != first {
+			distinct++
+		}
+	}
+	if distinct > 0 {
+		t.Fatalf("%d of 200 lowerings differ from the first:\n%s", distinct, first)
+	}
+}
+
+// TestReturnValuesDoesNotAllocate: the heap analysis asks for a
+// callee's return values on every call transfer of every fixpoint
+// pass; Lower collects them once.
+func TestReturnValuesDoesNotAllocate(t *testing.T) {
+	p := lower(t, `
+class A {
+	static A f(boolean c, A x, A y) {
+		if (c) { return x; }
+		return y;
+	}
+}`)
+	f := fn(t, p, "A.f")
+	if got := ReturnValues(f); len(got) != 2 || got[0] != f.Params[1] || got[1] != f.Params[2] {
+		t.Fatalf("return values = %v", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = ReturnValues(f) }); n != 0 {
+		t.Fatalf("ReturnValues allocates %.0f times per call", n)
 	}
 }

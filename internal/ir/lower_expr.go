@@ -1,10 +1,6 @@
 package ir
 
-import (
-	"fmt"
-
-	"cormi/internal/lang"
-)
+import "cormi/internal/lang"
 
 // exprForEffect lowers an expression statement, discarding the value.
 func (b *builder) exprForEffect(e lang.Expr) {
@@ -15,23 +11,23 @@ func (b *builder) exprForEffect(e lang.Expr) {
 func (b *builder) expr(e lang.Expr) *Value {
 	switch ex := e.(type) {
 	case *lang.IntLit:
-		in := b.emit(&Instr{Op: OpConst, ConstKind: lang.PInt, ConstInt: ex.Value,
+		in := b.emit(Instr{Op: OpConst, ConstKind: lang.PInt, ConstInt: ex.Value,
 			Dst: b.newValue(lang.IntType, "")})
 		return in.Dst
 	case *lang.DoubleLit:
-		in := b.emit(&Instr{Op: OpConst, ConstKind: lang.PDouble, ConstFloat: ex.Value,
+		in := b.emit(Instr{Op: OpConst, ConstKind: lang.PDouble, ConstFloat: ex.Value,
 			Dst: b.newValue(lang.DoubleType, "")})
 		return in.Dst
 	case *lang.BoolLit:
-		in := b.emit(&Instr{Op: OpConst, ConstKind: lang.PBoolean, ConstBool: ex.Value,
+		in := b.emit(Instr{Op: OpConst, ConstKind: lang.PBoolean, ConstBool: ex.Value,
 			Dst: b.newValue(lang.BooleanType, "")})
 		return in.Dst
 	case *lang.StringLit:
-		in := b.emit(&Instr{Op: OpConst, ConstKind: lang.PString, ConstStr: ex.Value,
+		in := b.emit(Instr{Op: OpConst, ConstKind: lang.PString, ConstStr: ex.Value,
 			Dst: b.newValue(lang.StringType, "")})
 		return in.Dst
 	case *lang.NullLit:
-		in := b.emit(&Instr{Op: OpConst, ConstIsNull: true,
+		in := b.emit(Instr{Op: OpConst, ConstIsNull: true,
 			Dst: b.newValue(lang.NullType, "")})
 		return in.Dst
 	case *lang.This:
@@ -43,7 +39,7 @@ func (b *builder) expr(e lang.Expr) *Value {
 	case *lang.Index:
 		arr := b.expr(ex.X)
 		idx := b.expr(ex.I)
-		in := b.emit(&Instr{Op: OpLoadIdx, Args: []*Value{arr, idx},
+		in := b.emit(Instr{Op: OpLoadIdx, Args: b.args(arr, idx),
 			Dst: b.newValue(ex.TypeOf(), "")})
 		return in.Dst
 	case *lang.Call:
@@ -55,12 +51,12 @@ func (b *builder) expr(e lang.Expr) *Value {
 	case *lang.Binary:
 		l := b.expr(ex.L)
 		r := b.expr(ex.R)
-		in := b.emit(&Instr{Op: OpBin, BinOp: ex.Op, Args: []*Value{l, r},
+		in := b.emit(Instr{Op: OpBin, BinOp: ex.Op, Args: b.args(l, r),
 			Dst: b.newValue(ex.TypeOf(), "")})
 		return in.Dst
 	case *lang.Unary:
 		x := b.expr(ex.X)
-		in := b.emit(&Instr{Op: OpUn, BinOp: ex.Op, Args: []*Value{x},
+		in := b.emit(Instr{Op: OpUn, BinOp: ex.Op, Args: b.args(x),
 			Dst: b.newValue(ex.TypeOf(), "")})
 		return in.Dst
 	case *lang.Assign:
@@ -81,11 +77,11 @@ func (b *builder) identValue(ex *lang.Ident) *Value {
 		return b.readVar(key, b.cur)
 	case lang.IdentField:
 		if ex.Field.Static {
-			in := b.emit(&Instr{Op: OpLoadStatic, Field: ex.Field,
+			in := b.emit(Instr{Op: OpLoadStatic, Field: ex.Field,
 				Dst: b.newValue(ex.Field.Type, ex.Name)})
 			return in.Dst
 		}
-		in := b.emit(&Instr{Op: OpLoad, Field: ex.Field, Args: []*Value{b.fn.Params[0]},
+		in := b.emit(Instr{Op: OpLoad, Field: ex.Field, Args: b.args(b.fn.Params[0]),
 			Dst: b.newValue(ex.Field.Type, ex.Name)})
 		return in.Dst
 	default:
@@ -97,17 +93,17 @@ func (b *builder) identValue(ex *lang.Ident) *Value {
 func (b *builder) fieldLoad(ex *lang.FieldAccess) *Value {
 	if ex.IsLen {
 		arr := b.expr(ex.X)
-		in := b.emit(&Instr{Op: OpArrayLen, Args: []*Value{arr},
+		in := b.emit(Instr{Op: OpArrayLen, Args: b.args(arr),
 			Dst: b.newValue(lang.IntType, "")})
 		return in.Dst
 	}
 	if ex.Field.Static {
-		in := b.emit(&Instr{Op: OpLoadStatic, Field: ex.Field,
+		in := b.emit(Instr{Op: OpLoadStatic, Field: ex.Field,
 			Dst: b.newValue(ex.Field.Type, ex.Name)})
 		return in.Dst
 	}
 	obj := b.expr(ex.X)
-	in := b.emit(&Instr{Op: OpLoad, Field: ex.Field, Args: []*Value{obj},
+	in := b.emit(Instr{Op: OpLoad, Field: ex.Field, Args: b.args(obj),
 		Dst: b.newValue(ex.Field.Type, ex.Name)})
 	return in.Dst
 }
@@ -116,12 +112,16 @@ func (b *builder) call(ex *lang.Call) *Value {
 	// String builtins.
 	if ex.Method == nil {
 		recv := b.expr(ex.Recv)
-		in := b.emit(&Instr{Op: OpStrBuiltin, Builtin: ex.Name, Args: []*Value{recv},
+		in := b.emit(Instr{Op: OpStrBuiltin, Builtin: ex.Name, Args: b.args(recv),
 			Dst: b.newValue(lang.IntType, "")})
 		return in.Dst
 	}
 
-	var args []*Value
+	nargs := len(ex.Args)
+	if !ex.Method.Static {
+		nargs++
+	}
+	args := b.prog.valuePtrs.Slice(nargs)[:0]
 	if !ex.Method.Static {
 		switch {
 		case ex.Recv == nil:
@@ -137,15 +137,15 @@ func (b *builder) call(ex *lang.Call) *Value {
 		args = append(args, b.expr(a))
 	}
 
-	in := &Instr{Op: OpCall, Callee: ex.Method, Args: args}
+	call := Instr{Op: OpCall, Callee: ex.Method, Args: args}
 	if ex.Remote {
-		in.Op = OpRemoteCall
-		in.SiteID = ex.SiteID
+		call.Op = OpRemoteCall
+		call.SiteID = ex.SiteID
 	}
 	if !lang.TypeEq(ex.Method.Ret, lang.VoidType) {
-		in.Dst = b.newValue(ex.Method.Ret, "")
+		call.Dst = b.newValue(ex.Method.Ret, "")
 	}
-	b.emit(in)
+	in := b.emit(call)
 	if ex.Remote && b.cur != nil {
 		b.prog.RemoteSites[ex.SiteID] = in
 	}
@@ -153,24 +153,25 @@ func (b *builder) call(ex *lang.Call) *Value {
 }
 
 func (b *builder) newObject(ex *lang.New) *Value {
-	in := b.emit(&Instr{Op: OpNew, Class: ex.Class, AllocID: ex.AllocID,
+	in := b.emit(Instr{Op: OpNew, Class: ex.Class, AllocID: ex.AllocID,
 		Dst: b.newValue(ex.TypeOf(), "")})
 	if b.cur != nil {
 		b.prog.AllocSites[ex.AllocID] = in
 	}
 	if ex.Ctor != nil {
-		args := []*Value{in.Dst}
+		args := b.prog.valuePtrs.Slice(1 + len(ex.Args))[:1]
+		args[0] = in.Dst
 		for _, a := range ex.Args {
 			args = append(args, b.expr(a))
 		}
-		b.emit(&Instr{Op: OpCall, Callee: ex.Ctor, Args: args})
+		b.emit(Instr{Op: OpCall, Callee: ex.Ctor, Args: args})
 	}
 	return in.Dst
 }
 
 func (b *builder) newArray(ex *lang.NewArray) *Value {
 	// Java evaluates every dimension expression once, up front.
-	lens := make([]*Value, len(ex.Lens))
+	lens := b.prog.valuePtrs.Slice(len(ex.Lens))
 	for i := range ex.Lens {
 		lens[i] = b.expr(ex.Lens[i])
 	}
@@ -184,8 +185,8 @@ func (b *builder) newArray(ex *lang.NewArray) *Value {
 // (Figure 2's per-level nodes) — while the executable semantics stay
 // faithful (the interpreter runs these loops for real).
 func (b *builder) buildArray(ex *lang.NewArray, lens []*Value, allocIDs []int, t lang.Type) *Value {
-	arr := b.emit(&Instr{Op: OpNewArray, AllocID: allocIDs[0],
-		Args: []*Value{lens[0]}, Dst: b.newValue(t, "")})
+	arr := b.emit(Instr{Op: OpNewArray, AllocID: allocIDs[0],
+		Args: b.args(lens[0]), Dst: b.newValue(t, "")})
 	if b.cur != nil {
 		b.prog.AllocSites[allocIDs[0]] = arr
 	}
@@ -202,8 +203,8 @@ func (b *builder) buildArray(ex *lang.NewArray, lens []*Value, allocIDs []int, t
 
 	// for ($i = 0; $i < lens[0]; $i = $i + 1) { arr[$i] = <inner> }
 	b.pushScope()
-	iKey := b.declare(fmt.Sprintf("$arr%d", allocIDs[0]), lang.IntType)
-	zero := b.emit(&Instr{Op: OpConst, ConstKind: lang.PInt,
+	iKey := b.declare("$arr", lang.IntType) // no source name can spell it
+	zero := b.emit(Instr{Op: OpConst, ConstKind: lang.PInt,
 		Dst: b.newValue(lang.IntType, "")})
 	b.writeVar(iKey, b.cur, zero.Dst)
 
@@ -211,7 +212,7 @@ func (b *builder) buildArray(ex *lang.NewArray, lens []*Value, allocIDs []int, t
 	b.jumpTo(header)
 	b.cur = header
 	iv := b.readVar(iKey, header)
-	cond := b.emit(&Instr{Op: OpBin, BinOp: "<", Args: []*Value{iv, lens[0]},
+	cond := b.emit(Instr{Op: OpBin, BinOp: "<", Args: b.args(iv, lens[0]),
 		Dst: b.newValue(lang.BooleanType, "")})
 	body := b.newBlock()
 	exit := b.newBlock()
@@ -220,11 +221,11 @@ func (b *builder) buildArray(ex *lang.NewArray, lens []*Value, allocIDs []int, t
 
 	b.cur = body
 	inner := b.buildArray(ex, lens[1:], allocIDs[1:], at.Elem)
-	b.emit(&Instr{Op: OpStoreIdx, Args: []*Value{arr.Dst, b.readVar(iKey, b.cur), inner}})
-	one := b.emit(&Instr{Op: OpConst, ConstKind: lang.PInt, ConstInt: 1,
+	b.emit(Instr{Op: OpStoreIdx, Args: b.args(arr.Dst, b.readVar(iKey, b.cur), inner)})
+	one := b.emit(Instr{Op: OpConst, ConstKind: lang.PInt, ConstInt: 1,
 		Dst: b.newValue(lang.IntType, "")})
-	next := b.emit(&Instr{Op: OpBin, BinOp: "+",
-		Args: []*Value{b.readVar(iKey, b.cur), one.Dst},
+	next := b.emit(Instr{Op: OpBin, BinOp: "+",
+		Args: b.args(b.readVar(iKey, b.cur), one.Dst),
 		Dst:  b.newValue(lang.IntType, "")})
 	b.writeVar(iKey, b.cur, next.Dst)
 	b.jumpTo(header)
@@ -250,27 +251,27 @@ func (b *builder) assign(ex *lang.Assign) *Value {
 		case lang.IdentField:
 			rhs := b.expr(ex.RHS)
 			if lhs.Field.Static {
-				b.emit(&Instr{Op: OpStoreStatic, Field: lhs.Field, Args: []*Value{rhs}})
+				b.emit(Instr{Op: OpStoreStatic, Field: lhs.Field, Args: b.args(rhs)})
 			} else {
-				b.emit(&Instr{Op: OpStore, Field: lhs.Field, Args: []*Value{b.fn.Params[0], rhs}})
+				b.emit(Instr{Op: OpStore, Field: lhs.Field, Args: b.args(b.fn.Params[0], rhs)})
 			}
 			return rhs
 		}
 	case *lang.FieldAccess:
 		if lhs.Field.Static {
 			rhs := b.expr(ex.RHS)
-			b.emit(&Instr{Op: OpStoreStatic, Field: lhs.Field, Args: []*Value{rhs}})
+			b.emit(Instr{Op: OpStoreStatic, Field: lhs.Field, Args: b.args(rhs)})
 			return rhs
 		}
 		obj := b.expr(lhs.X)
 		rhs := b.expr(ex.RHS)
-		b.emit(&Instr{Op: OpStore, Field: lhs.Field, Args: []*Value{obj, rhs}})
+		b.emit(Instr{Op: OpStore, Field: lhs.Field, Args: b.args(obj, rhs)})
 		return rhs
 	case *lang.Index:
 		arr := b.expr(lhs.X)
 		idx := b.expr(lhs.I)
 		rhs := b.expr(ex.RHS)
-		b.emit(&Instr{Op: OpStoreIdx, Args: []*Value{arr, idx, rhs}})
+		b.emit(Instr{Op: OpStoreIdx, Args: b.args(arr, idx, rhs)})
 		return rhs
 	}
 	b.fail(ex.Pos, "internal: bad assignment target")

@@ -2,7 +2,10 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+
+	"cormi/internal/lang"
 )
 
 // String renders the function as readable SSA text, for rmic dumps and
@@ -48,12 +51,17 @@ func (in *Instr) String() string {
 		switch {
 		case in.ConstIsNull:
 			b.WriteString(" null")
-		case in.ConstStr != "":
+		case in.ConstKind == lang.PString:
 			fmt.Fprintf(&b, " %q", in.ConstStr)
-		case in.ConstFloat != 0:
-			fmt.Fprintf(&b, " %g", in.ConstFloat)
-		case in.ConstBool:
-			b.WriteString(" true")
+		case in.ConstKind == lang.PDouble:
+			// Always with a point or exponent: 0.0 is not the int 0.
+			g := strconv.FormatFloat(in.ConstFloat, 'g', -1, 64)
+			if !strings.ContainsAny(g, ".eIN") {
+				g += ".0"
+			}
+			b.WriteString(" " + g)
+		case in.ConstKind == lang.PBoolean:
+			fmt.Fprintf(&b, " %t", in.ConstBool)
 		default:
 			fmt.Fprintf(&b, " %d", in.ConstInt)
 		}

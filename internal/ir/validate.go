@@ -7,8 +7,9 @@ import "fmt"
 // the matching predecessor), terminated blocks, consistent CFG edges
 // and well-formed phis.
 func Validate(p *Program) error {
+	var v validator
 	for _, f := range p.Funcs {
-		if err := ValidateFunc(f); err != nil {
+		if err := v.validate(f); err != nil {
 			return fmt.Errorf("%s: %w", f.Name, err)
 		}
 	}
@@ -17,18 +18,77 @@ func Validate(p *Program) error {
 
 // ValidateFunc checks one function.
 func ValidateFunc(f *Func) error {
+	var v validator
+	return v.validate(f)
+}
+
+// validator holds the per-function tables of the check, indexed by
+// Block.ID and Value.ID and reused from one function to the next.
+type validator struct {
+	dom      domTree
+	defBlock []*Block // defining block of each value; nil: not defined
+}
+
+// termTargets is the number of targets (and successors) each
+// terminator has.
+func termTargets(op Op) int {
+	switch op {
+	case OpJump:
+		return 1
+	case OpBranch:
+		return 2
+	}
+	return 0
+}
+
+// define records b as the block that defines val.
+func (v *validator) define(val *Value, b *Block) error {
+	if val.ID < 0 || val.ID >= len(v.defBlock) {
+		return fmt.Errorf("value %s is not one of the function's", val)
+	}
+	if v.defBlock[val.ID] != nil {
+		return fmt.Errorf("value %s assigned twice", val)
+	}
+	v.defBlock[val.ID] = b
+	return nil
+}
+
+func (v *validator) validate(f *Func) error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("no blocks")
 	}
-	idom := Dominators(f)
-	reachable := make(map[*Block]bool, len(idom))
-	for b := range idom {
-		reachable[b] = true
+	// The tables below are indexed by Block.ID and Value.ID, so the
+	// numbering is checked before anything is looked up.
+	owns := func(b *Block) bool { return b.ID >= 0 && b.ID < len(f.Blocks) && f.Blocks[b.ID] == b }
+	for i, b := range f.Blocks {
+		if b.ID != i {
+			return fmt.Errorf("block %d: listed at position %d", b.ID, i)
+		}
+		for _, e := range b.Succs {
+			if !owns(e) {
+				return fmt.Errorf("block %d: successor outside the function", b.ID)
+			}
+		}
+		for _, e := range b.Preds {
+			if !owns(e) {
+				return fmt.Errorf("block %d: predecessor outside the function", b.ID)
+			}
+		}
 	}
+	v.dom.compute(f)
+	reachable := v.dom.reachable
 
-	defBlock := make(map[*Value]*Block)
+	v.defBlock = append(v.defBlock[:0], make([]*Block, f.nextValue)...)
+	defBlock := func(val *Value) *Block {
+		if val.ID < 0 || val.ID >= len(v.defBlock) {
+			return nil
+		}
+		return v.defBlock[val.ID]
+	}
 	for _, prm := range f.Params {
-		defBlock[prm] = f.Entry()
+		if err := v.define(prm, f.Entry()); err != nil {
+			return err
+		}
 	}
 	for _, b := range f.Blocks {
 		for i, in := range b.Instrs {
@@ -36,10 +96,9 @@ func ValidateFunc(f *Func) error {
 				return fmt.Errorf("block %d: instruction has wrong block pointer", b.ID)
 			}
 			if in.Dst != nil {
-				if _, dup := defBlock[in.Dst]; dup {
-					return fmt.Errorf("block %d: value %s assigned twice", b.ID, in.Dst)
+				if err := v.define(in.Dst, b); err != nil {
+					return fmt.Errorf("block %d: %w", b.ID, err)
 				}
-				defBlock[in.Dst] = b
 				if in.Dst.Def != in {
 					return fmt.Errorf("block %d: %s has stale Def", b.ID, in.Dst)
 				}
@@ -51,6 +110,11 @@ func ValidateFunc(f *Func) error {
 				if len(in.Args) != len(b.Preds) {
 					return fmt.Errorf("block %d: phi has %d operands for %d preds", b.ID, len(in.Args), len(b.Preds))
 				}
+				for _, pred := range in.PhiPreds {
+					if !owns(pred) {
+						return fmt.Errorf("block %d: phi predecessor outside the function", b.ID)
+					}
+				}
 				// Phis must lead the block.
 				if i > 0 && b.Instrs[i-1].Op != OpPhi {
 					return fmt.Errorf("block %d: phi after non-phi", b.ID)
@@ -60,12 +124,12 @@ func ValidateFunc(f *Func) error {
 				return fmt.Errorf("block %d: terminator mid-block", b.ID)
 			}
 		}
-		if reachable[b] && b.Terminator() == nil {
+		if reachable(b) && b.Terminator() == nil {
 			return fmt.Errorf("block %d: missing terminator", b.ID)
 		}
 		// CFG consistency.
 		if t := b.Terminator(); t != nil {
-			want := map[Op]int{OpJump: 1, OpBranch: 2, OpRet: 0}[t.Op]
+			want := termTargets(t.Op)
 			if len(t.Targets) != want {
 				return fmt.Errorf("block %d: %v with %d targets", b.ID, t.Op, len(t.Targets))
 			}
@@ -91,21 +155,21 @@ func ValidateFunc(f *Func) error {
 
 	// Dominance of uses.
 	for _, b := range f.Blocks {
-		if !reachable[b] {
+		if !reachable(b) {
 			continue
 		}
 		for _, in := range b.Instrs {
 			for ai, a := range in.Args {
-				db, ok := defBlock[a]
-				if !ok {
+				db := defBlock(a)
+				if db == nil {
 					return fmt.Errorf("block %d: use of undefined value %s", b.ID, a)
 				}
-				if !reachable[db] {
+				if !reachable(db) {
 					continue
 				}
 				if in.Op == OpPhi {
 					pred := in.PhiPreds[ai]
-					if reachable[pred] && !Dominates(idom, db, pred) {
+					if reachable(pred) && !v.dom.dominates(db, pred) {
 						return fmt.Errorf("block %d: phi operand %s not dominated via pred %d", b.ID, a, pred.ID)
 					}
 					continue
@@ -113,7 +177,7 @@ func ValidateFunc(f *Func) error {
 				if db == b {
 					continue // same-block ordering is by construction
 				}
-				if !Dominates(idom, db, b) {
+				if !v.dom.dominates(db, b) {
 					return fmt.Errorf("block %d: use of %s not dominated by def in block %d", b.ID, a, db.ID)
 				}
 			}
@@ -131,13 +195,7 @@ func IgnoredReturn(site *Instr) bool {
 	return len(site.Dst.Uses) == 0
 }
 
-// ReturnValues collects the values returned by f.
-func ReturnValues(f *Func) []*Value {
-	var vals []*Value
-	for _, b := range f.Blocks {
-		if t := b.Terminator(); t != nil && t.Op == OpRet && len(t.Args) == 1 {
-			vals = append(vals, t.Args[0])
-		}
-	}
-	return vals
-}
+// ReturnValues lists the values f returns, one per returning block in
+// block order. Lower collects them once; the slice is the function's
+// own and must not be modified.
+func ReturnValues(f *Func) []*Value { return f.rets }

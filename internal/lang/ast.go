@@ -15,7 +15,15 @@ type ClassDecl struct {
 	Methods []*MethodDecl
 
 	Super *ClassDecl // resolved by the checker
+
+	// self is the one ClassType naming this class; Check points it
+	// back at the declaration before anything asks for it.
+	self ClassType
 }
+
+// Type returns the class's type. Every reference to a checked class
+// shares it, so resolving a type name allocates nothing.
+func (c *ClassDecl) Type() *ClassType { return &c.self }
 
 // FieldByName finds a field in the class chain.
 func (c *ClassDecl) FieldByName(name string) *FieldDecl {
@@ -75,6 +83,17 @@ type FieldDecl struct {
 	Type   Type // resolved
 
 	Owner *ClassDecl
+
+	qualified string // Owner.name, cached by Check
+}
+
+// QualifiedName is Class.field. Check builds it once: callers key maps
+// by it in their inner loops.
+func (f *FieldDecl) QualifiedName() string {
+	if f.qualified == "" {
+		return f.Owner.Name + "." + f.Name
+	}
+	return f.qualified
 }
 
 // MethodDecl declares a method or constructor (IsCtor).

@@ -1,5 +1,7 @@
 package lang
 
+import "cormi/internal/slab"
+
 // Program is a checked compilation unit: types resolved, allocation
 // sites and remote call sites numbered.
 type Program struct {
@@ -17,7 +19,7 @@ type Program struct {
 // ClassType returns the ClassType for a declared class name.
 func (p *Program) ClassType(name string) *ClassType {
 	if c, ok := p.Classes[name]; ok {
-		return &ClassType{Decl: c}
+		return c.Type()
 	}
 	return nil
 }
@@ -26,7 +28,7 @@ func (p *Program) ClassType(name string) *ClassType {
 // remote call sites.
 func Check(f *File) (*Program, error) {
 	c := &checker{
-		prog: &Program{File: f, Classes: make(map[string]*ClassDecl)},
+		prog: &Program{File: f, Classes: make(map[string]*ClassDecl, len(f.Classes))},
 	}
 	if err := c.collect(); err != nil {
 		return nil, err
@@ -48,7 +50,18 @@ type checker struct {
 	prog *Program
 
 	method *MethodDecl
-	scopes []map[string]Type
+	// Lexical scopes as one stack of declarations plus the stack
+	// height at each open scope; lookup scans from the top, so an
+	// inner declaration shadows an outer one.
+	locals []local
+	marks  []int
+
+	arrays slab.Of[ArrayType]
+}
+
+type local struct {
+	name string
+	typ  Type
 }
 
 func (c *checker) collect() error {
@@ -57,6 +70,7 @@ func (c *checker) collect() error {
 			return errf(cd.Pos, "duplicate class %s", cd.Name)
 		}
 		c.prog.Classes[cd.Name] = cd
+		cd.self.Decl = cd
 	}
 	for _, cd := range c.prog.File.Classes {
 		if cd.Extends == "" {
@@ -103,13 +117,13 @@ func (c *checker) resolveType(te TypeExpr) (Type, error) {
 		if !ok {
 			return nil, errf(te.Pos, "unknown type %s", te.Name)
 		}
-		base = &ClassType{Decl: cd}
+		base = cd.Type()
 	}
 	if te.Dims > 0 && TypeEq(base, VoidType) {
 		return nil, errf(te.Pos, "void array")
 	}
 	for i := 0; i < te.Dims; i++ {
-		base = &ArrayType{Elem: base}
+		base = c.arrayOf(base)
 	}
 	return base, nil
 }
@@ -130,6 +144,7 @@ func (c *checker) resolveSignatures() error {
 				return errf(fd.Pos, "void field %s", fd.Name)
 			}
 			fd.Type = t
+			fd.qualified = cd.Name + "." + fd.Name
 		}
 		seenMethods := map[string]bool{}
 		for _, m := range cd.Methods {
@@ -159,22 +174,32 @@ func (c *checker) resolveSignatures() error {
 
 // --- scopes ----------------------------------------------------------
 
-func (c *checker) push() { c.scopes = append(c.scopes, map[string]Type{}) }
-func (c *checker) pop()  { c.scopes = c.scopes[:len(c.scopes)-1] }
+func (c *checker) arrayOf(elem Type) *ArrayType {
+	t := c.arrays.New()
+	t.Elem = elem
+	return t
+}
+
+func (c *checker) push() { c.marks = append(c.marks, len(c.locals)) }
+func (c *checker) pop() {
+	c.locals = c.locals[:c.marks[len(c.marks)-1]]
+	c.marks = c.marks[:len(c.marks)-1]
+}
 
 func (c *checker) define(pos Pos, name string, t Type) error {
-	top := c.scopes[len(c.scopes)-1]
-	if _, dup := top[name]; dup {
-		return errf(pos, "redeclared variable %s", name)
+	for _, l := range c.locals[c.marks[len(c.marks)-1]:] {
+		if l.name == name {
+			return errf(pos, "redeclared variable %s", name)
+		}
 	}
-	top[name] = t
+	c.locals = append(c.locals, local{name, t})
 	return nil
 }
 
 func (c *checker) lookupLocal(name string) (Type, bool) {
-	for i := len(c.scopes) - 1; i >= 0; i-- {
-		if t, ok := c.scopes[i][name]; ok {
-			return t, true
+	for i := len(c.locals) - 1; i >= 0; i-- {
+		if c.locals[i].name == name {
+			return c.locals[i].typ, true
 		}
 	}
 	return nil, false
@@ -187,7 +212,7 @@ func (c *checker) checkMethod(m *MethodDecl) error {
 		return nil
 	}
 	c.method = m
-	c.scopes = nil
+	c.locals, c.marks = c.locals[:0], c.marks[:0]
 	c.push()
 	for _, p := range m.Params {
 		if err := c.define(p.Pos, p.Name, p.Type); err != nil {

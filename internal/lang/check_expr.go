@@ -18,7 +18,7 @@ func (c *checker) checkExpr(e Expr) (Type, error) {
 			return nil, errf(ex.Pos, "this in static method %s", c.method.QualifiedName())
 		}
 		ex.Class = c.method.Class
-		ex.setType(&ClassType{Decl: c.method.Class})
+		ex.setType(c.method.Class.Type())
 	case *Ident:
 		t, err := c.resolveIdent(ex, false)
 		if err != nil {
@@ -267,7 +267,7 @@ func (c *checker) checkNew(ex *New) (Type, error) {
 	}
 	ex.AllocID = c.prog.NumAllocSites
 	c.prog.NumAllocSites++
-	t := &ClassType{Decl: cd}
+	t := cd.Type()
 	ex.setType(t)
 	return t, nil
 }
@@ -302,7 +302,7 @@ func (c *checker) checkNewArray(ex *NewArray) (Type, error) {
 	}
 	t := elem
 	for i := 0; i < ex.Dims; i++ {
-		t = &ArrayType{Elem: t}
+		t = c.arrayOf(t)
 	}
 	ex.setType(t)
 	return t, nil

@@ -5,13 +5,12 @@ import (
 	"unicode"
 )
 
-// Lex splits src into tokens, skipping // and /* */ comments.
+// Lex drains the lexer: every token of src, skipping // and /* */
+// comments, through the end-of-file token. The parser pulls tokens one
+// at a time instead; this is for callers that want the sequence.
 func Lex(src string) ([]Token, error) {
-	l := &lexer{src: src, line: 1, col: 1}
-	// MiniJP source averages three bytes per token (indented code with
-	// comments, six or more); half the byte count holds denser code too
-	// without regrowing.
-	toks := make([]Token, 0, len(src)/2+1)
+	l := newLexer(src)
+	var toks []Token
 	for {
 		t, err := l.next()
 		if err != nil {
@@ -24,11 +23,15 @@ func Lex(src string) ([]Token, error) {
 	}
 }
 
+// lexer is the whole lexical state: a position in src. next produces
+// one token per call; after an error it must not be called again.
 type lexer struct {
 	src       string
 	off       int
 	line, col int
 }
+
+func newLexer(src string) lexer { return lexer{src: src, line: 1, col: 1} }
 
 func (l *lexer) pos() Pos { return Pos{Line: l.line, Col: l.col} }
 
@@ -58,7 +61,7 @@ func (l *lexer) advance() byte {
 	return c
 }
 
-func (l *lexer) skipSpaceAndComments() error {
+func (l *lexer) skipSpaceAndComments() *Error {
 	for l.off < len(l.src) {
 		c := l.peek()
 		switch {
@@ -98,7 +101,7 @@ func isIdentPart(c byte) bool {
 	return c == '_' || unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
 }
 
-func (l *lexer) next() (Token, error) {
+func (l *lexer) next() (Token, *Error) {
 	if err := l.skipSpaceAndComments(); err != nil {
 		return Token{}, err
 	}

@@ -1,51 +1,141 @@
 package lang
 
-import "strconv"
+import (
+	"strconv"
 
-// Parse lexes and parses a MiniJP compilation unit.
+	"cormi/internal/slab"
+)
+
+// Parse lexes and parses a MiniJP compilation unit. Tokens are pulled
+// from the lexer as the grammar asks for them, so the first error in
+// source order is the one reported, lexical or syntactic.
 func Parse(src string) (*File, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := &parser{lex: newLexer(src)}
+	p.tok = p.scan()
 	f := &File{}
 	for !p.atEOF() {
 		c, err := p.classDecl()
 		if err != nil {
+			// Every syntax error is raised with the offending token
+			// current; when that token is the lexer's failure, the
+			// lexical error is the cause.
+			if p.tok.Kind == tokBad {
+				return nil, p.lexErr
+			}
 			return nil, err
 		}
-		f.Classes = append(f.Classes, c)
+		f.Classes = p.classPtrs.Append(f.Classes, c)
 	}
 	return f, nil
 }
 
 type parser struct {
-	toks []Token
-	i    int
+	lex lexer
+	tok Token // the current token
+	// peeked[head:] are the tokens after tok that the grammar has
+	// looked ahead at and not yet consumed: one or two, except that an
+	// array-typed declaration peeks past all its [] pairs.
+	peeked []Token
+	head   int
+	lexErr error // what the lexer failed with; the tokens then end in a tokBad
+
+	nodes
 }
 
-func (p *parser) cur() Token     { return p.toks[p.i] }
-func (p *parser) at(k int) Token { return p.toks[min(p.i+k, len(p.toks)-1)] }
-func (p *parser) atEOF() bool    { return p.cur().Kind == TokEOF }
-func (p *parser) advance() Token {
-	t := p.cur()
-	if p.i < len(p.toks)-1 {
-		p.i++
+// nodes are the slabs the AST is carved from, one per node type, plus
+// those of the lists that hang off nodes. The parser owns them; the
+// File keeps them alive.
+type nodes struct {
+	classes       slab.Of[ClassDecl]
+	fields        slab.Of[FieldDecl]
+	methods       slab.Of[MethodDecl]
+	params        slab.Of[Param]
+	blocks        slab.Of[Block]
+	varDecls      slab.Of[VarDecl]
+	ifs           slab.Of[If]
+	whiles        slab.Of[While]
+	fors          slab.Of[For]
+	returns       slab.Of[Return]
+	exprStmts     slab.Of[ExprStmt]
+	intLits       slab.Of[IntLit]
+	doubleLits    slab.Of[DoubleLit]
+	boolLits      slab.Of[BoolLit]
+	stringLits    slab.Of[StringLit]
+	nullLits      slab.Of[NullLit]
+	thises        slab.Of[This]
+	idents        slab.Of[Ident]
+	fieldAccesses slab.Of[FieldAccess]
+	indexes       slab.Of[Index]
+	calls         slab.Of[Call]
+	news          slab.Of[New]
+	newArrays     slab.Of[NewArray]
+	binaries      slab.Of[Binary]
+	unaries       slab.Of[Unary]
+	assigns       slab.Of[Assign]
+
+	classPtrs  slab.Of[*ClassDecl]
+	fieldPtrs  slab.Of[*FieldDecl]
+	methodPtrs slab.Of[*MethodDecl]
+	paramPtrs  slab.Of[*Param]
+	stmts      slab.Of[Stmt]
+	exprs      slab.Of[Expr]
+}
+
+// scan pulls the next token from the lexer. Where the lexer fails it
+// yields a tokBad, which like TokEOF ends the input: neither is ever
+// scanned past.
+func (p *parser) scan() Token {
+	t, err := p.lex.next()
+	if err != nil {
+		p.lexErr = err
+		return Token{Kind: tokBad, Pos: err.Pos}
 	}
 	return t
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// at returns the token k places after the current one, lexing up to
+// it. The token that ends the input repeats for every k beyond it.
+func (p *parser) at(k int) Token {
+	if k == 0 {
+		return p.tok
 	}
-	return b
+	for len(p.peeked)-p.head < k {
+		last := p.tok
+		if n := len(p.peeked); n > p.head {
+			last = p.peeked[n-1]
+		}
+		if !last.ends() {
+			last = p.scan()
+		}
+		if p.head > 0 && len(p.peeked) == cap(p.peeked) {
+			p.peeked = p.peeked[:copy(p.peeked, p.peeked[p.head:])]
+			p.head = 0
+		}
+		p.peeked = append(p.peeked, last)
+	}
+	return p.peeked[p.head+k-1]
+}
+
+func (p *parser) cur() Token  { return p.tok }
+func (p *parser) atEOF() bool { return p.tok.Kind == TokEOF }
+
+func (p *parser) advance() Token {
+	t := p.tok
+	switch {
+	case t.ends():
+	case p.head < len(p.peeked):
+		p.tok = p.peeked[p.head]
+		if p.head++; p.head == len(p.peeked) {
+			p.peeked, p.head = p.peeked[:0], 0
+		}
+	default:
+		p.tok = p.scan()
+	}
+	return t
 }
 
 func (p *parser) is(kind TokKind, text string) bool {
-	t := p.cur()
-	return t.Kind == kind && t.Text == text
+	return p.tok.Kind == kind && p.tok.Text == text
 }
 
 func (p *parser) accept(kind TokKind, text string) bool {
@@ -111,7 +201,7 @@ func (p *parser) classDecl() (*ClassDecl, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &ClassDecl{Pos: start, Name: name.Text, Remote: remote}
+	c := p.classes.Put(ClassDecl{Pos: start, Name: name.Text, Remote: remote})
 	if p.accept(TokKeyword, "extends") {
 		sup, err := p.expectIdent()
 		if err != nil {
@@ -142,15 +232,15 @@ func (p *parser) member(c *ClassDecl) error {
 	if p.cur().Kind == TokIdent && p.cur().Text == c.Name &&
 		p.at(1).Kind == TokPunct && p.at(1).Text == "(" {
 		name := p.advance()
-		m := &MethodDecl{Pos: pos, Name: name.Text, Static: static, IsCtor: true,
-			RetX: TypeExpr{Pos: pos, Name: "void"}, Class: c}
+		m := p.methods.Put(MethodDecl{Pos: pos, Name: name.Text, Static: static, IsCtor: true,
+			RetX: TypeExpr{Pos: pos, Name: "void"}, Class: c})
 		if static {
 			return errf(pos, "constructor cannot be static")
 		}
 		if err := p.methodRest(m); err != nil {
 			return err
 		}
-		c.Methods = append(c.Methods, m)
+		c.Methods = p.methodPtrs.Append(c.Methods, m)
 		return nil
 	}
 
@@ -163,17 +253,17 @@ func (p *parser) member(c *ClassDecl) error {
 		return err
 	}
 	if p.is(TokPunct, "(") {
-		m := &MethodDecl{Pos: pos, Name: name.Text, Static: static, RetX: te, Class: c}
+		m := p.methods.Put(MethodDecl{Pos: pos, Name: name.Text, Static: static, RetX: te, Class: c})
 		if err := p.methodRest(m); err != nil {
 			return err
 		}
-		c.Methods = append(c.Methods, m)
+		c.Methods = p.methodPtrs.Append(c.Methods, m)
 		return nil
 	}
 	if _, err := p.expect(TokPunct, ";"); err != nil {
 		return err
 	}
-	c.Fields = append(c.Fields, &FieldDecl{Pos: pos, Name: name.Text, Static: static, TypeX: te, Owner: c})
+	c.Fields = p.fieldPtrs.Append(c.Fields, p.fields.Put(FieldDecl{Pos: pos, Name: name.Text, Static: static, TypeX: te, Owner: c}))
 	return nil
 }
 
@@ -195,7 +285,7 @@ func (p *parser) methodRest(m *MethodDecl) error {
 		if err != nil {
 			return err
 		}
-		m.Params = append(m.Params, &Param{Pos: name.Pos, Name: name.Text, TypeX: te})
+		m.Params = p.paramPtrs.Append(m.Params, p.params.Put(Param{Pos: name.Pos, Name: name.Text, TypeX: te}))
 	}
 	// Abstract/empty bodies are written `{ }`; a bare `;` declares a
 	// body-less method (remote interface style).
@@ -215,7 +305,7 @@ func (p *parser) block() (*Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &Block{Pos: start.Pos}
+	b := p.blocks.Put(Block{Pos: start.Pos})
 	for !p.accept(TokPunct, "}") {
 		if p.atEOF() {
 			return nil, errf(start.Pos, "unterminated block")
@@ -224,7 +314,7 @@ func (p *parser) block() (*Block, error) {
 		if err != nil {
 			return nil, err
 		}
-		b.Stmts = append(b.Stmts, s)
+		b.Stmts = p.stmts.Append(b.Stmts, s)
 	}
 	return b, nil
 }
@@ -277,7 +367,7 @@ func (p *parser) stmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		s := &If{Pos: pos, Cond: cond, Then: then}
+		s := p.ifs.Put(If{Pos: pos, Cond: cond, Then: then})
 		if p.accept(TokKeyword, "else") {
 			s.Else, err = p.stmt()
 			if err != nil {
@@ -301,12 +391,12 @@ func (p *parser) stmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &While{Pos: pos, Cond: cond, Body: body}, nil
+		return p.whiles.Put(While{Pos: pos, Cond: cond, Body: body}), nil
 	case p.is(TokKeyword, "for"):
 		return p.forStmt()
 	case p.is(TokKeyword, "return"):
 		p.advance()
-		s := &Return{Pos: pos}
+		s := p.returns.Put(Return{Pos: pos})
 		if !p.is(TokPunct, ";") {
 			v, err := p.expr()
 			if err != nil {
@@ -335,7 +425,7 @@ func (p *parser) stmt() (Stmt, error) {
 		if _, err := p.expect(TokPunct, ";"); err != nil {
 			return nil, err
 		}
-		return &ExprStmt{Pos: pos, X: x}, nil
+		return p.exprStmts.Put(ExprStmt{Pos: pos, X: x}), nil
 	}
 }
 
@@ -349,7 +439,7 @@ func (p *parser) varDecl() (*VarDecl, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &VarDecl{Pos: pos, Name: name.Text, TypeX: te}
+	d := p.varDecls.Put(VarDecl{Pos: pos, Name: name.Text, TypeX: te})
 	if p.accept(TokOp, "=") {
 		d.Init, err = p.expr()
 		if err != nil {
@@ -364,7 +454,7 @@ func (p *parser) forStmt() (Stmt, error) {
 	if _, err := p.expect(TokPunct, "("); err != nil {
 		return nil, err
 	}
-	s := &For{Pos: pos}
+	s := p.fors.Put(For{Pos: pos})
 	if !p.is(TokPunct, ";") {
 		if p.startsVarDecl() {
 			d, err := p.varDecl()
@@ -377,7 +467,7 @@ func (p *parser) forStmt() (Stmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			s.Init = &ExprStmt{Pos: pos, X: x}
+			s.Init = p.exprStmts.Put(ExprStmt{Pos: pos, X: x})
 		}
 	}
 	if _, err := p.expect(TokPunct, ";"); err != nil {
@@ -427,7 +517,7 @@ func (p *parser) assignExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		a := &Assign{LHS: lhs, RHS: rhs}
+		a := p.assigns.Put(Assign{LHS: lhs, RHS: rhs})
 		a.Pos = pos
 		return a, nil
 	case p.is(TokOp, "++"), p.is(TokOp, "--"):
@@ -440,11 +530,11 @@ func (p *parser) assignExpr() (Expr, error) {
 		if op.Text == "--" {
 			binOp = "-"
 		}
-		one := &IntLit{Value: 1}
+		one := p.intLits.Put(IntLit{Value: 1})
 		one.Pos = op.Pos
-		b := &Binary{Op: binOp, L: lhs, R: one}
+		b := p.binaries.Put(Binary{Op: binOp, L: lhs, R: one})
 		b.Pos = op.Pos
-		a := &Assign{LHS: lhs, RHS: b}
+		a := p.assigns.Put(Assign{LHS: lhs, RHS: b})
 		a.Pos = op.Pos
 		return a, nil
 	case p.is(TokOp, "+="), p.is(TokOp, "-="):
@@ -453,9 +543,9 @@ func (p *parser) assignExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		b := &Binary{Op: op.Text[:1], L: lhs, R: rhs}
+		b := p.binaries.Put(Binary{Op: op.Text[:1], L: lhs, R: rhs})
 		b.Pos = op.Pos
-		a := &Assign{LHS: lhs, RHS: b}
+		a := p.assigns.Put(Assign{LHS: lhs, RHS: b})
 		a.Pos = op.Pos
 		return a, nil
 	}
@@ -476,7 +566,7 @@ func (p *parser) binaryLevel(ops []string, next func() (Expr, error)) (Expr, err
 				if err != nil {
 					return nil, err
 				}
-				b := &Binary{Op: op, L: l, R: r}
+				b := p.binaries.Put(Binary{Op: op, L: l, R: r})
 				b.Pos = pos
 				l = b
 				matched = true
@@ -520,7 +610,7 @@ func (p *parser) unaryExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		u := &Unary{Op: op.Text, X: x}
+		u := p.unaries.Put(Unary{Op: op.Text, X: x})
 		u.Pos = op.Pos
 		return u, nil
 	}
@@ -545,11 +635,11 @@ func (p *parser) postfixExpr() (Expr, error) {
 				if err != nil {
 					return nil, err
 				}
-				c := &Call{Recv: x, Name: name.Text, Args: args}
+				c := p.calls.Put(Call{Recv: x, Name: name.Text, Args: args})
 				c.Pos = name.Pos
 				x = c
 			} else {
-				f := &FieldAccess{X: x, Name: name.Text}
+				f := p.fieldAccesses.Put(FieldAccess{X: x, Name: name.Text})
 				f.Pos = name.Pos
 				x = f
 			}
@@ -562,7 +652,7 @@ func (p *parser) postfixExpr() (Expr, error) {
 			if _, err := p.expect(TokPunct, "]"); err != nil {
 				return nil, err
 			}
-			ix := &Index{X: x, I: i}
+			ix := p.indexes.Put(Index{X: x, I: i})
 			ix.Pos = pos
 			x = ix
 		default:
@@ -586,7 +676,7 @@ func (p *parser) args() ([]Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		args = append(args, a)
+		args = p.exprs.Append(args, a)
 	}
 	return args, nil
 }
@@ -595,41 +685,41 @@ func (p *parser) primaryExpr() (Expr, error) {
 	t := p.cur()
 	switch {
 	case t.Kind == TokIntLit:
-		p.advance()
 		v, err := strconv.ParseInt(t.Text, 10, 64)
 		if err != nil {
 			return nil, errf(t.Pos, "bad int literal %s", t.Text)
 		}
-		e := &IntLit{Value: v}
+		p.advance()
+		e := p.intLits.Put(IntLit{Value: v})
 		e.Pos = t.Pos
 		return e, nil
 	case t.Kind == TokDoubleLit:
-		p.advance()
 		v, err := strconv.ParseFloat(t.Text, 64)
 		if err != nil {
 			return nil, errf(t.Pos, "bad double literal %s", t.Text)
 		}
-		e := &DoubleLit{Value: v}
+		p.advance()
+		e := p.doubleLits.Put(DoubleLit{Value: v})
 		e.Pos = t.Pos
 		return e, nil
 	case t.Kind == TokStringLit:
 		p.advance()
-		e := &StringLit{Value: t.Text}
+		e := p.stringLits.Put(StringLit{Value: t.Text})
 		e.Pos = t.Pos
 		return e, nil
 	case p.is(TokKeyword, "true"), p.is(TokKeyword, "false"):
 		p.advance()
-		e := &BoolLit{Value: t.Text == "true"}
+		e := p.boolLits.Put(BoolLit{Value: t.Text == "true"})
 		e.Pos = t.Pos
 		return e, nil
 	case p.is(TokKeyword, "null"):
 		p.advance()
-		e := &NullLit{}
+		e := p.nullLits.Put(NullLit{})
 		e.Pos = t.Pos
 		return e, nil
 	case p.is(TokKeyword, "this"):
 		p.advance()
-		e := &This{}
+		e := p.thises.Put(This{})
 		e.Pos = t.Pos
 		return e, nil
 	case p.is(TokKeyword, "new"):
@@ -651,11 +741,11 @@ func (p *parser) primaryExpr() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			c := &Call{Name: t.Text, Args: args}
+			c := p.calls.Put(Call{Name: t.Text, Args: args})
 			c.Pos = t.Pos
 			return c, nil
 		}
-		e := &Ident{Name: t.Text}
+		e := p.idents.Put(Ident{Name: t.Text})
 		e.Pos = t.Pos
 		return e, nil
 	default:
@@ -680,13 +770,13 @@ func (p *parser) newExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		e := &New{ClassName: t.Text, Args: args}
+		e := p.news.Put(New{ClassName: t.Text, Args: args})
 		e.Pos = pos
 		return e, nil
 	}
 
 	// new T[len]...[]...
-	e := &NewArray{ElemX: TypeExpr{Pos: t.Pos, Name: t.Text}}
+	e := p.newArrays.Put(NewArray{ElemX: TypeExpr{Pos: t.Pos, Name: t.Text}})
 	e.Pos = pos
 	if !p.is(TokPunct, "[") {
 		return nil, errf(p.cur().Pos, "expected ( or [ after new %s", t.Text)
@@ -708,7 +798,7 @@ func (p *parser) newExpr() (Expr, error) {
 		if _, err := p.expect(TokPunct, "]"); err != nil {
 			return nil, err
 		}
-		e.Lens = append(e.Lens, l)
+		e.Lens = p.exprs.Append(e.Lens, l)
 		e.Dims++
 	}
 	return e, nil

@@ -73,3 +73,51 @@ remote class F {
 		}()
 	}
 }
+
+// TestFirstErrorInSourceOrder pins which error Parse reports. The
+// parser pulls tokens as the grammar needs them, so the error nearest
+// the top of the file wins whether it is lexical or syntactic; a bad
+// character further down is only reported once everything before it
+// parses. (When the whole file was lexed before parsing began, a
+// lexical error anywhere hid every syntax error above it.)
+func TestFirstErrorInSourceOrder(t *testing.T) {
+	lines := func(ls ...string) string { return strings.Join(ls, "\n") }
+	for _, tc := range []struct {
+		name, src string
+		pos       Pos
+		msg       string
+	}{
+		{"lex error only",
+			lines("class A {", "  int x;", "  int f() { return x # 1; }", "}"),
+			Pos{3, 22}, `unexpected character "#"`},
+		{"lex error is the current token",
+			lines("class A {", "  int f() { return 1 + `; }", "}"),
+			Pos{2, 24}, "unexpected character \"`\""},
+		{"syntax error only",
+			lines("class A {", "  int f( { return 1; }", "}"),
+			Pos{2, 10}, `expected type, found "{"`},
+		{"syntax error above a bad character",
+			lines("class A {", "  int f( { return 1; }", "  int g() {", "    int a = 1;", "    int b = 2;",
+				"    int c = 3;", "    int d = 4;", "    return a;", "  } @", "}"),
+			Pos{2, 10}, `expected type, found "{"`},
+		{"bad character above a syntax error",
+			lines("class A {", "  int f() { return 1 @ 2; }", "  int g( { }", "}"),
+			Pos{2, 22}, `unexpected character "@"`},
+		{"bad character already peeked at when an earlier token fails",
+			lines("class A {", "  void f() {", "    Foo[] @ x;", "  }", "}"),
+			Pos{3, 9}, `unexpected token "]"`},
+		{"unterminated comment hides the missing brace",
+			lines("class A {", "  int x;", "/* never closed"),
+			Pos{3, 1}, "unterminated block comment"},
+	} {
+		_, err := Parse(tc.src)
+		e, ok := err.(*Error)
+		if !ok {
+			t.Errorf("%s: Parse error = %v, want a *lang.Error", tc.name, err)
+			continue
+		}
+		if e.Pos != tc.pos || e.Msg != tc.msg {
+			t.Errorf("%s: got %s: %s, want %s: %s", tc.name, e.Pos, e.Msg, tc.pos, tc.msg)
+		}
+	}
+}

@@ -27,6 +27,10 @@ const (
 	TokPunct   // one of ( ) { } [ ] ; , .
 	TokOp      // operators: = == != < <= > >= + - * / % && || !
 	TokKeyword // reserved words
+
+	// tokBad stands where the lexer failed. Only the parser's
+	// look-ahead window holds one; it matches nothing in the grammar.
+	tokBad
 )
 
 // Token is one lexical token.
@@ -35,6 +39,9 @@ type Token struct {
 	Text string
 	Pos  Pos
 }
+
+// ends reports whether t is the last token the lexer will produce.
+func (t Token) ends() bool { return t.Kind == TokEOF || t.Kind == tokBad }
 
 func (t Token) String() string {
 	if t.Kind == TokEOF {
