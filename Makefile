@@ -6,7 +6,7 @@
 # and allocations per op are judged by the repo benchmark, parent
 # against change in ten alternating pairs: bash bench/run.sh
 # (EXPERIMENTS.md). The bench* targets below are informational.
-.PHONY: verify test bench bench-transport bench-codec bench-compile obs-smoke explain-smoke verify-precision verify-async verify-attrib verify-dtrace verify-analysis fuzz
+.PHONY: verify test bench bench-transport bench-codec bench-compile obs-smoke explain-smoke verify-precision verify-matrix verify-attrib verify-dtrace verify-analysis fuzz
 
 verify:
 	test -z "$$(gofmt -l .)"
@@ -16,7 +16,7 @@ verify:
 	$(MAKE) obs-smoke
 	$(MAKE) explain-smoke
 	$(MAKE) verify-precision
-	$(MAKE) verify-async
+	$(MAKE) verify-matrix
 	$(MAKE) verify-attrib
 	$(MAKE) verify-dtrace
 	$(MAKE) verify-analysis
@@ -50,13 +50,14 @@ explain-smoke:
 verify-precision:
 	go test -count=1 -run 'TestVerdictMatrix|TestPrecisionGain|TestContextBudgetBoundsBlowup|TestAnalysisDeterminism' ./internal/harness
 
-# Async chaos gate: the chained futures + promise-pipelining workload
-# must complete with exactly-once execution at every optimization
-# level over a lossy (drop/dup/reorder/corrupt) interconnect, under
-# the race detector. Proves a dropped producer frame is recovered by
-# its waiter and a duplicated one cannot double-splice a promise.
-verify-async:
-	go test -race -count=1 -run 'TestChaosAsync' ./internal/harness
+# Mode-matrix gate (DESIGN.md §7): prints the cell count and wall time
+# of TestModeMatrix — both chain workloads x six link conditions x five
+# optimization levels x six call modes, every cell held to its witness,
+# to the answer of the workload's first cell and to the Close-balance
+# check. `go test -race ./...` above already ran it under the race
+# detector, silently; this plain run is for the line it logs.
+verify-matrix:
+	go test -count=1 -v -run 'TestModeMatrix' ./internal/harness
 
 # Attribution gate: always-on tail-latency attribution must keep the
 # traced hot path within its allocation budget with exemplar capture

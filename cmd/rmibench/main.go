@@ -66,7 +66,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "rmibench: chain run failed: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Print(harness.FormatChain(rows))
+		fmt.Print(rows.Format())
 		// The distributed-tracing counterpart of the chain workload:
 		// the same pipelined chain, traced across three nodes and
 		// reconstructed through /traces.
@@ -77,7 +77,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "rmibench: dtrace run failed: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Print(harness.FormatTracing(trow))
+		fmt.Print(trow.Format())
 		return
 	}
 
@@ -165,46 +165,17 @@ func main() {
 		return
 	}
 
-	emit := func(tables ...*harness.Table) {
-		for _, t := range tables {
-			fmt.Println(t.Format())
-		}
-	}
-	fail := func(err error) {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rmibench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
-	switch *table {
-	case 0:
-		tables, err := harness.All(scale)
-		fail(err)
-		emit(tables...)
-	case 1:
-		t, err := harness.Table1(scale)
-		fail(err)
-		emit(t)
-	case 2:
-		t, err := harness.Table2(scale)
-		fail(err)
-		emit(t)
-	case 3, 4:
-		t3, t4, err := harness.Tables34(scale)
-		fail(err)
-		emit(t3, t4)
-	case 5, 6:
-		t5, t6, err := harness.Tables56(scale)
-		fail(err)
-		emit(t5, t6)
-	case 7, 8:
-		t7, t8, err := harness.Tables78(scale)
-		fail(err)
-		emit(t7, t8)
-	default:
+	if *table < 0 || *table > 8 {
 		fmt.Fprintf(os.Stderr, "rmibench: no table %d\n", *table)
 		os.Exit(2)
+	}
+	tables, err := harness.Tables(scale, *table)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rmibench: %v\n", err)
+		os.Exit(1)
+	}
+	for _, t := range tables {
+		fmt.Println(t.Format())
 	}
 }
 
@@ -212,7 +183,7 @@ func main() {
 // and level: enough calls for a stable p99 row), writes the Chrome
 // trace, and prints the per-phase latency summary.
 func writeTraceFile(path string) {
-	rep, err := harness.RunTraced(2000)
+	phases, spans, err := harness.RunTraced(2000)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rmibench: traced run failed: %v\n", err)
 		os.Exit(1)
@@ -222,12 +193,12 @@ func writeTraceFile(path string) {
 		fmt.Fprintf(os.Stderr, "rmibench: %v\n", err)
 		os.Exit(1)
 	}
-	if err := trace.WriteChrome(f, rep.Spans, "rmibench"); err != nil {
+	if err := trace.WriteChrome(f, spans, "rmibench"); err != nil {
 		f.Close()
 		fmt.Fprintf(os.Stderr, "rmibench: writing trace: %v\n", err)
 		os.Exit(1)
 	}
 	f.Close()
-	fmt.Print(harness.FormatPhases(rep.Phases))
+	fmt.Print(harness.FormatPhases(phases))
 	fmt.Printf("chrome trace written to %s (load in Perfetto / chrome://tracing)\n", path)
 }

@@ -23,7 +23,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -58,17 +57,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	base := *cluster
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	base = strings.TrimRight(base, "/")
-
 	if *traceID != "" || *slowSite != "" {
 		client := &http.Client{Timeout: 5 * time.Second}
 		return drill(client, base, *peers, *slowSite, *traceID, stdout, stderr)
 	}
 
-	target := base + "/cluster"
+	target := "/cluster"
 	if *peers != "" {
 		target += "?peers=" + url.QueryEscape(*peers)
 	}
@@ -84,7 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if i > 0 {
 			time.Sleep(*interval)
 		}
-		cv, err := fetchView(client, target)
+		cv, err := obs.Get[obs.ClusterView](client, base, target)
 		if err != nil {
 			fmt.Fprintf(stderr, "rmitop: %v\n", err)
 			if limit > 0 {
@@ -97,7 +91,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprint(stdout, "\x1b[2J\x1b[H")
 		}
 		now := time.Now()
-		render(stdout, cv, prevCalls, now.Sub(prevAt), !prevAt.IsZero())
+		render(stdout, &cv, prevCalls, now.Sub(prevAt), !prevAt.IsZero())
 		next := make(map[string]uint64, len(cv.Sites))
 		for _, s := range cv.Sites {
 			next[s.Site] = s.Calls
@@ -105,26 +99,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		prevCalls, prevAt = next, now
 	}
 	return 0
-}
-
-// fetchView pulls and decodes one /cluster document.
-func fetchView(client *http.Client, target string) (*obs.ClusterView, error) {
-	resp, err := client.Get(target)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: status %d", target, resp.StatusCode)
-	}
-	var cv obs.ClusterView
-	if err := json.NewDecoder(resp.Body).Decode(&cv); err != nil {
-		return nil, fmt.Errorf("decode cluster view: %w", err)
-	}
-	if cv.Version != obs.SnapshotVersion {
-		return nil, fmt.Errorf("cluster view version %d, want %d", cv.Version, obs.SnapshotVersion)
-	}
-	return &cv, nil
 }
 
 // render writes one frame: the node roster, any peer errors, and the
@@ -159,7 +133,7 @@ func render(w io.Writer, cv *obs.ClusterView, prevCalls map[string]uint64, dt ti
 func drill(client *http.Client, base, peers, slowSite, traceID string, stdout, stderr io.Writer) int {
 	id := traceID
 	if slowSite != "" {
-		exs, err := fetchSlow(client, base)
+		exs, err := obs.Get[[]trace.Exemplar](client, base, "/slow")
 		if err != nil {
 			fmt.Fprintf(stderr, "rmitop: %v\n", err)
 			return 1
@@ -198,54 +172,17 @@ func drill(client *http.Client, base, peers, slowSite, traceID string, stdout, s
 		}
 		fmt.Fprintln(stdout)
 	}
-	target := base + "/traces/" + url.PathEscape(id) + "?merge=1"
+	target := "/traces/" + url.PathEscape(id) + "?merge=1"
 	if peers != "" {
 		target += "&peers=" + url.QueryEscape(peers)
 	}
-	view, err := fetchTraceView(client, target)
+	view, err := obs.Get[obs.TraceView](client, base, target)
 	if err != nil {
 		fmt.Fprintf(stderr, "rmitop: %v\n", err)
 		return 1
 	}
-	renderTree(stdout, view)
+	renderTree(stdout, &view)
 	return 0
-}
-
-// fetchSlow pulls the aggregator's /slow exemplars.
-func fetchSlow(client *http.Client, base string) ([]trace.Exemplar, error) {
-	resp, err := client.Get(base + "/slow")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET /slow: status %d", resp.StatusCode)
-	}
-	var exs []trace.Exemplar
-	if err := json.NewDecoder(resp.Body).Decode(&exs); err != nil {
-		return nil, fmt.Errorf("decode exemplars: %w", err)
-	}
-	return exs, nil
-}
-
-// fetchTraceView pulls and decodes one merged /traces/<id> document.
-func fetchTraceView(client *http.Client, target string) (*obs.TraceView, error) {
-	resp, err := client.Get(target)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: status %d", target, resp.StatusCode)
-	}
-	var view obs.TraceView
-	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-		return nil, fmt.Errorf("decode trace view: %w", err)
-	}
-	if view.Version != obs.TracesVersion {
-		return nil, fmt.Errorf("trace view version %d, want %d", view.Version, obs.TracesVersion)
-	}
-	return &view, nil
 }
 
 // renderTree writes one reconstructed trace as an indented call tree

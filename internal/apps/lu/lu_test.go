@@ -5,11 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"cormi/internal/balance"
 	"cormi/internal/core"
 	"cormi/internal/rmi"
-	"cormi/internal/serial"
 	"cormi/internal/transport"
-	"cormi/internal/wire"
 )
 
 func TestSequentialBlockMathAgreesWithScalarLU(t *testing.T) {
@@ -170,7 +169,7 @@ func TestLUTotalLossTerminates(t *testing.T) {
 // and read context it took. It used to strand a handful of buffers per
 // run on wire.Message structs released with their buffer attached.
 func TestLUOverTCPLeavesPoolsBalanced(t *testing.T) {
-	frames0, ctxs0 := wire.Stats().Outstanding, serial.ReadCtxStats().Outstanding
+	mark := balance.Take()
 	for run := 0; run < 3; run++ {
 		nw, err := transport.NewTCPNetworkLocal(2)
 		if err != nil {
@@ -186,15 +185,7 @@ func TestLUOverTCPLeavesPoolsBalanced(t *testing.T) {
 		nw.Close()
 	}
 	// Read loops unwind on their own goroutines after Close returns.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		frames, ctxs := wire.Stats().Outstanding-frames0, serial.ReadCtxStats().Outstanding-ctxs0
-		if frames == 0 && ctxs == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("after 3 runs: %+d frame buffers, %+d read contexts outstanding", frames, ctxs)
-		}
-		time.Sleep(time.Millisecond)
+	if err := mark.Settled(nil); err != nil {
+		t.Fatalf("after 3 runs: %v", err)
 	}
 }

@@ -93,11 +93,11 @@ type Outcome struct {
 }
 
 // Search runs the exhaustive search at the given optimization level.
-func Search(level rmi.OptLevel, p Params) (Outcome, error) {
+func Search(level rmi.OptLevel, p Params, clusterOpts ...rmi.Option) (Outcome, error) {
 	if p.Nodes < 1 || p.MaxLen < 1 {
 		return Outcome{}, fmt.Errorf("superopt: bad params")
 	}
-	cluster := rmi.New(p.Nodes)
+	cluster := rmi.New(p.Nodes, clusterOpts...)
 	defer cluster.Close()
 	res, err := core.CompileInto(Src, cluster.Registry)
 	if err != nil {

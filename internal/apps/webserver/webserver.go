@@ -94,11 +94,11 @@ func DefaultParams() Params {
 }
 
 // Run serves p.Requests requests at the given optimization level.
-func Run(level rmi.OptLevel, p Params) (Outcome, error) {
+func Run(level rmi.OptLevel, p Params, clusterOpts ...rmi.Option) (Outcome, error) {
 	if p.Nodes < 1 || p.Requests < 0 {
 		return Outcome{}, fmt.Errorf("webserver: bad params")
 	}
-	cluster := rmi.New(p.Nodes)
+	cluster := rmi.New(p.Nodes, clusterOpts...)
 	defer cluster.Close()
 	res, err := core.CompileInto(Src, cluster.Registry)
 	if err != nil {

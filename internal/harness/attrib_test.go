@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"cormi/internal/obs"
 )
 
 // The acceptance scenario for cluster-wide attribution: three nodes,
@@ -11,12 +13,12 @@ import (
 // carry every node's calls, monotone quantiles, blame shifted to
 // execute by the slow node, and at least one captured exemplar.
 func TestRunAttribBlamesSlowExecutor(t *testing.T) {
-	spec := AttribSpec{Nodes: 3, Sends: 16, SlowNode: 2, SlowDelay: time.Millisecond, Spikes: 2, Warmup: 6}
-	rows, err := RunAttrib(spec)
+	spec := attribSpec{Nodes: 3, Sends: 16, SlowNode: 2, SlowDelay: time.Millisecond, Spikes: 2, Warmup: 6}
+	rows, err := runAttrib(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var row *AttribRow
+	var row *obs.ClusterSite
 	for i := range rows {
 		if rows[i].Site == attribSite {
 			row = &rows[i]
@@ -45,11 +47,11 @@ func TestRunAttribBlamesSlowExecutor(t *testing.T) {
 		t.Errorf("exemplars = %d, want >= 1 (spikes cross the armed threshold)", row.Exemplars)
 	}
 
-	out := FormatAttrib(rows)
+	out := formatAttrib(rows)
 	t.Logf("merged attribution table:\n%s", out)
 	for _, want := range []string{attribSite, "top_blame", "execute"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("FormatAttrib missing %q:\n%s", want, out)
+			t.Errorf("formatAttrib missing %q:\n%s", want, out)
 		}
 	}
 }

@@ -1,28 +1,85 @@
 package harness
 
-// Chained-dependency workload for the asynchronous RMI layer: a depth-N
-// chain of calls where each call's argument is the previous call's
-// result. Synchronously the chain costs N round trips; with promise
-// pipelining the caller ships every call immediately (arguments named
-// by promise handle) and the whole chain costs one round trip. The
-// workload measures both the virtual-time chain latency — the
-// deterministic causal critical path, robust to scheduler noise — and
-// the physical frames per operation, which the per-link batcher drives
-// below one for small coalesced calls.
+// The chain workloads: chains of depth calls, each call's argument the
+// previous call's result, driven in one of six ways (ChainMode).
+// Whatever the mode, the level and the link condition, a chain must
+// compute the same thing — "the same parameter passing semantics are
+// observed regardless of the location of the called object" (§1), held
+// to every adapter the runtime has grown since — which TestModeMatrix
+// asserts. The int chain step(x) = x+1 has its virtual latency per mode
+// pinned exactly (TestChainModes); the list chain's callee writes to its
+// argument, so copy semantics are part of the answer.
 
 import (
 	"fmt"
+	"hash/fnv"
+	"sync/atomic"
+	"time"
 
+	"cormi/internal/apps/appkit"
+	"cormi/internal/core"
 	"cormi/internal/model"
 	"cormi/internal/rmi"
 	"cormi/internal/serial"
 	"cormi/internal/wire"
 )
 
-// stepSite registers the int → int call site of a step(x) = x+1
-// service.
-func stepSite(c *rmi.Cluster, level rmi.OptLevel, site, method string) (*rmi.CallSite, error) {
-	return c.NewCallSite(level, rmi.SiteSpec{
+// ChainMode names one way of driving the dependent chains.
+type ChainMode string
+
+const (
+	// ChainSync invokes each link synchronously: N round trips.
+	ChainSync ChainMode = "sync"
+	// ChainFutures issues link d of every chain as a plain future, then
+	// waits for them all: several calls of one site at the callee at once.
+	ChainFutures ChainMode = "futures"
+	// ChainAsync passes futures as arguments over a link whose peer did
+	// NOT negotiate pipelining: the runtime demotes to resolve-then-send,
+	// at sync's cost and a PipelineFallback per dependent call.
+	ChainAsync ChainMode = "async"
+	// ChainPipelined passes futures as arguments over a capable link:
+	// one round trip for the whole chain.
+	ChainPipelined ChainMode = "pipelined"
+	// ChainBatched is ChainPipelined plus the per-link frame batcher:
+	// same virtual latency, fewer physical frames.
+	ChainBatched ChainMode = "batched"
+	// ChainLocal is ChainSync with the service on the caller's own node:
+	// no frame leaves it, arguments and results are cloned.
+	ChainLocal ChainMode = "local"
+)
+
+// Every mode, and the four `rmibench -chain` reports, in its order.
+var (
+	AllChainModes   = []ChainMode{ChainSync, ChainFutures, ChainAsync, ChainPipelined, ChainBatched, ChainLocal}
+	chainTableModes = []ChainMode{ChainSync, ChainAsync, ChainPipelined, ChainBatched}
+)
+
+// options are the cluster options the mode adds to the condition's.
+func (m ChainMode) options() []rmi.Option {
+	switch m {
+	case ChainAsync:
+		// The callee masks the capability, so the link negotiates it away.
+		return []rmi.Option{rmi.WithoutCaps(1, wire.CapPipelining)}
+	case ChainBatched:
+		return []rmi.Option{rmi.WithBatching(rmi.BatchConfig{})}
+	}
+	return nil
+}
+
+// chainKind is one chain program: setup registers its call site and
+// exports its service on node — the method runs exec, then answers step
+// of its argument, which step may write to — and seed starts chain it.
+type chainKind struct {
+	name    string
+	objects bool
+	setup   func(c *rmi.Cluster, level rmi.OptLevel, node int, exec func(*rmi.Call)) (cs *rmi.CallSite, ref rmi.Ref, err error)
+	seed    func(c *rmi.Cluster, it int) model.Value
+	step    func(x model.Value) model.Value
+}
+
+// stepSite registers the int → int call site of a step(x) = x+1 service.
+func stepSite(c *rmi.Cluster, level rmi.OptLevel, site, method string) *rmi.CallSite {
+	return c.MustNewCallSite(level, rmi.SiteSpec{
 		Name:     site,
 		Method:   method,
 		ArgPlans: []*serial.Plan{serial.PrimitivePlan(site, model.FInt)},
@@ -31,173 +88,279 @@ func stepSite(c *rmi.Cluster, level rmi.OptLevel, site, method string) (*rmi.Cal
 	})
 }
 
-// stepFixture is stepSite plus the service itself, exported on node:
-// method returns x+1 after running exec (nil for none).
-func stepFixture(c *rmi.Cluster, level rmi.OptLevel, node int, site, service, method string, exec func(*rmi.Call)) (*rmi.CallSite, rmi.Ref, error) {
-	cs, err := stepSite(c, level, site, method)
-	if err != nil {
-		return nil, rmi.Ref{}, err
-	}
-	ref := c.Node(node).Export(&rmi.Service{Name: service, Methods: map[string]rmi.Method{
+// export publishes a service on node whose one method runs exec (nil
+// for none), then answers step of its argument.
+func export(c *rmi.Cluster, node int, service, method string, exec func(*rmi.Call), step func(model.Value) model.Value) rmi.Ref {
+	return c.Node(node).Export(&rmi.Service{Name: service, Methods: map[string]rmi.Method{
 		method: func(call *rmi.Call, args []model.Value) []model.Value {
 			if exec != nil {
 				exec(call)
 			}
-			return []model.Value{model.Int(args[0].I + 1)}
+			return []model.Value{step(args[0])}
 		},
 	}})
-	return cs, ref, nil
 }
 
-// ChainMode names one way of driving the dependent chain.
-type ChainMode string
+func increment(x model.Value) model.Value { return model.Int(x.I + 1) }
 
-const (
-	// ChainSync invokes each link synchronously: N round trips.
-	ChainSync ChainMode = "sync"
-	// ChainAsync uses futures with promise arguments over a link whose
-	// peer did NOT negotiate pipelining: the runtime demotes to
-	// resolve-then-send, so it behaves like sync and counts a
-	// PipelineFallback per dependent call. This is the capability-
-	// demotion control group.
-	ChainAsync ChainMode = "async"
-	// ChainPipelined uses futures with promise arguments over a fully
-	// capable link: one round trip for the whole chain.
-	ChainPipelined ChainMode = "pipelined"
-	// ChainBatched is ChainPipelined plus the per-link frame batcher:
-	// same virtual latency, fewer physical frames.
-	ChainBatched ChainMode = "batched"
-)
-
-// allChainModes lists the modes in report order.
-var allChainModes = []ChainMode{ChainSync, ChainAsync, ChainPipelined, ChainBatched}
-
-// ChainRow is one measured mode of the chained workload.
-type ChainRow struct {
-	Mode   string
-	Depth  int
-	Chains int
-	// ChainLatencyNS is the virtual-time cost of one depth-N chain:
-	// deterministic, so ratios between modes are exact properties of
-	// the protocol, not of the host machine.
-	ChainLatencyNS int64
-	// FramesPerOp is physical network frames per call (calls + replies,
-	// after batching). Unbatched request/response traffic sits at 2.0.
-	FramesPerOp float64
-	// Fallbacks counts pipelined sends demoted to resolve-then-send
-	// (nonzero only in async mode, where the capability is masked).
-	Fallbacks int64
+// intChain is step(x) = x+1 over hand-built primitive plans.
+var intChain = chainKind{
+	name: "Chain",
+	setup: func(c *rmi.Cluster, level rmi.OptLevel, node int, exec func(*rmi.Call)) (*rmi.CallSite, rmi.Ref, error) {
+		return stepSite(c, level, "Chain.step.1", "step"), export(c, node, "Chain", "step", exec, increment), nil
+	},
+	seed: func(_ *rmi.Cluster, it int) model.Value { return model.Int(int64(it)) },
+	step: increment,
 }
 
-// runChainMode measures one mode of the depth-deep dependent chain,
-// repeated chains times.
-func runChainMode(mode ChainMode, depth, chains int) (ChainRow, error) {
-	if depth < 1 || chains < 1 {
-		return ChainRow{}, fmt.Errorf("harness: chain needs depth and chains >= 1 (got %d, %d)", depth, chains)
+// listChainSrc is the list chain's communication sketch: the callee
+// adds 100 to every element of its argument — a write the caller must
+// never see — and answers a fresh list one element longer; the caller
+// reads its argument after the call. So the compiler may grant argument
+// reuse at the callee (nothing of the argument survives the call) and
+// must deny return reuse at the caller (the result is live across the
+// site's next firing).
+const listChainSrc = `
+class L {
+	int v;
+	L next;
+	L(int v, L n) { this.v = v; this.next = n; }
+}
+remote class Grower {
+	L step(L l) {
+		L out = new L(0, null);
+		L p = l;
+		while (p != null) {
+			p.v = p.v + 100;
+			out = new L(p.v, out);
+			p = p.next;
+		}
+		return out;
 	}
-	var opts []rmi.Option
-	switch mode {
-	case ChainSync:
-	case ChainAsync:
-		// Mask the capability on the callee so the link negotiates
-		// pipelining away and the async layer takes its fallback.
-		opts = append(opts, rmi.WithoutCaps(1, wire.CapPipelining))
-	case ChainPipelined:
-	case ChainBatched:
-		opts = append(opts, rmi.WithBatching(rmi.BatchConfig{}))
-	default:
-		return ChainRow{}, fmt.Errorf("harness: unknown chain mode %q", mode)
+}
+class Main {
+	static int main() {
+		Grower g = new Grower();
+		L l = new L(1, null);
+		int seen = 0;
+		for (int i = 0; i < 5; i = i + 1) {
+			L r = g.step(l);
+			seen = seen + l.v;
+			l = r;
+		}
+		return seen + l.v;
 	}
-	c := rmi.New(2, opts...)
-	defer c.Close()
+}
+`
 
-	// A fixed compute cost gives the virtual timeline an execution
-	// component as well as the flight legs.
-	cs, ref, err := stepFixture(c, rmi.LevelSite, 1, "Chain.step.1", "Chain", "step", func(call *rmi.Call) { call.Compute(500) })
-	if err != nil {
-		return ChainRow{}, err
-	}
-	caller := c.Node(0)
+// newL allocates one list cell of the compiled class L (v, next).
+func newL(l *model.Class, v int64, next *model.Object) *model.Object {
+	o := model.New(l)
+	o.Fields[0], o.Fields[1] = model.Int(v), model.Ref(next)
+	return o
+}
 
-	framesBefore := c.Counters.NetFrames.Load()
-	virtBefore := c.MaxTime()
-	for it := 0; it < chains; it++ {
-		want := int64(it + depth)
-		switch mode {
-		case ChainSync:
-			x := model.Int(int64(it))
-			for d := 0; d < depth; d++ {
-				vals, err := cs.Invoke(caller, ref, []model.Value{x})
-				if err != nil {
-					return ChainRow{}, fmt.Errorf("harness: chain sync: %w", err)
+// listChain is Grower.step, its call site compiled from listChainSrc.
+var listChain = chainKind{
+	name:    "ListChain",
+	objects: true,
+	setup: func(c *rmi.Cluster, level rmi.OptLevel, node int, exec func(*rmi.Call)) (*rmi.CallSite, rmi.Ref, error) {
+		res, err := core.CompileInto(listChainSrc, c.Registry)
+		if err != nil {
+			return nil, rmi.Ref{}, err
+		}
+		si, err := appkit.SoleSite(res, "Grower.step")
+		if err != nil {
+			return nil, rmi.Ref{}, err
+		}
+		cs, err := appkit.Register(c, level, si)
+		return cs, export(c, node, "Grower", "step", exec, growList), err
+	},
+	seed: func(c *rmi.Cluster, it int) model.Value {
+		return model.Ref(newL(c.Registry.MustByName("L"), int64(it), nil))
+	},
+	step: growList,
+}
+
+// growList is Grower.step as the service runs it.
+func growList(x model.Value) model.Value {
+	out := newL(x.O.Class, 0, nil)
+	for p := x.O; p != nil; p = p.Fields[1].O {
+		p.Fields[0].I += 100
+		out = newL(x.O.Class, p.Fields[0].I, out)
+	}
+	return model.Ref(out)
+}
+
+// digest folds values — ints, or lists of L — into one number.
+func digest(vals []model.Value) uint64 {
+	h := fnv.New64a()
+	for _, v := range vals {
+		fmt.Fprintf(h, "%d[", v.I)
+		// Bounded, so a list that a reuse bug tied into a cycle ends.
+		for p, n := v.O, 0; p != nil && n < 1<<16; p, n = p.Fields[1].O, n+1 {
+			fmt.Fprintf(h, "%d,", p.Fields[0].I)
+		}
+	}
+	return h.Sum64()
+}
+
+// driveChains runs one chain of depth calls through cs from each seed
+// and returns the chains' last results. A promise-passing mode issues a
+// whole chain before waiting: one promised future per link, each later
+// call naming the previous future as its argument (a link without the
+// capability demotes every dependent send; the program is the same).
+// waitAll waits every future of such a chain, not the last only: under
+// loss a dropped producer frame is retransmitted by its own waiter, and
+// an unwaited promised future leaves its caller span abandoned.
+func driveChains(cs *rmi.CallSite, caller *rmi.Node, ref rmi.Ref, mode ChainMode, depth int, seeds []model.Value, waitAll bool) ([]model.Value, error) {
+	xs := append([]model.Value(nil), seeds...)
+	var first error
+	// wait collects link d of chain it, the chain's next argument.
+	wait := func(it, d int, f *rmi.Future) {
+		if vals, err := f.Wait(); err == nil {
+			xs[it] = vals[0]
+		} else if first == nil {
+			first = fmt.Errorf("chain %d link %d: %w", it, d, err)
+		}
+	}
+	switch {
+	case mode == ChainFutures:
+		futs := make([]*rmi.Future, len(xs))
+		for d := 0; d < depth && first == nil; d++ {
+			for it := range xs {
+				futs[it] = cs.InvokeAsync(caller, ref, []model.Value{xs[it]}, rmi.AsyncOpts{})
+			}
+			for it, f := range futs {
+				wait(it, d, f)
+				f.Release()
+			}
+		}
+	case mode == ChainAsync || mode == ChainPipelined || mode == ChainBatched:
+		futs := make([]*rmi.Future, depth)
+		for it := 0; it < len(xs) && first == nil; it++ {
+			for d := range futs {
+				opts, arg := rmi.AsyncOpts{Promised: d < depth-1}, xs[it]
+				if d > 0 {
+					opts.Promises, arg = []rmi.PromiseArg{{Arg: 0, Fut: futs[d-1]}}, model.Value{}
 				}
-				x = vals[0]
+				futs[d] = cs.InvokeAsync(caller, ref, []model.Value{arg}, opts)
 			}
-			if x.I != want {
-				return ChainRow{}, fmt.Errorf("harness: chain sync: got %d, want %d", x.I, want)
-			}
-		default:
-			// One promised future per link; each subsequent call names
-			// the previous future as its argument. In async mode the
-			// runtime demotes every dependent send to resolve-then-send;
-			// the program text is identical.
-			futs := make([]*rmi.Future, depth)
-			futs[0] = cs.InvokeAsync(caller, ref, []model.Value{model.Int(int64(it))}, rmi.AsyncOpts{Promised: true})
-			for d := 1; d < depth; d++ {
-				futs[d] = cs.InvokeAsync(caller, ref, []model.Value{{}}, rmi.AsyncOpts{
-					Promised: d < depth-1,
-					Promises: []rmi.PromiseArg{{Arg: 0, Fut: futs[d-1]}},
-				})
-			}
-			vals, err := futs[depth-1].Wait()
-			if err != nil {
-				return ChainRow{}, fmt.Errorf("harness: chain %s: %w", mode, err)
-			}
-			if vals[0].I != want {
-				return ChainRow{}, fmt.Errorf("harness: chain %s: got %d, want %d", mode, vals[0].I, want)
+			for d, f := range futs {
+				if waitAll || d == depth-1 {
+					wait(it, d, f)
+				}
 			}
 			for _, f := range futs {
 				f.Release()
 			}
 		}
-	}
-	c.FlushBatches()
-	row := ChainRow{
-		Mode:           string(mode),
-		Depth:          depth,
-		Chains:         chains,
-		ChainLatencyNS: (c.MaxTime() - virtBefore) / int64(chains),
-		FramesPerOp: float64(c.Counters.NetFrames.Load()-framesBefore) /
-			float64(chains*depth),
-		Fallbacks: c.Counters.PipelineFallbacks.Load(),
-	}
-	return row, nil
-}
-
-// RunChain measures every chain mode at the given depth.
-func RunChain(depth, chains int) ([]ChainRow, error) {
-	rows := make([]ChainRow, 0, len(allChainModes))
-	for _, mode := range allChainModes {
-		row, err := runChainMode(mode, depth, chains)
-		if err != nil {
-			return nil, err
+	default:
+		for it := 0; it < len(xs) && first == nil; it++ {
+			for d := 0; d < depth && first == nil; d++ {
+				vals, err := cs.Invoke(caller, ref, []model.Value{xs[it]})
+				if err != nil {
+					first = fmt.Errorf("chain %d link %d: %w", it, d, err)
+				} else {
+					xs[it] = vals[0]
+				}
+			}
 		}
-		rows = append(rows, row)
 	}
-	return rows, nil
+	return xs, first
 }
 
-// FormatChain renders chain rows as an aligned summary table.
-func FormatChain(rows []ChainRow) string {
-	if len(rows) == 0 {
-		return "no chain rows\n"
+// chainWorkload is kind driven in mode on two nodes, each method body
+// charging a fixed compute cost so the virtual timeline has an
+// execution component beside the flight legs. Its witness: every chain
+// gives what folding step over a copy of its seed gives, every link ran
+// exactly once, and there is a pipeline fallback per dependent call
+// where the capability is masked, a pipelined call per dependent call
+// where promises pipeline, none elsewhere. Its answer: the results, the
+// seeds as the caller sees them afterwards (the callee's writes to its
+// argument must not show) and the execution count.
+func chainWorkload(kind chainKind, mode ChainMode, depth, chains int, waitAll bool) Workload {
+	return Workload{Name: kind.name, Mode: mode, Objects: kind.objects, Run: func(level rmi.OptLevel, _ Scale, opts []rmi.Option) (Outcome, error) {
+		c := rmi.New(2, append(opts, mode.options()...)...)
+		defer c.Close()
+		out := Outcome{Depth: depth, Chains: chains, overload: c.Overload}
+		callee := 1
+		if mode == ChainLocal {
+			callee = 0
+		}
+		var execs atomic.Int64
+		cs, ref, err := kind.setup(c, level, callee, func(call *rmi.Call) {
+			execs.Add(1)
+			call.Compute(500)
+			if mode == ChainFutures {
+				// Hold the argument while the rest of the wave arrives:
+				// whatever they are unmarshalled into must not be it.
+				time.Sleep(100 * time.Microsecond)
+			}
+		})
+		if err != nil {
+			return out, err
+		}
+		seeds, folded := make([]model.Value, chains), make([]model.Value, chains)
+		for it := range seeds {
+			seeds[it] = kind.seed(c, it)
+			folded[it] = model.CloneValue(seeds[it], nil)
+			for d := 0; d < depth; d++ {
+				folded[it] = kind.step(folded[it])
+			}
+		}
+
+		frames, virt := c.Counters.NetFrames.Load(), c.MaxTime()
+		got, err := driveChains(cs, c.Node(0), ref, mode, depth, seeds, waitAll)
+		c.FlushBatches()
+		out.RunResult = appkit.Collect(c)
+		out.ChainLatencyNS = (c.MaxTime() - virt) / int64(chains)
+		out.FramesPerOp = float64(c.Counters.NetFrames.Load()-frames) / float64(chains*depth)
+		if err != nil {
+			return out, err
+		}
+		results := digest(got)
+		out.Answer = fmt.Sprintf("results %016x, arguments after %016x, %d executions", results, digest(seeds), execs.Load())
+
+		// Fallbacks and pipelined calls per dependent call, by mode.
+		links, dependent := int64(chains*depth), int64(chains*(depth-1))
+		want := map[ChainMode][2]int64{ChainAsync: {dependent, 0}, ChainPipelined: {0, dependent}, ChainBatched: {0, dependent}}[mode]
+		switch {
+		case results != digest(folded):
+			return out, fmt.Errorf("chain results differ from folding step over the seeds")
+		case execs.Load() != links:
+			return out, fmt.Errorf("method body executed %d times, want exactly %d", execs.Load(), links)
+		case out.Stats.PipelineFallbacks != want[0] || out.Stats.PipelinedCalls != want[1]:
+			return out, fmt.Errorf("%d pipeline fallbacks and %d pipelined calls, want %d and %d",
+				out.Stats.PipelineFallbacks, out.Stats.PipelinedCalls, want[0], want[1])
+		}
+		return out, nil
+	}}
+}
+
+// chainWorkloads is kind in each of modes.
+func chainWorkloads(kind chainKind, modes []ChainMode, depth, chains int, waitAll bool) []Workload {
+	ws := make([]Workload, len(modes))
+	for i, m := range modes {
+		ws[i] = chainWorkload(kind, m, depth, chains, waitAll)
 	}
-	var b []byte
-	b = fmt.Appendf(b, "%-10s %6s %7s %18s %13s %10s\n",
-		"mode", "depth", "chains", "chain_latency_ns", "frames_per_op", "fallbacks")
-	for _, r := range rows {
-		b = fmt.Appendf(b, "%-10s %6d %7d %18d %13.3f %10d\n",
-			r.Mode, r.Depth, r.Chains, r.ChainLatencyNS, r.FramesPerOp, r.Fallbacks)
+	return ws
+}
+
+// RunChain measures the int chain in the four modes of the chain table
+// at level site over a clean channel network, awaiting only a chain's
+// last future (what the pinned virtual latencies were measured with).
+func RunChain(depth, chains int) (*Report, error) {
+	if depth < 1 || chains < 1 {
+		return nil, fmt.Errorf("harness: chain needs depth and chains >= 1 (got %d, %d)", depth, chains)
 	}
-	return string(b)
+	rep := &Report{Cols: []Column[Row]{
+		{"mode", -10, "%s", func(r *Row) any { return r.Mode }},
+		depthCol, chainsCol,
+		{"chain_latency_ns", 18, "%d", func(r *Row) any { return r.ChainLatencyNS }},
+		{"frames_per_op", 13, "%.3f", func(r *Row) any { return r.FramesPerOp }},
+		{"fallbacks", 10, "%d", func(r *Row) any { return r.Stats.PipelineFallbacks }},
+	}}
+	return rep, runGrid(rep, Scale{Nodes: 2}, chainWorkloads(intChain, chainTableModes, depth, chains, false),
+		[]Condition{Clean}, []rmi.OptLevel{rmi.LevelSite})
 }

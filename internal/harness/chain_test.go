@@ -2,8 +2,13 @@ package harness
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
+
+// chainRun is the depth-8 chain table, run once for the gate below and
+// the renderer golden (report_test.go).
+var chainRun = sync.OnceValues(func() (*Report, error) { return RunChain(8, 100) })
 
 // TestChainModes pins the promise-pipelining result on the depth-8
 // chain. Latencies are simtime virtual nanoseconds, a function of the
@@ -13,10 +18,11 @@ import (
 // round trip, and batching changes the frame count, never the latency.
 func TestChainModes(t *testing.T) {
 	const depth, chains = 8, 100
-	rows, err := RunChain(depth, chains)
+	rep, err := chainRun()
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := rep.Rows
 	want := []struct {
 		mode      ChainMode
 		latencyNS int64
@@ -38,8 +44,8 @@ func TestChainModes(t *testing.T) {
 		if r.ChainLatencyNS != w.latencyNS {
 			t.Errorf("%s: chain latency %dns, want %d", r.Mode, r.ChainLatencyNS, w.latencyNS)
 		}
-		if r.Fallbacks != w.fallbacks {
-			t.Errorf("%s: %d pipeline fallbacks, want %d", r.Mode, r.Fallbacks, w.fallbacks)
+		if r.Stats.PipelineFallbacks != w.fallbacks {
+			t.Errorf("%s: %d pipeline fallbacks, want %d", r.Mode, r.Stats.PipelineFallbacks, w.fallbacks)
 		}
 		// Only a chain's last future is awaited, so the counter can be
 		// read before the final chain's other replies are sent: unbatched

@@ -1,7 +1,10 @@
 package harness
 
 import (
+	"sync"
 	"testing"
+
+	"cormi/internal/rmi"
 )
 
 // chaosScale is a reduced workload: fault recovery costs real time (a
@@ -15,12 +18,16 @@ func chaosScale() Scale {
 	return s
 }
 
+// chaosRun is the chaos report of the fixed seed, run once for the
+// gate below and the renderer golden (report_test.go).
+var chaosRun = sync.OnceValues(func() (*Report, error) { return Chaos(chaosScale(), DefaultChaosSpec(42)) })
+
 // TestChaosAllLevels is the acceptance gate for the fault-tolerance
 // layer: the LU and micro apps complete with correct results under
 // seeded drop+dup+reorder+corrupt at all five optimization levels, and
 // no user method body is executed more than once per logical call.
 func TestChaosAllLevels(t *testing.T) {
-	report, err := Chaos(chaosScale(), DefaultChaosSpec(42))
+	report, err := chaosRun()
 	if err != nil {
 		t.Fatalf("chaos run failed: %v\n%s", err, report.Format())
 	}
@@ -64,7 +71,10 @@ func TestChaosAllLevels(t *testing.T) {
 // a duplicated frame must be absorbed by dedup without re-splicing the
 // promise.
 func TestChaosAsync(t *testing.T) {
-	report, err := ChaosAsync(DefaultChaosSpec(42), 6, 12)
+	spec := DefaultChaosSpec(42)
+	report := chaosReport(spec)
+	err := runGrid(report, Scale{Nodes: 2}, chainWorkloads(intChain, []ChainMode{ChainPipelined}, 6, 12, true),
+		[]Condition{Faulty(spec)}, rmi.AllLevels)
 	if err != nil {
 		t.Fatalf("async chaos run failed: %v\n%s", err, report.Format())
 	}

@@ -13,10 +13,11 @@ import (
 // implies and a critical path accounting for the measured wall time.
 func TestDTraceChainReconstructsSingleTree(t *testing.T) {
 	spec := DefaultDTraceSpec()
-	row, err := RunDTrace(spec)
+	rep, err := RunDTrace(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	row := &rep.Rows[0]
 	t.Logf("dtrace row: %+v", row)
 	if row.Traces != spec.Chains {
 		t.Errorf("sampled %d traces, want %d (one per chain)", row.Traces, spec.Chains)
@@ -24,7 +25,9 @@ func TestDTraceChainReconstructsSingleTree(t *testing.T) {
 	if row.Roots != 1 {
 		t.Errorf("reconstructed tree has %d roots, want exactly 1", row.Roots)
 	}
-	if want := dtraceSpansPerStep * spec.Depth; row.SpansPerTrace != want {
+	// One chain link contributes four spans: caller+callee for the step
+	// call, caller+callee for the nested leaf call.
+	if want := 4 * spec.Depth; row.SpansPerTrace != want {
 		t.Errorf("%d spans per trace, want %d (caller+callee for step and leaf per link)",
 			row.SpansPerTrace, want)
 	}

@@ -1,18 +1,19 @@
-// Package harness regenerates the paper's evaluation tables (§5,
-// Tables 1–8): each workload runs once per optimization level, and the
-// results are formatted in the paper's layout — a seconds+gain table
-// per application and a runtime-statistics table for LU, the
-// superoptimizer and the webserver.
+// Package harness runs the repository's scenarios — the paper's
+// evaluation tables (§5, Tables 1–8), the chaos, version-skew and
+// call-mode runs, the tracing and attribution scenarios — as selections
+// of one table (DESIGN.md §7): a Workload runs at an optimization level
+// under a link Condition, a chain workload additionally in a ChainMode,
+// and every cell yields one Row of one Report whose printed columns are
+// data.
 package harness
 
 import (
 	"fmt"
 	"strings"
 
-	"cormi/internal/apps/micro"
+	"cormi/internal/apps/appkit"
 	"cormi/internal/rmi"
 	"cormi/internal/stats"
-	"cormi/internal/trace"
 )
 
 // Scale sizes the workloads. The paper's sizes (1024 matrix, millions
@@ -53,127 +54,138 @@ func PaperScale() Scale {
 	}
 }
 
-// Row is one optimization level's measurement.
+// Outcome is what running one cell produced. A workload fills in what
+// it measures; the rest stays zero.
+type Outcome struct {
+	// Seconds is the virtual makespan, Stats the runtime counters.
+	appkit.RunResult
+	// Value is the number the paper's table reports for the workload:
+	// seconds, or µs per page for the webserver.
+	Value float64
+	// Answer is what the cell computed, in a form that compares across
+	// cells: every cell of one workload must give the first cell's,
+	// whatever its level, condition and mode.
+	Answer string
+
+	// The chain workloads: Chains chains of Depth dependent calls each.
+	// ChainLatencyNS is the virtual-time cost of one chain —
+	// deterministic, so ratios between modes are properties of the
+	// protocol, not of the host — FramesPerOp the network frames per
+	// call (calls and replies; 2 unless batched).
+	Depth, Chains  int
+	ChainLatencyNS int64
+	FramesPerOp    float64
+
+	// TreeFacts is filled by the distributed-tracing scenario.
+	TreeFacts
+
+	// overload reads the cell's (closed) cluster's backlog gauges for
+	// the balance check; nil when the workload keeps its cluster.
+	overload func() stats.OverloadStats
+}
+
+// Row is one cell of the scenario table: which cell it is, what came
+// out, and why it failed if it did.
 type Row struct {
-	Level   rmi.OptLevel
-	Value   float64 // seconds or µs/page
-	Stats   stats.Snapshot
-	Details string // extra correctness note
+	App   string
+	Level rmi.OptLevel
+	Cond  string // link condition
+	Mode  string // chain mode; empty for the other workloads
+	Nodes int
+	Outcome
+	Err error
 }
 
-// Table is one reproduced paper table.
-type Table struct {
-	ID      int
-	Title   string
-	Unit    string // "seconds" or "µs per Webpage"
-	Rows    []Row
-	IsStats bool // render the runtime-statistics layout
-	Caveats []string
+// Cell names the row's cell by every axis it has.
+func (r *Row) Cell() string {
+	return strings.TrimRight(fmt.Sprintf("%s @ %s / %s / %s", r.App, r.Level, r.Cond, r.Mode), " /")
 }
 
-// Gain returns the percentage gain of row i over the class baseline.
-func (t *Table) Gain(i int) float64 {
-	base := t.Rows[0].Value
-	if base == 0 {
-		return 0
+func (r *Row) result() string {
+	if r.Err != nil {
+		return "FAIL: " + r.Err.Error()
 	}
-	return 100 * (base - t.Rows[i].Value) / base
+	return "ok"
 }
 
-// Format renders the table in the paper's layout.
-func (t *Table) Format() string {
+// Column is one printed column over rows of type T: heading, width
+// (negative: left-aligned), a cell's fmt verb and where it comes from.
+type Column[T any] struct {
+	Name  string
+	Width int
+	Verb  string
+	Get   func(*T) any
+}
+
+// Render prints rows under cols as an aligned text table, one heading
+// line and one line per row. It is the package's only table printer.
+func Render[T any](cols []Column[T], rows []T) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Table %d: %s\n", t.ID, t.Title)
-	if t.IsStats {
-		// "The columns denoted with 'invocations' tell how many calls
-		// were made to serialization methods during the serialization
-		// process" (§5.2).
-		fmt.Fprintf(&b, "%-22s %12s %12s %12s %13s %14s %12s\n",
-			"Optimization", "reused objs", "local rpcs", "remote rpcs", "new (MBytes)", "cycle lookups", "invocations")
-		for _, r := range t.Rows {
-			fmt.Fprintf(&b, "%-22s %12d %12d %12d %13.2f %14d %12d\n",
-				r.Level, r.Stats.ReusedObjs, r.Stats.LocalRPCs, r.Stats.RemoteRPCs,
-				r.Stats.NewMBytes(), r.Stats.CycleLookups, r.Stats.SerializerCalls)
+	line := func(cell func(*Column[T]) string) {
+		for i := range cols {
+			if i > 0 {
+				b.WriteByte(' ')
+			}
+			fmt.Fprintf(&b, "%*s", cols[i].Width, cell(&cols[i]))
 		}
-	} else {
-		fmt.Fprintf(&b, "%-22s %12s %18s\n", "Compiler Optimization", t.Unit, "gain over 'class'")
-		for i, r := range t.Rows {
-			fmt.Fprintf(&b, "%-22s %12.2f %17.1f%%\n", r.Level, r.Value, t.Gain(i))
-		}
+		b.WriteByte('\n')
 	}
-	for _, c := range t.Caveats {
-		fmt.Fprintf(&b, "  note: %s\n", c)
+	line(func(c *Column[T]) string { return c.Name })
+	for i := range rows {
+		line(func(c *Column[T]) string { return fmt.Sprintf(c.Verb, c.Get(&rows[i])) })
 	}
 	return b.String()
 }
 
-// Table1 reproduces "LinkedList: 100 elements, 2 CPU's".
-func Table1(s Scale) (*Table, error) {
-	t := &Table{ID: 1, Unit: "seconds",
-		Title: fmt.Sprintf("LinkedList: %d elements, %d CPU's (%d sends).", s.ListElems, s.Nodes, s.ListIters)}
-	for _, level := range rmi.AllLevels {
-		out, err := micro.RunLinkedList(level, s.ListElems, s.ListIters)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, Row{Level: level, Value: out.Seconds, Stats: out.Stats})
-	}
-	t.Caveats = append(t.Caveats,
-		"the list is conservatively flagged cyclic, so the '+ cycle' rows match their bases (as in the paper)")
-	return t, nil
+// Report is a run of cells and how to print it: a title line, the
+// selected columns, and notes below the table.
+type Report struct {
+	ID    int // paper table number, 0 otherwise
+	Title string
+	Cols  []Column[Row]
+	Rows  []Row
+	Notes []string
 }
 
-// Table2 reproduces "2D array transmission, 16x16, 2 CPU's".
-func Table2(s Scale) (*Table, error) {
-	t := &Table{ID: 2, Unit: "seconds",
-		Title: fmt.Sprintf("2D array transmission, %dx%d, %d CPU's (%d sends).", s.ArraySize, s.ArraySize, s.Nodes, s.ArrayIters)}
-	for _, level := range rmi.AllLevels {
-		out, err := micro.RunArray(level, s.ArraySize, s.ArrayIters)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, Row{Level: level, Value: out.Seconds, Stats: out.Stats})
+// Format renders the report.
+func (r *Report) Format() string {
+	out := Render(r.Cols, r.Rows)
+	if r.Title != "" {
+		out = r.Title + "\n" + out
 	}
-	return t, nil
+	for _, n := range r.Notes {
+		out += "  note: " + n + "\n"
+	}
+	return out
 }
 
-// TraceReport is the outcome of a traced pass over the Table 1 and 2
-// workloads: the latency quantiles per (call site, phase) plus the
-// flight recorder's spans, exportable as Chrome-trace JSON with
-// trace.WriteChrome.
-type TraceReport struct {
-	Phases []trace.PhaseStat
-	Spans  []trace.SpanRecord
-}
-
-// RunTraced runs the micro workloads once per optimization level, iters
-// sends each, with a tracer attached. Tracing adds clock reads per
-// phase, so traced latencies are reported, never compared against
-// untraced ones.
-func RunTraced(iters int) (*TraceReport, error) {
-	tr := trace.New(trace.Config{RingSize: 4096})
-	for _, level := range rmi.AllLevels {
-		if _, err := micro.RunLinkedList(level, 100, iters, rmi.WithTracer(tr)); err != nil {
-			return nil, fmt.Errorf("harness: traced linkedlist @ %s: %w", level, err)
-		}
-		if _, err := micro.RunArray(level, 16, iters, rmi.WithTracer(tr)); err != nil {
-			return nil, fmt.Errorf("harness: traced array @ %s: %w", level, err)
+// Failed returns the first row-level error, if any.
+func (r *Report) Failed() error {
+	for i := range r.Rows {
+		if row := &r.Rows[i]; row.Err != nil {
+			return fmt.Errorf("%s: %w", row.Cell(), row.Err)
 		}
 	}
-	return &TraceReport{Phases: tr.PhaseStats(), Spans: tr.Recent()}, nil
+	return nil
 }
 
-// FormatPhases renders phase quantiles as an aligned summary table.
-func FormatPhases(phases []trace.PhaseStat) string {
-	if len(phases) == 0 {
-		return "no traced phases recorded\n"
+// Gain returns the percentage gain of row i's Value over the first
+// row's (the class baseline of a paper table).
+func (r *Report) Gain(i int) float64 { return gain(r.Rows[0].Value, r.Rows[i].Value) }
+
+func gain(base, v float64) float64 {
+	if base == 0 {
+		return 0
 	}
-	var b []byte
-	b = fmt.Appendf(b, "%-28s %-18s %9s %10s %10s %10s %10s\n",
-		"site", "phase", "count", "mean_ns", "p50_ns", "p95_ns", "p99_ns")
-	for _, p := range phases {
-		b = fmt.Appendf(b, "%-28s %-18s %9d %10.0f %10.0f %10.0f %10.0f\n",
-			p.Site, p.Phase, p.Count, p.MeanNS, p.P50NS, p.P95NS, p.P99NS)
-	}
-	return string(b)
+	return 100 * (base - v) / base
 }
+
+// Columns shared by several reports.
+var (
+	appCol     = Column[Row]{"app", -12, "%s", func(r *Row) any { return r.App }}
+	levelCol   = Column[Row]{"optimization", -22, "%v", func(r *Row) any { return r.Level }}
+	secondsCol = Column[Row]{"seconds", 10, "%.4f", func(r *Row) any { return r.Seconds }}
+	resultCol  = Column[Row]{"result", 7, "%s", func(r *Row) any { return r.result() }}
+	depthCol   = Column[Row]{"depth", 6, "%d", func(r *Row) any { return r.Depth }}
+	chainsCol  = Column[Row]{"chains", 7, "%d", func(r *Row) any { return r.Chains }}
+)

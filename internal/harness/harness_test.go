@@ -8,7 +8,7 @@ import (
 )
 
 func TestAllTablesGenerate(t *testing.T) {
-	tables, err := All(TestScale())
+	tables, err := Tables(TestScale(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestAllTablesGenerate(t *testing.T) {
 	// Statistics tables: cycle lookups vanish in the '+ cycle' rows.
 	for _, id := range []int{3, 5, 7} { // tables 4,6,8
 		tab := tables[id]
-		if !tab.IsStats {
+		if !strings.Contains(tab.Format(), "cycle lookups") {
 			t.Fatalf("table %d should be a statistics table", tab.ID)
 		}
 		if tab.Rows[2].Stats.CycleLookups != 0 || tab.Rows[4].Stats.CycleLookups != 0 {
@@ -50,15 +50,15 @@ func TestAllTablesGenerate(t *testing.T) {
 }
 
 func TestGainFormatting(t *testing.T) {
-	tab := &Table{ID: 1, Unit: "seconds", Title: "x",
-		Rows: []Row{{Level: rmi.LevelClass, Value: 100}, {Level: rmi.LevelSite, Value: 87}}}
+	tab := &Report{ID: 1, Title: "x",
+		Rows: []Row{{Level: rmi.LevelClass, Outcome: Outcome{Value: 100}}, {Level: rmi.LevelSite, Outcome: Outcome{Value: 87}}}}
 	if g := tab.Gain(1); g != 13 {
 		t.Fatalf("gain = %g", g)
 	}
 	if tab.Gain(0) != 0 {
 		t.Fatal("baseline gain nonzero")
 	}
-	zero := &Table{Rows: []Row{{Value: 0}, {Value: 0}}}
+	zero := &Report{Rows: []Row{{}, {}}}
 	if zero.Gain(1) != 0 {
 		t.Fatal("division by zero")
 	}

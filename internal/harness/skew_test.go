@@ -2,20 +2,27 @@ package harness
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"cormi/internal/rmi"
 )
+
+// skewRun is the version-skew report, run once for the gate below and
+// the renderer golden (report_test.go).
+var skewRun = sync.OnceValues(func() (*Report, error) {
+	s := TestScale()
+	s.ListIters, s.ArrayIters = 10, 10
+	s.LUN, s.LUBS = 32, 16
+	return VersionSkew(s, 1)
+})
 
 // TestVersionSkew is the mixed-version acceptance gate: a cluster with
 // one skewed node completes every workload at every level with correct
 // results, visible plan fallbacks on planned levels, and none in class
 // mode.
 func TestVersionSkew(t *testing.T) {
-	s := TestScale()
-	s.ListIters, s.ArrayIters = 10, 10
-	s.LUN, s.LUBS = 32, 16
-	rep, err := VersionSkew(s, 1)
+	rep, err := skewRun()
 	if err != nil {
 		t.Fatalf("version skew run failed: %v\n%s", err, rep.Format())
 	}

@@ -1,117 +1,136 @@
 package harness
 
+// The paper's evaluation (§5): each table is one workload over a clean
+// channel network at the five levels; a seconds+gain table and, for the
+// applications, a runtime-statistics table over the same rows (the
+// paper gathered its statistics on a separate instrumented run; our
+// counters are always on).
+
 import (
 	"fmt"
 
-	"cormi/internal/apps/lu"
-	"cormi/internal/apps/superopt"
-	"cormi/internal/apps/webserver"
 	"cormi/internal/rmi"
+	"cormi/internal/trace"
 )
 
-// Tables34 reproduces "LU: runtime" and "LU: runtime statistics" from
-// one instrumented run per level (the paper gathered the statistics on
-// a separate instrumented run; our counters are always on).
-func Tables34(s Scale) (*Table, *Table, error) {
-	t3 := &Table{ID: 3, Unit: "seconds",
-		Title: fmt.Sprintf("LU: runtime %d matrix (block size %d), %d CPU's.", s.LUN, s.LUBS, s.Nodes)}
-	t4 := &Table{ID: 4, IsStats: true,
-		Title: fmt.Sprintf("LU: runtime statistics %d matrix, %d CPU's.", s.LUN, s.Nodes)}
-	for _, level := range rmi.AllLevels {
-		out, err := lu.Run(level, s.LUN, s.LUBS, s.Nodes)
-		if err != nil {
-			return nil, nil, err
-		}
-		if out.MaxResidual > 1e-6 {
-			return nil, nil, fmt.Errorf("harness: LU residual %g at %v", out.MaxResidual, level)
-		}
-		t3.Rows = append(t3.Rows, Row{Level: level, Value: out.Seconds, Stats: out.Stats})
-		t4.Rows = append(t4.Rows, Row{Level: level, Stats: out.Stats})
-	}
-	t4.Caveats = append(t4.Caveats,
-		"with '+ reuse' only first-touch deserializations allocate; every identically-shaped block fetch after that reuses")
-	return t3, t4, nil
+// paper lists the evaluation's tables: a workload, the unit and title
+// of its seconds+gain table and, for the applications, the title of the
+// runtime-statistics table numbered one higher; the footnote goes under
+// the last of them.
+var paper = []struct {
+	id           int
+	w            Workload
+	unit         string
+	title, stats func(Scale) string
+	note         string
+}{
+	{1, LinkedList, "seconds", func(s Scale) string {
+		return fmt.Sprintf("LinkedList: %d elements, %d CPU's (%d sends).", s.ListElems, s.Nodes, s.ListIters)
+	}, nil, "the list is conservatively flagged cyclic, so the '+ cycle' rows match their bases (as in the paper)"},
+	{2, Array, "seconds", func(s Scale) string {
+		return fmt.Sprintf("2D array transmission, %dx%d, %d CPU's (%d sends).", s.ArraySize, s.ArraySize, s.Nodes, s.ArrayIters)
+	}, nil, ""},
+	{3, LU, "seconds", func(s Scale) string {
+		return fmt.Sprintf("LU: runtime %d matrix (block size %d), %d CPU's.", s.LUN, s.LUBS, s.Nodes)
+	}, func(s Scale) string {
+		return fmt.Sprintf("LU: runtime statistics %d matrix, %d CPU's.", s.LUN, s.Nodes)
+	}, "with '+ reuse' only first-touch deserializations allocate; every identically-shaped block fetch after that reuses"},
+	{5, Superopt, "seconds", func(s Scale) string {
+		return fmt.Sprintf("Superoptimizer: seconds for performing the exhaustive search (len<=%d), %d CPU's.", s.SuperoptMaxLen, s.Nodes)
+	}, func(s Scale) string {
+		return fmt.Sprintf("Superoptimizer: runtime statistics, %d CPU's.", s.Nodes)
+	}, "programs are queued at the tester and therefore escape: reuse stays at 0 (paper: 2)"},
+	{7, Webserver, "µs per Webpage", func(s Scale) string {
+		return fmt.Sprintf("Webserver: µs per webpage retrieval (%d requests), %d CPU's.", s.WebRequests, s.Nodes)
+	}, func(s Scale) string {
+		return fmt.Sprintf("Webserver: runtime statistics, %d CPU's.", s.Nodes)
+	}, "with reuse, no objects are allocated by deserialization after the first page (paper: new MBytes -> 0.0)"},
 }
 
-// Tables56 reproduces the superoptimizer's search time and statistics.
-func Tables56(s Scale) (*Table, *Table, error) {
-	p := superopt.DefaultParams()
-	p.MaxLen = s.SuperoptMaxLen
-	p.Nodes = s.Nodes
-	if s.SuperoptThirdReg {
-		p.NRegs = 3
+// Tables regenerates paper table id (1-8) together with its twin (3 or
+// 4 gives both LU tables), or all eight for id 0: one run of the workload
+// per optimization level, the statistics table over the same rows. "The
+// columns denoted with 'invocations' tell how many calls were made to
+// serialization methods during the serialization process" (§5.2).
+func Tables(s Scale, id int) ([]*Report, error) {
+	var out []*Report
+	for _, p := range paper {
+		if id != 0 && id != p.id && (p.stats == nil || id != p.id+1) {
+			continue
+		}
+		perf := &Report{ID: p.id, Title: fmt.Sprintf("Table %d: %s", p.id, p.title(s))}
+		perf.Cols = []Column[Row]{
+			{"Compiler Optimization", -22, "%v", func(r *Row) any { return r.Level }},
+			{p.unit, 12, "%.2f", func(r *Row) any { return r.Value }},
+			{"gain over 'class'", 18, "%.1f%%", func(r *Row) any { return gain(perf.Rows[0].Value, r.Value) }},
+		}
+		if err := runGrid(perf, s, []Workload{p.w}, []Condition{Clean}, rmi.AllLevels); err != nil {
+			return nil, err
+		}
+		last := perf
+		if p.stats != nil {
+			last = &Report{ID: p.id + 1, Title: fmt.Sprintf("Table %d: %s", p.id+1, p.stats(s)), Rows: perf.Rows, Cols: []Column[Row]{
+				{"Optimization", -22, "%v", func(r *Row) any { return r.Level }},
+				{"reused objs", 12, "%d", func(r *Row) any { return r.Stats.ReusedObjs }},
+				{"local rpcs", 12, "%d", func(r *Row) any { return r.Stats.LocalRPCs }},
+				{"remote rpcs", 12, "%d", func(r *Row) any { return r.Stats.RemoteRPCs }},
+				{"new (MBytes)", 13, "%.2f", func(r *Row) any { return r.Stats.NewMBytes() }},
+				{"cycle lookups", 14, "%d", func(r *Row) any { return r.Stats.CycleLookups }},
+				{"invocations", 12, "%d", func(r *Row) any { return r.Stats.SerializerCalls }},
+			}}
+			out = append(out, perf)
+		}
+		if p.note != "" {
+			last.Notes = []string{p.note}
+		}
+		out = append(out, last)
 	}
-	t5 := &Table{ID: 5, Unit: "seconds",
-		Title: fmt.Sprintf("Superoptimizer: seconds for performing the exhaustive search (len<=%d), %d CPU's.", p.MaxLen, s.Nodes)}
-	t6 := &Table{ID: 6, IsStats: true,
-		Title: fmt.Sprintf("Superoptimizer: runtime statistics, %d CPU's.", s.Nodes)}
-	var matches int
-	for _, level := range rmi.AllLevels {
-		out, err := superopt.Search(level, p)
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(out.Matches) == 0 {
-			return nil, nil, fmt.Errorf("harness: superoptimizer found no equivalences at %v", level)
-		}
-		if matches == 0 {
-			matches = len(out.Matches)
-		} else if matches != len(out.Matches) {
-			return nil, nil, fmt.Errorf("harness: match count differs across levels (%d vs %d)", matches, len(out.Matches))
-		}
-		t5.Rows = append(t5.Rows, Row{Level: level, Value: out.Seconds, Stats: out.Stats,
-			Details: fmt.Sprintf("%d sequences tested, %d equivalences", out.Tested, len(out.Matches))})
-		t6.Rows = append(t6.Rows, Row{Level: level, Stats: out.Stats})
-	}
-	t6.Caveats = append(t6.Caveats,
-		"programs are queued at the tester and therefore escape: reuse stays at 0 (paper: 2)")
-	return t5, t6, nil
+	return out, nil
 }
 
-// Tables78 reproduces the webserver's per-page latency and statistics.
-func Tables78(s Scale) (*Table, *Table, error) {
-	p := webserver.DefaultParams()
-	p.Requests = s.WebRequests
-	p.Pages = s.WebPages
-	p.Nodes = s.Nodes
-	t7 := &Table{ID: 7, Unit: "µs per Webpage",
-		Title: fmt.Sprintf("Webserver: µs per webpage retrieval (%d requests), %d CPU's.", p.Requests, s.Nodes)}
-	t8 := &Table{ID: 8, IsStats: true,
-		Title: fmt.Sprintf("Webserver: runtime statistics, %d CPU's.", s.Nodes)}
-	for _, level := range rmi.AllLevels {
-		out, err := webserver.Run(level, p)
-		if err != nil {
-			return nil, nil, err
-		}
-		t7.Rows = append(t7.Rows, Row{Level: level, Value: out.MicrosPerPage, Stats: out.Stats})
-		t8.Rows = append(t8.Rows, Row{Level: level, Stats: out.Stats})
+// LUScaling extends the paper's 2-CPU evaluation: LU at site + reuse +
+// cycle at growing cluster sizes, with the parallel speedup in virtual
+// time (the natural next question for a cluster system).
+func LUScaling(n, bs int, nodeCounts []int) (*Report, error) {
+	t := &Report{Title: fmt.Sprintf("LU scaling: %d matrix (block size %d), all optimizations.", n, bs)}
+	t.Cols = []Column[Row]{
+		{"CPUs", -8, "%d", func(r *Row) any { return r.Nodes }},
+		{"seconds", 12, "%.3f", func(r *Row) any { return r.Seconds }},
+		{"speedup", 10, "%.2fx", func(r *Row) any { return t.Rows[0].Seconds / r.Seconds }},
 	}
-	t8.Caveats = append(t8.Caveats,
-		"with reuse, no objects are allocated by deserialization after the first page (paper: new MBytes -> 0.0)")
-	return t7, t8, nil
+	for _, nodes := range nodeCounts {
+		s := Scale{LUN: n, LUBS: bs, Nodes: nodes}
+		if err := runGrid(t, s, []Workload{LU}, []Condition{Clean}, []rmi.OptLevel{rmi.LevelSiteReuseCycle}); err != nil {
+			return nil, err
+		}
+	}
+	return t, nil
 }
 
-// All regenerates every table.
-func All(s Scale) ([]*Table, error) {
-	t1, err := Table1(s)
-	if err != nil {
-		return nil, err
-	}
-	t2, err := Table2(s)
-	if err != nil {
-		return nil, err
-	}
-	t3, t4, err := Tables34(s)
-	if err != nil {
-		return nil, err
-	}
-	t5, t6, err := Tables56(s)
-	if err != nil {
-		return nil, err
-	}
-	t7, t8, err := Tables78(s)
-	if err != nil {
-		return nil, err
-	}
-	return []*Table{t1, t2, t3, t4, t5, t6, t7, t8}, nil
+// RunTraced runs the micro workloads once per level, iters sends each,
+// with a tracer attached, and returns the latency quantiles per (call
+// site, phase) plus the flight recorder's spans (trace.WriteChrome
+// exports them). Tracing adds clock reads per phase, so traced
+// latencies are reported, never compared against untraced ones.
+func RunTraced(iters int) ([]trace.PhaseStat, []trace.SpanRecord, error) {
+	tr := trace.New(trace.Config{RingSize: 4096})
+	traced := Condition{Name: "traced", Options: func(int, Scale) ([]rmi.Option, error) {
+		return []rmi.Option{rmi.WithTracer(tr)}, nil
+	}}
+	s := Scale{ListElems: 100, ListIters: iters, ArraySize: 16, ArrayIters: iters, Nodes: 2}
+	err := runGrid(&Report{}, s, []Workload{LinkedList, Array}, []Condition{traced}, rmi.AllLevels)
+	return tr.PhaseStats(), tr.Recent(), err
+}
+
+// FormatPhases renders phase quantiles as an aligned summary table.
+func FormatPhases(phases []trace.PhaseStat) string {
+	return Render([]Column[trace.PhaseStat]{
+		{"site", -28, "%s", func(p *trace.PhaseStat) any { return p.Site }},
+		{"phase", -18, "%s", func(p *trace.PhaseStat) any { return p.Phase }},
+		{"count", 9, "%d", func(p *trace.PhaseStat) any { return p.Count }},
+		{"mean_ns", 10, "%.0f", func(p *trace.PhaseStat) any { return p.MeanNS }},
+		{"p50_ns", 10, "%.0f", func(p *trace.PhaseStat) any { return p.P50NS }},
+		{"p95_ns", 10, "%.0f", func(p *trace.PhaseStat) any { return p.P95NS }},
+		{"p99_ns", 10, "%.0f", func(p *trace.PhaseStat) any { return p.P99NS }},
+	}, phases)
 }

@@ -82,33 +82,41 @@ func localSnapshot(opts Options) NodeSnapshot {
 	}
 }
 
-// peerSnapshotURL accepts "host:port" or a full URL and returns the
-// peer's /snapshot endpoint.
-func peerSnapshotURL(peer string) string {
-	if !strings.Contains(peer, "://") {
-		peer = "http://" + peer
-	}
-	return strings.TrimRight(peer, "/") + "/snapshot"
-}
+// versioned is an obs document that states the protocol version it
+// was written at; Get refuses one written at another.
+type versioned interface{ version() (got, want int) }
 
-// fetchSnapshot pulls and decodes one peer's /snapshot.
-func fetchSnapshot(client *http.Client, peer string) (NodeSnapshot, error) {
-	var ns NodeSnapshot
-	resp, err := client.Get(peerSnapshotURL(peer))
+func (d *NodeSnapshot) version() (int, int) { return d.Version, SnapshotVersion }
+func (d *ClusterView) version() (int, int)  { return d.Version, SnapshotVersion }
+
+// Get fetches one obs document of type T: base is "host:port" or a
+// full URL, path the endpoint with its query. A status other than 200,
+// a body that does not decode and — for the versioned documents — a
+// version other than this build's are errors, so a collector never
+// merges histograms or spans whose meaning may have changed.
+func Get[T any](client *http.Client, base, path string) (T, error) {
+	var doc T
+	if !strings.Contains(base, "://") {
+		base = "http://" + base
+	}
+	url := strings.TrimRight(base, "/") + path
+	resp, err := client.Get(url)
 	if err != nil {
-		return ns, err
+		return doc, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return ns, fmt.Errorf("status %d", resp.StatusCode)
+		return doc, fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&ns); err != nil {
-		return ns, fmt.Errorf("decode snapshot: %w", err)
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		return doc, fmt.Errorf("GET %s: decode: %w", url, err)
 	}
-	if ns.Version != SnapshotVersion {
-		return ns, fmt.Errorf("snapshot version %d, want %d", ns.Version, SnapshotVersion)
+	if v, ok := any(&doc).(versioned); ok {
+		if got, want := v.version(); got != want {
+			return doc, fmt.Errorf("GET %s: document version %d, want %d", url, got, want)
+		}
 	}
-	return ns, nil
+	return doc, nil
 }
 
 // peerFetchLimit bounds the concurrent peer fetches one aggregation
@@ -117,10 +125,16 @@ func fetchSnapshot(client *http.Client, peer string) (NodeSnapshot, error) {
 // request listing hundreds of peers cannot stampede the network.
 const peerFetchLimit = 8
 
-// forEachPeer runs fetch(i, peer) for every peer concurrently, at most
-// peerFetchLimit in flight, and returns when all are done. Results are
-// slotted by index, so callers keep deterministic peer ordering.
-func forEachPeer(peers []string, fetch func(i int, peer string)) {
+// pullPeers fetches path from every peer concurrently, at most
+// peerFetchLimit in flight — one slow or dead peer costs its own
+// timeout, not the sum of everyone's — and reports in request order:
+// each reachable peer's document beside the name it goes by (what node
+// reads from the document, or the address it was listed under), and
+// one error line for each peer that is unreachable or version-skewed.
+func pullPeers[T any](peers []string, path string, node func(*T) string) (docs []T, names, errs []string) {
+	client := &http.Client{Timeout: 2 * time.Second}
+	got := make([]T, len(peers))
+	failed := make([]error, len(peers))
 	sem := make(chan struct{}, peerFetchLimit)
 	var wg sync.WaitGroup
 	for i, p := range peers {
@@ -129,47 +143,42 @@ func forEachPeer(peers []string, fetch func(i int, peer string)) {
 		go func(i int, p string) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			fetch(i, p)
+			got[i], failed[i] = Get[T](client, p, path)
 		}(i, p)
 	}
 	wg.Wait()
+	for i, p := range peers {
+		if failed[i] != nil {
+			errs = append(errs, fmt.Sprintf("%s: %v", p, failed[i]))
+			continue
+		}
+		name := node(&got[i])
+		if name == "" || name == "local" {
+			name = p
+		}
+		docs, names = append(docs, got[i]), append(names, name)
+	}
+	return docs, names, errs
 }
 
 // buildClusterView merges the local snapshot with every peer's. Peers
 // must not include the serving node itself (its state is the local
-// contribution; listing it would double-count). Peers are fetched
-// concurrently (bounded by peerFetchLimit) — one slow or dead peer
-// costs its own timeout, not the sum of everyone's — while the
-// document keeps the deterministic request order: nodes and errors
+// contribution; listing it would double-count). Nodes and errors
 // appear in the order the peers were listed.
 func buildClusterView(opts Options, peers []string) ClusterView {
 	local := localSnapshot(opts)
-	v := ClusterView{
+	snaps, names, errs := pullPeers(peers, "/snapshot", func(s *NodeSnapshot) string { return s.Node })
+	groups := [][]trace.SiteAttribution{local.Sites}
+	for _, s := range snaps {
+		groups = append(groups, s.Sites)
+	}
+	return ClusterView{
 		Version:        SnapshotVersion,
 		CapturedWallNS: local.CapturedWallNS,
-		Nodes:          []string{local.Node},
+		Nodes:          append([]string{local.Node}, names...),
+		Errors:         errs,
+		Sites:          clusterSites(trace.MergeAttributions(groups...)),
 	}
-	client := &http.Client{Timeout: 2 * time.Second}
-	snaps := make([]NodeSnapshot, len(peers))
-	errs := make([]error, len(peers))
-	forEachPeer(peers, func(i int, p string) {
-		snaps[i], errs[i] = fetchSnapshot(client, p)
-	})
-	groups := [][]trace.SiteAttribution{local.Sites}
-	for i, p := range peers {
-		if errs[i] != nil {
-			v.Errors = append(v.Errors, fmt.Sprintf("%s: %v", p, errs[i]))
-			continue
-		}
-		name := snaps[i].Node
-		if name == "" || name == "local" {
-			name = p
-		}
-		v.Nodes = append(v.Nodes, name)
-		groups = append(groups, snaps[i].Sites)
-	}
-	v.Sites = clusterSites(trace.MergeAttributions(groups...))
-	return v
 }
 
 // clusterSites derives the rendered per-site rows from a merged

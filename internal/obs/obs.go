@@ -40,11 +40,6 @@ type Options struct {
 	Tracer *trace.Tracer
 	// Counters supplies the cormi_* counter gauges on /metrics.
 	Counters *stats.Counters
-	// Registry receives the gauges and is rendered by /metrics. When
-	// nil, the tracer's registry is used (so phase histograms and
-	// gauges share one exposition); a private registry is created if
-	// there is no tracer either.
-	Registry *metrics.Registry
 	// SiteStats supplies the per-call-site counters for /callsites and
 	// the labeled cormi_site_* series on /metrics (typically
 	// Cluster.SiteStats, or an aggregation across clusters).
@@ -81,11 +76,13 @@ type Server struct {
 // NewServer builds the handler without binding a socket — use Serve
 // for the common bind-and-go path, or mount Handler() yourself.
 func NewServer(opts Options) *Server {
-	reg := opts.Registry
-	if reg == nil && opts.Tracer != nil {
+	// Gauges join the tracer's registry, so /metrics is one exposition
+	// of phase histograms and gauges; a node without a tracer gets a
+	// private one.
+	var reg *metrics.Registry
+	if opts.Tracer != nil {
 		reg = opts.Tracer.Registry()
-	}
-	if reg == nil {
+	} else {
 		reg = metrics.NewRegistry()
 	}
 	s := &Server{reg: reg, mux: http.NewServeMux()}

@@ -13,13 +13,11 @@ package obs
 // any node can aggregate, there is no coordinator.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"cormi/internal/trace"
 )
@@ -96,60 +94,25 @@ func parseTraceID(s string) (uint64, error) {
 	return strconv.ParseUint(s, 10, 64)
 }
 
-// peerTraceURL returns a peer's single-node document URL for one trace.
-func peerTraceURL(peer string, id uint64) string {
-	if !strings.Contains(peer, "://") {
-		peer = "http://" + peer
-	}
-	return strings.TrimRight(peer, "/") + "/traces/" + strconv.FormatUint(id, 10) + "?local=1"
-}
-
-// fetchTraceDoc pulls one peer's spans for the trace.
-func fetchTraceDoc(client *http.Client, peer string, id uint64) (TraceDoc, error) {
-	var doc TraceDoc
-	resp, err := client.Get(peerTraceURL(peer, id))
-	if err != nil {
-		return doc, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return doc, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return doc, fmt.Errorf("decode trace doc: %w", err)
-	}
-	if doc.Version != TracesVersion {
-		return doc, fmt.Errorf("trace doc version %d, want %d", doc.Version, TracesVersion)
-	}
-	return doc, nil
-}
+func (d *TraceList) version() (int, int) { return d.Version, TracesVersion }
+func (d *TraceDoc) version() (int, int)  { return d.Version, TracesVersion }
+func (d *TraceView) version() (int, int) { return d.Version, TracesVersion }
 
 // buildTraceView assembles the cross-node tree: the local contribution
-// plus every reachable peer's, fetched concurrently (bounded, same
-// fan-out limit as /cluster) with deterministic node/error ordering.
+// plus every reachable peer's single-node document (same fan-out and
+// ordering as /cluster).
 func buildTraceView(opts Options, id uint64, peers []string) TraceView {
 	local := nodeName(opts)
-	v := TraceView{Version: TracesVersion, Nodes: []string{local}}
+	docs, names, errs := pullPeers(peers, "/traces/"+strconv.FormatUint(id, 10)+"?local=1",
+		func(d *TraceDoc) string { return d.Node })
 	contrib := []trace.NodeSpans{{Node: local, Spans: opts.Tracer.TraceSpans(id)}}
-
-	client := &http.Client{Timeout: 2 * time.Second}
-	docs := make([]TraceDoc, len(peers))
-	errs := make([]error, len(peers))
-	forEachPeer(peers, func(i int, p string) {
-		docs[i], errs[i] = fetchTraceDoc(client, p, id)
-	})
-	for i, p := range peers {
-		if errs[i] != nil {
-			v.Errors = append(v.Errors, fmt.Sprintf("%s: %v", p, errs[i]))
-			continue
-		}
-		name := docs[i].Node
-		if name == "" || name == "local" {
-			name = p
-		}
-		v.Nodes = append(v.Nodes, name)
-		contrib = append(contrib, trace.NodeSpans{Node: name, Spans: docs[i].Spans})
+	for i, d := range docs {
+		contrib = append(contrib, trace.NodeSpans{Node: names[i], Spans: d.Spans})
 	}
-	v.Tree = trace.BuildTree(id, contrib)
-	return v
+	return TraceView{
+		Version: TracesVersion,
+		Nodes:   append([]string{local}, names...),
+		Errors:  errs,
+		Tree:    trace.BuildTree(id, contrib),
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"cormi/internal/balance"
 	"cormi/internal/model"
 	"cormi/internal/race"
 	"cormi/internal/serial"
@@ -352,7 +353,7 @@ func TestAbandonedTimeoutsDoNotLeakBuffers(t *testing.T) {
 		RetPlans: []*serial.Plan{intPlan(name)},
 	})
 
-	before := wire.Stats().Outstanding
+	mark := balance.Take()
 	pol := CallPolicy{Timeout: 2 * time.Millisecond}
 	const calls = 120
 	for i := 0; i < calls; i++ {
@@ -366,13 +367,8 @@ func TestAbandonedTimeoutsDoNotLeakBuffers(t *testing.T) {
 	}
 	// Quiescence: the last late replies need their server sleeps to
 	// expire and the frames to be drained as stale.
-	deadline := time.Now().Add(5 * time.Second)
-	for wire.Stats().Outstanding > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("frame pool leak: outstanding %d > baseline %d after quiescence",
-				wire.Stats().Outstanding, before)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if err := mark.Settled(e.c.Overload); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -127,9 +127,9 @@ func (n *Node) promiseInsertLocked(key dedupKey, e *promiseEntry) {
 	n.promQ = append(n.promQ, key)
 }
 
-// failPromises fails every still-pending entry (cluster shutdown), so
-// pipelined calls parked on a producer that will never run unblock
-// with an error instead of leaking their handler goroutines.
+// failPromises fails every pending entry and empties the table (cluster
+// shutdown), so pipelined calls parked on a producer that will never
+// run unblock with an error (they hold their entry by pointer).
 func (n *Node) failPromises() {
 	n.promMu.Lock()
 	var toClose []chan struct{}
@@ -142,6 +142,7 @@ func (n *Node) failPromises() {
 			}
 		}
 	}
+	n.promises, n.promQ = nil, nil
 	n.promMu.Unlock()
 	for _, ch := range toClose {
 		close(ch)

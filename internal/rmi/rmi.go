@@ -446,7 +446,8 @@ func (c *Cluster) Done() <-chan struct{} { return c.done }
 // Close shuts the cluster down. Every pending invocation fails with
 // ErrClusterClosed: the done channel unblocks callers waiting on
 // replies, the network close stops the receive loops, and failPending
-// mops up entries whose reply will now never arrive.
+// mops up entries whose reply will now never arrive; the reply cache
+// and promise table are emptied once no receive loop can admit to them.
 func (c *Cluster) Close() {
 	if !c.closed.CompareAndSwap(false, true) {
 		return
@@ -463,6 +464,7 @@ func (c *Cluster) Close() {
 	for _, n := range c.nodes {
 		n.failPending()
 		n.failPromises()
+		n.dropDedup()
 	}
 }
 
@@ -812,6 +814,18 @@ func (n *Node) dedupComplete(key dedupKey, payload []byte, ts int64) {
 	}
 	n.dedupMu.Unlock()
 	wire.PutBuf(payload)
+}
+
+// dropDedup returns the cached reply frames to the pool (shutdown); a
+// method still running recycles its own copy in dedupComplete.
+func (n *Node) dropDedup() {
+	n.dedupMu.Lock()
+	defer n.dedupMu.Unlock()
+	for k, e := range n.dedup {
+		wire.PutBuf(e.payload)
+		delete(n.dedup, k)
+	}
+	n.dedupQ = nil
 }
 
 // dedupAbort withdraws an in-flight dedup entry whose call turned out

@@ -6,9 +6,37 @@ import (
 	"testing"
 	"time"
 
+	"cormi/internal/balance"
 	"cormi/internal/model"
 	"cormi/internal/serial"
 )
+
+// TestCloseReturnsReplyCacheAndPromiseTable: every tracked call leaves
+// a pooled copy of its reply in the callee's dedup cache, and every
+// promised call an entry in its promise table; Close must hand both
+// back (it used to strand one frame per tracked call for good).
+func TestCloseReturnsReplyCacheAndPromiseTable(t *testing.T) {
+	mark := balance.Take()
+	c := New(2, WithCallPolicy(CallPolicy{Timeout: time.Second, Retries: 2}))
+	var execs atomic.Int64
+	ref := c.Node(1).Export(countingService(&execs))
+	cs := bumpSite(t, c)
+	const calls = 30
+	for i := 0; i < calls; i++ {
+		f := cs.InvokeAsync(c.Node(0), ref, []model.Value{model.Int(int64(i))}, AsyncOpts{Promised: true})
+		if _, err := f.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		f.Release()
+	}
+	if o := c.Overload(); o.PromiseTable != calls {
+		t.Fatalf("promise table holds %d entries before Close, want %d", o.PromiseTable, calls)
+	}
+	c.Close()
+	if err := mark.Settled(c.Overload); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestInvokeAfterCloseErrors(t *testing.T) {
 	e := newEnv(t, 2)

@@ -7,32 +7,31 @@ import (
 
 // traceStore is the bounded per-trace span retention behind the
 // /traces endpoints: closed spans carrying a trace ID are appended to
-// their trace's bucket. Both dimensions are capped — MaxTraces traces
+// their trace's bucket. Both dimensions are capped — maxTraces traces
 // (FIFO eviction, evicted buckets recycled through a free list so the
 // steady state reuses span storage instead of reallocating it) and
-// MaxSpansPerTrace spans per trace (overflow counted, not stored).
+// maxSpansPerTrace spans per trace (overflow counted, not stored).
 type traceStore struct {
-	mu        sync.Mutex
-	maxTraces int
-	maxSpans  int
-	traces    map[uint64]*traceBucket
-	order     []uint64       // insertion order, oldest first
-	free      []*traceBucket // recycled buckets of evicted traces
-	evicted   int64
-	dropped   int64 // spans rejected by the per-trace cap
+	mu      sync.Mutex
+	traces  map[uint64]*traceBucket
+	order   []uint64       // insertion order, oldest first
+	free    []*traceBucket // recycled buckets of evicted traces
+	evicted int64
+	dropped int64 // spans rejected by the per-trace cap
 }
+
+const (
+	maxTraces        = 256
+	maxSpansPerTrace = 512
+)
 
 type traceBucket struct {
 	spans []SpanRecord
 	drops int
 }
 
-func newTraceStore(maxTraces, maxSpans int) *traceStore {
-	return &traceStore{
-		maxTraces: maxTraces,
-		maxSpans:  maxSpans,
-		traces:    make(map[uint64]*traceBucket, maxTraces),
-	}
+func newTraceStore() *traceStore {
+	return &traceStore{traces: make(map[uint64]*traceBucket, maxTraces)}
 }
 
 func (ts *traceStore) insert(rec *SpanRecord) {
@@ -40,7 +39,7 @@ func (ts *traceStore) insert(rec *SpanRecord) {
 	defer ts.mu.Unlock()
 	b := ts.traces[rec.TraceID]
 	if b == nil {
-		if len(ts.order) >= ts.maxTraces {
+		if len(ts.order) >= maxTraces {
 			// Evict the oldest trace; its bucket (and span storage)
 			// comes right back for the new one.
 			old := ts.order[0]
@@ -62,7 +61,7 @@ func (ts *traceStore) insert(rec *SpanRecord) {
 		ts.traces[rec.TraceID] = b
 		ts.order = append(ts.order, rec.TraceID)
 	}
-	if len(b.spans) >= ts.maxSpans {
+	if len(b.spans) >= maxSpansPerTrace {
 		b.drops++
 		ts.dropped++
 		return

@@ -259,10 +259,6 @@ func (s *Span) End() {
 type Config struct {
 	// RingSize bounds the flight recorder (default 2048 spans).
 	RingSize int
-	// Registry receives the per-(site, phase) latency histograms; a
-	// private registry is created when nil. Sharing one registry lets
-	// /metrics expose tracer histograms next to other instruments.
-	Registry *metrics.Registry
 	// FailureDump, when non-nil, receives a Chrome-trace JSON dump of
 	// the flight recorder each time DumpFailure fires (timeouts,
 	// partitions, panics), so a chaos failure always comes with its
@@ -295,12 +291,6 @@ type Config struct {
 	// decision is a deterministic counter, not an RNG, so the unsampled
 	// hot path pays one atomic add and allocates nothing.
 	SampleEvery int64
-	// MaxTraces bounds the per-trace span store (default 256 traces,
-	// FIFO eviction; evicted buckets are recycled).
-	MaxTraces int
-	// MaxSpansPerTrace bounds one trace's retained spans (default 512);
-	// overflow spans are counted as dropped, not stored.
-	MaxSpansPerTrace int
 }
 
 // siteState is everything the tracer tracks per call site: the
@@ -384,16 +374,7 @@ func New(cfg Config) *Tracer {
 	if cfg.ExemplarRefresh <= 0 {
 		cfg.ExemplarRefresh = 256
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
-	if cfg.MaxTraces <= 0 {
-		cfg.MaxTraces = 256
-	}
-	if cfg.MaxSpansPerTrace <= 0 {
-		cfg.MaxSpansPerTrace = 512
-	}
+	reg := metrics.NewRegistry()
 	t := &Tracer{
 		cfg:      cfg,
 		reg:      reg,
@@ -402,7 +383,7 @@ func New(cfg Config) *Tracer {
 		ring:     make([]SpanRecord, cfg.RingSize),
 		exs:      make([]Exemplar, cfg.ExemplarRing),
 		idBase:   newIDBase(),
-		store:    newTraceStore(cfg.MaxTraces, cfg.MaxSpansPerTrace),
+		store:    newTraceStore(),
 	}
 	t.pool.New = func() any { return new(Span) }
 	return t

@@ -233,18 +233,6 @@ func (e *faultyEndpoint) Send(p Packet) error {
 	dup := s.chance(r.Dup)
 	reorder := s.chance(r.Reorder)
 
-	// A duplicate needs its own buffer: each inner Send takes ownership
-	// of the payload it is given (it may recycle it once written), so
-	// the same slice must never be handed down twice.
-	var dupPkt *Packet
-	if dup {
-		b := wire.GetBuf(len(p.Payload))
-		copy(b, p.Payload)
-		dp := p
-		dp.Payload = b
-		dupPkt = &dp
-	}
-
 	// Release any packet held back on this link: it goes out after the
 	// current one, which is the reordering.
 	h := &e.holds[p.To]
@@ -266,12 +254,24 @@ func (e *faultyEndpoint) Send(p Packet) error {
 	}
 	h.mu.Unlock()
 
+	// A duplicate needs its own buffer: each inner Send takes ownership
+	// of the payload it is given (it may recycle it once written), so
+	// the same slice must never be handed down twice. It is copied here,
+	// past the hold branch: a held packet is never duplicated.
+	var dupPkt Packet
+	if dup {
+		b := wire.GetBuf(len(p.Payload))
+		copy(b, p.Payload)
+		dupPkt = p
+		dupPkt.Payload = b
+	}
+
 	// Every packet goes down even after a failure (the inner Send is
 	// what recycles its payload); the first error is the one reported.
 	err := e.inner.Send(p)
-	if dupPkt != nil {
+	if dup {
 		f.Stats.Duplicated.Add(1)
-		if derr := e.inner.Send(*dupPkt); err == nil {
+		if derr := e.inner.Send(dupPkt); err == nil {
 			err = derr
 		}
 	}

@@ -4,6 +4,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"cormi/internal/balance"
+	"cormi/internal/wire"
 )
 
 // drain consumes packets from an endpoint until it closes, returning
@@ -249,4 +252,31 @@ func TestFaultyNetworkConcurrentClose(t *testing.T) {
 		Seed:       5,
 		FaultRates: FaultRates{Drop: 0.1, Dup: 0.1, Reorder: 0.1, Corrupt: 0.1},
 	}))
+}
+
+// TestFaultyDupAndReorderTogetherBalance: a packet that rolls both a
+// duplicate and a reorder hold is held, not duplicated; the copy used
+// to be made before the hold branch returned and was never released.
+func TestFaultyDupAndReorderTogetherBalance(t *testing.T) {
+	mark := balance.Take()
+	f := NewFaultyNetwork(NewChannelNetwork(2, 16), FaultConfig{FaultRates: FaultRates{Dup: 1, Reorder: 1}})
+	rx := drain(f.Endpoint(1))
+	// The first packet is held; the second finds the hold slot taken,
+	// so it goes out with its duplicate, then the first behind them.
+	for i := 0; i < 2; i++ {
+		if err := f.Endpoint(0).Send(Packet{To: 1, Payload: wire.GetBuf(32)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.Close()
+	got := <-rx
+	if len(got) != 3 {
+		t.Errorf("delivered %d packets, want 3 (two sent, one duplicated)", len(got))
+	}
+	for _, p := range got {
+		wire.PutBuf(p.Payload)
+	}
+	if err := mark.Settled(nil); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -13,6 +13,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"cormi/internal/balance"
 	"cormi/internal/race"
 	"cormi/internal/wire"
 )
@@ -45,7 +46,7 @@ type readLoopRig struct {
 	e      *tcpEndpoint
 	w      net.Conn
 	exited chan struct{}
-	base   int64 // wire.Stats().Outstanding when the rig was built
+	base   balance.Mark // taken when the rig was built
 }
 
 func newReadLoopRig(t *testing.T) *readLoopRig {
@@ -55,7 +56,7 @@ func newReadLoopRig(t *testing.T) *readLoopRig {
 		e:      &tcpEndpoint{id: 7, inbox: make(chan Packet, 256), done: make(chan struct{})},
 		w:      w,
 		exited: make(chan struct{}),
-		base:   wire.Stats().Outstanding,
+		base:   balance.Take(),
 	}
 	go func() {
 		rig.e.readLoop(r)
@@ -119,11 +120,12 @@ func (r *readLoopRig) dropped() {
 	r.balanced()
 }
 
-// balanced asserts every buffer the read loop took has been returned.
+// balanced asserts every buffer the read loop took has been returned
+// and that the loop and its feeder are gone.
 func (r *readLoopRig) balanced() {
 	r.t.Helper()
-	if out := wire.Stats().Outstanding - r.base; out != 0 {
-		r.t.Errorf("%+d frame buffers outstanding", out)
+	if err := r.base.Settled(nil); err != nil {
+		r.t.Error(err)
 	}
 }
 
