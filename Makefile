@@ -60,7 +60,7 @@ verify-matrix:
 	go test -count=1 -v -run 'TestModeMatrix' ./internal/harness
 
 # Attribution gate: always-on tail-latency attribution must keep the
-# traced hot path within its allocation budget with exemplar capture
+# traced hot path within its 2-alloc budget with exemplar capture
 # armed but not firing (the threshold floor is set astronomically high,
 # so the armed comparison runs on every close and never trips); the
 # log2 histogram merge must stay exact under the commutativity /
@@ -74,7 +74,7 @@ verify-attrib:
 
 # Distributed-tracing gate (DESIGN.md §15): head sampling must be free
 # for the calls it does not pick (the armed untraced hot path holds the
-# same 3-alloc budget as verify-attrib) and cheap for those it does
+# same 2-alloc budget as verify-attrib) and cheap for those it does
 # (the sampled path's ceiling is pinned); and the 3-node harness
 # scenario must reconstruct a pipelined depth-8 chain — through the
 # real HTTP /traces -> /traces/<id>?peers= pull path — as exactly one

@@ -24,12 +24,12 @@ type allocTier struct {
 }
 
 var allocTiers = map[string]allocTier{
-	// No tracer. What remains is the method-launch goroutine and the
-	// per-call Call struct (2.00 measured) plus one of scheduler noise —
-	// the serialize/send/receive path itself is allocation free (see
+	// No tracer. What remains is the callee's invocation record (1.00
+	// measured) plus one of scheduler noise — the serialize/send/receive
+	// path itself is allocation free (see
 	// serial.TestPureHotPathZeroAllocs). A regression past this budget
 	// means pooling broke somewhere on the hot path.
-	"off": {warmup: 50, budget: 3.0},
+	"off": {warmup: 50, budget: 2.0},
 
 	// Tail-latency attribution fully live: per-phase histograms, blame
 	// counters, the adaptive exemplar threshold armed (warmed up past
@@ -41,7 +41,7 @@ var allocTiers = map[string]allocTier{
 	// `make verify-attrib` gates on it.
 	"attribution": {
 		tracer: &trace.Config{RingSize: 1024, ExemplarWarmup: 8, ExemplarMinNS: 1 << 60},
-		warmup: 50, budget: 3.0,
+		warmup: 50, budget: 2.0,
 		after: func(t *testing.T, tr *trace.Tracer) {
 			var site *trace.SiteAttribution
 			attr := tr.Attribution()
@@ -74,7 +74,7 @@ var allocTiers = map[string]allocTier{
 	// on it.
 	"armed": {
 		tracer: &trace.Config{RingSize: 1024, SampleEvery: 1 << 40},
-		warmup: 50, budget: 3.0,
+		warmup: 50, budget: 2.0,
 		after: func(t *testing.T, tr *trace.Tracer) {
 			if retained, _, _ := tr.TraceStoreStats(); retained != 1 {
 				t.Errorf("%d traces retained, want exactly the first warmup call's", retained)
@@ -86,13 +86,13 @@ var allocTiers = map[string]allocTier{
 	// the 17-byte wire context on the call frame, and both spans'
 	// insertion into the bounded per-trace store. The warm-up runs past
 	// the store's MaxTraces so eviction recycles buckets and the steady
-	// state matches the untraced path's 2 allocs/op (the FIFO order
+	// state matches the untraced path's 1 alloc/op (the FIFO order
 	// array reallocates only amortized); the budget leaves headroom for
 	// that and still fails on real growth (a per-span copy, an unpooled
 	// buffer).
 	"sampled": {
 		tracer: &trace.Config{RingSize: 1024, SampleEvery: 1},
-		warmup: 300, budget: 4.0,
+		warmup: 300, budget: 3.0,
 		after: func(t *testing.T, tr *trace.Tracer) {
 			retained, evicted, dropped := tr.TraceStoreStats()
 			if retained == 0 || evicted == 0 {

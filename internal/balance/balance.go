@@ -27,9 +27,10 @@ func Take() Mark {
 	return Mark{wire.Stats().Outstanding, serial.ReadCtxStats().Outstanding, runtime.NumGoroutine()}
 }
 
-// settlePolls bounds Settled's wait: receive loops, TCP readers and
-// method goroutines unwind on their own after Close returns, so the
-// levels are polled, a millisecond apart, rather than read once.
+// settlePolls bounds Settled's wait: receive loops and TCP readers
+// unwind on their own after Close returns, and executors exit once
+// their method does, so the levels are polled, a millisecond apart,
+// rather than read once.
 var settlePolls = 10_000
 
 // Settled waits until frames and read contexts are back at the mark,

@@ -2,6 +2,7 @@ package rmi
 
 import (
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -336,13 +337,16 @@ func TestAbandonedTimeoutsDoNotLeakBuffers(t *testing.T) {
 	// Regression: a reply racing in exactly as its caller abandons the
 	// timed-out call used to strand the pooled reply channel (and the
 	// reply payload) forever. Hammer the race window — server latency
-	// straddling the call deadline — and require the frame pool's
-	// get/put balance to return to its baseline at quiescence.
+	// straddling the call deadline, several callers contending for the
+	// pending table — and require the frame pool's get/put balance to
+	// return to its baseline once the cluster is torn down (a live
+	// cluster keeps parked executors). With routeReply sending after it
+	// unlocks, as before the fix, this reads "+N frames" in most runs.
+	mark := balance.Take()
 	e := newEnv(t, 2)
-	delay := make(chan time.Duration, 256)
 	ref := e.c.Node(1).Export(&Service{Name: "Laggy", Methods: map[string]Method{
 		"lag": func(call *Call, args []model.Value) []model.Value {
-			time.Sleep(<-delay)
+			time.Sleep(time.Duration(args[0].I%4) * 100 * time.Microsecond)
 			return []model.Value{args[0]}
 		},
 	}})
@@ -353,20 +357,29 @@ func TestAbandonedTimeoutsDoNotLeakBuffers(t *testing.T) {
 		RetPlans: []*serial.Plan{intPlan(name)},
 	})
 
-	mark := balance.Take()
-	pol := CallPolicy{Timeout: 2 * time.Millisecond}
-	const calls = 120
-	for i := 0; i < calls; i++ {
-		// Latencies straddle the 2ms deadline so some replies arrive
-		// just as the caller gives up.
-		delay <- time.Duration(i%5) * time.Millisecond
-		_, err := cs.InvokeWithPolicy(e.c.Node(0), ref, []model.Value{model.Int(int64(i))}, pol)
-		if err != nil && !errors.Is(err, ErrTimeout) {
-			t.Fatalf("call %d: %v", i, err)
-		}
+	pol := CallPolicy{Timeout: 150 * time.Microsecond}
+	const callers, calls = 8, 1000
+	var wg sync.WaitGroup
+	wg.Add(callers)
+	for g := 0; g < callers; g++ {
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				// Latencies of 0-300µs straddle the deadline, so some
+				// replies arrive just as the caller gives up.
+				_, err := cs.InvokeWithPolicy(e.c.Node(0), ref, []model.Value{model.Int(int64(i + g))}, pol)
+				if err != nil && !errors.Is(err, ErrTimeout) {
+					t.Errorf("caller %d, call %d: %v", g, i, err)
+					return
+				}
+			}
+		}(g)
 	}
+	wg.Wait()
 	// Quiescence: the last late replies need their server sleeps to
-	// expire and the frames to be drained as stale.
+	// expire and the frames to be drained as stale or dropped by the
+	// closed network.
+	e.c.Close()
 	if err := mark.Settled(e.c.Overload); err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +423,8 @@ func TestBatchingCoalescesAndStaysCorrect(t *testing.T) {
 
 // TestAsyncSteadyStateAllocs bounds the per-call allocation overhead of
 // the future layer: one pooled Future re-arm (its done channel) on top
-// of the synchronous path's budget.
+// of the synchronous path's invocation record, result slice and the
+// bump method's own result (4.00 measured; budget measured + 1).
 func TestAsyncSteadyStateAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
@@ -433,7 +447,7 @@ func TestAsyncSteadyStateAllocs(t *testing.T) {
 	}
 	avg := testing.AllocsPerRun(300, invoke)
 	t.Logf("async: %.2f allocs per invocation", avg)
-	if avg > 12 {
-		t.Fatalf("async path allocates %.2f per call, budget 12", avg)
+	if avg > 5 {
+		t.Fatalf("async path allocates %.2f per call, budget 5", avg)
 	}
 }

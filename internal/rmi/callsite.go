@@ -225,7 +225,7 @@ func (cs *CallSite) clone(n *Node, s *side, vals []model.Value, audit bool) ([]m
 		return nil, nil, err
 	}
 	m.Rewind()
-	out, roots, rops, err := s.read(c, n.ID, st, m, len(vals), argSet{}, audit)
+	out, roots, rops, err := s.read(c, n.ID, st, m, len(vals), argSet{}, audit, nil)
 	m.Release()
 	if err != nil {
 		return nil, nil, err
@@ -562,7 +562,7 @@ wait:
 	case wire.ReplyValues:
 		sp.BeginPhase(trace.PhaseReplyDeserialize)
 		rm := wire.GetReader(rep.payload)
-		vals, roots, ops, err := cs.rets.read(c, n.ID, pc.siteStats(), rm, int(rm.ReadInt32()), argSet{}, pc.audit)
+		vals, roots, ops, err := cs.rets.read(c, n.ID, pc.siteStats(), rm, int(rm.ReadInt32()), argSet{}, pc.audit, nil)
 		rm.ReleaseReader()
 		wire.PutBuf(rep.buf)
 		sp.EndPhase(trace.PhaseReplyDeserialize)

@@ -16,10 +16,11 @@ import (
 // verified first — corrupted frames are dropped and recovered by the
 // sender's retransmit, never deserialized. Incoming calls are then
 // deserialized here — under the node's receive lock, reproducing the
-// paper's "only one thread can drain the network" rule — and the user
-// method runs in a fresh goroutine. Replies are routed to the pending
-// invocation. Batch containers are unpacked and each sub-frame takes
-// the same two paths.
+// paper's "only one thread can drain the network" rule — into one
+// invocation record, which a parked executor goroutine (a new one when
+// none is parked) takes to run the user method and reply. Replies are
+// routed to the pending invocation. Batch containers are unpacked and
+// each sub-frame takes the same two paths.
 //
 // Frame ownership (DESIGN.md §8): the loop owns every received
 // payload. Call frames are fully deserialized inside handleCall (views
@@ -162,33 +163,41 @@ func (n *Node) handleBatch(p transport.Packet, rd *wire.Message, frame []byte) {
 	wire.PutBuf(frame)
 }
 
-// execCtx is the callee-side invocation context threaded from
-// handleCall into the method-running goroutine.
-type execCtx struct {
-	from  int
-	seq   int64
-	start int64 // virtual start time (arrival + dispatch + unmarshal)
-	track bool  // dedup bookkeeping needed
-	audit bool  // claim-checking sampled on
+// invocation is one incoming call from decode to reply, allocated by
+// handleCall and never reused: the *Call a method receives (&inv.call)
+// and its argument slice stay valid for as long as anyone holds them.
+// call carries the caller (From), the site, the virtual start (arrival
+// + dispatch + unmarshal) and the trace handle nested calls inherit.
+type invocation struct {
+	call   Call
+	method Method
+	sp     *trace.Span
+	seq    int64
+	args   []model.Value
+	roots  []*model.Object
+	// handles names the argument positions a pipelined call splices
+	// from the promise table; empty on the plain path.
+	handles []wire.PromiseHandle
+	track   bool // dedup bookkeeping needed
+	audit   bool // claim-checking sampled on
 	// oneWay suppresses the reply; failures are counted and dumped.
 	oneWay bool
 	// promised publishes the outcome in the promise table before (and
 	// regardless of) the reply.
 	promised bool
-	// tctx is the invocation's trace inheritance handle ({TraceID,
-	// Parent: the callee span's ID, Hop: this hop's depth}; zero when
-	// the call arrived unsampled), handed to the method through Call so
-	// nested calls stay in the tree.
-	tctx wire.TraceContext
 	// reuse returns the argument graphs to the site's §3.3 cache after
 	// the method runs; off for a pipelined call (spliced arguments are
 	// not cache donors).
 	reuse bool
+	// inline backs args when the reuse cache supplies no scratch and
+	// the call has few enough arguments. One value keeps the record in
+	// the 224-byte size class; a second would take it to 288.
+	inline [1]model.Value
 }
 
-// handleCall deserializes one incoming call and launches the method.
-// It runs under the node receive lock on the node's communication
-// processor (the paper's GM poll thread).
+// handleCall deserializes one incoming call into its invocation record
+// and dispatches it. It runs under the node receive lock on the node's
+// communication processor (the paper's GM poll thread).
 func (n *Node) handleCall(p transport.Packet, m *wire.Message) {
 	c := n.cluster
 
@@ -243,8 +252,9 @@ func (n *Node) handleCall(p transport.Packet, m *wire.Message) {
 		}
 	}
 
-	ec := execCtx{
-		from: p.From, seq: h.Seq, track: track,
+	inv := &invocation{
+		call: Call{Node: n, From: p.From, start: start},
+		seq:  h.Seq, track: track,
 		oneWay: oneWay, promised: h.Flags&wire.CallPromised != 0,
 	}
 
@@ -254,26 +264,26 @@ func (n *Node) handleCall(p transport.Packet, m *wire.Message) {
 	}
 	cs, ok := c.site(h.Site)
 	if !ok {
-		n.rejectCall(ec, start, fmt.Sprintf("unknown call site %d", h.Site), nil, false)
+		n.rejectCall(inv, fmt.Sprintf("unknown call site %d", h.Site), false)
 		return
 	}
+	inv.call.Site = cs
 	svc, ok := n.lookup(h.Obj)
 	if !ok {
-		n.rejectCall(ec, start, fmt.Sprintf("no object %d on node %d", h.Obj, n.ID), nil, false)
+		n.rejectCall(inv, fmt.Sprintf("no object %d on node %d", h.Obj, n.ID), false)
 		return
 	}
-	method, ok := svc.Methods[cs.Method]
-	if !ok {
-		n.rejectCall(ec, start, fmt.Sprintf("%s has no method %q", svc.Name, cs.Method), nil, false)
+	if inv.method, ok = svc.Methods[cs.Method]; !ok {
+		n.rejectCall(inv, fmt.Sprintf("%s has no method %q", svc.Name, cs.Method), false)
 		return
 	}
 
-	var sp *trace.Span
 	if traced {
 		// The span starts at the packet's receive timestamp so the
 		// transit and plan-lookup phases measured before it existed still
 		// fall inside it.
-		sp = n.tracer.StartCallee(cs.Name, cs.Method, p.From, n.ID, h.Seq, p.RecvWall)
+		sp := n.tracer.StartCallee(cs.Name, cs.Method, p.From, n.ID, h.Seq, p.RecvWall)
+		inv.sp = sp
 		if oneWay {
 			sp.SetOneWay()
 		}
@@ -289,20 +299,21 @@ func (n *Node) handleCall(p transport.Packet, m *wire.Message) {
 			// under this span at the same hop depth.
 			calleeSpan := n.tracer.NextSpanID()
 			sp.SetTraceIdentity(tctx.TraceID, calleeSpan, tctx.Parent, tctx.Hop)
-			ec.tctx = wire.TraceContext{TraceID: tctx.TraceID, Parent: calleeSpan, Hop: tctx.Hop}
+			inv.call.tctx = wire.TraceContext{TraceID: tctx.TraceID, Parent: calleeSpan, Hop: tctx.Hop}
 		}
 	}
+	sp := inv.sp
 
 	// The promise section is decoded only now, after the duplicate
 	// check kept a redelivery cheap; its hardened decoder bounds the
 	// handle count and argument positions before anything dereferences
 	// them.
 	if err := h.DecodePromises(m); err != nil {
-		n.rejectCall(ec, start, fmt.Sprintf("promise section: %v", err), sp, true)
+		n.rejectCall(inv, fmt.Sprintf("promise section: %v", err), true)
 		return
 	}
 	skip := newArgSet(h.Promises)
-	ec.reuse = skip.n == 0
+	inv.handles, inv.reuse = h.Promises, skip.n == 0
 
 	// The unmarshaler: take the cached argument graphs (Figure 13's
 	// temp_arr guard), deserialize — overwriting them in place when
@@ -310,30 +321,67 @@ func (n *Node) handleCall(p transport.Packet, m *wire.Message) {
 	// deserialization error becomes a remote-exception reply, not a
 	// dead receive loop.
 	// The callee samples its own audit decision: it guards the donor
-	// shapes consumed here and the reply serialization in runMethod.
+	// shapes consumed here and the reply serialization after the method.
 	st := &cs.statShards[n.ID]
-	ec.audit = c.auditCall()
-	if ec.audit {
+	inv.audit = c.auditCall()
+	if inv.audit {
 		st.ClaimChecks.Add(1)
 		c.Counters.ClaimChecks.Add(1)
 	}
 	sp.BeginPhase(trace.PhaseDeserialize)
-	args, roots, ops, err := cs.args.read(c, n.ID, st, m, int(h.NArgs), skip, ec.audit)
+	args, roots, ops, err := cs.args.read(c, n.ID, st, m, int(h.NArgs), skip, inv.audit, inv.inline[:])
 	sp.EndPhase(trace.PhaseDeserialize)
 	if err != nil {
-		n.rejectCall(ec, start, fmt.Sprintf("unmarshal: %v", err), sp, errors.Is(err, wire.ErrMalformedFrame))
+		n.rejectCall(inv, fmt.Sprintf("unmarshal: %v", err), errors.Is(err, wire.ErrMalformedFrame))
 		return
 	}
-	ec.start = start + c.Cost.CostNS(ops)
+	inv.args, inv.roots = args, roots
+	inv.call.start += c.Cost.CostNS(ops)
 
-	// "a new thread is created to invoke the user's code" (Figure 1).
 	sp.BeginPhase(trace.PhaseDispatch)
-	if skip.n > 0 {
-		// args has the promised positions left for runPipelined to splice.
-		go n.runPipelined(cs, method, ec, args, h.Promises, sp)
-		return
+	n.dispatch(inv)
+}
+
+// maxIdleExecutors caps the executors a node keeps parked between
+// calls; the ones a burst started beyond it exit when they finish.
+const maxIdleExecutors = 8
+
+// dispatch hands inv to a parked executor, or starts one ("a new thread
+// is created to invoke the user's code", Figure 1) when none is parked.
+// It never blocks the receive loop, and running executors are not
+// bounded, so nested or re-entrant calls back to this node cannot
+// starve.
+func (n *Node) dispatch(inv *invocation) {
+	select {
+	case n.work <- inv:
+	default:
+		go n.executor(inv)
 	}
-	go n.runMethod(cs, method, ec, args, roots, sp)
+}
+
+// executor runs invocations, parking between them, until the node
+// already holds maxIdleExecutors parked ones or the cluster closes. A
+// panicking method does not end it: runGuarded turns the panic into a
+// reply.
+func (n *Node) executor(inv *invocation) {
+	for {
+		if len(inv.handles) > 0 {
+			n.runPipelined(inv)
+		} else {
+			n.runMethod(inv)
+		}
+		if n.idle.Add(1) > maxIdleExecutors {
+			n.idle.Add(-1)
+			return
+		}
+		select {
+		case inv = <-n.work:
+			n.idle.Add(-1)
+		case <-n.cluster.done:
+			n.idle.Add(-1)
+			return
+		}
+	}
 }
 
 // rejectCall answers a call that failed before the method could run,
@@ -344,48 +392,50 @@ func (n *Node) handleCall(p transport.Packet, m *wire.Message) {
 // wire.ReplyMalformed, and its in-flight dedup entry is withdrawn — the
 // (from, seq) key came from the same untrusted frame, and leaving it
 // cached would let a forged frame swallow an honest retransmit stream.
-func (n *Node) rejectCall(ec execCtx, floor int64, msg string, sp *trace.Span, malformed bool) {
+func (n *Node) rejectCall(inv *invocation, msg string, malformed bool) {
 	c := n.cluster
-	key := dedupKey{from: ec.from, seq: ec.seq}
-	kind, track := byte(wire.ReplyError), ec.track
+	from, floor, sp := inv.call.From, inv.call.start, inv.sp
+	key := dedupKey{from: from, seq: inv.seq}
+	kind, track := byte(wire.ReplyError), inv.track
 	if malformed {
-		n.noteMalformed(ec.from)
-		if ec.track {
+		n.noteMalformed(from)
+		if inv.track {
 			n.dedupAbort(key)
 		}
 		kind, track = wire.ReplyMalformed, false
 	}
-	if ec.promised {
+	if inv.promised {
 		n.promiseFail(key, msg, floor)
 	}
-	if ec.oneWay {
+	if inv.oneWay {
 		c.Counters.OneWayErrors.Add(1)
 		sp.Fail(msg)
 		sp.End()
 		n.tracer.DumpFailure("oneway-error")
 		return
 	}
-	n.sendFailure(ec.from, ec.seq, floor, kind, msg, track, sp)
+	n.sendFailure(from, inv.seq, floor, kind, msg, track, sp)
 }
 
-// runMethod executes the user method on the plain path. It runs in its
-// own goroutine ("a new thread is created to invoke the user's code").
-func (n *Node) runMethod(cs *CallSite, method Method, ec execCtx, args []model.Value, roots []*model.Object, sp *trace.Span) {
-	sp.EndPhase(trace.PhaseDispatch)
-	n.executeAndReply(cs, method, ec, args, roots, sp)
+// runMethod is an executor's body for a plain call.
+func (n *Node) runMethod(inv *invocation) {
+	inv.sp.EndPhase(trace.PhaseDispatch)
+	n.executeAndReply(inv)
 }
 
-// runPipelined resolves the call's promise handles against the node's
-// promise table — parking until the producers finish when the call
-// raced ahead of them — splices the results into the argument slice,
-// and then executes like any other call. The caller's round trip never
-// covered the producers: that is the point of pipelining.
-func (n *Node) runPipelined(cs *CallSite, method Method, ec execCtx, args []model.Value, handles []wire.PromiseHandle, sp *trace.Span) {
+// runPipelined is an executor's body for a pipelined call: it resolves
+// the call's promise handles against the node's promise table —
+// parking until the producers finish when the call raced ahead of them
+// — splices the results into the argument slice, and then executes
+// like any other call. The caller's round trip never covered the
+// producers: that is the point of pipelining.
+func (n *Node) runPipelined(inv *invocation) {
 	c := n.cluster
 	c.Counters.PipelinedCalls.Add(1)
+	sp := inv.sp
 	sp.EndPhase(trace.PhaseDispatch)
-	for _, h := range handles {
-		key := dedupKey{from: ec.from, seq: h.Seq}
+	for _, h := range inv.handles {
+		key := dedupKey{from: inv.call.From, seq: h.Seq}
 		e := n.promiseGet(key)
 		n.promMu.Lock()
 		done := e.done
@@ -394,8 +444,9 @@ func (n *Node) runPipelined(cs *CallSite, method Method, ec execCtx, args []mode
 		if !done {
 			// The pipelined call overtook its producer; park until the
 			// producer publishes (or the cluster shuts down).
-			// promiseParked tracks the currently parked executors — an
-			// overload signal (cormi_promise_parked) for admission control.
+			// promiseParked tracks the executors currently waiting on a
+			// promise — an overload signal (cormi_promise_parked) for
+			// admission control.
 			c.Counters.PromiseParks.Add(1)
 			c.promiseParked.Add(1)
 			sp.BeginPhase(trace.PhasePromiseWait)
@@ -404,7 +455,7 @@ func (n *Node) runPipelined(cs *CallSite, method Method, ec execCtx, args []mode
 			case <-c.done:
 				c.promiseParked.Add(-1)
 				sp.EndPhase(trace.PhasePromiseWait)
-				ec.promisedReject(n, fmt.Sprintf("promise (from %d, seq %d): %v", ec.from, h.Seq, ErrClusterClosed), sp)
+				n.rejectCall(inv, fmt.Sprintf("promise (from %d, seq %d): %v", inv.call.From, h.Seq, ErrClusterClosed), false)
 				return
 			}
 			c.promiseParked.Add(-1)
@@ -414,59 +465,54 @@ func (n *Node) runPipelined(cs *CallSite, method Method, ec execCtx, args []mode
 		errMsg, vals, ts := e.err, e.vals, e.ts
 		n.promMu.Unlock()
 		if errMsg != "" {
-			ec.promisedReject(n, fmt.Sprintf("promised argument %d failed: %s", h.Arg, errMsg), sp)
+			n.rejectCall(inv, fmt.Sprintf("promised argument %d failed: %s", h.Arg, errMsg), false)
 			return
 		}
 		if int(h.Ret) >= len(vals) {
-			ec.promisedReject(n, fmt.Sprintf("promised argument %d: producer returned %d values, handle wants %d", h.Arg, len(vals), h.Ret), sp)
+			n.rejectCall(inv, fmt.Sprintf("promised argument %d: producer returned %d values, handle wants %d", h.Arg, len(vals), h.Ret), false)
 			return
 		}
 		// Clone out of the table: the entry may feed several consumers,
 		// and the method is free to mutate its arguments.
-		args[h.Arg] = model.CloneValue(vals[int(h.Ret)], nil)
+		inv.args[h.Arg] = model.CloneValue(vals[int(h.Ret)], nil)
 		// The spliced value exists only once the producer finished;
 		// the dependent call cannot start before that.
-		if ts > ec.start {
-			ec.start = ts
+		if ts > inv.call.start {
+			inv.call.start = ts
 		}
 	}
-	n.executeAndReply(cs, method, ec, args, nil, sp)
-}
-
-// promisedReject is rejectCall for failures inside the method-running
-// goroutine (after dispatch).
-func (ec execCtx) promisedReject(n *Node, msg string, sp *trace.Span) {
-	n.rejectCall(ec, ec.start, msg, sp, false)
+	n.executeAndReply(inv)
 }
 
 // executeAndReply runs the user method, returns the cached argument
 // graphs to the call site, publishes promised outcomes, and ships the
 // reply — or suppresses it for one-way calls. A panic in user code is
 // converted into a remote-exception reply carrying the callee's stack.
-func (n *Node) executeAndReply(cs *CallSite, method Method, ec execCtx, args []model.Value, roots []*model.Object, sp *trace.Span) {
+func (n *Node) executeAndReply(inv *invocation) {
 	c := n.cluster
-	call := &Call{Node: n, From: ec.from, Site: cs, start: ec.start, tctx: ec.tctx}
+	call, cs, sp := &inv.call, inv.call.Site, inv.sp
+	from, seq, track := call.From, inv.seq, inv.track
 	sp.BeginPhase(trace.PhaseExecute)
-	rets, err := runGuarded(method, call, args)
+	rets, err := runGuarded(inv.method, call, inv.args)
 	sp.EndPhase(trace.PhaseExecute)
-	if ec.reuse {
-		cs.args.recycle(n.ID, args, roots)
+	if inv.reuse {
+		cs.args.recycle(n.ID, inv.args, inv.roots)
 	}
 	// The reply leaves no earlier than the invocation's own progress
 	// (start + the CPU time the method reported) and no earlier than
 	// the communication processor's current time; marshaling advances
 	// the latter.
 	done := call.start + call.computed
-	key := dedupKey{from: ec.from, seq: ec.seq}
+	key := dedupKey{from: from, seq: seq}
 	if err != nil {
-		if ec.promised {
+		if inv.promised {
 			n.promiseFail(key, err.Error(), done)
 		}
-		if ec.oneWay {
+		if inv.oneWay {
 			// Fire-and-forget failure: no caller is listening, so the
 			// error surfaces through the counter and the flight recorder.
 			c.Counters.OneWayErrors.Add(1)
-			if ec.track {
+			if track {
 				n.dedupComplete(key, nil, done)
 			}
 			sp.Fail(err.Error())
@@ -476,21 +522,21 @@ func (n *Node) executeAndReply(cs *CallSite, method Method, ec execCtx, args []m
 		}
 		// A panic is one of the flight recorder's auto-dump triggers;
 		// sendFailure closes the span first, so the dump includes it.
-		n.sendFailure(ec.from, ec.seq, done, wire.ReplyError, err.Error(), ec.track, sp)
+		n.sendFailure(from, seq, done, wire.ReplyError, err.Error(), track, sp)
 		c.tracer.DumpFailure("panic")
 		return
 	}
-	if ec.promised {
+	if inv.promised {
 		// Publish before replying: a pipelined dependent may already be
 		// parked on this entry, and the caller's own Wait comes later.
 		n.promiseFulfill(key, rets, done)
 	}
-	if ec.oneWay {
+	if inv.oneWay {
 		// No reply frame at all — the entire reply path (serialize,
 		// seal, send, caller-side decode) is skipped. Tracked calls
 		// still mark the dedup entry done (nil payload) so duplicate
 		// deliveries stay suppressed without a cached reply.
-		if ec.track {
+		if track {
 			n.dedupComplete(key, nil, done)
 		}
 		sp.End()
@@ -504,25 +550,25 @@ func (n *Node) executeAndReply(cs *CallSite, method Method, ec execCtx, args []m
 	if cs.ignoreRet && cs.cfg.Mode == serial.ModeSite {
 		// §3.1: the return value is ignored at this call site — send a
 		// small acknowledgment instead of serializing it.
-		wire.AppendReplyHeader(m, ec.seq, wire.ReplyAck)
+		wire.AppendReplyHeader(m, seq, wire.ReplyAck)
 		c.Counters.AcksOnly.Add(1)
 	} else {
-		wire.AppendReplyHeader(m, ec.seq, wire.ReplyValues)
+		wire.AppendReplyHeader(m, seq, wire.ReplyValues)
 		m.AppendInt32(int32(len(rets)))
 		var lp *serial.LinkPlans
-		if l := n.linkTo(ec.from); l != nil {
+		if l := n.linkTo(from); l != nil {
 			lp = l.lp
 		}
-		ops, werr := cs.rets.write(c, st, m, rets, argSet{}, ec.audit, lp)
+		ops, werr := cs.rets.write(c, st, m, rets, argSet{}, inv.audit, lp)
 		if werr != nil {
 			m.Release()
-			n.sendFailure(ec.from, ec.seq, done, wire.ReplyError, fmt.Sprintf("marshal return: %v", werr), ec.track, sp)
+			n.sendFailure(from, seq, done, wire.ReplyError, fmt.Sprintf("marshal return: %v", werr), track, sp)
 			return
 		}
 		marshalNS = c.Cost.CostNS(ops)
 	}
 	st.WireBytes.Add(int64(m.Len()))
-	n.sendReply(ec.from, ec.seq, done+marshalNS, m, ec.track, sp)
+	n.sendReply(from, seq, done+marshalNS, m, track, sp)
 }
 
 // sendReply seals the reply in place and ships the frame, recording a

@@ -101,8 +101,10 @@ type Ref struct {
 
 // Method is the implementation of one remotely invokable method. It
 // receives deserialized argument copies and returns the values to ship
-// back. Methods run in their own goroutine (the paper's "new thread is
-// created to invoke the user's code").
+// back. Each call runs on an executor goroutine of its own (the paper's
+// "new thread is created to invoke the user's code"), parked and reused
+// between calls. call is never reused, args only when every argument
+// is a §3.3 reusable reference.
 type Method func(call *Call, args []model.Value) []model.Value
 
 // Service is a remotely invokable object: a named method table.
@@ -599,6 +601,11 @@ type Node struct {
 	// drains the network and deserializes at a time.
 	recvMu sync.Mutex
 
+	// work is the unbuffered hand-off to this node's parked executors,
+	// idle how many are parked (see dispatch).
+	work chan *invocation
+	idle atomic.Int32
+
 	// links holds the lazily negotiated per-peer wire state, one slot
 	// per cluster node (see negotiate.go). Each slot initializes at
 	// most once, on the first frame exchanged with that peer.
@@ -671,6 +678,7 @@ func newNode(c *Cluster, id int) *Node {
 		objects: make(map[int64]*Service),
 		pending: make(map[int64]chan reply),
 		dedup:   make(map[dedupKey]*dedupEntry),
+		work:    make(chan *invocation),
 		links:   make([]nodeLink, len(c.nodes)),
 		tracer:  c.tracer,
 	}

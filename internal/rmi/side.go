@@ -94,8 +94,10 @@ func (s *side) write(c *Cluster, st *stats.SiteCounters, m *wire.Message, vals [
 // is dropped so the reader allocates fresh objects instead. With skip
 // positions (a pipelined call) only the others are on the wire: the
 // result mixes wire values with slots the caller splices, so it reads
-// with reuse off — no donors taken, nothing to put back.
-func (s *side) read(c *Cluster, node int, st *stats.SiteCounters, m *wire.Message, n int, skip argSet, audit bool) ([]model.Value, []*model.Object, simtime.OpCount, error) {
+// with reuse off — no donors taken, nothing to put back. buf, when the
+// cache supplies no scratch, backs the values if it has room for them:
+// the callee passes its invocation record's inline array.
+func (s *side) read(c *Cluster, node int, st *stats.SiteCounters, m *wire.Message, n int, skip argSet, audit bool, buf []model.Value) ([]model.Value, []*model.Object, simtime.OpCount, error) {
 	cfg, plans := s.cfg, s.plans
 	var cached []*model.Object
 	var scratch []model.Value
@@ -117,6 +119,9 @@ func (s *side) read(c *Cluster, node int, st *stats.SiteCounters, m *wire.Messag
 		if !s.scratch {
 			scratch = nil
 		}
+	}
+	if scratch == nil {
+		scratch = buf
 	}
 	vals, roots, ops, err := serial.ReadValuesScratch(m, c.Registry, n-skip.n, plans, cfg, cached, scratch, c.Counters)
 	if err != nil || skip.n == 0 {

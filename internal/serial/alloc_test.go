@@ -69,3 +69,35 @@ func TestPureHotPathZeroAllocs(t *testing.T) {
 		t.Fatalf("steady-state serialize+send+receive trip allocates %.2f/op, want 0", avg)
 	}
 }
+
+// TestPrimitiveReadZeroAllocs: a message of primitives read into
+// caller scratch allocates nothing — neither values nor roots, which
+// ReadValuesScratch makes only at the first reference (a remote echo's
+// callee decodes into its invocation record this way).
+func TestPrimitiveReadZeroAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
+	}
+	w := newWorld()
+	plans := []*Plan{PrimitivePlan("s", model.FInt), PrimitivePlan("s", model.FDouble)}
+	cfg := Config{Mode: ModeSite}
+	var c stats.Counters
+	m := wire.NewMessage(0)
+	if _, err := WriteValues(m, []model.Value{model.Int(7), model.Double(1.5)}, plans, cfg, &c); err != nil {
+		t.Fatal(err)
+	}
+	frame := m.Bytes()
+	scratch := make([]model.Value, 2)
+	read := func() {
+		rd := wire.GetReader(frame)
+		vals, roots, _, err := ReadValuesScratch(rd, w.reg, 2, plans, cfg, nil, scratch, &c)
+		rd.ReleaseReader()
+		if err != nil || roots != nil || vals[0].I != 7 {
+			t.Fatalf("read: vals %v roots %v err %v", vals, roots, err)
+		}
+	}
+	read()
+	if avg := testing.AllocsPerRun(200, read); avg != 0 {
+		t.Fatalf("primitive read into scratch allocates %.2f/op, want 0", avg)
+	}
+}

@@ -30,7 +30,8 @@ const MaxDecodeDepth = 4096
 // plans. cached, when non-nil, supplies per-value root objects from a
 // previous invocation (the reuse optimization, §3.3); the returned
 // roots slice holds the object graphs now backing each reference value
-// so the caller can stash them back into the reuse cache.
+// so the caller can stash them back into the reuse cache; it is nil
+// when the message carried no reference and cached was not recycled.
 func ReadValues(m *wire.Message, reg *model.Registry, n int, plans []*Plan, cfg Config, cached []*model.Object, c *stats.Counters) (vals []model.Value, roots []*model.Object, ops simtime.OpCount, err error) {
 	return ReadValuesScratch(m, reg, n, plans, cfg, cached, nil, c)
 }
@@ -67,9 +68,9 @@ func readBody(rc *readCtx, n int, plans []*Plan, cfg Config, cached []*model.Obj
 		// Recycle the reuse-cache slot slice as the roots slice: old
 		// donors are read out below before each slot is overwritten.
 		roots = cached
-	} else {
-		roots = make([]*model.Object, n)
 	}
+	// Otherwise roots is made at the first reference: a message carrying
+	// none returns nil roots and costs no allocation for them.
 	for i := 0; i < n; i++ {
 		var kind model.FieldKind
 		var np *NodePlan
@@ -86,7 +87,9 @@ func readBody(rc *readCtx, n int, plans []*Plan, cfg Config, cached []*model.Obj
 		}
 		// old is captured; clear the slot so a non-ref value leaves no
 		// stale donor behind when roots aliases cached.
-		roots[i] = nil
+		if roots != nil {
+			roots[i] = nil
+		}
 		switch kind {
 		case model.FInt:
 			vals[i] = model.Int(m.ReadInt64())
@@ -106,6 +109,9 @@ func readBody(rc *readCtx, n int, plans []*Plan, cfg Config, cached []*model.Obj
 				return nil, nil, rerr
 			}
 			vals[i] = model.Ref(o)
+			if roots == nil {
+				roots = make([]*model.Object, n)
+			}
 			roots[i] = o
 		default:
 			if m.Err() != nil {

@@ -36,8 +36,9 @@ func (rc *ReuseCache) Take() ([]*model.Object, []model.Value) {
 // Put stores the roots deserialized by this invocation (and the vals
 // scratch backing them) for the next one. A nil argument leaves the
 // corresponding slot untouched — a concurrent holder may still return
-// it; for non-nil arguments the newer value wins (either graph is a
-// valid donor).
+// it, and a message without references reads back nil roots; for
+// non-nil arguments the newer value wins (either graph is a valid
+// donor).
 func (rc *ReuseCache) Put(slots []*model.Object, vals []model.Value) {
 	rc.mu.Lock()
 	if slots != nil {

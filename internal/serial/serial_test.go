@@ -510,3 +510,45 @@ func TestReuseCacheGuard(t *testing.T) {
 		t.Fatal("nil Put argument clobbered the other slot")
 	}
 }
+
+// TestRootsOnFirstReference pins the roots contract of ReadValuesScratch:
+// roots is made at the first reference read, so a message without one
+// reads back nil roots, a mixed message one slot per value with the
+// primitive slots nil, and a cached slice of the right length is
+// recycled as roots itself whatever the message holds.
+func TestRootsOnFirstReference(t *testing.T) {
+	w := newWorld()
+	intPlan := PrimitivePlan("s", model.FInt)
+	listPlan := w.nodeListPlan(true)
+	cfg := Config{Mode: ModeSite, CycleElim: true, Reuse: true}
+
+	_, roots, _ := roundTrip(t, w, []model.Value{model.Int(1), model.Int(2)}, []*Plan{intPlan, intPlan}, cfg, nil)
+	if roots != nil {
+		t.Errorf("all-primitive message: roots %v, want nil", roots)
+	}
+
+	vals, roots, _ := roundTrip(t, w, []model.Value{model.Int(1), model.Ref(w.makeList(3))}, []*Plan{intPlan, listPlan}, cfg, nil)
+	if len(roots) != 2 || roots[0] != nil || roots[1] != vals[1].O {
+		t.Errorf("mixed message: roots %v, want [nil, the list]", roots)
+	}
+
+	cached := roots
+	vals, roots, _ = roundTrip(t, w, []model.Value{model.Int(4), model.Ref(w.makeList(3))}, []*Plan{intPlan, listPlan}, cfg, cached)
+	if &roots[0] != &cached[0] || roots[0] != nil || roots[1] != vals[1].O {
+		t.Errorf("cache hit: roots %v is not the cached slice rewritten", roots)
+	}
+	_, roots, _ = roundTrip(t, w, []model.Value{model.Int(5), model.Int(6)}, []*Plan{intPlan, intPlan}, cfg, cached)
+	if &roots[0] != &cached[0] || roots[0] != nil || roots[1] != nil {
+		t.Errorf("cache hit, no reference: roots %v is not the cached slice cleared", roots)
+	}
+
+	// Putting the nil roots of a reference-free message back leaves
+	// the slot as it was.
+	var rc ReuseCache
+	rc.Put(cached, nil)
+	_, none, _ := roundTrip(t, w, []model.Value{model.Int(1), model.Int(2)}, []*Plan{intPlan, intPlan}, cfg, nil)
+	rc.Put(none, nil)
+	if got, _ := rc.Take(); &got[0] != &cached[0] {
+		t.Error("Put(nil roots) replaced the cached slot")
+	}
+}

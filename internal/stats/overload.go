@@ -17,7 +17,8 @@ type OverloadStats struct {
 	// results retained for pipelined consumers, summed over nodes.
 	PromiseTable int64 `json:"promise_table"`
 	// PromiseParked is the number of executor goroutines currently
-	// parked waiting for a promised argument's producer.
+	// blocked in a pipelined call, waiting for a promised argument's
+	// producer (not the idle executors a node keeps between calls).
 	PromiseParked int64 `json:"promise_parked"`
 	// BatchQueueDepth is the number of coalesced frames sitting in
 	// not-yet-flushed batch containers, summed over links.

@@ -45,8 +45,8 @@ const (
 	// callee receive (includes transport queueing).
 	PhaseTransit
 	// PhaseDispatch is the callee-side gap between the receive loop
-	// launching the method goroutine and the method starting (the Go
-	// scheduler's dispatch queue).
+	// handing the call to an executor goroutine and the method starting
+	// (the Go scheduler's dispatch queue).
 	PhaseDispatch
 	// PhaseDeserialize is the callee-side argument unmarshal,
 	// including the §3.3 reuse-cache overwrite path.

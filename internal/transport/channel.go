@@ -20,7 +20,9 @@ import (
 // Shutdown protocol: Close never closes the inbox channels (a send
 // blocked on a full inbox would race with the close); instead it
 // closes a broadcast `done` channel that every blocked Send and Recv
-// selects on. Packets already queued still drain after Close.
+// selects on. Packets already queued still drain after Close; a Send
+// that enqueues after Close releases what is queued for its receiver,
+// which may already have drained and left.
 type ChannelNetwork struct {
 	inboxes []chan Packet
 	eps     []*channelEndpoint
@@ -94,9 +96,28 @@ func (e *channelEndpoint) send(p Packet) error {
 	}
 	select {
 	case e.net.inboxes[p.To] <- p:
+		select {
+		case <-e.net.done:
+			// Close raced this send: the receiver may already have
+			// drained and left, so reclaim what it would never read.
+			e.net.drain(p.To)
+		default:
+		}
 		return nil
 	case <-e.net.done:
 		return ErrClosed
+	}
+}
+
+// drain releases every packet queued for node.
+func (cn *ChannelNetwork) drain(node int) {
+	for {
+		select {
+		case p := <-cn.inboxes[node]:
+			wire.PutBuf(p.Payload)
+		default:
+			return
+		}
 	}
 }
 
