@@ -87,42 +87,40 @@ verify-dtrace:
 # Analysis-at-scale gate (DESIGN.md §16): the 2200- and 360-function
 # generated corpora must analyze inside the wall budget with exactly
 # their pinned structure and precision counters (zero context-budget
-# fallbacks among them); a one-function edit on a warm summary cache
-# must re-analyze its own region only, under 10% of the corpus, and
-# merge to a result bit-identical to a cold run; the parallel cold run must
-# be bit-identical to the sequential one and, with >= 4 CPUs, beat it
-# by 2x (fewer cores assert identity only). Incremental-invalidation
-# edge cases (recursive SCCs, edge add/remove, corrupted cache files)
-# are pinned by the unit tests in internal/heap and internal/heap/sched.
-# Those gates stop at the heap analysis (harness.AnalyzeCorpus); the
-# stage after it, core.buildSites with its escape check, is held linear
-# by the last line: a whole core.Compile must allocate no more than
+# fallbacks among them); the parallel run must be bit-identical to the
+# sequential one and, with >= 4 CPUs, beat it by 2x (fewer cores
+# assert identity only). Those gates stop at the heap analysis
+# (harness.AnalyzeCorpus); the stage after it, core.buildSites with
+# its escape check, is held linear by the last line: a whole
+# core.Compile must allocate no more than
 # 1.5x per function at 1440 functions than at 360 and no more than 36
 # per function at either size, and each of its six stages (the names
 # the repo benchmark's ladder uses) stays under its own per-function
 # allocation ceiling, so a regression names its stage; no wall clock
 # read. The corpus gate also pins Analysis.Fingerprint of both corpora
-# as constants, and the heap line holds the ordered NodeSet to the map
-# it replaced (the oracle in nodeset_ref_test.go) and Reach to a fixed
-# number of allocations whatever the graph size.
+# as constants. The second line runs a test or more in each of its
+# three packages: in internal/heap it holds the ordered NodeSet to the
+# map it replaced (the oracle in nodeset_ref_test.go), Reach to a fixed
+# number of allocations whatever the graph size, and the cormi-cost/2
+# document to its keys; in internal/heap/sched the region plan and the
+# worker pool; in internal/heap/gen the corpus generator.
 verify-analysis:
-	go test -count=1 -run 'TestAnalysisCorpusGate|TestAnalysisIncrementalGate|TestAnalysisParallelSpeedup' ./internal/harness
-	go test -count=1 -run 'TestIncremental|TestSummary|TestNodeSet|TestReachAllocations|TestMergedView' ./internal/heap ./internal/heap/sched ./internal/heap/gen
+	go test -count=1 -run 'TestAnalysisCorpusGate|TestAnalysisParallelSpeedup' ./internal/harness
+	go test -count=1 -run 'TestNodeSet|TestReachAllocations|TestMergedView|TestCostDocument|TestBuildPlan|TestSharedStatic|TestSelfRecursion|TestPoolRun|TestGenerate|TestEdit|TestExtraCall' ./internal/heap ./internal/heap/sched ./internal/heap/gen
 	go test -count=1 -run 'TestCompileAllocsLinearInFunctions|TestCompileStageAllocs' ./internal/core
 
 # Short native-fuzzing pass over the adversarial decode surfaces:
 # the HELLO handshake decoder, the value/reference payload decoder,
-# the call-header codec (fixed fields, trace context, promise section),
-# and the analysis summary-cache decoder. Each target always replays
-# its checked-in seed corpus (testdata/fuzz/) and then mutates for a
-# few seconds. Properties: no panics, typed ErrMalformedFrame on every
+# and the call-header codec (fixed fields, trace context, promise
+# section). Each target always replays its checked-in seed corpus
+# (testdata/fuzz/) and then mutates for a few seconds. Properties: no
+# panics, typed ErrMalformedFrame on every
 # rejection, balanced pools. Longer runs: FUZZTIME=10m make fuzz.
 FUZZTIME ?= 5s
 fuzz:
 	go test -run '^$$' -fuzz FuzzDecodeHello -fuzztime $(FUZZTIME) ./internal/wire
 	go test -run '^$$' -fuzz FuzzCallHeader -fuzztime $(FUZZTIME) ./internal/wire
 	go test -run '^$$' -fuzz FuzzReadValues -fuzztime $(FUZZTIME) ./internal/serial
-	go test -run '^$$' -fuzz FuzzSummaryDecode -fuzztime $(FUZZTIME) ./internal/heap
 
 # Every Go benchmark in the module. Informational, no gate.
 bench:

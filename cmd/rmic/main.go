@@ -39,7 +39,6 @@ import (
 	"cormi/internal/core"
 	"cormi/internal/harness"
 	"cormi/internal/heap"
-	"cormi/internal/model"
 	"cormi/internal/serial"
 )
 
@@ -81,10 +80,8 @@ func main() {
 	explainSmoke := flag.Bool("explain-smoke", false, "self-validate the explain reports of every bundled example")
 	fingerprints := flag.Bool("fingerprints", false, "print the per-class plan fingerprints the compiled program would advertise in its HELLO")
 	verdictMatrix := flag.String("verdict-matrix", "", "compile every *.jp under the directory and print the verdict matrix")
-	analysisStats := flag.Bool("analysis-stats", false, "print the analysis cost table (structure, precision effort, cache economics)")
+	analysisStats := flag.Bool("analysis-stats", false, "print the analysis cost table (structure, precision effort, wall time)")
 	analysisStatsJSON := flag.Bool("analysis-stats-json", false, "print the analysis cost as JSON (schema "+heap.CostSchema+")")
-	analysisCache := flag.String("analysis-cache", "", "persist/reuse region summaries under this directory (incremental analysis)")
-	analysisWorkers := flag.Int("analysis-workers", 0, "analysis worker pool size (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	if *explainSmoke {
@@ -126,14 +123,7 @@ func main() {
 		label = flag.Arg(0)
 	}
 
-	copts := core.Options{}
-	if *analysisCache != "" || *analysisWorkers != 0 {
-		ho := heap.DefaultOptions()
-		ho.CacheDir = *analysisCache
-		ho.Workers = *analysisWorkers
-		copts.HeapOpts = &ho
-	}
-	res, err := core.CompileOpts(src, model.NewRegistry(), copts)
+	res, err := core.Compile(src)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rmic: %v\n", err)
 		os.Exit(1)

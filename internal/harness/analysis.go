@@ -1,9 +1,9 @@
 package harness
 
-// The analysis-at-scale harness (ISSUE 10): generated MiniJP corpora
-// large enough to exercise the parallel per-region scheduler and the
-// incremental summary cache, priced by heap.CostStats. analysis_test.go
-// gates the numbers in CI (`make verify-analysis`).
+// The analysis-at-scale harness: generated MiniJP corpora large
+// enough to exercise the parallel per-region scheduler, priced by
+// heap.CostStats. analysis_test.go gates the numbers in CI (`make
+// verify-analysis`).
 
 import (
 	"fmt"

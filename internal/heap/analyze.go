@@ -26,51 +26,25 @@ func Analyze(prog *ir.Program) *Analysis {
 // partitions the program into independent analysis regions (weakly
 // connected components of the call + shared-static graph, computed by
 // internal/heap/sched), solves each region to fixpoint — concurrently
-// across Options.Workers, loading regions whose content key hits the
-// summary cache instead of re-solving them — and merges the parts
-// into one program-wide Analysis.
+// across Options.Workers — and merges the parts into one program-wide
+// Analysis.
 //
-// The merge is what makes parallelism and caching invisible: regions
-// share no analysis state (facts flow only along call edges and
-// shared statics, both region-internal by construction), each region
-// is solved by the same deterministic sequential engine, and the
-// merged node/context numbering depends only on the deterministic
-// region order. A run at any worker count, cold or warm, is therefore
-// bit-identical to the sequential cold run — the invariant `make
-// verify-analysis` enforces.
+// The merge is what makes parallelism invisible: regions share no
+// analysis state (facts flow only along call edges and shared
+// statics, both region-internal by construction), each region is
+// solved by the same deterministic sequential engine, and the merged
+// node/context numbering depends only on the deterministic region
+// order. A run at any worker count is therefore bit-identical to the
+// sequential run — the invariant `make verify-analysis` enforces.
 func AnalyzeOpts(prog *ir.Program, opts Options) *Analysis {
 	start := time.Now()
 	plan := sched.BuildPlan(prog)
 	nc := len(plan.Components)
 	parts := make([]*Analysis, nc)
-	loaded := make([]bool, nc)
-
-	var cache *sched.Cache
-	var hashes *sched.Hashes
-	if opts.CacheDir != "" {
-		cache = sched.Open(opts.CacheDir)
-		hashes = plan.Hashes(opts.fingerprint())
-	}
 	workers := opts.workers()
 	sched.Run(nc, workers, func(ci int) {
-		if cache != nil {
-			if payload, ok := cache.Load(hashes.Component[ci]); ok {
-				if part := decodeComponent(prog, plan, ci, opts, payload); part != nil {
-					parts[ci] = part
-					loaded[ci] = true
-					return
-				}
-			}
-		}
-		part := solveComponent(prog, plan, ci, opts)
-		parts[ci] = part
-		if cache != nil {
-			cache.Store(hashes.Component[ci], encodeComponent(plan, ci, part))
-		}
+		parts[ci] = solveComponent(prog, plan, ci, opts)
 	})
-	if cache != nil {
-		cache.WriteManifest(plan, hashes)
-	}
 
 	a := mergeParts(prog, opts, parts)
 	a.Cost = CostStats{
@@ -80,20 +54,26 @@ func AnalyzeOpts(prog *ir.Program, opts Options) *Analysis {
 		Waves:      plan.Waves,
 		Workers:    workers,
 	}
-	for ci, comp := range plan.Components {
-		if loaded[ci] {
-			a.Cost.CacheHits++
-			a.Cost.FuncsLoaded += len(comp.Funcs)
-		} else {
-			if cache != nil {
-				a.Cost.CacheMisses++
-			}
-			a.Cost.FuncsAnalyzed += len(comp.Funcs)
-		}
-	}
 	a.Cost.fillFromAnalysis(a)
 	a.Cost.WallNS = time.Since(start).Nanoseconds()
 	return a
+}
+
+// componentFuncs materializes one region's solve order and recursion
+// flags from the plan.
+func componentFuncs(plan *sched.Plan, ci int) ([]*ir.Func, map[*ir.Func]bool) {
+	comp := plan.Components[ci]
+	funcs := make([]*ir.Func, len(comp.Order))
+	for i, fi := range comp.Order {
+		funcs[i] = plan.Funcs[fi]
+	}
+	recursive := map[*ir.Func]bool{}
+	for _, fi := range comp.Funcs {
+		if plan.Recursive[fi] {
+			recursive[plan.Funcs[fi]] = true
+		}
+	}
+	return funcs, recursive
 }
 
 // solveComponent solves one region with the sequential engine.
@@ -121,10 +101,16 @@ func solveComponent(prog *ir.Program, plan *sched.Plan, ci int, opts Options) *A
 	return b
 }
 
-// newAnalysis is the empty analysis state of one function subset (one
-// region while solving or decoding).
-func newAnalysis(prog *ir.Program, opts Options, funcs []*ir.Func, recursive map[*ir.Func]bool) *Analysis {
-	return &Analysis{
+// runAnalysis is one complete fixpoint run over one function subset:
+// context prepass, then chaotic iteration over every (function, live
+// context, instruction) triple until nothing changes. funcs is the
+// region's bottom-up wave order — callees are visited before callers
+// within each pass, so summaries usually stabilize in fewer passes
+// than the old whole-program source order needed, and the order is a
+// fixed input, keeping node discovery (and so all numbering)
+// deterministic.
+func runAnalysis(prog *ir.Program, opts Options, funcs []*ir.Func, recursive map[*ir.Func]bool, killed map[instrCtx]bool) *Analysis {
+	a := &Analysis{
 		Prog:       prog,
 		Opts:       opts,
 		funcs:      funcs,
@@ -137,20 +123,8 @@ func newAnalysis(prog *ir.Program, opts Options, funcs []*ir.Func, recursive map
 		clonePairs: make(map[clonePair]NodeID),
 		argCtxs:    make(map[*lang.MethodDecl]string),
 		retCtxs:    make(map[int]string),
+		killed:     killed,
 	}
-}
-
-// runAnalysis is one complete fixpoint run over one function subset:
-// context prepass, then chaotic iteration over every (function, live
-// context, instruction) triple until nothing changes. funcs is the
-// region's bottom-up wave order — callees are visited before callers
-// within each pass, so summaries usually stabilize in fewer passes
-// than the old whole-program source order needed, and the order is a
-// fixed input, keeping node discovery (and so all numbering)
-// deterministic.
-func runAnalysis(prog *ir.Program, opts Options, funcs []*ir.Func, recursive map[*ir.Func]bool, killed map[instrCtx]bool) *Analysis {
-	a := newAnalysis(prog, opts, funcs, recursive)
-	a.killed = killed
 	a.buildContexts()
 	for {
 		a.changed = false

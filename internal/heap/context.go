@@ -26,7 +26,7 @@ import (
 // The prepass runs over a.funcs — one analysis region while solving —
 // and contexts are numbered in the region's deterministic function
 // order, which makes node IDs and therefore every downstream witness
-// byte-stable across runs, worker counts, and cache states. Recursion
+// byte-stable across runs and worker counts. Recursion
 // flags come from the scheduler's whole-program plan (a.recursive is
 // filled before this runs): a region sees every direct-call cycle it
 // participates in, and cycles never span regions, so the per-region

@@ -1,11 +1,10 @@
 package heap
 
-// The analysis cost model (ISSUE 10): every run of the driver prices
-// itself — structure (functions, SCCs, regions, waves), precision
-// effort (contexts, nodes, peak points-to, strong kills, iterations,
-// budget fallbacks), cache economics (hits, misses, functions loaded
-// vs analyzed), and wall time. CostStats is exported through
-// `rmic -analysis-stats` (text and the cormi-cost/1 JSON document)
+// The analysis cost model: every run of the driver prices itself —
+// structure (functions, SCCs, regions, waves), precision effort
+// (contexts, nodes, peak points-to, strong kills, iterations, budget
+// fallbacks), and wall time. CostStats is exported through
+// `rmic -analysis-stats` (text and the cormi-cost/2 JSON document)
 // and is gated in CI by `make verify-analysis`.
 
 import (
@@ -15,19 +14,17 @@ import (
 	"strings"
 	"time"
 
-	"cormi/internal/heap/sched"
 	"cormi/internal/ir"
 )
 
 // CostSchema identifies the machine-readable cost document format.
-const CostSchema = "cormi-cost/1"
+const CostSchema = "cormi-cost/2"
 
-// CostStats prices one analysis run. All fields except WallNS,
-// Workers, and the cache counters are deterministic functions of the
-// program and the precision options.
+// CostStats prices one analysis run. All fields except WallNS and
+// Workers are deterministic functions of the program and the
+// precision options.
 type CostStats struct {
-	// WallNS is the end-to-end driver wall time (plan, cache, solve,
-	// merge).
+	// WallNS is the end-to-end driver wall time (plan, solve, merge).
 	WallNS int64 `json:"wall_ns"`
 	// Functions is the program's bodied function count.
 	Functions int `json:"functions"`
@@ -53,14 +50,6 @@ type CostStats struct {
 	// affected callees (sorted).
 	BudgetFallbacks int      `json:"budget_fallbacks"`
 	FallbackFuncs   []string `json:"fallback_funcs,omitempty"`
-
-	// Cache economics. Hits+Misses = Components when a cache is
-	// configured (both zero otherwise); FuncsLoaded/FuncsAnalyzed
-	// partition Functions by whether their region came from the cache.
-	CacheHits     int `json:"cache_hits"`
-	CacheMisses   int `json:"cache_misses"`
-	FuncsLoaded   int `json:"funcs_loaded"`
-	FuncsAnalyzed int `json:"funcs_analyzed"`
 }
 
 // fillFromAnalysis copies the precision-effort counters out of the
@@ -79,14 +68,14 @@ func (c *CostStats) fillFromAnalysis(a *Analysis) {
 	sort.Strings(c.FallbackFuncs)
 }
 
-// CostDoc is the cormi-cost/1 envelope.
+// CostDoc is the cormi-cost/2 envelope.
 type CostDoc struct {
 	Schema string `json:"schema"`
 	Source string `json:"source,omitempty"`
 	CostStats
 }
 
-// JSON renders the cormi-cost/1 document. source is a free-form label
+// JSON renders the cormi-cost/2 document. source is a free-form label
 // (file name, corpus name).
 func (c CostStats) JSON(source string) ([]byte, error) {
 	return json.MarshalIndent(CostDoc{Schema: CostSchema, Source: source, CostStats: c}, "", "  ")
@@ -109,19 +98,69 @@ func (c CostStats) Format() string {
 		fmt.Fprintf(&b, " (%s)", strings.Join(c.FallbackFuncs, ", "))
 	}
 	b.WriteByte('\n')
-	fmt.Fprintf(&b, "summary cache          %d hits, %d misses (%d funcs loaded, %d analyzed)\n",
-		c.CacheHits, c.CacheMisses, c.FuncsLoaded, c.FuncsAnalyzed)
 	return b.String()
+}
+
+// hasher is FNV-1a 64, hand-rolled so Fingerprint needs no allocation
+// and no hash.Hash plumbing.
+type hasher uint64
+
+// newHasher returns the FNV-1a offset basis.
+func newHasher() hasher { return 14695981039346656037 }
+
+// Byte mixes one byte.
+func (h *hasher) Byte(b byte) {
+	*h = (*h ^ hasher(b)) * 1099511628211
+}
+
+// String mixes a length-prefixed string (the prefix keeps "ab","c"
+// distinct from "a","bc").
+func (h *hasher) String(s string) {
+	h.Uint(uint64(len(s)))
+	for i := 0; i < len(s); i++ {
+		h.Byte(s[i])
+	}
+}
+
+// Uint mixes a fixed-width integer.
+func (h *hasher) Uint(v uint64) {
+	for i := 0; i < 8; i++ {
+		h.Byte(byte(v))
+		v >>= 8
+	}
+}
+
+// Bool mixes a flag.
+func (h *hasher) Bool(b bool) {
+	if b {
+		h.Byte(1)
+	} else {
+		h.Byte(0)
+	}
+}
+
+// valuesOf enumerates a function's SSA values in a stable order:
+// parameters first, then every instruction destination in block order.
+func valuesOf(f *ir.Func) []*ir.Value {
+	out := append([]*ir.Value(nil), f.Params...)
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.Dst != nil {
+				out = append(out, in.Dst)
+			}
+		}
+	}
+	return out
 }
 
 // Fingerprint digests the complete observable analysis state — nodes,
 // every points-to set, field and global edges, allocation and clone
 // tables, context assignment, and the golden-visible counters. Two
 // runs with equal fingerprints answer every query identically, so the
-// determinism and incremental gates compare fingerprints instead of
-// re-deriving all downstream artifacts. Cost (wall time, cache
-// traffic, worker count) is deliberately excluded: it may differ
-// between runs that must otherwise be bit-identical.
+// determinism gates compare fingerprints instead of re-deriving all
+// downstream artifacts. Cost (wall time, worker count) is
+// deliberately excluded: it may differ between runs that must
+// otherwise be bit-identical.
 func (a *Analysis) Fingerprint() uint64 {
 	coords := map[*ir.Instr][3]int{}
 	valueOf := map[*ir.Value][2]int{}
@@ -135,13 +174,13 @@ func (a *Analysis) Fingerprint() uint64 {
 			valueOf[v] = [2]int{fi, vi}
 		}
 	}
-	instr := func(h *sched.Hasher, in *ir.Instr) {
+	instr := func(h *hasher, in *ir.Instr) {
 		c := coords[in]
 		h.Uint(uint64(c[0]))
 		h.Uint(uint64(c[1]))
 		h.Uint(uint64(c[2]))
 	}
-	set := func(h *sched.Hasher, s NodeSet) {
+	set := func(h *hasher, s NodeSet) {
 		ids := s.Sorted()
 		h.Uint(uint64(len(ids)))
 		for _, id := range ids {
@@ -149,7 +188,7 @@ func (a *Analysis) Fingerprint() uint64 {
 		}
 	}
 
-	h := sched.NewHasher()
+	h := newHasher()
 	h.Uint(uint64(len(a.Nodes)))
 	for _, n := range a.Nodes {
 		h.Uint(uint64(n.ID))
@@ -325,5 +364,5 @@ func (a *Analysis) Fingerprint() uint64 {
 
 	h.Uint(uint64(a.StrongKills))
 	h.Uint(uint64(a.Iterations))
-	return h.Sum()
+	return uint64(h)
 }

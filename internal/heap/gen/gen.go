@@ -2,18 +2,18 @@
 // scalability gates (DESIGN.md §16). A corpus is a deterministic
 // function of its Config: the same seed always yields byte-identical
 // source, and an entry in Edits changes exactly one function body (a
-// salt constant) without moving any call edge — the shape the
-// incremental-invalidation tests need. ExtraCalls is the structural
-// counterpart: it adds one call edge out of a chosen function, for the
-// edge add/remove rewiring tests.
+// salt constant) without moving any call edge. ExtraCalls is the
+// structural counterpart: it adds one call edge out of a chosen
+// function. Both exist as corpus variety for the reuse-verdict
+// differential test (TestReuseVerdictDifferential in
+// internal/core/escape_ref_test.go).
 //
 // Each component k is a self-contained class family (CkNode, remote
 // CkSvc, CkApp) whose functions never reference another component, so
 // the scheduler must discover exactly Components independent regions.
 // Within a component the helpers form a call chain with seeded
 // cross-links, a mutually recursive pair (f1/f2), a remote call, and a
-// static-field escape — every analysis feature the cache must
-// serialize.
+// static-field escape — every feature the analysis models.
 package gen
 
 import (

@@ -44,7 +44,6 @@ import (
 	"slices"
 	"strconv"
 
-	"cormi/internal/heap/sched"
 	"cormi/internal/ir"
 	"cormi/internal/lang"
 	"cormi/internal/slab"
@@ -69,10 +68,10 @@ const MergedCtx Ctx = 0
 const DefaultContextBudget = 16
 
 // Options selects the analysis precision/cost trade-offs, plus the
-// scheduling knobs of the parallel/incremental driver. Only the
-// precision fields may influence analysis RESULTS; Workers and
-// CacheDir are pure accelerators, and the determinism gate
-// (`make verify-analysis`) pins that they change nothing observable.
+// worker count of the parallel driver. Only the precision fields may
+// influence analysis RESULTS; Workers changes wall time alone, and the
+// determinism gate (`make verify-analysis`) pins that it changes
+// nothing observable.
 type Options struct {
 	// ContextSensitive enables 1-call-site-sensitive interprocedural
 	// analysis (per-call-site callee summaries).
@@ -86,11 +85,6 @@ type Options struct {
 	// Workers bounds the worker pool solving independent analysis
 	// regions concurrently (0 means GOMAXPROCS, 1 forces sequential).
 	Workers int
-	// CacheDir, when non-empty, enables the persistent summary cache
-	// (conventionally a `.cormi-cache` directory): regions whose
-	// content key matches a cached summary are loaded instead of
-	// re-solved.
-	CacheDir string
 }
 
 // DefaultOptions is the production configuration: both refinements on.
@@ -115,17 +109,6 @@ func (o Options) workers() int {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// fingerprint digests the result-affecting options only — the summary
-// cache must be oblivious to Workers and CacheDir, which by the
-// determinism contract cannot change any analysis fact.
-func (o Options) fingerprint() uint64 {
-	h := sched.NewHasher()
-	h.Bool(o.ContextSensitive)
-	h.Bool(o.StrongUpdates)
-	h.Uint(uint64(o.budget()))
-	return h.Sum()
 }
 
 // ElemKey is the pseudo-field naming array element edges (the "[]"

@@ -11,8 +11,8 @@ import (
 // 1); the merge relocates both by cumulative offsets in region order.
 // Because region order (minimum member function index) and each
 // part's internal numbering are deterministic, the merged numbering
-// is a pure function of the program — independent of worker count,
-// scheduling, and cache state.
+// is a pure function of the program — independent of worker count
+// and scheduling.
 //
 // No key can collide across parts: points-to keys are per-function
 // SSA values, allocation keys are per-instruction, static fields
@@ -58,10 +58,10 @@ func mergeParts(prog *ir.Program, opts Options, parts []*Analysis) *Analysis {
 			}
 			return c + ctxBase
 		}
-		// The parts are private to this merge (freshly solved or
-		// freshly decoded), so their nodes, sets, field maps and
-		// context lists are relocated in place and adopted, not
-		// copied. A set's order survives adding a constant.
+		// The parts are private to this merge (freshly solved), so
+		// their nodes, sets, field maps and context lists are
+		// relocated in place and adopted, not copied. A set's order
+		// survives adding a constant.
 		for _, n := range p.Nodes {
 			n.ID += nodeBase
 			n.Logical += int(nodeBase)

@@ -179,34 +179,32 @@ func TestReachAllocationsIndependentOfSize(t *testing.T) {
 // set of a region in place, and the merged PointsTo view is the one
 // table no fingerprint covers (it is derived: the union of a value's
 // per-context sets). On a corpus of several regions — so that all but
-// the first move by a non-zero offset — the two must still agree, from
-// a cold solve and from a warm cache alike, and every id must name a
-// node of the merged table.
+// the first move by a non-zero offset — the two must still agree, and
+// every id must name a node of the merged table.
 func TestMergedViewRelocatedWithItsContexts(t *testing.T) {
-	cfg := gen.Config{Seed: 404, Components: 5, FuncsPerComponent: 8}
-	dir := t.TempDir()
-	for _, pass := range []string{"cold", "warm"} {
-		a := run(t, cfg, cachedOpts(dir, 1))
-		values := 0
-		for _, f := range a.Prog.Funcs {
-			for _, v := range valuesOf(f) {
-				var union NodeSet
-				for _, c := range a.Contexts(f) {
-					union.AddAll(a.PointsToIn(v, c))
-				}
-				if !slices.Equal(union, a.PointsTo(v)) {
-					t.Fatalf("%s: %s %s: PointsTo = %s, union over contexts = %s", pass, f.Name, v, a.PointsTo(v), union)
-				}
-				for _, id := range union {
-					if int(id) >= len(a.Nodes) || a.Nodes[id].ID != id {
-						t.Fatalf("%s: %s %s points to %d, not a node of the merged table", pass, f.Name, v, id)
-					}
-				}
-				values += len(union)
+	opts := DefaultOptions()
+	opts.Workers = 1
+	src := gen.Generate(gen.Config{Seed: 404, Components: 5, FuncsPerComponent: 8}).Source
+	a, _ := analyzeOpts(t, src, opts)
+	values := 0
+	for _, f := range a.Prog.Funcs {
+		for _, v := range valuesOf(f) {
+			var union NodeSet
+			for _, c := range a.Contexts(f) {
+				union.AddAll(a.PointsToIn(v, c))
 			}
+			if !slices.Equal(union, a.PointsTo(v)) {
+				t.Fatalf("%s %s: PointsTo = %s, union over contexts = %s", f.Name, v, a.PointsTo(v), union)
+			}
+			for _, id := range union {
+				if int(id) >= len(a.Nodes) || a.Nodes[id].ID != id {
+					t.Fatalf("%s %s points to %d, not a node of the merged table", f.Name, v, id)
+				}
+			}
+			values += len(union)
 		}
-		if values == 0 || a.Cost.Components < 2 {
-			t.Fatalf("%s: corpus too small to relocate anything (%d regions)", pass, a.Cost.Components)
-		}
+	}
+	if values == 0 || a.Cost.Components < 2 {
+		t.Fatalf("corpus too small to relocate anything (%d regions)", a.Cost.Components)
 	}
 }

@@ -3,18 +3,16 @@
 // connected components, groups SCCs into independent analysis regions
 // (weakly connected components of the call + shared-static coupling
 // graph), orders each region's functions into bottom-up
-// reverse-topological waves, and provides the bounded worker pool and
-// the persistent summary cache the analysis driver schedules over.
+// reverse-topological waves, and provides the bounded worker pool the
+// analysis driver schedules over.
 //
 // The partitioning invariant the whole layer rests on: the points-to
 // constraint graph never crosses a region boundary. Facts flow between
 // two functions only through a call edge (arguments down, returns up,
 // RMI clones both ways) or through a shared static field, and both
 // edge kinds are region edges by construction. Regions can therefore
-// be solved concurrently with zero shared mutable state, and a cached
-// region summary can be reused verbatim when nothing inside the
-// region changed — which is what makes parallel and incremental runs
-// bit-identical to a sequential cold run.
+// be solved concurrently with zero shared mutable state — which is
+// what makes a parallel run bit-identical to a sequential one.
 package sched
 
 import (
@@ -25,10 +23,8 @@ import (
 )
 
 // Plan is the precomputed schedule of one whole-program analysis:
-// the condensed call graph, the independent regions, and the content
-// hashes that key the summary cache.
+// the condensed call graph and the independent regions.
 type Plan struct {
-	Prog  *ir.Program
 	Funcs []*ir.Func
 	Index map[*ir.Func]int
 
@@ -71,7 +67,6 @@ type Component struct {
 func BuildPlan(prog *ir.Program) *Plan {
 	n := len(prog.Funcs)
 	p := &Plan{
-		Prog:  prog,
 		Funcs: prog.Funcs,
 		Index: make(map[*ir.Func]int, n),
 	}
