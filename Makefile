@@ -87,26 +87,25 @@ verify-dtrace:
 # Analysis-at-scale gate (DESIGN.md §16): the 2200- and 360-function
 # generated corpora must analyze inside the wall budget with exactly
 # their pinned structure and precision counters (zero context-budget
-# fallbacks among them); the parallel run must be bit-identical to the
-# sequential one and, with >= 4 CPUs, beat it by 2x (fewer cores
-# assert identity only). Those gates stop at the heap analysis
-# (harness.AnalyzeCorpus); the stage after it, core.buildSites with
-# its escape check, is held linear by the last line: a whole
-# core.Compile must allocate no more than
-# 1.5x per function at 1440 functions than at 360 and no more than 36
+# fallbacks among them) and their pinned Analysis.Fingerprint. Those
+# gates stop at the heap analysis (harness.AnalyzeCorpus); the stage
+# after it, core.buildSites with its escape check, is held linear by
+# the last line: a whole core.Compile must allocate no more than
+# 1.5x per function at 1440 functions than at 360 and no more than 28
 # per function at either size, and each of its six stages (the names
 # the repo benchmark's ladder uses) stays under its own per-function
 # allocation ceiling, so a regression names its stage; no wall clock
-# read. The corpus gate also pins Analysis.Fingerprint of both corpora
-# as constants. The second line runs a test or more in each of its
-# three packages: in internal/heap it holds the ordered NodeSet to the
-# map it replaced (the oracle in nodeset_ref_test.go), Reach to a fixed
-# number of allocations whatever the graph size, and the cormi-cost/2
-# document to its keys; in internal/heap/sched the region plan and the
-# worker pool; in internal/heap/gen the corpus generator.
+# read. The second line runs a test or more in each of its three
+# packages: in internal/heap it holds AnalyzeOpts, which solves region
+# by region, to the plain single fixpoint over the whole program (the
+# oracle in analyze_ref_test.go) and counts the bodies it walks on a
+# skewed corpus, holds the ordered NodeSet to the map it replaced, Reach to a
+# fixed number of allocations whatever the graph size, and the
+# cormi-cost/3 document to its keys; in internal/heap/sched the region
+# plan; in internal/heap/gen the corpus generator.
 verify-analysis:
-	go test -count=1 -run 'TestAnalysisCorpusGate|TestAnalysisParallelSpeedup' ./internal/harness
-	go test -count=1 -run 'TestNodeSet|TestReachAllocations|TestMergedView|TestCostDocument|TestBuildPlan|TestSharedStatic|TestSelfRecursion|TestPoolRun|TestGenerate|TestEdit|TestExtraCall' ./internal/heap ./internal/heap/sched ./internal/heap/gen
+	go test -count=1 -run 'TestAnalysisCorpusGate' ./internal/harness
+	go test -count=1 -run 'TestSingleFixpointAgrees|TestConvergedRegionsStopWalking|TestNodeSet|TestReachAllocations|TestCostDocument|TestBuildPlan|TestSharedStatic|TestSelfRecursion|TestGenerate|TestEdit|TestExtraCall' ./internal/heap ./internal/heap/sched ./internal/heap/gen
 	go test -count=1 -run 'TestCompileAllocsLinearInFunctions|TestCompileStageAllocs' ./internal/core
 
 # Short native-fuzzing pass over the adversarial decode surfaces:

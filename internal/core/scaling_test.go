@@ -8,7 +8,6 @@ import (
 	"cormi/internal/heap/gen"
 	"cormi/internal/ir"
 	"cormi/internal/lang"
-	"cormi/internal/model"
 	"cormi/internal/race"
 )
 
@@ -19,21 +18,20 @@ import (
 // times the size. Allocation counts do not depend on the host, so no
 // wall clock is read. The per-graph escape scan the index replaced
 // allocated twice as much per function at 1440 functions as at 360
-// (256 -> 504); the index allocated about 160 at both sizes, and since
-// the compiler allocates per compile unit (slabs, ordered sets, a pull
-// lexer) it is about 32 — compileAllocsPerFunc holds that absolutely.
+// (256 -> 504); the index allocated about 160 at both sizes, since the
+// compiler allocates per compile unit (slabs, ordered sets, a pull
+// lexer) it was about 32, and since the heap analysis solves every
+// region in one Analysis (no per-region parts to merge) it is about
+// 26 — compileAllocsPerFunc holds that absolutely.
 func TestCompileAllocsLinearInFunctions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles a 1440-function corpus")
 	}
-	heapOpts := heap.DefaultOptions()
-	heapOpts.Workers = 1
-	opts := core.Options{HeapOpts: &heapOpts}
 	perFunc := func(components int) float64 {
 		src := gen.Generate(gen.Config{Seed: 2026, Components: components, FuncsPerComponent: 8}).Source
 		funcs := 0
 		allocs := testing.AllocsPerRun(3, func() {
-			res, err := core.CompileOpts(src, model.NewRegistry(), opts)
+			res, err := core.Compile(src)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,9 +55,10 @@ func TestCompileAllocsLinearInFunctions(t *testing.T) {
 
 // compileAllocsPerFunc is the absolute ceiling of a cold core.Compile
 // on the generated corpus, in allocations per function: the measured
-// 32.1 plus a tenth, down from 160 when every IR and AST node, every
-// scope and every points-to set was its own allocation.
-const compileAllocsPerFunc = 36
+// 25.7 plus a tenth, down from 160 when every IR and AST node, every
+// scope and every points-to set was its own allocation, and from 32.1
+// when each analysis region was its own Analysis.
+const compileAllocsPerFunc = 28
 
 // TestCompileStageAllocs splits that budget by compiler stage, under
 // the six names the repo benchmark's ladder reports, so that a
@@ -75,9 +74,6 @@ func TestCompileStageAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates where a normal build does not")
 	}
 	src := gen.Generate(gen.Config{Seed: 2026, Components: 36, FuncsPerComponent: 8}).Source
-	heapOpts := heap.DefaultOptions()
-	heapOpts.Workers = 1
-
 	file, err := lang.Parse(src)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +97,7 @@ func TestCompileStageAllocs(t *testing.T) {
 		{"lang.check", 0.5, func() { _, _ = lang.Check(file) }},
 		{"ir.lower", 1.5, func() { _, _ = ir.Lower(prog) }},
 		{"ir.validate", 0.1, func() { _ = ir.Validate(irProg) }},
-		{"heap.analyze", 22.5, func() { heap.AnalyzeOpts(irProg, heapOpts) }},
+		{"heap.analyze", 15.3, func() { heap.Analyze(irProg) }},
 	}
 	sum := 0.0
 	for _, st := range stages {
@@ -113,7 +109,7 @@ func TestCompileStageAllocs(t *testing.T) {
 		}
 	}
 	whole := testing.AllocsPerRun(3, func() {
-		if _, err := core.CompileOpts(src, model.NewRegistry(), core.Options{HeapOpts: &heapOpts}); err != nil {
+		if _, err := core.Compile(src); err != nil {
 			t.Fatal(err)
 		}
 	}) / funcs

@@ -22,98 +22,72 @@ func Analyze(prog *ir.Program) *Analysis {
 	return AnalyzeOpts(prog, DefaultOptions())
 }
 
-// AnalyzeOpts is the scalable analysis driver (DESIGN.md §16). It
-// partitions the program into independent analysis regions (weakly
-// connected components of the call + shared-static graph, computed by
-// internal/heap/sched), solves each region to fixpoint — concurrently
-// across Options.Workers — and merges the parts into one program-wide
-// Analysis.
+// AnalyzeOpts is the analysis driver (DESIGN.md §16). It partitions
+// the program into analysis regions (weakly connected components of
+// the call + shared-static graph, computed by internal/heap/sched) and
+// solves them as one Analysis, one region after the other, each until
+// a pass over it changes nothing.
 //
-// The merge is what makes parallelism invisible: regions share no
-// analysis state (facts flow only along call edges and shared
-// statics, both region-internal by construction), each region is
-// solved by the same deterministic sequential engine, and the merged
-// node/context numbering depends only on the deterministic region
-// order. A run at any worker count is therefore bit-identical to the
-// sequential run — the invariant `make verify-analysis` enforces.
+// With strong updates enabled the solve runs twice: the first run is a
+// standard weak-update fixpoint; its final (sound, over-approximate)
+// points-to sets justify a kill set of dead stores; the second run
+// re-solves with killed stores skipped. The second run only ever
+// removes constraints, so its sets are subsets of the first run's —
+// every singleton that justified a kill stays a singleton (or shrinks
+// to empty), keeping the kills justified against the final result.
 func AnalyzeOpts(prog *ir.Program, opts Options) *Analysis {
 	start := time.Now()
 	plan := sched.BuildPlan(prog)
-	nc := len(plan.Components)
-	parts := make([]*Analysis, nc)
-	workers := opts.workers()
-	sched.Run(nc, workers, func(ci int) {
-		parts[ci] = solveComponent(prog, plan, ci, opts)
-	})
+	regions := make([][]*ir.Func, len(plan.Components))
+	for i, comp := range plan.Components {
+		regions[i] = make([]*ir.Func, len(comp.Order))
+		for j, fi := range comp.Order {
+			regions[i][j] = plan.Funcs[fi]
+		}
+	}
+	recursive := map[*ir.Func]bool{}
+	for fi, r := range plan.Recursive {
+		if r {
+			recursive[plan.Funcs[fi]] = true
+		}
+	}
 
-	a := mergeParts(prog, opts, parts)
+	a := runAnalysis(prog, opts, regions, recursive, nil)
+	if opts.StrongUpdates {
+		if kills := a.computeKills(); len(kills) > 0 {
+			a = runAnalysis(prog, opts, regions, recursive, kills)
+			a.StrongKills = len(kills)
+		}
+	}
 	a.Cost = CostStats{
 		Functions:  len(prog.Funcs),
 		SCCs:       len(plan.SCCs),
-		Components: nc,
+		Components: len(plan.Components),
 		Waves:      plan.Waves,
-		Workers:    workers,
 	}
 	a.Cost.fillFromAnalysis(a)
 	a.Cost.WallNS = time.Since(start).Nanoseconds()
 	return a
 }
 
-// componentFuncs materializes one region's solve order and recursion
-// flags from the plan.
-func componentFuncs(plan *sched.Plan, ci int) ([]*ir.Func, map[*ir.Func]bool) {
-	comp := plan.Components[ci]
-	funcs := make([]*ir.Func, len(comp.Order))
-	for i, fi := range comp.Order {
-		funcs[i] = plan.Funcs[fi]
-	}
-	recursive := map[*ir.Func]bool{}
-	for _, fi := range comp.Funcs {
-		if plan.Recursive[fi] {
-			recursive[plan.Funcs[fi]] = true
-		}
-	}
-	return funcs, recursive
-}
-
-// solveComponent solves one region with the sequential engine.
+// runAnalysis is one complete fixpoint run: context prepass over the
+// regions' functions, then, region by region, passes of chaotic
+// iteration over every (function, live context, instruction) triple of
+// the region, each pass followed by the region's clone-edge mirroring.
+// Each region is in bottom-up wave order — callees are visited before
+// callers within a pass, so summaries usually stabilize in few passes
+// — and the order is a fixed input, keeping node discovery (and so all
+// numbering) deterministic.
 //
-// With strong updates enabled the region runs in two passes: the
-// first pass is a standard weak-update fixpoint; its final (sound,
-// over-approximate) points-to sets justify a kill set of dead stores;
-// the second pass re-runs the full fixpoint with killed stores
-// skipped. The second pass only ever removes constraints, so its sets
-// are subsets of the first pass's — every singleton that justified a
-// kill stays a singleton (or shrinks to empty), keeping the kills
-// justified against the final result.
-func solveComponent(prog *ir.Program, plan *sched.Plan, ci int, opts Options) *Analysis {
-	funcs, recursive := componentFuncs(plan, ci)
-	a := runAnalysis(prog, opts, funcs, recursive, nil)
-	if !opts.StrongUpdates {
-		return a
-	}
-	kills := a.computeKills()
-	if len(kills) == 0 {
-		return a
-	}
-	b := runAnalysis(prog, opts, funcs, recursive, kills)
-	b.StrongKills = len(kills)
-	return b
-}
-
-// runAnalysis is one complete fixpoint run over one function subset:
-// context prepass, then chaotic iteration over every (function, live
-// context, instruction) triple until nothing changes. funcs is the
-// region's bottom-up wave order — callees are visited before callers
-// within each pass, so summaries usually stabilize in fewer passes
-// than the old whole-program source order needed, and the order is a
-// fixed input, keeping node discovery (and so all numbering)
-// deterministic.
-func runAnalysis(prog *ir.Program, opts Options, funcs []*ir.Func, recursive map[*ir.Func]bool, killed map[instrCtx]bool) *Analysis {
+// A region is done after its first pass that changed nothing. No fact
+// crosses a region boundary (the sched partition invariant), so that
+// region is at its fixpoint and no later region can change its inputs:
+// the result is the plain fixpoint over every function, without the
+// passes that would re-walk converged regions.
+func runAnalysis(prog *ir.Program, opts Options, regions [][]*ir.Func, recursive map[*ir.Func]bool, killed map[instrCtx]bool) *Analysis {
 	a := &Analysis{
 		Prog:       prog,
 		Opts:       opts,
-		funcs:      funcs,
 		recursive:  recursive,
 		pts:        make(map[valCtx]NodeSet),
 		ptsAll:     make(map[*ir.Value]NodeSet),
@@ -125,27 +99,35 @@ func runAnalysis(prog *ir.Program, opts Options, funcs []*ir.Func, recursive map
 		retCtxs:    make(map[int]string),
 		killed:     killed,
 	}
+	for _, funcs := range regions {
+		a.funcs = append(a.funcs, funcs...)
+	}
 	a.buildContexts()
-	for {
-		a.changed = false
-		for _, f := range a.funcs {
-			for _, c := range a.ctxsOf[f] {
-				for _, b := range f.Blocks {
-					for _, in := range b.Instrs {
-						a.transfer(in, c)
+	for _, funcs := range regions {
+		a.pairs = a.pairs[:0]
+		for passes := 1; ; passes++ {
+			a.changed = false
+			for _, f := range funcs {
+				for _, c := range a.ctxsOf[f] {
+					for _, b := range f.Blocks {
+						for _, in := range b.Instrs {
+							a.transfer(in, c)
+						}
 					}
 				}
 			}
-		}
-		a.mirrorCloneEdges()
-		a.Iterations++
-		if !a.changed {
-			return a
-		}
-		if a.Iterations >= maxIterations {
-			panic("heap: fixpoint did not terminate (tuple memoization broken)")
+			a.walked += len(funcs)
+			a.mirrorCloneEdges()
+			if !a.changed {
+				a.Iterations = max(a.Iterations, passes)
+				break
+			}
+			if passes == maxIterations {
+				panic("heap: fixpoint did not terminate (tuple memoization broken)")
+			}
 		}
 	}
+	return a
 }
 
 // addNode inserts id into v's context-c set, mirroring into the merged
@@ -254,29 +236,28 @@ func (a *Analysis) cloneOf(ctx string, id NodeID) NodeID {
 	pk := clonePair{ctx: ctx, orig: id}
 	if _, seen := a.clonePairs[pk]; !seen {
 		a.clonePairs[pk] = c
+		a.pairs = append(a.pairs, pk)
 		a.changed = true
 	}
 	return c
 }
 
-// mirrorCloneEdges keeps clone subgraphs structurally parallel to their
-// origins: whenever orig.f may point to m, clone.f may point to
-// cloneOf(ctx, m).
+// mirrorCloneEdges keeps the clone subgraphs of the region being
+// solved structurally parallel to their origins: whenever orig.f may
+// point to m, clone.f may point to cloneOf(ctx, m). A pair's context
+// names a callee or a remote site, both owned by exactly one region,
+// so the region's own pairs are all there is to mirror.
 func (a *Analysis) mirrorCloneEdges() {
-	// Iterate over a sorted snapshot: cloning children appends new
-	// pairs (picked up by the next fixpoint pass), and the ordering
+	// Walk the pairs present now, sorted: cloning children appends new
+	// pairs (picked up by the next pass) behind them, and the ordering
 	// makes clone node IDs — and so every witness — deterministic.
-	pairs := a.pairScratch[:0]
-	for pk := range a.clonePairs {
-		pairs = append(pairs, pk)
-	}
+	pairs := a.pairs
 	slices.SortFunc(pairs, func(x, y clonePair) int {
 		if c := strings.Compare(x.ctx, y.ctx); c != 0 {
 			return c
 		}
 		return cmp.Compare(x.orig, y.orig)
 	})
-	a.pairScratch = pairs
 	for _, pk := range pairs {
 		c := a.clonePairs[pk]
 		fkeys := a.keyScratch[:0]

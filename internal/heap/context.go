@@ -23,14 +23,11 @@ import (
 //     separates call sites through per-site clone contexts (ArgCtx /
 //     RetCtx), so a second separation would only duplicate nodes.
 //
-// The prepass runs over a.funcs — one analysis region while solving —
-// and contexts are numbered in the region's deterministic function
-// order, which makes node IDs and therefore every downstream witness
-// byte-stable across runs and worker counts. Recursion
-// flags come from the scheduler's whole-program plan (a.recursive is
-// filled before this runs): a region sees every direct-call cycle it
-// participates in, and cycles never span regions, so the per-region
-// view equals the whole-program view.
+// The prepass runs over a.funcs — every region's functions, in solve
+// order — and contexts are numbered in that deterministic order, which
+// makes node IDs and therefore every downstream witness byte-stable
+// across runs. Recursion flags come from the scheduler's whole-program
+// plan (a.recursive is filled before this runs).
 //
 // A function's merged context is only analyzed when something can
 // actually bind into it: the function has no in-program callers (an

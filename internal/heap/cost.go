@@ -4,7 +4,7 @@ package heap
 // structure (functions, SCCs, regions, waves), precision effort
 // (contexts, nodes, peak points-to, strong kills, iterations, budget
 // fallbacks), and wall time. CostStats is exported through
-// `rmic -analysis-stats` (text and the cormi-cost/2 JSON document)
+// `rmic -analysis-stats` (text and the cormi-cost/3 JSON document)
 // and is gated in CI by `make verify-analysis`.
 
 import (
@@ -18,13 +18,12 @@ import (
 )
 
 // CostSchema identifies the machine-readable cost document format.
-const CostSchema = "cormi-cost/2"
+const CostSchema = "cormi-cost/3"
 
-// CostStats prices one analysis run. All fields except WallNS and
-// Workers are deterministic functions of the program and the
-// precision options.
+// CostStats prices one analysis run. All fields except WallNS are
+// deterministic functions of the program and the precision options.
 type CostStats struct {
-	// WallNS is the end-to-end driver wall time (plan, solve, merge).
+	// WallNS is the end-to-end driver wall time (plan and solve).
 	WallNS int64 `json:"wall_ns"`
 	// Functions is the program's bodied function count.
 	Functions int `json:"functions"`
@@ -34,11 +33,9 @@ type CostStats struct {
 	Components int `json:"components"`
 	// Waves is the depth of the bottom-up SCC schedule.
 	Waves int `json:"waves"`
-	// Workers is the resolved worker-pool size of this run.
-	Workers int `json:"workers"`
 
 	// Contexts/Nodes/PeakPointsTo/StrongKills/Iterations mirror
-	// Stats over the merged result.
+	// Stats of the result.
 	Contexts     int `json:"contexts"`
 	Nodes        int `json:"nodes"`
 	PeakPointsTo int `json:"peak_points_to"`
@@ -53,7 +50,7 @@ type CostStats struct {
 }
 
 // fillFromAnalysis copies the precision-effort counters out of the
-// merged analysis.
+// analysis.
 func (c *CostStats) fillFromAnalysis(a *Analysis) {
 	st := a.AnalysisStats()
 	c.Contexts = st.Contexts
@@ -68,14 +65,14 @@ func (c *CostStats) fillFromAnalysis(a *Analysis) {
 	sort.Strings(c.FallbackFuncs)
 }
 
-// CostDoc is the cormi-cost/2 envelope.
+// CostDoc is the cormi-cost/3 envelope.
 type CostDoc struct {
 	Schema string `json:"schema"`
 	Source string `json:"source,omitempty"`
 	CostStats
 }
 
-// JSON renders the cormi-cost/2 document. source is a free-form label
+// JSON renders the cormi-cost/3 document. source is a free-form label
 // (file name, corpus name).
 func (c CostStats) JSON(source string) ([]byte, error) {
 	return json.MarshalIndent(CostDoc{Schema: CostSchema, Source: source, CostStats: c}, "", "  ")
@@ -87,7 +84,7 @@ func (c CostStats) Format() string {
 	fmt.Fprintf(&b, "analysis wall time     %v\n", time.Duration(c.WallNS).Round(time.Microsecond))
 	fmt.Fprintf(&b, "functions              %d\n", c.Functions)
 	fmt.Fprintf(&b, "call-graph SCCs        %d\n", c.SCCs)
-	fmt.Fprintf(&b, "analysis regions       %d (schedule depth %d, workers %d)\n", c.Components, c.Waves, c.Workers)
+	fmt.Fprintf(&b, "analysis regions       %d (schedule depth %d)\n", c.Components, c.Waves)
 	fmt.Fprintf(&b, "contexts               %d\n", c.Contexts)
 	fmt.Fprintf(&b, "heap nodes             %d\n", c.Nodes)
 	fmt.Fprintf(&b, "peak points-to         %d\n", c.PeakPointsTo)
@@ -158,9 +155,8 @@ func valuesOf(f *ir.Func) []*ir.Value {
 // tables, context assignment, and the golden-visible counters. Two
 // runs with equal fingerprints answer every query identically, so the
 // determinism gates compare fingerprints instead of re-deriving all
-// downstream artifacts. Cost (wall time, worker count) is
-// deliberately excluded: it may differ between runs that must
-// otherwise be bit-identical.
+// downstream artifacts. Cost (wall time) is deliberately excluded: it
+// differs between runs that must otherwise be bit-identical.
 func (a *Analysis) Fingerprint() uint64 {
 	coords := map[*ir.Instr][3]int{}
 	valueOf := map[*ir.Value][2]int{}

@@ -7,12 +7,12 @@ import (
 	"testing"
 )
 
-// TestCostDocumentKeys pins the cormi-cost/2 document: exactly these
+// TestCostDocumentKeys pins the cormi-cost/3 document: exactly these
 // top-level keys (fallback_funcs only when some call site fell back),
 // the schema string, and a text table that names no cache.
 func TestCostDocumentKeys(t *testing.T) {
 	base := []string{
-		"schema", "source", "wall_ns", "functions", "sccs", "components", "waves", "workers",
+		"schema", "source", "wall_ns", "functions", "sccs", "components", "waves",
 		"contexts", "nodes", "peak_points_to", "strong_kills", "iterations", "budget_fallbacks",
 	}
 	a, _ := analyzeOpts(t, sharedHelperSrc, DefaultOptions())
@@ -45,8 +45,8 @@ func TestCostDocumentKeys(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Errorf("%s: keys\n got %v\nwant %v", tc.name, got, want)
 		}
-		if doc["schema"] != "cormi-cost/2" || doc["source"] != "x" {
-			t.Errorf("%s: schema %v source %v, want cormi-cost/2 x", tc.name, doc["schema"], doc["source"])
+		if doc["schema"] != "cormi-cost/3" || doc["source"] != "x" {
+			t.Errorf("%s: schema %v source %v, want cormi-cost/3 x", tc.name, doc["schema"], doc["source"])
 		}
 		if text := tc.c.Format(); strings.Contains(text, "cache") {
 			t.Errorf("%s: Format mentions a cache:\n%s", tc.name, text)

@@ -40,7 +40,6 @@ package heap
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
 	"slices"
 	"strconv"
 
@@ -67,11 +66,7 @@ const MergedCtx Ctx = 0
 // sites through its merged summary instead.
 const DefaultContextBudget = 16
 
-// Options selects the analysis precision/cost trade-offs, plus the
-// worker count of the parallel driver. Only the precision fields may
-// influence analysis RESULTS; Workers changes wall time alone, and the
-// determinism gate (`make verify-analysis`) pins that it changes
-// nothing observable.
+// Options selects the analysis precision/cost trade-offs.
 type Options struct {
 	// ContextSensitive enables 1-call-site-sensitive interprocedural
 	// analysis (per-call-site callee summaries).
@@ -82,9 +77,6 @@ type Options struct {
 	// ContextBudget caps dedicated contexts per callee (0 means
 	// DefaultContextBudget).
 	ContextBudget int
-	// Workers bounds the worker pool solving independent analysis
-	// regions concurrently (0 means GOMAXPROCS, 1 forces sequential).
-	Workers int
 }
 
 // DefaultOptions is the production configuration: both refinements on.
@@ -101,14 +93,6 @@ func (o Options) budget() int {
 		return DefaultContextBudget
 	}
 	return o.ContextBudget
-}
-
-// workers resolves the effective worker-pool size.
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // ElemKey is the pseudo-field naming array element edges (the "[]"
@@ -181,18 +165,16 @@ type instrCtx struct {
 	c  Ctx
 }
 
-// Analysis is the computed heap graph. During solving each analysis
-// region (sched.Component) is one private Analysis with local node and
-// context numbering; mergeParts stitches the parts into the single
-// program-wide Analysis callers see, with numbering that depends only
-// on the deterministic region order — never on scheduling.
+// Analysis is the computed heap graph of the whole program: one
+// numbering of nodes and contexts, in the deterministic order the
+// analysis regions (sched.Component) are solved in — region by region,
+// so each region's nodes and contexts are contiguous.
 type Analysis struct {
 	Prog *ir.Program
 	Opts Options
 
-	// funcs is the function subset this Analysis covers, in fixpoint
-	// iteration order (one region's bottom-up wave order while
-	// solving; prog.Funcs after the merge).
+	// funcs is every function in fixpoint iteration order: the
+	// regions' bottom-up wave orders, concatenated.
 	funcs []*ir.Func
 
 	Nodes []*Node
@@ -208,17 +190,18 @@ type Analysis struct {
 
 	cloneMemo  map[cloneKey]NodeID
 	clonePairs map[clonePair]NodeID
+	// pairs lists the clone pairs of the region being solved, for
+	// mirrorCloneEdges.
+	pairs []clonePair
 
-	// Solver scratch, owned by this (region's) Analysis: the node
-	// slab, the clone-context strings built once per callee and per
-	// site instead of once per transfer, and the buffers of
-	// mirrorCloneEdges and snapshot.
-	nodes       slab.Of[Node]
-	argCtxs     map[*lang.MethodDecl]string
-	retCtxs     map[int]string
-	pairScratch []clonePair
-	keyScratch  []string
-	idScratch   []NodeID
+	// Solver scratch: the node slab, the clone-context strings built
+	// once per callee and per site instead of once per transfer, and
+	// the buffers of mirrorCloneEdges and snapshot.
+	nodes      slab.Of[Node]
+	argCtxs    map[*lang.MethodDecl]string
+	retCtxs    map[int]string
+	keyScratch []string
+	idScratch  []NodeID
 
 	// Context machinery (filled by the static prepass).
 	ctxsOf    map[*ir.Func][]Ctx // live contexts, MergedCtx (if live) first
@@ -234,10 +217,12 @@ type Analysis struct {
 	StrongKills int
 
 	changed bool
+	// walked counts the function bodies the passes walked: a region's
+	// size once per pass over it.
+	walked int
 	// Iterations records how many fixpoint passes were needed (a
-	// termination witness for the Figure 3/4 scenario). After the
-	// merge it is the maximum over regions — the critical-path pass
-	// count, which is what a parallel run actually waits for.
+	// termination witness for the Figure 3/4 scenario): the most any
+	// region needed.
 	Iterations int
 
 	// BudgetFallbacks counts, per callee qualified name, the direct

@@ -9,10 +9,8 @@ import (
 // NodeSet is a set of heap nodes: the node IDs in ascending order,
 // without duplicates. Node IDs are small dense integers and points-to
 // sets are small, so the ordered sequence beats a hash set on every
-// count — the empty set is nil and costs nothing, ranging over a set
-// visits it in the one order every consumer wants (no sorted copy),
-// and mergeParts relocates a region's sets by adding an offset to the
-// elements in place.
+// count — the empty set is nil and costs nothing, and ranging over a
+// set visits it in the one order every consumer wants (no sorted copy).
 //
 // A NodeSet is a value like any slice: Add and AddAll take the
 // address, and a set kept in a map is written back after it changed.
@@ -80,13 +78,6 @@ func (s NodeSet) Has(id NodeID) bool {
 // Sorted returns the ids in ascending order: the set itself, not a
 // copy. The caller must not modify it.
 func (s NodeSet) Sorted() []NodeID { return s }
-
-// relocate adds base to every id, in place; the order is unchanged.
-func (s NodeSet) relocate(base NodeID) {
-	for i := range s {
-		s[i] += base
-	}
-}
 
 func (s NodeSet) String() string {
 	var b strings.Builder

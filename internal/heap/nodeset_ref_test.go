@@ -5,13 +5,10 @@ import (
 	"slices"
 	"sort"
 	"testing"
-
-	"cormi/internal/heap/gen"
 )
 
 // refNodeSet is the hash set NodeSet used to be, kept as the oracle
-// the ordered sequence is tested against: the same operations, with
-// relocation done the way mergeParts did it — a copy into a new map.
+// the ordered sequence is tested against: the same operations.
 type refNodeSet map[NodeID]struct{}
 
 func (s refNodeSet) Add(id NodeID) bool {
@@ -46,17 +43,9 @@ func (s refNodeSet) Sorted() []NodeID {
 	return ids
 }
 
-func (s refNodeSet) relocated(base NodeID) refNodeSet {
-	out := make(refNodeSet, len(s))
-	for id := range s {
-		out[id+base] = struct{}{}
-	}
-	return out
-}
-
 // TestNodeSetDifferential drives the ordered set and the map oracle
 // with the same seeded operation sequences — single adds, unions with
-// another live set, membership probes, relocation by an offset — over
+// another live set, membership probes — over
 // id ranges from empty through singleton and dense 0..4095 to sparse,
 // and after every step requires the same change report, the same
 // contents, and strictly ascending iteration.
@@ -66,13 +55,12 @@ func TestNodeSetDifferential(t *testing.T) {
 		idRange   int // ids are drawn from [0, idRange)
 		steps     int
 		prefilled bool // set 0 starts as all of [0, idRange)
-		relocates bool
 	}{
-		{"empty", 1, 0, false, true},
-		{"singleton", 1, 4, false, true},
-		{"small", 12, 300, false, true},
-		{"dense 0..4095", 4096, 400, true, false},
-		{"sparse", 1 << 20, 600, false, true},
+		{"empty", 1, 0, false},
+		{"singleton", 1, 4, false},
+		{"small", 12, 300, false},
+		{"dense 0..4095", 4096, 400, true},
+		{"sparse", 1 << 20, 600, false},
 	}
 	for _, sh := range shapes {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -109,7 +97,7 @@ func TestNodeSetDifferential(t *testing.T) {
 			for step := 1; step <= sh.steps; step++ {
 				i, j := rng.Intn(3), rng.Intn(3)
 				id := NodeID(rng.Intn(sh.idRange))
-				switch op := rng.Intn(10); {
+				switch op := rng.Intn(9); {
 				case op < 5:
 					if g, w := got[i].Add(id), want[i].Add(id); g != w {
 						t.Fatalf("%s seed %d step %d: Add(%d) reported %v, oracle %v", sh.name, seed, step, id, g, w)
@@ -120,20 +108,10 @@ func TestNodeSetDifferential(t *testing.T) {
 						t.Fatalf("%s seed %d step %d: AddAll(set %d into %d) reported %v, oracle %v", sh.name, seed, step, j, i, g, w)
 					}
 					check(step, "AddAll")
-				case op < 9:
+				default:
 					if g, w := got[i].Has(id), want[i].Has(id); g != w {
 						t.Fatalf("%s seed %d step %d: Has(%d) = %v, oracle %v", sh.name, seed, step, id, g, w)
 					}
-				case sh.relocates:
-					// All three move together, as one region's sets do
-					// in mergeParts (and so that unions stay bounded by
-					// the number of Adds).
-					base := NodeID(rng.Intn(1000))
-					for k := range got {
-						got[k].relocate(base)
-						want[k] = want[k].relocated(base)
-					}
-					check(step, "relocate")
 				}
 			}
 		}
@@ -172,39 +150,5 @@ func TestReachAllocationsIndependentOfSize(t *testing.T) {
 				t.Errorf("%s n=%d: Reach allocated %.0f times, want at most 4", name, n, allocs)
 			}
 		}
-	}
-}
-
-// TestMergedViewRelocatedWithItsContexts: mergeParts relocates every
-// set of a region in place, and the merged PointsTo view is the one
-// table no fingerprint covers (it is derived: the union of a value's
-// per-context sets). On a corpus of several regions — so that all but
-// the first move by a non-zero offset — the two must still agree, and
-// every id must name a node of the merged table.
-func TestMergedViewRelocatedWithItsContexts(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Workers = 1
-	src := gen.Generate(gen.Config{Seed: 404, Components: 5, FuncsPerComponent: 8}).Source
-	a, _ := analyzeOpts(t, src, opts)
-	values := 0
-	for _, f := range a.Prog.Funcs {
-		for _, v := range valuesOf(f) {
-			var union NodeSet
-			for _, c := range a.Contexts(f) {
-				union.AddAll(a.PointsToIn(v, c))
-			}
-			if !slices.Equal(union, a.PointsTo(v)) {
-				t.Fatalf("%s %s: PointsTo = %s, union over contexts = %s", f.Name, v, a.PointsTo(v), union)
-			}
-			for _, id := range union {
-				if int(id) >= len(a.Nodes) || a.Nodes[id].ID != id {
-					t.Fatalf("%s %s points to %d, not a node of the merged table", f.Name, v, id)
-				}
-			}
-			values += len(union)
-		}
-	}
-	if values == 0 || a.Cost.Components < 2 {
-		t.Fatalf("corpus too small to relocate anything (%d regions)", a.Cost.Components)
 	}
 }

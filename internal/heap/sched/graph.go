@@ -2,17 +2,16 @@
 // (DESIGN.md §16): it condenses the program call graph into strongly
 // connected components, groups SCCs into independent analysis regions
 // (weakly connected components of the call + shared-static coupling
-// graph), orders each region's functions into bottom-up
-// reverse-topological waves, and provides the bounded worker pool the
-// analysis driver schedules over.
+// graph), and orders each region's functions into bottom-up
+// reverse-topological waves.
 //
 // The partitioning invariant the whole layer rests on: the points-to
 // constraint graph never crosses a region boundary. Facts flow between
 // two functions only through a call edge (arguments down, returns up,
 // RMI clones both ways) or through a shared static field, and both
-// edge kinds are region edges by construction. Regions can therefore
-// be solved concurrently with zero shared mutable state — which is
-// what makes a parallel run bit-identical to a sequential one.
+// edge kinds are region edges by construction. A region whose analysis
+// pass changed nothing has therefore converged for good — which is how
+// heap.AnalyzeOpts decides when to stop walking it.
 package sched
 
 import (

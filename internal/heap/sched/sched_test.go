@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"cormi/internal/ir"
@@ -132,17 +131,5 @@ class A {
 	p := BuildPlan(compile(t, src))
 	if !p.Recursive[funcIdx(t, p, "A.f")] {
 		t.Error("direct self-call not flagged recursive")
-	}
-}
-
-func TestPoolRunCoversAllOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 7} {
-		var hits [100]atomic.Int32
-		Run(len(hits), workers, func(i int) { hits[i].Add(1) })
-		for i := range hits {
-			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, got)
-			}
-		}
 	}
 }

@@ -3,11 +3,10 @@
 // allocations, and the collector sees a few pointer-dense chunks
 // instead of n boxes.
 //
-// A slab has exactly one owner — a parser, an ir.Program, one region's
+// A slab has exactly one owner — a parser, an ir.Program, a
 // heap.Analysis — and lives as long as anything it handed out is
 // referenced. Nothing is ever returned to a slab and no slab is shared
-// between compiles: a core.Result keeps its AST and IR, and analysis
-// regions are solved in parallel.
+// between compiles: a core.Result keeps its AST and IR.
 package slab
 
 import "unsafe"
