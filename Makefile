@@ -52,7 +52,7 @@ verify-precision:
 
 # Mode-matrix gate (DESIGN.md §7): prints the cell count and wall time
 # of TestModeMatrix — both chain workloads x six link conditions x five
-# optimization levels x six call modes, every cell held to its witness,
+# optimization levels x five call modes, every cell held to its witness,
 # to the answer of the workload's first cell and to the Close-balance
 # check. `go test -race ./...` above already ran it under the race
 # detector, silently; this plain run is for the line it logs.

@@ -14,8 +14,8 @@
 //	                       # negotiation demotes to the class-level
 //	                       # encoding with fully correct results
 //	rmibench -chain 8      # chained-dependency workload: sync vs
-//	                       # async vs pipelined vs batched, with
-//	                       # virtual chain latency and frames/op
+//	                       # async vs pipelined, with virtual chain
+//	                       # latency and frames/op
 //	rmibench -trace out.json   # traced micro pass: writes a
 //	                       # Perfetto-loadable Chrome trace to out.json
 //	                       # and prints per-phase p50/p95/p99 latencies
@@ -45,7 +45,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "chaos: fault injection seed")
 	skew := flag.Bool("skew", false, "mixed-version mode: run the workloads with one node's plan fingerprints skewed and verify negotiated fallback")
 	traceOut := flag.String("trace", "", "write a Perfetto-loadable Chrome trace to this file and print per-phase latency quantiles")
-	chain := flag.Int("chain", 0, "chained-dependency workload at this depth (sync/async/pipelined/batched), then the same chain traced across three nodes")
+	chain := flag.Int("chain", 0, "chained-dependency workload at this depth (sync/async/pipelined), then the same chain traced across three nodes")
 	chains := flag.Int("chains", 100, "number of chains per mode for -chain")
 	flag.Parse()
 

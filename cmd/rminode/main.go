@@ -293,7 +293,6 @@ func smokeObs(base string, sends int64) error {
 		"cormi_pending_calls",
 		"cormi_promise_table",
 		"cormi_promise_parked",
-		"cormi_batch_queue_depth",
 		"cormi_trace_store_retained",
 		`cormi_site_calls{site="Main.main.1"}`,
 		`cormi_site_wire_bytes{site="Main.main.1"}`,

@@ -209,9 +209,6 @@ func renderTree(w io.Writer, view *obs.TraceView) {
 		if s.Orphan {
 			flags += " orphan"
 		}
-		if s.OneWay {
-			flags += " oneway"
-		}
 		if s.Err != "" {
 			flags += " err=" + s.Err
 		}

@@ -1,7 +1,7 @@
 package harness
 
 // The chain workloads: chains of depth calls, each call's argument the
-// previous call's result, driven in one of six ways (ChainMode).
+// previous call's result, driven in one of five ways (ChainMode).
 // Whatever the mode, the level and the link condition, a chain must
 // compute the same thing — "the same parameter passing semantics are
 // observed regardless of the location of the called object" (§1), held
@@ -40,28 +40,22 @@ const (
 	// ChainPipelined passes futures as arguments over a capable link:
 	// one round trip for the whole chain.
 	ChainPipelined ChainMode = "pipelined"
-	// ChainBatched is ChainPipelined plus the per-link frame batcher:
-	// same virtual latency, fewer physical frames.
-	ChainBatched ChainMode = "batched"
 	// ChainLocal is ChainSync with the service on the caller's own node:
 	// no frame leaves it, arguments and results are cloned.
 	ChainLocal ChainMode = "local"
 )
 
-// Every mode, and the four `rmibench -chain` reports, in its order.
+// Every mode, and the three `rmibench -chain` reports, in its order.
 var (
-	AllChainModes   = []ChainMode{ChainSync, ChainFutures, ChainAsync, ChainPipelined, ChainBatched, ChainLocal}
-	chainTableModes = []ChainMode{ChainSync, ChainAsync, ChainPipelined, ChainBatched}
+	AllChainModes   = []ChainMode{ChainSync, ChainFutures, ChainAsync, ChainPipelined, ChainLocal}
+	chainTableModes = []ChainMode{ChainSync, ChainAsync, ChainPipelined}
 )
 
 // options are the cluster options the mode adds to the condition's.
 func (m ChainMode) options() []rmi.Option {
-	switch m {
-	case ChainAsync:
+	if m == ChainAsync {
 		// The callee masks the capability, so the link negotiates it away.
 		return []rmi.Option{rmi.WithoutCaps(1, wire.CapPipelining)}
-	case ChainBatched:
-		return []rmi.Option{rmi.WithBatching(rmi.BatchConfig{})}
 	}
 	return nil
 }
@@ -236,7 +230,7 @@ func driveChains(cs *rmi.CallSite, caller *rmi.Node, ref rmi.Ref, mode ChainMode
 				f.Release()
 			}
 		}
-	case mode == ChainAsync || mode == ChainPipelined || mode == ChainBatched:
+	case mode == ChainAsync || mode == ChainPipelined:
 		futs := make([]*rmi.Future, depth)
 		for it := 0; it < len(xs) && first == nil; it++ {
 			for d := range futs {
@@ -312,7 +306,6 @@ func chainWorkload(kind chainKind, mode ChainMode, depth, chains int, waitAll bo
 
 		frames, virt := c.Counters.NetFrames.Load(), c.MaxTime()
 		got, err := driveChains(cs, c.Node(0), ref, mode, depth, seeds, waitAll)
-		c.FlushBatches()
 		out.RunResult = appkit.Collect(c)
 		out.ChainLatencyNS = (c.MaxTime() - virt) / int64(chains)
 		out.FramesPerOp = float64(c.Counters.NetFrames.Load()-frames) / float64(chains*depth)
@@ -324,7 +317,7 @@ func chainWorkload(kind chainKind, mode ChainMode, depth, chains int, waitAll bo
 
 		// Fallbacks and pipelined calls per dependent call, by mode.
 		links, dependent := int64(chains*depth), int64(chains*(depth-1))
-		want := map[ChainMode][2]int64{ChainAsync: {dependent, 0}, ChainPipelined: {0, dependent}, ChainBatched: {0, dependent}}[mode]
+		want := map[ChainMode][2]int64{ChainAsync: {dependent, 0}, ChainPipelined: {0, dependent}}[mode]
 		switch {
 		case results != digest(folded):
 			return out, fmt.Errorf("chain results differ from folding step over the seeds")
@@ -347,7 +340,7 @@ func chainWorkloads(kind chainKind, modes []ChainMode, depth, chains int, waitAl
 	return ws
 }
 
-// RunChain measures the int chain in the four modes of the chain table
+// RunChain measures the int chain in the three modes of the chain table
 // at level site over a clean channel network, awaiting only a chain's
 // last future (what the pinned virtual latencies were measured with).
 func RunChain(depth, chains int) (*Report, error) {

@@ -14,8 +14,8 @@ var chainRun = sync.OnceValues(func() (*Report, error) { return RunChain(8, 100)
 // chain. Latencies are simtime virtual nanoseconds, a function of the
 // protocol and the cost model alone, so they are asserted exactly: the
 // capability-demoted async mode costs what sync does and counts one
-// fallback per dependent call, pipelining collapses the chain to one
-// round trip, and batching changes the frame count, never the latency.
+// fallback per dependent call, and pipelining collapses the chain to
+// one round trip.
 func TestChainModes(t *testing.T) {
 	const depth, chains = 8, 100
 	rep, err := chainRun()
@@ -31,7 +31,6 @@ func TestChainModes(t *testing.T) {
 		{ChainSync, 327824, 0},
 		{ChainAsync, 327824, chains * (depth - 1)},
 		{ChainPipelined, 44478, 0},
-		{ChainBatched, 44478, 0},
 	}
 	if len(rows) != len(want) {
 		t.Fatalf("got %d rows, want %d", len(rows), len(want))
@@ -48,18 +47,15 @@ func TestChainModes(t *testing.T) {
 			t.Errorf("%s: %d pipeline fallbacks, want %d", r.Mode, r.Stats.PipelineFallbacks, w.fallbacks)
 		}
 		// Only a chain's last future is awaited, so the counter can be
-		// read before the final chain's other replies are sent: unbatched
+		// read before the final chain's other replies are sent:
 		// request/response traffic reads 1.999-2.000, not exactly 2.
-		if w.mode != ChainBatched && math.Abs(r.FramesPerOp-2) > 0.02 {
+		if math.Abs(r.FramesPerOp-2) > 0.02 {
 			t.Errorf("%s: %.3f frames/op, want within 1%% of 2", r.Mode, r.FramesPerOp)
 		}
 	}
-	sync, piped, batched := rows[0], rows[2], rows[3]
+	sync, piped := rows[0], rows[2]
 	if 2*piped.ChainLatencyNS > sync.ChainLatencyNS {
 		t.Errorf("pipelined latency %dns exceeds half of sync %dns",
 			piped.ChainLatencyNS, sync.ChainLatencyNS)
-	}
-	if batched.FramesPerOp >= 1 {
-		t.Errorf("batched: %.3f frames/op, want below 1", batched.FramesPerOp)
 	}
 }

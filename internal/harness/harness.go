@@ -71,7 +71,7 @@ type Outcome struct {
 	// ChainLatencyNS is the virtual-time cost of one chain —
 	// deterministic, so ratios between modes are properties of the
 	// protocol, not of the host — FramesPerOp the network frames per
-	// call (calls and replies; 2 unless batched).
+	// call (a call and its reply: 2).
 	Depth, Chains  int
 	ChainLatencyNS int64
 	FramesPerOp    float64

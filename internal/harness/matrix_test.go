@@ -25,7 +25,7 @@ func matrixConditions() []Condition {
 
 // TestModeMatrix is the gate for "all call modes × optimization levels
 // × transports compute the same answers; resources balanced at Close":
-// both chain workloads × six link conditions × five levels × six call
+// both chain workloads × six link conditions × five levels × five call
 // modes. runGrid holds every cell to the workload's own witness (chain
 // results, exactly-once execution, the mode's pipelining counters), to
 // the negotiation evidence of its condition, to the answer of the

@@ -58,7 +58,8 @@ var (
 // What depends on retry timing or on how the LU workers interleave is
 // masked on both sides: every number of the chaos report (and, since
 // its counters change width, its alignment), the virtual seconds of the
-// skew report, the batcher's frames per op in the chain table.
+// skew report, the frames per op in the chain table (a chain's last
+// replies can land after the counter is read).
 func TestReportGolden(t *testing.T) {
 	var got strings.Builder
 	for _, sec := range []struct {

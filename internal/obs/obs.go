@@ -58,9 +58,9 @@ type Options struct {
 	// node's own address (the local state is always merged in).
 	Peers []string
 	// Overload supplies the backlog levels exposed as the
-	// cormi_pending_calls / cormi_promise_table / cormi_promise_parked /
-	// cormi_batch_queue_depth gauges (typically Cluster.Overload, or an
-	// aggregation across clusters).
+	// cormi_pending_calls / cormi_promise_table / cormi_promise_parked
+	// gauges (typically Cluster.Overload, or an aggregation across
+	// clusters).
 	Overload func() stats.OverloadStats
 }
 
@@ -321,10 +321,6 @@ func registerLinkVecs(reg *metrics.Registry, links func() []stats.LinkStat) {
 		collect(func(l stats.LinkStat) float64 { return float64(l.Fallbacks) }))
 	reg.RegisterCounterVec("cormi_link_caps", "capability bits negotiated by the link's HELLO exchange",
 		collect(func(l stats.LinkStat) float64 { return float64(l.Caps) }))
-	reg.RegisterCounterVec("cormi_link_batched_frames", "logical frames coalesced into batch containers on the link",
-		collect(func(l stats.LinkStat) float64 { return float64(l.BatchedFrames) }))
-	reg.RegisterCounterVec("cormi_link_batch_flushes", "batch containers the link put on the wire",
-		collect(func(l stats.LinkStat) float64 { return float64(l.BatchFlushes) }))
 }
 
 // registerSiteVecs exposes the per-call-site counters as labeled
@@ -429,9 +425,9 @@ func registerBlameVecs(reg *metrics.Registry, tr *trace.Tracer) {
 
 // registerOverloadGauges walks stats.OverloadStats with reflection and
 // registers one gauge per backlog level, named cormi_<snake_case_field>
-// (cormi_pending_calls, cormi_promise_table, cormi_promise_parked,
-// cormi_batch_queue_depth). As with registerCounterGauges, a field
-// added to the struct shows up on /metrics automatically.
+// (cormi_pending_calls, cormi_promise_table, cormi_promise_parked).
+// As with registerCounterGauges, a field added to the struct shows up
+// on /metrics automatically.
 func registerOverloadGauges(reg *metrics.Registry, overload func() stats.OverloadStats) {
 	ot := reflect.TypeOf(stats.OverloadStats{})
 	for i := 0; i < ot.NumField(); i++ {

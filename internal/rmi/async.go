@@ -9,26 +9,23 @@ import (
 	"cormi/internal/wire"
 )
 
-// Asynchronous invocation: futures, one-way calls and promise
-// pipelining on top of the same (from, seq) call identity, pending
-// table and pooled reply channels the synchronous path uses.
+// Asynchronous invocation: futures and promise pipelining on top of
+// the same (from, seq) call identity, pending table and pooled reply
+// channels the synchronous path uses.
 //
 // InvokeAsync issues the call and returns a pooled Future immediately;
 // the round trip overlaps whatever the caller does next, and the
 // deadline/retry policy is enforced when the caller finally waits.
-// InvokeOneWay goes further and skips the reply entirely. Promise
-// pipelining closes the loop: an unresolved Future can be passed as an
-// argument to a dependent call on the same node, which ships only a
-// (from, seq) handle — the callee splices the producer's result from
-// its promise table, so a depth-N dependent chain costs one caller
-// round trip instead of N.
+// Promise pipelining closes the loop: an unresolved Future can be
+// passed as an argument to a dependent call on the same node, which
+// ships only a (from, seq) handle — the callee splices the producer's
+// result from its promise table, so a depth-N dependent chain costs
+// one caller round trip instead of N.
 //
-// Every optional feature is capability-gated per link (wire.Cap*,
-// negotiated at HELLO time): a peer that does not speak pipelining
-// gets the resolve-then-send fallback, a peer without one-way support
-// gets a synchronous call whose result is discarded. Callers never
-// need to know — the demotion is counted (PipelineFallbacks) but
-// semantically invisible.
+// Pipelining is capability-gated per link (wire.CapPipelining,
+// negotiated at HELLO time): a peer that does not speak it gets the
+// resolve-then-send fallback. Callers never need to know — the
+// demotion is counted (PipelineFallbacks) but semantically invisible.
 
 // Future is one in-flight asynchronous invocation. Exactly one
 // goroutine drives it (Wait, Err, or the driver Done starts); any
@@ -318,36 +315,4 @@ func spliceResolved(args []model.Value, ps []PromiseArg) ([]model.Value, error) 
 		out[p.Arg] = vals[p.Ret]
 	}
 	return out, nil
-}
-
-// InvokeOneWay fires the call and forgets it: no reply frame, no
-// result, at-most-once delivery. Callee-side failures are counted
-// (OneWayErrors) and dumped to the flight recorder, never returned.
-// The error reported here covers only the local send path. On links
-// whose peer did not negotiate one-way support the call demotes to a
-// synchronous invocation whose result is discarded.
-func (cs *CallSite) InvokeOneWay(n *Node, ref Ref, args []model.Value) error {
-	c := n.cluster
-	c.Counters.OneWayCalls.Add(1)
-	if ref.Node == n.ID {
-		// Local fire-and-forget keeps fire-and-forget error semantics:
-		// the failure is recorded, not returned.
-		if _, err := cs.invokeLocal(n, ref, args); err != nil {
-			c.Counters.OneWayErrors.Add(1)
-			n.tracer.DumpFailure("oneway-error")
-		}
-		return nil
-	}
-	l := n.linkTo(ref.Node)
-	if l == nil || l.caps&wire.CapOneWay == 0 {
-		// Peer does not speak one-way: demote to a discarded synchronous
-		// call (costs the round trip, keeps the semantics).
-		if _, err := cs.invokeRemote(n, ref, args, c.policy, callExtras{}); err != nil {
-			c.Counters.OneWayErrors.Add(1)
-			n.tracer.DumpFailure("oneway-error")
-		}
-		return nil
-	}
-	var pc pendingCall
-	return cs.startRemote(&pc, n, ref, args, c.policy, callExtras{oneWay: true})
 }

@@ -196,93 +196,6 @@ func TestPipelineFallbackWithoutCapability(t *testing.T) {
 	}
 }
 
-func TestOneWaySkipsReply(t *testing.T) {
-	e := newEnv(t, 2)
-	var execs atomic.Int64
-	ref := e.c.Node(1).Export(countingService(&execs))
-	cs := bumpSite(t, e.c)
-
-	frames := e.c.Counters.NetFrames.Load()
-	if err := cs.InvokeOneWay(e.c.Node(0), ref, []model.Value{model.Int(1)}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for execs.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("one-way call never executed")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Give a mistaken reply time to hit the wire, then check none did.
-	time.Sleep(10 * time.Millisecond)
-	if d := e.c.Counters.NetFrames.Load() - frames; d != 1 {
-		t.Errorf("one-way call cost %d frames, want 1 (no reply)", d)
-	}
-	if e.c.Counters.OneWayCalls.Load() != 1 {
-		t.Errorf("OneWayCalls = %d, want 1", e.c.Counters.OneWayCalls.Load())
-	}
-}
-
-func TestOneWayErrorIsCountedNotReturned(t *testing.T) {
-	e := newEnv(t, 2)
-	ref := e.c.Node(1).Export(&Service{Name: "Bomb", Methods: map[string]Method{
-		"boom": func(call *Call, args []model.Value) []model.Value { panic("oneway kaboom") },
-	}})
-	cs := e.c.MustNewCallSite(LevelSite, SiteSpec{
-		Name: "t.owboom", Method: "boom", NumRet: 0, IgnoreRet: true,
-	})
-	if err := cs.InvokeOneWay(e.c.Node(0), ref, nil); err != nil {
-		t.Fatalf("one-way returned callee error: %v", err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for e.c.Counters.OneWayErrors.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("callee panic never surfaced in OneWayErrors")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func TestOneWayDemotesWithoutCapability(t *testing.T) {
-	e := newEnv(t, 2, WithoutCaps(1, wire.CapOneWay))
-	var execs atomic.Int64
-	ref := e.c.Node(1).Export(countingService(&execs))
-	cs := bumpSite(t, e.c)
-	if err := cs.InvokeOneWay(e.c.Node(0), ref, []model.Value{model.Int(1)}); err != nil {
-		t.Fatal(err)
-	}
-	// Demoted to a discarded synchronous call: execution has already
-	// happened by the time InvokeOneWay returns.
-	if execs.Load() != 1 {
-		t.Fatalf("executed %d times, want 1", execs.Load())
-	}
-}
-
-func TestOneWayOverPartitionStaysSilent(t *testing.T) {
-	e := newEnv(t, 2, WithFaults(transport.FaultConfig{Seed: 11}))
-	var execs atomic.Int64
-	ref := e.c.Node(1).Export(countingService(&execs))
-	cs := bumpSite(t, e.c)
-
-	fn := e.c.Network().(*transport.FaultyNetwork)
-	fn.Partition(0, 1)
-	// Fire-and-forget across a partition: no error, no execution, no
-	// retransmission — at-most-once means the loss is silent.
-	if err := cs.InvokeOneWay(e.c.Node(0), ref, []model.Value{model.Int(1)}); err != nil {
-		t.Fatalf("one-way across partition returned %v", err)
-	}
-	time.Sleep(20 * time.Millisecond)
-	if execs.Load() != 0 {
-		t.Fatal("one-way call executed across a partition")
-	}
-	// After healing, the node is still healthy.
-	fn.Heal(0, 1)
-	vals, err := cs.Invoke(e.c.Node(0), ref, []model.Value{model.Int(1)})
-	if err != nil || vals[0].I != 2 {
-		t.Fatalf("after heal: vals=%v err=%v", vals, err)
-	}
-}
-
 func TestPipelinedChainUnderFaults(t *testing.T) {
 	// Drop + duplicate both the producer and dependent call frames (and
 	// their replies): a dropped producer must be retransmitted by its
@@ -382,42 +295,6 @@ func TestAbandonedTimeoutsDoNotLeakBuffers(t *testing.T) {
 	e.c.Close()
 	if err := mark.Settled(e.c.Overload); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBatchingCoalescesAndStaysCorrect(t *testing.T) {
-	e := newEnv(t, 2, WithBatching(BatchConfig{}))
-	var execs atomic.Int64
-	ref := e.c.Node(1).Export(countingService(&execs))
-	cs := bumpSite(t, e.c)
-
-	frames := e.c.Counters.NetFrames.Load()
-	const depth = 8
-	futs := make([]*Future, depth)
-	futs[0] = cs.InvokeAsync(e.c.Node(0), ref, []model.Value{model.Int(0)}, AsyncOpts{Promised: true})
-	for d := 1; d < depth; d++ {
-		futs[d] = cs.InvokeAsync(e.c.Node(0), ref, []model.Value{{}}, AsyncOpts{
-			Promised: d < depth-1,
-			Promises: []PromiseArg{{Arg: 0, Fut: futs[d-1]}},
-		})
-	}
-	vals, err := futs[depth-1].Wait()
-	if err != nil || vals[0].I != depth {
-		t.Fatalf("batched chain: vals=%v err=%v", vals, err)
-	}
-	for _, f := range futs {
-		f.Release()
-	}
-	e.c.FlushBatches()
-	if d := e.c.Counters.NetFrames.Load() - frames; d >= 2*depth {
-		t.Errorf("batching sent %d physical frames for %d calls; coalescing inert", d, depth)
-	}
-	batched, flushes := e.c.BatchStats()
-	if batched == 0 || flushes == 0 {
-		t.Errorf("batch counters inert: batched=%d flushes=%d", batched, flushes)
-	}
-	if execs.Load() != depth {
-		t.Errorf("executed %d times, want %d", execs.Load(), depth)
 	}
 }
 

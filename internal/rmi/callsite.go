@@ -250,8 +250,6 @@ func (cs *CallSite) invokeRemote(n *Node, ref Ref, args []model.Value, pol CallP
 // callExtras carries the asynchronous-call variations through
 // startRemote; the zero value is a plain synchronous call.
 type callExtras struct {
-	// oneWay suppresses the reply entirely (fire and forget).
-	oneWay bool
 	// promised asks the callee to publish this call's outcome in its
 	// promise table for later pipelined calls to reference.
 	promised bool
@@ -336,14 +334,7 @@ func (cs *CallSite) startRemote(pc *pendingCall, n *Node, ref Ref, args []model.
 
 	h := wire.CallHeader{Site: cs.ID, Obj: ref.Obj, Seq: n.seq.Add(1), NArgs: int32(len(args)), Promises: ex.handles}
 	attempts := pol.attempts()
-	switch {
-	case ex.oneWay:
-		// No reply ever arms a retry timer, so a one-way call is sent
-		// exactly once; on a lossy network it is at-most-once by
-		// construction (see policy.go).
-		attempts = 1
-		h.Flags |= wire.CallOneWay
-	case attempts > 1:
+	if attempts > 1 {
 		h.Flags |= wire.CallRetryable
 	}
 	if ex.promised {
@@ -368,9 +359,6 @@ func (cs *CallSite) startRemote(pc *pendingCall, n *Node, ref Ref, args []model.
 	pc.sp, pc.audit, pc.attempts, pc.attempt = sp, audit, attempts, 1
 	if sp != nil {
 		h.Flags |= wire.CallTraced
-		if ex.oneWay {
-			sp.SetOneWay()
-		}
 		// Distributed-trace identity: an inherited context (nested call,
 		// pipelined successor) continues its trace; a root call asks the
 		// head sampler. The unsampled path costs one atomic tick at roots
@@ -418,20 +406,12 @@ func (cs *CallSite) startRemote(pc *pendingCall, n *Node, ref Ref, args []model.
 	frame := m.Detach()
 	sp.EndPhase(trace.PhaseSerialize)
 
-	if !ex.oneWay {
-		pc.ch = n.getReplyCh()
-		n.pendMu.Lock()
-		n.pending[h.Seq] = pc.ch
-		n.pendMu.Unlock()
-	}
+	pc.ch = n.getReplyCh()
+	n.pendMu.Lock()
+	n.pending[h.Seq] = pc.ch
+	n.pendMu.Unlock()
 	if err := pc.sendAttempt(frame); err != nil {
 		return pc.failSend(err)
-	}
-	if ex.oneWay {
-		// Fire and forget: the span closes at wire handoff; there is no
-		// reply leg to measure.
-		sp.End()
-		return nil
 	}
 	// The wait phase spans the whole round trip as the caller
 	// experiences it, retransmits and backoff included.

@@ -19,17 +19,14 @@ import (
 // paper's "only one thread can drain the network" rule — into one
 // invocation record, which a parked executor goroutine (a new one when
 // none is parked) takes to run the user method and reply. Replies are
-// routed to the pending invocation. Batch containers are unpacked and
-// each sub-frame takes the same two paths.
+// routed to the pending invocation.
 //
 // Frame ownership (DESIGN.md §8): the loop owns every received
 // payload. Call frames are fully deserialized inside handleCall (views
 // into the frame are copied into user objects there), so the frame is
 // recycled as soon as handleCall returns; reply frames travel onward
-// inside the reply struct and are recycled by the invoker. Replies
-// extracted from a batch container are copied into a fresh pooled
-// buffer first — they outlive the container. Frames that turn out
-// corrupt, stale or unroutable are recycled here.
+// inside the reply struct and are recycled by the invoker. Frames that
+// turn out corrupt, stale or unroutable are recycled here.
 func (n *Node) recvLoop(wg *sync.WaitGroup) {
 	defer wg.Done()
 	// One reusable reader wraps each frame in turn; it never owns them.
@@ -57,8 +54,6 @@ func (n *Node) recvLoop(wg *sync.WaitGroup) {
 			wire.PutBuf(frame)
 		case wire.MsgReply:
 			n.routeReply(p, rd, frame)
-		case wire.MsgBatch:
-			n.handleBatch(p, rd, frame)
 		default:
 			// CRC-valid frame with an unknown message tag: the sender is
 			// speaking a different protocol (or lying). Not a transport
@@ -102,67 +97,6 @@ func (n *Node) routeReply(p transport.Packet, rd *wire.Message, frame []byte) {
 	}
 }
 
-// handleBatch unpacks a coalesced container: each entry is an
-// independently sealed call or reply frame carrying its own original
-// send timestamps. The outer CRC already passed, so an undecodable
-// entry or broken inner seal is a malformed container, not line noise.
-// It consumes frame.
-func (n *Node) handleBatch(p transport.Packet, rd *wire.Message, frame []byte) {
-	count := int(rd.ReadInt32())
-	if err := rd.Err(); err != nil {
-		n.noteMalformed(p.From)
-		wire.PutBuf(frame)
-		return
-	}
-	if err := wire.CheckBatchCount(rd, count); err != nil {
-		n.noteMalformed(p.From)
-		wire.PutBuf(frame)
-		return
-	}
-	// The sub-frames need their own reader; rd keeps walking the
-	// container.
-	sub := wire.GetReader(nil)
-	for i := 0; i < count; i++ {
-		e, err := wire.ReadBatchEntry(rd)
-		if err != nil {
-			n.noteMalformed(p.From)
-			break
-		}
-		inner, err := wire.Unseal(e.Frame)
-		if err != nil {
-			n.noteMalformed(p.From)
-			continue
-		}
-		// The sub-packet carries the entry's original send timestamps;
-		// the receive stamp is the container's (they arrived together).
-		sp := transport.Packet{
-			From: p.From, To: p.To,
-			TS: e.TS, Wall: e.Wall, RecvWall: p.RecvWall,
-			Payload: inner,
-		}
-		sub.ResetTo(inner)
-		switch t := sub.ReadU8(); t {
-		case wire.MsgCall:
-			n.recvMu.Lock()
-			n.handleCall(sp, sub)
-			n.recvMu.Unlock()
-		case wire.MsgReply:
-			// Reply payloads outlive this container (the invoker recycles
-			// them after deserializing); give the reply its own buffer.
-			cp := wire.GetBuf(len(inner))
-			copy(cp, inner)
-			sp.Payload = cp
-			sub.ResetTo(cp)
-			sub.ReadU8()
-			n.routeReply(sp, sub, cp)
-		default:
-			n.noteMalformed(p.From)
-		}
-	}
-	sub.ReleaseReader()
-	wire.PutBuf(frame)
-}
-
 // invocation is one incoming call from decode to reply, allocated by
 // handleCall and never reused: the *Call a method receives (&inv.call)
 // and its argument slice stay valid for as long as anyone holds them.
@@ -180,8 +114,6 @@ type invocation struct {
 	handles []wire.PromiseHandle
 	track   bool // dedup bookkeeping needed
 	audit   bool // claim-checking sampled on
-	// oneWay suppresses the reply; failures are counted and dumped.
-	oneWay bool
 	// promised publishes the outcome in the promise table before (and
 	// regardless of) the reply.
 	promised bool
@@ -227,7 +159,6 @@ func (n *Node) handleCall(p transport.Packet, m *wire.Message) {
 	// traced mirrors the caller's span with a callee-side one; header
 	// and lookup errors reply before a span exists (nil span = no-op).
 	traced := n.tracer != nil && h.Flags&wire.CallTraced != 0
-	oneWay := h.Flags&wire.CallOneWay != 0
 
 	// Redelivery check before anything touches user state or the §3.3
 	// reuse caches: a retransmitted or duplicated call must not
@@ -239,9 +170,7 @@ func (n *Node) handleCall(p transport.Packet, m *wire.Message) {
 			if e != nil && e.payload != nil {
 				// The call already completed: answer from the reply
 				// cache with a fresh copy (the transport consumes the
-				// buffer it is handed; the cache keeps its own). One-way
-				// calls complete with a nil payload — the duplicate is
-				// suppressed but nothing is sent.
+				// buffer it is handed; the cache keeps its own).
 				c.Counters.Messages.Add(1)
 				c.Counters.WireBytes.Add(int64(len(e.payload) - wire.ChecksumSize))
 				cp := wire.GetBuf(len(e.payload))
@@ -254,8 +183,7 @@ func (n *Node) handleCall(p transport.Packet, m *wire.Message) {
 
 	inv := &invocation{
 		call: Call{Node: n, From: p.From, start: start},
-		seq:  h.Seq, track: track,
-		oneWay: oneWay, promised: h.Flags&wire.CallPromised != 0,
+		seq:  h.Seq, track: track, promised: h.Flags&wire.CallPromised != 0,
 	}
 
 	var lookupStart int64
@@ -284,9 +212,6 @@ func (n *Node) handleCall(p transport.Packet, m *wire.Message) {
 		// fall inside it.
 		sp := n.tracer.StartCallee(cs.Name, cs.Method, p.From, n.ID, h.Seq, p.RecvWall)
 		inv.sp = sp
-		if oneWay {
-			sp.SetOneWay()
-		}
 		sp.SetPhase(trace.PhasePlanLookup, lookupStart, trace.Now()-lookupStart)
 		if p.Wall != 0 {
 			sp.SetPhase(trace.PhaseTransit, p.Wall, p.RecvWall-p.Wall)
@@ -386,14 +311,12 @@ func (n *Node) executor(inv *invocation) {
 
 // rejectCall answers a call that failed before the method could run,
 // honoring the call's mode: promised calls publish the failure so
-// pipelined dependents unblock, one-way calls record it without
-// replying. malformed marks a hostile or version-skewed frame the
+// pipelined dependents unblock. malformed marks a hostile or version-skewed frame the
 // hardened decoder rejected: it is counted, answered with the typed
 // wire.ReplyMalformed, and its in-flight dedup entry is withdrawn — the
 // (from, seq) key came from the same untrusted frame, and leaving it
 // cached would let a forged frame swallow an honest retransmit stream.
 func (n *Node) rejectCall(inv *invocation, msg string, malformed bool) {
-	c := n.cluster
 	from, floor, sp := inv.call.From, inv.call.start, inv.sp
 	key := dedupKey{from: from, seq: inv.seq}
 	kind, track := byte(wire.ReplyError), inv.track
@@ -406,13 +329,6 @@ func (n *Node) rejectCall(inv *invocation, msg string, malformed bool) {
 	}
 	if inv.promised {
 		n.promiseFail(key, msg, floor)
-	}
-	if inv.oneWay {
-		c.Counters.OneWayErrors.Add(1)
-		sp.Fail(msg)
-		sp.End()
-		n.tracer.DumpFailure("oneway-error")
-		return
 	}
 	n.sendFailure(from, inv.seq, floor, kind, msg, track, sp)
 }
@@ -486,7 +402,7 @@ func (n *Node) runPipelined(inv *invocation) {
 
 // executeAndReply runs the user method, returns the cached argument
 // graphs to the call site, publishes promised outcomes, and ships the
-// reply — or suppresses it for one-way calls. A panic in user code is
+// reply. A panic in user code is
 // converted into a remote-exception reply carrying the callee's stack.
 func (n *Node) executeAndReply(inv *invocation) {
 	c := n.cluster
@@ -508,18 +424,6 @@ func (n *Node) executeAndReply(inv *invocation) {
 		if inv.promised {
 			n.promiseFail(key, err.Error(), done)
 		}
-		if inv.oneWay {
-			// Fire-and-forget failure: no caller is listening, so the
-			// error surfaces through the counter and the flight recorder.
-			c.Counters.OneWayErrors.Add(1)
-			if track {
-				n.dedupComplete(key, nil, done)
-			}
-			sp.Fail(err.Error())
-			sp.End()
-			n.tracer.DumpFailure("oneway-error")
-			return
-		}
 		// A panic is one of the flight recorder's auto-dump triggers;
 		// sendFailure closes the span first, so the dump includes it.
 		n.sendFailure(from, seq, done, wire.ReplyError, err.Error(), track, sp)
@@ -530,17 +434,6 @@ func (n *Node) executeAndReply(inv *invocation) {
 		// Publish before replying: a pipelined dependent may already be
 		// parked on this entry, and the caller's own Wait comes later.
 		n.promiseFulfill(key, rets, done)
-	}
-	if inv.oneWay {
-		// No reply frame at all — the entire reply path (serialize,
-		// seal, send, caller-side decode) is skipped. Tracked calls
-		// still mark the dedup entry done (nil payload) so duplicate
-		// deliveries stay suppressed without a cached reply.
-		if track {
-			n.dedupComplete(key, nil, done)
-		}
-		sp.End()
-		return
 	}
 
 	sp.BeginPhase(trace.PhaseReplySerialize)

@@ -2,7 +2,6 @@ package rmi
 
 import (
 	"testing"
-	"time"
 
 	"cormi/internal/model"
 	"cormi/internal/serial"
@@ -144,38 +143,5 @@ func TestTraceContextPipelinedChainOneTrace(t *testing.T) {
 	}
 	if roots != 1 {
 		t.Errorf("%d root caller spans, want 1 (later links inherit the first)", roots)
-	}
-}
-
-// TestTraceContextOneWayLeaf proves one-way calls carry the context:
-// the callee half lands in the trace as a leaf even though no reply
-// ever flows back.
-func TestTraceContextOneWayLeaf(t *testing.T) {
-	c, tr, cs, ref := dtraceSetup(t)
-	if err := cs.InvokeOneWay(c.Node(0), ref, []model.Value{model.Int(7)}); err != nil {
-		t.Fatal(err)
-	}
-	// One-way execution is fire-and-forget; poll until the callee span
-	// lands in the store.
-	var callee *trace.SpanRecord
-	deadline := time.Now().Add(5 * time.Second)
-	for callee == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("one-way callee span never reached the trace store")
-		}
-		for _, ts := range tr.Traces() {
-			spans := tr.TraceSpans(ts.TraceID)
-			for i := range spans {
-				if spans[i].Kind == trace.KindCallee {
-					callee = &spans[i]
-				}
-			}
-		}
-		if callee == nil {
-			time.Sleep(time.Millisecond)
-		}
-	}
-	if !callee.OneWay || callee.Hop != 1 {
-		t.Errorf("one-way callee oneway=%v hop=%d, want true and 1", callee.OneWay, callee.Hop)
 	}
 }

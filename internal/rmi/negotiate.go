@@ -48,8 +48,8 @@ type nodeLink struct {
 	peerPlans int32
 	// caps is the link's negotiated capability set: the intersection of
 	// both HELLOs' advertised bits (wire.Cap*). Optional features —
-	// promise pipelining, one-way calls, frame batching — are used on
-	// this link only when the corresponding bit survived negotiation.
+	// promise pipelining, trace-context propagation — are used on this
+	// link only when the corresponding bit survived negotiation.
 	caps uint32
 	// malformedDumped latches the one flight-recorder dump this link
 	// records on its first malformed frame.
@@ -115,8 +115,8 @@ func (c *Cluster) negotiateLink(local, peer int, l *nodeLink) {
 	peerHello, perr := wire.DecodeHello(c.helloBytes(peer))
 	if lerr != nil || perr != nil {
 		// An unverifiable peer gets no optional features either: caps
-		// stay zero, so pipelining, one-way and batching all demote to
-		// their synchronous fallbacks on this link.
+		// stay zero, so pipelining and trace propagation demote to
+		// their fallbacks on this link.
 		l.version = wire.ProtocolVersion
 		l.lp = serial.DemoteAll(c.Registry)
 		return
@@ -161,7 +161,7 @@ func (c *Cluster) LinkStats() []stats.LinkStat {
 			if !l.ready.Load() {
 				continue
 			}
-			ls := stats.LinkStat{
+			out = append(out, stats.LinkStat{
 				From:           n.ID,
 				To:             peer,
 				Version:        l.version,
@@ -169,13 +169,7 @@ func (c *Cluster) LinkStats() []stats.LinkStat {
 				DemotedClasses: l.lp.DemotedCount(),
 				Fallbacks:      l.lp.Fallbacks(),
 				Caps:           l.caps,
-			}
-			if n.batchers != nil && n.batchers[peer] != nil {
-				b := n.batchers[peer]
-				ls.BatchedFrames = b.batched.Load()
-				ls.BatchFlushes = b.flushes.Load()
-			}
-			out = append(out, ls)
+			})
 		}
 	}
 	return out

@@ -1,6 +1,7 @@
 package rmi
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -168,6 +169,53 @@ func TestUnknownMessageTagCountsMalformed(t *testing.T) {
 	}
 	if got := e.c.Counters.CorruptDropped.Load(); got != 0 {
 		t.Fatalf("unknown tag miscounted as corruption (%d)", got)
+	}
+}
+
+// TestRetiredWireValuesCountMalformed sends what a peer built with
+// one-way calls and frame batching could still put on the wire: a
+// CRC-valid frame under the retired batch tag 2, and a call whose
+// header sets the retired one-way flag bit. Each is a malformed frame
+// (not corruption), neither executes, and the node keeps answering.
+func TestRetiredWireValuesCountMalformed(t *testing.T) {
+	e := newEnv(t, 2)
+	var execs atomic.Int64
+	ref := e.c.Node(1).Export(countingService(&execs))
+	cs := bumpSite(t, e.c)
+	if _, err := cs.Invoke(e.c.Node(0), ref, []model.Value{model.Int(1)}); err != nil {
+		t.Fatal(err)
+	}
+
+	batch := wire.Get()
+	batch.AppendByte(2)
+	batch.AppendInt32(1)
+	batch.SealFrame()
+	oneWay := wire.Get()
+	wire.CallHeader{Flags: 1 << 2, Site: cs.ID, Obj: ref.Obj, Seq: 999_999, NArgs: 1}.Encode(oneWay)
+	oneWay.AppendInt64(1) // a well-formed argument: only the flag is wrong
+	oneWay.SealFrame()
+	for want, m := range []*wire.Message{batch, oneWay} {
+		if err := e.c.Network().Endpoint(0).Send(transport.Packet{To: 1, Payload: m.Detach()}); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for e.c.Counters.MalformedFrames.Load() != int64(want+1) {
+			if time.Now().After(deadline) {
+				t.Fatalf("frame %d: MalformedFrames = %d, want %d", want, e.c.Counters.MalformedFrames.Load(), want+1)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if got := e.c.Counters.CorruptDropped.Load(); got != 0 {
+		t.Errorf("retired values miscounted as corruption (%d)", got)
+	}
+
+	vals, err := cs.Invoke(e.c.Node(0), ref, []model.Value{model.Int(41)})
+	if err != nil || vals[0].I != 42 {
+		t.Fatalf("call after retired frames: vals=%v err=%v", vals, err)
+	}
+	if execs.Load() != 2 {
+		t.Errorf("executed %d times, want 2 (retired frames must not run)", execs.Load())
 	}
 }
 

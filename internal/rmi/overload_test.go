@@ -70,24 +70,3 @@ func TestOverloadTracksParkedExecutorsAndPendingCalls(t *testing.T) {
 		return o.PromiseParked == 0 && o.PendingCalls == 0
 	})
 }
-
-func TestOverloadTracksBatchQueueDepth(t *testing.T) {
-	// A flush window effectively infinite keeps the container pending
-	// until FlushBatches, so the depth reading is deterministic.
-	e := newEnv(t, 2, WithBatching(BatchConfig{FlushEvery: time.Hour}))
-	var execs atomic.Int64
-	ref := e.c.Node(1).Export(countingService(&execs))
-	cs := bumpSite(t, e.c)
-
-	if err := cs.InvokeOneWay(e.c.Node(0), ref, []model.Value{model.Int(1)}); err != nil {
-		t.Fatal(err)
-	}
-	o := waitOverload(t, e.c, "queued frame", func(o stats.OverloadStats) bool {
-		return o.BatchQueueDepth >= 1
-	})
-	_ = o
-	e.c.FlushBatches()
-	waitOverload(t, e.c, "flushed", func(o stats.OverloadStats) bool {
-		return o.BatchQueueDepth == 0
-	})
-}

@@ -44,10 +44,6 @@ var (
 //     the driver goroutine Done starts), and retransmits are sent from
 //     the waiting goroutine. An issued-but-never-waited future times
 //     nothing out; Release reclaims its resources.
-//   - One-way calls (InvokeOneWay): exactly one send, always. There is
-//     no reply to arm a retry timer from, so Timeout and Retries are
-//     ignored and delivery is at-most-once on a lossy network. Callers
-//     needing acknowledgment should use a future instead.
 //   - Pipelined calls: retried like any other call; redeliveries of
 //     both the producer and the dependent call are absorbed by the
 //     callee's (from, seq) dedup cache, and the promise table keeps the

@@ -209,10 +209,6 @@ type Cluster struct {
 	// the node negotiate the feature away.
 	capsMask map[int]uint32
 
-	// batch, when non-nil, enables the per-link outbound frame batcher
-	// (WithBatching) with the given flush window and budgets.
-	batch *BatchConfig
-
 	// promiseParked tracks the executor goroutines currently parked on
 	// an unresolved promise (level, not a monotone total — see
 	// stats.OverloadStats.PromiseParked).
@@ -250,7 +246,6 @@ type clusterOpts struct {
 	claimEvery  int64
 	skew        map[int][]string
 	capsMask    map[int]uint32
-	batch       *BatchConfig
 	nodeTracers map[int]*trace.Tracer
 }
 
@@ -361,7 +356,7 @@ func WithPlanSkew(node int, classes ...string) Option {
 
 // WithoutCaps strips capability bits from node's HELLO advertisement,
 // simulating a peer that does not implement an optional protocol
-// feature (promise pipelining, one-way calls, frame batching). Links
+// feature (promise pipelining, trace-context propagation). Links
 // touching the node negotiate the masked features away and callers
 // fall back to the synchronous resolve-then-send path — the chaos
 // harness's capability-demotion knob.
@@ -405,7 +400,6 @@ func New(n int, opts ...Option) *Cluster {
 		claimEvery: o.claimEvery,
 		skew:       o.skew,
 		capsMask:   o.capsMask,
-		batch:      o.batch,
 		done:       make(chan struct{}),
 	}
 	c.nodes = make([]*Node, n)
@@ -455,31 +449,12 @@ func (c *Cluster) Close() {
 		return
 	}
 	close(c.done)
-	// Stop the batchers first: their flush timers must not fire into a
-	// closing network, and coalesced frames still pending are dropped
-	// (their invocations fail with ErrClusterClosed below anyway).
-	for _, n := range c.nodes {
-		n.stopBatchers()
-	}
 	c.net.Close()
 	c.wg.Wait()
 	for _, n := range c.nodes {
 		n.failPending()
 		n.failPromises()
 		n.dropDedup()
-	}
-}
-
-// FlushBatches synchronously flushes every node's pending outbound
-// batch containers. Deterministic tests (and drains at a workload
-// boundary) use it instead of waiting out the flush window.
-func (c *Cluster) FlushBatches() {
-	for _, n := range c.nodes {
-		for _, b := range n.batchers {
-			if b != nil {
-				b.flush()
-			}
-		}
 	}
 }
 
@@ -525,11 +500,11 @@ func (c *Cluster) SiteStats() []stats.SiteStat {
 }
 
 // Overload snapshots the cluster's backlog levels — pending-call
-// table, promise table occupancy, parked executors, and batch queue
-// depth — the overload signals the obs server exposes as gauges and
-// admission control will consume. Each table is read under its own
-// short-lived lock; the snapshot is consistent per table, not across
-// tables, which is all a monitoring signal needs.
+// table, promise table occupancy and parked executors — the overload
+// signals the obs server exposes as gauges and admission control will
+// consume. Each table is read under its own short-lived lock; the
+// snapshot is consistent per table, not across tables, which is all a
+// monitoring signal needs.
 func (c *Cluster) Overload() stats.OverloadStats {
 	var o stats.OverloadStats
 	for _, n := range c.nodes {
@@ -539,14 +514,6 @@ func (c *Cluster) Overload() stats.OverloadStats {
 		n.promMu.Lock()
 		o.PromiseTable += int64(len(n.promises))
 		n.promMu.Unlock()
-		for _, b := range n.batchers {
-			if b == nil {
-				continue
-			}
-			b.mu.Lock()
-			o.BatchQueueDepth += int64(b.count)
-			b.mu.Unlock()
-		}
 	}
 	o.PromiseParked = c.promiseParked.Load()
 	return o
@@ -619,11 +586,6 @@ type Node struct {
 	promises map[dedupKey]*promiseEntry
 	promQ    []dedupKey
 
-	// batchers holds the per-peer outbound frame coalescers, one slot
-	// per cluster node; nil slots (and a nil slice, when batching is
-	// off) send directly. See batch.go.
-	batchers []*linkBatcher
-
 	// tracer records this node's spans: the cluster tracer by default,
 	// or a per-node override (WithNodeTracer). nil = tracing off.
 	tracer *trace.Tracer
@@ -682,14 +644,6 @@ func newNode(c *Cluster, id int) *Node {
 		links:   make([]nodeLink, len(c.nodes)),
 		tracer:  c.tracer,
 	}
-	if c.batch != nil {
-		n.batchers = make([]*linkBatcher, len(c.nodes))
-		for peer := range n.batchers {
-			if peer != id {
-				n.batchers[peer] = newLinkBatcher(n, peer, *c.batch)
-			}
-		}
-	}
 	return n
 }
 
@@ -717,6 +671,14 @@ func (n *Node) lookup(obj int64) (*Service, bool) {
 	defer n.objMu.RUnlock()
 	s, ok := n.objects[obj]
 	return s, ok
+}
+
+// send puts one sealed frame on the wire. This is the single choke
+// point every outbound frame passes (calls, replies, dedup-cache
+// resends), so stats.NetFrames counts physical frames exactly.
+func (n *Node) send(pkt transport.Packet) error {
+	n.cluster.Counters.NetFrames.Add(1)
+	return n.ep.Send(pkt)
 }
 
 // getReplyCh returns a recycled (empty) reply channel or makes one.

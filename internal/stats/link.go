@@ -14,6 +14,4 @@ type LinkStat struct {
 	DemotedClasses int    `json:"demoted_classes"` // classes negotiated down to class-level encoding
 	Fallbacks      int64  `json:"fallbacks"`       // objects written through the demoted path
 	Caps           uint32 `json:"caps"`            // negotiated capability bits (wire.Cap*)
-	BatchedFrames  int64  `json:"batched_frames"`  // logical frames coalesced into batch containers
-	BatchFlushes   int64  `json:"batch_flushes"`   // batch containers this link put on the wire
 }

@@ -6,9 +6,9 @@ import "fmt"
 // signals — the queues that grow when a node takes on more work than
 // it retires. These are the admission-control inputs ROADMAP item 1
 // consumes; the obs server exposes each field as a Prometheus gauge
-// (cormi_pending_calls, cormi_promise_table, cormi_promise_parked,
-// cormi_batch_queue_depth). Unlike Counters these are levels, not
-// monotone totals: they fall back to zero when the backlog drains.
+// (cormi_pending_calls, cormi_promise_table, cormi_promise_parked).
+// Unlike Counters these are levels, not monotone totals: they fall
+// back to zero when the backlog drains.
 type OverloadStats struct {
 	// PendingCalls is the number of issued remote invocations still
 	// awaiting their reply (the pending-table size, summed over nodes).
@@ -20,9 +20,6 @@ type OverloadStats struct {
 	// blocked in a pipelined call, waiting for a promised argument's
 	// producer (not the idle executors a node keeps between calls).
 	PromiseParked int64 `json:"promise_parked"`
-	// BatchQueueDepth is the number of coalesced frames sitting in
-	// not-yet-flushed batch containers, summed over links.
-	BatchQueueDepth int64 `json:"batch_queue_depth"`
 }
 
 // Add returns the field-wise sum of two snapshots (aggregating several
@@ -31,11 +28,10 @@ func (o OverloadStats) Add(p OverloadStats) OverloadStats {
 	o.PendingCalls += p.PendingCalls
 	o.PromiseTable += p.PromiseTable
 	o.PromiseParked += p.PromiseParked
-	o.BatchQueueDepth += p.BatchQueueDepth
 	return o
 }
 
 func (o OverloadStats) String() string {
-	return fmt.Sprintf("overload: pending=%d promises(table=%d parked=%d) batchq=%d",
-		o.PendingCalls, o.PromiseTable, o.PromiseParked, o.BatchQueueDepth)
+	return fmt.Sprintf("overload: pending=%d promises(table=%d parked=%d)",
+		o.PendingCalls, o.PromiseTable, o.PromiseParked)
 }

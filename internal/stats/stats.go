@@ -68,21 +68,16 @@ type Counters struct {
 	MalformedFrames atomic.Int64 // CRC-valid frames rejected by the hardened decoder
 	PlanFallbacks   atomic.Int64 // objects demoted to class-level encoding by link negotiation
 
-	// Asynchronous-RMI counters (futures, one-way calls, pipelining).
+	// Asynchronous-RMI counters (futures, pipelining).
 	AsyncCalls        atomic.Int64 // remote invocations issued through InvokeAsync
-	OneWayCalls       atomic.Int64 // fire-and-forget invocations (no reply frame)
-	OneWayErrors      atomic.Int64 // one-way executions that failed on the callee
 	PromisedCalls     atomic.Int64 // calls whose results were published to a promise table
 	PipelinedCalls    atomic.Int64 // calls carrying promise-handle arguments
 	PromiseParks      atomic.Int64 // pipelined calls that had to wait for an unresolved promise
 	PipelineFallbacks atomic.Int64 // pipelined sends demoted to resolve-then-send (link caps)
 
-	// Frame-batching counters. NetFrames counts physical frames handed
-	// to the transport (a batch container counts once), so
+	// NetFrames counts physical frames handed to the transport, so
 	// NetFrames/operations is the wire-efficiency "frames per op".
-	NetFrames     PaddedInt64  // physical frames put on the wire
-	BatchedFrames atomic.Int64 // logical frames that traveled inside a batch container
-	BatchFlushes  atomic.Int64 // batch containers flushed onto the wire
+	NetFrames PaddedInt64 // physical frames put on the wire
 }
 
 // Snapshot is an immutable copy of the counters.
@@ -98,10 +93,8 @@ type Snapshot struct {
 	CorruptDropped, StaleReplies                  int64
 	ClaimChecks, ClaimViolations                  int64
 	MalformedFrames, PlanFallbacks                int64
-	AsyncCalls, OneWayCalls, OneWayErrors         int64
-	PromisedCalls, PipelinedCalls, PromiseParks   int64
-	PipelineFallbacks                             int64
-	NetFrames, BatchedFrames, BatchFlushes        int64
+	AsyncCalls, PromisedCalls, PipelinedCalls     int64
+	PromiseParks, PipelineFallbacks, NetFrames    int64
 }
 
 // Snapshot copies the current counter values.
@@ -133,15 +126,11 @@ func (c *Counters) Snapshot() Snapshot {
 		MalformedFrames:   c.MalformedFrames.Load(),
 		PlanFallbacks:     c.PlanFallbacks.Load(),
 		AsyncCalls:        c.AsyncCalls.Load(),
-		OneWayCalls:       c.OneWayCalls.Load(),
-		OneWayErrors:      c.OneWayErrors.Load(),
 		PromisedCalls:     c.PromisedCalls.Load(),
 		PipelinedCalls:    c.PipelinedCalls.Load(),
 		PromiseParks:      c.PromiseParks.Load(),
 		PipelineFallbacks: c.PipelineFallbacks.Load(),
 		NetFrames:         c.NetFrames.Load(),
-		BatchedFrames:     c.BatchedFrames.Load(),
-		BatchFlushes:      c.BatchFlushes.Load(),
 	}
 }
 
@@ -173,15 +162,11 @@ func (c *Counters) Reset() {
 	c.MalformedFrames.Store(0)
 	c.PlanFallbacks.Store(0)
 	c.AsyncCalls.Store(0)
-	c.OneWayCalls.Store(0)
-	c.OneWayErrors.Store(0)
 	c.PromisedCalls.Store(0)
 	c.PipelinedCalls.Store(0)
 	c.PromiseParks.Store(0)
 	c.PipelineFallbacks.Store(0)
 	c.NetFrames.Store(0)
-	c.BatchedFrames.Store(0)
-	c.BatchFlushes.Store(0)
 }
 
 // Sub returns s - t field-wise (statistics accumulated between two
@@ -214,15 +199,11 @@ func (s Snapshot) Sub(t Snapshot) Snapshot {
 		MalformedFrames:   s.MalformedFrames - t.MalformedFrames,
 		PlanFallbacks:     s.PlanFallbacks - t.PlanFallbacks,
 		AsyncCalls:        s.AsyncCalls - t.AsyncCalls,
-		OneWayCalls:       s.OneWayCalls - t.OneWayCalls,
-		OneWayErrors:      s.OneWayErrors - t.OneWayErrors,
 		PromisedCalls:     s.PromisedCalls - t.PromisedCalls,
 		PipelinedCalls:    s.PipelinedCalls - t.PipelinedCalls,
 		PromiseParks:      s.PromiseParks - t.PromiseParks,
 		PipelineFallbacks: s.PipelineFallbacks - t.PipelineFallbacks,
 		NetFrames:         s.NetFrames - t.NetFrames,
-		BatchedFrames:     s.BatchedFrames - t.BatchedFrames,
-		BatchFlushes:      s.BatchFlushes - t.BatchFlushes,
 	}
 }
 
@@ -235,14 +216,13 @@ func (s Snapshot) String() string {
 		"rpcs(local=%d remote=%d) msgs=%d wire=%dB type=%dB serCalls=%d inlined=%d cycleTables=%d cycleLookups=%d alloc(%d objs, %.2f MB) reused=%d "+
 			"faults(retries=%d timeouts=%d dupSuppressed=%d corruptDropped=%d staleReplies=%d) claims(checks=%d violations=%d) "+
 			"wire(malformed=%d planFallbacks=%d) "+
-			"async(calls=%d oneWay=%d oneWayErrs=%d promised=%d pipelined=%d parks=%d fallbacks=%d) "+
-			"batch(netFrames=%d batched=%d flushes=%d)",
+			"async(calls=%d promised=%d pipelined=%d parks=%d fallbacks=%d) netFrames=%d",
 		s.LocalRPCs, s.RemoteRPCs, s.Messages, s.WireBytes, s.TypeBytes,
 		s.SerializerCalls, s.InlinedWrites, s.CycleTables, s.CycleLookups,
 		s.AllocObjects, s.NewMBytes(), s.ReusedObjs,
 		s.Retries, s.Timeouts, s.DupSuppressed, s.CorruptDropped, s.StaleReplies,
 		s.ClaimChecks, s.ClaimViolations,
 		s.MalformedFrames, s.PlanFallbacks,
-		s.AsyncCalls, s.OneWayCalls, s.OneWayErrors, s.PromisedCalls, s.PipelinedCalls, s.PromiseParks, s.PipelineFallbacks,
-		s.NetFrames, s.BatchedFrames, s.BatchFlushes)
+		s.AsyncCalls, s.PromisedCalls, s.PipelinedCalls, s.PromiseParks, s.PipelineFallbacks,
+		s.NetFrames)
 }

@@ -160,36 +160,6 @@ func TestExemplarRingBounds(t *testing.T) {
 	}
 }
 
-func TestRecordFlush(t *testing.T) {
-	tr := New(Config{RingSize: 8})
-	tr.RecordFlush("link.0->1", 0, 1, 5, Now()-100_000)
-
-	rec := tr.Recent()
-	if len(rec) != 1 || rec[0].Batch != 5 || rec[0].Site != "link.0->1" {
-		t.Fatalf("flush record = %+v, want link.0->1 with Batch 5", rec)
-	}
-	if d := rec[0].PhaseDur[PhaseBatchWait]; d < 50_000 {
-		t.Errorf("batch_wait dur = %d, want ~100µs", d)
-	}
-	sa := siteAttr(t, tr, "link.0->1")
-	if b := blameOf(sa, "batch_wait"); b.Wins != 1 || b.SelfNS < 50_000 {
-		t.Errorf("batch_wait blame = %+v", b)
-	}
-	// Flush spans are link bookkeeping, not calls: no total-latency
-	// observation, no exemplar eligibility.
-	if sa.Calls != 0 {
-		t.Errorf("flush span counted as a call: %+v", sa)
-	}
-
-	// Nil tracer and empty flushes are no-ops.
-	var nilT *Tracer
-	nilT.RecordFlush("link.0->1", 0, 1, 3, Now())
-	tr.RecordFlush("link.0->1", 0, 1, 0, Now())
-	if got := len(tr.Recent()); got != 1 {
-		t.Errorf("empty flush recorded: %d records", got)
-	}
-}
-
 func TestAttributionMergeMatchesSingleTracer(t *testing.T) {
 	// The same span stream split across two tracers (two "nodes") and
 	// merged must equal the stream recorded into one tracer — the
@@ -285,6 +255,4 @@ func TestNilTracerAttributionSurface(t *testing.T) {
 	if tr.Attribution() != nil || tr.Slow() != nil || tr.Exemplars() != 0 {
 		t.Fatal("nil tracer attribution surface must be empty")
 	}
-	var sp *Span
-	sp.SetOneWay()
 }

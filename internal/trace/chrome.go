@@ -86,24 +86,12 @@ func WriteChrome(w io.Writer, spans []SpanRecord, reason string) error {
 		if s.VirtualTransitNS > 0 {
 			args["virtual_transit_ns"] = s.VirtualTransitNS
 		}
-		// One-way calls and batch-flush spans are full spans in their own
-		// right (a one-way caller half ends at wire handoff; a flush span
-		// covers the container's wait) — tag them so a /slow exemplar of
-		// batched or fire-and-forget traffic reads unambiguously.
-		cat := s.Kind.String()
-		if s.OneWay {
-			args["one_way"] = true
-		}
-		if s.Batch > 0 {
-			args["batched_frames"] = s.Batch
-			cat = "batch"
-		}
 		dur := float64(s.End-s.Start) / 1e3
 		if dur <= 0 {
 			dur = 0.001
 		}
 		tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
-			Name: s.Site, Ph: "X", Cat: cat,
+			Name: s.Site, Ph: "X", Cat: s.Kind.String(),
 			TS: us(s.Start), Dur: dur, PID: pid, TID: tid, Args: args,
 		})
 		for p := Phase(0); p < NumPhases; p++ {

@@ -71,11 +71,6 @@ const (
 	// PhasePromiseWait is the callee-side park of a pipelined call
 	// waiting for the promise-table entries its arguments reference.
 	PhasePromiseWait
-	// PhaseBatchWait is the window the oldest frame of one batched
-	// container waited between enqueue and physical flush — recorded on
-	// a per-link pseudo-site span (RecordFlush), since the wait belongs
-	// to the link's batcher, not to any one call site.
-	PhaseBatchWait
 
 	// NumPhases is the phase count; valid phases are < NumPhases.
 	NumPhases
@@ -85,7 +80,6 @@ var phaseNames = [NumPhases]string{
 	"plan_lookup", "serialize", "send", "transit", "dispatch",
 	"deserialize", "execute", "reply_serialize", "reply_transit",
 	"wait_reply", "reply_deserialize", "future_wait", "promise_wait",
-	"batch_wait",
 }
 
 func (p Phase) String() string {
@@ -137,14 +131,6 @@ type SpanRecord struct {
 	// VirtualTransitNS is the cost-model (virtual time) transit of the
 	// call message (callee span only).
 	VirtualTransitNS int64 `json:"virtual_transit_ns,omitempty"`
-	// OneWay marks fire-and-forget calls: the caller half ends at wire
-	// handoff and the callee half never serializes a reply, so a short
-	// span is expected, not truncated.
-	OneWay bool `json:"one_way,omitempty"`
-	// Batch is the sub-frame count of a batch-flush span (RecordFlush);
-	// zero on ordinary call spans. Flush spans carry only PhaseBatchWait
-	// and are excluded from per-call attribution totals.
-	Batch int `json:"batch,omitempty"`
 	// TraceID names the cross-node trace this span belongs to; zero on
 	// unsampled calls (the common case). SpanID is this span's own
 	// identity within the trace, ParentID the span that caused it (zero
@@ -213,14 +199,6 @@ func (s *Span) SetVirtualTransit(ns int64) {
 		return
 	}
 	s.VirtualTransitNS = ns
-}
-
-// SetOneWay marks the span as half of a fire-and-forget call.
-func (s *Span) SetOneWay() {
-	if s == nil {
-		return
-	}
-	s.OneWay = true
 }
 
 // SetTraceIdentity stamps the span's distributed-tracing identity: the
@@ -532,12 +510,11 @@ func (t *Tracer) close(s *Span) {
 		t.failures.Add(1)
 	}
 
-	// Caller spans of ordinary calls carry the end-to-end latency the
-	// user saw; feed the total histogram and the adaptive threshold.
-	// Flush spans (Batch > 0) are link bookkeeping, not calls.
+	// Caller spans carry the end-to-end latency the user saw; feed the
+	// total histogram and the adaptive threshold.
 	slow := false
 	var tot int64
-	if s.Kind == KindCaller && s.Batch == 0 {
+	if s.Kind == KindCaller {
 		tot = s.SpanRecord.End - s.SpanRecord.Start
 		if tot < 0 {
 			tot = 0
@@ -579,32 +556,6 @@ func (t *Tracer) close(s *Span) {
 
 	*s = Span{} // clear strings and stale phases before pooling
 	t.pool.Put(s)
-}
-
-// RecordFlush records one batch-container flush as a span on the
-// link's pseudo-site (e.g. "link.0->1"): its single PhaseBatchWait
-// phase is the wall time the container's oldest frame waited for the
-// physical flush, and Batch carries the coalesced sub-frame count.
-// The span flows through the same close path as call spans, so batch
-// wait shows up in histograms, blame counters, the flight recorder and
-// the Chrome dump like any other phase.
-func (t *Tracer) RecordFlush(site string, from, to, frames int, oldestWall int64) {
-	if t == nil || frames <= 0 {
-		return
-	}
-	now := Now()
-	if oldestWall <= 0 || oldestWall > now {
-		oldestWall = now
-	}
-	t.spansStarted.Add(1)
-	s := t.pool.Get().(*Span)
-	s.SpanRecord = SpanRecord{
-		Site: site, Method: "flush", From: from, To: to,
-		Kind: KindCaller, Start: oldestWall, Batch: frames,
-	}
-	s.t = t
-	s.SetPhase(PhaseBatchWait, oldestWall, now-oldestWall)
-	s.End()
 }
 
 // Recent returns the flight recorder's contents, oldest first. The

@@ -122,6 +122,10 @@ func TestWriteChromeParses(t *testing.T) {
 	sp.EndPhase(PhaseExecute)
 	sp.SetVirtualTransit(777)
 	sp.End()
+	sp = tr.StartCaller("W.fire.1", "fire", 0, 2, 11)
+	sp.BeginPhase(PhaseSerialize)
+	sp.EndPhase(PhaseSerialize)
+	sp.End()
 
 	var buf bytes.Buffer
 	if err := WriteChrome(&buf, tr.Recent(), ""); err != nil {
@@ -131,6 +135,7 @@ func TestWriteChromeParses(t *testing.T) {
 		TraceEvents []struct {
 			Name string  `json:"name"`
 			Ph   string  `json:"ph"`
+			Cat  string  `json:"cat"`
 			PID  int     `json:"pid"`
 			TS   float64 `json:"ts"`
 		} `json:"traceEvents"`
@@ -138,41 +143,24 @@ func TestWriteChromeParses(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
 		t.Fatalf("chrome JSON does not parse: %v", err)
 	}
-	var haveSpan, haveExec bool
+	var haveSpan, haveExec, haveCaller, haveSer bool
 	for _, e := range parsed.TraceEvents {
-		if e.Name == "A.b.1" && e.Ph == "X" && e.PID == 5 {
+		if e.Name == "A.b.1" && e.Ph == "X" && e.PID == 5 && e.Cat == "callee" {
 			haveSpan = true
 		}
 		if e.Name == "execute" && e.Ph == "X" {
 			haveExec = true
 		}
-	}
-	if !haveSpan || !haveExec {
-		t.Fatalf("span=%v exec=%v, want both; events: %+v", haveSpan, haveExec, parsed.TraceEvents)
-	}
-}
-
-func TestWriteChromeOneWayAndBatchSpans(t *testing.T) {
-	tr := New(Config{RingSize: 8})
-	sp := tr.StartCaller("W.fire.1", "fire", 0, 2, 11)
-	sp.SetOneWay()
-	sp.BeginPhase(PhaseSerialize)
-	sp.EndPhase(PhaseSerialize)
-	sp.End()
-	tr.RecordFlush("link.0->2", 0, 2, 7, Now()-1000)
-
-	var buf bytes.Buffer
-	if err := WriteChrome(&buf, tr.Recent(), ""); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		`"one_way":true`, `"batched_frames":7`, `"cat":"batch"`,
-		`link.0-\u003e2`, "batch_wait",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("chrome dump missing %q:\n%s", want, out)
+		if e.Name == "W.fire.1" && e.Ph == "X" && e.PID == 0 && e.Cat == "caller" {
+			haveCaller = true
 		}
+		if e.Name == "serialize" && e.Ph == "X" {
+			haveSer = true
+		}
+	}
+	if !haveSpan || !haveExec || !haveCaller || !haveSer {
+		t.Fatalf("callee=%v exec=%v caller=%v serialize=%v, want all; events: %+v",
+			haveSpan, haveExec, haveCaller, haveSer, parsed.TraceEvents)
 	}
 }
 

@@ -40,7 +40,6 @@ type TreeSpan struct {
 	OffsetNS int64  `json:"offset_ns,omitempty"`
 	Err      string `json:"err,omitempty"`
 	Retries  int    `json:"retries,omitempty"`
-	OneWay   bool   `json:"one_way,omitempty"`
 	// Orphan marks a span whose parent is missing (unsampled parent,
 	// unreachable node, or an evicted bucket); it is grafted in as an
 	// extra root so its subtree still renders.
@@ -150,7 +149,7 @@ func BuildTree(traceID uint64, nodes []NodeSpans) *Tree {
 			Site: s.Site, Method: s.Method, Kind: s.Kind.String(),
 			From: s.From, To: s.To, Seq: s.Seq, Hop: s.Hop,
 			StartNS: s.Start - off, DurNS: s.End - s.Start, OffsetNS: off,
-			Err: s.Err, Retries: s.Retries, OneWay: s.OneWay,
+			Err: s.Err, Retries: s.Retries,
 		})
 	}
 	sort.Slice(tr.Spans, func(i, j int) bool {
@@ -264,9 +263,9 @@ type alignSpan struct {
 // which cancels the (assumed symmetric) transit time. Samples are
 // averaged per directed node pair, then composed along a BFS from the
 // root node, so a node two hops away is aligned through its
-// intermediary. One-way calls have no reply leg; their one-sided
-// sample (t2-t1, biased by the transit time) is used only when a link
-// has no two-sided sample. Unreachable nodes keep offset zero.
+// intermediary. A call that timed out or was abandoned has no reply
+// leg; its one-sided sample (t2-t1, biased by the transit time) is used
+// only when a link has no two-sided sample. Unreachable nodes keep offset zero.
 func alignClocks(rootNode string, spans []alignSpan) map[string]int64 {
 	byID := make(map[uint64]alignSpan, len(spans))
 	for _, s := range spans {
@@ -295,7 +294,8 @@ func alignClocks(rootNode string, spans []alignSpan) map[string]int64 {
 			sums[p] += (d1 - d2) / 2
 			counts[p]++
 		} else {
-			// No reply leg recorded (one-way call): t2-t1 alone, biased
+			// No reply leg recorded (the call timed out or was
+			// abandoned before its reply landed): t2-t1 alone, biased
 			// by the transit time. Kept only if no two-sided sample
 			// materializes for this link.
 			weakSums[p] += d1

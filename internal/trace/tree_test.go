@@ -132,15 +132,16 @@ func TestBuildTreeDuplicateSpans(t *testing.T) {
 	}
 }
 
-// TestBuildTreeOneWayLeaf reconstructs a trace ending in a one-way
-// call: the callee half records no reply transit, so clock alignment
-// falls back to the one-sided (transit-biased) sample, and the one-way
-// callee is a leaf that can carry the critical path's tail.
-func TestBuildTreeOneWayLeaf(t *testing.T) {
+// TestBuildTreeAbandonedCallLeaf reconstructs a trace ending in a call
+// whose caller timed out before the reply landed: the caller half
+// records no reply transit, so clock alignment falls back to the
+// one-sided (transit-biased) sample, and the callee, still running
+// after its caller gave up, is a leaf that carries the critical path's
+// tail.
+func TestBuildTreeAbandonedCallLeaf(t *testing.T) {
 	root := mkSpan(13, 1, 0, 0, KindCaller, 0, 1, 1, 100, 300)
-	root.OneWay = true // caller half ends at wire handoff
+	root.Err = "call timed out" // caller half ends without a reply leg
 	callee := mkSpan(13, 2, 1, 1, KindCallee, 0, 1, 1, 400, 900)
-	callee.OneWay = true
 	callee.PhaseDur[PhaseTransit] = 150 // one-sided sample only
 	tree := BuildTree(13, []NodeSpans{
 		{Node: "a", Spans: []SpanRecord{root}},
@@ -153,23 +154,23 @@ func TestBuildTreeOneWayLeaf(t *testing.T) {
 		}
 	}
 	if leaf == nil {
-		t.Fatal("one-way callee missing from tree")
+		t.Fatal("abandoned callee missing from tree")
 	}
-	if !leaf.OneWay || len(leaf.Children) != 0 {
-		t.Errorf("one-way callee not a leaf: oneway=%v children=%v", leaf.OneWay, leaf.Children)
+	if len(leaf.Children) != 0 {
+		t.Errorf("abandoned callee not a leaf: children=%v", leaf.Children)
 	}
 	// The weak sample is the whole transit duration: offset estimate
 	// d1 = 150, so the callee rebases from 400 to 250.
 	if leaf.OffsetNS != 150 || leaf.StartNS != 250 {
-		t.Errorf("one-way alignment: offset=%d start=%d, want 150 and 250", leaf.OffsetNS, leaf.StartNS)
+		t.Errorf("one-sided alignment: offset=%d start=%d, want 150 and 250", leaf.OffsetNS, leaf.StartNS)
 	}
-	// The callee outlives the caller (fire-and-forget): it is the
+	// The callee outlives the caller that abandoned it: it is the
 	// latest-ending span and must terminate the critical path.
 	if n := len(tree.CriticalPath); n == 0 || tree.CriticalPath[n-1] != 2 {
-		t.Errorf("critical path %v should end at the one-way leaf", tree.CriticalPath)
+		t.Errorf("critical path %v should end at the abandoned leaf", tree.CriticalPath)
 	}
 	if !leaf.Critical {
-		t.Error("one-way leaf not marked critical")
+		t.Error("abandoned leaf not marked critical")
 	}
 }
 

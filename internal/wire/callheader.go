@@ -19,9 +19,8 @@ import "fmt"
 const (
 	MsgCall  = 0
 	MsgReply = 1
-	// MsgBatch is a coalesced container of sealed call/reply sub-frames
-	// (see AppendBatchEntry).
-	MsgBatch = 2
+	// Tag 2 is retired (it framed a batch container) and never reused:
+	// a frame carrying it is malformed.
 )
 
 // Call header flags (the byte following the MsgCall tag).
@@ -35,10 +34,8 @@ const (
 	// packets carry wall-clock timestamps so each transit leg is
 	// measured end to end.
 	CallTraced = 1 << 1
-	// CallOneWay marks a fire-and-forget call: the callee executes it
-	// but sends no reply of any kind (errors are recorded callee-side).
-	// Sent only on links that negotiated CapOneWay.
-	CallOneWay = 1 << 2
+	// Bit 2 is retired (it marked a one-way call) and never reused;
+	// Decode rejects it, and the unassigned bits 6–7, as malformed.
 	// CallPromised marks a call whose result the caller may reference
 	// from a later pipelined call: the callee publishes the outcome in
 	// its promise table (keyed by this call's (from, seq)) in addition
@@ -58,6 +55,9 @@ const (
 	// (the call still runs untraced downstream) instead of sending a
 	// frame the peer would reject.
 	CallTraceCtx = 1 << 5
+
+	// callFlagsKnown is every bit a call header may carry.
+	callFlagsKnown = CallRetryable | CallTraced | CallPromised | CallPipelined | CallTraceCtx
 )
 
 // Reply kinds (the byte following the reply's seq).
@@ -191,13 +191,17 @@ func (h CallHeader) Encode(m *Message) {
 // Seq first, so a redelivered call costs no section decode
 // (DecodePromises picks up from here). On error the fields read so far
 // stay set — Seq lets the receiver address a best-effort rejection —
-// and m is left failed so the enclosing frame decode aborts.
+// and m is left failed so the enclosing frame decode aborts. A flag bit
+// outside callFlagsKnown fails the header.
 func (h *CallHeader) Decode(m *Message) error {
 	h.Flags = m.ReadU8()
 	h.Site = m.ReadInt32()
 	h.Obj = m.ReadInt64()
 	h.Seq = m.ReadInt64()
 	h.NArgs = m.ReadInt32()
+	if h.Flags&^callFlagsKnown != 0 {
+		m.Fail(fmt.Errorf("%w: unknown call flags %#x", ErrMalformedFrame, h.Flags&^callFlagsKnown))
+	}
 	if h.Flags&CallTraceCtx != 0 {
 		h.Trace = readTraceContext(m)
 	}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -20,7 +21,6 @@ const (
 
 	callFlagRetryable = 1 << 0
 	callFlagTraced    = 1 << 1
-	callFlagOneWay    = 1 << 2
 	callFlagPromised  = 1 << 3
 	callFlagPipelined = 1 << 4
 	callFlagTraceCtx  = 1 << 5
@@ -33,12 +33,12 @@ const (
 
 // refCall is what startRemote knew when it assembled a header.
 type refCall struct {
-	retryable, traced, oneWay, promised bool
-	site                                int32
-	obj, seq                            int64
-	nargs                               int
-	wireCtx                             TraceContext
-	handles                             []PromiseHandle
+	retryable, traced, promised bool
+	site                        int32
+	obj, seq                    int64
+	nargs                       int
+	wireCtx                     TraceContext
+	handles                     []PromiseHandle
 }
 
 func refAppendTraceContext(m *Message, c TraceContext) {
@@ -64,9 +64,6 @@ func refEncodeCall(m *Message, c refCall) {
 	}
 	if c.traced {
 		flags |= callFlagTraced
-	}
-	if c.oneWay {
-		flags |= callFlagOneWay
 	}
 	if c.promised {
 		flags |= callFlagPromised
@@ -105,9 +102,6 @@ func (c refCall) header() CallHeader {
 	if c.traced {
 		h.Flags |= CallTraced
 	}
-	if c.oneWay {
-		h.Flags |= CallOneWay
-	}
 	if c.promised {
 		h.Flags |= CallPromised
 	}
@@ -144,20 +138,20 @@ var refHandles = []PromiseHandle{
 }
 
 // TestCallHeaderDifferential holds Encode to the reference encoder
-// byte for byte over every flag combination × {no ctx, ctx} × {0, 1, 3
-// handles}, and Decode to Encode's inverse.
+// byte for byte over every combination of the caller-set flags ×
+// {no ctx, ctx} × {0, 1, 3 handles}, and Decode to Encode's inverse.
 func TestCallHeaderDifferential(t *testing.T) {
 	ctxs := []TraceContext{{}, {TraceID: 0xdeadbeefcafef00d, Parent: 7, Hop: 3}}
 	cases := 0
-	for bits := 0; bits < 16; bits++ {
+	for bits := 0; bits < 8; bits++ {
 		for _, ctx := range ctxs {
 			for _, nh := range []int{0, 1, 3} {
 				c := refCall{
-					retryable: bits&1 != 0, traced: bits&2 != 0, oneWay: bits&4 != 0, promised: bits&8 != 0,
+					retryable: bits&1 != 0, traced: bits&2 != 0, promised: bits&4 != 0,
 					site: 0x01020304, obj: 0x1112131415161718, seq: 0x2122232425262728, nargs: 4,
 					wireCtx: ctx, handles: refHandles[:nh],
 				}
-				name := fmt.Sprintf("flags=%04b ctx=%v handles=%d", bits, ctx.TraceID != 0, nh)
+				name := fmt.Sprintf("flags=%03b ctx=%v handles=%d", bits, ctx.TraceID != 0, nh)
 				ref := NewMessage(128)
 				refEncodeCall(ref, c)
 				h := c.header()
@@ -184,8 +178,44 @@ func TestCallHeaderDifferential(t *testing.T) {
 			}
 		}
 	}
-	if cases != 96 {
-		t.Fatalf("covered %d combinations, want 96", cases)
+	if cases != 48 {
+		t.Fatalf("covered %d combinations, want 48", cases)
+	}
+}
+
+// TestCallHeaderRejectsUnknownFlags runs every flags byte through the
+// receive path, each with the sections its bits announce. Bit 2 (the
+// retired one-way flag) and the unassigned bits 6–7 make the header
+// malformed; every other byte decodes. A rejected header keeps the Seq
+// it read, which the receiver's best-effort rejection is addressed by.
+func TestCallHeaderRejectsUnknownFlags(t *testing.T) {
+	const unknown = 1<<2 | 1<<6 | 1<<7
+	rejected := 0
+	for f := 0; f < 256; f++ {
+		var sections [][]byte
+		if f&callFlagTraceCtx != 0 {
+			sections = append(sections, ctxBytes(TraceContext{TraceID: 1, Hop: 1}))
+		}
+		if f&callFlagPipelined != 0 {
+			sections = append(sections, promiseBytes(1, PromiseHandle{Arg: 0}))
+		}
+		h, _, err := decodeHeader(rawHeader(byte(f), 1, sections...))
+		if f&unknown == 0 {
+			if err != nil {
+				t.Errorf("flags %08b: %v", f, err)
+			}
+			continue
+		}
+		rejected++
+		if !errors.Is(err, ErrMalformedFrame) {
+			t.Errorf("flags %08b: err = %v, want ErrMalformedFrame", f, err)
+		}
+		if h.Seq != 3 {
+			t.Errorf("flags %08b: rejected header kept Seq %d, want 3", f, h.Seq)
+		}
+	}
+	if rejected != 224 {
+		t.Fatalf("rejected %d flag bytes, want 224", rejected)
 	}
 }
 

@@ -173,6 +173,9 @@ func checkCallHeader(t *testing.T, data []byte) {
 		}
 		return
 	}
+	if h.Flags&^callFlagsKnown != 0 {
+		t.Fatalf("decoder accepted unknown flag bits %#x", h.Flags&^callFlagsKnown)
+	}
 	if (h.Flags&CallTraceCtx != 0) != (h.Trace != TraceContext{}) || (h.Trace != TraceContext{} && !h.Trace.Valid()) {
 		t.Fatalf("decoder accepted flags %#x with wire-illegal context %+v", h.Flags, h.Trace)
 	}
@@ -226,6 +229,12 @@ func FuzzCallHeader(f *testing.F) {
 	f.Add(rawHeader(CallPipelined, 4, promiseBytes(1, PromiseHandle{Arg: 4})))
 	f.Add(rawHeader(CallPipelined, 4, promiseBytes(1, PromiseHandle{Arg: 0, Ret: MaxPromiseHandles})))
 	f.Add(rawHeader(CallPipelined, 4, promiseBytes(2, PromiseHandle{Arg: 0})))
+	// Retired bit 2 (one-way) and unassigned bits 6–7, alone and beside
+	// live flags.
+	f.Add(rawHeader(1<<2, 1))
+	f.Add(rawHeader(CallRetryable|CallTraced|1<<2, 1))
+	f.Add(rawHeader(1<<6, 1))
+	f.Add(rawHeader(1<<7|CallTraceCtx, 1, ctxBytes(TraceContext{TraceID: 4, Hop: 1})))
 	// A reply frame is not a call.
 	f.Add([]byte{MsgReply, 0, 0, 0, 0, 0, 0, 0, 0, ReplyAck})
 

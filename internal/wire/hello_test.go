@@ -40,6 +40,18 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLocalCaps pins the advertised capability set to the literal
+// bits: 1<<1 and 1<<2 are retired (one-way calls, frame batching) and
+// must never come back under a new meaning.
+func TestLocalCaps(t *testing.T) {
+	if LocalCaps != CapPipelining|CapTracing {
+		t.Fatalf("LocalCaps = %#x, want CapPipelining|CapTracing", LocalCaps)
+	}
+	if CapPipelining != 1<<0 || CapTracing != 1<<3 {
+		t.Fatalf("CapPipelining = %#x, CapTracing = %#x; want 1<<0 and 1<<3", CapPipelining, CapTracing)
+	}
+}
+
 func TestHelloEmptyTableRoundTrips(t *testing.T) {
 	h := &Hello{Version: ProtocolVersion, PlanVersion: 1, Node: 0}
 	got, err := DecodeHello(EncodeHello(h))
