@@ -102,11 +102,15 @@ verify-dtrace:
 # skewed corpus, holds the ordered NodeSet to the map it replaced, Reach to a
 # fixed number of allocations whatever the graph size, and the
 # cormi-cost/3 document to its keys; in internal/heap/sched the region
-# plan; in internal/heap/gen the corpus generator.
+# plan; in internal/heap/gen the corpus generator. The last line also
+# holds the front end's first stage, lang.Parse, to the parser it
+# replaced (the oracle in parse_ref_test.go): the same AST, positions
+# included, on every example, sketch and generated corpus, and the same
+# error on every source the robustness tests generate.
 verify-analysis:
 	go test -count=1 -run 'TestAnalysisCorpusGate' ./internal/harness
 	go test -count=1 -run 'TestSingleFixpointAgrees|TestConvergedRegionsStopWalking|TestNodeSet|TestReachAllocations|TestCostDocument|TestBuildPlan|TestSharedStatic|TestSelfRecursion|TestGenerate|TestEdit|TestExtraCall' ./internal/heap ./internal/heap/sched ./internal/heap/gen
-	go test -count=1 -run 'TestCompileAllocsLinearInFunctions|TestCompileStageAllocs' ./internal/core
+	go test -count=1 -run 'TestCompileAllocsLinearInFunctions|TestCompileStageAllocs|TestParseDifferential' ./internal/core ./internal/lang
 
 # Short native-fuzzing pass over the adversarial decode surfaces:
 # the HELLO handshake decoder, the value/reference payload decoder,
@@ -114,12 +118,16 @@ verify-analysis:
 # section). Each target always replays its checked-in seed corpus
 # (testdata/fuzz/) and then mutates for a few seconds. Properties: no
 # panics, typed ErrMalformedFrame on every
-# rejection, balanced pools. Longer runs: FUZZTIME=10m make fuzz.
+# rejection, balanced pools. The last target is the MiniJP parser,
+# seeded from the compiled corpus: on ASCII source, the same AST or
+# the same error as the reference parser. Longer runs: FUZZTIME=10m
+# make fuzz.
 FUZZTIME ?= 5s
 fuzz:
 	go test -run '^$$' -fuzz FuzzDecodeHello -fuzztime $(FUZZTIME) ./internal/wire
 	go test -run '^$$' -fuzz FuzzCallHeader -fuzztime $(FUZZTIME) ./internal/wire
 	go test -run '^$$' -fuzz FuzzReadValues -fuzztime $(FUZZTIME) ./internal/serial
+	go test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/lang
 
 # Every Go benchmark in the module. Informational, no gate.
 bench:

@@ -54,17 +54,34 @@ comment */ "str\n" 1 2.5 1e3 <= && !`)
 			t.Fatalf("token %d = %q, want %q", i, texts[i], want[i])
 		}
 	}
-	if kinds[0] != TokKeyword || kinds[1] != TokIdent || kinds[7] != TokStringLit ||
+	if kinds[0] != TokClass || kinds[1] != TokIdent || kinds[7] != TokStringLit ||
 		kinds[8] != TokIntLit || kinds[9] != TokDoubleLit || kinds[10] != TokDoubleLit {
 		t.Fatalf("kinds wrong: %v", kinds)
 	}
 }
 
+// TestLexErrors pins each lexical error, position included.
+// Identifiers are ASCII: any other byte outside a comment or a string
+// literal is reported as the whole character it begins.
 func TestLexErrors(t *testing.T) {
-	for _, src := range []string{`"unterminated`, "/* unterminated", `"bad \q escape"`, "@"} {
-		if _, err := Lex(src); err == nil {
-			t.Fatalf("Lex(%q) should fail", src)
+	for _, tc := range []struct{ src, want string }{
+		{`"unterminated`, "1:1: unterminated string literal"},
+		{"/* unterminated", "1:1: unterminated block comment"},
+		{`"bad \q escape"`, `1:1: bad escape \q`},
+		{"@", `1:1: unexpected character "@"`},
+		{"class A { int µ; }", `1:15: unexpected character "µ"`},
+		{"int é;", `1:5: unexpected character "é"`},
+		{"class Aé { }", `1:8: unexpected character "é"`},
+		{"class A { } ☃", `1:13: unexpected character "☃"`},
+		{"class A { }\n\xff", `2:1: unexpected character "\xff"`},
+	} {
+		if _, err := Lex(tc.src); err == nil || err.Error() != tc.want {
+			t.Errorf("Lex(%q) = %v, want %s", tc.src, err, tc.want)
 		}
+	}
+	toks, err := Lex("// µ\n/* é\n */ \"☃\" x")
+	if err != nil || len(toks) != 3 || toks[0].Text != "☃" || toks[1].Pos != (Pos{3, 11}) {
+		t.Fatalf("UTF-8 in comments and strings: %v, %v", toks, err)
 	}
 }
 
@@ -248,24 +265,47 @@ func TestCheckerErrors(t *testing.T) {
 	}
 }
 
+// TestParserErrors pins the whole error text, position included, of
+// every place the lexer and the parser report a syntax error (and of a
+// few sources the checker rejects).
 func TestParserErrors(t *testing.T) {
-	cases := []string{
-		`class`,
-		`class A {`,
-		`class A { int }`,
-		`class A { void f( }`,
-		`class A { void f() { if x } }`,
-		`class A { void f() { new int(); } }`,
-		`class A { void f() { int[] a = new int[]; } }`,
-		`class A { void f() { int[][] a = new int[][3]; } }`,
-	}
-	for _, src := range cases {
-		f, err := Parse(src)
+	for _, tc := range []struct{ src, want string }{
+		// lexer.go
+		{"class A { }\n/* never closed", "2:1: unterminated block comment"},
+		{`class A { double d() { return 1e; } }`, "1:33: malformed exponent"},
+		{`class A { void f() { String s = "abc`, "1:33: unterminated string literal"},
+		{`class A { void f() { String s = "a\`, "1:33: unterminated escape"},
+		{`class A { void f() { String s = "bad \q escape"; } }`, `1:33: bad escape \q`},
+		{`class A { int x # }`, `1:17: unexpected character "#"`},
+		// parser.go
+		{`class A`, `1:8: expected "{", found end of file`},
+		{`class A { int x }`, `1:17: expected ";", found "}"`},
+		{`class A { void f() { if x } }`, `1:25: expected "(", found "x"`},
+		{`class`, "1:6: expected identifier, found end of file"},
+		{`class { }`, `1:7: expected identifier, found "{"`},
+		{`class A extends { }`, `1:17: expected identifier, found "{"`},
+		{`class A { int }`, `1:15: expected identifier, found "}"`},
+		{`class A { void f( }`, `1:19: expected type, found "}"`},
+		{`class A {`, "1:1: unterminated class A"},
+		{`class A { static A() { } }`, "1:11: constructor cannot be static"},
+		{`class A { void f() {`, "1:20: unterminated block"},
+		{`class A { int f() { return 99999999999999999999; } }`, "1:28: bad int literal 99999999999999999999"},
+		{`class A { double f() { return 1e999; } }`, "1:31: bad double literal 1e999"},
+		{`class A { void f() { x = ; } }`, `1:26: unexpected token ";"`},
+		{`class A { void f() { new void(); } }`, "1:26: expected type after new"},
+		{`class A { void f() { A a = new 3(); } }`, "1:32: expected type after new"},
+		{`class A { void f() { new int(); } }`, "1:26: cannot construct primitive int"},
+		{`class A { void f() { new A; } }`, "1:27: expected ( or [ after new A"},
+		{`class A { void f() { int[][] a = new int[][3]; } }`, "1:44: sized dimension after unsized one"},
+		// check.go
+		{`class A { void f() { int[] a = new int[]; } }`, "1:32: new array needs at least one sized dimension"},
+	} {
+		f, err := Parse(tc.src)
 		if err == nil {
 			_, err = Check(f)
 		}
-		if err == nil {
-			t.Fatalf("Parse/Check(%q) should fail", src)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Parse/Check(%q) = %v, want %s", tc.src, err, tc.want)
 		}
 	}
 }

@@ -9,26 +9,33 @@ import (
 // Parse lexes and parses a MiniJP compilation unit. Tokens are pulled
 // from the lexer as the grammar asks for them, so the first error in
 // source order is the one reported, lexical or syntactic.
-func Parse(src string) (*File, error) {
+func Parse(src string) (f *File, err error) {
 	p := &parser{lex: newLexer(src)}
-	p.tok = p.scan()
-	f := &File{}
-	for !p.atEOF() {
-		c, err := p.classDecl()
-		if err != nil {
+	defer func() {
+		if r := recover(); r != nil {
+			e, ok := r.(*Error)
+			if !ok {
+				panic(r)
+			}
 			// Every syntax error is raised with the offending token
 			// current; when that token is the lexer's failure, the
 			// lexical error is the cause.
 			if p.tok.Kind == tokBad {
-				return nil, p.lexErr
+				e = p.lexErr
 			}
-			return nil, err
+			f, err = nil, e
 		}
-		f.Classes = p.classPtrs.Append(f.Classes, c)
+	}()
+	p.scan(&p.tok)
+	f = &File{}
+	for !p.atEOF() {
+		f.Classes = p.classPtrs.Append(f.Classes, p.classDecl())
 	}
 	return f, nil
 }
 
+// parser is recursive descent over the pulled tokens. A syntax error
+// panics with its *Error, which Parse recovers and returns.
 type parser struct {
 	lex lexer
 	tok Token // the current token
@@ -37,7 +44,7 @@ type parser struct {
 	// array-typed declaration peeks past all its [] pairs.
 	peeked []Token
 	head   int
-	lexErr error // what the lexer failed with; the tokens then end in a tokBad
+	lexErr *Error // what the lexer failed with; the tokens then end in a tokBad
 
 	nodes
 }
@@ -81,16 +88,14 @@ type nodes struct {
 	exprs      slab.Of[Expr]
 }
 
-// scan pulls the next token from the lexer. Where the lexer fails it
-// yields a tokBad, which like TokEOF ends the input: neither is ever
-// scanned past.
-func (p *parser) scan() Token {
-	t, err := p.lex.next()
-	if err != nil {
+// scan pulls the next token from the lexer into t. Where the lexer
+// fails it stores a tokBad, which like TokEOF ends the input: neither
+// is ever scanned past.
+func (p *parser) scan(t *Token) {
+	if err := p.lex.next(t); err != nil {
 		p.lexErr = err
-		return Token{Kind: tokBad, Pos: err.Pos}
+		*t = Token{Kind: tokBad, Pos: err.Pos}
 	}
-	return t
 }
 
 // at returns the token k places after the current one, lexing up to
@@ -105,7 +110,7 @@ func (p *parser) at(k int) Token {
 			last = p.peeked[n-1]
 		}
 		if !last.ends() {
-			last = p.scan()
+			p.scan(&last)
 		}
 		if p.head > 0 && len(p.peeked) == cap(p.peeked) {
 			p.peeked = p.peeked[:copy(p.peeked, p.peeked[p.head:])]
@@ -116,7 +121,6 @@ func (p *parser) at(k int) Token {
 	return p.peeked[p.head+k-1]
 }
 
-func (p *parser) cur() Token  { return p.tok }
 func (p *parser) atEOF() bool { return p.tok.Kind == TokEOF }
 
 func (p *parser) advance() Token {
@@ -129,677 +133,418 @@ func (p *parser) advance() Token {
 			p.peeked, p.head = p.peeked[:0], 0
 		}
 	default:
-		p.tok = p.scan()
+		p.scan(&p.tok)
 	}
 	return t
 }
 
-func (p *parser) is(kind TokKind, text string) bool {
-	return p.tok.Kind == kind && p.tok.Text == text
-}
+func (p *parser) is(k TokKind) bool { return p.tok.Kind == k }
 
-func (p *parser) accept(kind TokKind, text string) bool {
-	if p.is(kind, text) {
+func (p *parser) accept(k TokKind) bool {
+	if p.tok.Kind == k {
 		p.advance()
 		return true
 	}
 	return false
 }
 
-func (p *parser) expect(kind TokKind, text string) (Token, error) {
-	if p.is(kind, text) {
-		return p.advance(), nil
-	}
-	return Token{}, errf(p.cur().Pos, "expected %q, found %s", text, p.cur())
-}
-
-func (p *parser) expectIdent() (Token, error) {
-	if p.cur().Kind == TokIdent {
-		return p.advance(), nil
-	}
-	return Token{}, errf(p.cur().Pos, "expected identifier, found %s", p.cur())
-}
-
-// typeNameStarts reports whether the current token can begin a type.
-func (p *parser) typeNameStarts() bool {
-	t := p.cur()
-	if t.Kind == TokIdent {
-		return true
-	}
-	if t.Kind == TokKeyword {
-		switch t.Text {
-		case "int", "double", "boolean", "String", "void":
-			return true
+// expect consumes a token of kind k: a punctuation mark, an operator,
+// a keyword or an identifier.
+func (p *parser) expect(k TokKind) Token {
+	if p.tok.Kind != k {
+		want := strconv.Quote(spelling[k])
+		if k == TokIdent {
+			want = "identifier"
 		}
+		panic(errf(p.tok.Pos, "expected %s, found %s", want, p.tok))
 	}
-	return false
+	return p.advance()
+}
+
+// typeName is the type name t spells, or "" when t cannot begin a type.
+func typeName(t Token) string {
+	switch t.Kind {
+	case TokIdent:
+		return t.Text
+	case TokInt, TokDouble, TokBoolean, TokString, TokVoid:
+		return spelling[t.Kind]
+	}
+	return ""
 }
 
 // typeExpr parses `name ([])*`.
-func (p *parser) typeExpr() (TypeExpr, error) {
-	t := p.cur()
-	if !p.typeNameStarts() {
-		return TypeExpr{}, errf(t.Pos, "expected type, found %s", t)
+func (p *parser) typeExpr() TypeExpr {
+	t := p.tok
+	te := TypeExpr{Pos: t.Pos, Name: typeName(t)}
+	if te.Name == "" {
+		panic(errf(t.Pos, "expected type, found %s", t))
 	}
 	p.advance()
-	te := TypeExpr{Pos: t.Pos, Name: t.Text}
-	for p.is(TokPunct, "[") && p.at(1).Kind == TokPunct && p.at(1).Text == "]" {
+	for p.is(TokLBrack) && p.at(1).Kind == TokRBrack {
 		p.advance()
 		p.advance()
 		te.Dims++
 	}
-	return te, nil
+	return te
 }
 
-func (p *parser) classDecl() (*ClassDecl, error) {
-	start := p.cur().Pos
-	remote := p.accept(TokKeyword, "remote")
-	if _, err := p.expect(TokKeyword, "class"); err != nil {
-		return nil, err
+func (p *parser) classDecl() *ClassDecl {
+	start := p.tok.Pos
+	remote := p.accept(TokRemote)
+	p.expect(TokClass)
+	c := p.classes.Put(ClassDecl{Pos: start, Name: p.expect(TokIdent).Text, Remote: remote})
+	if p.accept(TokExtends) {
+		c.Extends = p.expect(TokIdent).Text
 	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	c := p.classes.Put(ClassDecl{Pos: start, Name: name.Text, Remote: remote})
-	if p.accept(TokKeyword, "extends") {
-		sup, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		c.Extends = sup.Text
-	}
-	if _, err := p.expect(TokPunct, "{"); err != nil {
-		return nil, err
-	}
-	for !p.accept(TokPunct, "}") {
+	p.expect(TokLBrace)
+	for !p.accept(TokRBrace) {
 		if p.atEOF() {
-			return nil, errf(c.Pos, "unterminated class %s", c.Name)
+			panic(errf(c.Pos, "unterminated class %s", c.Name))
 		}
-		if err := p.member(c); err != nil {
-			return nil, err
-		}
+		p.member(c)
 	}
-	return c, nil
+	return c
 }
 
 // member parses a field, method or constructor into c.
-func (p *parser) member(c *ClassDecl) error {
-	pos := p.cur().Pos
-	static := p.accept(TokKeyword, "static")
-
-	// Constructor: ClassName (
-	if p.cur().Kind == TokIdent && p.cur().Text == c.Name &&
-		p.at(1).Kind == TokPunct && p.at(1).Text == "(" {
-		name := p.advance()
-		m := p.methods.Put(MethodDecl{Pos: pos, Name: name.Text, Static: static, IsCtor: true,
-			RetX: TypeExpr{Pos: pos, Name: "void"}, Class: c})
+func (p *parser) member(c *ClassDecl) {
+	pos := p.tok.Pos
+	static := p.accept(TokStatic)
+	var m *MethodDecl
+	if p.is(TokIdent) && p.tok.Text == c.Name && p.at(1).Kind == TokLParen {
+		// Constructor: ClassName (
 		if static {
-			return errf(pos, "constructor cannot be static")
+			panic(errf(pos, "constructor cannot be static"))
 		}
-		if err := p.methodRest(m); err != nil {
-			return err
+		m = p.methods.Put(MethodDecl{Pos: pos, Name: p.advance().Text, IsCtor: true,
+			RetX: TypeExpr{Pos: pos, Name: "void"}, Class: c})
+	} else {
+		te := p.typeExpr()
+		name := p.expect(TokIdent)
+		if !p.is(TokLParen) {
+			p.expect(TokSemi)
+			c.Fields = p.fieldPtrs.Append(c.Fields, p.fields.Put(FieldDecl{Pos: pos, Name: name.Text, Static: static, TypeX: te, Owner: c}))
+			return
 		}
-		c.Methods = p.methodPtrs.Append(c.Methods, m)
-		return nil
+		m = p.methods.Put(MethodDecl{Pos: pos, Name: name.Text, Static: static, RetX: te, Class: c})
 	}
-
-	te, err := p.typeExpr()
-	if err != nil {
-		return err
-	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return err
-	}
-	if p.is(TokPunct, "(") {
-		m := p.methods.Put(MethodDecl{Pos: pos, Name: name.Text, Static: static, RetX: te, Class: c})
-		if err := p.methodRest(m); err != nil {
-			return err
-		}
-		c.Methods = p.methodPtrs.Append(c.Methods, m)
-		return nil
-	}
-	if _, err := p.expect(TokPunct, ";"); err != nil {
-		return err
-	}
-	c.Fields = p.fieldPtrs.Append(c.Fields, p.fields.Put(FieldDecl{Pos: pos, Name: name.Text, Static: static, TypeX: te, Owner: c}))
-	return nil
-}
-
-func (p *parser) methodRest(m *MethodDecl) error {
-	if _, err := p.expect(TokPunct, "("); err != nil {
-		return err
-	}
-	for !p.accept(TokPunct, ")") {
+	p.expect(TokLParen)
+	for !p.accept(TokRParen) {
 		if len(m.Params) > 0 {
-			if _, err := p.expect(TokPunct, ","); err != nil {
-				return err
-			}
+			p.expect(TokComma)
 		}
-		te, err := p.typeExpr()
-		if err != nil {
-			return err
-		}
-		name, err := p.expectIdent()
-		if err != nil {
-			return err
-		}
+		te := p.typeExpr()
+		name := p.expect(TokIdent)
 		m.Params = p.paramPtrs.Append(m.Params, p.params.Put(Param{Pos: name.Pos, Name: name.Text, TypeX: te}))
 	}
 	// Abstract/empty bodies are written `{ }`; a bare `;` declares a
 	// body-less method (remote interface style).
-	if p.accept(TokPunct, ";") {
-		return nil
+	if !p.accept(TokSemi) {
+		m.Body = p.block()
 	}
-	body, err := p.block()
-	if err != nil {
-		return err
-	}
-	m.Body = body
-	return nil
+	c.Methods = p.methodPtrs.Append(c.Methods, m)
 }
 
-func (p *parser) block() (*Block, error) {
-	start, err := p.expect(TokPunct, "{")
-	if err != nil {
-		return nil, err
-	}
-	b := p.blocks.Put(Block{Pos: start.Pos})
-	for !p.accept(TokPunct, "}") {
+func (p *parser) block() *Block {
+	b := p.blocks.Put(Block{Pos: p.expect(TokLBrace).Pos})
+	for !p.accept(TokRBrace) {
 		if p.atEOF() {
-			return nil, errf(start.Pos, "unterminated block")
+			panic(errf(b.Pos, "unterminated block"))
 		}
-		s, err := p.stmt()
-		if err != nil {
-			return nil, err
-		}
-		b.Stmts = p.stmts.Append(b.Stmts, s)
+		b.Stmts = p.stmts.Append(b.Stmts, p.stmt())
 	}
-	return b, nil
+	return b
 }
 
 // startsVarDecl disambiguates `T x ...` declarations from expressions
 // at statement start.
 func (p *parser) startsVarDecl() bool {
-	t := p.cur()
-	if t.Kind == TokKeyword {
-		switch t.Text {
-		case "int", "double", "boolean", "String":
-			return true
-		}
-		return false
-	}
-	if t.Kind != TokIdent {
-		return false
-	}
-	// IDENT IDENT -> declaration with class type.
-	if p.at(1).Kind == TokIdent {
+	switch p.tok.Kind {
+	case TokInt, TokDouble, TokBoolean, TokString:
 		return true
+	case TokIdent:
+		// IDENT ([ ])* IDENT is a declaration; IDENT [ expr is an
+		// index expression.
+		j := 1
+		for p.at(j).Kind == TokLBrack && p.at(j+1).Kind == TokRBrack {
+			j += 2
+		}
+		return p.at(j).Kind == TokIdent
 	}
-	// IDENT [ ] -> array-typed declaration. IDENT [ expr -> index expr.
-	j := 1
-	for p.at(j).Kind == TokPunct && p.at(j).Text == "[" &&
-		p.at(j+1).Kind == TokPunct && p.at(j+1).Text == "]" {
-		j += 2
-	}
-	return j > 1 && p.at(j).Kind == TokIdent
+	return false
 }
 
-func (p *parser) stmt() (Stmt, error) {
-	pos := p.cur().Pos
-	switch {
-	case p.is(TokPunct, "{"):
+func (p *parser) stmt() Stmt {
+	pos := p.tok.Pos
+	switch p.tok.Kind {
+	case TokLBrace:
 		return p.block()
-	case p.is(TokKeyword, "if"):
+	case TokIf:
 		p.advance()
-		if _, err := p.expect(TokPunct, "("); err != nil {
-			return nil, err
+		cond := p.parenExpr()
+		s := p.ifs.Put(If{Pos: pos, Cond: cond, Then: p.stmt()})
+		if p.accept(TokElse) {
+			s.Else = p.stmt()
 		}
-		cond, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokPunct, ")"); err != nil {
-			return nil, err
-		}
-		then, err := p.stmt()
-		if err != nil {
-			return nil, err
-		}
-		s := p.ifs.Put(If{Pos: pos, Cond: cond, Then: then})
-		if p.accept(TokKeyword, "else") {
-			s.Else, err = p.stmt()
-			if err != nil {
-				return nil, err
-			}
-		}
-		return s, nil
-	case p.is(TokKeyword, "while"):
+		return s
+	case TokWhile:
 		p.advance()
-		if _, err := p.expect(TokPunct, "("); err != nil {
-			return nil, err
-		}
-		cond, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokPunct, ")"); err != nil {
-			return nil, err
-		}
-		body, err := p.stmt()
-		if err != nil {
-			return nil, err
-		}
-		return p.whiles.Put(While{Pos: pos, Cond: cond, Body: body}), nil
-	case p.is(TokKeyword, "for"):
+		cond := p.parenExpr()
+		return p.whiles.Put(While{Pos: pos, Cond: cond, Body: p.stmt()})
+	case TokFor:
 		return p.forStmt()
-	case p.is(TokKeyword, "return"):
+	case TokReturn:
 		p.advance()
 		s := p.returns.Put(Return{Pos: pos})
-		if !p.is(TokPunct, ";") {
-			v, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			s.Value = v
+		if !p.is(TokSemi) {
+			s.Value = p.expr()
 		}
-		if _, err := p.expect(TokPunct, ";"); err != nil {
-			return nil, err
-		}
-		return s, nil
-	case p.startsVarDecl():
-		s, err := p.varDecl()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokPunct, ";"); err != nil {
-			return nil, err
-		}
-		return s, nil
-	default:
-		x, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokPunct, ";"); err != nil {
-			return nil, err
-		}
-		return p.exprStmts.Put(ExprStmt{Pos: pos, X: x}), nil
+		p.expect(TokSemi)
+		return s
 	}
+	var s Stmt
+	if p.startsVarDecl() {
+		s = p.varDecl()
+	} else {
+		s = p.exprStmts.Put(ExprStmt{Pos: pos, X: p.expr()})
+	}
+	p.expect(TokSemi)
+	return s
 }
 
-func (p *parser) varDecl() (*VarDecl, error) {
-	pos := p.cur().Pos
-	te, err := p.typeExpr()
-	if err != nil {
-		return nil, err
+func (p *parser) varDecl() *VarDecl {
+	pos := p.tok.Pos
+	te := p.typeExpr()
+	d := p.varDecls.Put(VarDecl{Pos: pos, Name: p.expect(TokIdent).Text, TypeX: te})
+	if p.accept(TokAssign) {
+		d.Init = p.expr()
 	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	d := p.varDecls.Put(VarDecl{Pos: pos, Name: name.Text, TypeX: te})
-	if p.accept(TokOp, "=") {
-		d.Init, err = p.expr()
-		if err != nil {
-			return nil, err
-		}
-	}
-	return d, nil
+	return d
 }
 
-func (p *parser) forStmt() (Stmt, error) {
+func (p *parser) forStmt() Stmt {
 	pos := p.advance().Pos // "for"
-	if _, err := p.expect(TokPunct, "("); err != nil {
-		return nil, err
-	}
+	p.expect(TokLParen)
 	s := p.fors.Put(For{Pos: pos})
-	if !p.is(TokPunct, ";") {
-		if p.startsVarDecl() {
-			d, err := p.varDecl()
-			if err != nil {
-				return nil, err
-			}
-			s.Init = d
-		} else {
-			x, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			s.Init = p.exprStmts.Put(ExprStmt{Pos: pos, X: x})
-		}
+	switch {
+	case p.is(TokSemi):
+	case p.startsVarDecl():
+		s.Init = p.varDecl()
+	default:
+		s.Init = p.exprStmts.Put(ExprStmt{Pos: pos, X: p.expr()})
 	}
-	if _, err := p.expect(TokPunct, ";"); err != nil {
-		return nil, err
+	p.expect(TokSemi)
+	if !p.is(TokSemi) {
+		s.Cond = p.expr()
 	}
-	if !p.is(TokPunct, ";") {
-		c, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		s.Cond = c
+	p.expect(TokSemi)
+	if !p.is(TokRParen) {
+		s.Post = p.expr()
 	}
-	if _, err := p.expect(TokPunct, ";"); err != nil {
-		return nil, err
-	}
-	if !p.is(TokPunct, ")") {
-		x, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		s.Post = x
-	}
-	if _, err := p.expect(TokPunct, ")"); err != nil {
-		return nil, err
-	}
-	body, err := p.stmt()
-	if err != nil {
-		return nil, err
-	}
-	s.Body = body
-	return s, nil
+	p.expect(TokRParen)
+	s.Body = p.stmt()
+	return s
 }
 
 // --- expressions, precedence climbing --------------------------------
 
-func (p *parser) expr() (Expr, error) { return p.assignExpr() }
-
-func (p *parser) assignExpr() (Expr, error) {
-	lhs, err := p.orExpr()
-	if err != nil {
-		return nil, err
-	}
-	switch {
-	case p.is(TokOp, "="):
-		pos := p.advance().Pos
-		rhs, err := p.assignExpr()
-		if err != nil {
-			return nil, err
-		}
-		a := p.assigns.Put(Assign{LHS: lhs, RHS: rhs})
-		a.Pos = pos
-		return a, nil
-	case p.is(TokOp, "++"), p.is(TokOp, "--"):
+// expr parses an assignment, which is right-associative, or a binary
+// expression.
+func (p *parser) expr() Expr {
+	lhs := p.binary(1)
+	op := p.tok
+	var rhs Expr
+	switch op.Kind {
+	case TokAssign:
+		p.advance()
+		rhs = p.expr()
+	case TokAddAssign, TokSubAssign:
+		p.advance()
+		rhs = p.arith(op, lhs, p.expr())
+	case TokInc, TokDec:
 		// Postfix increment/decrement, desugared to `x = x ± 1` (the
 		// value of the expression is the updated one; MiniJP only
 		// allows these as statements, which the checker enforces by
 		// accepting Assign in statement position).
-		op := p.advance()
-		binOp := "+"
-		if op.Text == "--" {
-			binOp = "-"
-		}
-		one := p.intLits.Put(IntLit{Value: 1})
-		one.Pos = op.Pos
-		b := p.binaries.Put(Binary{Op: binOp, L: lhs, R: one})
-		b.Pos = op.Pos
-		a := p.assigns.Put(Assign{LHS: lhs, RHS: b})
-		a.Pos = op.Pos
-		return a, nil
-	case p.is(TokOp, "+="), p.is(TokOp, "-="):
-		op := p.advance()
-		rhs, err := p.assignExpr()
-		if err != nil {
-			return nil, err
-		}
-		b := p.binaries.Put(Binary{Op: op.Text[:1], L: lhs, R: rhs})
-		b.Pos = op.Pos
-		a := p.assigns.Put(Assign{LHS: lhs, RHS: b})
-		a.Pos = op.Pos
-		return a, nil
+		p.advance()
+		rhs = p.arith(op, lhs, p.intLits.Put(IntLit{exprBase: exprBase{Pos: op.Pos}, Value: 1}))
+	default:
+		return lhs
 	}
-	return lhs, nil
+	return p.assigns.Put(Assign{exprBase: exprBase{Pos: op.Pos}, LHS: lhs, RHS: rhs})
 }
 
-func (p *parser) binaryLevel(ops []string, next func() (Expr, error)) (Expr, error) {
-	l, err := next()
-	if err != nil {
-		return nil, err
+// arith is the `lhs ± rhs` that the compound assignment op stands for.
+func (p *parser) arith(op Token, lhs, rhs Expr) Expr {
+	sign := TokAdd
+	if op.Kind == TokSubAssign || op.Kind == TokDec {
+		sign = TokSub
 	}
+	return p.binaries.Put(Binary{exprBase: exprBase{Pos: op.Pos}, Op: spelling[sign], L: lhs, R: rhs})
+}
+
+// binLevels lists the binary operators one precedence level a row,
+// from the loosest.
+var binLevels = [...][]TokKind{
+	{TokOrOr},
+	{TokAndAnd},
+	{TokEq, TokNe},
+	{TokLt, TokLe, TokGt, TokGe},
+	{TokAdd, TokSub},
+	{TokMul, TokDiv, TokRem},
+}
+
+// binPrec is each binary operator's level in binLevels, from 1, and 0
+// for every kind that is not one.
+var binPrec = func() (prec [tokBad + 1]int8) {
+	for i, level := range binLevels {
+		for _, k := range level {
+			prec[k] = int8(i + 1)
+		}
+	}
+	return prec
+}()
+
+// binary parses unary operands joined by binary operators of
+// precedence min or tighter, each level left-associative.
+func (p *parser) binary(min int8) Expr {
+	x := p.unary()
 	for {
-		matched := false
-		for _, op := range ops {
-			if p.is(TokOp, op) {
-				pos := p.advance().Pos
-				r, err := next()
-				if err != nil {
-					return nil, err
-				}
-				b := p.binaries.Put(Binary{Op: op, L: l, R: r})
-				b.Pos = pos
-				l = b
-				matched = true
-				break
-			}
+		op := p.tok
+		prec := binPrec[op.Kind]
+		if prec < min {
+			return x
 		}
-		if !matched {
-			return l, nil
-		}
+		p.advance()
+		x = p.binaries.Put(Binary{exprBase: exprBase{Pos: op.Pos}, Op: spelling[op.Kind], L: x, R: p.binary(prec + 1)})
 	}
 }
 
-func (p *parser) orExpr() (Expr, error) {
-	return p.binaryLevel([]string{"||"}, p.andExpr)
-}
-
-func (p *parser) andExpr() (Expr, error) {
-	return p.binaryLevel([]string{"&&"}, p.eqExpr)
-}
-
-func (p *parser) eqExpr() (Expr, error) {
-	return p.binaryLevel([]string{"==", "!="}, p.relExpr)
-}
-
-func (p *parser) relExpr() (Expr, error) {
-	return p.binaryLevel([]string{"<=", ">=", "<", ">"}, p.addExpr)
-}
-
-func (p *parser) addExpr() (Expr, error) {
-	return p.binaryLevel([]string{"+", "-"}, p.mulExpr)
-}
-
-func (p *parser) mulExpr() (Expr, error) {
-	return p.binaryLevel([]string{"*", "/", "%"}, p.unaryExpr)
-}
-
-func (p *parser) unaryExpr() (Expr, error) {
-	if p.is(TokOp, "-") || p.is(TokOp, "!") {
-		op := p.advance()
-		x, err := p.unaryExpr()
-		if err != nil {
-			return nil, err
-		}
-		u := p.unaries.Put(Unary{Op: op.Text, X: x})
-		u.Pos = op.Pos
-		return u, nil
+func (p *parser) unary() Expr {
+	if op := p.tok; op.Kind == TokSub || op.Kind == TokNot {
+		p.advance()
+		return p.unaries.Put(Unary{exprBase: exprBase{Pos: op.Pos}, Op: spelling[op.Kind], X: p.unary()})
 	}
-	return p.postfixExpr()
-}
-
-func (p *parser) postfixExpr() (Expr, error) {
-	x, err := p.primaryExpr()
-	if err != nil {
-		return nil, err
-	}
+	x := p.primary()
 	for {
-		switch {
-		case p.is(TokPunct, "."):
+		switch p.tok.Kind {
+		case TokDot:
 			p.advance()
-			name, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			if p.is(TokPunct, "(") {
-				args, err := p.args()
-				if err != nil {
-					return nil, err
-				}
-				c := p.calls.Put(Call{Recv: x, Name: name.Text, Args: args})
-				c.Pos = name.Pos
-				x = c
+			name := p.expect(TokIdent)
+			at := exprBase{Pos: name.Pos}
+			if p.is(TokLParen) {
+				x = p.calls.Put(Call{exprBase: at, Recv: x, Name: name.Text, Args: p.args()})
 			} else {
-				f := p.fieldAccesses.Put(FieldAccess{X: x, Name: name.Text})
-				f.Pos = name.Pos
-				x = f
+				x = p.fieldAccesses.Put(FieldAccess{exprBase: at, X: x, Name: name.Text})
 			}
-		case p.is(TokPunct, "["):
-			pos := p.advance().Pos
-			i, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(TokPunct, "]"); err != nil {
-				return nil, err
-			}
-			ix := p.indexes.Put(Index{X: x, I: i})
-			ix.Pos = pos
-			x = ix
+		case TokLBrack:
+			at := exprBase{Pos: p.advance().Pos}
+			i := p.expr()
+			p.expect(TokRBrack)
+			x = p.indexes.Put(Index{exprBase: at, X: x, I: i})
 		default:
-			return x, nil
+			return x
 		}
 	}
 }
 
-func (p *parser) args() ([]Expr, error) {
-	if _, err := p.expect(TokPunct, "("); err != nil {
-		return nil, err
-	}
+func (p *parser) args() []Expr {
+	p.expect(TokLParen)
 	var args []Expr
-	for !p.accept(TokPunct, ")") {
+	for !p.accept(TokRParen) {
 		if len(args) > 0 {
-			if _, err := p.expect(TokPunct, ","); err != nil {
-				return nil, err
-			}
+			p.expect(TokComma)
 		}
-		a, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		args = p.exprs.Append(args, a)
+		args = p.exprs.Append(args, p.expr())
 	}
-	return args, nil
+	return args
 }
 
-func (p *parser) primaryExpr() (Expr, error) {
-	t := p.cur()
-	switch {
-	case t.Kind == TokIntLit:
+func (p *parser) parenExpr() Expr {
+	p.expect(TokLParen)
+	x := p.expr()
+	p.expect(TokRParen)
+	return x
+}
+
+func (p *parser) primary() Expr {
+	t := p.tok
+	at := exprBase{Pos: t.Pos}
+	switch t.Kind {
+	case TokIntLit:
 		v, err := strconv.ParseInt(t.Text, 10, 64)
 		if err != nil {
-			return nil, errf(t.Pos, "bad int literal %s", t.Text)
+			panic(errf(t.Pos, "bad int literal %s", t.Text))
 		}
 		p.advance()
-		e := p.intLits.Put(IntLit{Value: v})
-		e.Pos = t.Pos
-		return e, nil
-	case t.Kind == TokDoubleLit:
+		return p.intLits.Put(IntLit{exprBase: at, Value: v})
+	case TokDoubleLit:
 		v, err := strconv.ParseFloat(t.Text, 64)
 		if err != nil {
-			return nil, errf(t.Pos, "bad double literal %s", t.Text)
+			panic(errf(t.Pos, "bad double literal %s", t.Text))
 		}
 		p.advance()
-		e := p.doubleLits.Put(DoubleLit{Value: v})
-		e.Pos = t.Pos
-		return e, nil
-	case t.Kind == TokStringLit:
+		return p.doubleLits.Put(DoubleLit{exprBase: at, Value: v})
+	case TokStringLit:
 		p.advance()
-		e := p.stringLits.Put(StringLit{Value: t.Text})
-		e.Pos = t.Pos
-		return e, nil
-	case p.is(TokKeyword, "true"), p.is(TokKeyword, "false"):
+		return p.stringLits.Put(StringLit{exprBase: at, Value: t.Text})
+	case TokTrue, TokFalse:
 		p.advance()
-		e := p.boolLits.Put(BoolLit{Value: t.Text == "true"})
-		e.Pos = t.Pos
-		return e, nil
-	case p.is(TokKeyword, "null"):
+		return p.boolLits.Put(BoolLit{exprBase: at, Value: t.Kind == TokTrue})
+	case TokNull:
 		p.advance()
-		e := p.nullLits.Put(NullLit{})
-		e.Pos = t.Pos
-		return e, nil
-	case p.is(TokKeyword, "this"):
+		return p.nullLits.Put(NullLit{exprBase: at})
+	case TokThis:
 		p.advance()
-		e := p.thises.Put(This{})
-		e.Pos = t.Pos
-		return e, nil
-	case p.is(TokKeyword, "new"):
+		return p.thises.Put(This{exprBase: at})
+	case TokNew:
 		return p.newExpr()
-	case p.is(TokPunct, "("):
+	case TokLParen:
+		return p.parenExpr()
+	case TokIdent:
 		p.advance()
-		x, err := p.expr()
-		if err != nil {
-			return nil, err
+		if p.is(TokLParen) {
+			return p.calls.Put(Call{exprBase: at, Name: t.Text, Args: p.args()})
 		}
-		if _, err := p.expect(TokPunct, ")"); err != nil {
-			return nil, err
-		}
-		return x, nil
-	case t.Kind == TokIdent:
-		p.advance()
-		if p.is(TokPunct, "(") {
-			args, err := p.args()
-			if err != nil {
-				return nil, err
-			}
-			c := p.calls.Put(Call{Name: t.Text, Args: args})
-			c.Pos = t.Pos
-			return c, nil
-		}
-		e := p.idents.Put(Ident{Name: t.Text})
-		e.Pos = t.Pos
-		return e, nil
-	default:
-		return nil, errf(t.Pos, "unexpected token %s", t)
+		return p.idents.Put(Ident{exprBase: at, Name: t.Text})
 	}
+	panic(errf(t.Pos, "unexpected token %s", t))
 }
 
-func (p *parser) newExpr() (Expr, error) {
-	pos := p.advance().Pos // "new"
-	t := p.cur()
-	if !p.typeNameStarts() || t.Text == "void" {
-		return nil, errf(t.Pos, "expected type after new")
+func (p *parser) newExpr() Expr {
+	at := exprBase{Pos: p.advance().Pos} // "new"
+	t := p.tok
+	name := typeName(t)
+	if name == "" || t.Kind == TokVoid {
+		panic(errf(t.Pos, "expected type after new"))
 	}
 	p.advance()
 
 	// new C(args)
-	if p.is(TokPunct, "(") {
+	if p.is(TokLParen) {
 		if t.Kind != TokIdent {
-			return nil, errf(t.Pos, "cannot construct primitive %s", t.Text)
+			panic(errf(t.Pos, "cannot construct primitive %s", name))
 		}
-		args, err := p.args()
-		if err != nil {
-			return nil, err
-		}
-		e := p.news.Put(New{ClassName: t.Text, Args: args})
-		e.Pos = pos
-		return e, nil
+		return p.news.Put(New{exprBase: at, ClassName: name, Args: p.args()})
 	}
 
 	// new T[len]...[]...
-	e := p.newArrays.Put(NewArray{ElemX: TypeExpr{Pos: t.Pos, Name: t.Text}})
-	e.Pos = pos
-	if !p.is(TokPunct, "[") {
-		return nil, errf(p.cur().Pos, "expected ( or [ after new %s", t.Text)
+	e := p.newArrays.Put(NewArray{exprBase: at, ElemX: TypeExpr{Pos: t.Pos, Name: name}})
+	if !p.is(TokLBrack) {
+		panic(errf(p.tok.Pos, "expected ( or [ after new %s", name))
 	}
-	for p.is(TokPunct, "[") {
-		p.advance()
-		if p.accept(TokPunct, "]") {
+	for p.accept(TokLBrack) {
+		if p.accept(TokRBrack) {
 			// Unsized trailing dimension.
 			e.Dims++
 			continue
 		}
 		if len(e.Lens) < e.Dims {
-			return nil, errf(p.cur().Pos, "sized dimension after unsized one")
+			panic(errf(p.tok.Pos, "sized dimension after unsized one"))
 		}
-		l, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokPunct, "]"); err != nil {
-			return nil, err
-		}
-		e.Lens = p.exprs.Append(e.Lens, l)
+		e.Lens = p.exprs.Append(e.Lens, p.expr())
+		p.expect(TokRBrack)
 		e.Dims++
 	}
-	return e, nil
+	return e
 }

@@ -6,42 +6,40 @@ import (
 	"testing"
 )
 
-// TestParserNeverPanics: random token soup assembled from the
-// language's own vocabulary must produce errors, never panics.
-func TestParserNeverPanics(t *testing.T) {
-	vocab := []string{
-		"class", "remote", "static", "extends", "new", "if", "else",
-		"while", "for", "return", "true", "false", "null", "this",
-		"int", "double", "boolean", "String", "void",
-		"{", "}", "(", ")", "[", "]", ";", ",", ".",
-		"=", "==", "!=", "<", "<=", "+", "-", "*", "/", "%", "&&", "||", "!",
-		"x", "y", "Foo", "main", "0", "1", "2.5", `"s"`,
+// vocabulary is what tokenSoups builds sources from: the spelling of
+// every punctuation mark, operator and keyword, and a few identifiers
+// and literals.
+func vocabulary() []string {
+	v := []string{"x", "y", "Foo", "main", "0", "1", "2.5", `"s"`}
+	for _, s := range spelling {
+		if s != "" {
+			v = append(v, s)
+		}
 	}
+	return v
+}
+
+// tokenSoups is 2000 random sources of up to 40 words of the
+// vocabulary each.
+func tokenSoups() []string {
+	vocab := vocabulary()
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 2000; trial++ {
+	srcs := make([]string, 2000)
+	for i := range srcs {
 		n := rng.Intn(40)
 		var b strings.Builder
-		for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
 			b.WriteString(vocab[rng.Intn(len(vocab))])
 			b.WriteByte(' ')
 		}
-		src := b.String()
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("panic on %q: %v", src, r)
-				}
-			}()
-			if f, err := Parse(src); err == nil {
-				_, _ = Check(f) // must not panic either
-			}
-		}()
+		srcs[i] = b.String()
 	}
+	return srcs
 }
 
-// TestCheckerNeverPanicsOnMutations: take a valid program and corrupt
-// single tokens; Parse/Check must fail cleanly.
-func TestCheckerNeverPanicsOnMutations(t *testing.T) {
+// mutations is 500 copies of a valid program, each with one word
+// replaced by another word, a brace, a keyword or nothing.
+func mutations() []string {
 	base := `
 class Node { int v; Node next; Node(Node n) { this.next = n; } }
 remote class F {
@@ -57,20 +55,55 @@ remote class F {
 	words := strings.Fields(base)
 	rng := rand.New(rand.NewSource(11))
 	repl := []string{"", "}", "(", "int", "null", "zzz", "=", "class"}
-	for trial := 0; trial < 500; trial++ {
+	srcs := make([]string, 500)
+	for i := range srcs {
 		mut := append([]string(nil), words...)
 		mut[rng.Intn(len(mut))] = repl[rng.Intn(len(repl))]
-		src := strings.Join(mut, " ")
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("panic on mutated source: %v\n%s", r, src)
-				}
-			}()
-			if f, err := Parse(src); err == nil {
-				_, _ = Check(f)
-			}
-		}()
+		srcs[i] = strings.Join(mut, " ")
+	}
+	return srcs
+}
+
+// parseAndCheck runs the front end on src and fails t on a panic.
+func parseAndCheck(t *testing.T, src string) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("panic on %q: %v", src, r)
+		}
+	}()
+	if f, err := Parse(src); err == nil {
+		_, _ = Check(f) // must not panic either
+	}
+}
+
+// TestParserNeverPanics: random token soup assembled from the
+// language's own vocabulary, which holds every kind of token, must
+// produce errors, never panics.
+func TestParserNeverPanics(t *testing.T) {
+	seen := map[TokKind]bool{}
+	for _, w := range vocabulary() {
+		toks, err := Lex(w)
+		if err != nil || len(toks) != 2 {
+			t.Fatalf("vocabulary word %q lexes to %v, %v; want one token", w, toks, err)
+		}
+		seen[toks[0].Kind] = true
+	}
+	for k := TokEOF + 1; k < tokBad; k++ {
+		if !seen[k] {
+			t.Errorf("token kind %d (%q) is missing from the vocabulary", k, spelling[k])
+		}
+	}
+	for _, src := range tokenSoups() {
+		parseAndCheck(t, src)
+	}
+}
+
+// TestCheckerNeverPanicsOnMutations: take a valid program and corrupt
+// single tokens; Parse/Check must fail cleanly.
+func TestCheckerNeverPanicsOnMutations(t *testing.T) {
+	for _, src := range mutations() {
+		parseAndCheck(t, src)
 	}
 }
 

@@ -6,17 +6,21 @@
 // calls, remote calls).
 package lang
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
-// Pos is a source position.
+// Pos is a source position: a line and a byte column, both from 1.
 type Pos struct {
 	Line, Col int
 }
 
 func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
 
-// TokKind enumerates token kinds.
-type TokKind int
+// TokKind enumerates token kinds. Every punctuation mark, operator and
+// keyword is a kind of its own.
+type TokKind uint8
 
 const (
 	TokEOF TokKind = iota
@@ -24,16 +28,79 @@ const (
 	TokIntLit
 	TokDoubleLit
 	TokStringLit
-	TokPunct   // one of ( ) { } [ ] ; , .
-	TokOp      // operators: = == != < <= > >= + - * / % && || !
-	TokKeyword // reserved words
+
+	TokLParen
+	TokRParen
+	TokLBrace
+	TokRBrace
+	TokLBrack
+	TokRBrack
+	TokSemi
+	TokComma
+	TokDot
+
+	TokAssign
+	TokEq
+	TokNot
+	TokNe
+	TokLt
+	TokLe
+	TokGt
+	TokGe
+	TokAdd
+	TokAddAssign
+	TokInc
+	TokSub
+	TokSubAssign
+	TokDec
+	TokMul
+	TokDiv
+	TokRem
+	TokAndAnd
+	TokOrOr
+
+	TokClass
+	TokExtends
+	TokRemote
+	TokStatic
+	TokNew
+	TokIf
+	TokElse
+	TokWhile
+	TokFor
+	TokReturn
+	TokTrue
+	TokFalse
+	TokNull
+	TokThis
+	TokInt
+	TokDouble
+	TokBoolean
+	TokString
+	TokVoid
 
 	// tokBad stands where the lexer failed. Only the parser's
 	// look-ahead window holds one; it matches nothing in the grammar.
 	tokBad
 )
 
-// Token is one lexical token.
+// spelling is the source text of each punctuation mark, operator and
+// keyword, and "" for the other kinds: error text names tokens by it,
+// and the parser takes Binary and Unary operators from it.
+var spelling = [tokBad + 1]string{
+	TokLParen: "(", TokRParen: ")", TokLBrace: "{", TokRBrace: "}", TokLBrack: "[", TokRBrack: "]",
+	TokSemi: ";", TokComma: ",", TokDot: ".",
+	TokAssign: "=", TokEq: "==", TokNot: "!", TokNe: "!=", TokLt: "<", TokLe: "<=", TokGt: ">", TokGe: ">=",
+	TokAdd: "+", TokAddAssign: "+=", TokInc: "++", TokSub: "-", TokSubAssign: "-=", TokDec: "--",
+	TokMul: "*", TokDiv: "/", TokRem: "%", TokAndAnd: "&&", TokOrOr: "||",
+	TokClass: "class", TokExtends: "extends", TokRemote: "remote", TokStatic: "static", TokNew: "new",
+	TokIf: "if", TokElse: "else", TokWhile: "while", TokFor: "for", TokReturn: "return",
+	TokTrue: "true", TokFalse: "false", TokNull: "null", TokThis: "this",
+	TokInt: "int", TokDouble: "double", TokBoolean: "boolean", TokString: "String", TokVoid: "void",
+}
+
+// Token is one lexical token. Text is the token's source text, and
+// for a string literal its value with escapes resolved.
 type Token struct {
 	Kind TokKind
 	Text string
@@ -44,18 +111,13 @@ type Token struct {
 func (t Token) ends() bool { return t.Kind == TokEOF || t.Kind == tokBad }
 
 func (t Token) String() string {
-	if t.Kind == TokEOF {
+	switch t.Kind {
+	case TokEOF:
 		return "end of file"
+	case TokIdent, TokIntLit, TokDoubleLit, TokStringLit:
+		return strconv.Quote(t.Text)
 	}
-	return fmt.Sprintf("%q", t.Text)
-}
-
-var keywords = map[string]bool{
-	"class": true, "extends": true, "remote": true, "static": true,
-	"new": true, "if": true, "else": true, "while": true, "for": true,
-	"return": true, "true": true, "false": true, "null": true,
-	"this": true, "int": true, "double": true, "boolean": true,
-	"String": true, "void": true,
+	return strconv.Quote(spelling[t.Kind])
 }
 
 // Error is a source-located compile error.
