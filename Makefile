@@ -27,8 +27,13 @@ test:
 
 # End-to-end observability smoke: run a traced TCP cluster with the
 # introspection server on an ephemeral port and have the process probe
-# its own /healthz, /metrics and /trace (valid Chrome-trace JSON with
-# events) before exiting. No curl or fixed port needed.
+# its own endpoints before exiting: /healthz, /metrics (the expected
+# series), /callsites, /links, /buildinfo, /snapshot, /cluster, /slow
+# (one exemplar: the run's last call sleeps on purpose), /traces and
+# /traces/<id>?merge=1; and the three Chrome-trace bodies, /trace,
+# /slow/trace and /traces/<id>?merge=1&format=chrome, each valid JSON
+# with at least one X event, a process_name for every pid and no
+# negative ts. No curl or fixed port needed.
 obs-smoke:
 	go run ./cmd/rminode -sends 5 -obs-smoke
 

@@ -133,10 +133,10 @@ func main() {
 			if err == nil {
 				// No failure dump fired — export the live flight
 				// recorder instead so the file is always loadable.
-				_ = trace.WriteChrome(traceFile, spec.Tracer.Recent(), "chaos")
+				_ = trace.WriteChrome(traceFile, trace.Local(spec.Tracer.Recent()), map[string]any{"reason": "chaos"})
 			}
 			traceFile.Close()
-			fmt.Println(harness.FormatPhases(spec.Tracer.PhaseStats()))
+			fmt.Println(harness.FormatPhases(spec.Tracer.Attribution()))
 			fmt.Printf("chrome trace written to %s (load in Perfetto / chrome://tracing)\n", *traceOut)
 		}
 		if err != nil {
@@ -193,7 +193,7 @@ func writeTraceFile(path string) {
 		fmt.Fprintf(os.Stderr, "rmibench: %v\n", err)
 		os.Exit(1)
 	}
-	if err := trace.WriteChrome(f, spans, "rmibench"); err != nil {
+	if err := trace.WriteChrome(f, trace.Local(spans), map[string]any{"reason": "rmibench"}); err != nil {
 		f.Close()
 		fmt.Fprintf(os.Stderr, "rmibench: writing trace: %v\n", err)
 		os.Exit(1)

@@ -10,19 +10,16 @@
 // a live demonstration that recovery works over a real network stack,
 // not just the in-process transport.
 //
-// With -obs ADDR the node serves live introspection endpoints while it
-// runs: Prometheus metrics on /metrics, the flight recorder as
-// Perfetto-loadable Chrome-trace JSON on /trace, phase quantiles on
-// /trace/stats, Go profiling on /debug/pprof/, and a liveness probe on
-// /healthz. -obs-smoke probes those endpoints from inside the process
-// after the run and exits nonzero if any is broken (the `make
-// obs-smoke` gate, no curl needed).
+// With -obs ADDR the node serves the introspection endpoints listed in
+// README's endpoint table while it runs. -obs-smoke probes them from
+// inside the process after the run and exits nonzero if any is broken
+// (the `make obs-smoke` gate, no curl needed).
 //
 // Usage:
 //
 //	rminode [-nodes 2] [-sends 50]
 //	rminode -drop 0.1 -dup 0.05        # chaos over real TCP
-//	rminode -obs :9090                 # live /metrics, /trace, /debug/pprof
+//	rminode -obs :9090                 # serve the endpoint table
 //	rminode -obs-smoke                 # self-check the obs endpoints
 package main
 
@@ -35,6 +32,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cormi/internal/apps/appkit"
@@ -71,7 +69,7 @@ func main() {
 	reorder := flag.Float64("reorder", 0, "packet reordering probability")
 	corrupt := flag.Float64("corrupt", 0, "payload corruption probability")
 	seed := flag.Int64("seed", 42, "fault injection seed")
-	obsAddr := flag.String("obs", "", "serve observability endpoints (/metrics, /trace, /debug/pprof, /healthz) on this address, e.g. :9090")
+	obsAddr := flag.String("obs", "", "serve the observability endpoints (README's endpoint table) on this address, e.g. :9090")
 	obsSmoke := flag.Bool("obs-smoke", false, "probe the -obs endpoints after the run and exit nonzero on failure")
 	obsName := flag.String("obs-name", "rminode", "node name in /snapshot and /cluster documents")
 	obsPeers := flag.String("obs-peers", "", "comma-separated peer obs addresses that /cluster merges by default")
@@ -92,6 +90,7 @@ func main() {
 	// snapshots sharing a site id are summed).
 	var tracer *trace.Tracer
 	var server *obs.Server
+	var slowCall atomic.Bool
 	var csMu sync.Mutex
 	var clusters []*rmi.Cluster
 	siteStats := func() []stats.SiteStat {
@@ -151,7 +150,13 @@ func main() {
 		*obsAddr = "127.0.0.1:0"
 	}
 	if *obsAddr != "" {
-		tracer = trace.New(trace.Config{RingSize: 4096, SampleEvery: int64(*sample)})
+		cfg := trace.Config{RingSize: 4096, SampleEvery: int64(*sample)}
+		if *obsSmoke {
+			// Arm slow-call capture after the first call, so the
+			// smoke's deliberately slow last call is an exemplar.
+			cfg.ExemplarWarmup = 1
+		}
+		tracer = trace.New(cfg)
 		var err error
 		var peers []string
 		for _, p := range strings.Split(*obsPeers, ",") {
@@ -167,7 +172,7 @@ func main() {
 			fail(err)
 		}
 		defer server.Close()
-		fmt.Printf("observability endpoints on http://%s (/metrics /callsites /trace /trace/stats /slow /snapshot /cluster /traces /debug/pprof /buildinfo /healthz)\n", server.Addr())
+		fmt.Printf("observability endpoints on http://%s (README's endpoint table)\n", server.Addr())
 	}
 
 	for _, level := range rmi.AllLevels {
@@ -207,6 +212,9 @@ func main() {
 		vecClass, _ := res.ModelClass("Vector")
 		svc := &rmi.Service{Name: "Store", Methods: map[string]rmi.Method{
 			"put": func(call *rmi.Call, args []model.Value) []model.Value {
+				if slowCall.Load() {
+					time.Sleep(smokeSlowCall)
+				}
 				var s float64
 				for _, x := range args[0].O.Fields[0].O.Doubles {
 					s += x
@@ -225,6 +233,7 @@ func main() {
 
 		want := float64(255 * 256 / 2)
 		for i := 0; i < *sends; i++ {
+			slowCall.Store(*obsSmoke && level == rmi.AllLevels[len(rmi.AllLevels)-1] && i == *sends-1)
 			rets, err := cs.Invoke(cluster.Node(0), ref, []model.Value{model.Ref(vec)})
 			if err != nil {
 				fail(err)
@@ -247,14 +256,18 @@ func main() {
 		if err := smokeObs("http://"+server.Addr(), int64(*sends)); err != nil {
 			fail(fmt.Errorf("obs smoke: %w", err))
 		}
-		fmt.Println("obs smoke OK: /healthz, /metrics, /callsites, /links, /buildinfo, /trace, /snapshot, /cluster, /slow and /traces all served valid payloads")
+		fmt.Println("obs smoke OK: /healthz, /metrics, /callsites, /links, /buildinfo, /snapshot, /cluster, /slow, /traces and /traces/<id> served valid documents; /trace, /slow/trace and /traces/<id>?format=chrome valid Chrome traces")
 	}
 }
 
+// smokeSlowCall is how long the smoke's last call sleeps in the callee:
+// far past the exemplar threshold the first call armed.
+const smokeSlowCall = 50 * time.Millisecond
+
 // smokeObs validates the observability surface end to end: liveness,
 // Prometheus exposition with the expected series, live per-call-site
-// counters on /callsites, build provenance on /buildinfo, and a /trace
-// payload that parses as a Chrome trace with events from the run.
+// counters on /callsites, build provenance on /buildinfo, the
+// attribution and trace documents, and every Chrome-trace body.
 func smokeObs(base string, sends int64) error {
 	get := func(path string) (string, error) {
 		resp, err := http.Get(base + path)
@@ -363,18 +376,8 @@ func smokeObs(base string, sends int64) error {
 		return fmt.Errorf("/buildinfo missing go_version: %s", body)
 	}
 
-	body, err = get("/trace")
-	if err != nil {
+	if err := checkChrome(get, "/trace"); err != nil {
 		return err
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		return fmt.Errorf("/trace is not valid Chrome-trace JSON: %w", err)
-	}
-	if len(doc.TraceEvents) == 0 {
-		return fmt.Errorf("/trace has no events after %d traced levels", len(rmi.AllLevels))
 	}
 
 	body, err = get("/snapshot")
@@ -428,6 +431,12 @@ func smokeObs(base string, sends int64) error {
 	if err := json.Unmarshal([]byte(body), &exs); err != nil {
 		return fmt.Errorf("/slow is not valid JSON: %w", err)
 	}
+	if len(exs) == 0 {
+		return fmt.Errorf("/slow empty after a %v call", smokeSlowCall)
+	}
+	if err := checkChrome(get, "/slow/trace"); err != nil {
+		return err
+	}
 
 	// Distributed tracing: head sampling is armed by default, so the
 	// run must have retained at least one trace, and its merged tree
@@ -460,6 +469,49 @@ func smokeObs(base string, sends int64) error {
 	}
 	if len(tv.Tree.Spans) == 0 || len(tv.Tree.Roots) == 0 {
 		return fmt.Errorf("/traces/<id> tree empty for a retained trace: %s", body)
+	}
+	return checkChrome(get, fmt.Sprintf("/traces/%d?merge=1&format=chrome", tl.Traces[0].TraceID))
+}
+
+// checkChrome fetches one Chrome-trace body and checks that it is
+// valid JSON with at least one complete event, a process_name for
+// every process id, and no event before the epoch.
+func checkChrome(get func(string) (string, error), path string) error {
+	body, err := get(path)
+	if err != nil {
+		return err
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string  `json:"name"`
+			Ph   string  `json:"ph"`
+			TS   float64 `json:"ts"`
+			PID  int     `json:"pid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		return fmt.Errorf("%s is not valid Chrome-trace JSON: %w", path, err)
+	}
+	named := map[int]bool{}
+	for _, e := range doc.TraceEvents {
+		if e.Name == "process_name" {
+			named[e.PID] = true
+		}
+	}
+	complete := 0
+	for _, e := range doc.TraceEvents {
+		if !named[e.PID] {
+			return fmt.Errorf("%s: pid %d has no process_name", path, e.PID)
+		}
+		if e.TS < 0 {
+			return fmt.Errorf("%s: %s at ts=%g, before the epoch", path, e.Name, e.TS)
+		}
+		if e.Ph == "X" {
+			complete++
+		}
+	}
+	if complete == 0 {
+		return fmt.Errorf("%s has no complete (X) events", path)
 	}
 	return nil
 }

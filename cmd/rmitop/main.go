@@ -214,7 +214,7 @@ func renderTree(w io.Writer, view *obs.TraceView) {
 		}
 		fmt.Fprintf(w, "%s %s%-*s %s [%s] hop=%d @%s +%s dur=%s%s\n",
 			mark, strings.Repeat("  ", depth), 28-2*depth, s.Site,
-			s.Method, s.Kind, s.Hop, s.Node, fmtNS(s.StartNS-t.Spans[t.Roots[0]].StartNS), fmtNS(s.DurNS), flags)
+			s.Method, s.Kind, s.Hop, s.Node, fmtNS(s.AlignedStart()-t.Spans[t.Roots[0]].AlignedStart()), fmtNS(s.End-s.Start), flags)
 		for _, c := range s.Children {
 			walk(c, depth+1)
 		}

@@ -101,16 +101,25 @@ func TestPollFailure(t *testing.T) {
 }
 
 func TestVersionSkewRejected(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_ = json.NewEncoder(w).Encode(obs.ClusterView{Version: obs.SnapshotVersion + 1})
-	}))
-	t.Cleanup(srv.Close)
-	var out, errb bytes.Buffer
-	if code := run([]string{"-cluster", srv.URL, "-once"}, &out, &errb); code != 1 {
-		t.Fatalf("run against skewed version = %d, want 1", code)
-	}
-	if !strings.Contains(errb.String(), "version") {
-		t.Errorf("skew error not reported: %s", errb.String())
+	for _, tc := range []struct {
+		endpoint string
+		doc      any
+		args     []string
+	}{
+		{"/cluster", obs.ClusterView{Version: obs.SnapshotVersion + 1}, []string{"-once"}},
+		{"/traces/<id>", obs.TraceView{Version: obs.TracesVersion + 1}, []string{"-trace", "0x1234"}},
+	} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			_ = json.NewEncoder(w).Encode(tc.doc)
+		}))
+		var out, errb bytes.Buffer
+		if code := run(append([]string{"-cluster", srv.URL}, tc.args...), &out, &errb); code != 1 {
+			t.Errorf("%s: run against skewed version = %d, want 1", tc.endpoint, code)
+		}
+		if !strings.Contains(errb.String(), "version") {
+			t.Errorf("%s: skew error not reported: %s", tc.endpoint, errb.String())
+		}
+		srv.Close()
 	}
 }
 

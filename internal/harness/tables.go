@@ -108,29 +108,43 @@ func LUScaling(n, bs int, nodeCounts []int) (*Report, error) {
 }
 
 // RunTraced runs the micro workloads once per level, iters sends each,
-// with a tracer attached, and returns the latency quantiles per (call
-// site, phase) plus the flight recorder's spans (trace.WriteChrome
-// exports them). Tracing adds clock reads per phase, so traced
-// latencies are reported, never compared against untraced ones.
-func RunTraced(iters int) ([]trace.PhaseStat, []trace.SpanRecord, error) {
+// with a tracer attached, and returns its attribution snapshot (the
+// per-(site, phase) latency histograms) plus the flight recorder's
+// spans (trace.WriteChrome exports them). Tracing adds clock reads per
+// phase, so traced latencies are reported, never compared against
+// untraced ones.
+func RunTraced(iters int) ([]trace.SiteAttribution, []trace.SpanRecord, error) {
 	tr := trace.New(trace.Config{RingSize: 4096})
 	traced := Condition{Name: "traced", Options: func(int, Scale) ([]rmi.Option, error) {
 		return []rmi.Option{rmi.WithTracer(tr)}, nil
 	}}
 	s := Scale{ListElems: 100, ListIters: iters, ArraySize: 16, ArrayIters: iters, Nodes: 2}
 	err := runGrid(&Report{}, s, []Workload{LinkedList, Array}, []Condition{traced}, rmi.AllLevels)
-	return tr.PhaseStats(), tr.Recent(), err
+	return tr.Attribution(), tr.Recent(), err
 }
 
-// FormatPhases renders phase quantiles as an aligned summary table.
-func FormatPhases(phases []trace.PhaseStat) string {
-	return Render([]Column[trace.PhaseStat]{
-		{"site", -28, "%s", func(p *trace.PhaseStat) any { return p.Site }},
-		{"phase", -18, "%s", func(p *trace.PhaseStat) any { return p.Phase }},
-		{"count", 9, "%d", func(p *trace.PhaseStat) any { return p.Count }},
-		{"mean_ns", 10, "%.0f", func(p *trace.PhaseStat) any { return p.MeanNS }},
-		{"p50_ns", 10, "%.0f", func(p *trace.PhaseStat) any { return p.P50NS }},
-		{"p95_ns", 10, "%.0f", func(p *trace.PhaseStat) any { return p.P95NS }},
-		{"p99_ns", 10, "%.0f", func(p *trace.PhaseStat) any { return p.P99NS }},
-	}, phases)
+// phaseRow is one (site, phase) histogram of an attribution snapshot.
+type phaseRow struct {
+	site string
+	*trace.PhaseHist
+}
+
+// FormatPhases renders the per-(site, phase) latency quantiles of an
+// attribution snapshot as an aligned summary table.
+func FormatPhases(sites []trace.SiteAttribution) string {
+	var rows []phaseRow
+	for i := range sites {
+		for j := range sites[i].Phases {
+			rows = append(rows, phaseRow{sites[i].Site, &sites[i].Phases[j]})
+		}
+	}
+	return Render([]Column[phaseRow]{
+		{"site", -28, "%s", func(r *phaseRow) any { return r.site }},
+		{"phase", -18, "%s", func(r *phaseRow) any { return r.Phase }},
+		{"count", 9, "%d", func(r *phaseRow) any { return r.Hist.Total }},
+		{"mean_ns", 10, "%.0f", func(r *phaseRow) any { return r.Hist.Mean() }},
+		{"p50_ns", 10, "%.0f", func(r *phaseRow) any { return r.Hist.Quantile(0.50) }},
+		{"p95_ns", 10, "%.0f", func(r *phaseRow) any { return r.Hist.Quantile(0.95) }},
+		{"p99_ns", 10, "%.0f", func(r *phaseRow) any { return r.Hist.Quantile(0.99) }},
+	}, rows)
 }

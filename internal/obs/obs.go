@@ -1,10 +1,7 @@
-// Package obs is the RMI runtime's live introspection surface: an
-// HTTP server exposing Prometheus-text metrics (/metrics), per-call-
-// site runtime counters (/callsites, also labeled on /metrics), the
-// flight recorder as Chrome-trace JSON (/trace, loadable in Perfetto),
-// phase latency quantiles as JSON (/trace/stats), build provenance
-// (/buildinfo), the standard Go profiler endpoints (/debug/pprof/),
-// and a liveness probe (/healthz).
+// Package obs is the RMI runtime's live introspection surface: one
+// HTTP mux serving metrics, per-site counters, Chrome-trace dumps,
+// attribution snapshots and distributed traces. README's endpoint
+// table lists every path with its document, version and consumer.
 //
 // The server is strictly a reader: it snapshots counters, histograms
 // and the span ring on each request and never touches the RMI hot
@@ -15,7 +12,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -35,8 +31,8 @@ import (
 // Options selects what the server exposes. Any field may be nil; the
 // corresponding metrics are simply absent.
 type Options struct {
-	// Tracer supplies /trace, /trace/stats and the per-phase latency
-	// histograms on /metrics.
+	// Tracer supplies /trace, /slow, /traces and the per-phase latency
+	// histograms on /metrics and /snapshot.
 	Tracer *trace.Tracer
 	// Counters supplies the cormi_* counter gauges on /metrics.
 	Counters *stats.Counters
@@ -124,10 +120,7 @@ func NewServer(opts Options) *Server {
 		}
 	}
 	serveJSON(s.mux, "/trace", traced(func(*http.Request) (any, int) {
-		return chromeJSON(func(w io.Writer) error { return trace.WriteChrome(w, opts.Tracer.Recent(), "live") }), http.StatusOK
-	}))
-	serveJSON(s.mux, "/trace/stats", traced(func(*http.Request) (any, int) {
-		return orEmpty(opts.Tracer.PhaseStats()), http.StatusOK
+		return chromeDump{trace.Local(opts.Tracer.Recent()), map[string]any{"reason": "live"}}, http.StatusOK
 	}))
 	serveJSON(s.mux, "/callsites", func(*http.Request) (any, int) {
 		if opts.SiteStats == nil {
@@ -149,7 +142,7 @@ func NewServer(opts Options) *Server {
 		for _, ex := range opts.Tracer.Slow() {
 			spans = append(spans, ex.Spans...)
 		}
-		return chromeJSON(func(w io.Writer) error { return trace.WriteChrome(w, spans, "slow") }), http.StatusOK
+		return chromeDump{trace.Local(spans), map[string]any{"reason": "slow"}}, http.StatusOK
 	}))
 	serveJSON(s.mux, "/traces", traced(func(*http.Request) (any, int) {
 		return TraceList{Version: TracesVersion, Node: nodeName(opts), Traces: orEmpty(opts.Tracer.Traces())}, http.StatusOK
@@ -176,9 +169,12 @@ func NewServer(opts Options) *Server {
 // http.StatusOK, or an error message and its status.
 type jsonBody func(*http.Request) (any, int)
 
-// chromeJSON is a document that writes its own (Chrome trace-event)
-// JSON instead of going through the indenting encoder.
-type chromeJSON func(io.Writer) error
+// chromeDump is a document trace.WriteChrome renders, with meta as
+// its otherData, instead of the indenting encoder.
+type chromeDump struct {
+	spans []trace.TreeSpan
+	meta  map[string]any
+}
 
 // serveJSON mounts a JSON endpoint on mux.
 func serveJSON(mux *http.ServeMux, path string, body jsonBody) {
@@ -189,8 +185,8 @@ func serveJSON(mux *http.ServeMux, path string, body jsonBody) {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		if write, ok := doc.(chromeJSON); ok {
-			_ = write(w)
+		if d, ok := doc.(chromeDump); ok {
+			_ = trace.WriteChrome(w, d.spans, d.meta)
 			return
 		}
 		enc := json.NewEncoder(w)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -106,22 +107,25 @@ func TestServeEndpoints(t *testing.T) {
 		t.Fatal("/trace has no events after a traced call")
 	}
 
-	code, body = get(t, base+"/trace/stats")
+	// The per-(site, phase) latency histograms are /snapshot's.
+	code, body = get(t, base+"/snapshot")
 	if code != http.StatusOK {
-		t.Fatalf("/trace/stats status %d", code)
+		t.Fatalf("/snapshot status %d", code)
 	}
-	var phases []trace.PhaseStat
-	if err := json.Unmarshal([]byte(body), &phases); err != nil {
-		t.Fatalf("/trace/stats is not JSON: %v", err)
+	var snap NodeSnapshot
+	if err := json.Unmarshal([]byte(body), &snap); err != nil {
+		t.Fatalf("/snapshot is not JSON: %v", err)
 	}
 	var sawExec bool
-	for _, p := range phases {
-		if p.Phase == "execute" && p.Site == "obs.echo.1" && p.P99NS > 0 {
-			sawExec = true
+	for _, sa := range snap.Sites {
+		for _, ph := range sa.Phases {
+			if ph.Phase == "execute" && sa.Site == "obs.echo.1" && ph.Hist.Quantile(0.99) > 0 {
+				sawExec = true
+			}
 		}
 	}
 	if !sawExec {
-		t.Error("/trace/stats missing execute quantiles")
+		t.Error("/snapshot missing execute quantiles")
 	}
 
 	code, body = get(t, base+"/debug/pprof/cmdline")
@@ -452,8 +456,9 @@ func TestSlowEndpointsServeExemplars(t *testing.T) {
 	if ex.ThresholdNS <= 0 || ex.TotalNS <= ex.ThresholdNS {
 		t.Errorf("exemplar does not exceed its threshold: total=%d thr=%d", ex.TotalNS, ex.ThresholdNS)
 	}
-	if len(ex.Caller) == 0 || len(ex.Callee) == 0 {
-		t.Errorf("exemplar span tree incomplete: caller=%d callee=%d phases", len(ex.Caller), len(ex.Callee))
+	if len(ex.Spans) != 2 || ex.Spans[0].Kind != trace.KindCaller || ex.Spans[1].Kind != trace.KindCallee ||
+		ex.Spans[1].PhaseDur[trace.PhaseExecute] == 0 {
+		t.Errorf("exemplar spans incomplete: want caller and callee records with the execute phase, got %+v", ex.Spans)
 	}
 
 	// The same exemplars render as a Perfetto-loadable trace.
@@ -478,6 +483,39 @@ func TestSlowEndpointsServeExemplars(t *testing.T) {
 	_, mbody := get(t, base+"/metrics")
 	if !strings.Contains(mbody, "cormi_trace_exemplars_total") {
 		t.Error("/metrics missing cormi_trace_exemplars_total")
+	}
+}
+
+// TestTraceViewRejectsSkewedPeer: a peer serving its /traces/<id>
+// document at another version is reported in the view's errors, and
+// its spans stay out of the merged tree.
+func TestTraceViewRejectsSkewedPeer(t *testing.T) {
+	const id = 0x77
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_ = json.NewEncoder(w).Encode(TraceDoc{
+			Version: TracesVersion + 1, Node: "skewed", TraceID: id,
+			Spans: []trace.SpanRecord{{
+				Site: "obs.echo.1", Kind: trace.KindCaller, Start: 100, End: 200,
+				TraceID: id, SpanID: 1,
+			}},
+		})
+	}))
+	t.Cleanup(peer.Close)
+	_, _, s := startTracedNode(t, "n0", trace.Config{RingSize: 8})
+
+	code, body := get(t, fmt.Sprintf("http://%s/traces/%d?peers=%s", s.Addr(), id, peer.Listener.Addr()))
+	if code != http.StatusOK {
+		t.Fatalf("/traces/<id> with a skewed peer: status %d", code)
+	}
+	var view TraceView
+	if err := json.Unmarshal([]byte(body), &view); err != nil {
+		t.Fatalf("/traces/<id> is not JSON: %v\n%s", err, body)
+	}
+	if len(view.Errors) != 1 || !strings.Contains(view.Errors[0], "version") {
+		t.Errorf("skewed peer not reported as a version error: %v", view.Errors)
+	}
+	if len(view.Nodes) != 1 || view.Tree == nil || len(view.Tree.Spans) != 0 {
+		t.Errorf("skewed peer merged anyway: nodes %v, tree %+v", view.Nodes, view.Tree)
 	}
 }
 

@@ -14,7 +14,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -24,8 +23,9 @@ import (
 
 // TracesVersion is the /traces and /traces/<id> document version. A
 // collector must reject documents with a different version rather than
-// merge spans whose field semantics may have changed.
-const TracesVersion = 1
+// merge spans whose field semantics may have changed. Version 2: a
+// tree span embeds the record its node served (trace.TreeSpan).
+const TracesVersion = 2
 
 // TraceList is the /traces document: the traces this node retains.
 type TraceList struct {
@@ -81,7 +81,11 @@ func serveTrace(opts Options, r *http.Request) (any, int) {
 	}
 	view := buildTraceView(opts, id, peers)
 	if q.Get("format") == "chrome" {
-		return chromeJSON(func(w io.Writer) error { return trace.WriteChromeMerged(w, view.Tree) }), http.StatusOK
+		return chromeDump{view.Tree.Spans, map[string]any{
+			"trace_id":         view.Tree.TraceID,
+			"end_to_end_ns":    view.Tree.EndToEndNS,
+			"critical_path_ns": view.Tree.CriticalPathNS,
+		}}, http.StatusOK
 	}
 	return view, http.StatusOK
 }

@@ -128,24 +128,26 @@ func TestTracedCallProducesBothSpans(t *testing.T) {
 	}
 
 	// Histograms summarize the same call.
-	stats := tr.PhaseStats()
-	if len(stats) == 0 {
-		t.Fatal("PhaseStats empty after a traced call")
+	sites := tr.Attribution()
+	if len(sites) == 0 {
+		t.Fatal("Attribution empty after a traced call")
 	}
 	var sawExecute bool
-	for _, s := range stats {
-		if s.Site != "t.bump.1" {
-			t.Errorf("unexpected site %q in stats", s.Site)
+	for _, sa := range sites {
+		if sa.Site != "t.bump.1" {
+			t.Errorf("unexpected site %q in attribution", sa.Site)
 		}
-		if s.Phase == "execute" {
-			sawExecute = true
-			if s.Count != 1 || s.P50NS <= 0 {
-				t.Errorf("execute stat = %+v, want count 1 and positive p50", s)
+		for _, ph := range sa.Phases {
+			if ph.Phase == "execute" {
+				sawExecute = true
+				if ph.Hist.Total != 1 || ph.Hist.Quantile(0.50) <= 0 {
+					t.Errorf("execute histogram = %+v, want count 1 and positive p50", ph.Hist)
+				}
 			}
 		}
 	}
 	if !sawExecute {
-		t.Error("no execute phase in PhaseStats")
+		t.Error("no execute phase in Attribution")
 	}
 }
 

@@ -15,14 +15,6 @@ import (
 	"cormi/internal/metrics"
 )
 
-// PhaseSlice is one recorded phase of an exemplar's span, rendered for
-// humans (phase name instead of index, zero phases dropped).
-type PhaseSlice struct {
-	Phase   string `json:"phase"`
-	StartNS int64  `json:"start_ns"`
-	DurNS   int64  `json:"dur_ns"`
-}
-
 // Exemplar is one retained slow call: a call whose end-to-end latency
 // exceeded its site's adaptive p99 threshold at close time. Both span
 // halves are kept when the callee ran in the same process (the flight
@@ -41,24 +33,12 @@ type Exemplar struct {
 	Retries      int    `json:"retries,omitempty"`
 	// TraceID links a sampled slow call to its distributed trace
 	// (/traces/<id>); zero when the call was not sampled.
-	TraceID uint64       `json:"trace_id,omitempty"`
-	Blame   string       `json:"blame"`
-	Caller  []PhaseSlice `json:"caller"`
-	Callee  []PhaseSlice `json:"callee,omitempty"`
-	// Spans carries the raw records for the Perfetto export
-	// (/slow/trace); the JSON view above is self-contained without it.
-	Spans []SpanRecord `json:"-"`
-}
-
-// phaseSlices renders a record's populated phases.
-func phaseSlices(r *SpanRecord) []PhaseSlice {
-	var out []PhaseSlice
-	for p := Phase(0); p < NumPhases; p++ {
-		if d := r.PhaseDur[p]; d > 0 {
-			out = append(out, PhaseSlice{Phase: p.String(), StartNS: r.PhaseStart[p], DurNS: d})
-		}
-	}
-	return out
+	TraceID uint64 `json:"trace_id,omitempty"`
+	Blame   string `json:"blame"`
+	// Spans holds the call's records verbatim: the caller half, then
+	// the callee half when it ran in this process. /slow/trace renders
+	// them.
+	Spans []SpanRecord `json:"spans"`
 }
 
 // dominantPhase returns the longest blamable phase across the given
@@ -112,10 +92,6 @@ func (t *Tracer) captureExemplar(st *siteState, rec *SpanRecord, tot int64) {
 	}
 	t.ringMu.Unlock()
 
-	ex.Caller = phaseSlices(&ex.Spans[0])
-	if len(ex.Spans) > 1 {
-		ex.Callee = phaseSlices(&ex.Spans[1])
-	}
 	ex.Blame = dominantPhase(ex.Spans)
 
 	st.exemplars.Add(1)

@@ -110,7 +110,7 @@ func TestExemplarCaptureAdaptiveThreshold(t *testing.T) {
 	if ex.ThresholdNS <= 0 || ex.TotalNS <= ex.ThresholdNS {
 		t.Errorf("exemplar total %d not past threshold %d", ex.TotalNS, ex.ThresholdNS)
 	}
-	if len(ex.Callee) == 0 {
+	if len(ex.Spans) < 2 || ex.Spans[1].Kind != KindCallee {
 		t.Fatalf("exemplar missing callee half: %+v", ex)
 	}
 	if ex.Blame != "execute" {

@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // traceStore is the bounded per-trace span retention behind the
 // /traces endpoints: closed spans carrying a trace ID are appended to
@@ -144,15 +141,4 @@ func (t *Tracer) TraceStoreStats() (retained int, evicted, dropped int64) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	return len(ts.order), ts.evicted, ts.dropped
-}
-
-// sortSpans orders spans by start time, then span ID, for
-// deterministic endpoint output.
-func sortSpans(spans []SpanRecord) {
-	sort.Slice(spans, func(i, j int) bool {
-		if spans[i].Start != spans[j].Start {
-			return spans[i].Start < spans[j].Start
-		}
-		return spans[i].SpanID < spans[j].SpanID
-	})
 }

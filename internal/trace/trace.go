@@ -16,7 +16,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -590,56 +589,11 @@ func (t *Tracer) DumpFailure(reason string) {
 		return
 	}
 	t.dumps++
-	_ = WriteChrome(t.cfg.FailureDump, t.Recent(), reason)
+	_ = WriteChrome(t.cfg.FailureDump, Local(t.Recent()), map[string]any{"reason": reason})
 }
 
-// PhaseStat is one (site, phase) latency summary row.
-type PhaseStat struct {
-	Site   string  `json:"site"`
-	Phase  string  `json:"phase"`
-	Count  uint64  `json:"count"`
-	MeanNS float64 `json:"mean_ns"`
-	P50NS  float64 `json:"p50_ns"`
-	P95NS  float64 `json:"p95_ns"`
-	P99NS  float64 `json:"p99_ns"`
-}
-
-// PhaseStats summarizes every populated (site, phase) histogram,
-// sorted by site then phase order.
-func (t *Tracer) PhaseStats() []PhaseStat {
-	if t == nil {
-		return nil
-	}
-	var out []PhaseStat
-	t.sites.Range(func(k, v any) bool {
-		site := k.(string)
-		st := v.(*siteState)
-		for p := Phase(0); p < NumPhases; p++ {
-			snap := st.hists[p].Snapshot()
-			if snap.Total == 0 {
-				continue
-			}
-			out = append(out, PhaseStat{
-				Site:   site,
-				Phase:  p.String(),
-				Count:  snap.Total,
-				MeanNS: snap.Mean(),
-				P50NS:  snap.Quantile(0.50),
-				P95NS:  snap.Quantile(0.95),
-				P99NS:  snap.Quantile(0.99),
-			})
-		}
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Site != out[j].Site {
-			return out[i].Site < out[j].Site
-		}
-		return phaseIndex(out[i].Phase) < phaseIndex(out[j].Phase)
-	})
-	return out
-}
-
+// phaseIndex returns the index of the phase named name, or
+// NumPhases when no phase has that name.
 func phaseIndex(name string) int {
 	for i, n := range phaseNames {
 		if n == name {

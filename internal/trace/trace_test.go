@@ -22,8 +22,8 @@ func TestNilTracerAndSpanAreNoOps(t *testing.T) {
 	sp.Fail("x")
 	sp.End()
 	tr.DumpFailure("timeout")
-	if got := tr.PhaseStats(); got != nil {
-		t.Fatalf("nil tracer PhaseStats = %v", got)
+	if got := tr.Attribution(); got != nil {
+		t.Fatalf("nil tracer Attribution = %v", got)
 	}
 }
 
@@ -39,21 +39,22 @@ func TestSpanLifecycleAndHistograms(t *testing.T) {
 	if got := tr.SpansStarted(); got != 5 {
 		t.Fatalf("SpansStarted = %d, want 5", got)
 	}
-	stats := tr.PhaseStats()
-	var wait *PhaseStat
-	for i := range stats {
-		if stats[i].Phase == "wait_reply" {
-			wait = &stats[i]
+	sa := siteAttr(t, tr, "Foo.send.1")
+	var wait *PhaseHist
+	for i := range sa.Phases {
+		if sa.Phases[i].Phase == "wait_reply" {
+			wait = &sa.Phases[i]
 		}
 	}
-	if wait == nil || wait.Count != 5 {
-		t.Fatalf("wait_reply stat missing or wrong count: %+v", stats)
+	if wait == nil || wait.Hist.Total != 5 {
+		t.Fatalf("wait_reply histogram missing or wrong count: %+v", sa.Phases)
 	}
-	if wait.P50NS < 512 || wait.P50NS > 2048 {
-		t.Errorf("p50 of constant 1000ns = %g, want within its log2 bucket", wait.P50NS)
+	p50, p99 := wait.Hist.Quantile(0.50), wait.Hist.Quantile(0.99)
+	if p50 < 512 || p50 > 2048 {
+		t.Errorf("p50 of constant 1000ns = %g, want within its log2 bucket", p50)
 	}
-	if wait.P99NS < wait.P50NS {
-		t.Errorf("p99 %g < p50 %g", wait.P99NS, wait.P50NS)
+	if p99 < p50 {
+		t.Errorf("p99 %g < p50 %g", p99, p50)
 	}
 }
 
@@ -128,30 +129,37 @@ func TestWriteChromeParses(t *testing.T) {
 	sp.End()
 
 	var buf bytes.Buffer
-	if err := WriteChrome(&buf, tr.Recent(), ""); err != nil {
+	if err := WriteChrome(&buf, Local(tr.Recent()), nil); err != nil {
 		t.Fatal(err)
 	}
 	var parsed struct {
 		TraceEvents []struct {
-			Name string  `json:"name"`
-			Ph   string  `json:"ph"`
-			Cat  string  `json:"cat"`
-			PID  int     `json:"pid"`
-			TS   float64 `json:"ts"`
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Cat  string         `json:"cat"`
+			PID  int            `json:"pid"`
+			TS   float64        `json:"ts"`
+			Args map[string]any `json:"args"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
 		t.Fatalf("chrome JSON does not parse: %v", err)
 	}
+	process := map[int]any{}
+	for _, e := range parsed.TraceEvents {
+		if e.Name == "process_name" {
+			process[e.PID] = e.Args["name"]
+		}
+	}
 	var haveSpan, haveExec, haveCaller, haveSer bool
 	for _, e := range parsed.TraceEvents {
-		if e.Name == "A.b.1" && e.Ph == "X" && e.PID == 5 && e.Cat == "callee" {
+		if e.Name == "A.b.1" && e.Ph == "X" && process[e.PID] == "node 5" && e.Cat == "callee" {
 			haveSpan = true
 		}
 		if e.Name == "execute" && e.Ph == "X" {
 			haveExec = true
 		}
-		if e.Name == "W.fire.1" && e.Ph == "X" && e.PID == 0 && e.Cat == "caller" {
+		if e.Name == "W.fire.1" && e.Ph == "X" && process[e.PID] == "node 0" && e.Cat == "caller" {
 			haveCaller = true
 		}
 		if e.Name == "serialize" && e.Ph == "X" {

@@ -1,8 +1,7 @@
 package trace
 
 import (
-	"encoding/json"
-	"io"
+	"fmt"
 	"sort"
 )
 
@@ -20,26 +19,15 @@ type NodeSpans struct {
 	Spans []SpanRecord `json:"spans"`
 }
 
-// TreeSpan is one span of a reconstructed cross-node tree, with its
-// wall times rebased onto the root node's clock.
+// TreeSpan places one span record in a reconstructed tree. The
+// embedded record is exactly what its node served, on that node's
+// clock; OffsetNS is the clock correction (the recording node's
+// estimated skew against the root node), so the span starts at
+// AlignedStart on the root node's clock.
 type TreeSpan struct {
-	SpanID   uint64 `json:"span_id"`
-	ParentID uint64 `json:"parent_id,omitempty"`
+	SpanRecord
 	Node     string `json:"node"`
-	Site     string `json:"site"`
-	Method   string `json:"method"`
-	Kind     string `json:"kind"`
-	From     int    `json:"from"`
-	To       int    `json:"to"`
-	Seq      int64  `json:"seq"`
-	Hop      uint8  `json:"hop"`
-	StartNS  int64  `json:"start_ns"` // aligned to the root node's clock
-	DurNS    int64  `json:"dur_ns"`
-	// OffsetNS is the clock correction subtracted from this span's raw
-	// timestamps (the recording node's estimated skew vs the root).
 	OffsetNS int64  `json:"offset_ns,omitempty"`
-	Err      string `json:"err,omitempty"`
-	Retries  int    `json:"retries,omitempty"`
 	// Orphan marks a span whose parent is missing (unsampled parent,
 	// unreachable node, or an evicted bucket); it is grafted in as an
 	// extra root so its subtree still renders.
@@ -48,6 +36,25 @@ type TreeSpan struct {
 	Critical bool `json:"critical,omitempty"`
 	// Children indexes this span's children in Tree.Spans.
 	Children []int `json:"children,omitempty"`
+}
+
+// AlignedStart is the span's start on the root node's clock.
+func (s *TreeSpan) AlignedStart() int64 { return s.Start - s.OffsetNS }
+
+// Local places the spans of one process's own stores — the flight
+// recorder, the exemplar ring — for WriteChrome: each span on the node
+// that recorded it (the caller half's From, the callee half's To),
+// with no clock correction.
+func Local(recs []SpanRecord) []TreeSpan {
+	out := make([]TreeSpan, len(recs))
+	for i, r := range recs {
+		node := r.From
+		if r.Kind == KindCallee {
+			node = r.To
+		}
+		out[i] = TreeSpan{SpanRecord: r, Node: fmt.Sprintf("node %d", node)}
+	}
+	return out
 }
 
 // Tree is one reconstructed cross-node trace.
@@ -91,7 +98,6 @@ type spanKey struct {
 // duplicate spans are discarded, nodes without stamp pairs fall back
 // to zero offset.
 func BuildTree(traceID uint64, nodes []NodeSpans) *Tree {
-	var raw []alignSpan
 	tr := &Tree{TraceID: traceID}
 	seenID := make(map[uint64]bool)
 	seenKey := make(map[spanKey]bool)
@@ -112,52 +118,42 @@ func BuildTree(traceID uint64, nodes []NodeSpans) *Tree {
 			}
 			seenID[s.SpanID] = true
 			seenKey[k] = true
-			raw = append(raw, alignSpan{rec: s, node: ns.Node})
+			tr.Spans = append(tr.Spans, TreeSpan{SpanRecord: *s, Node: ns.Node})
 		}
 	}
-	if len(raw) == 0 {
+	if len(tr.Spans) == 0 {
 		return tr
 	}
 
 	// Pick the primary root: the hop-0 caller span (earliest if several
 	// — multiple root calls can share a trace), else the earliest span.
 	rootIdx := 0
-	better := func(a, b alignSpan) bool {
-		aRoot := a.rec.Hop == 0 && a.rec.Kind == KindCaller
-		bRoot := b.rec.Hop == 0 && b.rec.Kind == KindCaller
+	better := func(a, b *TreeSpan) bool {
+		aRoot := a.Hop == 0 && a.Kind == KindCaller
+		bRoot := b.Hop == 0 && b.Kind == KindCaller
 		if aRoot != bRoot {
 			return aRoot
 		}
-		return a.rec.Start < b.rec.Start
+		return a.Start < b.Start
 	}
-	for i := range raw {
-		if better(raw[i], raw[rootIdx]) {
+	for i := range tr.Spans {
+		if better(&tr.Spans[i], &tr.Spans[rootIdx]) {
 			rootIdx = i
 		}
 	}
 
-	offsets := alignClocks(raw[rootIdx].node, raw)
-
-	// Materialize aligned tree spans.
-	byID := make(map[uint64]int, len(raw))
-	tr.Spans = make([]TreeSpan, 0, len(raw))
-	for i := range raw {
-		s := raw[i].rec
-		off := offsets[raw[i].node]
-		tr.Spans = append(tr.Spans, TreeSpan{
-			SpanID: s.SpanID, ParentID: s.ParentID, Node: raw[i].node,
-			Site: s.Site, Method: s.Method, Kind: s.Kind.String(),
-			From: s.From, To: s.To, Seq: s.Seq, Hop: s.Hop,
-			StartNS: s.Start - off, DurNS: s.End - s.Start, OffsetNS: off,
-			Err: s.Err, Retries: s.Retries,
-		})
+	// Place the spans on the root node's clock.
+	offsets := alignClocks(tr.Spans[rootIdx].Node, tr.Spans)
+	for i := range tr.Spans {
+		tr.Spans[i].OffsetNS = offsets[tr.Spans[i].Node]
 	}
 	sort.Slice(tr.Spans, func(i, j int) bool {
-		if tr.Spans[i].StartNS != tr.Spans[j].StartNS {
-			return tr.Spans[i].StartNS < tr.Spans[j].StartNS
+		if a, b := tr.Spans[i].AlignedStart(), tr.Spans[j].AlignedStart(); a != b {
+			return a < b
 		}
 		return tr.Spans[i].SpanID < tr.Spans[j].SpanID
 	})
+	byID := make(map[uint64]int, len(tr.Spans))
 	for i := range tr.Spans {
 		byID[tr.Spans[i].SpanID] = i
 	}
@@ -194,10 +190,10 @@ func BuildTree(traceID uint64, nodes []NodeSpans) *Tree {
 			break
 		}
 	}
-	rootStart := tr.Spans[primary].StartNS
+	rootStart := tr.Spans[primary].AlignedStart()
 	leaf, latest := primary, int64(0)
 	for i := range tr.Spans {
-		if end := tr.Spans[i].StartNS + tr.Spans[i].DurNS; end > latest {
+		if end := tr.Spans[i].End - tr.Spans[i].OffsetNS; end > latest {
 			latest, leaf = end, i
 		}
 	}
@@ -228,24 +224,18 @@ func BuildTree(traceID uint64, nodes []NodeSpans) *Tree {
 	for _, i := range path {
 		s := &tr.Spans[i]
 		s.Critical = true
-		if seg := bound - s.StartNS; seg > 0 {
+		start := s.AlignedStart()
+		if seg := bound - start; seg > 0 {
 			tr.CriticalPathNS += seg
 		}
-		if s.StartNS < bound {
-			bound = s.StartNS
+		if start < bound {
+			bound = start
 		}
 	}
 	for i := len(path) - 1; i >= 0; i-- {
 		tr.CriticalPath = append(tr.CriticalPath, tr.Spans[path[i]].SpanID)
 	}
 	return tr
-}
-
-// alignSpan pairs a deduplicated span record with the name of the node
-// whose store contributed it.
-type alignSpan struct {
-	rec  *SpanRecord
-	node string
 }
 
 // alignClocks estimates each recording node's clock offset relative to
@@ -266,30 +256,31 @@ type alignSpan struct {
 // intermediary. A call that timed out or was abandoned has no reply
 // leg; its one-sided sample (t2-t1, biased by the transit time) is used
 // only when a link has no two-sided sample. Unreachable nodes keep offset zero.
-func alignClocks(rootNode string, spans []alignSpan) map[string]int64 {
-	byID := make(map[uint64]alignSpan, len(spans))
-	for _, s := range spans {
-		byID[s.rec.SpanID] = s
+func alignClocks(rootNode string, spans []TreeSpan) map[string]int64 {
+	byID := make(map[uint64]*TreeSpan, len(spans))
+	for i := range spans {
+		byID[spans[i].SpanID] = &spans[i]
 	}
 	type pair struct{ a, b string } // offset of b relative to a
 	sums := make(map[pair]int64)
 	counts := make(map[pair]int64)
 	weakSums := make(map[pair]int64)
 	weakCounts := make(map[pair]int64)
-	for _, s := range spans {
-		if s.rec.Kind != KindCallee || s.rec.PhaseDur[PhaseTransit] == 0 {
+	for i := range spans {
+		s := &spans[i]
+		if s.Kind != KindCallee || s.PhaseDur[PhaseTransit] == 0 {
 			continue
 		}
-		caller, ok := byID[s.rec.ParentID]
+		caller, ok := byID[s.ParentID]
 		if !ok {
 			continue
 		}
-		if caller.node == s.node {
+		if caller.Node == s.Node {
 			continue
 		}
-		p := pair{a: caller.node, b: s.node}
-		d1 := s.rec.PhaseDur[PhaseTransit] // t2 - t1
-		if d2 := caller.rec.PhaseDur[PhaseReplyTransit]; d2 != 0 {
+		p := pair{a: caller.Node, b: s.Node}
+		d1 := s.PhaseDur[PhaseTransit] // t2 - t1
+		if d2 := caller.PhaseDur[PhaseReplyTransit]; d2 != 0 {
 			// Two-sided sample: (t2-t1) - (t4-t3) over 2.
 			sums[p] += (d1 - d2) / 2
 			counts[p]++
@@ -341,75 +332,4 @@ func alignClocks(rootNode string, spans []alignSpan) map[string]int64 {
 		}
 	}
 	return offsets
-}
-
-// WriteChromeMerged renders a reconstructed cross-node tree as one
-// Perfetto-loadable dump with one process (track group) per node, all
-// timestamps already aligned to the root node's clock.
-func WriteChromeMerged(w io.Writer, tr *Tree) error {
-	var epoch int64
-	for i := range tr.Spans {
-		if s := tr.Spans[i].StartNS; epoch == 0 || s < epoch {
-			epoch = s
-		}
-	}
-	us := func(ns int64) float64 { return float64(ns-epoch) / 1e3 }
-
-	out := chromeTrace{
-		DisplayTimeUnit: "ms",
-		OtherData: map[string]any{
-			"trace_id":         tr.TraceID,
-			"end_to_end_ns":    tr.EndToEndNS,
-			"critical_path_ns": tr.CriticalPathNS,
-		},
-	}
-	// Deterministic pid per node name.
-	var names []string
-	seen := map[string]bool{}
-	for i := range tr.Spans {
-		if n := tr.Spans[i].Node; !seen[n] {
-			seen[n] = true
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	pidOf := make(map[string]int, len(names))
-	for i, n := range names {
-		pid := i + 1
-		pidOf[n] = pid
-		out.TraceEvents = append(out.TraceEvents, trackMetadata(pid, n)...)
-	}
-	for i := range tr.Spans {
-		s := &tr.Spans[i]
-		tid := tidCaller
-		if s.Kind == KindCallee.String() {
-			tid = tidCallee
-		}
-		args := map[string]any{
-			"span_id": s.SpanID, "parent_id": s.ParentID, "hop": s.Hop,
-			"site": s.Site, "method": s.Method, "seq": s.Seq,
-		}
-		if s.Err != "" {
-			args["err"] = s.Err
-		}
-		if s.Critical {
-			args["critical"] = true
-		}
-		if s.Orphan {
-			args["orphan"] = true
-		}
-		cat := s.Kind
-		if s.Critical {
-			cat = "critical"
-		}
-		dur := float64(s.DurNS) / 1e3
-		if dur <= 0 {
-			dur = 0.001
-		}
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: s.Site, Ph: "X", Cat: cat,
-			TS: us(s.StartNS), Dur: dur, PID: pidOf[s.Node], TID: tid, Args: args,
-		})
-	}
-	return json.NewEncoder(w).Encode(out)
 }

@@ -40,7 +40,7 @@ func TestBuildTreeAlignsOffsetsLargerThanSpans(t *testing.T) {
 	}
 	var cal, cee *TreeSpan
 	for i := range tree.Spans {
-		if tree.Spans[i].Kind == KindCallee.String() {
+		if tree.Spans[i].Kind == KindCallee {
 			cee = &tree.Spans[i]
 		} else {
 			cal = &tree.Spans[i]
@@ -49,12 +49,12 @@ func TestBuildTreeAlignsOffsetsLargerThanSpans(t *testing.T) {
 	if cee.OffsetNS != off {
 		t.Errorf("callee offset %d, want the injected %d", cee.OffsetNS, off)
 	}
-	if cee.StartNS != 1200 {
-		t.Errorf("aligned callee start %d, want 1200 (rebased onto the caller clock)", cee.StartNS)
+	if cee.AlignedStart() != 1200 {
+		t.Errorf("aligned callee start %d, want 1200 (rebased onto the caller clock)", cee.AlignedStart())
 	}
-	if cee.StartNS < cal.StartNS || cee.StartNS+cee.DurNS > cal.StartNS+cal.DurNS {
+	if cee.AlignedStart() < cal.AlignedStart() || cee.End-cee.OffsetNS > cal.End-cal.OffsetNS {
 		t.Errorf("aligned callee [%d,%d] outside caller window [%d,%d]",
-			cee.StartNS, cee.StartNS+cee.DurNS, cal.StartNS, cal.StartNS+cal.DurNS)
+			cee.AlignedStart(), cee.End-cee.OffsetNS, cal.AlignedStart(), cal.End-cal.OffsetNS)
 	}
 	if tree.EndToEndNS != 600 {
 		t.Errorf("end-to-end %dns, want the caller's 600ns window", tree.EndToEndNS)
@@ -161,8 +161,8 @@ func TestBuildTreeAbandonedCallLeaf(t *testing.T) {
 	}
 	// The weak sample is the whole transit duration: offset estimate
 	// d1 = 150, so the callee rebases from 400 to 250.
-	if leaf.OffsetNS != 150 || leaf.StartNS != 250 {
-		t.Errorf("one-sided alignment: offset=%d start=%d, want 150 and 250", leaf.OffsetNS, leaf.StartNS)
+	if leaf.OffsetNS != 150 || leaf.AlignedStart() != 250 {
+		t.Errorf("one-sided alignment: offset=%d start=%d, want 150 and 250", leaf.OffsetNS, leaf.AlignedStart())
 	}
 	// The callee outlives the caller that abandoned it: it is the
 	// latest-ending span and must terminate the critical path.
@@ -198,7 +198,7 @@ func TestWriteChromeMerged(t *testing.T) {
 		{Node: "b", Spans: []SpanRecord{callee}},
 	})
 	var buf bytes.Buffer
-	if err := WriteChromeMerged(&buf, tree); err != nil {
+	if err := WriteChrome(&buf, tree.Spans, nil); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
