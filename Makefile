@@ -144,11 +144,13 @@ bench:
 bench-transport:
 	go test -run '^$$' -bench 'BenchmarkTransports' -benchmem -count=3 .
 
-# Planned codec alone, per plan shape (a 100-node list on a trailing
-# link, a 16x16 double[][], a depth-6 binary tree) x {write, read} at
-# site+reuse+cycle in steady state: ns/op, MB/s and allocs/op (0).
-# Informational, no gate; the serial rung of the measurement ladder and
-# the profiling handle for internal/serial.
+# Codec alone, per plan shape (a 100-node list on a trailing link, a
+# 16x16 double[][], a depth-6 binary tree): write and read at
+# site+reuse+cycle in steady state (allocs/op 0), and beside them
+# class/read, the class baseline's reader with fresh allocation (one
+# allocation per slab chunk). ns/op, MB/s and allocs/op. Informational,
+# no gate; the serial rung of the measurement ladder and the profiling
+# handle for internal/serial.
 bench-codec:
 	go test -run '^$$' -bench 'BenchmarkPlannedCodec' -benchmem -count=3 ./internal/serial
 

@@ -163,8 +163,8 @@ func BenchmarkReuseHitVsMismatch(b *testing.B) {
 		var cached []*model.Object
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_, roots, _, err := serial.ReadValues(wire.FromBytes(payload), reg, 1,
-				[]*serial.Plan{&reusable}, cfg, cached, &c)
+			_, roots, _, err := serial.ReadValuesScratch(wire.FromBytes(payload), reg, 1,
+				[]*serial.Plan{&reusable}, cfg, cached, nil, &c)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -174,8 +174,8 @@ func BenchmarkReuseHitVsMismatch(b *testing.B) {
 	b.Run("coldalloc", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, _, err := serial.ReadValues(wire.FromBytes(payload), reg, 1,
-				[]*serial.Plan{&reusable}, cfg, nil, &c); err != nil {
+			if _, _, _, err := serial.ReadValuesScratch(wire.FromBytes(payload), reg, 1,
+				[]*serial.Plan{&reusable}, cfg, nil, nil, &c); err != nil {
 				b.Fatal(err)
 			}
 		}

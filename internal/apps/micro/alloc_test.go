@@ -11,12 +11,13 @@ import (
 	"cormi/internal/trace"
 )
 
-// allocTier is one instrumentation tier of the full RMI path at
-// site+reuse+cycle: how the tracer is configured (nil: none), how many
-// calls reach its steady state, the per-invocation allocation budget,
-// and a post-condition proving the measured run exercised the tier it
-// names.
+// allocTier is one tier of the full RMI path: the optimization level
+// the call site runs at, how the tracer
+// is configured (nil: none), how many calls reach its steady state, the
+// per-invocation allocation budget, and a post-condition proving the
+// measured run exercised the tier it names.
 type allocTier struct {
+	level  rmi.OptLevel
 	tracer *trace.Config
 	warmup int
 	budget float64
@@ -29,7 +30,16 @@ var allocTiers = map[string]allocTier{
 	// path itself is allocation free (see
 	// serial.TestPureHotPathZeroAllocs). A regression past this budget
 	// means pooling broke somewhere on the hot path.
-	"off": {warmup: 50, budget: 2.0},
+	"off": {level: rmi.LevelSiteReuseCycle, warmup: 50, budget: 2.0},
+
+	// The paper's baseline: per-class serialization with fresh
+	// allocation on every call. Each decoded message carves its objects,
+	// field vectors and array payloads from its own slabs, so a call
+	// pays one allocation per slab chunk — O(log n) in the graph size —
+	// instead of one or two per object (10.00 measured on both the
+	// 100-node list and the 16x16 array, against 202 and 36 with one
+	// allocation per object and per field vector or array).
+	"class": {level: rmi.LevelClass, warmup: 50, budget: 12.0},
 
 	// Tail-latency attribution fully live: per-phase histograms, blame
 	// counters, the adaptive exemplar threshold armed (warmed up past
@@ -40,6 +50,7 @@ var allocTiers = map[string]allocTier{
 	// not. The pooled span pair's lifecycle fits the untraced budget.
 	// `make verify-attrib` gates on it.
 	"attribution": {
+		level:  rmi.LevelSiteReuseCycle,
 		tracer: &trace.Config{RingSize: 1024, ExemplarWarmup: 8, ExemplarMinNS: 1 << 60},
 		warmup: 50, budget: 2.0,
 		after: func(t *testing.T, tr *trace.Tracer) {
@@ -73,6 +84,7 @@ var allocTiers = map[string]allocTier{
 	// the budget is the attribution tier's. `make verify-dtrace` gates
 	// on it.
 	"armed": {
+		level:  rmi.LevelSiteReuseCycle,
 		tracer: &trace.Config{RingSize: 1024, SampleEvery: 1 << 40},
 		warmup: 50, budget: 2.0,
 		after: func(t *testing.T, tr *trace.Tracer) {
@@ -91,6 +103,7 @@ var allocTiers = map[string]allocTier{
 	// that and still fails on real growth (a per-span copy, an unpooled
 	// buffer).
 	"sampled": {
+		level:  rmi.LevelSiteReuseCycle,
 		tracer: &trace.Config{RingSize: 1024, SampleEvery: 1},
 		warmup: 300, budget: 3.0,
 		after: func(t *testing.T, tr *trace.Tracer) {
@@ -141,7 +154,7 @@ var array16x16 = hotWorkload{ArrayBenchSrc, "ArrayBench", func(_ *testing.T, _ *
 }}
 
 // measureTier sets up a two-node cluster once — the workload's call
-// site registered under full optimization, the tier's tracer attached —
+// site registered at the tier's level, the tier's tracer attached —
 // and holds steady-state invocations, measured in isolation, to the
 // tier's budget.
 func measureTier(t *testing.T, tier string, w hotWorkload) {
@@ -165,7 +178,7 @@ func measureTier(t *testing.T, tier string, w hotWorkload) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := appkit.Register(cluster, rmi.LevelSiteReuseCycle, si)
+	cs, err := appkit.Register(cluster, spec.level, si)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,10 +207,13 @@ func measureTier(t *testing.T, tier string, w hotWorkload) {
 }
 
 // TestSteadyStateAllocs pins the allocation budget of the two paper
-// micro-benchmarks with no instrumentation attached.
+// micro-benchmarks with no instrumentation attached, fully optimized
+// and at the class-level baseline.
 func TestSteadyStateAllocs(t *testing.T) {
 	t.Run("array2d", func(t *testing.T) { measureTier(t, "off", array16x16) })
 	t.Run("linkedlist", func(t *testing.T) { measureTier(t, "off", linkedList100) })
+	t.Run("array2d/class", func(t *testing.T) { measureTier(t, "class", array16x16) })
+	t.Run("linkedlist/class", func(t *testing.T) { measureTier(t, "class", linkedList100) })
 }
 
 // The instrumented tiers, on the linked list. Each keeps the name its

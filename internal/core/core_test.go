@@ -334,7 +334,7 @@ func TestGeneratedPlansDriveRuntime(t *testing.T) {
 	if _, err := serial.WriteValues(m, []model.Value{model.Ref(arr)}, []*serial.Plan{plan}, cfg, &c); err != nil {
 		t.Fatal(err)
 	}
-	got, roots, _, err := serial.ReadValues(wire.FromBytes(m.Bytes()), r.Registry, 1, []*serial.Plan{plan}, cfg, nil, &c)
+	got, roots, _, err := serial.ReadValuesScratch(wire.FromBytes(m.Bytes()), r.Registry, 1, []*serial.Plan{plan}, cfg, nil, nil, &c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestGeneratedPlansDriveRuntime(t *testing.T) {
 	if _, err := serial.WriteValues(m2, []model.Value{model.Ref(arr)}, []*serial.Plan{plan}, cfg, &c); err != nil {
 		t.Fatal(err)
 	}
-	got2, _, _, err := serial.ReadValues(wire.FromBytes(m2.Bytes()), r.Registry, 1, []*serial.Plan{plan}, cfg, roots, &c)
+	got2, _, _, err := serial.ReadValuesScratch(wire.FromBytes(m2.Bytes()), r.Registry, 1, []*serial.Plan{plan}, cfg, roots, nil, &c)
 	if err != nil {
 		t.Fatal(err)
 	}

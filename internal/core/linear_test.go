@@ -167,7 +167,7 @@ func TestLinearRefinementRoundTripsCorrectly(t *testing.T) {
 	if s := c.Snapshot(); s.CycleTables != 0 || s.CycleLookups != 0 {
 		t.Fatalf("refined list still paid cycle work: %+v", s)
 	}
-	got, _, _, err := serial.ReadValues(wire.FromBytes(m.Bytes()), r.Registry, 1, []*serial.Plan{plan}, cfg, nil, &c)
+	got, _, _, err := serial.ReadValuesScratch(wire.FromBytes(m.Bytes()), r.Registry, 1, []*serial.Plan{plan}, cfg, nil, nil, &c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,16 +8,21 @@ import (
 	"cormi/internal/wire"
 )
 
-// BenchmarkPlannedCodec is the serial layer's rung of the measurement
-// ladder: the plan-driven writer and reader alone, per plan shape, at
-// site+reuse+cycle in steady state (pooled contexts warm, the previous
-// message's graph as the reuse donor). The shapes are the three walks
-// the codec distinguishes: a chain on a trailing link (the loop), an
-// array of primitive arrays (bulk copies under a recursing element
-// loop), and a binary tree (one recursing link, one looping link).
-//
-//	make bench-codec
-func BenchmarkPlannedCodec(b *testing.B) {
+// codecShape is one of the three walks the planned codec distinguishes:
+// a chain on a trailing link (the loop), an array of primitive arrays
+// (bulk copies under a recursing element loop), and a binary tree (one
+// recursing link, one looping link). plan is the compiler's verdict
+// for it: the list is conservatively cyclic (table kept), the array
+// and the tree are proven acyclic (table elided).
+type codecShape struct {
+	name string
+	root *model.Object
+	plan *Plan
+}
+
+// codecShapes builds the three shapes in a fresh registry: a 100-node
+// list, a 16x16 double[][] and a depth-6 binary tree.
+func codecShapes() (*model.Registry, []codecShape) {
 	reg := model.NewRegistry()
 	list := reg.MustDefine("LinkedList", nil)
 	list.Fields = append(list.Fields, model.Field{Name: "Next", Kind: model.FRef, Class: list})
@@ -60,19 +65,24 @@ func BenchmarkPlannedCodec(b *testing.B) {
 		{Op: OpRef, Field: 1, FieldName: "l", Target: treeNP},
 		{Op: OpRef, Field: 2, FieldName: "r", Target: treeNP},
 	}
-	shapes := []struct {
-		name string
-		root *model.Object
-		plan *Plan
-	}{
-		// The compiler's verdicts for the paper's programs: the list is
-		// conservatively cyclic (table kept), the array and the tree
-		// are proven acyclic (table elided).
+	return reg, []codecShape{
 		{"list100", head, &Plan{Site: "Foo.send.1", Kind: model.FRef, Root: listNP, NeedCycle: true, Reusable: true}},
 		{"array16x16", arr, &Plan{Site: "ArrayBench.send.1", Kind: model.FRef,
 			Root: &NodePlan{Class: matrix, Elem: &NodePlan{Class: reg.DoubleArray()}}, Reusable: true}},
 		{"tree6", grow(6), &Plan{Site: "Tree.send.1", Kind: model.FRef, Root: treeNP, Reusable: true}},
 	}
+}
+
+// BenchmarkPlannedCodec is the serial layer's rung of the measurement
+// ladder: the plan-driven writer and reader alone, per plan shape, at
+// site+reuse+cycle in steady state (pooled contexts warm, the previous
+// message's graph as the reuse donor). Beside them, class/read is the
+// baseline's reader on the same shape: per-class dynamic decode with
+// fresh allocation, every object carved from the message's slabs.
+//
+//	make bench-codec
+func BenchmarkPlannedCodec(b *testing.B) {
+	reg, shapes := codecShapes()
 	cfg := Config{Mode: ModeSite, CycleElim: true, Reuse: true}
 	for _, s := range shapes {
 		vals := []model.Value{model.Ref(s.root)}
@@ -104,6 +114,25 @@ func BenchmarkPlannedCodec(b *testing.B) {
 				rd.Rewind()
 				var err error
 				if scratch, cached, _, err = ReadValuesScratch(rd, reg, 1, plans, cfg, cached, scratch, &c); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(int64(m.Len()))
+		})
+		b.Run(s.name+"/class/read", func(b *testing.B) {
+			class := Config{Mode: ModeClass}
+			m := wire.NewMessage(4096)
+			if _, err := WriteValues(m, vals, nil, class, &c); err != nil {
+				b.Fatal(err)
+			}
+			var scratch []model.Value
+			rd := wire.FromBytes(m.Bytes())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rd.Rewind()
+				var err error
+				if scratch, _, _, err = ReadValuesScratch(rd, reg, 1, nil, class, nil, scratch, &c); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -201,7 +201,7 @@ func TestConcurrentWritersShareAGraph(t *testing.T) {
 					t.Error("concurrent writer produced a different frame")
 					return
 				}
-				got, _, _, err := ReadValues(wire.FromBytes(m.Bytes()), w.reg, 1, plans, cfg, nil, &c)
+				got, _, _, err := ReadValuesScratch(wire.FromBytes(m.Bytes()), w.reg, 1, plans, cfg, nil, nil, &c)
 				if err != nil || !model.DeepEqual(head, got[0].O) {
 					t.Errorf("concurrent round trip: %v", err)
 					return

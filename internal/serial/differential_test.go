@@ -338,7 +338,7 @@ func readBoth(t *testing.T, reg *model.Registry, frame []byte, dc diffCase, dono
 	wantVals, _, wantSt, wantOps, wantErr := refRead(frame, reg, n, dc.plans, dc.cfg, refDonors)
 	var c stats.Counters
 	before := ReadCtxStats().Outstanding
-	vals, roots, ops, err := ReadValues(wire.FromBytes(frame), reg, n, dc.plans, dc.cfg, donors, &c)
+	vals, roots, ops, err := ReadValuesScratch(wire.FromBytes(frame), reg, n, dc.plans, dc.cfg, donors, nil, &c)
 	if out := ReadCtxStats().Outstanding; out != before {
 		t.Fatalf("read contexts outstanding %d -> %d", before, out)
 	}

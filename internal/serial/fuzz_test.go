@@ -61,12 +61,12 @@ func FuzzReadValues(f *testing.F) {
 		}
 		before := ReadCtxStats()
 		var cc stats.Counters
-		if _, _, _, err := ReadValues(wire.FromBytes(payload), w.reg, n, nil,
-			Config{Mode: ModeClass}, nil, &cc); err != nil && !errors.Is(err, wire.ErrMalformedFrame) {
+		if _, _, _, err := ReadValuesScratch(wire.FromBytes(payload), w.reg, n, nil,
+			Config{Mode: ModeClass}, nil, nil, &cc); err != nil && !errors.Is(err, wire.ErrMalformedFrame) {
 			t.Fatalf("class-mode rejection %v is not ErrMalformedFrame", err)
 		}
-		if _, _, _, err := ReadValues(wire.FromBytes(payload), w.reg, n, plans,
-			Config{Mode: ModeSite}, nil, &cc); err != nil && !errors.Is(err, wire.ErrMalformedFrame) {
+		if _, _, _, err := ReadValuesScratch(wire.FromBytes(payload), w.reg, n, plans,
+			Config{Mode: ModeSite}, nil, nil, &cc); err != nil && !errors.Is(err, wire.ErrMalformedFrame) {
 			t.Fatalf("site-mode rejection %v is not ErrMalformedFrame", err)
 		}
 		after := ReadCtxStats()

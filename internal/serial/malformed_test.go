@@ -2,6 +2,8 @@ package serial
 
 import (
 	"errors"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -27,7 +29,7 @@ func hostileFrame(body func(m *wire.Message)) []byte {
 // decodeClass runs one class-mode decode of a hostile frame.
 func decodeClass(w *testWorld, frame []byte) error {
 	var c stats.Counters
-	_, _, _, err := ReadValues(wire.FromBytes(frame), w.reg, 1, nil, Config{Mode: ModeClass}, nil, &c)
+	_, _, _, err := ReadValuesScratch(wire.FromBytes(frame), w.reg, 1, nil, Config{Mode: ModeClass}, nil, nil, &c)
 	return err
 }
 
@@ -117,8 +119,8 @@ func TestMalformedFrames(t *testing.T) {
 			var err error
 			if tc.site {
 				var c stats.Counters
-				_, _, _, err = ReadValues(wire.FromBytes(tc.frame), w.reg, 1,
-					[]*Plan{plan}, Config{Mode: ModeSite}, nil, &c)
+				_, _, _, err = ReadValuesScratch(wire.FromBytes(tc.frame), w.reg, 1,
+					[]*Plan{plan}, Config{Mode: ModeSite}, nil, nil, &c)
 			} else {
 				err = decodeClass(w, tc.frame)
 			}
@@ -146,57 +148,131 @@ func TestImplausibleValueCount(t *testing.T) {
 	w := newWorld()
 	var c stats.Counters
 	for _, n := range []int{-1, MaxWireValues + 1} {
-		_, _, _, err := ReadValues(wire.FromBytes(nil), w.reg, n, nil, Config{Mode: ModeClass}, nil, &c)
+		_, _, _, err := ReadValuesScratch(wire.FromBytes(nil), w.reg, n, nil, Config{Mode: ModeClass}, nil, nil, &c)
 		if !errors.Is(err, wire.ErrMalformedFrame) {
 			t.Fatalf("count %d: err = %v, want ErrMalformedFrame", n, err)
 		}
 	}
 }
 
+// committedPerRun is the heap TotalAlloc delta of f averaged over runs
+// calls on the calling goroutine: the bytes f commits, scratch that is
+// already garbage by the time it returns included.
+func committedPerRun(runs int, f func()) uint64 {
+	f() // warm the pooled contexts
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
 // TestLengthBombAllocationBound pins the headline hardening property:
-// a ~10-byte hostile frame declaring a 2-billion-element array is
-// rejected in O(1) allocations — the declared size never materializes.
+// a tiny hostile frame declaring a 2-billion-element array of each kind
+// — double[], int[], byte[] and a reference array, at a class position
+// and at a planned one — is rejected with the typed error in O(1)
+// allocations and O(1) bytes. The length is checked against the
+// remaining payload before anything is carved from the message's slabs,
+// so the declared size never materializes.
 func TestLengthBombAllocationBound(t *testing.T) {
 	w := newWorld()
-	refArray := w.reg.ArrayOf(w.leaf)
-	frame := hostileFrame(func(m *wire.Message) {
-		m.AppendByte(refNewDynamic)
-		m.AppendInt32(refArray.ID)
-		m.AppendInt32(0x7fffffff)
-	})
-	if len(frame) > 64 {
-		t.Fatalf("hostile frame is %d bytes, want tiny", len(frame))
+	leafNP := &NodePlan{Class: w.leaf, Steps: []Step{{Op: OpInt, Field: 0, FieldName: "x"}}}
+	arrays := []struct {
+		class *model.Class
+		elem  *NodePlan
+	}{
+		{w.reg.DoubleArray(), nil},
+		{w.reg.IntArray(), nil},
+		{w.reg.ByteArray(), nil},
+		{w.reg.ArrayOf(w.leaf), leafNP},
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := decodeClass(w, frame); err == nil {
-			t.Fatal("length bomb decoded")
+	for _, a := range arrays {
+		plan := &Plan{Site: "bomb", Kind: model.FRef, Root: &NodePlan{Class: a.class, Elem: a.elem}}
+		for _, pos := range []struct {
+			name  string
+			frame []byte
+			plans []*Plan
+			cfg   Config
+		}{
+			{"class", hostileFrame(func(m *wire.Message) {
+				m.AppendByte(refNewDynamic)
+				m.AppendInt32(a.class.ID)
+				m.AppendInt32(math.MaxInt32)
+			}), nil, Config{Mode: ModeClass}},
+			{"planned", func() []byte {
+				m := wire.NewMessage(64)
+				m.AppendByte(refNew)
+				m.AppendInt32(math.MaxInt32)
+				return m.Bytes()
+			}(), []*Plan{plan}, Config{Mode: ModeSite, Reuse: true}},
+		} {
+			t.Run(a.class.Name+"/"+pos.name, func(t *testing.T) {
+				if len(pos.frame) > 64 {
+					t.Fatalf("hostile frame is %d bytes, want ≤ 64", len(pos.frame))
+				}
+				var c stats.Counters
+				reject := func() {
+					_, _, _, err := ReadValuesScratch(wire.FromBytes(pos.frame), w.reg, 1, pos.plans, pos.cfg, nil, nil, &c)
+					if !errors.Is(err, wire.ErrMalformedFrame) {
+						t.Fatalf("length bomb: err = %v, want ErrMalformedFrame", err)
+					}
+				}
+				if allocs := testing.AllocsPerRun(100, reject); allocs > 16 {
+					t.Fatalf("rejecting a %d-byte length bomb cost %.0f allocs", len(pos.frame), allocs)
+				}
+				if b := committedPerRun(100, reject); b >= 64<<10 {
+					t.Fatalf("rejecting a %d-byte length bomb committed %d bytes", len(pos.frame), b)
+				}
+			})
 		}
-	})
-	if allocs > 16 {
-		t.Fatalf("rejecting a %d-byte length bomb cost %.0f allocs", len(frame), allocs)
 	}
 }
 
 // TestDecodeBudget exercises the per-frame allocation byte budget
 // directly by shrinking it: a frame whose graph outgrows the budget is
-// rejected with the typed error, and restoring the budget re-admits it.
+// rejected with the typed error, commits at most twice the budget plus
+// one maximal slab chunk per slab type (what the first objects carve
+// before the budget trips), and restoring the budget re-admits it.
 func TestDecodeBudget(t *testing.T) {
 	w := newWorld()
 	plan := w.nodeListPlan(false)
 	frame := validListFrame(t, w, plan)
 	var c stats.Counters
+	class := wire.NewMessage(0)
+	if _, err := WriteValues(class, []model.Value{model.Ref(w.makeList(1000))}, nil, Config{Mode: ModeClass}, &c); err != nil {
+		t.Fatal(err)
+	}
 
 	base, per := decodeBudgetBase, decodeBudgetPerByte
 	defer func() { decodeBudgetBase, decodeBudgetPerByte = base, per }()
 	decodeBudgetBase, decodeBudgetPerByte = 32, 0
 
-	_, _, _, err := ReadValues(wire.FromBytes(frame), w.reg, 1, []*Plan{plan}, Config{Mode: ModeSite}, nil, &c)
-	if !errors.Is(err, wire.ErrMalformedFrame) {
-		t.Fatalf("over-budget decode: err = %v, want ErrMalformedFrame", err)
+	const slabTypes, maxChunk = 6, 32 << 10
+	bound := uint64(2*decodeBudgetBase + slabTypes*maxChunk)
+	for _, d := range []struct {
+		name  string
+		frame []byte
+		plans []*Plan
+		cfg   Config
+	}{
+		{"planned", frame, []*Plan{plan}, Config{Mode: ModeSite}},
+		{"class", class.Bytes(), nil, Config{Mode: ModeClass}},
+	} {
+		reject := func() {
+			_, _, _, err := ReadValuesScratch(wire.FromBytes(d.frame), w.reg, 1, d.plans, d.cfg, nil, nil, &c)
+			if !errors.Is(err, wire.ErrMalformedFrame) {
+				t.Fatalf("%s over-budget decode: err = %v, want ErrMalformedFrame", d.name, err)
+			}
+		}
+		if b := committedPerRun(100, reject); b > bound {
+			t.Fatalf("%s over-budget decode committed %d bytes, bound %d", d.name, b, bound)
+		}
 	}
 
 	decodeBudgetBase, decodeBudgetPerByte = base, per
-	if _, _, _, err := ReadValues(wire.FromBytes(frame), w.reg, 1, []*Plan{plan}, Config{Mode: ModeSite}, nil, &c); err != nil {
+	if _, _, _, err := ReadValuesScratch(wire.FromBytes(frame), w.reg, 1, []*Plan{plan}, Config{Mode: ModeSite}, nil, nil, &c); err != nil {
 		t.Fatalf("decode under the real budget failed: %v", err)
 	}
 }
@@ -211,7 +287,7 @@ func TestDefaultBudgetAdmitsPaperWorkloads(t *testing.T) {
 	if _, err := WriteValues(m, []model.Value{model.Ref(w.makeList(1000))}, nil, Config{Mode: ModeClass}, &c); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := ReadValues(wire.FromBytes(m.Bytes()), w.reg, 1, nil, Config{Mode: ModeClass}, nil, &c); err != nil {
+	if _, _, _, err := ReadValuesScratch(wire.FromBytes(m.Bytes()), w.reg, 1, nil, Config{Mode: ModeClass}, nil, nil, &c); err != nil {
 		t.Fatalf("1000-element list rejected by decode budget: %v", err)
 	}
 }
@@ -226,10 +302,10 @@ func TestMalformedDoesNotStickToPool(t *testing.T) {
 	bad := append([]byte(nil), frame[:len(frame)-6]...)
 	var c stats.Counters
 	for i := 0; i < 8; i++ {
-		if _, _, _, err := ReadValues(wire.FromBytes(bad), w.reg, 1, []*Plan{plan}, Config{Mode: ModeSite}, nil, &c); err == nil {
+		if _, _, _, err := ReadValuesScratch(wire.FromBytes(bad), w.reg, 1, []*Plan{plan}, Config{Mode: ModeSite}, nil, nil, &c); err == nil {
 			t.Fatal("truncated frame decoded")
 		}
-		got, _, _, err := ReadValues(wire.FromBytes(frame), w.reg, 1, []*Plan{plan}, Config{Mode: ModeSite}, nil, &c)
+		got, _, _, err := ReadValuesScratch(wire.FromBytes(frame), w.reg, 1, []*Plan{plan}, Config{Mode: ModeSite}, nil, nil, &c)
 		if err != nil {
 			t.Fatalf("valid decode after malformed one failed: %v", err)
 		}
@@ -289,7 +365,7 @@ func TestPlannedListDepthBoundPinned(t *testing.T) {
 	for _, cfg := range []Config{{Mode: ModeSite}, {Mode: ModeSite, Reuse: true, CycleElim: true}} {
 		var c stats.Counters
 		longest := MaxDecodeDepth - 1
-		got, roots, _, err := ReadValues(wire.FromBytes(plannedListFrame(longest, null)), w.reg, 1, plans, cfg, nil, &c)
+		got, roots, _, err := ReadValuesScratch(wire.FromBytes(plannedListFrame(longest, null)), w.reg, 1, plans, cfg, nil, nil, &c)
 		if err != nil {
 			t.Fatalf("%d-node list rejected: %v", longest, err)
 		}
@@ -302,7 +378,7 @@ func TestPlannedListDepthBoundPinned(t *testing.T) {
 		}
 		before := ReadCtxStats().Outstanding
 		// Over donors too: the bound does not depend on reuse.
-		_, _, _, err = ReadValues(wire.FromBytes(plannedListFrame(longest+1, null)), w.reg, 1, plans, cfg, roots, &c)
+		_, _, _, err = ReadValuesScratch(wire.FromBytes(plannedListFrame(longest+1, null)), w.reg, 1, plans, cfg, roots, nil, &c)
 		if !errors.Is(err, wire.ErrMalformedFrame) || !strings.Contains(err.Error(), "nesting") {
 			t.Fatalf("%d-node list: err = %v, want a nesting rejection", longest+1, err)
 		}
@@ -310,7 +386,7 @@ func TestPlannedListDepthBoundPinned(t *testing.T) {
 			t.Fatalf("read contexts outstanding %d -> %d", before, out)
 		}
 		// The rejection restored the depth it had consumed.
-		if _, _, _, err := ReadValues(wire.FromBytes(plannedListFrame(10, null)), w.reg, 1, plans, cfg, nil, &c); err != nil {
+		if _, _, _, err := ReadValuesScratch(wire.FromBytes(plannedListFrame(10, null)), w.reg, 1, plans, cfg, nil, nil, &c); err != nil {
 			t.Fatalf("decode after a depth rejection: %v", err)
 		}
 	}
@@ -378,7 +454,7 @@ func TestEmptyPlannedArrayWithoutDonor(t *testing.T) {
 		wrongDonor := []*model.Object{model.New(w.leaf)}
 		for _, cached := range [][]*model.Object{nil, wrongDonor} {
 			var c stats.Counters
-			got, _, _, err := ReadValues(wire.FromBytes(frame), w.reg, 1, plans, Config{Mode: ModeSite, Reuse: true}, cached, &c)
+			got, _, _, err := ReadValuesScratch(wire.FromBytes(frame), w.reg, 1, plans, Config{Mode: ModeSite, Reuse: true}, cached, nil, &c)
 			if err != nil {
 				t.Fatalf("%s: %v", class.Name, err)
 			}

@@ -25,24 +25,21 @@ const MaxWireValues = 1 << 16
 // implementation happens to walk it.
 const MaxDecodeDepth = 4096
 
-// ReadValues deserializes n values written by WriteValues under the
-// same configuration. In site mode, plans must match the writer's
+// ReadValuesScratch deserializes n values written by WriteValues under
+// the same configuration. In site mode, plans must match the writer's
 // plans. cached, when non-nil, supplies per-value root objects from a
 // previous invocation (the reuse optimization, §3.3); the returned
 // roots slice holds the object graphs now backing each reference value
 // so the caller can stash them back into the reuse cache; it is nil
 // when the message carried no reference and cached was not recycled.
-func ReadValues(m *wire.Message, reg *model.Registry, n int, plans []*Plan, cfg Config, cached []*model.Object, c *stats.Counters) (vals []model.Value, roots []*model.Object, ops simtime.OpCount, err error) {
-	return ReadValuesScratch(m, reg, n, plans, cfg, cached, nil, c)
-}
-
-// ReadValuesScratch is ReadValues with caller-supplied scratch storage:
-// when scratch has capacity for n values it backs the returned vals
-// slice, and when cached has exactly n slots it is recycled as the
-// returned roots slice (every slot is rewritten, so a stale graph is
-// never reported as this message's root). With both supplied — the
-// reuse-cache hot path — deserialization allocates nothing beyond
-// objects the donor graphs cannot absorb.
+//
+// scratch and cached double as storage: when scratch has capacity for
+// n values it backs the returned vals slice, and when cached has
+// exactly n slots it is recycled as the returned roots slice (every
+// slot is rewritten, so a stale graph is never reported as this
+// message's root). With both supplied — the reuse-cache hot path —
+// deserialization allocates nothing beyond objects the donor graphs
+// cannot absorb.
 func ReadValuesScratch(m *wire.Message, reg *model.Registry, n int, plans []*Plan, cfg Config, cached []*model.Object, scratch []model.Value, c *stats.Counters) (vals []model.Value, roots []*model.Object, ops simtime.OpCount, err error) {
 	if n < 0 || n > MaxWireValues {
 		return nil, nil, ops, fmt.Errorf("%w: implausible value count %d", wire.ErrMalformedFrame, n)
@@ -174,7 +171,7 @@ func readRef(rc *readCtx, np *NodePlan, old *model.Object) (*model.Object, error
 					o = old
 					rc.reused(o)
 				} else {
-					o = model.New(np.Class)
+					o = rc.newObject(np.Class)
 					rc.allocated(o)
 				}
 				rc.register(o)
@@ -215,6 +212,22 @@ func readRef(rc *readCtx, np *NodePlan, old *model.Object) (*model.Object, error
 	return root, nil
 }
 
+// newObject carves a zeroed instance of the KObject class c, its field
+// vector included, from the message's slabs.
+func (rc *readCtx) newObject(c *model.Class) *model.Object {
+	o := rc.objs.New()
+	o.Init(c, rc.fields.Slice(len(c.AllFields())))
+	return o
+}
+
+// carveBytes copies a byte[] payload out of the frame into the
+// message's slab; view's length was already checked against the frame.
+func (rc *readCtx) carveBytes(view []byte) []byte {
+	bs := rc.bytes.Slice(len(view))
+	copy(bs, view)
+	return bs
+}
+
 // dynString accounts for deserializing a string through the dynamic
 // path: two allocations (String + char[]), two dynamic deserializer
 // invocations, two type descriptors to resolve.
@@ -246,7 +259,7 @@ func readDynamicBody(rc *readCtx) (*model.Object, error) {
 	rc.ops.SerializerCalls++
 	switch class.Kind {
 	case model.KObject:
-		o := model.New(class)
+		o := rc.newObject(class)
 		rc.register(o)
 		rc.allocated(o)
 		for i, f := range class.AllFields() {
@@ -272,25 +285,25 @@ func readDynamicBody(rc *readCtx) (*model.Object, error) {
 		}
 		return o, nil
 	case model.KDoubleArray:
-		vs := rc.m.ReadFloat64Slice()
+		vs, _ := rc.m.ReadFloat64SliceInto(nil, rc.doubles.Slice)
 		rc.dynArrayIntrospect(len(vs))
-		o := &model.Object{Class: class, Doubles: vs}
+		o := rc.objs.Put(model.Object{Class: class, Doubles: vs})
 		rc.register(o)
 		rc.allocated(o)
 		rc.ops.Elems += int64(len(vs))
 		return o, nil
 	case model.KIntArray:
-		vs := rc.m.ReadInt64Slice()
+		vs, _ := rc.m.ReadInt64SliceInto(nil, rc.ints.Slice)
 		rc.dynArrayIntrospect(len(vs))
-		o := &model.Object{Class: class, Ints: vs}
+		o := rc.objs.Put(model.Object{Class: class, Ints: vs})
 		rc.register(o)
 		rc.allocated(o)
 		rc.ops.Elems += int64(len(vs))
 		return o, nil
 	case model.KByteArray:
-		bs := rc.m.ReadBytes()
+		bs := rc.carveBytes(rc.m.ReadBytesView())
 		rc.dynArrayIntrospect(len(bs))
-		o := &model.Object{Class: class, Bytes: bs}
+		o := rc.objs.Put(model.Object{Class: class, Bytes: bs})
 		rc.register(o)
 		rc.allocated(o)
 		rc.ops.Elems += int64(len(bs))
@@ -302,14 +315,14 @@ func readDynamicBody(rc *readCtx) (*model.Object, error) {
 		}
 		// Each element costs at least one marker byte on the wire, so a
 		// declared length beyond the remaining payload is a lie — check
-		// before the make so a 64-byte hostile frame cannot commit a
+		// before the carve so a 64-byte hostile frame cannot commit a
 		// multi-MB element slice.
 		if n < 0 || n > rc.m.Remaining() {
 			return nil, fmt.Errorf("%w: ref-array length %d with %d payload bytes remaining",
 				wire.ErrMalformedFrame, n, rc.m.Remaining())
 		}
 		rc.dynArrayIntrospect(n)
-		o := &model.Object{Class: class, Refs: make([]*model.Object, n)}
+		o := rc.objs.Put(model.Object{Class: class, Refs: rc.refs.Slice(n)})
 		rc.register(o)
 		rc.allocated(o)
 		for i := 0; i < n; i++ {
@@ -372,7 +385,7 @@ func readPlannedArray(rc *readCtx, np *NodePlan, old *model.Object) (*model.Obje
 		if donor {
 			dst = old.Doubles
 		}
-		vs, fits := rc.m.ReadFloat64SliceInto(dst)
+		vs, fits := rc.m.ReadFloat64SliceInto(dst, rc.doubles.Slice)
 		rc.ops.Elems += int64(len(vs))
 		rc.ops.InlinedWrites++
 		if fits && donor { // a nil dst "fits" an empty array: that is no reuse
@@ -381,7 +394,7 @@ func readPlannedArray(rc *readCtx, np *NodePlan, old *model.Object) (*model.Obje
 			rc.register(old)
 			return old, nil
 		}
-		o := &model.Object{Class: np.Class, Doubles: vs}
+		o := rc.objs.Put(model.Object{Class: np.Class, Doubles: vs})
 		rc.allocated(o)
 		rc.register(o)
 		return o, nil
@@ -391,7 +404,7 @@ func readPlannedArray(rc *readCtx, np *NodePlan, old *model.Object) (*model.Obje
 		if donor {
 			dst = old.Ints
 		}
-		vs, fits := rc.m.ReadInt64SliceInto(dst)
+		vs, fits := rc.m.ReadInt64SliceInto(dst, rc.ints.Slice)
 		rc.ops.Elems += int64(len(vs))
 		rc.ops.InlinedWrites++
 		if fits && donor { // a nil dst "fits" an empty array: that is no reuse
@@ -400,7 +413,7 @@ func readPlannedArray(rc *readCtx, np *NodePlan, old *model.Object) (*model.Obje
 			rc.register(old)
 			return old, nil
 		}
-		o := &model.Object{Class: np.Class, Ints: vs}
+		o := rc.objs.Put(model.Object{Class: np.Class, Ints: vs})
 		rc.allocated(o)
 		rc.register(o)
 		return o, nil
@@ -417,7 +430,7 @@ func readPlannedArray(rc *readCtx, np *NodePlan, old *model.Object) (*model.Obje
 			rc.register(old)
 			return old, nil
 		}
-		o := &model.Object{Class: np.Class, Bytes: append([]byte(nil), bs...)}
+		o := rc.objs.Put(model.Object{Class: np.Class, Bytes: rc.carveBytes(bs)})
 		rc.allocated(o)
 		rc.register(o)
 		return o, nil
@@ -439,7 +452,7 @@ func readPlannedArray(rc *readCtx, np *NodePlan, old *model.Object) (*model.Obje
 			o = old
 			rc.reused(o)
 		} else {
-			o = &model.Object{Class: np.Class, Refs: make([]*model.Object, n)}
+			o = rc.objs.Put(model.Object{Class: np.Class, Refs: rc.refs.Slice(n)})
 			rc.allocated(o)
 		}
 		rc.register(o)

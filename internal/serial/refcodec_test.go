@@ -285,6 +285,10 @@ func refRead(frame []byte, reg *model.Registry, n int, plans []*Plan, cfg Config
 	return vals, roots, r.st, r.ops, nil
 }
 
+// makeSlice is the reference reader's carve: plain make, one allocation
+// per array.
+func makeSlice[T any](n int) []T { return make([]T, n) }
+
 func (r *refReader) takeDonor(old *model.Object, class *model.Class) bool {
 	if old == nil || old.Class != class || r.donors[old] {
 		return false
@@ -410,17 +414,17 @@ func (r *refReader) dynamic() (*model.Object, error) {
 		}
 		return o, nil
 	case model.KDoubleArray:
-		vs := r.m.ReadFloat64Slice()
+		vs, _ := r.m.ReadFloat64SliceInto(nil, makeSlice[float64])
 		introspect(len(vs))
 		o = &model.Object{Class: class, Doubles: vs}
 		r.ops.Elems += int64(len(vs))
 	case model.KIntArray:
-		vs := r.m.ReadInt64Slice()
+		vs, _ := r.m.ReadInt64SliceInto(nil, makeSlice[int64])
 		introspect(len(vs))
 		o = &model.Object{Class: class, Ints: vs}
 		r.ops.Elems += int64(len(vs))
 	case model.KByteArray:
-		bs := r.m.ReadBytes()
+		bs := append([]byte(nil), r.m.ReadBytesView()...)
 		introspect(len(bs))
 		o = &model.Object{Class: class, Bytes: bs}
 		r.ops.Elems += int64(len(bs))
@@ -508,7 +512,7 @@ func (r *refReader) planned(np *NodePlan, old *model.Object) (*model.Object, err
 		if donor {
 			dst = old.Doubles
 		}
-		vs, inPlace := r.m.ReadFloat64SliceInto(dst)
+		vs, inPlace := r.m.ReadFloat64SliceInto(dst, makeSlice[float64])
 		r.ops.Elems += int64(len(vs))
 		if inPlace = inPlace && donor; inPlace { // a nil dst "fits" an empty array
 
@@ -520,7 +524,7 @@ func (r *refReader) planned(np *NodePlan, old *model.Object) (*model.Object, err
 		if donor {
 			dst = old.Ints
 		}
-		vs, inPlace := r.m.ReadInt64SliceInto(dst)
+		vs, inPlace := r.m.ReadInt64SliceInto(dst, makeSlice[int64])
 		r.ops.Elems += int64(len(vs))
 		if inPlace = inPlace && donor; inPlace {
 

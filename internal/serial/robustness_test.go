@@ -29,8 +29,8 @@ func TestRandomBytesNeverPanic(t *testing.T) {
 		for i := range plans {
 			plans[i] = plan
 		}
-		_, _, _, _ = ReadValues(wire.FromBytes(payload), w.reg, nvals, plans, Config{Mode: ModeSite}, nil, &c)
-		_, _, _, _ = ReadValues(wire.FromBytes(payload), w.reg, nvals, nil, Config{Mode: ModeClass}, nil, &c)
+		_, _, _, _ = ReadValuesScratch(wire.FromBytes(payload), w.reg, nvals, plans, Config{Mode: ModeSite}, nil, nil, &c)
+		_, _, _, _ = ReadValuesScratch(wire.FromBytes(payload), w.reg, nvals, nil, Config{Mode: ModeClass}, nil, nil, &c)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
@@ -51,8 +51,8 @@ func TestTruncatedValidMessagesNeverPanic(t *testing.T) {
 	}
 	full := m.Bytes()
 	for cut := 0; cut < len(full); cut++ {
-		if _, _, _, err := ReadValues(wire.FromBytes(full[:cut]), w.reg, 1,
-			[]*Plan{plan}, Config{Mode: ModeSite}, nil, &c); err == nil {
+		if _, _, _, err := ReadValuesScratch(wire.FromBytes(full[:cut]), w.reg, 1,
+			[]*Plan{plan}, Config{Mode: ModeSite}, nil, nil, &c); err == nil {
 			t.Fatalf("truncation at %d of %d accepted", cut, len(full))
 		}
 	}
@@ -79,7 +79,7 @@ func TestBitFlippedMessagesNeverPanic(t *testing.T) {
 					t.Fatalf("panic on bit flip: %v", r)
 				}
 			}()
-			_, _, _, _ = ReadValues(wire.FromBytes(corrupt), w.reg, 1, nil, Config{Mode: ModeClass}, nil, &c)
+			_, _, _, _ = ReadValuesScratch(wire.FromBytes(corrupt), w.reg, 1, nil, Config{Mode: ModeClass}, nil, nil, &c)
 		}()
 	}
 }
@@ -90,7 +90,7 @@ func TestImplausibleValueCountRejected(t *testing.T) {
 	w := newWorld()
 	var c stats.Counters
 	for _, n := range []int{-1, MaxWireValues + 1, 1 << 30} {
-		if _, _, _, err := ReadValues(wire.FromBytes(nil), w.reg, n, nil, Config{Mode: ModeClass}, nil, &c); err == nil {
+		if _, _, _, err := ReadValuesScratch(wire.FromBytes(nil), w.reg, n, nil, Config{Mode: ModeClass}, nil, nil, &c); err == nil {
 			t.Errorf("value count %d accepted", n)
 		}
 	}
@@ -108,7 +108,7 @@ func TestErroredMessageReturnsError(t *testing.T) {
 	if m.Err() == nil {
 		t.Fatal("short read did not poison the message")
 	}
-	vals, _, _, err := ReadValues(m, w.reg, 1, nil, Config{Mode: ModeClass}, nil, &c)
+	vals, _, _, err := ReadValuesScratch(m, w.reg, 1, nil, Config{Mode: ModeClass}, nil, nil, &c)
 	if err == nil {
 		t.Fatalf("errored message accepted, returned %v", vals)
 	}

@@ -26,6 +26,7 @@ import (
 
 	"cormi/internal/model"
 	"cormi/internal/simtime"
+	"cormi/internal/slab"
 	"cormi/internal/stats"
 	"cormi/internal/wire"
 )
@@ -121,7 +122,20 @@ func flush(c *stats.PaddedInt64, n int64) {
 // across messages (entries cleared on release so no object graph is
 // pinned by the pool). Statistics are flushed once per message in
 // putReadCtx, like the write side's; AllocObjects is ops.Allocs.
+//
+// Every object the message materializes fresh, with its field vector
+// or array payload, is carved from the context's slabs. The slabs
+// belong to this one message: putReadCtx drops them, so the next
+// message starts new chunks and a retained graph pins only the chunks
+// of the message that decoded it.
 type readCtx struct {
+	objs    slab.Of[model.Object]
+	fields  slab.Of[model.Value]
+	doubles slab.Of[float64]
+	ints    slab.Of[int64]
+	bytes   slab.Of[byte]
+	refs    slab.Of[*model.Object]
+
 	m       *wire.Message
 	reg     *model.Registry
 	c       *stats.Counters

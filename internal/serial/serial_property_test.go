@@ -71,7 +71,7 @@ func TestClassModeRandomGraphRoundTrip(t *testing.T) {
 		if _, err := WriteValues(m, []model.Value{model.Ref(g)}, nil, Config{Mode: ModeClass}, &c); err != nil {
 			return false
 		}
-		got, _, _, err := ReadValues(wire.FromBytes(m.Bytes()), w.reg, 1, nil, Config{Mode: ModeClass}, nil, &c)
+		got, _, _, err := ReadValuesScratch(wire.FromBytes(m.Bytes()), w.reg, 1, nil, Config{Mode: ModeClass}, nil, nil, &c)
 		if err != nil {
 			return false
 		}
@@ -110,7 +110,7 @@ func TestSiteModeRandomGraphRoundTrip(t *testing.T) {
 		if _, err := WriteValues(m, []model.Value{model.Ref(graph)}, []*Plan{plan}, cfg, &c); err != nil {
 			return false
 		}
-		got, roots, _, err := ReadValues(wire.FromBytes(m.Bytes()), w.reg, 1, []*Plan{plan}, cfg, nil, &c)
+		got, roots, _, err := ReadValuesScratch(wire.FromBytes(m.Bytes()), w.reg, 1, []*Plan{plan}, cfg, nil, nil, &c)
 		if err != nil || !model.DeepEqual(graph, got[0].O) {
 			return false
 		}
@@ -120,7 +120,7 @@ func TestSiteModeRandomGraphRoundTrip(t *testing.T) {
 		if _, err := WriteValues(m2, []model.Value{model.Ref(graph2)}, []*Plan{plan}, cfg, &c); err != nil {
 			return false
 		}
-		got2, _, _, err := ReadValues(wire.FromBytes(m2.Bytes()), w.reg, 1, []*Plan{plan}, cfg, roots, &c)
+		got2, _, _, err := ReadValuesScratch(wire.FromBytes(m2.Bytes()), w.reg, 1, []*Plan{plan}, cfg, roots, nil, &c)
 		if err != nil {
 			return false
 		}
@@ -145,7 +145,7 @@ func TestPrimitiveArrayRoundTrips(t *testing.T) {
 	if _, err := WriteValues(m, []model.Value{model.Ref(ia), model.Ref(ba)}, nil, Config{Mode: ModeClass}, &c); err != nil {
 		t.Fatal(err)
 	}
-	got, _, _, err := ReadValues(wire.FromBytes(m.Bytes()), w.reg, 2, nil, Config{Mode: ModeClass}, nil, &c)
+	got, _, _, err := ReadValuesScratch(wire.FromBytes(m.Bytes()), w.reg, 2, nil, Config{Mode: ModeClass}, nil, nil, &c)
 	if err != nil || !model.DeepEqual(ia, got[0].O) || !model.DeepEqual(ba, got[1].O) {
 		t.Fatalf("class-mode primitive arrays: %v", err)
 	}
@@ -158,11 +158,11 @@ func TestPrimitiveArrayRoundTrips(t *testing.T) {
 	if _, err := WriteValues(m2, []model.Value{model.Ref(ia), model.Ref(ba)}, []*Plan{planI, planB}, cfg, &c); err != nil {
 		t.Fatal(err)
 	}
-	got2, roots, _, err := ReadValues(wire.FromBytes(m2.Bytes()), w.reg, 2, []*Plan{planI, planB}, cfg, nil, &c)
+	got2, roots, _, err := ReadValuesScratch(wire.FromBytes(m2.Bytes()), w.reg, 2, []*Plan{planI, planB}, cfg, nil, nil, &c)
 	if err != nil || !model.DeepEqual(ia, got2[0].O) || !model.DeepEqual(ba, got2[1].O) {
 		t.Fatalf("planned primitive arrays: %v", err)
 	}
-	got3, _, _, err := ReadValues(wire.FromBytes(m2.Bytes()), w.reg, 2, []*Plan{planI, planB}, cfg, roots, &c)
+	got3, _, _, err := ReadValuesScratch(wire.FromBytes(m2.Bytes()), w.reg, 2, []*Plan{planI, planB}, cfg, roots, nil, &c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestRefArrayPlans(t *testing.T) {
 	if _, err := WriteValues(m, []model.Value{model.Ref(arr)}, []*Plan{plan}, cfg, &c); err != nil {
 		t.Fatal(err)
 	}
-	got, roots, _, err := ReadValues(wire.FromBytes(m.Bytes()), w.reg, 1, []*Plan{plan}, cfg, nil, &c)
+	got, roots, _, err := ReadValuesScratch(wire.FromBytes(m.Bytes()), w.reg, 1, []*Plan{plan}, cfg, nil, nil, &c)
 	if err != nil || !model.DeepEqual(arr, got[0].O) {
 		t.Fatalf("ref array round trip: %v", err)
 	}
@@ -208,7 +208,7 @@ func TestRefArrayPlans(t *testing.T) {
 	if _, err := WriteValues(m2, []model.Value{model.Ref(arr)}, []*Plan{plan}, cfg, &c); err != nil {
 		t.Fatal(err)
 	}
-	got2, _, _, err := ReadValues(wire.FromBytes(m2.Bytes()), w.reg, 1, []*Plan{plan}, cfg, roots, &c)
+	got2, _, _, err := ReadValuesScratch(wire.FromBytes(m2.Bytes()), w.reg, 1, []*Plan{plan}, cfg, roots, nil, &c)
 	if err != nil || got2[0].O != got[0].O {
 		t.Fatalf("ref array reuse: %v", err)
 	}
@@ -220,7 +220,7 @@ func TestRefArrayPlans(t *testing.T) {
 	if _, err := WriteValues(m3, []model.Value{model.Ref(arr)}, []*Plan{dplan}, Config{Mode: ModeSite}, &c); err != nil {
 		t.Fatal(err)
 	}
-	got3, _, _, err := ReadValues(wire.FromBytes(m3.Bytes()), w.reg, 1, []*Plan{dplan}, Config{Mode: ModeSite}, nil, &c)
+	got3, _, _, err := ReadValuesScratch(wire.FromBytes(m3.Bytes()), w.reg, 1, []*Plan{dplan}, Config{Mode: ModeSite}, nil, nil, &c)
 	if err != nil || !model.DeepEqual(arr, got3[0].O) {
 		t.Fatalf("dynamic-element array round trip: %v", err)
 	}
@@ -237,7 +237,7 @@ func TestClassModeStringValuesCountStringObjects(t *testing.T) {
 	if s := c.Snapshot(); s.SerializerCalls != 2 || s.TypeOps != 2 {
 		t.Fatalf("string-object accounting: %+v", s)
 	}
-	got, _, _, err := ReadValues(wire.FromBytes(m.Bytes()), w.reg, 1, nil, Config{Mode: ModeClass}, nil, &c)
+	got, _, _, err := ReadValuesScratch(wire.FromBytes(m.Bytes()), w.reg, 1, nil, Config{Mode: ModeClass}, nil, nil, &c)
 	if err != nil || got[0].S != "hello" {
 		t.Fatalf("string round trip: %v %v", got, err)
 	}

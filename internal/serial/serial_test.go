@@ -77,7 +77,7 @@ func roundTrip(t *testing.T, w *testWorld, vals []model.Value, plans []*Plan, cf
 	if _, err := WriteValues(m, vals, plans, cfg, &c); err != nil {
 		t.Fatalf("WriteValues: %v", err)
 	}
-	got, roots, _, err := ReadValues(wire.FromBytes(m.Bytes()), w.reg, len(vals), plans, cfg, cached, &c)
+	got, roots, _, err := ReadValuesScratch(wire.FromBytes(m.Bytes()), w.reg, len(vals), plans, cfg, cached, nil, &c)
 	if err != nil {
 		t.Fatalf("ReadValues: %v", err)
 	}
@@ -191,7 +191,7 @@ func TestSiteModeListRoundTripAndSavings(t *testing.T) {
 		t.Fatalf("class mode SerializerCalls = %d", s.SerializerCalls)
 	}
 
-	got, _, _, err := ReadValues(wire.FromBytes(mSite.Bytes()), w.reg, 1, []*Plan{plan}, Config{Mode: ModeSite}, nil, &cSite)
+	got, _, _, err := ReadValuesScratch(wire.FromBytes(mSite.Bytes()), w.reg, 1, []*Plan{plan}, Config{Mode: ModeSite}, nil, nil, &cSite)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,13 +369,13 @@ func TestErrorsSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	trunc := m.Bytes()[:m.Len()-4]
-	if _, _, _, err := ReadValues(wire.FromBytes(trunc), w.reg, 1, nil, Config{Mode: ModeClass}, nil, &c); err == nil {
+	if _, _, _, err := ReadValuesScratch(wire.FromBytes(trunc), w.reg, 1, nil, Config{Mode: ModeClass}, nil, nil, &c); err == nil {
 		t.Fatal("truncated message accepted")
 	}
 
 	// Unknown class ID.
 	other := model.NewRegistry()
-	if _, _, _, err := ReadValues(wire.FromBytes(m.Bytes()), other, 1, nil, Config{Mode: ModeClass}, nil, &c); err == nil {
+	if _, _, _, err := ReadValuesScratch(wire.FromBytes(m.Bytes()), other, 1, nil, Config{Mode: ModeClass}, nil, nil, &c); err == nil {
 		t.Fatal("unknown class accepted")
 	}
 
@@ -383,7 +383,7 @@ func TestErrorsSurface(t *testing.T) {
 	if _, err := WriteValues(wire.NewMessage(0), []model.Value{model.Int(1)}, nil, Config{Mode: ModeSite}, &c); err == nil {
 		t.Fatal("plan count mismatch accepted on write")
 	}
-	if _, _, _, err := ReadValues(wire.FromBytes(nil), w.reg, 2, []*Plan{PrimitivePlan("s", model.FInt)}, Config{Mode: ModeSite}, nil, &c); err == nil {
+	if _, _, _, err := ReadValuesScratch(wire.FromBytes(nil), w.reg, 2, []*Plan{PrimitivePlan("s", model.FInt)}, Config{Mode: ModeSite}, nil, nil, &c); err == nil {
 		t.Fatal("plan count mismatch accepted on read")
 	}
 
@@ -394,7 +394,7 @@ func TestErrorsSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	badPlan := &Plan{Site: "s", Kind: model.FRef, Root: nil, NeedCycle: true}
-	if _, _, _, err := ReadValues(wire.FromBytes(mm.Bytes()), w.reg, 1, []*Plan{badPlan}, Config{Mode: ModeSite}, nil, &c); err == nil {
+	if _, _, _, err := ReadValuesScratch(wire.FromBytes(mm.Bytes()), w.reg, 1, []*Plan{badPlan}, Config{Mode: ModeSite}, nil, nil, &c); err == nil {
 		t.Fatal("planned wire object without reader plan accepted")
 	}
 }
@@ -470,7 +470,7 @@ func TestRandomListsRoundTripProperty(t *testing.T) {
 			if _, err := WriteValues(m, []model.Value{model.Ref(head)}, plans, cfg, &c); err != nil {
 				return false
 			}
-			got, _, _, err := ReadValues(wire.FromBytes(m.Bytes()), w.reg, 1, plans, cfg, nil, &c)
+			got, _, _, err := ReadValuesScratch(wire.FromBytes(m.Bytes()), w.reg, 1, plans, cfg, nil, nil, &c)
 			if err != nil {
 				return false
 			}

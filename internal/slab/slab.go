@@ -1,12 +1,13 @@
-// Package slab allocates the compiler's many small objects per compile
-// unit instead of one by one: n objects of one type cost O(log n)
-// allocations, and the collector sees a few pointer-dense chunks
-// instead of n boxes.
+// Package slab allocates many small objects per owner instead of one
+// by one: n objects of one type cost O(log n) allocations, and the
+// collector sees a few pointer-dense chunks instead of n boxes.
 //
 // A slab has exactly one owner — a parser, an ir.Program, a
-// heap.Analysis — and lives as long as anything it handed out is
+// heap.Analysis, or one decoded RMI message (the serial package's read
+// context) — and lives as long as anything it handed out is
 // referenced. Nothing is ever returned to a slab and no slab is shared
-// between compiles: a core.Result keeps its AST and IR.
+// between owners: a core.Result keeps its AST and IR, and a retained
+// decoded graph pins only the chunks of the message that decoded it.
 package slab
 
 import "unsafe"

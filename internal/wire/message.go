@@ -250,26 +250,13 @@ func (m *Message) ReadString() string {
 	return s
 }
 
-// ReadBytes reads a length-prefixed byte slice (copied out of the
-// message buffer, so the result is safe to keep after the frame is
-// released).
-func (m *Message) ReadBytes() []byte {
-	v := m.ReadBytesView()
-	if v == nil {
-		return nil
-	}
-	b := make([]byte, len(v))
-	copy(b, v)
-	return b
-}
-
 // ReadBytesView reads a length-prefixed byte slice as a zero-copy view
 // into the message buffer. The view is valid only while the frame is
 // alive: on pooled receive paths the buffer is recycled once the
 // message has been dispatched, so callers must either finish with the
-// view before then or copy it (ReadBytes). Use it on internal paths
-// where the message provably outlives the read — e.g. deserializers
-// that copy the payload into an existing object in place.
+// view before then or copy it out. The length is checked against the
+// payload before the view is taken, so a copy sized by len(view) is
+// bounded by the frame.
 func (m *Message) ReadBytesView() []byte {
 	n := int(m.ReadInt32())
 	if n < 0 || !m.need(n) {
@@ -284,10 +271,12 @@ func (m *Message) ReadBytesView() []byte {
 }
 
 // ReadFloat64SliceInto reads a length-prefixed double array into dst if
-// dst has the right length (the reuse path of Figure 13); otherwise it
-// allocates. It returns the slice holding the data and whether dst was
-// reused.
-func (m *Message) ReadFloat64SliceInto(dst []float64) (vs []float64, reused bool) {
+// dst has the right length (the reuse path of Figure 13); otherwise
+// into carve(n), which must return a slice of length n. The length is
+// checked against the remaining payload before carve is called, so a
+// lying prefix never reaches it. It returns the slice holding the data
+// and whether dst was reused.
+func (m *Message) ReadFloat64SliceInto(dst []float64, carve func(n int) []float64) (vs []float64, reused bool) {
 	n := int(m.ReadInt32())
 	if n < 0 || !m.need(8*n) {
 		if m.err == nil {
@@ -298,7 +287,7 @@ func (m *Message) ReadFloat64SliceInto(dst []float64) (vs []float64, reused bool
 	if len(dst) == n {
 		vs, reused = dst, true
 	} else {
-		vs = make([]float64, n)
+		vs = carve(n)
 	}
 	for i := 0; i < n; i++ {
 		vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(m.buf[m.pos:]))
@@ -307,14 +296,8 @@ func (m *Message) ReadFloat64SliceInto(dst []float64) (vs []float64, reused bool
 	return vs, reused
 }
 
-// ReadFloat64Slice reads a length-prefixed double array.
-func (m *Message) ReadFloat64Slice() []float64 {
-	vs, _ := m.ReadFloat64SliceInto(nil)
-	return vs
-}
-
 // ReadInt64SliceInto mirrors ReadFloat64SliceInto for int64 arrays.
-func (m *Message) ReadInt64SliceInto(dst []int64) (vs []int64, reused bool) {
+func (m *Message) ReadInt64SliceInto(dst []int64, carve func(n int) []int64) (vs []int64, reused bool) {
 	n := int(m.ReadInt32())
 	if n < 0 || !m.need(8*n) {
 		if m.err == nil {
@@ -325,17 +308,11 @@ func (m *Message) ReadInt64SliceInto(dst []int64) (vs []int64, reused bool) {
 	if len(dst) == n {
 		vs, reused = dst, true
 	} else {
-		vs = make([]int64, n)
+		vs = carve(n)
 	}
 	for i := 0; i < n; i++ {
 		vs[i] = int64(binary.LittleEndian.Uint64(m.buf[m.pos:]))
 		m.pos += 8
 	}
 	return vs, reused
-}
-
-// ReadInt64Slice reads a length-prefixed int64 array.
-func (m *Message) ReadInt64Slice() []int64 {
-	vs, _ := m.ReadInt64SliceInto(nil)
-	return vs
 }

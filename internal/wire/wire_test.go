@@ -32,7 +32,7 @@ func TestScalarRoundTrip(t *testing.T) {
 	if r.ReadString() != "hello, RMI" {
 		t.Fatal("string round trip")
 	}
-	if !bytes.Equal(r.ReadBytes(), []byte{1, 2, 3}) {
+	if !bytes.Equal(r.ReadBytesView(), []byte{1, 2, 3}) {
 		t.Fatal("bytes round trip")
 	}
 	if r.Err() != nil || r.Remaining() != 0 {
@@ -47,8 +47,8 @@ func TestSliceRoundTripProperty(t *testing.T) {
 		m.AppendInt64Slice(is)
 		m.AppendString(s)
 		r := FromBytes(m.Bytes())
-		gd := r.ReadFloat64Slice()
-		gi := r.ReadInt64Slice()
+		gd, _ := r.ReadFloat64SliceInto(nil, makeSlice[float64])
+		gi, _ := r.ReadInt64SliceInto(nil, makeSlice[int64])
 		gs := r.ReadString()
 		if r.Err() != nil || len(gd) != len(ds) || len(gi) != len(is) || gs != s {
 			return false
@@ -70,18 +70,21 @@ func TestSliceRoundTripProperty(t *testing.T) {
 	}
 }
 
+// makeSlice is the carve the wire tests hand the array readers.
+func makeSlice[T any](n int) []T { return make([]T, n) }
+
 func TestReadFloat64SliceIntoReuse(t *testing.T) {
 	m := NewMessage(0)
 	m.AppendFloat64Slice([]float64{1, 2, 3})
 	dst := make([]float64, 3)
 	r := FromBytes(m.Bytes())
-	got, reused := r.ReadFloat64SliceInto(dst)
+	got, reused := r.ReadFloat64SliceInto(dst, makeSlice[float64])
 	if !reused || &got[0] != &dst[0] {
 		t.Fatal("matching-length destination not reused")
 	}
 	// Mismatched length must allocate fresh storage.
 	r = FromBytes(m.Bytes())
-	got, reused = r.ReadFloat64SliceInto(make([]float64, 5))
+	got, reused = r.ReadFloat64SliceInto(make([]float64, 5), makeSlice[float64])
 	if reused || len(got) != 3 {
 		t.Fatal("mismatched-length destination incorrectly reused")
 	}
@@ -92,9 +95,32 @@ func TestReadInt64SliceIntoReuse(t *testing.T) {
 	m.AppendInt64Slice([]int64{7, 8})
 	dst := make([]int64, 2)
 	r := FromBytes(m.Bytes())
-	got, reused := r.ReadInt64SliceInto(dst)
+	got, reused := r.ReadInt64SliceInto(dst, makeSlice[int64])
 	if !reused || got[1] != 8 {
 		t.Fatal("int reuse failed")
+	}
+}
+
+// TestLyingLengthNeverCarved: an array length prefix is checked against
+// the remaining payload before the carve runs, so a tiny frame claiming
+// 2^31-1 elements is rejected without asking for the storage.
+func TestLyingLengthNeverCarved(t *testing.T) {
+	m := NewMessage(0)
+	m.AppendInt32(math.MaxInt32)
+	m.AppendInt64(1)
+	carvedF := func(n int) []float64 { t.Fatalf("carve(%d) reached by a lying double[] length", n); return nil }
+	carvedI := func(n int) []int64 { t.Fatalf("carve(%d) reached by a lying int[] length", n); return nil }
+	r := FromBytes(m.Bytes())
+	if vs, _ := r.ReadFloat64SliceInto(nil, carvedF); vs != nil || !errors.Is(r.Err(), ErrMalformedFrame) {
+		t.Fatalf("double[] length bomb: vs=%v err=%v", vs, r.Err())
+	}
+	r = FromBytes(m.Bytes())
+	if vs, _ := r.ReadInt64SliceInto(nil, carvedI); vs != nil || !errors.Is(r.Err(), ErrMalformedFrame) {
+		t.Fatalf("int[] length bomb: vs=%v err=%v", vs, r.Err())
+	}
+	r = FromBytes(m.Bytes())
+	if v := r.ReadBytesView(); v != nil || !errors.Is(r.Err(), ErrMalformedFrame) {
+		t.Fatalf("byte[] length bomb: view=%d bytes err=%v", len(v), r.Err())
 	}
 }
 
@@ -105,7 +131,7 @@ func TestShortReadsAreSticky(t *testing.T) {
 		t.Fatalf("want ErrShortMessage, got %v", r.Err())
 	}
 	// Subsequent reads return zero values without panicking.
-	if r.ReadInt32() != 0 || r.ReadString() != "" || r.ReadFloat64Slice() != nil {
+	if r.ReadInt32() != 0 || r.ReadString() != "" || r.ReadBytesView() != nil {
 		t.Fatal("reads after error not zero")
 	}
 }
