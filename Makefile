@@ -57,7 +57,7 @@ verify-precision:
 
 # Mode-matrix gate (DESIGN.md §7): prints the cell count and wall time
 # of TestModeMatrix — both chain workloads x six link conditions x five
-# optimization levels x five call modes, every cell held to its witness,
+# optimization levels x three call modes, every cell held to its witness,
 # to the answer of the workload's first cell and to the Close-balance
 # check. `go test -race ./...` above already ran it under the race
 # detector, silently; this plain run is for the line it logs.
@@ -81,13 +81,13 @@ verify-attrib:
 # for the calls it does not pick (the armed untraced hot path holds the
 # same 2-alloc budget as verify-attrib) and cheap for those it does
 # (the sampled path's ceiling is pinned); and the 3-node harness
-# scenario must reconstruct a pipelined depth-8 chain — through the
-# real HTTP /traces -> /traces/<id>?peers= pull path — as exactly one
-# tree with the topology's span/hop counts and a critical path
-# accounting for the measured wall time.
+# scenario must reconstruct every call of its depth-8 sync chains —
+# through the real HTTP /traces -> /traces/<id>?peers= pull path — as
+# exactly one tree with the topology's span/hop counts, the critical
+# paths accounting for the measured wall time.
 verify-dtrace:
 	go test -count=1 -run 'TestUntracedWithSamplingArmedAllocs|TestSampledPathAllocs' ./internal/apps/micro
-	go test -count=1 -run 'TestDTraceChainReconstructsSingleTree|TestBuildTree' ./internal/harness ./internal/trace
+	go test -count=1 -run 'TestDTraceChainReconstructsTreePerCall|TestBuildTree' ./internal/harness ./internal/trace
 
 # Analysis-at-scale gate (DESIGN.md §16): the 2200- and 360-function
 # generated corpora must analyze inside the wall budget with exactly

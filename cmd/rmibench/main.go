@@ -13,9 +13,10 @@
 //	                       # skewed plan fingerprints; verify HELLO
 //	                       # negotiation demotes to the class-level
 //	                       # encoding with fully correct results
-//	rmibench -chain 8      # chained-dependency workload: sync vs
-//	                       # async vs pipelined, with virtual chain
-//	                       # latency and frames/op
+//	rmibench -chain 8      # chained-dependency workload: virtual
+//	                       # chain latency and frames/op of sync
+//	                       # chains, then the same chains traced
+//	                       # across three nodes
 //	rmibench -trace out.json   # traced micro pass: writes a
 //	                       # Perfetto-loadable Chrome trace to out.json
 //	                       # and prints per-phase p50/p95/p99 latencies
@@ -45,8 +46,8 @@ func main() {
 	seed := flag.Int64("seed", 42, "chaos: fault injection seed")
 	skew := flag.Bool("skew", false, "mixed-version mode: run the workloads with one node's plan fingerprints skewed and verify negotiated fallback")
 	traceOut := flag.String("trace", "", "write a Perfetto-loadable Chrome trace to this file and print per-phase latency quantiles")
-	chain := flag.Int("chain", 0, "chained-dependency workload at this depth (sync/async/pipelined), then the same chain traced across three nodes")
-	chains := flag.Int("chains", 100, "number of chains per mode for -chain")
+	chain := flag.Int("chain", 0, "chained-dependency workload at this depth, then the same chains traced across three nodes")
+	chains := flag.Int("chains", 100, "number of chains for -chain")
 	flag.Parse()
 
 	var scale harness.Scale
@@ -68,7 +69,7 @@ func main() {
 		}
 		fmt.Print(rows.Format())
 		// The distributed-tracing counterpart of the chain workload:
-		// the same pipelined chain, traced across three nodes and
+		// sync chains at the same depth, traced across three nodes and
 		// reconstructed through /traces.
 		dspec := harness.DefaultDTraceSpec()
 		dspec.Depth = *chain

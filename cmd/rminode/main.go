@@ -304,8 +304,6 @@ func smokeObs(base string, sends int64) error {
 		"cormi_serial_readctx_outstanding",
 		"cormi_phase_latency_ns_bucket",
 		"cormi_pending_calls",
-		"cormi_promise_table",
-		"cormi_promise_parked",
 		"cormi_trace_store_retained",
 		`cormi_site_calls{site="Main.main.1"}`,
 		`cormi_site_wire_bytes{site="Main.main.1"}`,

@@ -91,7 +91,7 @@ func attribLoad(c *rmi.Cluster, spec attribSpec, delay time.Duration) error {
 		time.Sleep(delay)
 	}, increment)
 	cs := stepSite(c, rmi.LevelSite, attribSite, "echo")
-	_, err := driveChains(cs, c.Node(0), ref, ChainSync, 1, make([]model.Value, spec.Sends), false)
+	_, err := driveChains(cs, c.Node(0), ref, ChainSync, 1, make([]model.Value, spec.Sends))
 	return err
 }
 

@@ -1,7 +1,7 @@
 package harness
 
 // The chain workloads: chains of depth calls, each call's argument the
-// previous call's result, driven in one of five ways (ChainMode).
+// previous call's result, driven in one of three ways (ChainMode).
 // Whatever the mode, the level and the link condition, a chain must
 // compute the same thing — "the same parameter passing semantics are
 // observed regardless of the location of the called object" (§1), held
@@ -13,6 +13,7 @@ package harness
 import (
 	"fmt"
 	"hash/fnv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -21,44 +22,25 @@ import (
 	"cormi/internal/model"
 	"cormi/internal/rmi"
 	"cormi/internal/serial"
-	"cormi/internal/wire"
 )
 
 // ChainMode names one way of driving the dependent chains.
 type ChainMode string
 
 const (
-	// ChainSync invokes each link synchronously: N round trips.
+	// ChainSync invokes each link synchronously, one chain after the
+	// other: N round trips per chain.
 	ChainSync ChainMode = "sync"
-	// ChainFutures issues link d of every chain as a plain future, then
-	// waits for them all: several calls of one site at the callee at once.
-	ChainFutures ChainMode = "futures"
-	// ChainAsync passes futures as arguments over a link whose peer did
-	// NOT negotiate pipelining: the runtime demotes to resolve-then-send,
-	// at sync's cost and a PipelineFallback per dependent call.
-	ChainAsync ChainMode = "async"
-	// ChainPipelined passes futures as arguments over a capable link:
-	// one round trip for the whole chain.
-	ChainPipelined ChainMode = "pipelined"
+	// ChainParallel runs every chain on its own goroutine, each link a
+	// synchronous call: several calls of one site at the callee at once.
+	ChainParallel ChainMode = "parallel"
 	// ChainLocal is ChainSync with the service on the caller's own node:
 	// no frame leaves it, arguments and results are cloned.
 	ChainLocal ChainMode = "local"
 )
 
-// Every mode, and the three `rmibench -chain` reports, in its order.
-var (
-	AllChainModes   = []ChainMode{ChainSync, ChainFutures, ChainAsync, ChainPipelined, ChainLocal}
-	chainTableModes = []ChainMode{ChainSync, ChainAsync, ChainPipelined}
-)
-
-// options are the cluster options the mode adds to the condition's.
-func (m ChainMode) options() []rmi.Option {
-	if m == ChainAsync {
-		// The callee masks the capability, so the link negotiates it away.
-		return []rmi.Option{rmi.WithoutCaps(1, wire.CapPipelining)}
-	}
-	return nil
-}
+// AllChainModes is every mode, in the matrix's order.
+var AllChainModes = []ChainMode{ChainSync, ChainParallel, ChainLocal}
 
 // chainKind is one chain program: setup registers its call site and
 // exports its service on node — the method runs exec, then answers step
@@ -200,82 +182,57 @@ func digest(vals []model.Value) uint64 {
 }
 
 // driveChains runs one chain of depth calls through cs from each seed
-// and returns the chains' last results. A promise-passing mode issues a
-// whole chain before waiting: one promised future per link, each later
-// call naming the previous future as its argument (a link without the
-// capability demotes every dependent send; the program is the same).
-// waitAll waits every future of such a chain, not the last only: under
-// loss a dropped producer frame is retransmitted by its own waiter, and
-// an unwaited promised future leaves its caller span abandoned.
-func driveChains(cs *rmi.CallSite, caller *rmi.Node, ref rmi.Ref, mode ChainMode, depth int, seeds []model.Value, waitAll bool) ([]model.Value, error) {
+// and returns the chains' last results: one chain after the other, or,
+// in ChainParallel, every chain on its own goroutine. The error is the
+// first failed chain's, in chain order.
+func driveChains(cs *rmi.CallSite, caller *rmi.Node, ref rmi.Ref, mode ChainMode, depth int, seeds []model.Value) ([]model.Value, error) {
 	xs := append([]model.Value(nil), seeds...)
-	var first error
-	// wait collects link d of chain it, the chain's next argument.
-	wait := func(it, d int, f *rmi.Future) {
-		if vals, err := f.Wait(); err == nil {
+	errs := make([]error, len(xs))
+	chain := func(it int) {
+		for d := 0; d < depth; d++ {
+			vals, err := cs.Invoke(caller, ref, []model.Value{xs[it]})
+			if err != nil {
+				errs[it] = fmt.Errorf("chain %d link %d: %w", it, d, err)
+				return
+			}
 			xs[it] = vals[0]
-		} else if first == nil {
-			first = fmt.Errorf("chain %d link %d: %w", it, d, err)
 		}
 	}
-	switch {
-	case mode == ChainFutures:
-		futs := make([]*rmi.Future, len(xs))
-		for d := 0; d < depth && first == nil; d++ {
-			for it := range xs {
-				futs[it] = cs.InvokeAsync(caller, ref, []model.Value{xs[it]}, rmi.AsyncOpts{})
-			}
-			for it, f := range futs {
-				wait(it, d, f)
-				f.Release()
-			}
+	if mode == ChainParallel {
+		var wg sync.WaitGroup
+		for it := range xs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				chain(it)
+			}()
 		}
-	case mode == ChainAsync || mode == ChainPipelined:
-		futs := make([]*rmi.Future, depth)
-		for it := 0; it < len(xs) && first == nil; it++ {
-			for d := range futs {
-				opts, arg := rmi.AsyncOpts{Promised: d < depth-1}, xs[it]
-				if d > 0 {
-					opts.Promises, arg = []rmi.PromiseArg{{Arg: 0, Fut: futs[d-1]}}, model.Value{}
-				}
-				futs[d] = cs.InvokeAsync(caller, ref, []model.Value{arg}, opts)
-			}
-			for d, f := range futs {
-				if waitAll || d == depth-1 {
-					wait(it, d, f)
-				}
-			}
-			for _, f := range futs {
-				f.Release()
-			}
-		}
-	default:
-		for it := 0; it < len(xs) && first == nil; it++ {
-			for d := 0; d < depth && first == nil; d++ {
-				vals, err := cs.Invoke(caller, ref, []model.Value{xs[it]})
-				if err != nil {
-					first = fmt.Errorf("chain %d link %d: %w", it, d, err)
-				} else {
-					xs[it] = vals[0]
-				}
+		wg.Wait()
+	} else {
+		for it := range xs {
+			if chain(it); errs[it] != nil {
+				break
 			}
 		}
 	}
-	return xs, first
+	for _, err := range errs {
+		if err != nil {
+			return xs, err
+		}
+	}
+	return xs, nil
 }
 
 // chainWorkload is kind driven in mode on two nodes, each method body
 // charging a fixed compute cost so the virtual timeline has an
 // execution component beside the flight legs. Its witness: every chain
-// gives what folding step over a copy of its seed gives, every link ran
-// exactly once, and there is a pipeline fallback per dependent call
-// where the capability is masked, a pipelined call per dependent call
-// where promises pipeline, none elsewhere. Its answer: the results, the
-// seeds as the caller sees them afterwards (the callee's writes to its
-// argument must not show) and the execution count.
-func chainWorkload(kind chainKind, mode ChainMode, depth, chains int, waitAll bool) Workload {
+// gives what folding step over a copy of its seed gives, and every link
+// ran exactly once. Its answer: the results, the seeds as the caller
+// sees them afterwards (the callee's writes to its argument must not
+// show) and the execution count.
+func chainWorkload(kind chainKind, mode ChainMode, depth, chains int) Workload {
 	return Workload{Name: kind.name, Mode: mode, Objects: kind.objects, Run: func(level rmi.OptLevel, _ Scale, opts []rmi.Option) (Outcome, error) {
-		c := rmi.New(2, append(opts, mode.options()...)...)
+		c := rmi.New(2, opts...)
 		defer c.Close()
 		out := Outcome{Depth: depth, Chains: chains, overload: c.Overload}
 		callee := 1
@@ -286,8 +243,8 @@ func chainWorkload(kind chainKind, mode ChainMode, depth, chains int, waitAll bo
 		cs, ref, err := kind.setup(c, level, callee, func(call *rmi.Call) {
 			execs.Add(1)
 			call.Compute(500)
-			if mode == ChainFutures {
-				// Hold the argument while the rest of the wave arrives:
+			if mode == ChainParallel {
+				// Hold the argument while the other chains' calls arrive:
 				// whatever they are unmarshalled into must not be it.
 				time.Sleep(100 * time.Microsecond)
 			}
@@ -305,7 +262,7 @@ func chainWorkload(kind chainKind, mode ChainMode, depth, chains int, waitAll bo
 		}
 
 		frames, virt := c.Counters.NetFrames.Load(), c.MaxTime()
-		got, err := driveChains(cs, c.Node(0), ref, mode, depth, seeds, waitAll)
+		got, err := driveChains(cs, c.Node(0), ref, mode, depth, seeds)
 		out.RunResult = appkit.Collect(c)
 		out.ChainLatencyNS = (c.MaxTime() - virt) / int64(chains)
 		out.FramesPerOp = float64(c.Counters.NetFrames.Load()-frames) / float64(chains*depth)
@@ -314,35 +271,27 @@ func chainWorkload(kind chainKind, mode ChainMode, depth, chains int, waitAll bo
 		}
 		results := digest(got)
 		out.Answer = fmt.Sprintf("results %016x, arguments after %016x, %d executions", results, digest(seeds), execs.Load())
-
-		// Fallbacks and pipelined calls per dependent call, by mode.
-		links, dependent := int64(chains*depth), int64(chains*(depth-1))
-		want := map[ChainMode][2]int64{ChainAsync: {dependent, 0}, ChainPipelined: {0, dependent}}[mode]
-		switch {
+		switch links := int64(chains * depth); {
 		case results != digest(folded):
 			return out, fmt.Errorf("chain results differ from folding step over the seeds")
 		case execs.Load() != links:
 			return out, fmt.Errorf("method body executed %d times, want exactly %d", execs.Load(), links)
-		case out.Stats.PipelineFallbacks != want[0] || out.Stats.PipelinedCalls != want[1]:
-			return out, fmt.Errorf("%d pipeline fallbacks and %d pipelined calls, want %d and %d",
-				out.Stats.PipelineFallbacks, out.Stats.PipelinedCalls, want[0], want[1])
 		}
 		return out, nil
 	}}
 }
 
 // chainWorkloads is kind in each of modes.
-func chainWorkloads(kind chainKind, modes []ChainMode, depth, chains int, waitAll bool) []Workload {
+func chainWorkloads(kind chainKind, modes []ChainMode, depth, chains int) []Workload {
 	ws := make([]Workload, len(modes))
 	for i, m := range modes {
-		ws[i] = chainWorkload(kind, m, depth, chains, waitAll)
+		ws[i] = chainWorkload(kind, m, depth, chains)
 	}
 	return ws
 }
 
-// RunChain measures the int chain in the three modes of the chain table
-// at level site over a clean channel network, awaiting only a chain's
-// last future (what the pinned virtual latencies were measured with).
+// RunChain measures the int chain, driven synchronously, at level site
+// over a clean channel network.
 func RunChain(depth, chains int) (*Report, error) {
 	if depth < 1 || chains < 1 {
 		return nil, fmt.Errorf("harness: chain needs depth and chains >= 1 (got %d, %d)", depth, chains)
@@ -352,8 +301,7 @@ func RunChain(depth, chains int) (*Report, error) {
 		depthCol, chainsCol,
 		{"chain_latency_ns", 18, "%d", func(r *Row) any { return r.ChainLatencyNS }},
 		{"frames_per_op", 13, "%.3f", func(r *Row) any { return r.FramesPerOp }},
-		{"fallbacks", 10, "%d", func(r *Row) any { return r.Stats.PipelineFallbacks }},
 	}}
-	return rep, runGrid(rep, Scale{Nodes: 2}, chainWorkloads(intChain, chainTableModes, depth, chains, false),
+	return rep, runGrid(rep, Scale{Nodes: 2}, chainWorkloads(intChain, []ChainMode{ChainSync}, depth, chains),
 		[]Condition{Clean}, []rmi.OptLevel{rmi.LevelSite})
 }

@@ -2,9 +2,9 @@ package harness
 
 // Distributed-tracing scenario (DESIGN.md §15): three nodes with a
 // tracer each (separate trace stores, as three machines would have),
-// pipelined chains from node 0 through a stepping service on node 1
+// synchronous chains from node 0 through a stepping service on node 1
 // whose executor makes a nested call to a leaf service on node 2, so
-// each chain is one head-sampled trace scattered across three stores.
+// each link is one head-sampled trace scattered across three stores.
 // The verification runs the production pull path — node 0's /traces
 // lists the traces, /traces/<id>?peers=... pulls every peer's spans
 // over real HTTP and reconstructs the cross-node tree — and the row
@@ -22,8 +22,8 @@ import (
 	"cormi/internal/trace"
 )
 
-// DTraceSpec sizes the distributed-tracing scenario: Chains pipelined
-// chains of Depth calls, each chain one trace; the step executor sleeps
+// DTraceSpec sizes the distributed-tracing scenario: Chains synchronous
+// chains of Depth calls, each call one trace; the step executor sleeps
 // StepDelay per call and the leaf LeafDelay — real sleeps, so the
 // reconstructed critical path is comparable against measured wall time.
 type DTraceSpec struct {
@@ -41,14 +41,15 @@ func DefaultDTraceSpec() DTraceSpec {
 // TreeFacts is what the tracing scenario reports of its reconstructed
 // trees. The structural facts are the same for every trace by
 // construction, so asserted, not averaged: Traces is how many node 0's
-// /traces listed (want Chains), SpansPerTrace the largest tree (want
-// 4*Depth: caller+callee for step and leaf per link), Roots the most
-// roots in a tree (want 1), MaxHop the deepest hop (want 2: node0 ->
-// node1 -> node2), Orphans and Duplicates summed. The timing facts are
-// per-chain means: the tree's critical path, its root-to-last-span
-// extent, the wall time the caller measured. A chain's cost is real
-// executor sleeps, so a whole reconstruction accounts for nearly all of
-// it: CriticalPathRatio = CriticalPathNS / WallNS is near 1.
+// /traces listed (want Chains*Depth), SpansPerTrace the largest tree
+// (want 4: caller+callee for step and leaf), Roots the most roots in a
+// tree (want 1), MaxHop the deepest hop (want 2: node0 -> node1 ->
+// node2), Orphans and Duplicates summed. The timing facts are
+// per-chain means: the summed critical paths of its links' trees, their
+// summed root-to-last-span extents, the wall time the caller measured.
+// A chain's cost is real executor sleeps, so a whole reconstruction
+// accounts for nearly all of it: CriticalPathRatio = CriticalPathNS /
+// WallNS is near 1.
 type TreeFacts struct {
 	Traces, SpansPerTrace, Roots, MaxHop, Orphans, Duplicates int
 	CriticalPathNS, EndToEndNS, WallNS                        int64
@@ -88,7 +89,7 @@ func RunDTrace(spec DTraceSpec) (*Report, error) {
 		{"wall_ns", 11, "%d", func(r *Row) any { return r.WallNS }},
 		{"ratio", 6, "%.2f", func(r *Row) any { return r.CriticalPathRatio }},
 	}}
-	w := Workload{Name: "DTrace", Mode: ChainPipelined, Run: func(rmi.OptLevel, Scale, []rmi.Option) (Outcome, error) {
+	w := Workload{Name: "DTrace", Mode: ChainSync, Run: func(rmi.OptLevel, Scale, []rmi.Option) (Outcome, error) {
 		return runDTrace(spec)
 	}}
 	return rep, runGrid(rep, Scale{Nodes: 3}, []Workload{w}, []Condition{Clean}, []rmi.OptLevel{rmi.LevelSite})
@@ -141,16 +142,14 @@ func runDTrace(spec DTraceSpec) (Outcome, error) {
 		},
 	}})
 
-	// The chains run strictly one after another, every future waited (an
-	// unwaited promised future leaves its caller span abandoned — a
-	// failed span in the tree), so a chain's mean wall time is the whole
-	// drive's over the number of chains.
+	// The chains run strictly one after another, so a chain's mean wall
+	// time is the whole drive's over the number of chains.
 	seeds := make([]model.Value, spec.Chains)
 	for it := range seeds {
 		seeds[it] = model.Int(int64(it))
 	}
 	start := time.Now()
-	got, err := driveChains(stepCS, c.Node(0), stepRef, ChainPipelined, spec.Depth, seeds, true)
+	got, err := driveChains(stepCS, c.Node(0), stepRef, ChainSync, spec.Depth, seeds)
 	out.WallNS = time.Since(start).Nanoseconds() / int64(spec.Chains)
 	if err == nil && nestedErr != nil {
 		err = fmt.Errorf("nested leaf call: %w", nestedErr)
@@ -171,8 +170,8 @@ func runDTrace(spec DTraceSpec) (Outcome, error) {
 	if err != nil {
 		return out, err
 	}
-	if out.Traces = len(list.Traces); out.Traces != spec.Chains {
-		return out, fmt.Errorf("sampled %d traces, want %d", out.Traces, spec.Chains)
+	if out.Traces = len(list.Traces); out.Traces != spec.Chains*spec.Depth {
+		return out, fmt.Errorf("sampled %d traces, want %d", out.Traces, spec.Chains*spec.Depth)
 	}
 	peerQ := strings.Join(addrs[1:], ",")
 	for _, ts := range list.Traces {

@@ -6,12 +6,12 @@ import (
 	"cormi/internal/race"
 )
 
-// TestDTraceChainReconstructsSingleTree is the acceptance check for
-// DESIGN.md §15: a pipelined depth-8 chain across three traced nodes
-// reconstructs — over the production /traces pull path — as exactly
-// one tree per chain, with the span and hop counts the topology
-// implies and a critical path accounting for the measured wall time.
-func TestDTraceChainReconstructsSingleTree(t *testing.T) {
+// TestDTraceChainReconstructsTreePerCall is the acceptance check for
+// DESIGN.md §15: synchronous depth-8 chains across three traced nodes
+// reconstruct — over the production /traces pull path — as exactly one
+// tree per call, with the span and hop counts the topology implies and
+// critical paths accounting for the measured wall time.
+func TestDTraceChainReconstructsTreePerCall(t *testing.T) {
 	spec := DefaultDTraceSpec()
 	rep, err := RunDTrace(spec)
 	if err != nil {
@@ -19,17 +19,16 @@ func TestDTraceChainReconstructsSingleTree(t *testing.T) {
 	}
 	row := &rep.Rows[0]
 	t.Logf("dtrace row: %+v", row)
-	if row.Traces != spec.Chains {
-		t.Errorf("sampled %d traces, want %d (one per chain)", row.Traces, spec.Chains)
+	if want := spec.Chains * spec.Depth; row.Traces != want {
+		t.Errorf("sampled %d traces, want %d (one per call)", row.Traces, want)
 	}
 	if row.Roots != 1 {
 		t.Errorf("reconstructed tree has %d roots, want exactly 1", row.Roots)
 	}
-	// One chain link contributes four spans: caller+callee for the step
-	// call, caller+callee for the nested leaf call.
-	if want := 4 * spec.Depth; row.SpansPerTrace != want {
-		t.Errorf("%d spans per trace, want %d (caller+callee for step and leaf per link)",
-			row.SpansPerTrace, want)
+	// One chain link is four spans: caller+callee for the step call,
+	// caller+callee for the nested leaf call.
+	if row.SpansPerTrace != 4 {
+		t.Errorf("%d spans per trace, want 4 (caller+callee for step and leaf)", row.SpansPerTrace)
 	}
 	if row.MaxHop != 2 {
 		t.Errorf("max hop %d, want 2 (node0 -> node1 -> node2)", row.MaxHop)
@@ -45,7 +44,7 @@ func TestDTraceChainReconstructsSingleTree(t *testing.T) {
 			row.CriticalPathNS, row.EndToEndNS)
 	}
 	// The chain's cost is real executor sleeps, so the reconstructed
-	// critical path must account for the caller's measured wall time.
+	// critical paths must account for the caller's measured wall time.
 	// Race instrumentation inflates the untraced overhead between the
 	// sleeps, so the tight bound applies only to the plain build.
 	lo := 0.90

@@ -25,17 +25,17 @@ func matrixConditions() []Condition {
 
 // TestModeMatrix is the gate for "all call modes × optimization levels
 // × transports compute the same answers; resources balanced at Close":
-// both chain workloads × six link conditions × five levels × five call
+// both chain workloads × six link conditions × five levels × three call
 // modes. runGrid holds every cell to the workload's own witness (chain
-// results, exactly-once execution, the mode's pipelining counters), to
-// the negotiation evidence of its condition, to the answer of the
+// results, exactly-once execution), to the negotiation evidence of its
+// condition, to the answer of the
 // workload's first cell — {class, clean channel, sync} — and to the
 // Close-balance check.
 func TestModeMatrix(t *testing.T) {
 	const depth, chains = 5, 6
 	start := time.Now()
-	workloads := append(chainWorkloads(intChain, AllChainModes, depth, chains, true),
-		chainWorkloads(listChain, AllChainModes, depth, chains, true)...)
+	workloads := append(chainWorkloads(intChain, AllChainModes, depth, chains),
+		chainWorkloads(listChain, AllChainModes, depth, chains)...)
 	rep := &Report{Cols: []Column[Row]{appCol, levelCol,
 		{"condition", -12, "%s", func(r *Row) any { return r.Cond }},
 		{"mode", -10, "%s", func(r *Row) any { return r.Mode }},

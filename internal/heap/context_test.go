@@ -108,10 +108,10 @@ func TestSharedHelperSeparatesCycleVerdicts(t *testing.T) {
 	if len(sites) != 2 {
 		t.Fatalf("got %d Sink.take sites, want 2", len(sites))
 	}
-	if a.MayCycleFrom(argSets(a, sites[0])) {
+	if a.MayCycleFrom(argPointsTo(a, sites[0])) {
 		t.Error("site 1 (distinct leaves) flagged: one pessimistic caller poisoned the helper summary")
 	}
-	w := a.CycleWitnessFrom(argSets(a, sites[1]))
+	w := a.CycleWitnessFrom(argPointsTo(a, sites[1]))
 	if w == nil {
 		t.Fatal("site 2 (same leaf twice) not flagged")
 	}
@@ -122,7 +122,7 @@ func TestSharedHelperSeparatesCycleVerdicts(t *testing.T) {
 	// The insensitive baseline merges the callers and flags both.
 	b, pb := analyzeOpts(t, sharedHelperSrc, InsensitiveOptions())
 	for i, s := range remoteSites(pb, "Sink.take") {
-		if !b.MayCycleFrom(argSets(b, s)) {
+		if !b.MayCycleFrom(argPointsTo(b, s)) {
 			t.Errorf("baseline: site %d unexpectedly proved acyclic", i+1)
 		}
 	}
@@ -229,7 +229,7 @@ class Main {
 	if len(sites) != 1 {
 		t.Fatalf("got %d sites, want 1", len(sites))
 	}
-	w := a.CycleWitnessFrom(argSets(a, sites[0]))
+	w := a.CycleWitnessFrom(argPointsTo(a, sites[0]))
 	if w == nil {
 		t.Fatal("diamond sharing through a shared callee was missed — unsound context separation")
 	}
@@ -256,7 +256,7 @@ func TestAnalysisDeterministic(t *testing.T) {
 			if site == nil {
 				continue
 			}
-			s += a.CycleWitnessFrom(argSets(a, site)).String() + "\n"
+			s += a.CycleWitnessFrom(argPointsTo(a, site)).String() + "\n"
 		}
 		return s
 	}

@@ -28,9 +28,9 @@ func analyze(t *testing.T, src string) (*Analysis, *ir.Program) {
 	return Analyze(p), p
 }
 
-// argSets returns the caller-side points-to sets of a remote site's
+// argPointsTo returns the caller-side points-to sets of a remote site's
 // serialized arguments (receiver excluded).
-func argSets(a *Analysis, site *ir.Instr) []NodeSet {
+func argPointsTo(a *Analysis, site *ir.Instr) []NodeSet {
 	var sets []NodeSet
 	for i, arg := range site.Args {
 		if i == 0 && !site.Callee.Static {
@@ -171,7 +171,7 @@ remote class W {
 		w.bar(b, b);
 	}
 }`)
-	if !a.MayCycleFrom(argSets(a, p.RemoteSites[0])) {
+	if !a.MayCycleFrom(argPointsTo(a, p.RemoteSites[0])) {
 		t.Fatal("same object passed twice must require cycle detection (Figure 8)")
 	}
 }
@@ -188,7 +188,7 @@ remote class W {
 		w.bar(b);
 	}
 }`)
-	if !a.MayCycleFrom(argSets(a, p.RemoteSites[0])) {
+	if !a.MayCycleFrom(argPointsTo(a, p.RemoteSites[0])) {
 		t.Fatal("self reference must require cycle detection (Figure 9)")
 	}
 }
@@ -212,7 +212,7 @@ remote class F {
 		f.send(head);
 	}
 }`)
-	if !a.MayCycleFrom(argSets(a, p.RemoteSites[0])) {
+	if !a.MayCycleFrom(argPointsTo(a, p.RemoteSites[0])) {
 		t.Fatal("linked list should be conservatively flagged cyclic")
 	}
 }
@@ -227,7 +227,7 @@ remote class F {
 		f.send(arr);
 	}
 }`)
-	if a.MayCycleFrom(argSets(a, p.RemoteSites[0])) {
+	if a.MayCycleFrom(argPointsTo(a, p.RemoteSites[0])) {
 		t.Fatal("2D double array misflagged as cyclic")
 	}
 }
@@ -246,7 +246,7 @@ remote class W {
 		w.take(p);
 	}
 }`)
-	if a.MayCycleFrom(argSets(a, p.RemoteSites[0])) {
+	if a.MayCycleFrom(argPointsTo(a, p.RemoteSites[0])) {
 		t.Fatal("tree with distinct leaves misflagged as cyclic")
 	}
 }
@@ -266,7 +266,7 @@ remote class W {
 		w.take(p);
 	}
 }`)
-	if !a.MayCycleFrom(argSets(a, p.RemoteSites[0])) {
+	if !a.MayCycleFrom(argPointsTo(a, p.RemoteSites[0])) {
 		t.Fatal("shared leaf (DAG) must be conservatively flagged")
 	}
 }

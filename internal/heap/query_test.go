@@ -93,7 +93,7 @@ remote class W {
 		w.take(t);
 	}
 }`)
-	sets := argSets(a, p.RemoteSites[0])
+	sets := argPointsTo(a, p.RemoteSites[0])
 	if w := a.CycleWitnessFrom(sets); w != nil {
 		t.Fatalf("diamond over distinct allocations flagged: %v", w)
 	}
@@ -119,7 +119,7 @@ remote class W {
 		w.take(p);
 	}
 }`)
-	w := a.CycleWitnessFrom(argSets(a, p.RemoteSites[0]))
+	w := a.CycleWitnessFrom(argPointsTo(a, p.RemoteSites[0]))
 	if w == nil || w.Kind != WitnessShared {
 		t.Fatalf("shared leaf witness = %v, want kind %q", w, WitnessShared)
 	}
@@ -144,7 +144,7 @@ remote class W {
 		w.bar(b);
 	}
 }`)
-	w2 := a2.CycleWitnessFrom(argSets(a2, p2.RemoteSites[0]))
+	w2 := a2.CycleWitnessFrom(argPointsTo(a2, p2.RemoteSites[0]))
 	if w2 == nil || w2.Kind != WitnessCycle {
 		t.Fatalf("self reference witness = %v, want kind %q", w2, WitnessCycle)
 	}
@@ -221,7 +221,7 @@ func TestCycleWitnessPropertyRandomGraphs(t *testing.T) {
 		b.WriteString("\t\tW w = new W();\n\t\tw.take(n0);\n\t}\n}\n")
 
 		a, p := analyze(t, b.String())
-		sets := argSets(a, p.RemoteSites[0])
+		sets := argPointsTo(a, p.RemoteSites[0])
 		w := a.CycleWitnessFrom(sets)
 		if got := a.MayCycleFrom(sets); got != (w != nil) {
 			t.Fatalf("iter %d: MayCycleFrom=%v but witness=%v", iter, got, w)

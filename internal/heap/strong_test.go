@@ -34,7 +34,7 @@ func sendRoots(t *testing.T, src string, opts Options) (*Analysis, []NodeSet) {
 	if len(sites) != 1 {
 		t.Fatalf("got %d Sink.send sites, want 1", len(sites))
 	}
-	return a, argSets(a, sites[0])
+	return a, argPointsTo(a, sites[0])
 }
 
 func TestStrongUpdateKillsOverwrittenSelfLink(t *testing.T) {

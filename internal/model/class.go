@@ -125,9 +125,6 @@ func (c *Class) FieldIndex(name string) int {
 	return -1
 }
 
-// IsArray reports whether the class describes an array layout.
-func (c *Class) IsArray() bool { return c.Kind != KObject }
-
 // IsSubclassOf reports whether c is t or a (transitive) subclass of t.
 func (c *Class) IsSubclassOf(t *Class) bool {
 	for x := c; x != nil; x = x.Super {

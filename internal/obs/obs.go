@@ -53,10 +53,9 @@ type Options struct {
 	// ?peers=a,b,c query overrides the list. Must not include this
 	// node's own address (the local state is always merged in).
 	Peers []string
-	// Overload supplies the backlog levels exposed as the
-	// cormi_pending_calls / cormi_promise_table / cormi_promise_parked
-	// gauges (typically Cluster.Overload, or an aggregation across
-	// clusters).
+	// Overload supplies the backlog levels exposed as gauges
+	// (cormi_pending_calls; typically Cluster.Overload, or an
+	// aggregation across clusters).
 	Overload func() stats.OverloadStats
 }
 
@@ -421,7 +420,7 @@ func registerBlameVecs(reg *metrics.Registry, tr *trace.Tracer) {
 
 // registerOverloadGauges walks stats.OverloadStats with reflection and
 // registers one gauge per backlog level, named cormi_<snake_case_field>
-// (cormi_pending_calls, cormi_promise_table, cormi_promise_parked).
+// (cormi_pending_calls).
 // As with registerCounterGauges, a field added to the struct shows up
 // on /metrics automatically.
 func registerOverloadGauges(reg *metrics.Registry, overload func() stats.OverloadStats) {

@@ -127,7 +127,7 @@ func (cs *CallSite) InvokeWithPolicy(n *Node, ref Ref, args []model.Value, pol C
 	if ref.Node == n.ID {
 		return cs.invokeLocal(n, ref, args)
 	}
-	return cs.invokeRemote(n, ref, args, pol, callExtras{})
+	return cs.invokeRemote(n, ref, args, pol, wire.TraceContext{})
 }
 
 // InvokeFrom issues a nested synchronous call from inside a running
@@ -140,7 +140,7 @@ func (cs *CallSite) InvokeFrom(call *Call, ref Ref, args []model.Value) ([]model
 	if ref.Node == n.ID {
 		return cs.invokeLocal(n, ref, args)
 	}
-	return cs.invokeRemote(n, ref, args, n.cluster.policy, callExtras{tctx: call.tctx})
+	return cs.invokeRemote(n, ref, args, n.cluster.policy, call.tctx)
 }
 
 // runGuarded runs a user method, converting a panic into an error
@@ -219,13 +219,13 @@ func (cs *CallSite) clone(n *Node, s *side, vals []model.Value, audit bool) ([]m
 	}
 	st := &cs.statShards[n.ID]
 	m := wire.Get()
-	wops, err := s.write(c, st, m, vals, argSet{}, audit, nil)
+	wops, err := s.write(c, st, m, vals, audit, nil)
 	if err != nil {
 		m.Release()
 		return nil, nil, err
 	}
 	m.Rewind()
-	out, roots, rops, err := s.read(c, n.ID, st, m, len(vals), argSet{}, audit, nil)
+	out, roots, rops, err := s.read(c, n.ID, st, m, len(vals), audit, nil)
 	m.Release()
 	if err != nil {
 		return nil, nil, err
@@ -235,38 +235,24 @@ func (cs *CallSite) clone(n *Node, s *side, vals []model.Value, audit bool) ([]m
 	return out, roots, nil
 }
 
-// invokeRemote is the synchronous remote path: issue the call, then
-// block for its reply. The pendingCall lives on this goroutine's stack
-// — the asynchronous path (async.go) runs the same startRemote/await
-// pair with the pendingCall embedded in a pooled Future instead.
-func (cs *CallSite) invokeRemote(n *Node, ref Ref, args []model.Value, pol CallPolicy, ex callExtras) ([]model.Value, error) {
+// invokeRemote is the remote path: issue the call, then block for its
+// reply. The pendingCall lives on this goroutine's stack. tctx, when
+// non-zero, makes the call a child of an existing sampled trace:
+// {TraceID, Parent: the parent span's ID, Hop: the depth this caller
+// span records}. Zero-valued, the call is a trace root candidate and
+// head sampling decides.
+func (cs *CallSite) invokeRemote(n *Node, ref Ref, args []model.Value, pol CallPolicy, tctx wire.TraceContext) ([]model.Value, error) {
 	var pc pendingCall
-	if err := cs.startRemote(&pc, n, ref, args, pol, ex); err != nil {
+	if err := cs.startRemote(&pc, n, ref, args, pol, tctx); err != nil {
 		return nil, err
 	}
 	return pc.await()
 }
 
-// callExtras carries the asynchronous-call variations through
-// startRemote; the zero value is a plain synchronous call.
-type callExtras struct {
-	// promised asks the callee to publish this call's outcome in its
-	// promise table for later pipelined calls to reference.
-	promised bool
-	// handles names argument positions to splice from the callee's
-	// promise table instead of serializing (promise pipelining).
-	handles []wire.PromiseHandle
-	// tctx, when non-zero, makes the call a child of an existing
-	// sampled trace: {TraceID, Parent: the parent span's ID, Hop: the
-	// depth this caller span records}. Zero-valued, the call is a trace
-	// root candidate and head sampling decides.
-	tctx wire.TraceContext
-}
-
 // pendingCall is one issued remote invocation between its send and the
-// consumption of its reply. The synchronous path keeps it on the
-// stack; Future embeds it by value. Everything await needs lives here,
-// so issuing and waiting can happen on different goroutines.
+// consumption of its reply, kept on the caller's stack. startRemote
+// fills it and puts the call on the wire; await waits, retransmits and
+// decodes, reading only what lives here.
 type pendingCall struct {
 	cs       *CallSite
 	n        *Node
@@ -280,24 +266,14 @@ type pendingCall struct {
 	audit    bool
 	attempts int
 	attempt  int
-	// tctx is the call's trace inheritance handle ({TraceID, Parent:
-	// this caller span's ID, Hop: this span's depth}; zero when
-	// unsampled): a later pipelined call naming this call's future as a
-	// promise inherits its trace through it.
-	tctx wire.TraceContext
-	// issued is the wall-clock time InvokeAsync returned the future
-	// (zero on the synchronous path); await reports the blocked portion
-	// of the round trip as PhaseFutureWait from it.
-	issued int64
 }
 
 func (pc *pendingCall) siteStats() *stats.SiteCounters { return &pc.cs.statShards[pc.n.ID] }
 
 // fail ends a call that will consume no reply — marshal or send
-// failure, shutdown, deadline, a reply that reports or is an error, a
-// future released unwaited: the pending slot and reply channel, when
-// still held, are reclaimed and the span closes with reason. It
-// returns err.
+// failure, shutdown, deadline, a reply that reports or is an error: the
+// pending slot and reply channel, when still held, are reclaimed and
+// the span closes with reason. It returns err.
 func (pc *pendingCall) fail(reason string, err error) error {
 	if pc.ch != nil {
 		pc.n.abandonCall(pc.seq, pc.ch)
@@ -318,10 +294,8 @@ func (pc *pendingCall) failSend(err error) error {
 
 // startRemote marshals, seals and sends the call's first attempt and
 // registers the pending reply slot. On return (nil error) the call is
-// on the wire; pc.await collects the outcome. ex selects the
-// asynchronous variations; the caller is responsible for only setting
-// promised/pipelined extras on links that negotiated the capability.
-func (cs *CallSite) startRemote(pc *pendingCall, n *Node, ref Ref, args []model.Value, pol CallPolicy, ex callExtras) error {
+// on the wire; pc.await collects the outcome.
+func (cs *CallSite) startRemote(pc *pendingCall, n *Node, ref Ref, args []model.Value, pol CallPolicy, tctx wire.TraceContext) error {
 	c := n.cluster
 	c.Counters.RemoteRPCs.Add(1)
 	st := &cs.statShards[n.ID]
@@ -332,13 +306,10 @@ func (cs *CallSite) startRemote(pc *pendingCall, n *Node, ref Ref, args []model.
 		c.Counters.ClaimChecks.Add(1)
 	}
 
-	h := wire.CallHeader{Site: cs.ID, Obj: ref.Obj, Seq: n.seq.Add(1), NArgs: int32(len(args)), Promises: ex.handles}
+	h := wire.CallHeader{Site: cs.ID, Obj: ref.Obj, Seq: n.seq.Add(1), NArgs: int32(len(args))}
 	attempts := pol.attempts()
 	if attempts > 1 {
 		h.Flags |= wire.CallRetryable
-	}
-	if ex.promised {
-		h.Flags |= wire.CallPromised
 	}
 	// First use of the link performs the HELLO fingerprint exchange;
 	// afterwards this is a bounds check plus a sync.Once fast path.
@@ -352,25 +323,23 @@ func (cs *CallSite) startRemote(pc *pendingCall, n *Node, ref Ref, args []model.
 	// the caller: StartCaller on a nil tracer returns a nil span whose
 	// methods are no-ops.
 	sp := n.tracer.StartCaller(cs.Name, cs.Method, n.ID, ref.Node, h.Seq)
-	// pc arrives zeroed (a fresh stack value, or a Future reset by
-	// Release); field stores keep the bulk write-barrier move a struct
-	// assignment would cost off the hot path.
+	// pc arrives zeroed (a fresh stack value); field stores keep the
+	// bulk write-barrier move a struct assignment would cost off the
+	// hot path.
 	pc.cs, pc.n, pc.ref, pc.pol, pc.seq = cs, n, ref, pol, h.Seq
 	pc.sp, pc.audit, pc.attempts, pc.attempt = sp, audit, attempts, 1
 	if sp != nil {
 		h.Flags |= wire.CallTraced
-		// Distributed-trace identity: an inherited context (nested call,
-		// pipelined successor) continues its trace; a root call asks the
-		// head sampler. The unsampled path costs one atomic tick at roots
-		// and nothing anywhere else.
-		tctx := ex.tctx
+		// Distributed-trace identity: an inherited context (a nested
+		// call) continues its trace; a root call asks the head sampler.
+		// The unsampled path costs one atomic tick at roots and nothing
+		// anywhere else.
 		if tctx.TraceID == 0 {
 			tctx.TraceID = n.tracer.SampleTrace()
 		}
 		if tctx.TraceID != 0 {
 			spanID := n.tracer.NextSpanID()
 			sp.SetTraceIdentity(tctx.TraceID, spanID, tctx.Parent, tctx.Hop)
-			pc.tctx = wire.TraceContext{TraceID: tctx.TraceID, Parent: spanID, Hop: tctx.Hop}
 			// The on-wire context parents the callee's span under this
 			// caller span, one hop deeper. Per-link demotion: a peer
 			// without CapTracing — or a chain past the hop cap — gets
@@ -384,8 +353,7 @@ func (cs *CallSite) startRemote(pc *pendingCall, n *Node, ref Ref, args []model.
 	sp.BeginPhase(trace.PhaseSerialize)
 	m := wire.Get()
 	h.Encode(m)
-	// Promised positions are named in the header, not serialized.
-	ops, err := cs.args.write(c, st, m, args, newArgSet(ex.handles), audit, lp)
+	ops, err := cs.args.write(c, st, m, args, audit, lp)
 	if err != nil {
 		m.Release()
 		return pc.fail("marshal: "+err.Error(), err)
@@ -437,16 +405,10 @@ func (pc *pendingCall) sendAttempt(frame []byte) error {
 }
 
 // await blocks for the call's reply, driving retransmits and deadline
-// enforcement, then decodes the outcome. It may run on a different
-// goroutine than startRemote (Future.Wait); everything it touches
-// lives in pc.
+// enforcement, then decodes the outcome.
 func (pc *pendingCall) await() ([]model.Value, error) {
 	cs, n, pol, sp, ch := pc.cs, pc.n, pc.pol, pc.sp, pc.ch
 	c := n.cluster
-	var waitStart int64
-	if pc.issued != 0 && sp != nil {
-		waitStart = trace.Now()
-	}
 
 	var rep reply
 wait:
@@ -510,11 +472,6 @@ wait:
 	n.putReplyCh(ch)
 	pc.ch = nil
 	sp.EndPhase(trace.PhaseWaitReply)
-	if waitStart != 0 {
-		// Asynchronous call: record how long the caller was actually
-		// blocked in Wait, as opposed to overlapping its own work.
-		sp.SetPhase(trace.PhaseFutureWait, waitStart, trace.Now()-waitStart)
-	}
 	if sp != nil && rep.sentWall != 0 {
 		sp.SetPhase(trace.PhaseReplyTransit, rep.sentWall, rep.recvWall-rep.sentWall)
 	}
@@ -542,7 +499,7 @@ wait:
 	case wire.ReplyValues:
 		sp.BeginPhase(trace.PhaseReplyDeserialize)
 		rm := wire.GetReader(rep.payload)
-		vals, roots, ops, err := cs.rets.read(c, n.ID, pc.siteStats(), rm, int(rm.ReadInt32()), argSet{}, pc.audit, nil)
+		vals, roots, ops, err := cs.rets.read(c, n.ID, pc.siteStats(), rm, int(rm.ReadInt32()), pc.audit, nil)
 		rm.ReleaseReader()
 		wire.PutBuf(rep.buf)
 		sp.EndPhase(trace.PhaseReplyDeserialize)

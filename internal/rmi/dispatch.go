@@ -109,21 +109,11 @@ type invocation struct {
 	seq    int64
 	args   []model.Value
 	roots  []*model.Object
-	// handles names the argument positions a pipelined call splices
-	// from the promise table; empty on the plain path.
-	handles []wire.PromiseHandle
-	track   bool // dedup bookkeeping needed
-	audit   bool // claim-checking sampled on
-	// promised publishes the outcome in the promise table before (and
-	// regardless of) the reply.
-	promised bool
-	// reuse returns the argument graphs to the site's §3.3 cache after
-	// the method runs; off for a pipelined call (spliced arguments are
-	// not cache donors).
-	reuse bool
+	track  bool // dedup bookkeeping needed
+	audit  bool // claim-checking sampled on
 	// inline backs args when the reuse cache supplies no scratch and
 	// the call has few enough arguments. One value keeps the record in
-	// the 224-byte size class; a second would take it to 288.
+	// the 192-byte size class; a second would take it to 240.
 	inline [1]model.Value
 }
 
@@ -183,7 +173,7 @@ func (n *Node) handleCall(p transport.Packet, m *wire.Message) {
 
 	inv := &invocation{
 		call: Call{Node: n, From: p.From, start: start},
-		seq:  h.Seq, track: track, promised: h.Flags&wire.CallPromised != 0,
+		seq:  h.Seq, track: track,
 	}
 
 	var lookupStart int64
@@ -229,17 +219,6 @@ func (n *Node) handleCall(p transport.Packet, m *wire.Message) {
 	}
 	sp := inv.sp
 
-	// The promise section is decoded only now, after the duplicate
-	// check kept a redelivery cheap; its hardened decoder bounds the
-	// handle count and argument positions before anything dereferences
-	// them.
-	if err := h.DecodePromises(m); err != nil {
-		n.rejectCall(inv, fmt.Sprintf("promise section: %v", err), true)
-		return
-	}
-	skip := newArgSet(h.Promises)
-	inv.handles, inv.reuse = h.Promises, skip.n == 0
-
 	// The unmarshaler: take the cached argument graphs (Figure 13's
 	// temp_arr guard), deserialize — overwriting them in place when
 	// shapes match — and hand the copies to the user code. A
@@ -254,7 +233,7 @@ func (n *Node) handleCall(p transport.Packet, m *wire.Message) {
 		c.Counters.ClaimChecks.Add(1)
 	}
 	sp.BeginPhase(trace.PhaseDeserialize)
-	args, roots, ops, err := cs.args.read(c, n.ID, st, m, int(h.NArgs), skip, inv.audit, inv.inline[:])
+	args, roots, ops, err := cs.args.read(c, n.ID, st, m, int(h.NArgs), inv.audit, inv.inline[:])
 	sp.EndPhase(trace.PhaseDeserialize)
 	if err != nil {
 		n.rejectCall(inv, fmt.Sprintf("unmarshal: %v", err), errors.Is(err, wire.ErrMalformedFrame))
@@ -290,11 +269,8 @@ func (n *Node) dispatch(inv *invocation) {
 // reply.
 func (n *Node) executor(inv *invocation) {
 	for {
-		if len(inv.handles) > 0 {
-			n.runPipelined(inv)
-		} else {
-			n.runMethod(inv)
-		}
+		inv.sp.EndPhase(trace.PhaseDispatch)
+		n.executeAndReply(inv)
 		if n.idle.Add(1) > maxIdleExecutors {
 			n.idle.Add(-1)
 			return
@@ -309,10 +285,9 @@ func (n *Node) executor(inv *invocation) {
 	}
 }
 
-// rejectCall answers a call that failed before the method could run,
-// honoring the call's mode: promised calls publish the failure so
-// pipelined dependents unblock. malformed marks a hostile or version-skewed frame the
-// hardened decoder rejected: it is counted, answered with the typed
+// rejectCall answers a call that failed before the method could run.
+// malformed marks a hostile or version-skewed frame the hardened
+// decoder rejected: it is counted, answered with the typed
 // wire.ReplyMalformed, and its in-flight dedup entry is withdrawn — the
 // (from, seq) key came from the same untrusted frame, and leaving it
 // cached would let a forged frame swallow an honest retransmit stream.
@@ -327,82 +302,11 @@ func (n *Node) rejectCall(inv *invocation, msg string, malformed bool) {
 		}
 		kind, track = wire.ReplyMalformed, false
 	}
-	if inv.promised {
-		n.promiseFail(key, msg, floor)
-	}
 	n.sendFailure(from, inv.seq, floor, kind, msg, track, sp)
 }
 
-// runMethod is an executor's body for a plain call.
-func (n *Node) runMethod(inv *invocation) {
-	inv.sp.EndPhase(trace.PhaseDispatch)
-	n.executeAndReply(inv)
-}
-
-// runPipelined is an executor's body for a pipelined call: it resolves
-// the call's promise handles against the node's promise table —
-// parking until the producers finish when the call raced ahead of them
-// — splices the results into the argument slice, and then executes
-// like any other call. The caller's round trip never covered the
-// producers: that is the point of pipelining.
-func (n *Node) runPipelined(inv *invocation) {
-	c := n.cluster
-	c.Counters.PipelinedCalls.Add(1)
-	sp := inv.sp
-	sp.EndPhase(trace.PhaseDispatch)
-	for _, h := range inv.handles {
-		key := dedupKey{from: inv.call.From, seq: h.Seq}
-		e := n.promiseGet(key)
-		n.promMu.Lock()
-		done := e.done
-		ready := e.ready
-		n.promMu.Unlock()
-		if !done {
-			// The pipelined call overtook its producer; park until the
-			// producer publishes (or the cluster shuts down).
-			// promiseParked tracks the executors currently waiting on a
-			// promise — an overload signal (cormi_promise_parked) for
-			// admission control.
-			c.Counters.PromiseParks.Add(1)
-			c.promiseParked.Add(1)
-			sp.BeginPhase(trace.PhasePromiseWait)
-			select {
-			case <-ready:
-			case <-c.done:
-				c.promiseParked.Add(-1)
-				sp.EndPhase(trace.PhasePromiseWait)
-				n.rejectCall(inv, fmt.Sprintf("promise (from %d, seq %d): %v", inv.call.From, h.Seq, ErrClusterClosed), false)
-				return
-			}
-			c.promiseParked.Add(-1)
-			sp.EndPhase(trace.PhasePromiseWait)
-		}
-		n.promMu.Lock()
-		errMsg, vals, ts := e.err, e.vals, e.ts
-		n.promMu.Unlock()
-		if errMsg != "" {
-			n.rejectCall(inv, fmt.Sprintf("promised argument %d failed: %s", h.Arg, errMsg), false)
-			return
-		}
-		if int(h.Ret) >= len(vals) {
-			n.rejectCall(inv, fmt.Sprintf("promised argument %d: producer returned %d values, handle wants %d", h.Arg, len(vals), h.Ret), false)
-			return
-		}
-		// Clone out of the table: the entry may feed several consumers,
-		// and the method is free to mutate its arguments.
-		inv.args[h.Arg] = model.CloneValue(vals[int(h.Ret)], nil)
-		// The spliced value exists only once the producer finished;
-		// the dependent call cannot start before that.
-		if ts > inv.call.start {
-			inv.call.start = ts
-		}
-	}
-	n.executeAndReply(inv)
-}
-
 // executeAndReply runs the user method, returns the cached argument
-// graphs to the call site, publishes promised outcomes, and ships the
-// reply. A panic in user code is
+// graphs to the call site, and ships the reply. A panic in user code is
 // converted into a remote-exception reply carrying the callee's stack.
 func (n *Node) executeAndReply(inv *invocation) {
 	c := n.cluster
@@ -411,29 +315,18 @@ func (n *Node) executeAndReply(inv *invocation) {
 	sp.BeginPhase(trace.PhaseExecute)
 	rets, err := runGuarded(inv.method, call, inv.args)
 	sp.EndPhase(trace.PhaseExecute)
-	if inv.reuse {
-		cs.args.recycle(n.ID, inv.args, inv.roots)
-	}
+	cs.args.recycle(n.ID, inv.args, inv.roots)
 	// The reply leaves no earlier than the invocation's own progress
 	// (start + the CPU time the method reported) and no earlier than
 	// the communication processor's current time; marshaling advances
 	// the latter.
 	done := call.start + call.computed
-	key := dedupKey{from: from, seq: seq}
 	if err != nil {
-		if inv.promised {
-			n.promiseFail(key, err.Error(), done)
-		}
 		// A panic is one of the flight recorder's auto-dump triggers;
 		// sendFailure closes the span first, so the dump includes it.
 		n.sendFailure(from, seq, done, wire.ReplyError, err.Error(), track, sp)
 		c.tracer.DumpFailure("panic")
 		return
-	}
-	if inv.promised {
-		// Publish before replying: a pipelined dependent may already be
-		// parked on this entry, and the caller's own Wait comes later.
-		n.promiseFulfill(key, rets, done)
 	}
 
 	sp.BeginPhase(trace.PhaseReplySerialize)
@@ -452,7 +345,7 @@ func (n *Node) executeAndReply(inv *invocation) {
 		if l := n.linkTo(from); l != nil {
 			lp = l.lp
 		}
-		ops, werr := cs.rets.write(c, st, m, rets, argSet{}, inv.audit, lp)
+		ops, werr := cs.rets.write(c, st, m, rets, inv.audit, lp)
 		if werr != nil {
 			m.Release()
 			n.sendFailure(from, seq, done, wire.ReplyError, fmt.Sprintf("marshal return: %v", werr), track, sp)

@@ -101,47 +101,3 @@ func TestTraceContextCapDemotion(t *testing.T) {
 		t.Fatalf("demoted link leaked callee spans into the trace: %+v", spans)
 	}
 }
-
-// TestTraceContextPipelinedChainOneTrace proves promise pipelining
-// inherits the producer's trace: a dependent chain of futures becomes
-// one trace whose caller spans link through their promise producers.
-func TestTraceContextPipelinedChainOneTrace(t *testing.T) {
-	c, tr, cs, ref := dtraceSetup(t)
-	const depth = 4
-	futs := make([]*Future, depth)
-	futs[0] = cs.InvokeAsync(c.Node(0), ref, []model.Value{model.Int(0)}, AsyncOpts{Promised: true})
-	for d := 1; d < depth; d++ {
-		futs[d] = cs.InvokeAsync(c.Node(0), ref, []model.Value{{}}, AsyncOpts{
-			Promised: d < depth-1,
-			Promises: []PromiseArg{{Arg: 0, Fut: futs[d-1]}},
-		})
-	}
-	for d := 0; d < depth; d++ {
-		if _, err := futs[d].Wait(); err != nil {
-			t.Fatalf("link %d: %v", d, err)
-		}
-	}
-	for _, f := range futs {
-		f.Release()
-	}
-	traces := tr.Traces()
-	if len(traces) != 1 {
-		t.Fatalf("%d traces retained, want the whole chain in 1", len(traces))
-	}
-	spans := tr.TraceSpans(traces[0].TraceID)
-	if len(spans) != 2*depth {
-		t.Fatalf("%d spans, want %d (caller+callee per link)", len(spans), 2*depth)
-	}
-	roots := 0
-	for i := range spans {
-		if spans[i].Kind == trace.KindCaller && spans[i].ParentID == 0 {
-			roots++
-		}
-		if spans[i].Hop > 1 {
-			t.Errorf("span hop %d on a single-link topology", spans[i].Hop)
-		}
-	}
-	if roots != 1 {
-		t.Errorf("%d root caller spans, want 1 (later links inherit the first)", roots)
-	}
-}

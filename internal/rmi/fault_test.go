@@ -3,10 +3,12 @@ package rmi
 import (
 	"errors"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"cormi/internal/balance"
 	"cormi/internal/model"
 	"cormi/internal/serial"
 	"cormi/internal/transport"
@@ -284,5 +286,57 @@ func TestBackoffSaturates(t *testing.T) {
 	capped := CallPolicy{Backoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond}
 	if d := capped.nextBackoff(40); d != 8*time.Millisecond {
 		t.Fatalf("capped nextBackoff(40) = %v, want 8ms", d)
+	}
+}
+
+func TestAbandonedTimeoutsDoNotLeakBuffers(t *testing.T) {
+	// Regression: a reply racing in exactly as its caller abandons the
+	// timed-out call used to strand the pooled reply channel (and the
+	// reply payload) forever. Hammer the race window — server latency
+	// straddling the call deadline, several callers contending for the
+	// pending table — and require the frame pool's get/put balance to
+	// return to its baseline once the cluster is torn down (a live
+	// cluster keeps parked executors). With routeReply sending after it
+	// unlocks, as before the fix, this reads "+N frames" in most runs.
+	mark := balance.Take()
+	e := newEnv(t, 2)
+	ref := e.c.Node(1).Export(&Service{Name: "Laggy", Methods: map[string]Method{
+		"lag": func(call *Call, args []model.Value) []model.Value {
+			time.Sleep(time.Duration(args[0].I%4) * 100 * time.Microsecond)
+			return []model.Value{args[0]}
+		},
+	}})
+	name := "t.lag.1"
+	cs := e.c.MustNewCallSite(LevelSite, SiteSpec{
+		Name: name, Method: "lag",
+		ArgPlans: []*serial.Plan{intPlan(name)},
+		RetPlans: []*serial.Plan{intPlan(name)},
+	})
+
+	pol := CallPolicy{Timeout: 150 * time.Microsecond}
+	const callers, calls = 8, 1000
+	var wg sync.WaitGroup
+	wg.Add(callers)
+	for g := 0; g < callers; g++ {
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				// Latencies of 0-300µs straddle the deadline, so some
+				// replies arrive just as the caller gives up.
+				_, err := cs.InvokeWithPolicy(e.c.Node(0), ref, []model.Value{model.Int(int64(i + g))}, pol)
+				if err != nil && !errors.Is(err, ErrTimeout) {
+					t.Errorf("caller %d, call %d: %v", g, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	// Quiescence: the last late replies need their server sleeps to
+	// expire and the frames to be drained as stale or dropped by the
+	// closed network.
+	e.c.Close()
+	if err := mark.Settled(e.c.Overload); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -65,13 +65,12 @@ func (t *tapNetwork) take(tb testing.TB, n int) []string {
 	}
 }
 
-// frameFixture is a tapped 2-node cluster serving inc(x)=x+1 and a
-// four-argument sum on node 1.
+// frameFixture is a tapped 2-node cluster serving inc(x)=x+1 on node 1.
 type frameFixture struct {
-	tap            *tapNetwork
-	n0             *Node
-	inc, ack, sum4 *CallSite
-	ref            Ref
+	tap      *tapNetwork
+	n0       *Node
+	inc, ack *CallSite
+	ref      Ref
 }
 
 func newFrameFixture(t *testing.T, opts ...Option) frameFixture {
@@ -89,12 +88,8 @@ func newFrameFixture(t *testing.T, opts ...Option) frameFixture {
 	fx := frameFixture{tap: tap, n0: c.Node(0)}
 	fx.inc = site("G.inc.1", "inc", 1, false)
 	fx.ack = site("G.inc.2", "inc", 1, true)
-	fx.sum4 = site("G.sum4.1", "sum4", 4, false)
 	fx.ref = c.Node(1).Export(&Service{Name: "G", Methods: map[string]Method{
 		"inc": func(_ *Call, a []model.Value) []model.Value { return []model.Value{model.Int(a[0].I + 1)} },
-		"sum4": func(_ *Call, a []model.Value) []model.Value {
-			return []model.Value{model.Int(a[0].I + a[1].I + a[2].I + a[3].I)}
-		},
 	}})
 	return fx
 }
@@ -115,13 +110,12 @@ func checkFrame(t *testing.T, what, got, want string) {
 // TestFramesOnTheWire pins the bytes a node actually sends — call and
 // reply headers with their payloads — for each header shape: a plain
 // call and its values reply, a retryable call and its acknowledgment,
-// an error reply, a malformed-frame reply, a promised call and a
-// pipelined call naming three promises. The header prefixes are the
-// goldens of wire.TestCallHeaderGoldens; a change here is a wire-format
-// change.
+// an error reply and a malformed-frame reply. The header prefixes are
+// the goldens of wire.TestCallHeaderGoldens; a change here is a
+// wire-format change.
 func TestFramesOnTheWire(t *testing.T) {
 	fx := newFrameFixture(t)
-	tap, n0, inc, ack, sum4, ref := fx.tap, fx.n0, fx.inc, fx.ack, fx.sum4, fx.ref
+	tap, n0, inc, ack, ref := fx.tap, fx.n0, fx.inc, fx.ack, fx.ref
 
 	// seq 1: plain call, values reply.
 	if _, err := inc.Invoke(n0, ref, []model.Value{model.Int(41)}); err != nil {
@@ -156,33 +150,6 @@ func TestFramesOnTheWire(t *testing.T) {
 	fr = tap.take(t, 2)
 	checkFrame(t, "malformed reply", fr[1], "01"+"0000000000000000"+"03"+
 		hexString("bad call header: wire: malformed frame: read past end of message: need 1 bytes at offset 1 of 1"))
-
-	// seq 4..6 promised producers, seq 7 pipelined on all three.
-	var prod [3]*Future
-	for i := range prod {
-		prod[i] = inc.InvokeAsync(n0, ref, []model.Value{model.Int(int64(10 * i))}, AsyncOpts{Promised: true})
-	}
-	fr = tap.take(t, 6)
-	checkFrame(t, "promised call", fr[0], "0008"+"00000000"+"0000000000000000"+"0400000000000000"+"01000000"+"0000000000000000")
-	pf := sum4.InvokeAsync(n0, ref, []model.Value{{}, model.Int(100), {}, {}}, AsyncOpts{Promises: []PromiseArg{
-		{Arg: 0, Fut: prod[0]}, {Arg: 2, Fut: prod[1]}, {Arg: 3, Fut: prod[2]},
-	}})
-	vals, err := pf.Wait()
-	if err != nil || vals[0].I != 1+100+11+21 {
-		t.Fatalf("pipelined sum = %v, %v", vals, err)
-	}
-	fr = tap.take(t, 2)
-	checkFrame(t, "pipelined call, 3 handles", fr[0], "0010"+"02000000"+"0000000000000000"+"0700000000000000"+"04000000"+
-		"03000000"+
-		"00000000"+"0400000000000000"+"00000000"+
-		"02000000"+"0500000000000000"+"00000000"+
-		"03000000"+"0600000000000000"+"00000000"+
-		"6400000000000000")
-	for _, p := range prod {
-		p.Wait()
-		p.Release()
-	}
-	pf.Release()
 }
 
 // TestTracedFrameOnTheWire pins a traced call carrying a trace context.
@@ -191,13 +158,11 @@ func TestFramesOnTheWire(t *testing.T) {
 func TestTracedFrameOnTheWire(t *testing.T) {
 	fx := newFrameFixture(t, WithNodeTracer(0, trace.New(trace.Config{RingSize: 64})))
 	tap, n0, inc, ref := fx.tap, fx.n0, fx.inc, fx.ref
-	f := inc.InvokeAsync(n0, ref, []model.Value{model.Int(5)}, AsyncOpts{
-		Trace: wire.TraceContext{TraceID: 0x1122334455667788, Parent: 9, Hop: 2},
-	})
-	if _, err := f.Wait(); err != nil {
+	// A nested call from inside a sampled invocation at hop 2.
+	call := &Call{Node: n0, From: n0.ID, tctx: wire.TraceContext{TraceID: 0x1122334455667788, Parent: 9, Hop: 2}}
+	if _, err := inc.InvokeFrom(call, ref, []model.Value{model.Int(5)}); err != nil {
 		t.Fatal(err)
 	}
-	f.Release()
 	fr := tap.take(t, 2)
 	const parentAt = 2 * (26 + 8)
 	masked := fr[0][:parentAt] + "----------------" + fr[0][parentAt+16:]

@@ -47,9 +47,9 @@ type nodeLink struct {
 	version   int32
 	peerPlans int32
 	// caps is the link's negotiated capability set: the intersection of
-	// both HELLOs' advertised bits (wire.Cap*). Optional features —
-	// promise pipelining, trace-context propagation — are used on this
-	// link only when the corresponding bit survived negotiation.
+	// both HELLOs' advertised bits (wire.Cap*). An optional feature —
+	// today trace-context propagation — is used on this link only when
+	// its bit survived negotiation.
 	caps uint32
 	// malformedDumped latches the one flight-recorder dump this link
 	// records on its first malformed frame.
@@ -115,8 +115,7 @@ func (c *Cluster) negotiateLink(local, peer int, l *nodeLink) {
 	peerHello, perr := wire.DecodeHello(c.helloBytes(peer))
 	if lerr != nil || perr != nil {
 		// An unverifiable peer gets no optional features either: caps
-		// stay zero, so pipelining and trace propagation demote to
-		// their fallbacks on this link.
+		// stay zero, so trace propagation ends at this link.
 		l.version = wire.ProtocolVersion
 		l.lp = serial.DemoteAll(c.Registry)
 		return

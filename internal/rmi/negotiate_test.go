@@ -1,6 +1,8 @@
 package rmi
 
 import (
+	"encoding/hex"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -173,49 +175,79 @@ func TestUnknownMessageTagCountsMalformed(t *testing.T) {
 }
 
 // TestRetiredWireValuesCountMalformed sends what a peer built with
-// one-way calls and frame batching could still put on the wire: a
-// CRC-valid frame under the retired batch tag 2, and a call whose
-// header sets the retired one-way flag bit. Each is a malformed frame
-// (not corruption), neither executes, and the node keeps answering.
+// one-way calls, frame batching or promise pipelining could still put
+// on the wire: a CRC-valid frame under the retired batch tag 2, and
+// calls whose header sets a retired flag bit — 2 (one-way), 3 (promised)
+// and 4 (pipelined, with its promise section). Each is a malformed
+// frame (not corruption) counted once, each call is answered
+// ReplyMalformed under its own seq, none executes, and the node keeps
+// answering.
 func TestRetiredWireValuesCountMalformed(t *testing.T) {
-	e := newEnv(t, 2)
+	tap := &tapNetwork{Network: transport.NewChannelNetwork(2, 64)}
+	c := New(2, WithNetwork(tap))
+	t.Cleanup(c.Close)
 	var execs atomic.Int64
-	ref := e.c.Node(1).Export(countingService(&execs))
-	cs := bumpSite(t, e.c)
-	if _, err := cs.Invoke(e.c.Node(0), ref, []model.Value{model.Int(1)}); err != nil {
+	ref := c.Node(1).Export(countingService(&execs))
+	cs := bumpSite(t, c)
+	if _, err := cs.Invoke(c.Node(0), ref, []model.Value{model.Int(1)}); err != nil {
 		t.Fatal(err)
 	}
+	tap.take(t, 2)
 
 	batch := wire.Get()
 	batch.AppendByte(2)
 	batch.AppendInt32(1)
-	batch.SealFrame()
-	oneWay := wire.Get()
-	wire.CallHeader{Flags: 1 << 2, Site: cs.ID, Obj: ref.Obj, Seq: 999_999, NArgs: 1}.Encode(oneWay)
-	oneWay.AppendInt64(1) // a well-formed argument: only the flag is wrong
-	oneWay.SealFrame()
-	for want, m := range []*wire.Message{batch, oneWay} {
-		if err := e.c.Network().Endpoint(0).Send(transport.Packet{To: 1, Payload: m.Detach()}); err != nil {
+	frames := []*wire.Message{batch}
+	for i, flag := range []byte{1 << 2, 1 << 3, 1 << 4} {
+		m := wire.Get()
+		wire.CallHeader{Flags: flag, Site: cs.ID, Obj: ref.Obj, Seq: int64(900 + i), NArgs: 1}.Encode(m)
+		if flag == 1<<4 {
+			// The promise section: one handle naming argument 0.
+			m.AppendInt32(1)
+			m.AppendInt32(0)
+			m.AppendInt64(1)
+			m.AppendInt32(0)
+		} else {
+			m.AppendInt64(1) // a well-formed argument: only the flag is wrong
+		}
+		frames = append(frames, m)
+	}
+	for i, m := range frames {
+		m.SealFrame()
+		if err := tap.Endpoint(0).Send(transport.Packet{To: 1, Payload: m.Detach()}); err != nil {
 			t.Fatal(err)
 		}
-		deadline := time.Now().Add(2 * time.Second)
-		for e.c.Counters.MalformedFrames.Load() != int64(want+1) {
-			if time.Now().After(deadline) {
-				t.Fatalf("frame %d: MalformedFrames = %d, want %d", want, e.c.Counters.MalformedFrames.Load(), want+1)
+		if i == 0 {
+			tap.take(t, 1) // the batch frame draws no reply
+		} else {
+			seq := wire.NewMessage(8)
+			seq.AppendInt64(int64(900 + i - 1))
+			want := "01" + hex.EncodeToString(seq.Bytes()) + "03"
+			if fr := tap.take(t, 2); !strings.HasPrefix(fr[1], want) {
+				t.Errorf("frame %d: reply %s, want a malformed reply %s…", i, fr[1], want)
 			}
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for c.Counters.MalformedFrames.Load() < int64(i+1) && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
+		if got := c.Counters.MalformedFrames.Load(); got != int64(i+1) {
+			t.Fatalf("frame %d: MalformedFrames = %d, want %d", i, got, i+1)
+		}
 	}
-	if got := e.c.Counters.CorruptDropped.Load(); got != 0 {
+	if got := c.Counters.CorruptDropped.Load(); got != 0 {
 		t.Errorf("retired values miscounted as corruption (%d)", got)
 	}
 
-	vals, err := cs.Invoke(e.c.Node(0), ref, []model.Value{model.Int(41)})
+	vals, err := cs.Invoke(c.Node(0), ref, []model.Value{model.Int(41)})
 	if err != nil || vals[0].I != 42 {
 		t.Fatalf("call after retired frames: vals=%v err=%v", vals, err)
 	}
 	if execs.Load() != 2 {
 		t.Errorf("executed %d times, want 2 (retired frames must not run)", execs.Load())
+	}
+	if got := c.Counters.MalformedFrames.Load(); got != int64(len(frames)) {
+		t.Errorf("MalformedFrames = %d after the last call, want %d", got, len(frames))
 	}
 }
 

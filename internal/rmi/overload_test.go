@@ -1,11 +1,13 @@
 package rmi
 
 import (
-	"sync/atomic"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"cormi/internal/model"
+	"cormi/internal/serial"
 	"cormi/internal/stats"
 )
 
@@ -26,47 +28,50 @@ func waitOverload(t *testing.T, c *Cluster, what string, cond func(stats.Overloa
 	}
 }
 
-func TestOverloadTracksParkedExecutorsAndPendingCalls(t *testing.T) {
+// TestOverloadTracksPendingCalls: a caller blocked on a gated method
+// owes one reply, which Overload reports until the gate opens and the
+// reply lands.
+func TestOverloadTracksPendingCalls(t *testing.T) {
 	e := newEnv(t, 2)
 	if o := e.c.Overload(); o != (stats.OverloadStats{}) {
 		t.Fatalf("idle cluster overload = %s, want zero", o)
 	}
 
 	gate := make(chan struct{})
-	var execs atomic.Int64
-	ref := pipelineEnv(t, e.c, gate, &execs)
-	slow := pipeSite(t, e.c, "slow")
-	bump := pipeSite(t, e.c, "bump")
-
-	// The producer blocks at the callee, so the dependent call parks:
-	// while it does, the caller has pending replies outstanding, the
-	// promise table holds the producer's entry, and one executor is
-	// parked.
-	f1 := slow.InvokeAsync(e.c.Node(0), ref, []model.Value{model.Int(1)}, AsyncOpts{Promised: true})
-	f2 := bump.InvokeAsync(e.c.Node(0), ref, []model.Value{{}}, AsyncOpts{
-		Promises: []PromiseArg{{Arg: 0, Fut: f1}},
+	var open sync.Once
+	release := func() { open.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	ref := e.c.Node(1).Export(&Service{Name: "Gated", Methods: map[string]Method{
+		"slow": func(call *Call, args []model.Value) []model.Value {
+			<-gate
+			return []model.Value{model.Int(args[0].I + 1)}
+		},
+	}})
+	const name = "t.gated.slow"
+	cs := e.c.MustNewCallSite(LevelSite, SiteSpec{
+		Name: name, Method: "slow",
+		ArgPlans: []*serial.Plan{intPlan(name)},
+		RetPlans: []*serial.Plan{intPlan(name)},
 	})
-	o := waitOverload(t, e.c, "parked executor", func(o stats.OverloadStats) bool {
-		return o.PromiseParked == 1
-	})
-	if o.PendingCalls < 1 {
-		t.Errorf("PendingCalls = %d while two calls are in flight", o.PendingCalls)
-	}
-	if o.PromiseTable < 1 {
-		t.Errorf("PromiseTable = %d while a promised call is in flight", o.PromiseTable)
-	}
 
-	close(gate)
-	if _, err := f2.Wait(); err != nil {
+	errc := make(chan error, 1)
+	go func() {
+		vals, err := cs.Invoke(e.c.Node(0), ref, []model.Value{model.Int(1)})
+		if err == nil && vals[0].I != 2 {
+			err = fmt.Errorf("slow(1) = %d, want 2", vals[0].I)
+		}
+		errc <- err
+	}()
+	waitOverload(t, e.c, "one pending call", func(o stats.OverloadStats) bool {
+		return o.PendingCalls == 1
+	})
+
+	release()
+	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f1.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	f1.Release()
-	f2.Release()
-	// Levels drain back: no executor stays parked, no reply stays owed.
+	// The level drains back: no reply stays owed.
 	waitOverload(t, e.c, "drained", func(o stats.OverloadStats) bool {
-		return o.PromiseParked == 0 && o.PendingCalls == 0
+		return o.PendingCalls == 0
 	})
 }

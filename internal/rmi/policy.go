@@ -36,18 +36,6 @@ var (
 // The zero policy preserves the paper's semantics on a reliable
 // interconnect: wait for the reply indefinitely (but never across
 // Cluster.Close).
-//
-// Asynchronous variants interact with the policy as follows:
-//
-//   - Futures (InvokeAsync): the policy is enforced by whoever drives
-//     the future — the deadline clock effectively starts at Wait (or at
-//     the driver goroutine Done starts), and retransmits are sent from
-//     the waiting goroutine. An issued-but-never-waited future times
-//     nothing out; Release reclaims its resources.
-//   - Pipelined calls: retried like any other call; redeliveries of
-//     both the producer and the dependent call are absorbed by the
-//     callee's (from, seq) dedup cache, and the promise table keeps the
-//     first published outcome, so retransmits cannot double-splice.
 type CallPolicy struct {
 	// Timeout is the per-attempt reply deadline; 0 means wait forever.
 	Timeout time.Duration

@@ -131,8 +131,8 @@ type Call struct {
 	// tctx is the invocation's distributed-trace inheritance handle
 	// (zero when the call was not sampled): the trace ID, this callee
 	// span's ID as the parent for descendants, and this hop's depth.
-	// Nested calls issued through InvokeFrom (or an AsyncOpts.Trace
-	// carrying it) join the caller's cross-node call tree.
+	// Nested calls issued through InvokeFrom join the caller's
+	// cross-node call tree.
 	tctx wire.TraceContext
 }
 
@@ -149,8 +149,7 @@ func (c *Call) Start() int64 { return c.start }
 // TraceContext returns the invocation's distributed-trace context —
 // zero when the call was not sampled. Methods issuing nested RMIs
 // through a bare CallSite.Invoke break the trace at this hop; use
-// InvokeFrom (or pass the context via AsyncOpts.Trace) to keep the
-// cross-node call tree connected.
+// InvokeFrom to keep the cross-node call tree connected.
 func (c *Call) TraceContext() wire.TraceContext { return c.tctx }
 
 // WaitUntil raises the invocation's completion floor to ts without
@@ -209,14 +208,6 @@ type Cluster struct {
 	// the node negotiate the feature away.
 	capsMask map[int]uint32
 
-	// promiseParked tracks the executor goroutines currently parked on
-	// an unresolved promise (level, not a monotone total — see
-	// stats.OverloadStats.PromiseParked).
-	promiseParked atomic.Int64
-
-	// futPool recycles Future structs across asynchronous invocations.
-	futPool sync.Pool
-
 	// fpOnce guards the one registry fingerprint pass shared by every
 	// link negotiation: model.Class.AllFields caches lazily, so the
 	// flattening must not race when several links negotiate at once.
@@ -249,15 +240,9 @@ type clusterOpts struct {
 	nodeTracers map[int]*trace.Tracer
 }
 
-const (
-	// channelDepth is each node's inbox depth on the default in-process
-	// channel network.
-	channelDepth = 1024
-	// promiseCap bounds each node's promise table — the store a callee
-	// keeps so pipelined calls can reference the results of earlier
-	// promised calls (see promise.go).
-	promiseCap = 1024
-)
+// channelDepth is each node's inbox depth on the default in-process
+// channel network.
+const channelDepth = 1024
 
 // WithNetwork runs the cluster over an externally created network
 // (e.g. TCP); the cluster still closes it on Close.
@@ -356,10 +341,9 @@ func WithPlanSkew(node int, classes ...string) Option {
 
 // WithoutCaps strips capability bits from node's HELLO advertisement,
 // simulating a peer that does not implement an optional protocol
-// feature (promise pipelining, trace-context propagation). Links
-// touching the node negotiate the masked features away and callers
-// fall back to the synchronous resolve-then-send path — the chaos
-// harness's capability-demotion knob.
+// feature (trace-context propagation). Links touching the node
+// negotiate the masked features away and the calls run without them —
+// the chaos harness's capability-demotion knob.
 func WithoutCaps(node int, caps uint32) Option {
 	return func(o *clusterOpts) {
 		if o.capsMask == nil {
@@ -442,8 +426,8 @@ func (c *Cluster) Done() <-chan struct{} { return c.done }
 // Close shuts the cluster down. Every pending invocation fails with
 // ErrClusterClosed: the done channel unblocks callers waiting on
 // replies, the network close stops the receive loops, and failPending
-// mops up entries whose reply will now never arrive; the reply cache
-// and promise table are emptied once no receive loop can admit to them.
+// mops up entries whose reply will now never arrive; the reply cache is
+// emptied once no receive loop can admit to it.
 func (c *Cluster) Close() {
 	if !c.closed.CompareAndSwap(false, true) {
 		return
@@ -453,7 +437,6 @@ func (c *Cluster) Close() {
 	c.wg.Wait()
 	for _, n := range c.nodes {
 		n.failPending()
-		n.failPromises()
 		n.dropDedup()
 	}
 }
@@ -499,23 +482,18 @@ func (c *Cluster) SiteStats() []stats.SiteStat {
 	return out
 }
 
-// Overload snapshots the cluster's backlog levels — pending-call
-// table, promise table occupancy and parked executors — the overload
-// signals the obs server exposes as gauges and admission control will
-// consume. Each table is read under its own short-lived lock; the
-// snapshot is consistent per table, not across tables, which is all a
-// monitoring signal needs.
+// Overload snapshots the cluster's backlog levels — the pending-call
+// tables — the overload signals the obs server exposes as gauges and
+// admission control will consume. Each node's table is read under its
+// own short-lived lock; the snapshot is consistent per node, not across
+// nodes, which is all a monitoring signal needs.
 func (c *Cluster) Overload() stats.OverloadStats {
 	var o stats.OverloadStats
 	for _, n := range c.nodes {
 		n.pendMu.Lock()
 		o.PendingCalls += int64(len(n.pending))
 		n.pendMu.Unlock()
-		n.promMu.Lock()
-		o.PromiseTable += int64(len(n.promises))
-		n.promMu.Unlock()
 	}
-	o.PromiseParked = c.promiseParked.Load()
 	return o
 }
 
@@ -577,14 +555,6 @@ type Node struct {
 	// per cluster node (see negotiate.go). Each slot initializes at
 	// most once, on the first frame exchanged with that peer.
 	links []nodeLink
-
-	// The callee-side promise table (promise pipelining): results of
-	// promised calls, keyed by the same (from, seq) call id the dedup
-	// cache uses, consumed by later pipelined calls from the same
-	// caller. See promise.go.
-	promMu   sync.Mutex
-	promises map[dedupKey]*promiseEntry
-	promQ    []dedupKey
 
 	// tracer records this node's spans: the cluster tracer by default,
 	// or a per-node override (WithNodeTracer). nil = tracing off.

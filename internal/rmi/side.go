@@ -54,27 +54,18 @@ func newSide(cfg serial.Config, plans []*serial.Plan, nodes int) side {
 	return s
 }
 
-// subset is the plan list for n values of which the skip positions do
-// not travel (nil in class mode stays nil).
-func (s *side) subset(n int, skip argSet) []*serial.Plan {
-	return without(s.plans[:min(len(s.plans), n)], skip)
-}
-
-// write serializes vals into m, leaving out the skip positions. On
-// audited calls at a cycle-eliding site the value graphs are walked
-// first, and a repeated object — the static analysis mis-predicted the
-// runtime heap — falls back to serializing WITH the cycle table. The
-// fallback is wire-compatible (readers accept handle markers
-// unconditionally), so a refuted claim becomes a counted, dumped event
-// instead of silent corruption or a non-terminating writer. lp is the
-// link's negotiated plan table (nil for local calls and homogeneous
-// links): fingerprint-mismatched classes take the class-level encoding.
-func (s *side) write(c *Cluster, st *stats.SiteCounters, m *wire.Message, vals []model.Value, skip argSet, audit bool, lp *serial.LinkPlans) (simtime.OpCount, error) {
+// write serializes vals into m. On audited calls at a cycle-eliding
+// site the value graphs are walked first, and a repeated object — the
+// static analysis mis-predicted the runtime heap — falls back to
+// serializing WITH the cycle table. The fallback is wire-compatible
+// (readers accept handle markers unconditionally), so a refuted claim
+// becomes a counted, dumped event instead of silent corruption or a
+// non-terminating writer. lp is the link's negotiated plan table (nil
+// for local calls and homogeneous links): fingerprint-mismatched
+// classes take the class-level encoding.
+func (s *side) write(c *Cluster, st *stats.SiteCounters, m *wire.Message, vals []model.Value, audit bool, lp *serial.LinkPlans) (simtime.OpCount, error) {
 	cfg, plans := s.cfg, s.plans
 	cfg.Link = lp
-	if skip.n > 0 {
-		plans, vals = s.subset(len(vals), skip), without(vals, skip)
-	}
 	if audit && cfg.Mode == serial.ModeSite && cfg.CycleElim && serial.CheckAcyclic(vals, plans) != nil {
 		claimViolated(c, st)
 		cfg.CycleElim = false
@@ -91,20 +82,14 @@ func (s *side) write(c *Cluster, st *stats.SiteCounters, m *wire.Message, vals [
 // overwrites them in place where shapes match, and returns the roots
 // for recycle once the values are dead. On audited calls a donor whose
 // class differs from the plan's prediction refutes the §3.3 claim and
-// is dropped so the reader allocates fresh objects instead. With skip
-// positions (a pipelined call) only the others are on the wire: the
-// result mixes wire values with slots the caller splices, so it reads
-// with reuse off — no donors taken, nothing to put back. buf, when the
-// cache supplies no scratch, backs the values if it has room for them:
-// the callee passes its invocation record's inline array.
-func (s *side) read(c *Cluster, node int, st *stats.SiteCounters, m *wire.Message, n int, skip argSet, audit bool, buf []model.Value) ([]model.Value, []*model.Object, simtime.OpCount, error) {
+// is dropped so the reader allocates fresh objects instead. buf, when
+// the cache supplies no scratch, backs the values if it has room for
+// them: the callee passes its invocation record's inline array.
+func (s *side) read(c *Cluster, node int, st *stats.SiteCounters, m *wire.Message, n int, audit bool, buf []model.Value) ([]model.Value, []*model.Object, simtime.OpCount, error) {
 	cfg, plans := s.cfg, s.plans
 	var cached []*model.Object
 	var scratch []model.Value
-	if skip.n > 0 {
-		cfg.Reuse = false
-		plans = s.subset(n, skip)
-	} else if cfg.Reuse {
+	if cfg.Reuse {
 		cached, scratch = s.caches[node].Take()
 		if cached == nil {
 			st.ReuseMisses.Add(1)
@@ -123,18 +108,7 @@ func (s *side) read(c *Cluster, node int, st *stats.SiteCounters, m *wire.Messag
 	if scratch == nil {
 		scratch = buf
 	}
-	vals, roots, ops, err := serial.ReadValuesScratch(m, c.Registry, n-skip.n, plans, cfg, cached, scratch, c.Counters)
-	if err != nil || skip.n == 0 {
-		return vals, roots, ops, err
-	}
-	full := make([]model.Value, n)
-	for i, next := 0, 0; i < n; i++ {
-		if !skip.has(i) {
-			full[i] = vals[next]
-			next++
-		}
-	}
-	return full, nil, ops, nil
+	return serial.ReadValuesScratch(m, c.Registry, n, plans, cfg, cached, scratch, c.Counters)
 }
 
 // recycle returns graphs read on node to its cache once escape
@@ -157,50 +131,4 @@ func claimViolated(c *Cluster, st *stats.SiteCounters) {
 	st.ClaimViolations.Add(1)
 	c.Counters.ClaimViolations.Add(1)
 	c.tracer.DumpFailure("claim-violation")
-}
-
-// argSet is the set of argument positions a pipelined call names by
-// promise handle instead of serializing. The handles are validated
-// before one is built (promiseHandles, wire.DecodePromises): in range,
-// no duplicates.
-type argSet struct {
-	n    int          // positions in the set
-	low  uint64       // positions 0..63
-	high map[int]bool // the rest
-}
-
-func newArgSet(handles []wire.PromiseHandle) argSet {
-	s := argSet{n: len(handles)}
-	for _, h := range handles {
-		if h.Arg < 64 {
-			s.low |= 1 << uint(h.Arg)
-			continue
-		}
-		if s.high == nil {
-			s.high = make(map[int]bool)
-		}
-		s.high[int(h.Arg)] = true
-	}
-	return s
-}
-
-func (s argSet) has(i int) bool {
-	if i < 64 {
-		return s.low&(1<<uint(i)) != 0
-	}
-	return s.high[i]
-}
-
-// without returns xs minus the skip positions; nil stays nil.
-func without[T any](xs []T, skip argSet) []T {
-	if xs == nil {
-		return nil
-	}
-	out := make([]T, 0, max(len(xs)-skip.n, 0))
-	for i, x := range xs {
-		if !skip.has(i) {
-			out = append(out, x)
-		}
-	}
-	return out
 }

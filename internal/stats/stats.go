@@ -68,13 +68,6 @@ type Counters struct {
 	MalformedFrames atomic.Int64 // CRC-valid frames rejected by the hardened decoder
 	PlanFallbacks   atomic.Int64 // objects demoted to class-level encoding by link negotiation
 
-	// Asynchronous-RMI counters (futures, pipelining).
-	AsyncCalls        atomic.Int64 // remote invocations issued through InvokeAsync
-	PromisedCalls     atomic.Int64 // calls whose results were published to a promise table
-	PipelinedCalls    atomic.Int64 // calls carrying promise-handle arguments
-	PromiseParks      atomic.Int64 // pipelined calls that had to wait for an unresolved promise
-	PipelineFallbacks atomic.Int64 // pipelined sends demoted to resolve-then-send (link caps)
-
 	// NetFrames counts physical frames handed to the transport, so
 	// NetFrames/operations is the wire-efficiency "frames per op".
 	NetFrames PaddedInt64 // physical frames put on the wire
@@ -92,45 +85,38 @@ type Snapshot struct {
 	Retries, Timeouts, DupSuppressed              int64
 	CorruptDropped, StaleReplies                  int64
 	ClaimChecks, ClaimViolations                  int64
-	MalformedFrames, PlanFallbacks                int64
-	AsyncCalls, PromisedCalls, PipelinedCalls     int64
-	PromiseParks, PipelineFallbacks, NetFrames    int64
+	MalformedFrames, PlanFallbacks, NetFrames     int64
 }
 
 // Snapshot copies the current counter values.
 func (c *Counters) Snapshot() Snapshot {
 	return Snapshot{
-		RemoteRPCs:        c.RemoteRPCs.Load(),
-		LocalRPCs:         c.LocalRPCs.Load(),
-		Messages:          c.Messages.Load(),
-		WireBytes:         c.WireBytes.Load(),
-		TypeBytes:         c.TypeBytes.Load(),
-		TypeOps:           c.TypeOps.Load(),
-		SerializerCalls:   c.SerializerCalls.Load(),
-		InlinedWrites:     c.InlinedWrites.Load(),
-		IntrospectOps:     c.IntrospectOps.Load(),
-		CycleTables:       c.CycleTables.Load(),
-		CycleLookups:      c.CycleLookups.Load(),
-		AllocObjects:      c.AllocObjects.Load(),
-		AllocBytes:        c.AllocBytes.Load(),
-		ReusedObjs:        c.ReusedObjs.Load(),
-		ReusedBytes:       c.ReusedBytes.Load(),
-		AcksOnly:          c.AcksOnly.Load(),
-		Retries:           c.Retries.Load(),
-		Timeouts:          c.Timeouts.Load(),
-		DupSuppressed:     c.DupSuppressed.Load(),
-		CorruptDropped:    c.CorruptDropped.Load(),
-		StaleReplies:      c.StaleReplies.Load(),
-		ClaimChecks:       c.ClaimChecks.Load(),
-		ClaimViolations:   c.ClaimViolations.Load(),
-		MalformedFrames:   c.MalformedFrames.Load(),
-		PlanFallbacks:     c.PlanFallbacks.Load(),
-		AsyncCalls:        c.AsyncCalls.Load(),
-		PromisedCalls:     c.PromisedCalls.Load(),
-		PipelinedCalls:    c.PipelinedCalls.Load(),
-		PromiseParks:      c.PromiseParks.Load(),
-		PipelineFallbacks: c.PipelineFallbacks.Load(),
-		NetFrames:         c.NetFrames.Load(),
+		RemoteRPCs:      c.RemoteRPCs.Load(),
+		LocalRPCs:       c.LocalRPCs.Load(),
+		Messages:        c.Messages.Load(),
+		WireBytes:       c.WireBytes.Load(),
+		TypeBytes:       c.TypeBytes.Load(),
+		TypeOps:         c.TypeOps.Load(),
+		SerializerCalls: c.SerializerCalls.Load(),
+		InlinedWrites:   c.InlinedWrites.Load(),
+		IntrospectOps:   c.IntrospectOps.Load(),
+		CycleTables:     c.CycleTables.Load(),
+		CycleLookups:    c.CycleLookups.Load(),
+		AllocObjects:    c.AllocObjects.Load(),
+		AllocBytes:      c.AllocBytes.Load(),
+		ReusedObjs:      c.ReusedObjs.Load(),
+		ReusedBytes:     c.ReusedBytes.Load(),
+		AcksOnly:        c.AcksOnly.Load(),
+		Retries:         c.Retries.Load(),
+		Timeouts:        c.Timeouts.Load(),
+		DupSuppressed:   c.DupSuppressed.Load(),
+		CorruptDropped:  c.CorruptDropped.Load(),
+		StaleReplies:    c.StaleReplies.Load(),
+		ClaimChecks:     c.ClaimChecks.Load(),
+		ClaimViolations: c.ClaimViolations.Load(),
+		MalformedFrames: c.MalformedFrames.Load(),
+		PlanFallbacks:   c.PlanFallbacks.Load(),
+		NetFrames:       c.NetFrames.Load(),
 	}
 }
 
@@ -161,11 +147,6 @@ func (c *Counters) Reset() {
 	c.ClaimViolations.Store(0)
 	c.MalformedFrames.Store(0)
 	c.PlanFallbacks.Store(0)
-	c.AsyncCalls.Store(0)
-	c.PromisedCalls.Store(0)
-	c.PipelinedCalls.Store(0)
-	c.PromiseParks.Store(0)
-	c.PipelineFallbacks.Store(0)
 	c.NetFrames.Store(0)
 }
 
@@ -173,37 +154,32 @@ func (c *Counters) Reset() {
 // snapshots).
 func (s Snapshot) Sub(t Snapshot) Snapshot {
 	return Snapshot{
-		RemoteRPCs:        s.RemoteRPCs - t.RemoteRPCs,
-		LocalRPCs:         s.LocalRPCs - t.LocalRPCs,
-		Messages:          s.Messages - t.Messages,
-		WireBytes:         s.WireBytes - t.WireBytes,
-		TypeBytes:         s.TypeBytes - t.TypeBytes,
-		TypeOps:           s.TypeOps - t.TypeOps,
-		SerializerCalls:   s.SerializerCalls - t.SerializerCalls,
-		InlinedWrites:     s.InlinedWrites - t.InlinedWrites,
-		IntrospectOps:     s.IntrospectOps - t.IntrospectOps,
-		CycleTables:       s.CycleTables - t.CycleTables,
-		CycleLookups:      s.CycleLookups - t.CycleLookups,
-		AllocObjects:      s.AllocObjects - t.AllocObjects,
-		AllocBytes:        s.AllocBytes - t.AllocBytes,
-		ReusedObjs:        s.ReusedObjs - t.ReusedObjs,
-		ReusedBytes:       s.ReusedBytes - t.ReusedBytes,
-		AcksOnly:          s.AcksOnly - t.AcksOnly,
-		Retries:           s.Retries - t.Retries,
-		Timeouts:          s.Timeouts - t.Timeouts,
-		DupSuppressed:     s.DupSuppressed - t.DupSuppressed,
-		CorruptDropped:    s.CorruptDropped - t.CorruptDropped,
-		StaleReplies:      s.StaleReplies - t.StaleReplies,
-		ClaimChecks:       s.ClaimChecks - t.ClaimChecks,
-		ClaimViolations:   s.ClaimViolations - t.ClaimViolations,
-		MalformedFrames:   s.MalformedFrames - t.MalformedFrames,
-		PlanFallbacks:     s.PlanFallbacks - t.PlanFallbacks,
-		AsyncCalls:        s.AsyncCalls - t.AsyncCalls,
-		PromisedCalls:     s.PromisedCalls - t.PromisedCalls,
-		PipelinedCalls:    s.PipelinedCalls - t.PipelinedCalls,
-		PromiseParks:      s.PromiseParks - t.PromiseParks,
-		PipelineFallbacks: s.PipelineFallbacks - t.PipelineFallbacks,
-		NetFrames:         s.NetFrames - t.NetFrames,
+		RemoteRPCs:      s.RemoteRPCs - t.RemoteRPCs,
+		LocalRPCs:       s.LocalRPCs - t.LocalRPCs,
+		Messages:        s.Messages - t.Messages,
+		WireBytes:       s.WireBytes - t.WireBytes,
+		TypeBytes:       s.TypeBytes - t.TypeBytes,
+		TypeOps:         s.TypeOps - t.TypeOps,
+		SerializerCalls: s.SerializerCalls - t.SerializerCalls,
+		InlinedWrites:   s.InlinedWrites - t.InlinedWrites,
+		IntrospectOps:   s.IntrospectOps - t.IntrospectOps,
+		CycleTables:     s.CycleTables - t.CycleTables,
+		CycleLookups:    s.CycleLookups - t.CycleLookups,
+		AllocObjects:    s.AllocObjects - t.AllocObjects,
+		AllocBytes:      s.AllocBytes - t.AllocBytes,
+		ReusedObjs:      s.ReusedObjs - t.ReusedObjs,
+		ReusedBytes:     s.ReusedBytes - t.ReusedBytes,
+		AcksOnly:        s.AcksOnly - t.AcksOnly,
+		Retries:         s.Retries - t.Retries,
+		Timeouts:        s.Timeouts - t.Timeouts,
+		DupSuppressed:   s.DupSuppressed - t.DupSuppressed,
+		CorruptDropped:  s.CorruptDropped - t.CorruptDropped,
+		StaleReplies:    s.StaleReplies - t.StaleReplies,
+		ClaimChecks:     s.ClaimChecks - t.ClaimChecks,
+		ClaimViolations: s.ClaimViolations - t.ClaimViolations,
+		MalformedFrames: s.MalformedFrames - t.MalformedFrames,
+		PlanFallbacks:   s.PlanFallbacks - t.PlanFallbacks,
+		NetFrames:       s.NetFrames - t.NetFrames,
 	}
 }
 
@@ -215,14 +191,12 @@ func (s Snapshot) String() string {
 	return fmt.Sprintf(
 		"rpcs(local=%d remote=%d) msgs=%d wire=%dB type=%dB serCalls=%d inlined=%d cycleTables=%d cycleLookups=%d alloc(%d objs, %.2f MB) reused=%d "+
 			"faults(retries=%d timeouts=%d dupSuppressed=%d corruptDropped=%d staleReplies=%d) claims(checks=%d violations=%d) "+
-			"wire(malformed=%d planFallbacks=%d) "+
-			"async(calls=%d promised=%d pipelined=%d parks=%d fallbacks=%d) netFrames=%d",
+			"wire(malformed=%d planFallbacks=%d) netFrames=%d",
 		s.LocalRPCs, s.RemoteRPCs, s.Messages, s.WireBytes, s.TypeBytes,
 		s.SerializerCalls, s.InlinedWrites, s.CycleTables, s.CycleLookups,
 		s.AllocObjects, s.NewMBytes(), s.ReusedObjs,
 		s.Retries, s.Timeouts, s.DupSuppressed, s.CorruptDropped, s.StaleReplies,
 		s.ClaimChecks, s.ClaimViolations,
 		s.MalformedFrames, s.PlanFallbacks,
-		s.AsyncCalls, s.PromisedCalls, s.PipelinedCalls, s.PromiseParks, s.PipelineFallbacks,
 		s.NetFrames)
 }

@@ -36,9 +36,9 @@ func blameOf(sa SiteAttribution, phase string) BlamePhase {
 
 func TestBlameClassification(t *testing.T) {
 	tr := New(Config{RingSize: 16})
-	// Two spans dominated by execute, one by serialize. wait_reply and
-	// future_wait are containers over the others and must never win nor
-	// contribute self time.
+	// Two spans dominated by execute, one by serialize. wait_reply is a
+	// container over the others and must never win nor contribute self
+	// time.
 	for i := 0; i < 2; i++ {
 		sp := tr.StartCallee("S.x.1", "x", 0, 1, int64(i), 0)
 		sp.SetPhase(PhaseExecute, Now(), 5000)
@@ -48,7 +48,6 @@ func TestBlameClassification(t *testing.T) {
 	sp := backdated(tr, "S.x.1", 2, 10000)
 	sp.SetPhase(PhaseSerialize, Now(), 3000)
 	sp.SetPhase(PhaseWaitReply, Now(), 9000)
-	sp.SetPhase(PhaseFutureWait, Now(), 8000)
 	sp.End()
 
 	sa := siteAttr(t, tr, "S.x.1")
@@ -58,10 +57,8 @@ func TestBlameClassification(t *testing.T) {
 	if b := blameOf(sa, "serialize"); b.Wins != 1 || b.SelfNS != 3000 {
 		t.Errorf("serialize blame = %+v, want wins 1 self 3000", b)
 	}
-	for _, container := range []string{"wait_reply", "future_wait"} {
-		if b := blameOf(sa, container); b.Wins != 0 || b.SelfNS != 0 {
-			t.Errorf("%s blame = %+v, want excluded from blame", container, b)
-		}
+	if b := blameOf(sa, "wait_reply"); b.Wins != 0 || b.SelfNS != 0 {
+		t.Errorf("wait_reply blame = %+v, want excluded from blame", b)
 	}
 	if phase, share := sa.TopBlame(); phase != "execute" || share <= 0.5 {
 		t.Errorf("TopBlame = %q %.2f, want execute with majority share", phase, share)

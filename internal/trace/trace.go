@@ -63,13 +63,6 @@ const (
 	PhaseWaitReply
 	// PhaseReplyDeserialize is the caller-side reply unmarshal.
 	PhaseReplyDeserialize
-	// PhaseFutureWait is the window an asynchronous call was in flight
-	// before its caller resolved it: InvokeAsync returning to Wait (or
-	// Done) completing — the overlap the async API bought.
-	PhaseFutureWait
-	// PhasePromiseWait is the callee-side park of a pipelined call
-	// waiting for the promise-table entries its arguments reference.
-	PhasePromiseWait
 
 	// NumPhases is the phase count; valid phases are < NumPhases.
 	NumPhases
@@ -78,7 +71,7 @@ const (
 var phaseNames = [NumPhases]string{
 	"plan_lookup", "serialize", "send", "transit", "dispatch",
 	"deserialize", "execute", "reply_serialize", "reply_transit",
-	"wait_reply", "reply_deserialize", "future_wait", "promise_wait",
+	"wait_reply", "reply_deserialize",
 }
 
 func (p Phase) String() string {
@@ -476,12 +469,11 @@ func (t *Tracer) site(name string) *siteState {
 // blamable reports whether a phase is a leaf of the call timeline for
 // attribution purposes. PhaseWaitReply is the caller's whole round
 // trip — a container over transit, dispatch, execute and the reply
-// legs — so counting it would blame "waiting" for every call;
-// PhaseFutureWait likewise contains the overlapped flight of an async
-// call. Both are excluded from dominant-phase classification and
-// self-time sums; the leaf phases partition the wait they cover.
+// legs — so counting it would blame "waiting" for every call. It is
+// excluded from dominant-phase classification and self-time sums; the
+// leaf phases partition the wait it covers.
 func blamable(p Phase) bool {
-	return p != PhaseWaitReply && p != PhaseFutureWait
+	return p != PhaseWaitReply
 }
 
 func (t *Tracer) close(s *Span) {

@@ -76,8 +76,8 @@ type Tree struct {
 	// CriticalPathNS sums the credited segments along CriticalPath:
 	// walking from the latest-ending span back to its root, each span
 	// is credited only the interval not covered by its on-path child —
-	// so a parent blocked on an overlapped (pipelined/async) child is
-	// not double-charged for the child's time.
+	// so a parent blocked on a child is not double-charged for the
+	// child's time.
 	CriticalPathNS int64    `json:"critical_path_ns"`
 	CriticalPath   []uint64 `json:"critical_path,omitempty"` // root → leaf
 }
@@ -205,8 +205,8 @@ func BuildTree(traceID uint64, nodes []NodeSpans) *Tree {
 	// Walk from the latest-ending span to its root, crediting each span
 	// the interval its on-path child does not cover: the leaf gets its
 	// full duration, each ancestor only the stretch before the child
-	// started. Overlapped (pipelined) waits are thus charged once, to
-	// the span doing the work.
+	// started. A wait is thus charged once, to the span doing the
+	// work.
 	var path []int
 	for i, hops := leaf, 0; hops <= len(tr.Spans); hops++ {
 		path = append(path, i)

@@ -21,8 +21,6 @@ const (
 
 	callFlagRetryable = 1 << 0
 	callFlagTraced    = 1 << 1
-	callFlagPromised  = 1 << 3
-	callFlagPipelined = 1 << 4
 	callFlagTraceCtx  = 1 << 5
 
 	replyAck       = 0
@@ -33,27 +31,17 @@ const (
 
 // refCall is what startRemote knew when it assembled a header.
 type refCall struct {
-	retryable, traced, promised bool
-	site                        int32
-	obj, seq                    int64
-	nargs                       int
-	wireCtx                     TraceContext
-	handles                     []PromiseHandle
+	retryable, traced bool
+	site              int32
+	obj, seq          int64
+	nargs             int
+	wireCtx           TraceContext
 }
 
 func refAppendTraceContext(m *Message, c TraceContext) {
 	m.AppendInt64(int64(c.TraceID))
 	m.AppendInt64(int64(c.Parent))
 	m.AppendByte(c.Hop)
-}
-
-func refWritePromises(m *Message, ps []PromiseHandle) {
-	m.AppendInt32(int32(len(ps)))
-	for _, p := range ps {
-		m.AppendInt32(p.Arg)
-		m.AppendInt64(p.Seq)
-		m.AppendInt32(p.Ret)
-	}
 }
 
 func refEncodeCall(m *Message, c refCall) {
@@ -64,12 +52,6 @@ func refEncodeCall(m *Message, c refCall) {
 	}
 	if c.traced {
 		flags |= callFlagTraced
-	}
-	if c.promised {
-		flags |= callFlagPromised
-	}
-	if len(c.handles) > 0 {
-		flags |= callFlagPipelined
 	}
 	if c.wireCtx.TraceID != 0 {
 		flags |= callFlagTraceCtx
@@ -82,9 +64,6 @@ func refEncodeCall(m *Message, c refCall) {
 	if c.wireCtx.TraceID != 0 {
 		refAppendTraceContext(m, c.wireCtx)
 	}
-	if len(c.handles) > 0 {
-		refWritePromises(m, c.handles)
-	}
 }
 
 func refEncodeReply(m *Message, seq int64, kind byte) {
@@ -95,15 +74,12 @@ func refEncodeReply(m *Message, seq int64, kind byte) {
 
 // header is the CallHeader a caller builds for c.
 func (c refCall) header() CallHeader {
-	h := CallHeader{Site: c.site, Obj: c.obj, Seq: c.seq, NArgs: int32(c.nargs), Trace: c.wireCtx, Promises: c.handles}
+	h := CallHeader{Site: c.site, Obj: c.obj, Seq: c.seq, NArgs: int32(c.nargs), Trace: c.wireCtx}
 	if c.retryable {
 		h.Flags |= CallRetryable
 	}
 	if c.traced {
 		h.Flags |= CallTraced
-	}
-	if c.promised {
-		h.Flags |= CallPromised
 	}
 	return h
 }
@@ -114,8 +90,8 @@ func encodeHeader(h CallHeader) []byte {
 	return m.Bytes()
 }
 
-// decodeHeader runs the receive path over b: tag, Decode,
-// DecodePromises. It returns the header and how many bytes it consumed.
+// decodeHeader runs the receive path over b: tag, then Decode. It
+// returns the header and how many bytes it consumed.
 func decodeHeader(b []byte) (CallHeader, int, error) {
 	m := FromBytes(b)
 	var h CallHeader
@@ -125,79 +101,68 @@ func decodeHeader(b []byte) (CallHeader, int, error) {
 	if err := h.Decode(m); err != nil {
 		return h, 0, err
 	}
-	if err := h.DecodePromises(m); err != nil {
-		return h, 0, err
-	}
 	return h, len(b) - m.Remaining(), nil
-}
-
-var refHandles = []PromiseHandle{
-	{Arg: 0, Seq: 42, Ret: 0},
-	{Arg: 2, Seq: 7, Ret: 3},
-	{Arg: 3, Seq: 1 << 40, Ret: 1},
 }
 
 // TestCallHeaderDifferential holds Encode to the reference encoder
 // byte for byte over every combination of the caller-set flags ×
-// {no ctx, ctx} × {0, 1, 3 handles}, and Decode to Encode's inverse.
+// {no ctx, ctx}, and Decode to Encode's inverse.
 func TestCallHeaderDifferential(t *testing.T) {
 	ctxs := []TraceContext{{}, {TraceID: 0xdeadbeefcafef00d, Parent: 7, Hop: 3}}
 	cases := 0
-	for bits := 0; bits < 8; bits++ {
+	for bits := 0; bits < 4; bits++ {
 		for _, ctx := range ctxs {
-			for _, nh := range []int{0, 1, 3} {
-				c := refCall{
-					retryable: bits&1 != 0, traced: bits&2 != 0, promised: bits&4 != 0,
-					site: 0x01020304, obj: 0x1112131415161718, seq: 0x2122232425262728, nargs: 4,
-					wireCtx: ctx, handles: refHandles[:nh],
-				}
-				name := fmt.Sprintf("flags=%03b ctx=%v handles=%d", bits, ctx.TraceID != 0, nh)
-				ref := NewMessage(128)
-				refEncodeCall(ref, c)
-				h := c.header()
-				got := encodeHeader(h)
-				if hex.EncodeToString(got) != hex.EncodeToString(ref.Bytes()) {
-					t.Fatalf("%s:\n  Encode %x\nreference %x", name, got, ref.Bytes())
-				}
-				back, used, err := decodeHeader(got)
-				if err != nil {
-					t.Fatalf("%s: Decode(Encode(h)): %v", name, err)
-				}
-				if used != len(got) {
-					t.Fatalf("%s: Decode consumed %d of %d bytes", name, used, len(got))
-				}
-				want := h
-				want.Flags = h.wireFlags()
-				if nh == 0 {
-					want.Promises = nil
-				}
-				if !reflect.DeepEqual(back, want) {
-					t.Fatalf("%s: Decode(Encode(h)) = %+v, want %+v", name, back, want)
-				}
-				cases++
+			c := refCall{
+				retryable: bits&1 != 0, traced: bits&2 != 0,
+				site: 0x01020304, obj: 0x1112131415161718, seq: 0x2122232425262728, nargs: 4,
+				wireCtx: ctx,
 			}
+			name := fmt.Sprintf("flags=%02b ctx=%v", bits, ctx.TraceID != 0)
+			ref := NewMessage(128)
+			refEncodeCall(ref, c)
+			h := c.header()
+			got := encodeHeader(h)
+			if hex.EncodeToString(got) != hex.EncodeToString(ref.Bytes()) {
+				t.Fatalf("%s:\n  Encode %x\nreference %x", name, got, ref.Bytes())
+			}
+			back, used, err := decodeHeader(got)
+			if err != nil {
+				t.Fatalf("%s: Decode(Encode(h)): %v", name, err)
+			}
+			if used != len(got) {
+				t.Fatalf("%s: Decode consumed %d of %d bytes", name, used, len(got))
+			}
+			want := h
+			if ctx.TraceID != 0 {
+				want.Flags |= CallTraceCtx
+			}
+			if !reflect.DeepEqual(back, want) {
+				t.Fatalf("%s: Decode(Encode(h)) = %+v, want %+v", name, back, want)
+			}
+			cases++
 		}
 	}
-	if cases != 48 {
-		t.Fatalf("covered %d combinations, want 48", cases)
+	if cases != 8 {
+		t.Fatalf("covered %d combinations, want 8", cases)
 	}
 }
 
 // TestCallHeaderRejectsUnknownFlags runs every flags byte through the
-// receive path, each with the sections its bits announce. Bit 2 (the
-// retired one-way flag) and the unassigned bits 6–7 make the header
-// malformed; every other byte decodes. A rejected header keeps the Seq
-// it read, which the receiver's best-effort rejection is addressed by.
+// receive path, each with the sections its bits announce (bit 4 its
+// retired promise section). The retired bits 2–4 (one-way, promised,
+// pipelined) and the unassigned bits 6–7 make the header malformed;
+// every other byte decodes. A rejected header keeps the Seq it read,
+// which the receiver's best-effort rejection is addressed by.
 func TestCallHeaderRejectsUnknownFlags(t *testing.T) {
-	const unknown = 1<<2 | 1<<6 | 1<<7
+	const unknown = 1<<2 | 1<<3 | 1<<4 | 1<<6 | 1<<7
 	rejected := 0
 	for f := 0; f < 256; f++ {
 		var sections [][]byte
 		if f&callFlagTraceCtx != 0 {
 			sections = append(sections, ctxBytes(TraceContext{TraceID: 1, Hop: 1}))
 		}
-		if f&callFlagPipelined != 0 {
-			sections = append(sections, promiseBytes(1, PromiseHandle{Arg: 0}))
+		if f&retiredPipelined != 0 {
+			sections = append(sections, promiseBytes(1, retiredHandle{arg: 0}))
 		}
 		h, _, err := decodeHeader(rawHeader(byte(f), 1, sections...))
 		if f&unknown == 0 {
@@ -214,8 +179,8 @@ func TestCallHeaderRejectsUnknownFlags(t *testing.T) {
 			t.Errorf("flags %08b: rejected header kept Seq %d, want 3", f, h.Seq)
 		}
 	}
-	if rejected != 224 {
-		t.Fatalf("rejected %d flag bytes, want 224", rejected)
+	if rejected != 248 {
+		t.Fatalf("rejected %d flag bytes, want 248", rejected)
 	}
 }
 
@@ -234,13 +199,6 @@ func TestCallHeaderGoldens(t *testing.T) {
 			wireCtx: TraceContext{TraceID: 0x1122334455667788, Parent: 0x99aabbccddeeff00, Hop: 3}},
 			"00" + "23" + "01000000" + "0200000000000000" + "0807060504030201" + "01000000" +
 				"8877665544332211" + "00ffeeddccbbaa99" + "03"},
-		{"pipelined, 3 handles", refCall{promised: true, site: 2, obj: 0, seq: 7, nargs: 4, handles: []PromiseHandle{
-			{Arg: 0, Seq: 4, Ret: 0}, {Arg: 2, Seq: 5, Ret: 0}, {Arg: 3, Seq: 6, Ret: 1}}},
-			"00" + "18" + "02000000" + "0000000000000000" + "0700000000000000" + "04000000" +
-				"03000000" +
-				"00000000" + "0400000000000000" + "00000000" +
-				"02000000" + "0500000000000000" + "00000000" +
-				"03000000" + "0600000000000000" + "01000000"},
 	}
 	for _, tc := range calls {
 		ref := NewMessage(128)

@@ -30,14 +30,50 @@ func ctxBytes(c TraceContext) []byte {
 	return m.Bytes()
 }
 
-// promiseBytes writes a promise section whose declared count need not
-// match the handles that follow.
-func promiseBytes(count int32, hs ...PromiseHandle) []byte {
+// A peer built while promise pipelining existed set call flag bit 3 on
+// a call whose result a later call could name, and bit 4 on a call
+// carrying a promise section after the trace context: a count, then
+// (arg int32, seq int64, ret int32) per handle. Both bits are retired;
+// Decode rejects any frame carrying them.
+const (
+	retiredPromised  = 1 << 3
+	retiredPipelined = 1 << 4
+)
+
+type retiredHandle struct {
+	arg, ret int32
+	seq      int64
+}
+
+// promiseBytes writes a retired promise section whose declared count
+// need not match the handles that follow.
+func promiseBytes(count int32, hs ...retiredHandle) []byte {
 	m := NewMessage(64)
-	refWritePromises(m, hs)
-	b := m.Bytes()
-	b[0], b[1], b[2], b[3] = byte(count), byte(count>>8), byte(count>>16), byte(count>>24)
-	return b
+	m.AppendInt32(count)
+	for _, h := range hs {
+		m.AppendInt32(h.arg)
+		m.AppendInt64(h.seq)
+		m.AppendInt32(h.ret)
+	}
+	return m.Bytes()
+}
+
+// retiredFrames are the promise-carrying call headers FuzzCallHeader
+// seeded while the section was decoded: well-formed (alone and behind a
+// context), empty, over the old cap of 64, a duplicated position, an
+// out-of-range position, a bad return index, truncated.
+func retiredFrames() [][]byte {
+	three := []retiredHandle{{arg: 0, seq: 42}, {arg: 2, seq: 7, ret: 3}, {arg: 3, seq: 1 << 40, ret: 1}}
+	return [][]byte{
+		rawHeader(retiredPromised|retiredPipelined, 4, promiseBytes(3, three...)),
+		rawHeader(retiredPipelined|CallTraceCtx, 4, ctxBytes(TraceContext{TraceID: 8, Parent: 3, Hop: 1}), promiseBytes(1, three[0])),
+		rawHeader(retiredPipelined, 4, promiseBytes(0)),
+		rawHeader(retiredPipelined, 100, promiseBytes(65)),
+		rawHeader(retiredPipelined, 4, promiseBytes(2, retiredHandle{arg: 1}, retiredHandle{arg: 1})),
+		rawHeader(retiredPipelined, 4, promiseBytes(1, retiredHandle{arg: 4})),
+		rawHeader(retiredPipelined, 4, promiseBytes(1, retiredHandle{arg: 0, ret: 64})),
+		rawHeader(retiredPipelined, 4, promiseBytes(2, retiredHandle{arg: 0})),
+	}
 }
 
 func TestTraceContextRoundTrip(t *testing.T) {
@@ -99,62 +135,18 @@ func TestTraceContextValid(t *testing.T) {
 	}
 }
 
-func TestPromisesRoundTrip(t *testing.T) {
-	in := []PromiseHandle{
-		{Arg: 0, Seq: 42, Ret: 0},
-		{Arg: 2, Seq: 7, Ret: 3},
-		{Arg: 1, Seq: 1 << 40, Ret: 1},
-	}
-	out, _, err := decodeHeader(encodeHeader(CallHeader{NArgs: 4, Promises: in}))
-	if err != nil {
-		t.Fatalf("DecodePromises: %v", err)
-	}
-	if len(out.Promises) != len(in) {
-		t.Fatalf("got %d handles, want %d", len(out.Promises), len(in))
-	}
-	for i := range in {
-		if out.Promises[i] != in[i] {
-			t.Fatalf("handle %d: got %+v, want %+v", i, out.Promises[i], in[i])
-		}
-	}
-
-	// An empty section round-trips to nil, and Encode writes it back:
-	// the pipelined bit never travels without its section.
-	empty := rawHeader(CallPipelined, 4, promiseBytes(0))
-	out, used, err := decodeHeader(empty)
-	if err != nil || out.Promises != nil || used != len(empty) {
-		t.Fatalf("empty section: handles=%v err=%v, consumed %d of %d", out.Promises, err, used, len(empty))
-	}
-	if re := encodeHeader(out); !bytes.Equal(re, empty) {
-		t.Fatalf("empty section re-encodes to %x, want %x", re, empty)
-	}
-}
-
+// TestReadPromisesRejects: every promise section an older peer could
+// send, well-formed or not, and a promised call without one, is a
+// malformed header that keeps the Seq it read.
 func TestReadPromisesRejects(t *testing.T) {
-	cases := []struct {
-		name    string
-		section []byte
-		nargs   int32
-	}{
-		{"negative count", promiseBytes(-1), 4},
-		{"count over cap", promiseBytes(MaxPromiseHandles + 1), MaxPromiseHandles + 2},
-		{"more handles than args", promiseBytes(3, PromiseHandle{}, PromiseHandle{Arg: 1}, PromiseHandle{Arg: 2}), 2},
-		{"arg negative", promiseBytes(1, PromiseHandle{Arg: -1}), 4},
-		{"arg out of range", promiseBytes(1, PromiseHandle{Arg: 4}), 4},
-		{"duplicate arg", promiseBytes(2, PromiseHandle{Arg: 1}, PromiseHandle{Arg: 1}), 4},
-		{"duplicate arg past 64", promiseBytes(2, PromiseHandle{Arg: 70}, PromiseHandle{Arg: 70}), 80},
-		{"ret negative", promiseBytes(1, PromiseHandle{Arg: 0, Ret: -1}), 4},
-		{"ret over cap", promiseBytes(1, PromiseHandle{Arg: 0, Ret: MaxPromiseHandles}), 4},
-		{"truncated section", promiseBytes(2, PromiseHandle{Arg: 0}), 4},
-		{"no section", nil, 4},
-	}
-	for _, tc := range cases {
-		h, _, err := decodeHeader(rawHeader(CallPipelined, tc.nargs, tc.section))
+	frames := append(retiredFrames(), rawHeader(retiredPromised, 1))
+	for i, b := range frames {
+		h, _, err := decodeHeader(b)
 		if !errors.Is(err, ErrMalformedFrame) {
-			t.Errorf("%s: err = %v, want ErrMalformedFrame", tc.name, err)
+			t.Errorf("frame %d (flags %08b): err = %v, want ErrMalformedFrame", i, b[1], err)
 		}
-		if h.Promises != nil {
-			t.Errorf("%s: rejected section left handles %v", tc.name, h.Promises)
+		if h.Seq != 3 {
+			t.Errorf("frame %d: rejected header kept Seq %d, want 3", i, h.Seq)
 		}
 	}
 }
@@ -179,16 +171,6 @@ func checkCallHeader(t *testing.T, data []byte) {
 	if (h.Flags&CallTraceCtx != 0) != (h.Trace != TraceContext{}) || (h.Trace != TraceContext{} && !h.Trace.Valid()) {
 		t.Fatalf("decoder accepted flags %#x with wire-illegal context %+v", h.Flags, h.Trace)
 	}
-	if len(h.Promises) > 0 && h.Flags&CallPipelined == 0 {
-		t.Fatalf("handles %v decoded without the pipelined flag", h.Promises)
-	}
-	seen := map[int32]bool{}
-	for _, p := range h.Promises {
-		if p.Arg < 0 || p.Arg >= h.NArgs || seen[p.Arg] || p.Ret < 0 || p.Ret >= MaxPromiseHandles {
-			t.Fatalf("decoder accepted handle %+v (nargs %d, handles %v)", p, h.NArgs, h.Promises)
-		}
-		seen[p.Arg] = true
-	}
 	m := Get()
 	h.Encode(m)
 	if !bytes.Equal(m.Bytes(), data[:used]) {
@@ -201,7 +183,7 @@ func checkCallHeader(t *testing.T, data []byte) {
 }
 
 // FuzzCallHeader drives the whole call-header decode path — fixed
-// fields, trace context, promise section — with arbitrary bytes.
+// fields and trace context — with arbitrary bytes.
 func FuzzCallHeader(f *testing.F) {
 	f.Add(encodeHeader(CallHeader{Site: 3, Obj: 5, Seq: 9, NArgs: 2}))
 	f.Add(encodeHeader(CallHeader{Flags: CallRetryable | CallTraced, Seq: 1, NArgs: 1, Trace: TraceContext{TraceID: 1}}))
@@ -218,19 +200,12 @@ func FuzzCallHeader(f *testing.F) {
 	f.Add(rawHeader(CallTraceCtx, 1, ctxBytes(TraceContext{TraceID: 9, Parent: 1, Hop: 1})[:12]))
 	f.Add(rawHeader(0, 1)[:11])
 	f.Add([]byte{})
-	// Promise sections: well-formed (alone and behind a context), empty,
-	// over the cap, duplicated position, out-of-range position, bad
-	// return index, truncated.
-	f.Add(encodeHeader(CallHeader{Flags: CallPromised, NArgs: 4, Promises: refHandles}))
-	f.Add(encodeHeader(CallHeader{NArgs: 4, Trace: TraceContext{TraceID: 8, Parent: 3, Hop: 1}, Promises: refHandles[:1]}))
-	f.Add(rawHeader(CallPipelined, 4, promiseBytes(0)))
-	f.Add(rawHeader(CallPipelined, 100, promiseBytes(MaxPromiseHandles+1)))
-	f.Add(rawHeader(CallPipelined, 4, promiseBytes(2, PromiseHandle{Arg: 1}, PromiseHandle{Arg: 1})))
-	f.Add(rawHeader(CallPipelined, 4, promiseBytes(1, PromiseHandle{Arg: 4})))
-	f.Add(rawHeader(CallPipelined, 4, promiseBytes(1, PromiseHandle{Arg: 0, Ret: MaxPromiseHandles})))
-	f.Add(rawHeader(CallPipelined, 4, promiseBytes(2, PromiseHandle{Arg: 0})))
+	// Promise sections of the retired pipelining protocol: rejected.
+	for _, b := range retiredFrames() {
+		f.Add(b)
+	}
 	// Retired bit 2 (one-way) and unassigned bits 6–7, alone and beside
-	// live flags.
+	// live flags (retired bits 3–4 are the promise seeds above).
 	f.Add(rawHeader(1<<2, 1))
 	f.Add(rawHeader(CallRetryable|CallTraced|1<<2, 1))
 	f.Add(rawHeader(1<<6, 1))

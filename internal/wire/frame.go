@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 )
 
 // MaxFrameSize bounds a single framed message (64 MiB), protecting
@@ -13,7 +12,9 @@ import (
 const MaxFrameSize = 64 << 20
 
 // ChecksumSize is the length of the payload checksum trailer appended
-// by Seal.
+// by SealFrame. Every RMI frame is sealed before it enters the
+// transport so that corruption injected by a lossy interconnect is
+// detected instead of deserialized.
 const ChecksumSize = 4
 
 // ErrChecksum is reported by Unseal when a payload fails verification —
@@ -35,15 +36,6 @@ var ErrMalformedFrame = errors.New("wire: malformed frame")
 // crcTable is the Castagnoli polynomial, hardware-accelerated on
 // current CPUs.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// Seal appends a CRC32-C trailer over payload and returns the sealed
-// buffer (which may alias payload's backing array). Every RMI frame is
-// sealed before it enters the transport so that corruption injected by
-// a lossy interconnect is detected instead of deserialized.
-func Seal(payload []byte) []byte {
-	sum := crc32.Checksum(payload, crcTable)
-	return binary.LittleEndian.AppendUint32(payload, sum)
-}
 
 // SealFrame seals the message in place: the CRC32-C trailer is
 // appended to the message's own buffer (which a pooled message has
@@ -70,35 +62,4 @@ func Unseal(sealed []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: got %08x want %08x", ErrChecksum, got, want)
 	}
 	return body, nil
-}
-
-// WriteFrame writes a length-prefixed frame to w.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrameSize {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(payload))
-	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// ReadFrame reads one length-prefixed frame from r.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > MaxFrameSize {
-		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
-	return payload, nil
 }

@@ -54,18 +54,14 @@ const (
 
 // Link capability bits, advertised in Hello.Caps. A link runs with the
 // intersection of both sides' capability sets, so an optional protocol
-// feature (promise pipelining, trace-context propagation) is used on a
-// link only when both peers advertise it; a peer that omits a bit — an
+// feature (trace-context propagation) is used on a link only when both
+// peers advertise it; a peer that omits a bit — an
 // older build, or a test masking capabilities — demotes the feature on
 // that link without affecting correctness.
 const (
-	// CapPipelining: the peer maintains a per-link promise table and
-	// accepts calls carrying promise-handle sections (CallPromised /
-	// CallPipelined in the call header).
-	CapPipelining uint32 = 1 << 0
-	// 1<<1 (one-way calls) and 1<<2 (frame batching) are retired and
-	// never reused: an older peer may still advertise them, and the
-	// intersection drops them.
+	// 1<<0 (promise pipelining), 1<<1 (one-way calls) and 1<<2 (frame
+	// batching) are retired and never reused: an older peer may still
+	// advertise them, and the intersection drops them.
 	// CapTracing: the peer decodes the optional trace-context field in
 	// call frames (CallTraceCtx in the call header). A link to a peer
 	// without this bit drops the context — the call still runs, its
@@ -74,7 +70,7 @@ const (
 	CapTracing uint32 = 1 << 3
 
 	// LocalCaps is the capability set this build advertises.
-	LocalCaps = CapPipelining | CapTracing
+	LocalCaps = CapTracing
 )
 
 // HelloEntry is one class fingerprint: the class name and the hash of

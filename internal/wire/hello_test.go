@@ -41,14 +41,14 @@ func TestHelloRoundTrip(t *testing.T) {
 }
 
 // TestLocalCaps pins the advertised capability set to the literal
-// bits: 1<<1 and 1<<2 are retired (one-way calls, frame batching) and
-// must never come back under a new meaning.
+// bits: 1<<0, 1<<1 and 1<<2 are retired (promise pipelining, one-way
+// calls, frame batching) and must never come back under a new meaning.
 func TestLocalCaps(t *testing.T) {
-	if LocalCaps != CapPipelining|CapTracing {
-		t.Fatalf("LocalCaps = %#x, want CapPipelining|CapTracing", LocalCaps)
+	if LocalCaps != CapTracing {
+		t.Fatalf("LocalCaps = %#x, want CapTracing", LocalCaps)
 	}
-	if CapPipelining != 1<<0 || CapTracing != 1<<3 {
-		t.Fatalf("CapPipelining = %#x, CapTracing = %#x; want 1<<0 and 1<<3", CapPipelining, CapTracing)
+	if CapTracing != 1<<3 {
+		t.Fatalf("CapTracing = %#x, want 1<<3", CapTracing)
 	}
 }
 

@@ -6,6 +6,11 @@ import (
 	"testing"
 )
 
+// seal seals payload through the one sealing path, Message.SealFrame.
+func seal(payload []byte) []byte {
+	return FromBytes(append([]byte(nil), payload...)).SealFrame()
+}
+
 func TestSealUnsealRoundTrip(t *testing.T) {
 	for _, payload := range [][]byte{
 		{},
@@ -13,7 +18,7 @@ func TestSealUnsealRoundTrip(t *testing.T) {
 		[]byte("hello, checksum"),
 		bytes.Repeat([]byte{0xAB}, 4096),
 	} {
-		sealed := Seal(append([]byte(nil), payload...))
+		sealed := seal(payload)
 		if len(sealed) != len(payload)+ChecksumSize {
 			t.Fatalf("sealed %d bytes into %d, want +%d trailer", len(payload), len(sealed), ChecksumSize)
 		}
@@ -28,7 +33,7 @@ func TestSealUnsealRoundTrip(t *testing.T) {
 }
 
 func TestUnsealDetectsEveryBitFlip(t *testing.T) {
-	sealed := Seal([]byte("the quick brown fox"))
+	sealed := seal([]byte("the quick brown fox"))
 	for i := range sealed {
 		for bit := 0; bit < 8; bit++ {
 			mut := append([]byte(nil), sealed...)
@@ -47,13 +52,13 @@ func TestUnsealShortFrame(t *testing.T) {
 		}
 	}
 	// Exactly the trailer is a valid seal of the empty payload.
-	if body, err := Unseal(Seal(nil)); err != nil || len(body) != 0 {
-		t.Errorf("Unseal(Seal(nil)) = %v, %v", body, err)
+	if body, err := Unseal(seal(nil)); err != nil || len(body) != 0 {
+		t.Errorf("Unseal(seal(nil)) = %v, %v", body, err)
 	}
 }
 
 func TestUnsealTruncatedAndExtended(t *testing.T) {
-	sealed := Seal([]byte("truncate me"))
+	sealed := seal([]byte("truncate me"))
 	if _, err := Unseal(sealed[:len(sealed)-1]); !errors.Is(err, ErrChecksum) {
 		t.Errorf("truncated frame: %v, want ErrChecksum", err)
 	}

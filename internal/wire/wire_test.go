@@ -161,38 +161,6 @@ func TestResetAndRewind(t *testing.T) {
 	}
 }
 
-func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	payloads := [][]byte{{}, {1}, bytes.Repeat([]byte{0xCC}, 10000)}
-	for _, p := range payloads {
-		if err := WriteFrame(&buf, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, p := range payloads {
-		got, err := ReadFrame(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, p) {
-			t.Fatalf("frame mismatch: %d vs %d bytes", len(got), len(p))
-		}
-	}
-}
-
-func TestFrameLimit(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, make([]byte, MaxFrameSize+1)); err == nil {
-		t.Fatal("oversized frame accepted on write")
-	}
-	// Corrupt length prefix.
-	buf.Reset()
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := ReadFrame(&buf); err == nil {
-		t.Fatal("oversized frame accepted on read")
-	}
-}
-
 func BenchmarkAppendFloat64Slice(b *testing.B) {
 	data := make([]float64, 256)
 	m := NewMessage(8 * 300)
