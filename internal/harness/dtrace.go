@@ -97,6 +97,9 @@ func RunDTrace(spec DTraceSpec) (*Report, error) {
 
 func runDTrace(spec DTraceSpec) (Outcome, error) {
 	out := Outcome{Depth: spec.Depth, Chains: spec.Chains}
+	if spec.Depth > trace.MaxTraces {
+		return out, fmt.Errorf("depth %d: one chain samples more traces than a trace store retains (%d)", spec.Depth, trace.MaxTraces)
+	}
 	// Three tracers for three nodes: node 0 head-samples every root
 	// call it originates; nodes 1 and 2 never originate roots — they
 	// record spans for whatever sampled context arrives on the wire.
@@ -143,54 +146,62 @@ func runDTrace(spec DTraceSpec) (Outcome, error) {
 	}})
 
 	// The chains run strictly one after another, so a chain's mean wall
-	// time is the whole drive's over the number of chains.
-	seeds := make([]model.Value, spec.Chains)
-	for it := range seeds {
-		seeds[it] = model.Int(int64(it))
-	}
-	start := time.Now()
-	got, err := driveChains(stepCS, c.Node(0), stepRef, ChainSync, spec.Depth, seeds)
-	out.WallNS = time.Since(start).Nanoseconds() / int64(spec.Chains)
-	if err == nil && nestedErr != nil {
-		err = fmt.Errorf("nested leaf call: %w", nestedErr)
-	}
-	for it, x := range got {
-		if want := int64(it + spec.Depth); err == nil && x.I != want {
-			err = fmt.Errorf("chain %d: got %d, want %d", it, x.I, want)
-		}
-	}
-	if err != nil {
-		return out, err
-	}
-
-	// Verification over the production pull path: node 0's /traces
-	// lists what it sampled; each /traces/<id>?peers=... reconstructs
-	// the cross-node tree from all three stores over real HTTP.
-	list, err := obs.Get[obs.TraceList](http.DefaultClient, addrs[0], "/traces")
-	if err != nil {
-		return out, err
-	}
-	if out.Traces = len(list.Traces); out.Traces != spec.Chains*spec.Depth {
-		return out, fmt.Errorf("sampled %d traces, want %d", out.Traces, spec.Chains*spec.Depth)
-	}
+	// time is the summed drive time over the number of chains. Each
+	// chain is verified as soon as it completes, over the production
+	// pull path: node 0's /traces lists what it sampled, and each
+	// /traces/<id>?peers=... reconstructs the cross-node tree from all
+	// three stores over real HTTP. A chain's traces are then the newest
+	// in every store, so the whole run may sample more than a store
+	// retains.
 	peerQ := strings.Join(addrs[1:], ",")
-	for _, ts := range list.Traces {
-		view, err := obs.Get[obs.TraceView](http.DefaultClient, addrs[0], fmt.Sprintf("/traces/%d?peers=%s", ts.TraceID, peerQ))
+	seen := make(map[uint64]bool, spec.Chains*spec.Depth)
+	var wall time.Duration
+	for it := 0; it < spec.Chains; it++ {
+		start := time.Now()
+		got, err := driveChains(stepCS, c.Node(0), stepRef, ChainSync, spec.Depth, []model.Value{model.Int(int64(it))})
+		wall += time.Since(start)
+		if err == nil && nestedErr != nil {
+			err = fmt.Errorf("nested leaf call: %w", nestedErr)
+		}
+		if want := int64(it + spec.Depth); err == nil && got[0].I != want {
+			err = fmt.Errorf("got %d, want %d", got[0].I, want)
+		}
+		if err != nil {
+			return out, fmt.Errorf("dtrace chain %d: %w", it, err)
+		}
+
+		list, err := obs.Get[obs.TraceList](http.DefaultClient, addrs[0], "/traces")
 		if err != nil {
 			return out, err
 		}
-		tree := view.Tree
-		if len(view.Errors) > 0 || tree == nil {
-			return out, fmt.Errorf("trace %#x: no tree, or peers unreachable: %v", ts.TraceID, view.Errors)
+		fresh := 0
+		for _, ts := range list.Traces {
+			if seen[ts.TraceID] {
+				continue
+			}
+			seen[ts.TraceID] = true
+			fresh++
+			view, err := obs.Get[obs.TraceView](http.DefaultClient, addrs[0], fmt.Sprintf("/traces/%d?peers=%s", ts.TraceID, peerQ))
+			if err != nil {
+				return out, err
+			}
+			tree := view.Tree
+			if len(view.Errors) > 0 || tree == nil {
+				return out, fmt.Errorf("trace %#x: no tree, or peers unreachable: %v", ts.TraceID, view.Errors)
+			}
+			out.SpansPerTrace = max(out.SpansPerTrace, len(tree.Spans))
+			out.Roots = max(out.Roots, len(tree.Roots))
+			out.MaxHop = max(out.MaxHop, int(tree.MaxHop))
+			out.Orphans += tree.Orphans
+			out.Duplicates += tree.Duplicates
+			out.CriticalPathNS += tree.CriticalPathNS / int64(spec.Chains)
+			out.EndToEndNS += tree.EndToEndNS / int64(spec.Chains)
 		}
-		out.SpansPerTrace = max(out.SpansPerTrace, len(tree.Spans))
-		out.Roots = max(out.Roots, len(tree.Roots))
-		out.MaxHop = max(out.MaxHop, int(tree.MaxHop))
-		out.Orphans += tree.Orphans
-		out.Duplicates += tree.Duplicates
-		out.CriticalPathNS += tree.CriticalPathNS / int64(spec.Chains)
-		out.EndToEndNS += tree.EndToEndNS / int64(spec.Chains)
+		if out.Traces += fresh; fresh != spec.Depth {
+			return out, fmt.Errorf("chain %d sampled %d traces, want %d", it, fresh, spec.Depth)
+		}
 	}
+	out.WallNS = wall.Nanoseconds() / int64(spec.Chains)
 	out.CriticalPathRatio = float64(out.CriticalPathNS) / float64(out.WallNS)
 	return out, nil
 }

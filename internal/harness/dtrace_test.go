@@ -1,9 +1,12 @@
 package harness
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"cormi/internal/race"
+	"cormi/internal/trace"
 )
 
 // TestDTraceChainReconstructsTreePerCall is the acceptance check for
@@ -12,7 +15,35 @@ import (
 // tree per call, with the span and hop counts the topology implies and
 // critical paths accounting for the measured wall time.
 func TestDTraceChainReconstructsTreePerCall(t *testing.T) {
+	checkDTrace(t, DefaultDTraceSpec())
+}
+
+// TestDTraceChainsOutgrowTraceStore: `rmibench -chain 90` samples 270
+// traces, more than the 256 a trace store retains. Each chain is
+// verified as it completes, so every trace is still checked whole.
+func TestDTraceChainsOutgrowTraceStore(t *testing.T) {
 	spec := DefaultDTraceSpec()
+	spec.Depth = 90
+	if spec.Chains*spec.Depth <= trace.MaxTraces {
+		t.Fatalf("%d traces fit one store; the test needs more", spec.Chains*spec.Depth)
+	}
+	checkDTrace(t, spec)
+}
+
+// TestDTraceRejectsChainPastStore: one chain longer than a store holds
+// cannot be verified whole, so it is refused up front, naming the cap.
+func TestDTraceRejectsChainPastStore(t *testing.T) {
+	spec := DefaultDTraceSpec()
+	spec.Depth = trace.MaxTraces + 1
+	_, err := RunDTrace(spec)
+	if err == nil || !strings.Contains(err.Error(), strconv.Itoa(trace.MaxTraces)) {
+		t.Fatalf("depth %d: err = %v, want a refusal naming the store's cap %d", spec.Depth, err, trace.MaxTraces)
+	}
+}
+
+// checkDTrace runs the scenario at spec and asserts its tree facts.
+func checkDTrace(t *testing.T, spec DTraceSpec) {
+	t.Helper()
 	rep, err := RunDTrace(spec)
 	if err != nil {
 		t.Fatal(err)

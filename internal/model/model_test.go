@@ -21,8 +21,14 @@ func TestRegistryDefineAndLookup(t *testing.T) {
 	if c, ok := reg.ByName("Foo"); !ok || c != foo {
 		t.Fatalf("ByName(Foo) = %v, %v", c, ok)
 	}
-	if c, ok := reg.ByID(foo.ID); !ok || c != foo {
-		t.Fatalf("ByID(%d) = %v, %v", foo.ID, c, ok)
+	table := reg.Classes()
+	if c, ok := ClassByID(table, foo.ID); !ok || c != foo {
+		t.Fatalf("ClassByID(%d) = %v, %v", foo.ID, c, ok)
+	}
+	for _, id := range []int32{0, -1, int32(len(table))} {
+		if c, ok := ClassByID(table, id); ok {
+			t.Fatalf("ClassByID(%d) = %v, want no class", id, c)
+		}
 	}
 	if foo.ID == bar.ID {
 		t.Fatalf("classes share ID %d", foo.ID)

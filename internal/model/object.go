@@ -18,23 +18,15 @@ type Object struct {
 
 // New allocates a zeroed instance of a KObject class.
 func New(c *Class) *Object {
-	o := new(Object)
-	o.Init(c, make([]Value, len(c.AllFields())))
-	return o
-}
-
-// Init makes o a zeroed instance of the KObject class c whose field
-// vector is fields, one slot per flattened field. It is New for callers
-// that supply the storage themselves, such as a decoder carving objects
-// from per-message slabs.
-func (o *Object) Init(c *Class, fields []Value) {
 	if c.Kind != KObject {
 		panic("model.New: " + c.Name + " is not an object class")
 	}
-	*o = Object{Class: c, Fields: fields}
-	for i, f := range c.AllFields() {
-		fields[i] = ZeroOf(f.Kind)
+	all := c.AllFields()
+	fields := make([]Value, len(all))
+	for i, f := range all {
+		fields[i].Kind = f.Kind
 	}
+	return &Object{Class: c, Fields: fields}
 }
 
 // NewArray allocates an array object of length n for an array class.

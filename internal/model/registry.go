@@ -11,19 +11,21 @@ import (
 // same classes in the same order (the paper's compiler guarantees this
 // by construction; our runtime checks names on lookup).
 type Registry struct {
-	mu     sync.RWMutex
-	byID   map[int32]*Class
+	mu sync.RWMutex
+	// byID is indexed by class ID (slot 0 is never assigned) and only
+	// ever appended to: a slot, once written, never changes, so a slice
+	// header read under the lock stays a valid table after it is
+	// released (see Classes).
+	byID   []*Class
 	byName map[string]*Class
-	next   int32
 }
 
 // NewRegistry returns an empty registry with the built-in array classes
 // for double[], int[] and byte[] pre-registered.
 func NewRegistry() *Registry {
 	r := &Registry{
-		byID:   make(map[int32]*Class),
+		byID:   make([]*Class, 1, 16), // no class has ID 0
 		byName: make(map[string]*Class),
-		next:   1,
 	}
 	r.mustDefine(&Class{Name: "double[]", Kind: KDoubleArray})
 	r.mustDefine(&Class{Name: "int[]", Kind: KIntArray})
@@ -45,9 +47,8 @@ func (r *Registry) add(c *Class) (*Class, error) {
 	if _, ok := r.byName[c.Name]; ok {
 		return nil, fmt.Errorf("model: class %q already registered", c.Name)
 	}
-	c.ID = r.next
-	r.next++
-	r.byID[c.ID] = c
+	c.ID = int32(len(r.byID))
+	r.byID = append(r.byID, c)
 	r.byName[c.Name] = c
 	return c, nil
 }
@@ -95,12 +96,23 @@ func (r *Registry) ArrayOf(elem *Class) *Class {
 	return c
 }
 
-// ByID resolves a wire class ID.
-func (r *Registry) ByID(id int32) (*Class, bool) {
+// Classes returns the ID-indexed class table as it stands: entry i is
+// the class with ID i, entry 0 is nil. The table is a snapshot that
+// needs no lock to read — classes defined later are not in it — so a
+// decoder takes it once per message and resolves every class ID of the
+// message with a bounds check (ClassByID).
+func (r *Registry) Classes() []*Class {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	c, ok := r.byID[id]
-	return c, ok
+	return r.byID[:len(r.byID):len(r.byID)]
+}
+
+// ClassByID resolves id in a table returned by Classes.
+func ClassByID(table []*Class, id int32) (*Class, bool) {
+	if id <= 0 || int64(id) >= int64(len(table)) {
+		return nil, false
+	}
+	return table[id], true
 }
 
 // ByName resolves a class name.

@@ -291,9 +291,10 @@ func registerCtxGauges(reg *metrics.Registry) {
 }
 
 // registerLinkVecs exposes per-link negotiation state as labeled
-// series: the negotiated protocol version, the demoted-class count and
-// the running fallback total for every link that has completed its
-// HELLO exchange.
+// series: the negotiated protocol version, the demoted-class count,
+// the running fallback total, the capability bits and the malformed
+// frames received, for every link that has completed its HELLO
+// exchange.
 func registerLinkVecs(reg *metrics.Registry, links func() []stats.LinkStat) {
 	collect := func(value func(stats.LinkStat) float64) func() []metrics.LabeledValue {
 		return func() []metrics.LabeledValue {
@@ -316,6 +317,8 @@ func registerLinkVecs(reg *metrics.Registry, links func() []stats.LinkStat) {
 		collect(func(l stats.LinkStat) float64 { return float64(l.Fallbacks) }))
 	reg.RegisterCounterVec("cormi_link_caps", "capability bits negotiated by the link's HELLO exchange",
 		collect(func(l stats.LinkStat) float64 { return float64(l.Caps) }))
+	reg.RegisterCounterVec("cormi_link_malformed_frames", "malformed frames the link's node received from its peer",
+		collect(func(l stats.LinkStat) float64 { return float64(l.Malformed) }))
 }
 
 // registerSiteVecs exposes the per-call-site counters as labeled

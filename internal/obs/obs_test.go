@@ -16,6 +16,8 @@ import (
 	"cormi/internal/serial"
 	"cormi/internal/stats"
 	"cormi/internal/trace"
+	"cormi/internal/transport"
+	"cormi/internal/wire"
 )
 
 func get(t *testing.T, url string) (int, string) {
@@ -578,6 +580,55 @@ func TestBlameVecsOnMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}
+
+// TestLinkMalformedFrames: a hostile frame node 0 receives from peer 1
+// raises the malformed count of that one link — in Cluster.LinkStats,
+// on /links and as its cormi_link_malformed_frames series — and no
+// other link's.
+func TestLinkMalformedFrames(t *testing.T) {
+	c := rmi.New(3)
+	t.Cleanup(c.Close)
+	invokeEcho(t, c, 1, 0) // links 0->1 and 1->0 carry honest traffic
+	m := wire.Get()
+	m.AppendByte(0xEE) // no such message tag
+	m.SealFrame()
+	if err := c.Network().Endpoint(1).Send(transport.Packet{To: 0, Payload: m.Detach()}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); c.Counters.MalformedFrames.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("hostile frame never counted")
+		}
+	}
+
+	s, err := Serve("127.0.0.1:0", Options{Counters: c.Counters, Links: c.LinkStats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	_, body := get(t, "http://"+s.Addr()+"/links")
+	var links []stats.LinkStat
+	if err := json.Unmarshal([]byte(body), &links); err != nil {
+		t.Fatalf("/links is not a link list: %v\n%s", err, body)
+	}
+	if len(links) < 2 {
+		t.Fatalf("/links lists %d links, want both directions of 0-1: %s", len(links), body)
+	}
+	_, metrics := get(t, "http://"+s.Addr()+"/metrics")
+	for _, l := range links {
+		want := int64(0)
+		if l.From == 0 && l.To == 1 {
+			want = 1
+		}
+		if l.Malformed != want {
+			t.Errorf("link %d->%d: malformed %d, want %d", l.From, l.To, l.Malformed, want)
+		}
+		series := fmt.Sprintf("cormi_link_malformed_frames{from=\"%d\",to=\"%d\"} %d\n", l.From, l.To, want)
+		if !strings.Contains(metrics, series) {
+			t.Errorf("/metrics lacks %q", series)
 		}
 	}
 }

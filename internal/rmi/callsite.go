@@ -79,12 +79,12 @@ func (c *Cluster) NewCallSite(level OptLevel, spec SiteSpec) (*CallSite, error) 
 		Name:       spec.Name,
 		Method:     spec.Method,
 		cfg:        scfg,
-		args:       newSide(scfg, spec.ArgPlans, c.Size()),
-		rets:       newSide(scfg, spec.RetPlans, c.Size()),
 		numRet:     numRet,
 		ignoreRet:  spec.IgnoreRet,
 		statShards: make([]stats.SiteCounters, c.Size()),
 	}
+	cs.args.init(scfg, spec.ArgPlans, c.Size())
+	cs.rets.init(scfg, spec.RetPlans, c.Size())
 	c.siteMu.Lock()
 	cs.ID = int32(len(c.sites))
 	c.sites = append(c.sites, cs)

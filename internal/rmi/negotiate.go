@@ -51,8 +51,10 @@ type nodeLink struct {
 	// today trace-context propagation — is used on this link only when
 	// its bit survived negotiation.
 	caps uint32
-	// malformedDumped latches the one flight-recorder dump this link
-	// records on its first malformed frame.
+	// malformed counts the malformed frames this node received from the
+	// peer; malformedDumped latches the one flight-recorder dump the
+	// link records on its first.
+	malformed       atomic.Int64
 	malformedDumped atomic.Bool
 	ready           atomic.Bool
 }
@@ -138,13 +140,20 @@ func fpMap(h *wire.Hello) map[string]uint64 {
 }
 
 // noteMalformed records a malformed frame received from peer: the
-// cluster-wide counter, and a one-shot flight-recorder dump per link
-// so the first hostile frame leaves forensics without letting an
-// attacker flood the recorder.
+// cluster-wide counter, the link's own count (so /links names the peer
+// that sent it), and a one-shot flight-recorder dump per link so the
+// first hostile frame leaves forensics without letting an attacker
+// flood the recorder. A From outside the cluster counts cluster-wide
+// only.
 func (n *Node) noteMalformed(from int) {
 	c := n.cluster
 	c.Counters.MalformedFrames.Add(1)
-	if l := n.linkTo(from); l != nil && l.malformedDumped.CompareAndSwap(false, true) {
+	l := n.linkTo(from)
+	if l == nil {
+		return
+	}
+	l.malformed.Add(1)
+	if l.malformedDumped.CompareAndSwap(false, true) {
 		n.tracer.DumpFailure("malformed-frame")
 	}
 }
@@ -168,6 +177,7 @@ func (c *Cluster) LinkStats() []stats.LinkStat {
 				DemotedClasses: l.lp.DemotedCount(),
 				Fallbacks:      l.lp.Fallbacks(),
 				Caps:           l.caps,
+				Malformed:      l.malformed.Load(),
 			})
 		}
 	}

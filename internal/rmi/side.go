@@ -35,12 +35,17 @@ type side struct {
 	// is a cycle-table allocation the writer skips per message; every
 	// successful write adds it to the CycleTablesAvoided counter.
 	tablesElided int64
+
+	// hint remembers how much the side's last decoded message carved
+	// from each slab, so the next one reserves it in one chunk per slab.
+	hint serial.SlabHint
 }
 
-func newSide(cfg serial.Config, plans []*serial.Plan, nodes int) side {
-	s := side{cfg: cfg, plans: plans, caches: make([]serial.ReuseCache, nodes)}
+// init readies s for plans under cfg, with one reuse cache per node.
+func (s *side) init(cfg serial.Config, plans []*serial.Plan, nodes int) {
+	s.cfg, s.plans, s.caches = cfg, plans, make([]serial.ReuseCache, nodes)
 	if cfg.Mode != serial.ModeSite {
-		return s
+		return
 	}
 	s.scratch = cfg.Reuse
 	for _, p := range plans {
@@ -51,7 +56,6 @@ func newSide(cfg serial.Config, plans []*serial.Plan, nodes int) side {
 			s.tablesElided++
 		}
 	}
-	return s
 }
 
 // write serializes vals into m. On audited calls at a cycle-eliding
@@ -87,6 +91,7 @@ func (s *side) write(c *Cluster, st *stats.SiteCounters, m *wire.Message, vals [
 // them: the callee passes its invocation record's inline array.
 func (s *side) read(c *Cluster, node int, st *stats.SiteCounters, m *wire.Message, n int, audit bool, buf []model.Value) ([]model.Value, []*model.Object, simtime.OpCount, error) {
 	cfg, plans := s.cfg, s.plans
+	cfg.Hint = &s.hint
 	var cached []*model.Object
 	var scratch []model.Value
 	if cfg.Reuse {

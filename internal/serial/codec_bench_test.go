@@ -76,9 +76,11 @@ func codecShapes() (*model.Registry, []codecShape) {
 // BenchmarkPlannedCodec is the serial layer's rung of the measurement
 // ladder: the plan-driven writer and reader alone, per plan shape, at
 // site+reuse+cycle in steady state (pooled contexts warm, the previous
-// message's graph as the reuse donor). Beside them, class/read is the
-// baseline's reader on the same shape: per-class dynamic decode with
-// fresh allocation, every object carved from the message's slabs.
+// message's graph as the reuse donor). Beside them, class/write and
+// class/read are the baseline on the same shape: per-class dynamic
+// encode with type information and a cycle table, and dynamic decode
+// with fresh allocation, every object carved from the message's slabs
+// sized by a slab hint, as the rmi layer reads it.
 //
 //	make bench-codec
 func BenchmarkPlannedCodec(b *testing.B) {
@@ -119,8 +121,22 @@ func BenchmarkPlannedCodec(b *testing.B) {
 			}
 			b.SetBytes(int64(m.Len()))
 		})
+		class := Config{Mode: ModeClass}
+		b.Run(s.name+"/class/write", func(b *testing.B) {
+			m := wire.NewMessage(4096)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Reset()
+				if _, err := WriteValues(m, vals, nil, class, &c); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(int64(m.Len()))
+		})
 		b.Run(s.name+"/class/read", func(b *testing.B) {
-			class := Config{Mode: ModeClass}
+			class := class
+			class.Hint = &SlabHint{}
 			m := wire.NewMessage(4096)
 			if _, err := WriteValues(m, vals, nil, class, &c); err != nil {
 				b.Fatal(err)

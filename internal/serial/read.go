@@ -47,8 +47,11 @@ func ReadValuesScratch(m *wire.Message, reg *model.Registry, n int, plans []*Pla
 	if cfg.Mode == ModeSite && len(plans) != n {
 		return nil, nil, ops, fmt.Errorf("serial: site mode with %d plans for %d values", len(plans), n)
 	}
-	rc := getReadCtx(m, reg, c)
+	rc := getReadCtx(m, reg, c, cfg.Hint)
 	vals, roots, err = readBody(rc, n, plans, cfg, cached, scratch)
+	if err == nil && cfg.Hint != nil {
+		cfg.Hint.remember(rc)
+	}
 	ops = rc.ops
 	putReadCtx(rc)
 	return vals, roots, ops, err
@@ -66,8 +69,10 @@ func readBody(rc *readCtx, n int, plans []*Plan, cfg Config, cached []*model.Obj
 		// donors are read out below before each slot is overwritten.
 		roots = cached
 	}
-	// Otherwise roots is made at the first reference: a message carrying
-	// none returns nil roots and costs no allocation for them.
+	// Otherwise roots is made at the first reference, and only for a
+	// reusing reader, the one caller that reads it: a message carrying
+	// no reference, or read without reuse, returns nil roots and costs
+	// no allocation for them.
 	for i := 0; i < n; i++ {
 		var kind model.FieldKind
 		var np *NodePlan
@@ -106,10 +111,12 @@ func readBody(rc *readCtx, n int, plans []*Plan, cfg Config, cached []*model.Obj
 				return nil, nil, rerr
 			}
 			vals[i] = model.Ref(o)
-			if roots == nil {
+			if roots == nil && cfg.Reuse {
 				roots = make([]*model.Object, n)
 			}
-			roots[i] = o
+			if roots != nil {
+				roots[i] = o
+			}
 		default:
 			if m.Err() != nil {
 				return nil, nil, m.Err()
@@ -213,10 +220,25 @@ func readRef(rc *readCtx, np *NodePlan, old *model.Object) (*model.Object, error
 }
 
 // newObject carves a zeroed instance of the KObject class c, its field
-// vector included, from the message's slabs.
+// vector included, from the message's slabs. The slabs hand out zeroed
+// memory, so only the class, the vector and each field's kind are
+// stored.
 func (rc *readCtx) newObject(c *model.Class) *model.Object {
+	all := c.AllFields()
 	o := rc.objs.New()
-	o.Init(c, rc.fields.Slice(len(c.AllFields())))
+	o.Class = c
+	o.Fields = rc.fields.Slice(len(all))
+	for i := range all {
+		o.Fields[i].Kind = all[i].Kind
+	}
+	return o
+}
+
+// newArray carves an array object of class c from the message's slabs;
+// the caller stores its payload.
+func (rc *readCtx) newArray(c *model.Class) *model.Object {
+	o := rc.objs.New()
+	o.Class = c
 	return o
 }
 
@@ -245,13 +267,15 @@ func (rc *readCtx) dynArrayIntrospect(n int) {
 
 // readDynamicBody reconstructs an object from its explicit class ID —
 // the receiver must parse the type information and map the descriptor
-// to a class ("hash a type descriptor to vtable pointers", §4).
+// to a class ("hash a type descriptor to vtable pointers", §4). Every
+// object it builds is fresh, carved zeroed with its field kinds set, so
+// each field read stores only the member its kind uses.
 func readDynamicBody(rc *readCtx) (*model.Object, error) {
 	id := rc.m.ReadInt32()
 	if rc.m.Err() != nil {
 		return nil, rc.m.Err()
 	}
-	class, ok := rc.reg.ByID(id)
+	class, ok := rc.class(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: unknown class ID %d", wire.ErrMalformedFrame, id)
 	}
@@ -262,32 +286,35 @@ func readDynamicBody(rc *readCtx) (*model.Object, error) {
 		o := rc.newObject(class)
 		rc.register(o)
 		rc.allocated(o)
-		for i, f := range class.AllFields() {
+		for i := range o.Fields {
 			rc.ops.IntrospectOps++
+			f := &o.Fields[i]
 			switch f.Kind {
 			case model.FInt:
-				o.Fields[i] = model.Int(rc.m.ReadInt64())
+				f.I = rc.m.ReadInt64()
 			case model.FDouble:
-				o.Fields[i] = model.Double(rc.m.ReadFloat64())
+				f.D = rc.m.ReadFloat64()
 			case model.FBool:
-				o.Fields[i] = model.Bool(rc.m.ReadBool())
+				if rc.m.ReadBool() {
+					f.I = 1
+				}
 			case model.FString:
-				s := rc.m.ReadString()
-				rc.dynString(len(s))
-				o.Fields[i] = model.Str(s)
+				f.S = rc.m.ReadString()
+				rc.dynString(len(f.S))
 			case model.FRef:
 				child, err := readRef(rc, nil, nil)
 				if err != nil {
 					return nil, err
 				}
-				o.Fields[i] = model.Ref(child)
+				f.O = child
 			}
 		}
 		return o, nil
 	case model.KDoubleArray:
 		vs, _ := rc.m.ReadFloat64SliceInto(nil, rc.doubles.Slice)
 		rc.dynArrayIntrospect(len(vs))
-		o := rc.objs.Put(model.Object{Class: class, Doubles: vs})
+		o := rc.newArray(class)
+		o.Doubles = vs
 		rc.register(o)
 		rc.allocated(o)
 		rc.ops.Elems += int64(len(vs))
@@ -295,7 +322,8 @@ func readDynamicBody(rc *readCtx) (*model.Object, error) {
 	case model.KIntArray:
 		vs, _ := rc.m.ReadInt64SliceInto(nil, rc.ints.Slice)
 		rc.dynArrayIntrospect(len(vs))
-		o := rc.objs.Put(model.Object{Class: class, Ints: vs})
+		o := rc.newArray(class)
+		o.Ints = vs
 		rc.register(o)
 		rc.allocated(o)
 		rc.ops.Elems += int64(len(vs))
@@ -303,7 +331,8 @@ func readDynamicBody(rc *readCtx) (*model.Object, error) {
 	case model.KByteArray:
 		bs := rc.carveBytes(rc.m.ReadBytesView())
 		rc.dynArrayIntrospect(len(bs))
-		o := rc.objs.Put(model.Object{Class: class, Bytes: bs})
+		o := rc.newArray(class)
+		o.Bytes = bs
 		rc.register(o)
 		rc.allocated(o)
 		rc.ops.Elems += int64(len(bs))
@@ -322,7 +351,8 @@ func readDynamicBody(rc *readCtx) (*model.Object, error) {
 				wire.ErrMalformedFrame, n, rc.m.Remaining())
 		}
 		rc.dynArrayIntrospect(n)
-		o := rc.objs.Put(model.Object{Class: class, Refs: rc.refs.Slice(n)})
+		o := rc.newArray(class)
+		o.Refs = rc.refs.Slice(n)
 		rc.register(o)
 		rc.allocated(o)
 		for i := 0; i < n; i++ {
@@ -394,7 +424,8 @@ func readPlannedArray(rc *readCtx, np *NodePlan, old *model.Object) (*model.Obje
 			rc.register(old)
 			return old, nil
 		}
-		o := rc.objs.Put(model.Object{Class: np.Class, Doubles: vs})
+		o := rc.newArray(np.Class)
+		o.Doubles = vs
 		rc.allocated(o)
 		rc.register(o)
 		return o, nil
@@ -413,7 +444,8 @@ func readPlannedArray(rc *readCtx, np *NodePlan, old *model.Object) (*model.Obje
 			rc.register(old)
 			return old, nil
 		}
-		o := rc.objs.Put(model.Object{Class: np.Class, Ints: vs})
+		o := rc.newArray(np.Class)
+		o.Ints = vs
 		rc.allocated(o)
 		rc.register(o)
 		return o, nil
@@ -430,7 +462,8 @@ func readPlannedArray(rc *readCtx, np *NodePlan, old *model.Object) (*model.Obje
 			rc.register(old)
 			return old, nil
 		}
-		o := rc.objs.Put(model.Object{Class: np.Class, Bytes: rc.carveBytes(bs)})
+		o := rc.newArray(np.Class)
+		o.Bytes = rc.carveBytes(bs)
 		rc.allocated(o)
 		rc.register(o)
 		return o, nil
@@ -452,7 +485,8 @@ func readPlannedArray(rc *readCtx, np *NodePlan, old *model.Object) (*model.Obje
 			o = old
 			rc.reused(o)
 		} else {
-			o = rc.objs.Put(model.Object{Class: np.Class, Refs: rc.refs.Slice(n)})
+			o = rc.newArray(np.Class)
+			o.Refs = rc.refs.Slice(n)
 			rc.allocated(o)
 		}
 		rc.register(o)

@@ -378,7 +378,7 @@ func (r *refReader) dynamic() (*model.Object, error) {
 	if r.m.Err() != nil {
 		return nil, r.m.Err()
 	}
-	class, ok := r.reg.ByID(id)
+	class, ok := model.ClassByID(r.reg.Classes(), id)
 	if !ok {
 		return nil, fmt.Errorf("%w: unknown class ID %d", wire.ErrMalformedFrame, id)
 	}

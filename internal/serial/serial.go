@@ -127,7 +127,9 @@ func flush(c *stats.PaddedInt64, n int64) {
 // or array payload, is carved from the context's slabs. The slabs
 // belong to this one message: putReadCtx drops them, so the next
 // message starts new chunks and a retained graph pins only the chunks
-// of the message that decoded it.
+// of the message that decoded it. With a SlabHint each slab's first
+// chunk is the size the hint remembers, so a message shaped like the
+// last one on its side pays one chunk per slab.
 type readCtx struct {
 	objs    slab.Of[model.Object]
 	fields  slab.Of[model.Value]
@@ -141,6 +143,9 @@ type readCtx struct {
 	c       *stats.Counters
 	ops     simtime.OpCount
 	handles []*model.Object // objects in transmission order, for refHandle
+	// classes is the registry's ID table, taken at the message's first
+	// class ID (see class).
+	classes []*model.Class
 	// donors guards the reuse walk: a cached graph may contain sharing
 	// (it was itself deserialized from a message with handles), so the
 	// same donor object could otherwise be offered to two distinct wire
@@ -194,12 +199,63 @@ func ReadCtxStats() CtxStats {
 
 var readCtxPool = sync.Pool{New: func() any { return new(readCtx) }}
 
-func getReadCtx(m *wire.Message, reg *model.Registry, c *stats.Counters) *readCtx {
+func getReadCtx(m *wire.Message, reg *model.Registry, c *stats.Counters, h *SlabHint) *readCtx {
 	readCtxGets.Add(1)
 	rc := readCtxPool.Get().(*readCtx)
 	rc.m, rc.reg, rc.c = m, reg, c
-	rc.budget = decodeBudgetBase + decodeBudgetPerByte*int64(m.Remaining())
+	payload := m.Remaining()
+	rc.budget = decodeBudgetBase + decodeBudgetPerByte*int64(payload)
+	if h != nil {
+		// Every carved element costs at least one wire byte (a marker,
+		// a field, an array element), so the frame's payload bounds
+		// what any slab's first chunk may reserve, whatever the hint.
+		rc.objs.Hint(&h.objs, payload)
+		rc.fields.Hint(&h.fields, payload)
+		rc.doubles.Hint(&h.doubles, payload)
+		rc.ints.Hint(&h.ints, payload)
+		rc.bytes.Hint(&h.bytes, payload)
+		rc.refs.Hint(&h.refs, payload)
+	}
 	return rc
+}
+
+// SlabHint is one reading side's memory of how many objects, field
+// values, doubles, ints, bytes and refs its last successfully decoded
+// message carved. The next message on the side sizes each slab's first
+// chunk from it, clamped to its own payload and the slab's chunk cap,
+// so a side whose messages keep their shape pays one chunk per slab
+// instead of a doubling series. A message that carves nothing reads
+// and writes none of it. The zero value is ready to use and safe for
+// concurrent decoders.
+type SlabHint struct {
+	objs, fields, doubles, ints, bytes, refs atomic.Int64
+}
+
+// remember records what rc carved, if anything. Stores are skipped
+// when a count is unchanged, so concurrent readers of a side whose
+// messages keep their shape share the hint's cache line read-only.
+func (h *SlabHint) remember(rc *readCtx) {
+	n := [...]int{rc.objs.Carved(), rc.fields.Carved(), rc.doubles.Carved(),
+		rc.ints.Carved(), rc.bytes.Carved(), rc.refs.Carved()}
+	if n == [len(n)]int{} {
+		return
+	}
+	for i, a := range [...]*atomic.Int64{&h.objs, &h.fields, &h.doubles, &h.ints, &h.bytes, &h.refs} {
+		if int64(n[i]) != a.Load() {
+			a.Store(int64(n[i]))
+		}
+	}
+}
+
+// class resolves a class ID through the registry's ID table, taken
+// under the registry's lock at the message's first class ID and again
+// only for an ID past its end (a class defined since), so a message
+// resolves all its class IDs with one lock round trip.
+func (rc *readCtx) class(id int32) (*model.Class, bool) {
+	if int64(id) >= int64(len(rc.classes)) {
+		rc.classes = rc.reg.Classes()
+	}
+	return model.ClassByID(rc.classes, id)
 }
 
 // putReadCtx publishes the message's tally and returns the context,

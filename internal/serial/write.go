@@ -27,6 +27,9 @@ type Config struct {
 	// encoding instead of the planned fast path. nil — the homogeneous
 	// cluster default — costs writers a single nil check per reference.
 	Link *LinkPlans
+	// Hint is the reading side's memory of how much its last decoded
+	// message carved; nil reads start every slab at its default size.
+	Hint *SlabHint
 }
 
 // needTable decides whether this message requires a cycle table.

@@ -10,7 +10,10 @@
 // decoded graph pins only the chunks of the message that decoded it.
 package slab
 
-import "unsafe"
+import (
+	"sync/atomic"
+	"unsafe"
+)
 
 const (
 	// firstChunk is small enough that a three-function sketch pays no
@@ -22,12 +25,29 @@ const (
 )
 
 // Of hands out zeroed values of T carved from chunks that double in
-// size from firstChunk elements up to maxChunkBytes. The zero value is
-// ready to use.
+// size from firstChunk elements (or a hinted size, see Hint) up to
+// maxChunkBytes. The zero value is ready to use.
 type Of[T any] struct {
-	free []T
-	next int // element count of the next chunk
+	free   []T
+	next   int // element count of the next chunk; 0 before the first
+	carved int // elements handed out
+
+	hint    *atomic.Int64 // see Hint
+	hintMax int
 }
+
+// Hint sizes the first chunk from *h instead of firstChunk: an owner
+// that carves about as much as an earlier one of its kind pays one
+// chunk instead of a doubling series. h is loaded at the first carve
+// only, so an owner that carves nothing never reads it; the size is
+// clamped to limit elements and to maxChunkBytes, and a hint of 0
+// keeps firstChunk. Set it before the first carve.
+func (s *Of[T]) Hint(h *atomic.Int64, limit int) {
+	s.hint, s.hintMax = h, limit
+}
+
+// Carved reports how many elements s has handed out.
+func (s *Of[T]) Carved() int { return s.carved }
 
 // New returns a pointer to a zeroed T.
 func (s *Of[T]) New() *T {
@@ -36,6 +56,7 @@ func (s *Of[T]) New() *T {
 	}
 	p := &s.free[0]
 	s.free = s.free[1:]
+	s.carved++
 	return p
 }
 
@@ -57,6 +78,7 @@ func (s *Of[T]) Slice(n int) []T {
 	}
 	out := s.free[:n:n]
 	s.free = s.free[n:]
+	s.carved += n
 	return out
 }
 
@@ -73,11 +95,16 @@ func (s *Of[T]) Append(dst []T, v T) []T {
 }
 
 func (s *Of[T]) grow(n int) {
-	if s.next == 0 {
-		s.next = firstChunk
-	}
-	s.free = make([]T, max(s.next, n))
 	var t T
 	limit := maxChunkBytes / int(max(unsafe.Sizeof(t), 1))
+	if s.next == 0 {
+		s.next = firstChunk
+		if s.hint != nil {
+			if h := min(s.hint.Load(), int64(s.hintMax), int64(limit)); h > 0 {
+				s.next = int(h)
+			}
+		}
+	}
+	s.free = make([]T, max(s.next, n))
 	s.next = max(s.next, min(2*s.next, limit))
 }

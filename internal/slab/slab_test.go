@@ -1,6 +1,9 @@
 package slab
 
-import "testing"
+import (
+	"sync/atomic"
+	"testing"
+)
 
 type rec struct {
 	id   int
@@ -85,5 +88,41 @@ func TestAllocationsLogarithmic(t *testing.T) {
 	}
 	if got := s.next * 56; got > maxChunkBytes {
 		t.Fatalf("next chunk is %d bytes, limit %d", got, maxChunkBytes)
+	}
+}
+
+// TestHintSizesFirstChunk: a hint sizes the first chunk, loaded at the
+// first carve, clamped to the owner's limit and to maxChunkBytes; a
+// zero hint keeps firstChunk; later chunks double from the hinted one;
+// Carved counts what was handed out.
+func TestHintSizesFirstChunk(t *testing.T) {
+	perChunk := maxChunkBytes / 56 // unsafe.Sizeof(rec{})
+	for _, c := range []struct {
+		hint  int64
+		limit int
+		want  int
+	}{
+		{hint: 100, limit: 1000, want: 100},
+		{hint: 100, limit: 30, want: 30},
+		{hint: 1 << 20, limit: 1 << 30, want: perChunk},
+		{hint: 0, limit: 1000, want: firstChunk},
+		{hint: 3, limit: 1000, want: 3},
+	} {
+		var h atomic.Int64
+		var s Of[rec]
+		s.Hint(&h, c.limit)
+		h.Store(c.hint) // after Hint: the load waits for the first carve
+		s.New()
+		if got := len(s.free) + 1; got != c.want {
+			t.Errorf("hint %d limit %d: first chunk %d elements, want %d", c.hint, c.limit, got, c.want)
+		}
+		k := len(s.free) + 1 // one more than is left: a second chunk
+		s.Slice(k)
+		if got, want := len(s.free)+k, max(k, min(2*c.want, perChunk)); got != want {
+			t.Errorf("hint %d limit %d: second chunk %d elements, want %d", c.hint, c.limit, got, want)
+		}
+		if got := s.Carved(); got != 1+k {
+			t.Errorf("hint %d limit %d: carved %d, want %d", c.hint, c.limit, got, 1+k)
+		}
 	}
 }

@@ -4,7 +4,7 @@ import "sync"
 
 // traceStore is the bounded per-trace span retention behind the
 // /traces endpoints: closed spans carrying a trace ID are appended to
-// their trace's bucket. Both dimensions are capped — maxTraces traces
+// their trace's bucket. Both dimensions are capped — MaxTraces traces
 // (FIFO eviction, evicted buckets recycled through a free list so the
 // steady state reuses span storage instead of reallocating it) and
 // maxSpansPerTrace spans per trace (overflow counted, not stored).
@@ -17,10 +17,11 @@ type traceStore struct {
 	dropped int64 // spans rejected by the per-trace cap
 }
 
-const (
-	maxTraces        = 256
-	maxSpansPerTrace = 512
-)
+// MaxTraces is how many traces a tracer's store retains; the oldest is
+// evicted to admit one more.
+const MaxTraces = 256
+
+const maxSpansPerTrace = 512
 
 type traceBucket struct {
 	spans []SpanRecord
@@ -28,7 +29,7 @@ type traceBucket struct {
 }
 
 func newTraceStore() *traceStore {
-	return &traceStore{traces: make(map[uint64]*traceBucket, maxTraces)}
+	return &traceStore{traces: make(map[uint64]*traceBucket, MaxTraces)}
 }
 
 func (ts *traceStore) insert(rec *SpanRecord) {
@@ -36,7 +37,7 @@ func (ts *traceStore) insert(rec *SpanRecord) {
 	defer ts.mu.Unlock()
 	b := ts.traces[rec.TraceID]
 	if b == nil {
-		if len(ts.order) >= maxTraces {
+		if len(ts.order) >= MaxTraces {
 			// Evict the oldest trace; its bucket (and span storage)
 			// comes right back for the new one.
 			old := ts.order[0]
