@@ -1,6 +1,9 @@
 # Tier-1 verification gate: formatting and static checks, a full build,
-# the test suite under the race detector (the fault-tolerance layer is
-# concurrency-heavy; -race is part of its acceptance criteria), and
+# a build and vet of the bench module (its own module, which the root's
+# ./... never compiles; vet, not test, because bench.TestQuickSmoke
+# stays red until ROADMAP item 1), the test suite under the race
+# detector (the fault-tolerance layer is concurrency-heavy; -race is
+# part of its acceptance criteria), and
 # end-to-end smokes of the observability endpoints and the optimizer
 # decision explainer. Every fact gated here is deterministic; timings
 # and allocations per op are judged by the repo benchmark, parent
@@ -12,6 +15,7 @@ verify:
 	test -z "$$(gofmt -l .)"
 	go vet ./...
 	go build ./...
+	cd bench && go build ./... && go vet ./...
 	go test -race ./...
 	$(MAKE) obs-smoke
 	$(MAKE) explain-smoke
@@ -93,7 +97,7 @@ verify-dtrace:
 # generated corpora must analyze inside the wall budget with exactly
 # their pinned structure and precision counters (zero context-budget
 # fallbacks among them) and their pinned Analysis.Fingerprint. Those
-# gates stop at the heap analysis (harness.AnalyzeCorpus); the stage
+# gates stop at the heap analysis (AnalyzeCorpus in the harness tests); the stage
 # after it, core.buildSites with its escape check, is held linear by
 # the last line: a whole core.Compile must allocate no more than
 # 1.5x per function at 1440 functions than at 360 and no more than 28

@@ -124,7 +124,7 @@ func BenchmarkSerializeDynamicVsPlanned(b *testing.B) {
 		m := wire.NewMessage(4096)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			m.Reset()
+			m.ResetTo(m.Bytes()[:0])
 			if _, err := serial.WriteValues(m, []model.Value{model.Ref(head)}, plans, cfg, &c); err != nil {
 				b.Fatal(err)
 			}

@@ -75,6 +75,10 @@ func main() {
 	obsPeers := flag.String("obs-peers", "", "comma-separated peer obs addresses that /cluster merges by default")
 	sample := flag.Int("sample", 64, "with -obs: head-sample every Nth root call into the distributed trace store (/traces; 0 disables)")
 	flag.Parse()
+	if *nodes < 1 {
+		fmt.Fprintf(os.Stderr, "rminode: -nodes must be at least 1, got %d\n", *nodes)
+		os.Exit(2)
+	}
 
 	faultCfg := transport.FaultConfig{
 		Seed: *seed,

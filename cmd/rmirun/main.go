@@ -76,6 +76,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rmirun: unknown level %q (try one of: class, site, site + cycle, site + reuse, site + reuse + cycle)\n", *levelName)
 		os.Exit(2)
 	}
+	if *nodes < 1 {
+		fmt.Fprintf(os.Stderr, "rmirun: -nodes must be at least 1, got %d\n", *nodes)
+		os.Exit(2)
+	}
 
 	src := exampleSrc
 	switch {

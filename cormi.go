@@ -20,6 +20,10 @@
 //	ref := c.Node(1).Export(service)
 //	rets, _ := site.Invoke(c.Node(0), ref, args)
 //
+// Invoke's first argument is where the call comes from: a *Node for a
+// root call, or, inside a remote method, that method's *Call, so the
+// nested call joins the enclosing call's distributed trace.
+//
 // See examples/ for runnable programs and internal/harness for the
 // regeneration of the paper's Tables 1–8.
 package cormi
@@ -60,7 +64,8 @@ type (
 	Service = rmi.Service
 	// Method is one remotely invokable method implementation.
 	Method = rmi.Method
-	// Call is the per-invocation context passed to methods.
+	// Call is the per-invocation context passed to methods; a method
+	// issues nested calls from it (CallSite.Invoke(call, ...)).
 	Call = rmi.Call
 	// Ref identifies an exported remote object.
 	Ref = rmi.Ref

@@ -53,15 +53,6 @@ func Register(c *rmi.Cluster, level rmi.OptLevel, si *core.SiteInfo) (*rmi.CallS
 	return c.NewCallSite(level, SpecOf(si))
 }
 
-// MustRegister is Register panicking on error (program start-up).
-func MustRegister(c *rmi.Cluster, level rmi.OptLevel, si *core.SiteInfo) *rmi.CallSite {
-	cs, err := Register(c, level, si)
-	if err != nil {
-		panic(err)
-	}
-	return cs
-}
-
 // SoleSite returns the unique call site of a callee, failing loudly if
 // the sketch has zero or several.
 func SoleSite(r *core.Result, qualified string) (*core.SiteInfo, error) {

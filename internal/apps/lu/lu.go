@@ -132,6 +132,23 @@ func Run(level rmi.OptLevel, n, bs, nodes int, clusterOpts ...rmi.Option) (Outco
 		}
 		*pick.dst = cs
 	}
+	// A barrier call legitimately blocks until every party arrives, so
+	// its reply can trail the per-attempt deadline by design. Deepen the
+	// retry budget instead of lengthening the timeout: spurious
+	// retransmits are absorbed by the callee's dedup cache, while a
+	// genuinely lost barrier call is still retransmitted promptly.
+	if barPol := cluster.CallPolicy(); barPol.Timeout > 0 {
+		if barPol.Retries < 64 {
+			barPol.Retries = 64
+		}
+		// A deep budget must not inherit unbounded doubling: cap the
+		// backoff at one timeout so every retransmit in the budget
+		// stays prompt.
+		if barPol.MaxBackoff <= 0 || barPol.MaxBackoff > barPol.Timeout {
+			barPol.MaxBackoff = barPol.Timeout
+		}
+		st.barrier.SetCallPolicy(barPol)
+	}
 
 	// Deterministic diagonally dominant matrix (no pivoting needed).
 	orig := make([][]float64, n)

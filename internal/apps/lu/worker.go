@@ -85,25 +85,8 @@ func worker(cluster *rmi.Cluster, st sites, stores []*blockStore, refs []rmi.Ref
 		}
 		return view(rets[0].O, bs), nil
 	}
-	// A barrier call legitimately blocks until every party arrives, so
-	// its reply can trail the per-attempt deadline by design. Deepen the
-	// retry budget instead of lengthening the timeout: spurious
-	// retransmits are absorbed by the callee's dedup cache, while a
-	// genuinely lost barrier call is still retransmitted promptly.
-	barPol := cluster.CallPolicy()
-	if barPol.Timeout > 0 {
-		if barPol.Retries < 64 {
-			barPol.Retries = 64
-		}
-		// A deep budget must not inherit unbounded doubling: cap the
-		// backoff at one timeout so every retransmit in the budget
-		// stays prompt.
-		if barPol.MaxBackoff <= 0 || barPol.MaxBackoff > barPol.Timeout {
-			barPol.MaxBackoff = barPol.Timeout
-		}
-	}
 	barrier := func() error {
-		_, err := st.barrier.InvokeWithPolicy(node, barRef, nil, barPol)
+		_, err := st.barrier.Invoke(node, barRef, nil)
 		return err
 	}
 

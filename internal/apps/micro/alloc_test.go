@@ -6,8 +6,8 @@ import (
 	"cormi/internal/apps/appkit"
 	"cormi/internal/core"
 	"cormi/internal/model"
-	"cormi/internal/race"
 	"cormi/internal/rmi"
+	"cormi/internal/testkit"
 	"cormi/internal/trace"
 )
 
@@ -166,7 +166,7 @@ var array16x16 = hotWorkload{ArrayBenchSrc, "ArrayBench", func(_ *testing.T, _ *
 // and holds steady-state invocations, measured in isolation, to the
 // tier's budget.
 func measureTier(t *testing.T, tier string, w hotWorkload) {
-	if race.Enabled {
+	if testkit.Enabled {
 		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
 	}
 	spec := allocTiers[tier]

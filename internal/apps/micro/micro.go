@@ -71,14 +71,6 @@ func RunLinkedList(level rmi.OptLevel, elems, iters int, clusterOpts ...rmi.Opti
 	return runLinkedList(level, elems, iters, core.Options{}, clusterOpts...)
 }
 
-// RunLinkedListRefined is RunLinkedList with the linear-list
-// refinement enabled — the paper's future-work fix for the list being
-// conservatively flagged cyclic. With it, the '+ cycle' rows of
-// Table 1 gain over their bases instead of matching them.
-func RunLinkedListRefined(level rmi.OptLevel, elems, iters int, clusterOpts ...rmi.Option) (LinkedListOutcome, error) {
-	return runLinkedList(level, elems, iters, core.Options{LinearListRefinement: true}, clusterOpts...)
-}
-
 func runLinkedList(level rmi.OptLevel, elems, iters int, opts core.Options, clusterOpts ...rmi.Option) (LinkedListOutcome, error) {
 	cluster := rmi.New(2, clusterOpts...)
 	defer cluster.Close()

@@ -3,6 +3,7 @@ package micro
 import (
 	"testing"
 
+	"cormi/internal/core"
 	"cormi/internal/rmi"
 )
 
@@ -42,4 +43,12 @@ func TestRefinedListDropsCycleWork(t *testing.T) {
 			t.Fatalf("%v: receiver saw %d elements", level, out.ElementsSeen)
 		}
 	}
+}
+
+// RunLinkedListRefined is RunLinkedList with the linear-list
+// refinement enabled — the paper's future-work fix for the list being
+// conservatively flagged cyclic. With it, the '+ cycle' rows of
+// Table 1 gain over their bases instead of matching them.
+func RunLinkedListRefined(level rmi.OptLevel, elems, iters int, clusterOpts ...rmi.Option) (LinkedListOutcome, error) {
+	return runLinkedList(level, elems, iters, core.Options{LinearListRefinement: true}, clusterOpts...)
 }

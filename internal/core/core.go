@@ -94,8 +94,8 @@ type Options struct {
 
 	// HeapOpts overrides the heap-analysis precision (nil means
 	// heap.DefaultOptions: 1-call-site-sensitive with strong updates).
-	// The verdict-matrix baseline compiles with
-	// heap.InsensitiveOptions to quantify the precision gap.
+	// The verdict-matrix baseline compiles with the zero heap.Options
+	// to quantify the precision gap.
 	HeapOpts *heap.Options
 }
 

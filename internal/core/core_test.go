@@ -7,6 +7,7 @@ import (
 	"cormi/internal/model"
 	"cormi/internal/serial"
 	"cormi/internal/stats"
+	"cormi/internal/testkit"
 	"cormi/internal/wire"
 )
 
@@ -338,7 +339,7 @@ func TestGeneratedPlansDriveRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !model.DeepEqual(arr, got[0].O) {
+	if !testkit.DeepEqual(arr, got[0].O) {
 		t.Fatal("compiled-plan round trip mismatch")
 	}
 	s := c.Snapshot()

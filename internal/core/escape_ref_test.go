@@ -14,12 +14,12 @@ import (
 	"cormi/internal/apps/superopt"
 	"cormi/internal/apps/webserver"
 	"cormi/internal/core"
-	"cormi/internal/harness"
 	"cormi/internal/heap"
 	"cormi/internal/heap/gen"
 	"cormi/internal/ir"
 	"cormi/internal/lang"
 	"cormi/internal/model"
+	"cormi/internal/testkit"
 )
 
 // This file keeps the per-graph escape scan that escape.go replaced
@@ -313,7 +313,7 @@ func TestReuseVerdictDifferential(t *testing.T) {
 	// Random straight-line programs that link, alias, globalize and
 	// ship Cell graphs: many holders, keys and nodes per graph.
 	for seed := int64(9000); seed < 9040; seed++ {
-		progs = append(progs, program{fmt.Sprintf("fuzz seed %d", seed), harness.GenMiniJP(rand.New(rand.NewSource(seed)))})
+		progs = append(progs, program{fmt.Sprintf("fuzz seed %d", seed), testkit.GenMiniJP(rand.New(rand.NewSource(seed)))})
 	}
 	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "minijp", "*.jp"))
 	if err != nil || len(files) == 0 {
@@ -338,7 +338,7 @@ func TestReuseVerdictDifferential(t *testing.T) {
 	corpus("gen edit", gen.Config{Seed: 7, Edits: map[string]int{mid: 3}})
 	corpus("gen extra call", gen.Config{Seed: 7, ExtraCalls: map[string]bool{mid: true}})
 
-	insensitive := heap.InsensitiveOptions()
+	insensitive := heap.Options{}
 	modes := []struct {
 		name string
 		opts core.Options

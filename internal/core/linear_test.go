@@ -6,6 +6,7 @@ import (
 	"cormi/internal/model"
 	"cormi/internal/serial"
 	"cormi/internal/stats"
+	"cormi/internal/testkit"
 	"cormi/internal/wire"
 )
 
@@ -171,7 +172,7 @@ func TestLinearRefinementRoundTripsCorrectly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !model.DeepEqual(head, got[0].O) {
+	if !testkit.DeepEqual(head, got[0].O) {
 		t.Fatal("refined round trip mismatch")
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"cormi/internal/heap/gen"
 	"cormi/internal/ir"
 	"cormi/internal/lang"
-	"cormi/internal/race"
+	"cormi/internal/testkit"
 )
 
 // TestCompileAllocsLinearInFunctions is the machine-independent form
@@ -47,7 +47,7 @@ func TestCompileAllocsLinearInFunctions(t *testing.T) {
 	// Race instrumentation makes closures escape that otherwise do
 	// not; the ratio above holds either way, the absolute count only
 	// in a normal build.
-	if !race.Enabled && (small > compileAllocsPerFunc || large > compileAllocsPerFunc) {
+	if !testkit.Enabled && (small > compileAllocsPerFunc || large > compileAllocsPerFunc) {
 		t.Errorf("%.1f allocations per function at 360 functions, %.1f at 1440: ceiling %d (TestCompileStageAllocs names the stage)",
 			small, large, compileAllocsPerFunc)
 	}
@@ -70,7 +70,7 @@ func TestCompileStageAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles a 360-function corpus repeatedly")
 	}
-	if race.Enabled {
+	if testkit.Enabled {
 		t.Skip("race instrumentation allocates where a normal build does not")
 	}
 	src := gen.Generate(gen.Config{Seed: 2026, Components: 36, FuncsPerComponent: 8}).Source
@@ -97,7 +97,7 @@ func TestCompileStageAllocs(t *testing.T) {
 		{"lang.check", 0.5, func() { _, _ = lang.Check(file) }},
 		{"ir.lower", 1.5, func() { _, _ = ir.Lower(prog) }},
 		{"ir.validate", 0.1, func() { _ = ir.Validate(irProg) }},
-		{"heap.analyze", 15.3, func() { heap.Analyze(irProg) }},
+		{"heap.analyze", 15.3, func() { heap.AnalyzeOpts(irProg, heap.DefaultOptions()) }},
 	}
 	sum := 0.0
 	for _, st := range stages {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"encoding/json"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -9,6 +10,8 @@ import (
 	"cormi/internal/core"
 	"cormi/internal/heap"
 	"cormi/internal/heap/gen"
+	"cormi/internal/ir"
+	"cormi/internal/lang"
 )
 
 // The `make verify-analysis` gates: the 2k-function corpus must
@@ -150,4 +153,32 @@ func TestAnalysisDeterminism(t *testing.T) {
 	if string(explain(1)) != string(explain(4)) {
 		t.Error("explain JSON bytes differ across GOMAXPROCS")
 	}
+}
+
+// AnalyzeCorpus compiles and analyzes a generated corpus under the
+// given analysis options.
+func AnalyzeCorpus(cfg gen.Config, opts heap.Options) (*heap.Analysis, error) {
+	p, err := CompileCorpus(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return heap.AnalyzeOpts(p, opts), nil
+}
+
+// CompileCorpus front-ends a generated corpus down to IR.
+func CompileCorpus(cfg gen.Config) (*ir.Program, error) {
+	c := gen.Generate(cfg)
+	f, err := lang.Parse(c.Source)
+	if err != nil {
+		return nil, fmt.Errorf("harness: corpus parse: %w", err)
+	}
+	cp, err := lang.Check(f)
+	if err != nil {
+		return nil, fmt.Errorf("harness: corpus check: %w", err)
+	}
+	p, err := ir.Lower(cp)
+	if err != nil {
+		return nil, fmt.Errorf("harness: corpus lower: %w", err)
+	}
+	return p, nil
 }

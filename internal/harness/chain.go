@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"cormi/internal/apps/appkit"
-	"cormi/internal/core"
 	"cormi/internal/model"
 	"cormi/internal/rmi"
 	"cormi/internal/serial"
@@ -38,9 +37,6 @@ const (
 	// no frame leaves it, arguments and results are cloned.
 	ChainLocal ChainMode = "local"
 )
-
-// AllChainModes is every mode, in the matrix's order.
-var AllChainModes = []ChainMode{ChainSync, ChainParallel, ChainLocal}
 
 // chainKind is one chain program: setup registers its call site and
 // exports its service on node — the method runs exec, then answers step
@@ -87,85 +83,6 @@ var intChain = chainKind{
 	},
 	seed: func(_ *rmi.Cluster, it int) model.Value { return model.Int(int64(it)) },
 	step: increment,
-}
-
-// listChainSrc is the list chain's communication sketch: the callee
-// adds 100 to every element of its argument — a write the caller must
-// never see — and answers a fresh list one element longer; the caller
-// reads its argument after the call. So the compiler may grant argument
-// reuse at the callee (nothing of the argument survives the call) and
-// must deny return reuse at the caller (the result is live across the
-// site's next firing).
-const listChainSrc = `
-class L {
-	int v;
-	L next;
-	L(int v, L n) { this.v = v; this.next = n; }
-}
-remote class Grower {
-	L step(L l) {
-		L out = new L(0, null);
-		L p = l;
-		while (p != null) {
-			p.v = p.v + 100;
-			out = new L(p.v, out);
-			p = p.next;
-		}
-		return out;
-	}
-}
-class Main {
-	static int main() {
-		Grower g = new Grower();
-		L l = new L(1, null);
-		int seen = 0;
-		for (int i = 0; i < 5; i = i + 1) {
-			L r = g.step(l);
-			seen = seen + l.v;
-			l = r;
-		}
-		return seen + l.v;
-	}
-}
-`
-
-// newL allocates one list cell of the compiled class L (v, next).
-func newL(l *model.Class, v int64, next *model.Object) *model.Object {
-	o := model.New(l)
-	o.Fields[0], o.Fields[1] = model.Int(v), model.Ref(next)
-	return o
-}
-
-// listChain is Grower.step, its call site compiled from listChainSrc.
-var listChain = chainKind{
-	name:    "ListChain",
-	objects: true,
-	setup: func(c *rmi.Cluster, level rmi.OptLevel, node int, exec func(*rmi.Call)) (*rmi.CallSite, rmi.Ref, error) {
-		res, err := core.CompileInto(listChainSrc, c.Registry)
-		if err != nil {
-			return nil, rmi.Ref{}, err
-		}
-		si, err := appkit.SoleSite(res, "Grower.step")
-		if err != nil {
-			return nil, rmi.Ref{}, err
-		}
-		cs, err := appkit.Register(c, level, si)
-		return cs, export(c, node, "Grower", "step", exec, growList), err
-	},
-	seed: func(c *rmi.Cluster, it int) model.Value {
-		return model.Ref(newL(c.Registry.MustByName("L"), int64(it), nil))
-	},
-	step: growList,
-}
-
-// growList is Grower.step as the service runs it.
-func growList(x model.Value) model.Value {
-	out := newL(x.O.Class, 0, nil)
-	for p := x.O; p != nil; p = p.Fields[1].O {
-		p.Fields[0].I += 100
-		out = newL(x.O.Class, p.Fields[0].I, out)
-	}
-	return model.Ref(out)
 }
 
 // digest folds values — ints, or lists of L — into one number.
@@ -255,7 +172,7 @@ func chainWorkload(kind chainKind, mode ChainMode, depth, chains int) Workload {
 		seeds, folded := make([]model.Value, chains), make([]model.Value, chains)
 		for it := range seeds {
 			seeds[it] = kind.seed(c, it)
-			folded[it] = model.CloneValue(seeds[it], nil)
+			folded[it] = model.CloneValue(seeds[it])
 			for d := 0; d < depth; d++ {
 				folded[it] = kind.step(folded[it])
 			}

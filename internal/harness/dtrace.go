@@ -130,13 +130,13 @@ func runDTrace(spec DTraceSpec) (Outcome, error) {
 	leafRef := export(c, 2, "DTraceLeaf", "leaf", func(*rmi.Call) { time.Sleep(spec.LeafDelay) }, increment)
 	stepCS := stepSite(c, rmi.LevelSite, "DTrace.step.1", "step")
 	// step(x) = leaf(x) forwarded through a nested same-trace call:
-	// InvokeFrom threads the executing call's trace context, so the
-	// leaf spans join the chain's tree at hop 2.
+	// issued from the executing call, it inherits that call's trace
+	// context, so the leaf spans join the chain's tree at hop 2.
 	var nestedErr error
 	stepRef := c.Node(1).Export(&rmi.Service{Name: "DTraceStep", Methods: map[string]rmi.Method{
 		"step": func(call *rmi.Call, args []model.Value) []model.Value {
 			time.Sleep(spec.StepDelay)
-			vals, err := leafCS.InvokeFrom(call, leafRef, []model.Value{args[0]})
+			vals, err := leafCS.Invoke(call, leafRef, []model.Value{args[0]})
 			if err != nil {
 				nestedErr = err
 				return []model.Value{model.Int(-1)}

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"cormi/internal/race"
+	"cormi/internal/testkit"
 	"cormi/internal/trace"
 )
 
@@ -79,7 +79,7 @@ func checkDTrace(t *testing.T, spec DTraceSpec) {
 	// Race instrumentation inflates the untraced overhead between the
 	// sleeps, so the tight bound applies only to the plain build.
 	lo := 0.90
-	if race.Enabled {
+	if testkit.Enabled {
 		lo = 0.60
 	}
 	if row.CriticalPathRatio < lo || row.CriticalPathRatio > 1.05 {

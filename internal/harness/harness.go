@@ -169,10 +169,6 @@ func (r *Report) Failed() error {
 	return nil
 }
 
-// Gain returns the percentage gain of row i's Value over the first
-// row's (the class baseline of a paper table).
-func (r *Report) Gain(i int) float64 { return gain(r.Rows[0].Value, r.Rows[i].Value) }
-
 func gain(base, v float64) float64 {
 	if base == 0 {
 		return 0

@@ -63,3 +63,7 @@ func TestGainFormatting(t *testing.T) {
 		t.Fatal("division by zero")
 	}
 }
+
+// Gain returns the percentage gain of row i's Value over the first
+// row's (the class baseline of a paper table).
+func (r *Report) Gain(i int) float64 { return gain(r.Rows[0].Value, r.Rows[i].Value) }

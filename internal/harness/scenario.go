@@ -164,15 +164,6 @@ func checkNegotiation(w *Workload, cond Condition, r *Row) error {
 // one program version.
 var Clean = Condition{Name: "chan", Options: func(int, Scale) ([]rmi.Option, error) { return nil, nil }}
 
-// TCP runs the cell over loopback TCP connections.
-var TCP = Condition{Name: "tcp", Options: func(_ int, s Scale) ([]rmi.Option, error) {
-	nw, err := transport.NewTCPNetworkLocal(s.Nodes)
-	if err != nil {
-		return nil, err
-	}
-	return []rmi.Option{rmi.WithNetwork(nw)}, nil
-}}
-
 // ChaosSpec bundles the injected faults and the recovery policy for a
 // chaos run.
 type ChaosSpec struct {
@@ -234,20 +225,6 @@ func Skew(node int) Condition {
 	return Condition{Name: "skew", Skewed: true, Options: func(int, Scale) ([]rmi.Option, error) {
 		return []rmi.Option{rmi.WithPlanSkew(node)}, nil
 	}}
-}
-
-// Both is the product of two conditions: b's options after a's, so a
-// fault injector wraps a TCP network.
-func Both(a, b Condition) Condition {
-	return Condition{Name: a.Name + "+" + b.Name, Skewed: a.Skewed || b.Skewed,
-		Options: func(row int, s Scale) ([]rmi.Option, error) {
-			ao, err := a.Options(row, s)
-			if err != nil {
-				return nil, err
-			}
-			bo, err := b.Options(row, s)
-			return append(ao, bo...), err
-		}}
 }
 
 // apps are the workloads of the chaos and version-skew runs.

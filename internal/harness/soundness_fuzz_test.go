@@ -17,10 +17,11 @@ import (
 	"cormi/internal/interp"
 	"cormi/internal/model"
 	"cormi/internal/rmi"
+	"cormi/internal/testkit"
 )
 
 // repeatedObject walks the graphs rooted at vals with one shared seen
-// set — exactly the contract of heap.MayCycleFrom, which flags both
+// set — exactly the contract of heap.CycleWitnessFrom, which flags both
 // true cycles and DAG sharing — and reports whether any object is
 // reached twice.
 func repeatedObject(vals []model.Value) bool {
@@ -66,7 +67,7 @@ func TestSoundnessFuzz(t *testing.T) {
 	checkedArgs, checkedRets := 0, 0
 	for i := 0; i < programs; i++ {
 		seed := int64(9000 + i)
-		src := GenMiniJP(rand.New(rand.NewSource(seed)))
+		src := testkit.GenMiniJP(rand.New(rand.NewSource(seed)))
 		cluster := rmi.New(2)
 		res, err := core.CompileInto(src, cluster.Registry)
 		if err != nil {

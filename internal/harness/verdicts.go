@@ -6,7 +6,7 @@
 // granted or denied (and the escape rule when denied). The rendered
 // table is diffed against a checked-in golden: a precision REGRESSION
 // fails CI, an IMPROVEMENT requires a reviewed golden update. A second
-// golden, built with heap.InsensitiveOptions, pins the
+// golden, built with the zero heap.Options, pins the
 // context-insensitive baseline the tentpole is measured against.
 
 package harness

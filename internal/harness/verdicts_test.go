@@ -24,7 +24,7 @@ func buildMatrix(t *testing.T, opts core.Options) *VerdictMatrix {
 }
 
 func insensitive() core.Options {
-	o := heap.InsensitiveOptions()
+	o := heap.Options{}
 	return core.Options{HeapOpts: &o}
 }
 

@@ -16,12 +16,6 @@ import (
 // the bound indicates a bug rather than a big program.
 const maxIterations = 10000
 
-// Analyze runs the heap analysis to fixpoint over the whole program
-// with the default precision (context-sensitive, strong updates).
-func Analyze(prog *ir.Program) *Analysis {
-	return AnalyzeOpts(prog, DefaultOptions())
-}
-
 // AnalyzeOpts is the analysis driver (DESIGN.md §16). It partitions
 // the program into analysis regions (weakly connected components of
 // the call + shared-static graph, computed by internal/heap/sched) and

@@ -84,7 +84,7 @@ func TestDedicatedContextPerCallSite(t *testing.T) {
 		if c == MergedCtx {
 			t.Fatalf("mk's merged context is live (%v) though every caller has a dedicated context", ctxs)
 		}
-		if a.CtxCallSite(c) == nil {
+		if a.ctxSite[c] == nil {
 			t.Errorf("dedicated context %d has no call site", c)
 		}
 		// Each per-site summary sees exactly one leaf per parameter.
@@ -120,7 +120,7 @@ func TestSharedHelperSeparatesCycleVerdicts(t *testing.T) {
 	}
 
 	// The insensitive baseline merges the callers and flags both.
-	b, pb := analyzeOpts(t, sharedHelperSrc, InsensitiveOptions())
+	b, pb := analyzeOpts(t, sharedHelperSrc, Options{})
 	for i, s := range remoteSites(pb, "Sink.take") {
 		if !b.MayCycleFrom(argPointsTo(b, s)) {
 			t.Errorf("baseline: site %d unexpectedly proved acyclic", i+1)

@@ -66,7 +66,9 @@ const MergedCtx Ctx = 0
 // sites through its merged summary instead.
 const DefaultContextBudget = 16
 
-// Options selects the analysis precision/cost trade-offs.
+// Options selects the analysis precision/cost trade-offs. The zero
+// Options is the context-insensitive, weak-update baseline the
+// precision gate compares against.
 type Options struct {
 	// ContextSensitive enables 1-call-site-sensitive interprocedural
 	// analysis (per-call-site callee summaries).
@@ -83,10 +85,6 @@ type Options struct {
 func DefaultOptions() Options {
 	return Options{ContextSensitive: true, StrongUpdates: true, ContextBudget: DefaultContextBudget}
 }
-
-// InsensitiveOptions is the context-insensitive, weak-update baseline
-// the precision gate compares against.
-func InsensitiveOptions() Options { return Options{} }
 
 func (o Options) budget() int {
 	if o.ContextBudget <= 0 {
@@ -267,15 +265,6 @@ func (a *Analysis) AnalysisStats() Stats {
 // first, in deterministic order.
 func (a *Analysis) Contexts(f *ir.Func) []Ctx { return a.ctxsOf[f] }
 
-// CtxCallSite returns the direct call instruction a dedicated context
-// stands for (nil for MergedCtx).
-func (a *Analysis) CtxCallSite(c Ctx) *ir.Instr {
-	if int(c) >= len(a.ctxSite) {
-		return nil
-	}
-	return a.ctxSite[c]
-}
-
 // PointsTo returns the node set an SSA value may refer to across all
 // of its function's contexts (nil-safe) — the sound merged view.
 func (a *Analysis) PointsTo(v *ir.Value) NodeSet {
@@ -292,13 +281,6 @@ func (a *Analysis) PointsToIn(v *ir.Value, c Ctx) NodeSet {
 		return nil
 	}
 	return a.pts[valCtx{v, c}]
-}
-
-// NodeOfAlloc returns the heap node of an allocation instruction in
-// the given context, if the context ever executed it.
-func (a *Analysis) NodeOfAlloc(in *ir.Instr, c Ctx) (NodeID, bool) {
-	id, ok := a.allocNode[allocKey{in, c}]
-	return id, ok
 }
 
 // Field returns the points-to set of node.field.
@@ -329,9 +311,6 @@ func (a *Analysis) GlobalSeeds() NodeSet {
 	}
 	return out
 }
-
-// Global returns the points-to set of one static field.
-func (a *Analysis) Global(fd *lang.FieldDecl) NodeSet { return a.globals[fd] }
 
 // Reach returns roots plus everything transitively reachable through
 // field edges. It costs at most three allocations whatever the graph:

@@ -25,7 +25,13 @@ func analyze(t *testing.T, src string) (*Analysis, *ir.Program) {
 	if err := ir.Validate(p); err != nil {
 		t.Fatalf("validate: %v", err)
 	}
-	return Analyze(p), p
+	return AnalyzeOpts(p, DefaultOptions()), p
+}
+
+// MayCycleFrom is the §3.2 cycle check as a yes/no answer: whether
+// CycleWitnessFrom finds a repeated allocation.
+func (a *Analysis) MayCycleFrom(rootSets []NodeSet) bool {
+	return a.CycleWitnessFrom(rootSets) != nil
 }
 
 // argPointsTo returns the caller-side points-to sets of a remote site's
@@ -62,7 +68,7 @@ func TestFigure2HeapGraph(t *testing.T) {
 	var fooNode NodeID = -1
 	for _, in := range p.AllocSites {
 		if in != nil && in.Op == ir.OpNew && in.Class.Name == "Foo" {
-			if id, ok := a.NodeOfAlloc(in, MergedCtx); ok {
+			if id, ok := a.allocNode[allocKey{in, MergedCtx}]; ok {
 				fooNode = id
 			}
 		}

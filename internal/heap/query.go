@@ -6,28 +6,18 @@ import (
 	"strings"
 )
 
-// MayCycleFrom implements the conservative cycle check of §3.2: the
-// heap graphs rooted at all arguments of a call are traversed with one
-// shared seen-set, and any allocation number encountered twice flags a
-// potential cycle. Passing the same object twice (Figure 8), a
-// self-reference (Figure 9) and a linked list all trip the check;
-// trees and nested arrays do not.
-func (a *Analysis) MayCycleFrom(rootSets []NodeSet) bool {
-	return a.CycleWitnessFrom(rootSets) != nil
-}
-
 // Witness kinds. A "cycle" witness repeats a node along its own DFS
 // path (a true back edge: traversal without a cycle table would not
 // terminate). A "shared" witness reaches the same node along two
 // distinct paths (a DAG, e.g. a diamond over ONE allocation): safe to
 // traverse, but the cycle table is still required to preserve object
-// identity on the wire, so both kinds trip MayCycleFrom.
+// identity on the wire, so both kinds keep the table.
 const (
 	WitnessCycle  = "cycle"
 	WitnessShared = "shared"
 )
 
-// CycleWitness explains why MayCycleFrom flagged a root set: the first
+// CycleWitness explains why CycleWitnessFrom flagged a root set: the first
 // allocation encountered twice, how it repeated (Kind), and the two
 // field paths that reached it. A nil witness means the traversal
 // proved the graphs repeat-free and the cycle table can be elided.
@@ -59,10 +49,14 @@ func edgeLabel(k string) string {
 	return "." + k
 }
 
-// CycleWitnessFrom runs the MayCycleFrom traversal and materializes
-// the denial evidence: the exact same walk (one shared seen-set over
-// all root sets, deterministic order), but recording the path to each
-// node so the first repeat can be reported with both routes to it.
+// CycleWitnessFrom implements the conservative cycle check of §3.2:
+// the heap graphs rooted at all arguments of a call are traversed with
+// one shared seen-set, and any allocation number encountered twice
+// flags a potential cycle. Passing the same object twice (Figure 8), a
+// self-reference (Figure 9) and a linked list all trip the check;
+// trees and nested arrays do not. The walk (deterministic order)
+// records the path to each node, so the first repeat is reported with
+// both routes to it; nil means the cycle table can be elided.
 func (a *Analysis) CycleWitnessFrom(rootSets []NodeSet) *CycleWitness {
 	first := map[NodeID][]string{} // path at first visit
 	onPath := map[NodeID]bool{}    // currently on the DFS stack

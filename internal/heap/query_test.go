@@ -66,7 +66,7 @@ class H {
 	if fd == nil {
 		t.Fatal("field missing")
 	}
-	if got := a.Global(fd); len(got) != 1 {
+	if got := a.globals[fd]; len(got) != 1 {
 		t.Fatalf("Global(d) = %s", got)
 	}
 }
@@ -244,7 +244,7 @@ func TestCycleWitnessPropertyRandomGraphs(t *testing.T) {
 		var nIDs []NodeID
 		for _, in := range p.AllocSites {
 			if in != nil && in.Op == ir.OpNew && in.Class != nil && in.Class.Name == "N" {
-				if id, ok := a.NodeOfAlloc(in, MergedCtx); ok {
+				if id, ok := a.allocNode[allocKey{in, MergedCtx}]; ok {
 					nIDs = append(nIDs, id)
 				}
 			}

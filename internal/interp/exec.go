@@ -13,8 +13,9 @@ import (
 // into errors instead of hangs.
 const maxSteps = 20_000_000
 
-// exec interprets one SSA function on the given node.
-func (m *Machine) exec(node *rmi.Node, fn *ir.Func, args []value) (value, error) {
+// exec interprets one SSA function for from: the node running it, or
+// the remote call it serves, whose trace its nested remote calls join.
+func (m *Machine) exec(from rmi.Caller, fn *ir.Func, args []value) (value, error) {
 	if len(args) != len(fn.Params) {
 		return value{}, fmt.Errorf("interp: %s: %d args for %d params", fn.Name, len(args), len(fn.Params))
 	}
@@ -67,7 +68,7 @@ func (m *Machine) exec(node *rmi.Node, fn *ir.Func, args []value) (value, error)
 			case ir.OpBranch:
 				// handled below
 			default:
-				v, err := m.step(node, fn, in, frame)
+				v, err := m.step(from, fn, in, frame)
 				if err != nil {
 					return value{}, err
 				}
@@ -106,7 +107,7 @@ func prevID(b *ir.Block) int {
 }
 
 // step executes one non-control instruction.
-func (m *Machine) step(node *rmi.Node, fn *ir.Func, in *ir.Instr, frame map[*ir.Value]value) (value, error) {
+func (m *Machine) step(from rmi.Caller, fn *ir.Func, in *ir.Instr, frame map[*ir.Value]value) (value, error) {
 	switch in.Op {
 	case ir.OpConst:
 		if in.ConstIsNull {
@@ -234,7 +235,7 @@ func (m *Machine) step(node *rmi.Node, fn *ir.Func, in *ir.Instr, frame map[*ir.
 		if !in.Callee.Static && args[0].r != nil {
 			return value{}, fmt.Errorf("interp: direct call %s on a remote reference", in.Callee.QualifiedName())
 		}
-		return m.callDirect(node, in.Callee, args)
+		return m.callDirect(from, in.Callee, args)
 
 	case ir.OpRemoteCall:
 		recv := frame[in.Args[0]]
@@ -263,7 +264,7 @@ func (m *Machine) step(node *rmi.Node, fn *ir.Func, in *ir.Instr, frame map[*ir.
 		if m.OnRemoteArgs != nil {
 			m.OnRemoteArgs(in.SiteID, argVals)
 		}
-		rets, err := cs.Invoke(node, recv.r.ref, argVals)
+		rets, err := cs.Invoke(from, recv.r.ref, argVals)
 		if err != nil {
 			return value{}, err
 		}

@@ -142,7 +142,7 @@ func (m *Machine) placeRemote(cd *lang.ClassDecl) (*remoteRef, error) {
 				for _, a := range args {
 					vals = append(vals, plain(a))
 				}
-				ret, err := m.exec(call.Node, m.res.IR.FuncOf[md], vals)
+				ret, err := m.exec(call, m.res.IR.FuncOf[md], vals)
 				if err != nil {
 					panic(fmt.Sprintf("interp: %s: %v", md.QualifiedName(), err))
 				}
@@ -157,13 +157,13 @@ func (m *Machine) placeRemote(cd *lang.ClassDecl) (*remoteRef, error) {
 	return &remoteRef{ref: ref, class: cd}, nil
 }
 
-// callDirect interprets a (static or local) method on the given node.
-func (m *Machine) callDirect(node *rmi.Node, md *lang.MethodDecl, args []value) (value, error) {
+// callDirect interprets a (static or local) method for from.
+func (m *Machine) callDirect(from rmi.Caller, md *lang.MethodDecl, args []value) (value, error) {
 	fn, ok := m.res.IR.FuncOf[md]
 	if !ok {
 		return value{}, fmt.Errorf("interp: %s has no body", md.QualifiedName())
 	}
-	return m.exec(node, fn, args)
+	return m.exec(from, fn, args)
 }
 
 // hashString reproduces the deterministic String.hashCode builtin.

@@ -1,12 +1,14 @@
 package interp
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"cormi/internal/core"
 	"cormi/internal/model"
 	"cormi/internal/rmi"
+	"cormi/internal/trace"
 )
 
 // run compiles src and interprets Class.main on a fresh cluster at the
@@ -28,6 +30,58 @@ func run(t *testing.T, src, class string, level rmi.OptLevel, nodes int) (model.
 		t.Fatalf("run: %v", err)
 	}
 	return v, cluster
+}
+
+// TestNestedRemoteCallJoinsTrace: a remote method that makes a remote
+// call of its own issues it from the call it serves, so one sampled
+// root call yields one trace, its nested hop one deeper. Objects are
+// placed round robin over the three nodes: the unused Leaf lands on
+// node 0, Mid on node 1 and the Leaf that Mid.step creates on node 2.
+func TestNestedRemoteCallJoinsTrace(t *testing.T) {
+	tr := trace.New(trace.Config{RingSize: 64, SampleEvery: 1})
+	cluster := rmi.New(3, rmi.WithTracer(tr))
+	t.Cleanup(cluster.Close)
+	res, err := core.CompileInto(`
+remote class Leaf {
+	int inc(int x) { return x + 1; }
+}
+remote class Mid {
+	int step(int x) {
+		Leaf l = new Leaf();
+		return l.inc(x);
+	}
+}
+class Main {
+	static int main() {
+		Leaf local = new Leaf();
+		Mid m = new Mid();
+		return m.step(41);
+	}
+}`, cluster.Registry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(res, cluster, rmi.LevelSite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := m.RunMain("Main"); err != nil || v.I != 42 {
+		t.Fatalf("main = %v, %v; want 42", v, err)
+	}
+	traces := tr.Traces()
+	if len(traces) != 1 {
+		t.Fatalf("%d traces, want one: the nested call must join its caller's trace", len(traces))
+	}
+	hops := map[trace.Kind][]uint8{}
+	for _, sp := range tr.TraceSpans(traces[0].TraceID) {
+		hops[sp.Kind] = append(hops[sp.Kind], sp.Hop)
+	}
+	for kind, want := range map[trace.Kind][]uint8{trace.KindCaller: {0, 1}, trace.KindCallee: {1, 2}} {
+		got := hops[kind]
+		if slices.Sort(got); !slices.Equal(got, want) {
+			t.Errorf("%v span hops %v, want %v", kind, got, want)
+		}
+	}
 }
 
 func TestArithmeticAndControlFlow(t *testing.T) {

@@ -98,31 +98,3 @@ func (d *domTree) dominates(a, b *Block) bool {
 		b = next
 	}
 }
-
-// Dominators computes the immediate-dominator tree of f. The result
-// maps each reachable block to its immediate dominator (the entry maps
-// to itself). Unreachable blocks are absent.
-func Dominators(f *Func) map[*Block]*Block {
-	var d domTree
-	d.compute(f)
-	idom := make(map[*Block]*Block, len(d.rpo))
-	for _, b := range d.rpo {
-		idom[b] = d.idom[b.ID]
-	}
-	return idom
-}
-
-// Dominates reports whether a dominates b under the given idom tree
-// (reflexively).
-func Dominates(idom map[*Block]*Block, a, b *Block) bool {
-	for {
-		if a == b {
-			return true
-		}
-		next, ok := idom[b]
-		if !ok || next == b {
-			return false
-		}
-		b = next
-	}
-}

@@ -285,19 +285,20 @@ class A {
 	}
 }`)
 	f := fn(t, p, "A.f")
-	idom := Dominators(f)
+	var dom domTree
+	dom.compute(f)
 	entry := f.Entry()
-	if idom[entry] != entry {
+	if dom.idom[entry.ID] != entry {
 		t.Fatal("entry must self-dominate")
 	}
-	for b := range idom {
-		if !Dominates(idom, entry, b) {
+	for _, b := range dom.rpo {
+		if !dom.dominates(entry, b) {
 			t.Fatalf("entry does not dominate block %d", b.ID)
 		}
 	}
 	// A block never dominates its dominator (except entry).
-	for b, d := range idom {
-		if b != entry && Dominates(idom, b, d) && b != d {
+	for _, b := range dom.rpo {
+		if d := dom.idom[b.ID]; b != entry && dom.dominates(b, d) && b != d {
 			t.Fatalf("block %d dominates its idom %d", b.ID, d.ID)
 		}
 	}
@@ -321,7 +322,7 @@ class A { static int f() { int x = 1; return x; } }`)
 	ret := findOp(f, OpRet)
 	bad := &Instr{Op: OpConst, Block: f.Entry(), Dst: c.Dst}
 	f.Entry().Instrs = []*Instr{c, bad, ret}
-	if err := ValidateFunc(f); err == nil {
+	if err := Validate(p); err == nil {
 		t.Fatal("duplicate assignment accepted")
 	}
 }

@@ -16,12 +16,6 @@ func Validate(p *Program) error {
 	return nil
 }
 
-// ValidateFunc checks one function.
-func ValidateFunc(f *Func) error {
-	var v validator
-	return v.validate(f)
-}
-
 // validator holds the per-function tables of the check, indexed by
 // Block.ID and Value.ID and reused from one function to the next.
 type validator struct {

@@ -16,14 +16,6 @@ type Program struct {
 	RemoteCalls []*Call
 }
 
-// ClassType returns the ClassType for a declared class name.
-func (p *Program) ClassType(name string) *ClassType {
-	if c, ok := p.Classes[name]; ok {
-		return c.Type()
-	}
-	return nil
-}
-
 // Check resolves names and types in f and numbers allocation and
 // remote call sites.
 func Check(f *File) (*Program, error) {

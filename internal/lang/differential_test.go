@@ -14,9 +14,9 @@ import (
 	"cormi/internal/apps/micro"
 	"cormi/internal/apps/superopt"
 	"cormi/internal/apps/webserver"
-	"cormi/internal/harness"
 	"cormi/internal/heap/gen"
 	"cormi/internal/lang"
+	"cormi/internal/testkit"
 )
 
 // corpus is the MiniJP the repository compiles: the bundled examples,
@@ -46,7 +46,7 @@ func corpus(tb testing.TB) map[string]string {
 		srcs[filepath.Base(f)] = string(b)
 	}
 	for seed := int64(1); seed <= 40; seed++ {
-		srcs[fmt.Sprintf("fuzzgen-%d", seed)] = harness.GenMiniJP(rand.New(rand.NewSource(seed)))
+		srcs[fmt.Sprintf("fuzzgen-%d", seed)] = testkit.GenMiniJP(rand.New(rand.NewSource(seed)))
 	}
 	return srcs
 }

@@ -32,8 +32,24 @@ func wantErr(t *testing.T, src, frag string) {
 	}
 }
 
+// lexAll drains the lexer the way the parser pulls it: every token of
+// src through the end-of-file token.
+func lexAll(src string) ([]Token, error) {
+	l := newLexer(src)
+	var toks []Token
+	for {
+		var t Token
+		if err := l.next(&t); err != nil {
+			return nil, err
+		}
+		if toks = append(toks, t); t.Kind == TokEOF {
+			return toks, nil
+		}
+	}
+}
+
 func TestLexBasics(t *testing.T) {
-	toks, err := Lex(`class Foo { int x; } // comment
+	toks, err := lexAll(`class Foo { int x; } // comment
 /* block
 comment */ "str\n" 1 2.5 1e3 <= && !`)
 	if err != nil {
@@ -75,11 +91,11 @@ func TestLexErrors(t *testing.T) {
 		{"class A { } ☃", `1:13: unexpected character "☃"`},
 		{"class A { }\n\xff", `2:1: unexpected character "\xff"`},
 	} {
-		if _, err := Lex(tc.src); err == nil || err.Error() != tc.want {
-			t.Errorf("Lex(%q) = %v, want %s", tc.src, err, tc.want)
+		if _, err := lexAll(tc.src); err == nil || err.Error() != tc.want {
+			t.Errorf("lexing %q = %v, want %s", tc.src, err, tc.want)
 		}
 	}
-	toks, err := Lex("// µ\n/* é\n */ \"☃\" x")
+	toks, err := lexAll("// µ\n/* é\n */ \"☃\" x")
 	if err != nil || len(toks) != 3 || toks[0].Text != "☃" || toks[1].Pos != (Pos{3, 11}) {
 		t.Fatalf("UTF-8 in comments and strings: %v, %v", toks, err)
 	}

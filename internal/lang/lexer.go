@@ -5,24 +5,6 @@ import (
 	"unicode/utf8"
 )
 
-// Lex drains the lexer: every token of src, skipping // and /* */
-// comments, through the end-of-file token. The parser pulls tokens one
-// at a time instead; this is for callers that want the sequence.
-func Lex(src string) ([]Token, error) {
-	l := newLexer(src)
-	var toks []Token
-	for {
-		var t Token
-		if err := l.next(&t); err != nil {
-			return nil, err
-		}
-		toks = append(toks, t)
-		if t.Kind == TokEOF {
-			return toks, nil
-		}
-	}
-}
-
 // lexer is the whole lexical state: a position in src, and the line it
 // is on. next stores one token in *t per call; after an error it must
 // not be called again.

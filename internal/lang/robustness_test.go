@@ -83,7 +83,7 @@ func parseAndCheck(t *testing.T, src string) {
 func TestParserNeverPanics(t *testing.T) {
 	seen := map[TokKind]bool{}
 	for _, w := range vocabulary() {
-		toks, err := Lex(w)
+		toks, err := lexAll(w)
 		if err != nil || len(toks) != 2 {
 			t.Fatalf("vocabulary word %q lexes to %v, %v; want one token", w, toks, err)
 		}

@@ -58,18 +58,6 @@ func (h *Histogram) Observe(v int64) {
 	h.sum.Add(v)
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.buckets {
-		n += h.buckets[i].Load()
-	}
-	return n
-}
-
-// Sum returns the running total of observed values in nanoseconds.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
 // HistSnapshot is a consistent-enough copy of a histogram for quantile
 // math and exposition (counts are loaded bucket by bucket; a snapshot
 // taken during concurrent recording may be mid-update by a few counts,

@@ -63,7 +63,7 @@ func TestHistogramConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := h.Count(); got != workers*per {
+	if got := h.Snapshot().Total; got != workers*per {
 		t.Fatalf("count = %d, want %d", got, workers*per)
 	}
 }

@@ -125,16 +125,6 @@ func (c *Class) FieldIndex(name string) int {
 	return -1
 }
 
-// IsSubclassOf reports whether c is t or a (transitive) subclass of t.
-func (c *Class) IsSubclassOf(t *Class) bool {
-	for x := c; x != nil; x = x.Super {
-		if x == t {
-			return true
-		}
-	}
-	return false
-}
-
 func (c *Class) String() string {
 	if c == nil {
 		return "<nil class>"

@@ -2,21 +2,18 @@ package model
 
 // DeepClone returns a structure-preserving deep copy of the object
 // graph rooted at o: shared subobjects stay shared, cycles stay cycles.
-// The RMI runtime uses it to implement the paper's local-call
-// semantics: "if the remote object is located on the same machine, the
-// parameter and return value objects are cloned" so that parameter
-// passing semantics do not depend on object placement.
-//
-// allocated, if non-nil, is invoked once per object created.
-func DeepClone(o *Object, allocated func(*Object)) *Object {
+// It is the paper's local-call copy ("if the remote object is located
+// on the same machine, the parameter and return value objects are
+// cloned") done directly; the RMI runtime clones through its
+// serializers instead, and the chain workloads compare against this.
+func DeepClone(o *Object) *Object {
 	if o == nil {
 		return nil
 	}
-	seen := make(map[*Object]*Object)
-	return deepClone(o, seen, allocated)
+	return deepClone(o, make(map[*Object]*Object))
 }
 
-func deepClone(o *Object, seen map[*Object]*Object, allocated func(*Object)) *Object {
+func deepClone(o *Object, seen map[*Object]*Object) *Object {
 	if o == nil {
 		return nil
 	}
@@ -31,7 +28,7 @@ func deepClone(o *Object, seen map[*Object]*Object, allocated func(*Object)) *Ob
 		copy(c.Fields, o.Fields)
 		for i := range c.Fields {
 			if c.Fields[i].Kind == FRef && c.Fields[i].O != nil {
-				c.Fields[i].O = deepClone(c.Fields[i].O, seen, allocated)
+				c.Fields[i].O = deepClone(c.Fields[i].O, seen)
 			}
 		}
 	case KDoubleArray:
@@ -47,190 +44,17 @@ func deepClone(o *Object, seen map[*Object]*Object, allocated func(*Object)) *Ob
 		c = &Object{Class: o.Class, Refs: make([]*Object, len(o.Refs))}
 		seen[o] = c
 		for i, e := range o.Refs {
-			c.Refs[i] = deepClone(e, seen, allocated)
+			c.Refs[i] = deepClone(e, seen)
 		}
-	}
-	if allocated != nil {
-		allocated(c)
 	}
 	return c
 }
 
 // CloneValue deep-clones reference values and passes primitives and
 // strings through unchanged.
-func CloneValue(v Value, allocated func(*Object)) Value {
+func CloneValue(v Value) Value {
 	if v.Kind == FRef && v.O != nil {
-		v.O = DeepClone(v.O, allocated)
+		v.O = DeepClone(v.O)
 	}
 	return v
-}
-
-// CloneValues deep-clones a value slice with a single shared seen-map,
-// so aliasing between arguments is preserved (the paper's Figure 8
-// case: the same object passed twice must arrive as one shared copy).
-func CloneValues(vs []Value, allocated func(*Object)) []Value {
-	out := make([]Value, len(vs))
-	seen := make(map[*Object]*Object)
-	for i, v := range vs {
-		if v.Kind == FRef && v.O != nil {
-			v.O = deepClone(v.O, seen, allocated)
-		}
-		out[i] = v
-	}
-	return out
-}
-
-// DeepEqual reports structural equality of two object graphs. Cyclic
-// and shared structure is compared by correspondence: the i-th distinct
-// object encountered on one side must pair with the i-th on the other.
-func DeepEqual(a, b *Object) bool {
-	return deepEqual(a, b, make(map[*Object]*Object))
-}
-
-func deepEqual(a, b *Object, pairs map[*Object]*Object) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	if p, ok := pairs[a]; ok {
-		return p == b
-	}
-	if a.Class.Name != b.Class.Name {
-		return false
-	}
-	pairs[a] = b
-	switch a.Class.Kind {
-	case KObject:
-		if len(a.Fields) != len(b.Fields) {
-			return false
-		}
-		for i := range a.Fields {
-			if !deepEqualValue(a.Fields[i], b.Fields[i], pairs) {
-				return false
-			}
-		}
-	case KDoubleArray:
-		if len(a.Doubles) != len(b.Doubles) {
-			return false
-		}
-		for i := range a.Doubles {
-			if a.Doubles[i] != b.Doubles[i] {
-				return false
-			}
-		}
-	case KIntArray:
-		if len(a.Ints) != len(b.Ints) {
-			return false
-		}
-		for i := range a.Ints {
-			if a.Ints[i] != b.Ints[i] {
-				return false
-			}
-		}
-	case KByteArray:
-		if len(a.Bytes) != len(b.Bytes) {
-			return false
-		}
-		for i := range a.Bytes {
-			if a.Bytes[i] != b.Bytes[i] {
-				return false
-			}
-		}
-	case KRefArray:
-		if len(a.Refs) != len(b.Refs) {
-			return false
-		}
-		for i := range a.Refs {
-			if !deepEqual(a.Refs[i], b.Refs[i], pairs) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func deepEqualValue(a, b Value, pairs map[*Object]*Object) bool {
-	if a.Kind != b.Kind {
-		return false
-	}
-	if a.Kind == FRef {
-		return deepEqual(a.O, b.O, pairs)
-	}
-	return a.Equal(b)
-}
-
-// DeepEqualValue is DeepEqual lifted to values.
-func DeepEqualValue(a, b Value) bool {
-	return deepEqualValue(a, b, make(map[*Object]*Object))
-}
-
-// GraphSize returns the number of distinct objects reachable from o
-// (including o itself), and their total SizeBytes.
-func GraphSize(o *Object) (objects int, bytes int64) {
-	seen := make(map[*Object]bool)
-	var walk func(*Object)
-	walk = func(x *Object) {
-		if x == nil || seen[x] {
-			return
-		}
-		seen[x] = true
-		objects++
-		bytes += x.SizeBytes()
-		switch x.Class.Kind {
-		case KObject:
-			for _, f := range x.Fields {
-				if f.Kind == FRef {
-					walk(f.O)
-				}
-			}
-		case KRefArray:
-			for _, e := range x.Refs {
-				walk(e)
-			}
-		}
-	}
-	walk(o)
-	return objects, bytes
-}
-
-// HasCycle reports whether the object graph rooted at o contains a
-// reference cycle (used by tests to validate the static cycle analysis:
-// if the compiler says "acyclic", the runtime graph must have no
-// cycle).
-func HasCycle(o *Object) bool {
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make(map[*Object]int)
-	var visit func(*Object) bool
-	visit = func(x *Object) bool {
-		if x == nil {
-			return false
-		}
-		switch color[x] {
-		case grey:
-			return true
-		case black:
-			return false
-		}
-		color[x] = grey
-		switch x.Class.Kind {
-		case KObject:
-			for _, f := range x.Fields {
-				if f.Kind == FRef && visit(f.O) {
-					return true
-				}
-			}
-		case KRefArray:
-			for _, e := range x.Refs {
-				if visit(e) {
-					return true
-				}
-			}
-		}
-		color[x] = black
-		return false
-	}
-	return visit(o)
 }

@@ -1,9 +1,12 @@
-package model
+package model_test
 
 import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	. "cormi/internal/model"
+	"cormi/internal/testkit"
 )
 
 // graphWorld builds a registry with classes rich enough to generate
@@ -16,16 +19,15 @@ type graphWorld struct {
 
 func newGraphWorld() *graphWorld {
 	reg := NewRegistry()
-	node := &Class{Name: "GNode", Kind: KObject}
-	node.Fields = []Field{
-		{Name: "i", Kind: FInt},
-		{Name: "d", Kind: FDouble},
-		{Name: "b", Kind: FBool},
-		{Name: "s", Kind: FString},
-		{Name: "l", Kind: FRef, Class: node},
-		{Name: "r", Kind: FRef, Class: node},
-	}
-	reg.mustDefine(node)
+	node := reg.MustDefine("GNode", nil,
+		Field{Name: "i", Kind: FInt},
+		Field{Name: "d", Kind: FDouble},
+		Field{Name: "b", Kind: FBool},
+		Field{Name: "s", Kind: FString},
+		Field{Name: "l", Kind: FRef},
+		Field{Name: "r", Kind: FRef},
+	)
+	node.Fields[4].Class, node.Fields[5].Class = node, node
 	return &graphWorld{reg: reg, node: node}
 }
 
@@ -63,17 +65,17 @@ func TestDeepClonePropertyRandomGraphs(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(size%30) + 1
 		g := w.randomGraph(rng, n)
-		c := DeepClone(g, nil)
-		if !DeepEqual(g, c) {
+		c := DeepClone(g)
+		if !testkit.DeepEqual(g, c) {
 			return false
 		}
 		// Structure is preserved: same reachable size, same cyclicity.
-		gn, gb := GraphSize(g)
-		cn, cb := GraphSize(c)
+		gn, gb := testkit.GraphSize(g)
+		cn, cb := testkit.GraphSize(c)
 		if gn != cn || gb != cb {
 			return false
 		}
-		if HasCycle(g) != HasCycle(c) {
+		if testkit.HasCycle(g) != testkit.HasCycle(c) {
 			return false
 		}
 		// Disjointness: mutating the clone leaves the original alone.
@@ -92,8 +94,8 @@ func TestDeepEqualIsEquivalenceOnRandomGraphs(t *testing.T) {
 		n := int(size%20) + 1
 		g := w.randomGraph(rng, n)
 		// Reflexive and symmetric with a clone.
-		c := DeepClone(g, nil)
-		return DeepEqual(g, g) && DeepEqual(g, c) && DeepEqual(c, g)
+		c := DeepClone(g)
+		return testkit.DeepEqual(g, g) && testkit.DeepEqual(g, c) && testkit.DeepEqual(c, g)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -101,17 +103,16 @@ func TestDeepEqualIsEquivalenceOnRandomGraphs(t *testing.T) {
 }
 
 func TestCloneValuePassthrough(t *testing.T) {
-	if CloneValue(Int(5), nil).I != 5 {
+	if CloneValue(Int(5)).I != 5 {
 		t.Fatal("primitive clone")
 	}
-	if !CloneValue(Null(), nil).IsNull() {
+	if !CloneValue(Null()).IsNull() {
 		t.Fatal("null clone")
 	}
 	w := newGraphWorld()
 	o := New(w.node)
-	var count int
-	v := CloneValue(Ref(o), func(*Object) { count++ })
-	if v.O == o || count != 1 {
+	v := CloneValue(Ref(o))
+	if n, _ := testkit.GraphSize(v.O); v.O == o || n != 1 {
 		t.Fatal("ref clone")
 	}
 }
@@ -161,14 +162,14 @@ func TestArrayGraphOps(t *testing.T) {
 	shared := New(leaf)
 	arr.Refs[0] = shared
 	arr.Refs[1] = shared
-	c := DeepClone(arr, nil)
+	c := DeepClone(arr)
 	if c.Refs[0] != c.Refs[1] || c.Refs[0] == shared {
 		t.Fatal("array sharing clone")
 	}
-	if !DeepEqual(arr, c) {
+	if !testkit.DeepEqual(arr, c) {
 		t.Fatal("array DeepEqual")
 	}
-	if HasCycle(arr) {
+	if testkit.HasCycle(arr) {
 		t.Fatal("array misflagged cyclic")
 	}
 	// Array containing itself is a cycle.
@@ -177,10 +178,10 @@ func TestArrayGraphOps(t *testing.T) {
 	_ = selfArr
 	outer2 := NewArray(outer.Class, 1)
 	outer2.Refs[0] = outer2
-	if !HasCycle(outer2) {
+	if !testkit.HasCycle(outer2) {
 		t.Fatal("self-containing array not cyclic")
 	}
-	n, _ := GraphSize(arr)
+	n, _ := testkit.GraphSize(arr)
 	if n != 2 { // array + shared leaf (nil slot ignored)
 		t.Fatalf("GraphSize = %d", n)
 	}
@@ -188,19 +189,19 @@ func TestArrayGraphOps(t *testing.T) {
 	// Primitive arrays: clones copy payloads.
 	ia := NewArray(reg.IntArray(), 2)
 	ia.Ints[1] = 9
-	ba := NewArray(reg.ByteArray(), 2)
+	ba := NewArray(reg.MustByName("byte[]"), 2)
 	ba.Bytes[0] = 0xFF
-	ci := DeepClone(ia, nil)
-	cb := DeepClone(ba, nil)
+	ci := DeepClone(ia)
+	cb := DeepClone(ba)
 	ci.Ints[1] = 0
 	cb.Bytes[0] = 0
 	if ia.Ints[1] != 9 || ba.Bytes[0] != 0xFF {
 		t.Fatal("primitive array clone aliases")
 	}
-	if !DeepEqual(ia, DeepClone(ia, nil)) || !DeepEqual(ba, DeepClone(ba, nil)) {
+	if !testkit.DeepEqual(ia, DeepClone(ia)) || !testkit.DeepEqual(ba, DeepClone(ba)) {
 		t.Fatal("primitive array DeepEqual")
 	}
-	if DeepEqual(ia, NewArray(reg.IntArray(), 3)) {
+	if testkit.DeepEqual(ia, NewArray(reg.IntArray(), 3)) {
 		t.Fatal("length mismatch equal")
 	}
 }

@@ -1,7 +1,10 @@
-package model
+package model_test
 
 import (
 	"testing"
+
+	. "cormi/internal/model"
+	"cormi/internal/testkit"
 )
 
 func newTestRegistry(t testing.TB) (*Registry, *Class, *Class) {
@@ -51,7 +54,7 @@ func TestRegistryBuiltinsAndArrayOf(t *testing.T) {
 	if again := reg.ArrayOf(da); again != dda {
 		t.Fatal("ArrayOf not idempotent")
 	}
-	if reg.IntArray().Kind != KIntArray || reg.ByteArray().Kind != KByteArray {
+	if reg.IntArray().Kind != KIntArray || reg.MustByName("byte[]").Kind != KByteArray {
 		t.Fatal("builtin array kinds wrong")
 	}
 }
@@ -67,8 +70,8 @@ func TestClassInheritanceLayout(t *testing.T) {
 	if der.FieldIndex("a") != 0 || der.FieldIndex("b") != 1 || der.FieldIndex("zz") != -1 {
 		t.Fatal("FieldIndex wrong")
 	}
-	if !der.IsSubclassOf(base) || base.IsSubclassOf(der) {
-		t.Fatal("IsSubclassOf wrong")
+	if der.Super != base || base.Super != nil {
+		t.Fatal("superclass links wrong")
 	}
 	o := New(der)
 	if len(o.Fields) != 2 || o.Fields[0].Kind != FInt || o.Fields[1].Kind != FDouble {
@@ -105,7 +108,7 @@ func TestArrays(t *testing.T) {
 		t.Fatal("nested array access failed")
 	}
 	ia := NewArray(reg.IntArray(), 3)
-	ba := NewArray(reg.ByteArray(), 5)
+	ba := NewArray(reg.MustByName("byte[]"), 5)
 	if ia.SizeBytes() != 16+24 || ba.SizeBytes() != 16+5 {
 		t.Fatalf("SizeBytes: %d %d", ia.SizeBytes(), ba.SizeBytes())
 	}
@@ -124,9 +127,6 @@ func TestValues(t *testing.T) {
 	if Int(3).Equal(Double(3)) {
 		t.Fatal("kind mismatch should be unequal")
 	}
-	if ZeroOf(FString).S != "" || ZeroOf(FRef).O != nil {
-		t.Fatal("ZeroOf")
-	}
 }
 
 func buildList(reg *Registry, n int) *Object {
@@ -143,24 +143,19 @@ func buildList(reg *Registry, n int) *Object {
 
 func listRegistry() *Registry {
 	reg := NewRegistry()
-	node := &Class{Name: "Node", Kind: KObject}
-	node.Fields = []Field{
-		{Name: "v", Kind: FInt},
-		{Name: "next", Kind: FRef, Class: node},
-	}
-	reg.mustDefine(node)
+	node := reg.MustDefine("Node", nil, Field{Name: "v", Kind: FInt}, Field{Name: "next", Kind: FRef})
+	node.Fields[1].Class = node
 	return reg
 }
 
 func TestDeepCloneList(t *testing.T) {
 	reg := listRegistry()
 	head := buildList(reg, 50)
-	var count int
-	c := DeepClone(head, func(*Object) { count++ })
-	if count != 50 {
-		t.Fatalf("allocated %d objects, want 50", count)
+	c := DeepClone(head)
+	if n, _ := testkit.GraphSize(c); n != 50 || c == head {
+		t.Fatalf("clone holds %d objects, want 50 fresh ones", n)
 	}
-	if !DeepEqual(head, c) {
+	if !testkit.DeepEqual(head, c) {
 		t.Fatal("clone not deep-equal")
 	}
 	// Mutation of the clone must not leak back.
@@ -177,11 +172,11 @@ func TestDeepCloneSharingAndCycles(t *testing.T) {
 	b := New(node)
 	a.Set("next", Ref(b))
 	b.Set("next", Ref(a)) // cycle
-	c := DeepClone(a, nil)
+	c := DeepClone(a)
 	if c.GetRef("next").GetRef("next") != c {
 		t.Fatal("cycle not preserved in clone")
 	}
-	if !HasCycle(c) || !HasCycle(a) {
+	if !testkit.HasCycle(c) || !testkit.HasCycle(a) {
 		t.Fatal("HasCycle missed cycle")
 	}
 
@@ -197,28 +192,12 @@ func TestDeepCloneSharingAndCycles(t *testing.T) {
 	p := New(pair)
 	p.Set("l", Ref(shared))
 	p.Set("r", Ref(shared))
-	pc := DeepClone(p, nil)
+	pc := DeepClone(p)
 	if pc.GetRef("l") != pc.GetRef("r") {
 		t.Fatal("sharing lost in clone")
 	}
-	if HasCycle(p) {
+	if testkit.HasCycle(p) {
 		t.Fatal("diamond is not a cycle")
-	}
-}
-
-func TestCloneValuesPreservesAliasingAcrossArgs(t *testing.T) {
-	reg := listRegistry()
-	node := reg.MustByName("Node")
-	b := New(node)
-	vs := CloneValues([]Value{Ref(b), Ref(b), Int(5)}, nil)
-	if vs[0].O != vs[1].O {
-		t.Fatal("aliasing across arguments lost (Figure 8 semantics)")
-	}
-	if vs[0].O == b {
-		t.Fatal("arguments were not cloned")
-	}
-	if vs[2].I != 5 {
-		t.Fatal("primitive arg corrupted")
 	}
 }
 
@@ -226,15 +205,15 @@ func TestDeepEqualDistinguishes(t *testing.T) {
 	reg := listRegistry()
 	a := buildList(reg, 5)
 	b := buildList(reg, 5)
-	if !DeepEqual(a, b) {
+	if !testkit.DeepEqual(a, b) {
 		t.Fatal("equal lists not DeepEqual")
 	}
 	b.Set("v", Int(99))
-	if DeepEqual(a, b) {
+	if testkit.DeepEqual(a, b) {
 		t.Fatal("different lists DeepEqual")
 	}
 	c := buildList(reg, 6)
-	if DeepEqual(a, c) {
+	if testkit.DeepEqual(a, c) {
 		t.Fatal("different lengths DeepEqual")
 	}
 	// Cyclic vs acyclic with same local shape.
@@ -244,12 +223,12 @@ func TestDeepEqualDistinguishes(t *testing.T) {
 	y := New(node)
 	z := New(node)
 	y.Set("next", Ref(z))
-	if DeepEqual(x, y) {
+	if testkit.DeepEqual(x, y) {
 		t.Fatal("cycle vs chain DeepEqual")
 	}
 	x2 := New(node)
 	x2.Set("next", Ref(x2))
-	if !DeepEqual(x, x2) {
+	if !testkit.DeepEqual(x, x2) {
 		t.Fatal("isomorphic cycles not DeepEqual")
 	}
 }
@@ -257,7 +236,7 @@ func TestDeepEqualDistinguishes(t *testing.T) {
 func TestGraphSize(t *testing.T) {
 	reg := listRegistry()
 	head := buildList(reg, 10)
-	n, bytes := GraphSize(head)
+	n, bytes := testkit.GraphSize(head)
 	if n != 10 {
 		t.Fatalf("GraphSize objects = %d", n)
 	}
@@ -268,7 +247,7 @@ func TestGraphSize(t *testing.T) {
 	node := reg.MustByName("Node")
 	a := New(node)
 	a.Set("next", Ref(a))
-	if n, _ := GraphSize(a); n != 1 {
+	if n, _ := testkit.GraphSize(a); n != 1 {
 		t.Fatalf("self-loop GraphSize = %d", n)
 	}
 }

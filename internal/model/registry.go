@@ -74,9 +74,6 @@ func (r *Registry) DoubleArray() *Class { return r.MustByName("double[]") }
 // IntArray returns the built-in int[] class.
 func (r *Registry) IntArray() *Class { return r.MustByName("int[]") }
 
-// ByteArray returns the built-in byte[] class.
-func (r *Registry) ByteArray() *Class { return r.MustByName("byte[]") }
-
 // ArrayOf returns (registering on first use) the reference-array class
 // whose elements are elem, e.g. ArrayOf(double[]) is double[][].
 func (r *Registry) ArrayOf(elem *Class) *Class {

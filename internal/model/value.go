@@ -46,12 +46,6 @@ func (v Value) AsBool() bool { return v.I != 0 }
 // IsNull reports whether the value is a null reference.
 func (v Value) IsNull() bool { return v.Kind == FRef && v.O == nil }
 
-// ZeroOf returns the zero value for a field kind (0, 0.0, false, "",
-// null).
-func ZeroOf(k FieldKind) Value {
-	return Value{Kind: k}
-}
-
 func (v Value) String() string {
 	switch v.Kind {
 	case FInt:
@@ -73,7 +67,7 @@ func (v Value) String() string {
 }
 
 // Equal reports shallow equality: primitives by value, references by
-// identity. Use DeepEqual for structural comparison of object graphs.
+// identity.
 func (v Value) Equal(w Value) bool {
 	if v.Kind != w.Kind {
 		return false

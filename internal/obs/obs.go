@@ -68,9 +68,8 @@ type Server struct {
 	srv *http.Server
 }
 
-// NewServer builds the handler without binding a socket — use Serve
-// for the common bind-and-go path, or mount Handler() yourself.
-func NewServer(opts Options) *Server {
+// newServer builds the endpoints' mux; Serve binds it to a socket.
+func newServer(opts Options) *Server {
 	// Gauges join the tracer's registry, so /metrics is one exposition
 	// of phase histograms and gauges; a node without a tracer gets a
 	// private one.
@@ -202,13 +201,10 @@ func orEmpty[T any](s []T) []T {
 	return s
 }
 
-// Handler returns the server's mux for embedding.
-func (s *Server) Handler() http.Handler { return s.mux }
-
 // Serve binds addr (e.g. ":9090" or "127.0.0.1:0") and serves the
 // introspection endpoints in a background goroutine until Close.
 func Serve(addr string, opts Options) (*Server, error) {
-	s := NewServer(opts)
+	s := newServer(opts)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err

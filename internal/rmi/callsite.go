@@ -30,6 +30,8 @@ type CallSite struct {
 	// ignoreRet marks call sites whose return value is unused; with
 	// site mode the callee sends a bare acknowledgment (§3.1).
 	ignoreRet bool
+	// policy, when set, overrides the cluster's call policy.
+	policy *CallPolicy
 
 	// statShards accumulates this site's runtime counters, one shard
 	// per node. They are always on — each call does a handful of atomic
@@ -101,7 +103,8 @@ func (c *Cluster) MustNewCallSite(level OptLevel, spec SiteSpec) *CallSite {
 	return cs
 }
 
-// Config exposes the site's serializer configuration (for tests).
+// Config exposes the site's serializer configuration (the benchmark's
+// codec ladder reads it).
 func (cs *CallSite) Config() serial.Config { return cs.cfg }
 
 // Stats sums the per-node counter shards into one live snapshot.
@@ -113,35 +116,37 @@ func (cs *CallSite) Stats() stats.SiteStat {
 	return out
 }
 
-// Invoke performs the RMI from caller node n on the object ref under
-// the cluster's default call policy. Node-local calls deep-clone
-// arguments and results instead of going over the wire (Figure 1's
-// cloning rule).
-func (cs *CallSite) Invoke(n *Node, ref Ref, args []model.Value) ([]model.Value, error) {
-	return cs.InvokeWithPolicy(n, ref, args, n.cluster.policy)
+// Caller is where a call is issued from: a *Node for a root call, or
+// the *Call of a running method for a nested one, which then joins
+// that method's distributed trace one hop down.
+type Caller interface {
+	issuer() (*Node, wire.TraceContext)
 }
 
-// InvokeWithPolicy is Invoke with a per-call deadline/retry policy
-// overriding the cluster default.
-func (cs *CallSite) InvokeWithPolicy(n *Node, ref Ref, args []model.Value, pol CallPolicy) ([]model.Value, error) {
+func (n *Node) issuer() (*Node, wire.TraceContext) { return n, wire.TraceContext{} }
+
+func (c *Call) issuer() (*Node, wire.TraceContext) { return c.Node, c.tctx }
+
+// Invoke performs the RMI on the object ref from the caller's node,
+// under the site's call policy (the cluster default unless
+// SetCallPolicy overrode it). Node-local calls deep-clone arguments
+// and results instead of going over the wire (Figure 1's cloning
+// rule).
+func (cs *CallSite) Invoke(from Caller, ref Ref, args []model.Value) ([]model.Value, error) {
+	n, tctx := from.issuer()
 	if ref.Node == n.ID {
 		return cs.invokeLocal(n, ref, args)
 	}
-	return cs.invokeRemote(n, ref, args, pol, wire.TraceContext{})
+	pol := n.cluster.policy
+	if cs.policy != nil {
+		pol = *cs.policy
+	}
+	return cs.invokeRemote(n, ref, args, pol, tctx)
 }
 
-// InvokeFrom issues a nested synchronous call from inside a running
-// method, inheriting the enclosing invocation's distributed-trace
-// context: when the enclosing call was sampled, the nested call's span
-// joins the same cross-node tree one hop down. Semantically identical
-// to call.Node-based Invoke otherwise.
-func (cs *CallSite) InvokeFrom(call *Call, ref Ref, args []model.Value) ([]model.Value, error) {
-	n := call.Node
-	if ref.Node == n.ID {
-		return cs.invokeLocal(n, ref, args)
-	}
-	return cs.invokeRemote(n, ref, args, n.cluster.policy, call.tctx)
-}
+// SetCallPolicy overrides the cluster's default deadline/retry policy
+// for this site's calls. Set it before the site's first call.
+func (cs *CallSite) SetCallPolicy(p CallPolicy) { cs.policy = &p }
 
 // runGuarded runs a user method, converting a panic into an error
 // carrying the callee's stack — the same semantics wherever the object

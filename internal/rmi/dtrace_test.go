@@ -9,6 +9,21 @@ import (
 	"cormi/internal/wire"
 )
 
+// WithoutCaps strips capability bits from node's HELLO advertisement,
+// simulating a peer that does not implement an optional protocol
+// feature (trace-context propagation). Links touching the node
+// negotiate the masked features away and the calls run without them —
+// this package's capability-demotion
+// test knob.
+func WithoutCaps(node int, caps uint32) Option {
+	return func(o *clusterOpts) {
+		if o.capsMask == nil {
+			o.capsMask = make(map[int]uint32)
+		}
+		o.capsMask[node] |= caps
+	}
+}
+
 // dtraceSetup builds a traced 2-node cluster serving echo(x)=x+1 with
 // node 0 head-sampling every root call.
 func dtraceSetup(t *testing.T, opts ...Option) (*Cluster, *trace.Tracer, *CallSite, Ref) {

@@ -10,8 +10,8 @@ import (
 
 	"cormi/internal/balance"
 	"cormi/internal/model"
-	"cormi/internal/race"
 	"cormi/internal/serial"
+	"cormi/internal/testkit"
 )
 
 // Tests for the callee's launch path: one invocation record per call,
@@ -45,7 +45,7 @@ func goroutinesAtMost(limit int) int {
 // the record, roots are made only for references, and executors are
 // reused, so none of those may allocate per call.
 func TestEchoSteadyStateAllocs(t *testing.T) {
-	if race.Enabled {
+	if testkit.Enabled {
 		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
 	}
 	e := newEnv(t, 2)
@@ -137,7 +137,7 @@ func TestReentrantChainsExceedCap(t *testing.T) {
 	var ref0, ref1 Ref
 	ref1 = c.Node(1).Export(&Service{Name: "One", Methods: map[string]Method{
 		"outer": func(call *Call, args []model.Value) []model.Value {
-			rets, err := middle.InvokeFrom(call, ref0, args)
+			rets, err := middle.Invoke(call, ref0, args)
 			if err != nil {
 				panic(err)
 			}
@@ -151,7 +151,7 @@ func TestReentrantChainsExceedCap(t *testing.T) {
 	}})
 	ref0 = c.Node(0).Export(&Service{Name: "Zero", Methods: map[string]Method{
 		"middle": func(call *Call, args []model.Value) []model.Value {
-			rets, err := leaf.InvokeFrom(call, ref1, args)
+			rets, err := leaf.Invoke(call, ref1, args)
 			if err != nil {
 				panic(err)
 			}

@@ -50,9 +50,9 @@ func TestLostReplyReturnsErrTimeout(t *testing.T) {
 	ref := e.c.Node(1).Export(countingService(&execs))
 	cs := bumpSite(t, e.c)
 
-	pol := CallPolicy{Timeout: 20 * time.Millisecond, Retries: 3, Backoff: time.Millisecond}
+	cs.SetCallPolicy(CallPolicy{Timeout: 20 * time.Millisecond, Retries: 3, Backoff: time.Millisecond})
 	start := time.Now()
-	_, err := cs.InvokeWithPolicy(e.c.Node(0), ref, []model.Value{model.Int(7)}, pol)
+	_, err := cs.Invoke(e.c.Node(0), ref, []model.Value{model.Int(7)})
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
@@ -81,8 +81,8 @@ func TestPartitionReturnsErrPartitioned(t *testing.T) {
 
 	fn := e.c.Network().(*transport.FaultyNetwork)
 	fn.Partition(0, 1)
-	pol := CallPolicy{Timeout: 10 * time.Millisecond, Retries: 1}
-	_, err := cs.InvokeWithPolicy(e.c.Node(0), ref, []model.Value{model.Int(1)}, pol)
+	cs.SetCallPolicy(CallPolicy{Timeout: 10 * time.Millisecond, Retries: 1})
+	_, err := cs.Invoke(e.c.Node(0), ref, []model.Value{model.Int(1)})
 	if !errors.Is(err, ErrPartitioned) {
 		t.Fatalf("err = %v, want ErrPartitioned", err)
 	}
@@ -92,7 +92,7 @@ func TestPartitionReturnsErrPartitioned(t *testing.T) {
 
 	// After healing, the same call site works again.
 	fn.Heal(0, 1)
-	rets, err := cs.InvokeWithPolicy(e.c.Node(0), ref, []model.Value{model.Int(1)}, pol)
+	rets, err := cs.Invoke(e.c.Node(0), ref, []model.Value{model.Int(1)})
 	if err != nil || rets[0].I != 2 {
 		t.Fatalf("after heal: rets=%v err=%v", rets, err)
 	}
@@ -245,10 +245,10 @@ func TestCloseFailsPendingWithPolicy(t *testing.T) {
 	ref := e.c.Node(1).Export(countingService(&execs))
 	cs := bumpSite(t, e.c)
 
+	cs.SetCallPolicy(CallPolicy{Timeout: 50 * time.Millisecond, Retries: 1000})
 	errc := make(chan error, 1)
 	go func() {
-		pol := CallPolicy{Timeout: 50 * time.Millisecond, Retries: 1000}
-		_, err := cs.InvokeWithPolicy(e.c.Node(0), ref, []model.Value{model.Int(1)}, pol)
+		_, err := cs.Invoke(e.c.Node(0), ref, []model.Value{model.Int(1)})
 		errc <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let the call get in flight
@@ -313,7 +313,7 @@ func TestAbandonedTimeoutsDoNotLeakBuffers(t *testing.T) {
 		RetPlans: []*serial.Plan{intPlan(name)},
 	})
 
-	pol := CallPolicy{Timeout: 150 * time.Microsecond}
+	cs.SetCallPolicy(CallPolicy{Timeout: 150 * time.Microsecond})
 	const callers, calls = 8, 1000
 	var wg sync.WaitGroup
 	wg.Add(callers)
@@ -323,7 +323,7 @@ func TestAbandonedTimeoutsDoNotLeakBuffers(t *testing.T) {
 			for i := 0; i < calls; i++ {
 				// Latencies of 0-300µs straddle the deadline, so some
 				// replies arrive just as the caller gives up.
-				_, err := cs.InvokeWithPolicy(e.c.Node(0), ref, []model.Value{model.Int(int64(i + g))}, pol)
+				_, err := cs.Invoke(e.c.Node(0), ref, []model.Value{model.Int(int64(i + g))})
 				if err != nil && !errors.Is(err, ErrTimeout) {
 					t.Errorf("caller %d, call %d: %v", g, i, err)
 					return

@@ -126,7 +126,8 @@ func TestFramesOnTheWire(t *testing.T) {
 	checkFrame(t, "values reply", fr[1], "01"+"0100000000000000"+"01"+"01000000"+"2a00000000000000")
 
 	// seq 2: retryable call at a site that ignores the result: ack reply.
-	if _, err := ack.InvokeWithPolicy(n0, ref, []model.Value{model.Int(1)}, CallPolicy{Timeout: time.Minute, Retries: 1}); err != nil {
+	ack.SetCallPolicy(CallPolicy{Timeout: time.Minute, Retries: 1})
+	if _, err := ack.Invoke(n0, ref, []model.Value{model.Int(1)}); err != nil {
 		t.Fatal(err)
 	}
 	fr = tap.take(t, 2)
@@ -160,7 +161,7 @@ func TestTracedFrameOnTheWire(t *testing.T) {
 	tap, n0, inc, ref := fx.tap, fx.n0, fx.inc, fx.ref
 	// A nested call from inside a sampled invocation at hop 2.
 	call := &Call{Node: n0, From: n0.ID, tctx: wire.TraceContext{TraceID: 0x1122334455667788, Parent: 9, Hop: 2}}
-	if _, err := inc.InvokeFrom(call, ref, []model.Value{model.Int(5)}); err != nil {
+	if _, err := inc.Invoke(call, ref, []model.Value{model.Int(5)}); err != nil {
 		t.Fatal(err)
 	}
 	fr := tap.take(t, 2)

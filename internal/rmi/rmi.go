@@ -115,7 +115,7 @@ type Service struct {
 
 // Call carries per-invocation context into a Method.
 type Call struct {
-	// Node is the node executing the method; use it for nested RMIs.
+	// Node is the node executing the method.
 	Node *Node
 	// From is the id of the invoking node.
 	From int
@@ -131,8 +131,8 @@ type Call struct {
 	// tctx is the invocation's distributed-trace inheritance handle
 	// (zero when the call was not sampled): the trace ID, this callee
 	// span's ID as the parent for descendants, and this hop's depth.
-	// Nested calls issued through InvokeFrom join the caller's
-	// cross-node call tree.
+	// Nested calls issued from this Call join the caller's cross-node
+	// call tree.
 	tctx wire.TraceContext
 }
 
@@ -145,12 +145,6 @@ func (c *Call) Compute(ns int64) {
 
 // Start returns the invocation's virtual start time.
 func (c *Call) Start() int64 { return c.start }
-
-// TraceContext returns the invocation's distributed-trace context —
-// zero when the call was not sampled. Methods issuing nested RMIs
-// through a bare CallSite.Invoke break the trace at this hop; use
-// InvokeFrom to keep the cross-node call tree connected.
-func (c *Call) TraceContext() wire.TraceContext { return c.tctx }
 
 // WaitUntil raises the invocation's completion floor to ts without
 // charging CPU time — condition waits (e.g. a barrier's release) delay
@@ -203,7 +197,7 @@ type Cluster struct {
 	skew map[int][]string
 
 	// capsMask maps node ID → capability bits stripped from that node's
-	// HELLO advertisement (WithoutCaps). Test knob simulating a peer
+	// HELLO advertisement (the tests' WithoutCaps), simulating a peer
 	// that does not speak an optional protocol feature; links touching
 	// the node negotiate the feature away.
 	capsMask map[int]uint32
@@ -261,7 +255,8 @@ func WithRegistry(r *model.Registry) Option {
 }
 
 // WithCallPolicy sets the cluster-wide default deadline/retry policy
-// for remote invocations (per-call overrides via InvokeWithPolicy).
+// for remote invocations (per-site overrides via
+// CallSite.SetCallPolicy).
 func WithCallPolicy(p CallPolicy) Option {
 	return func(o *clusterOpts) { o.policy = p }
 }
@@ -339,23 +334,12 @@ func WithPlanSkew(node int, classes ...string) Option {
 	}
 }
 
-// WithoutCaps strips capability bits from node's HELLO advertisement,
-// simulating a peer that does not implement an optional protocol
-// feature (trace-context propagation). Links touching the node
-// negotiate the masked features away and the calls run without them —
-// the chaos harness's capability-demotion knob.
-func WithoutCaps(node int, caps uint32) Option {
-	return func(o *clusterOpts) {
-		if o.capsMask == nil {
-			o.capsMask = make(map[int]uint32)
-		}
-		o.capsMask[node] |= caps
-	}
-}
-
 // New creates a cluster of n nodes (default: in-process channel
-// network) and starts their receive loops.
+// network) and starts their receive loops. It panics when n < 1.
 func New(n int, opts ...Option) *Cluster {
+	if n < 1 {
+		panic(fmt.Sprintf("rmi: a cluster needs at least one node, got %d", n))
+	}
 	o := clusterOpts{cost: simtime.DefaultCostModel(), dedupCap: 4096}
 	for _, f := range opts {
 		f(&o)
@@ -414,10 +398,6 @@ func (c *Cluster) Network() transport.Network { return c.net }
 // CallPolicy returns the cluster-wide default invocation policy.
 func (c *Cluster) CallPolicy() CallPolicy { return c.policy }
 
-// Tracer returns the attached observability tracer (nil when tracing
-// is off).
-func (c *Cluster) Tracer() *trace.Tracer { return c.tracer }
-
 // Done is closed when the cluster shuts down. Long-blocking service
 // methods (barriers, queues) select on it so Close can never leave a
 // method goroutine — or a local caller — waiting forever.
@@ -450,13 +430,6 @@ func (c *Cluster) MaxTime() int64 {
 		}
 	}
 	return max
-}
-
-// ResetClocks zeroes all node clocks (between benchmark phases).
-func (c *Cluster) ResetClocks() {
-	for _, n := range c.nodes {
-		n.Clock.Reset()
-	}
 }
 
 // auditCall decides whether this invocation is claim-checked: a
@@ -619,10 +592,6 @@ func newNode(c *Cluster, id int) *Node {
 
 // Cluster returns the owning cluster.
 func (n *Node) Cluster() *Cluster { return n.cluster }
-
-// Tracer returns the tracer recording this node's spans (the cluster
-// tracer unless overridden by WithNodeTracer; nil when tracing is off).
-func (n *Node) Tracer() *trace.Tracer { return n.tracer }
 
 // Export publishes a service on this node and returns its remote
 // reference. Export order must match across processes in distributed

@@ -181,14 +181,14 @@ func TestIgnoreReturnSendsAck(t *testing.T) {
 	}
 
 	// The baseline serializes the return value even when unused.
-	e.c.Counters.Reset()
+	before := e.c.Counters.Snapshot()
 	csBase := e.c.MustNewCallSite(LevelClass, SiteSpec{
 		Name: "t.sum.ack0", Method: "sum", IgnoreRet: true, NumRet: 1,
 	})
 	if _, err := csBase.Invoke(e.c.Node(0), ref, []model.Value{model.Ref(e.makeList(2))}); err != nil {
 		t.Fatal(err)
 	}
-	if e.c.Counters.Snapshot().AcksOnly != 0 {
+	if e.c.Counters.Snapshot().Sub(before).AcksOnly != 0 {
 		t.Fatal("class mode should not collapse returns to acks")
 	}
 }
@@ -393,10 +393,6 @@ func TestVirtualClockCausality(t *testing.T) {
 	if e.c.MaxTime() < minRT {
 		t.Fatal("makespan below causal minimum")
 	}
-	e.c.ResetClocks()
-	if e.c.MaxTime() != 0 {
-		t.Fatal("ResetClocks failed")
-	}
 }
 
 func TestSiteFasterThanClassVirtually(t *testing.T) {
@@ -509,5 +505,21 @@ func TestOptLevelStrings(t *testing.T) {
 	}
 	if LevelClass.Config() != (Config{}) {
 		t.Fatal("LevelClass config wrong")
+	}
+}
+
+// TestNewRejectsEmptyCluster: a cluster size below one is a caller
+// error named as such, not an index or makeslice panic further in.
+func TestNewRejectsEmptyCluster(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("rmi: a cluster needs at least one node, got %d", n)
+				if r := recover(); r != want {
+					t.Errorf("New(%d) panicked with %v, want %q", n, r, want)
+				}
+			}()
+			New(n)
+		}()
 	}
 }

@@ -68,9 +68,6 @@ func spansFor(recs []trace.SpanRecord, seq int64) (caller, callee *trace.SpanRec
 func TestTracedCallProducesBothSpans(t *testing.T) {
 	tr := trace.New(trace.Config{RingSize: 64})
 	e := newEnv(t, 2, WithTracer(tr))
-	if e.c.Tracer() != tr {
-		t.Fatal("Tracer() accessor did not return the attached tracer")
-	}
 	var execs atomic.Int64
 	ref := e.c.Node(1).Export(countingService(&execs))
 	cs := bumpSite(t, e.c)
@@ -159,7 +156,7 @@ func TestUntracedClusterRecordsNothing(t *testing.T) {
 	if _, err := cs.Invoke(e.c.Node(0), ref, []model.Value{model.Int(1)}); err != nil {
 		t.Fatal(err)
 	}
-	if e.c.Tracer() != nil {
+	if e.c.tracer != nil {
 		t.Fatal("untraced cluster has a tracer")
 	}
 }
@@ -179,8 +176,8 @@ func TestTimeoutDumpsFlightRecorder(t *testing.T) {
 	ref := e.c.Node(1).Export(countingService(&execs))
 	cs := bumpSite(t, e.c)
 
-	pol := CallPolicy{Timeout: 15 * time.Millisecond, Retries: 2, Backoff: time.Millisecond}
-	_, err := cs.InvokeWithPolicy(e.c.Node(0), ref, []model.Value{model.Int(7)}, pol)
+	cs.SetCallPolicy(CallPolicy{Timeout: 15 * time.Millisecond, Retries: 2, Backoff: time.Millisecond})
+	_, err := cs.Invoke(e.c.Node(0), ref, []model.Value{model.Int(7)})
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}

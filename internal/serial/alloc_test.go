@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"cormi/internal/model"
-	"cormi/internal/race"
 	"cormi/internal/stats"
+	"cormi/internal/testkit"
 	"cormi/internal/transport"
 	"cormi/internal/wire"
 )
@@ -18,7 +18,7 @@ import (
 // buffer, message struct, serialization context, cycle table and
 // object graph on this path is recycled.
 func TestPureHotPathZeroAllocs(t *testing.T) {
-	if race.Enabled {
+	if testkit.Enabled {
 		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
 	}
 	w := newWorld()
@@ -75,7 +75,7 @@ func TestPureHotPathZeroAllocs(t *testing.T) {
 // ReadValuesScratch makes only at the first reference (a remote echo's
 // callee decodes into its invocation record this way).
 func TestPrimitiveReadZeroAllocs(t *testing.T) {
-	if race.Enabled {
+	if testkit.Enabled {
 		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
 	}
 	w := newWorld()

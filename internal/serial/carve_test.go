@@ -5,6 +5,7 @@ import (
 
 	"cormi/internal/model"
 	"cormi/internal/stats"
+	"cormi/internal/testkit"
 	"cormi/internal/wire"
 )
 
@@ -14,13 +15,13 @@ import (
 func bagShape(reg *model.Registry) codecShape {
 	bag := reg.MustDefine("Bag", nil,
 		model.Field{Name: "ints", Kind: model.FRef, Class: reg.IntArray()},
-		model.Field{Name: "bytes", Kind: model.FRef, Class: reg.ByteArray()})
+		model.Field{Name: "bytes", Kind: model.FRef, Class: reg.MustByName("byte[]")})
 	bag.Fields = append(bag.Fields, model.Field{Name: "next", Kind: model.FRef, Class: bag})
 	var head *model.Object
 	for i := 0; i < 8; i++ {
 		x := model.New(bag)
 		ints := model.NewArray(reg.IntArray(), 3)
-		bytes := model.NewArray(reg.ByteArray(), 5)
+		bytes := model.NewArray(reg.MustByName("byte[]"), 5)
 		for j := range ints.Ints {
 			ints.Ints[j] = int64(10*i + j)
 		}
@@ -33,7 +34,7 @@ func bagShape(reg *model.Registry) codecShape {
 	np := &NodePlan{Class: bag}
 	np.Steps = []Step{
 		{Op: OpRef, Field: 0, FieldName: "ints", Target: &NodePlan{Class: reg.IntArray()}},
-		{Op: OpRef, Field: 1, FieldName: "bytes", Target: &NodePlan{Class: reg.ByteArray()}},
+		{Op: OpRef, Field: 1, FieldName: "bytes", Target: &NodePlan{Class: reg.MustByName("byte[]")}},
 		{Op: OpRef, Field: 2, FieldName: "next", Target: np},
 	}
 	return codecShape{"bag8", head, &Plan{Site: "Bag.send.1", Kind: model.FRef, Root: np, Reusable: true}}
@@ -113,7 +114,7 @@ func TestCarvedSlicesDoNotAlias(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !model.DeepEqual(vals[0].O, s.root) {
+					if !testkit.DeepEqual(vals[0].O, s.root) {
 						t.Fatal("decoded graph differs from the one written")
 					}
 					return vals[0].O
@@ -130,10 +131,10 @@ func TestCarvedSlicesDoNotAlias(t *testing.T) {
 				}
 				for i, o := range objs {
 					scribble(o)
-					if !model.DeepEqual(first, s.root) {
+					if !testkit.DeepEqual(first, s.root) {
 						t.Fatalf("scribbling object %d (%s) changed the graph it was decoded with", i, o.Class.Name)
 					}
-					if !model.DeepEqual(second, s.root) {
+					if !testkit.DeepEqual(second, s.root) {
 						t.Fatalf("scribbling object %d (%s) of one message changed the next message's graph", i, o.Class.Name)
 					}
 				}

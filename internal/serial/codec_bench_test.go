@@ -95,7 +95,7 @@ func BenchmarkPlannedCodec(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.Reset()
+				m.ResetTo(m.Bytes()[:0])
 				if _, err := WriteValues(m, vals, plans, cfg, &c); err != nil {
 					b.Fatal(err)
 				}
@@ -127,7 +127,7 @@ func BenchmarkPlannedCodec(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.Reset()
+				m.ResetTo(m.Bytes()[:0])
 				if _, err := WriteValues(m, vals, nil, class, &c); err != nil {
 					b.Fatal(err)
 				}

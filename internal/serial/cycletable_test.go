@@ -7,6 +7,7 @@ import (
 
 	"cormi/internal/model"
 	"cormi/internal/stats"
+	"cormi/internal/testkit"
 	"cormi/internal/wire"
 )
 
@@ -192,7 +193,7 @@ func TestConcurrentWritersShareAGraph(t *testing.T) {
 			defer wg.Done()
 			m := wire.NewMessage(0)
 			for i := 0; i < 200; i++ {
-				m.Reset()
+				m.ResetTo(m.Bytes()[:0])
 				if _, err := WriteValues(m, vals, plans, cfg, &c); err != nil {
 					t.Error(err)
 					return
@@ -202,7 +203,7 @@ func TestConcurrentWritersShareAGraph(t *testing.T) {
 					return
 				}
 				got, _, _, err := ReadValuesScratch(wire.FromBytes(m.Bytes()), w.reg, 1, plans, cfg, nil, nil, &c)
-				if err != nil || !model.DeepEqual(head, got[0].O) {
+				if err != nil || !testkit.DeepEqual(head, got[0].O) {
 					t.Errorf("concurrent round trip: %v", err)
 					return
 				}

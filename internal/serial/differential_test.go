@@ -9,6 +9,7 @@ import (
 
 	"cormi/internal/model"
 	"cormi/internal/stats"
+	"cormi/internal/testkit"
 	"cormi/internal/wire"
 )
 
@@ -79,7 +80,7 @@ func newDiffWorld() *diffWorld {
 	)
 	w.box = reg.MustDefine("Box", nil,
 		model.Field{Name: "ints", Kind: model.FRef, Class: reg.IntArray()},
-		model.Field{Name: "raw", Kind: model.FRef, Class: reg.ByteArray()},
+		model.Field{Name: "raw", Kind: model.FRef, Class: reg.MustByName("byte[]")},
 		model.Field{Name: "any", Kind: model.FRef, Class: w.base},
 	)
 	self(w.box, "tail")
@@ -179,7 +180,7 @@ func (w *diffWorld) shapes() []diffShape {
 	boxNP := &NodePlan{Class: w.box}
 	boxNP.Steps = []Step{
 		{Op: OpRef, Field: 0, FieldName: "ints", Target: &NodePlan{Class: w.reg.IntArray()}},
-		{Op: OpRef, Field: 1, FieldName: "raw", Target: &NodePlan{Class: w.reg.ByteArray()}},
+		{Op: OpRef, Field: 1, FieldName: "raw", Target: &NodePlan{Class: w.reg.MustByName("byte[]")}},
 		{Op: OpRefDynamic, Field: 2, FieldName: "any"},
 		{Op: OpRef, Field: 3, FieldName: "tail", Target: boxNP},
 	}
@@ -238,7 +239,7 @@ func (w *diffWorld) shapes() []diffShape {
 				for j := range ints.Ints {
 					ints.Ints[j] = rng.Int63()
 				}
-				raw := model.NewArray(w.reg.ByteArray(), rng.Intn(5))
+				raw := model.NewArray(w.reg.MustByName("byte[]"), rng.Intn(5))
 				rng.Read(raw.Bytes)
 				d := model.New(w.derived)
 				d.Set("data", model.Int(rng.Int63n(9)))
@@ -280,7 +281,7 @@ func (w *diffWorld) shapes() []diffShape {
 // sameGraph is structural equality that also refuses a graph in which
 // two distinct nodes of the other were collapsed into one.
 func sameGraph(a, b *model.Object) bool {
-	return model.DeepEqual(a, b) && model.DeepEqual(b, a)
+	return testkit.DeepEqual(a, b) && testkit.DeepEqual(b, a)
 }
 
 // diffCase is one message: a graph of the shape between two
@@ -357,7 +358,7 @@ func readBoth(t *testing.T, reg *model.Registry, frame []byte, dc diffCase, dono
 	}
 	if err == nil {
 		for i := range vals {
-			if !model.DeepEqualValue(vals[i], wantVals[i]) || !model.DeepEqualValue(wantVals[i], vals[i]) {
+			if !testkit.DeepEqualValue(vals[i], wantVals[i]) || !testkit.DeepEqualValue(wantVals[i], vals[i]) {
 				t.Fatalf("value %d: production and reference decoded different graphs", i)
 			}
 		}

@@ -8,8 +8,8 @@ import (
 	"unsafe"
 
 	"cormi/internal/model"
-	"cormi/internal/race"
 	"cormi/internal/stats"
+	"cormi/internal/testkit"
 	"cormi/internal/wire"
 )
 
@@ -36,7 +36,7 @@ func hintCounts(h *SlabHint) [6]int64 {
 // one chunk per slab kind the graph uses — objects and field vectors
 // for the list, objects, row references and doubles for the array.
 func TestHintedClassReadAllocs(t *testing.T) {
-	if race.Enabled {
+	if testkit.Enabled {
 		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
 	}
 	reg, shapes := codecShapes()
@@ -112,7 +112,7 @@ func TestHintBoundedByFrame(t *testing.T) {
 					t.Fatalf("decode: err = %v, want success %v", err, f.ok)
 				}
 			})
-			if race.Enabled {
+			if testkit.Enabled {
 				return // instrumentation allocates beside the slabs
 			}
 			if b > limit {
@@ -177,7 +177,7 @@ func TestClassDecodeWithConcurrentDefines(t *testing.T) {
 			cfg := Config{Mode: ModeClass, Hint: hint}
 			for i := 0; i < rounds; i++ {
 				vals, _, _, err := ReadValuesScratch(wire.FromBytes(frame), w.reg, 1, nil, cfg, nil, nil, &c)
-				if err == nil && !model.DeepEqual(vals[0].O, want) {
+				if err == nil && !testkit.DeepEqual(vals[0].O, want) {
 					err = errors.New("decoded list differs from the one written")
 				}
 				for _, bad := range [][]byte{unknown, negative} {

@@ -185,7 +185,7 @@ func TestLengthBombAllocationBound(t *testing.T) {
 	}{
 		{w.reg.DoubleArray(), nil},
 		{w.reg.IntArray(), nil},
-		{w.reg.ByteArray(), nil},
+		{w.reg.MustByName("byte[]"), nil},
 		{w.reg.ArrayOf(w.leaf), leafNP},
 	}
 	for _, a := range arrays {
@@ -443,7 +443,7 @@ func TestLoopRejectionsTypedBalancedAndCounted(t *testing.T) {
 // reuse of a donor it did not have (nil dereference on a 5-byte frame).
 func TestEmptyPlannedArrayWithoutDonor(t *testing.T) {
 	w := newWorld()
-	for _, class := range []*model.Class{w.reg.DoubleArray(), w.reg.IntArray(), w.reg.ByteArray()} {
+	for _, class := range []*model.Class{w.reg.DoubleArray(), w.reg.IntArray(), w.reg.MustByName("byte[]")} {
 		plans := []*Plan{{Site: "E.m.1", Kind: model.FRef, Root: &NodePlan{Class: class}, Reusable: true}}
 		frame := func() []byte {
 			m := wire.NewMessage(8)

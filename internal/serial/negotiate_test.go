@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cormi/internal/model"
+	"cormi/internal/testkit"
 )
 
 // buildWorldReordered defines the same classes as newWorld in a
@@ -158,7 +159,7 @@ func TestDemotedWriteFallsBackAndRoundTrips(t *testing.T) {
 	head := w.makeList(6)
 	got, _, c := roundTrip(t, w, []model.Value{model.Ref(head)}, []*Plan{plan},
 		Config{Mode: ModeSite, Link: lp}, nil)
-	if !model.DeepEqual(head, got[0].O) {
+	if !testkit.DeepEqual(head, got[0].O) {
 		t.Fatal("demoted round trip mismatch")
 	}
 	s := c.Snapshot()
@@ -178,7 +179,7 @@ func TestDemotedWriteFallsBackAndRoundTrips(t *testing.T) {
 	// The same write with no link table keeps the planned fast path.
 	got2, _, c2 := roundTrip(t, w, []model.Value{model.Ref(head)}, []*Plan{plan},
 		Config{Mode: ModeSite}, nil)
-	if !model.DeepEqual(head, got2[0].O) {
+	if !testkit.DeepEqual(head, got2[0].O) {
 		t.Fatal("planned round trip mismatch")
 	}
 	if s2 := c2.Snapshot(); s2.PlanFallbacks != 0 {

@@ -7,6 +7,7 @@ import (
 
 	"cormi/internal/model"
 	"cormi/internal/stats"
+	"cormi/internal/testkit"
 	"cormi/internal/wire"
 )
 
@@ -31,7 +32,7 @@ func newRichWorld() *richWorld {
 		model.Field{Name: "l", Kind: model.FRef, Class: g},
 		model.Field{Name: "r", Kind: model.FRef, Class: g},
 	)
-	return &richWorld{reg: reg, g: g, ia: reg.IntArray(), ba: reg.ByteArray(), gArr: reg.ArrayOf(g)}
+	return &richWorld{reg: reg, g: g, ia: reg.IntArray(), ba: reg.MustByName("byte[]"), gArr: reg.ArrayOf(g)}
 }
 
 func (w *richWorld) randomGraph(rng *rand.Rand, n int) *model.Object {
@@ -75,7 +76,7 @@ func TestClassModeRandomGraphRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return model.DeepEqual(g, got[0].O)
+		return testkit.DeepEqual(g, got[0].O)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
@@ -111,7 +112,7 @@ func TestSiteModeRandomGraphRoundTrip(t *testing.T) {
 			return false
 		}
 		got, roots, _, err := ReadValuesScratch(wire.FromBytes(m.Bytes()), w.reg, 1, []*Plan{plan}, cfg, nil, nil, &c)
-		if err != nil || !model.DeepEqual(graph, got[0].O) {
+		if err != nil || !testkit.DeepEqual(graph, got[0].O) {
 			return false
 		}
 		// Reuse pass: a different random graph lands on the cached one.
@@ -124,7 +125,7 @@ func TestSiteModeRandomGraphRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return model.DeepEqual(graph2, got2[0].O)
+		return testkit.DeepEqual(graph2, got2[0].O)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
@@ -146,7 +147,7 @@ func TestPrimitiveArrayRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _, _, err := ReadValuesScratch(wire.FromBytes(m.Bytes()), w.reg, 2, nil, Config{Mode: ModeClass}, nil, nil, &c)
-	if err != nil || !model.DeepEqual(ia, got[0].O) || !model.DeepEqual(ba, got[1].O) {
+	if err != nil || !testkit.DeepEqual(ia, got[0].O) || !testkit.DeepEqual(ba, got[1].O) {
 		t.Fatalf("class-mode primitive arrays: %v", err)
 	}
 
@@ -159,7 +160,7 @@ func TestPrimitiveArrayRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	got2, roots, _, err := ReadValuesScratch(wire.FromBytes(m2.Bytes()), w.reg, 2, []*Plan{planI, planB}, cfg, nil, nil, &c)
-	if err != nil || !model.DeepEqual(ia, got2[0].O) || !model.DeepEqual(ba, got2[1].O) {
+	if err != nil || !testkit.DeepEqual(ia, got2[0].O) || !testkit.DeepEqual(ba, got2[1].O) {
 		t.Fatalf("planned primitive arrays: %v", err)
 	}
 	got3, _, _, err := ReadValuesScratch(wire.FromBytes(m2.Bytes()), w.reg, 2, []*Plan{planI, planB}, cfg, roots, nil, &c)
@@ -197,7 +198,7 @@ func TestRefArrayPlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, roots, _, err := ReadValuesScratch(wire.FromBytes(m.Bytes()), w.reg, 1, []*Plan{plan}, cfg, nil, nil, &c)
-	if err != nil || !model.DeepEqual(arr, got[0].O) {
+	if err != nil || !testkit.DeepEqual(arr, got[0].O) {
 		t.Fatalf("ref array round trip: %v", err)
 	}
 	if got[0].O.Refs[2] != got[0].O.Refs[0] {
@@ -221,7 +222,7 @@ func TestRefArrayPlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	got3, _, _, err := ReadValuesScratch(wire.FromBytes(m3.Bytes()), w.reg, 1, []*Plan{dplan}, Config{Mode: ModeSite}, nil, nil, &c)
-	if err != nil || !model.DeepEqual(arr, got3[0].O) {
+	if err != nil || !testkit.DeepEqual(arr, got3[0].O) {
 		t.Fatalf("dynamic-element array round trip: %v", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"cormi/internal/model"
 	"cormi/internal/stats"
+	"cormi/internal/testkit"
 	"cormi/internal/wire"
 )
 
@@ -105,7 +106,7 @@ func TestDynamicObjectGraphRoundTrip(t *testing.T) {
 	w := newWorld()
 	head := w.makeList(10)
 	got, _, c := roundTrip(t, w, []model.Value{model.Ref(head)}, nil, Config{Mode: ModeClass}, nil)
-	if !model.DeepEqual(head, got[0].O) {
+	if !testkit.DeepEqual(head, got[0].O) {
 		t.Fatal("list round trip mismatch")
 	}
 	if got[0].O == head {
@@ -195,7 +196,7 @@ func TestSiteModeListRoundTripAndSavings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !model.DeepEqual(head, got[0].O) {
+	if !testkit.DeepEqual(head, got[0].O) {
 		t.Fatal("site mode list round trip mismatch")
 	}
 }
@@ -211,10 +212,10 @@ func TestSiteModeCyclicListStillWorks(t *testing.T) {
 	tail.Set("next", model.Ref(head))
 	plan := w.nodeListPlan(false)
 	got, _, _ := roundTrip(t, w, []model.Value{model.Ref(head)}, []*Plan{plan}, Config{Mode: ModeSite}, nil)
-	if !model.DeepEqual(head, got[0].O) {
+	if !testkit.DeepEqual(head, got[0].O) {
 		t.Fatal("ring round trip mismatch")
 	}
-	if !model.HasCycle(got[0].O) {
+	if !testkit.HasCycle(got[0].O) {
 		t.Fatal("ring arrived acyclic")
 	}
 }
@@ -266,7 +267,7 @@ func TestReuseOverwritesInPlace(t *testing.T) {
 	if vals2[0].O != first {
 		t.Fatal("root object not reused in place")
 	}
-	if !model.DeepEqual(head2, vals2[0].O) {
+	if !testkit.DeepEqual(head2, vals2[0].O) {
 		t.Fatal("reused graph carries wrong data")
 	}
 }
@@ -283,7 +284,7 @@ func TestReuseLengthMismatchReallocates(t *testing.T) {
 	if s.ReusedObjs != 5 || s.AllocObjects != 3 {
 		t.Fatalf("partial reuse: reused=%d alloc=%d", s.ReusedObjs, s.AllocObjects)
 	}
-	if n, _ := model.GraphSize(vals[0].O); n != 8 {
+	if n, _ := testkit.GraphSize(vals[0].O); n != 8 {
 		t.Fatalf("result length %d", n)
 	}
 }
@@ -474,7 +475,7 @@ func TestRandomListsRoundTripProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if !model.DeepEqual(head, got[0].O) {
+			if !testkit.DeepEqual(head, got[0].O) {
 				return false
 			}
 		}

@@ -37,23 +37,5 @@ func (c *Clock) Sync(ts int64) int64 {
 	return c.ns
 }
 
-// SyncAdvance applies Sync(ts) followed by Advance(d) atomically.
-func (c *Clock) SyncAdvance(ts, d int64) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ts > c.ns {
-		c.ns = ts
-	}
-	c.ns += d
-	return c.ns
-}
-
-// Reset sets the clock back to zero.
-func (c *Clock) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ns = 0
-}
-
 // Seconds converts nanoseconds to floating-point seconds.
 func Seconds(ns int64) float64 { return float64(ns) / 1e9 }

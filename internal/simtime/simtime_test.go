@@ -20,16 +20,6 @@ func TestClockAdvanceAndSync(t *testing.T) {
 	if c.Now() != 250 {
 		t.Fatalf("Sync failed: %d", c.Now())
 	}
-	if got := c.SyncAdvance(200, 10); got != 260 {
-		t.Fatalf("SyncAdvance = %d", got)
-	}
-	if got := c.SyncAdvance(1000, 5); got != 1005 {
-		t.Fatalf("SyncAdvance = %d", got)
-	}
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatal("Reset failed")
-	}
 }
 
 func TestClockConcurrentAdvance(t *testing.T) {

@@ -120,36 +120,6 @@ func (c *Counters) Snapshot() Snapshot {
 	}
 }
 
-// Reset zeroes every counter.
-func (c *Counters) Reset() {
-	c.RemoteRPCs.Store(0)
-	c.LocalRPCs.Store(0)
-	c.Messages.Store(0)
-	c.WireBytes.Store(0)
-	c.TypeBytes.Store(0)
-	c.TypeOps.Store(0)
-	c.SerializerCalls.Store(0)
-	c.InlinedWrites.Store(0)
-	c.IntrospectOps.Store(0)
-	c.CycleTables.Store(0)
-	c.CycleLookups.Store(0)
-	c.AllocObjects.Store(0)
-	c.AllocBytes.Store(0)
-	c.ReusedObjs.Store(0)
-	c.ReusedBytes.Store(0)
-	c.AcksOnly.Store(0)
-	c.Retries.Store(0)
-	c.Timeouts.Store(0)
-	c.DupSuppressed.Store(0)
-	c.CorruptDropped.Store(0)
-	c.StaleReplies.Store(0)
-	c.ClaimChecks.Store(0)
-	c.ClaimViolations.Store(0)
-	c.MalformedFrames.Store(0)
-	c.PlanFallbacks.Store(0)
-	c.NetFrames.Store(0)
-}
-
 // Sub returns s - t field-wise (statistics accumulated between two
 // snapshots).
 func (s Snapshot) Sub(t Snapshot) Snapshot {

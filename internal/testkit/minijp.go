@@ -7,7 +7,7 @@
 // references — every generated program compiles and runs to
 // completion, so a failure is always a real finding.
 
-package harness
+package testkit
 
 import (
 	"fmt"

@@ -1,9 +1,8 @@
 //go:build !race
 
-// Package race reports whether the race detector is compiled in, so
+package testkit
+
+// Enabled is true when the build has -race instrumentation, so
 // allocation-budget tests can skip themselves: race instrumentation
 // allocates on paths that are allocation free in a normal build.
-package race
-
-// Enabled is true when the build has -race instrumentation.
 const Enabled = false

@@ -135,5 +135,3 @@ func (e *channelEndpoint) Recv() (Packet, bool) {
 		}
 	}
 }
-
-func (e *channelEndpoint) Close() error { return e.net.Close() }

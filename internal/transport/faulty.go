@@ -313,5 +313,3 @@ func (e *faultyEndpoint) dropHeld() {
 }
 
 func (e *faultyEndpoint) Recv() (Packet, bool) { return e.inner.Recv() }
-
-func (e *faultyEndpoint) Close() error { return e.net.Close() }

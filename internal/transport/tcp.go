@@ -359,8 +359,6 @@ func (e *tcpEndpoint) Recv() (Packet, bool) {
 	}
 }
 
-func (e *tcpEndpoint) Close() error { return e.net.Close() }
-
 func (e *tcpEndpoint) close() {
 	e.mu.Lock()
 	defer e.mu.Unlock()

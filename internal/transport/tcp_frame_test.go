@@ -14,7 +14,7 @@ import (
 	"time"
 
 	"cormi/internal/balance"
-	"cormi/internal/race"
+	"cormi/internal/testkit"
 	"cormi/internal/wire"
 )
 
@@ -368,7 +368,7 @@ func TestSendRecyclesPayloadOnError(t *testing.T) {
 // nothing on either side (AllocsPerRun counts every goroutine's
 // allocations, the read loop's included).
 func TestTCPSteadyStateAllocs(t *testing.T) {
-	if race.Enabled {
+	if testkit.Enabled {
 		t.Skip("race instrumentation allocates")
 	}
 	nw, err := NewTCPNetworkLocal(2)

@@ -57,13 +57,11 @@ type Endpoint interface {
 	// release it to the frame pool (TCPNetwork); a Send that fails, or
 	// that a FaultyNetwork drops, releases it too.
 	Send(p Packet) error
-	// Recv blocks for the next packet; ok is false once the endpoint
-	// is closed and drained. The receiver owns p.Payload and should
+	// Recv blocks for the next packet; ok is false once the network
+	// is closed and the endpoint drained. The receiver owns p.Payload and should
 	// return it with wire.PutBuf once nothing references it; data that
 	// must outlive the frame is copied out, never aliased.
 	Recv() (p Packet, ok bool)
-	// Close shuts down the endpoint's receive side.
-	Close() error
 }
 
 // Network connects a fixed set of nodes, numbered 0..Size()-1.

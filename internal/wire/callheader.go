@@ -95,11 +95,6 @@ type TraceContext struct {
 	Hop uint8
 }
 
-// Valid reports whether the context can legally appear on the wire.
-func (c TraceContext) Valid() bool {
-	return c.TraceID != 0 && c.Hop <= MaxTraceHops
-}
-
 // CallHeader is everything a call frame carries ahead of its argument
 // bytes.
 type CallHeader struct {
@@ -117,8 +112,9 @@ type CallHeader struct {
 }
 
 // Encode appends the MsgCall tag and the header to m; the serialized
-// arguments follow. The caller must have validated Trace (Valid);
-// writing is infallible.
+// arguments follow. Trace must be wire-legal (a nonzero TraceID, Hop
+// at most MaxTraceHops), as the decoder enforces; writing is
+// infallible.
 func (h CallHeader) Encode(m *Message) {
 	flags := h.Flags
 	if h.Trace.TraceID != 0 {

@@ -121,17 +121,25 @@ func TestTraceContextRejections(t *testing.T) {
 	}
 }
 
-// TestTraceContextValid pins the wire-legality predicate the writer
-// gates on: whatever Valid accepts, Decode must accept too.
+// TestTraceContextValid pins which trace contexts are wire-legal: the
+// call-header decoder accepts a context with a trace ID and a hop up to
+// MaxTraceHops, and rejects a zero trace ID or a deeper hop.
 func TestTraceContextValid(t *testing.T) {
-	if (TraceContext{}).Valid() {
-		t.Error("zero context must not be wire-legal")
-	}
-	if !(TraceContext{TraceID: 1}).Valid() {
-		t.Error("minimal root context must be wire-legal")
-	}
-	if (TraceContext{TraceID: 1, Hop: MaxTraceHops + 1}).Valid() {
-		t.Error("over-limit hop must not be wire-legal")
+	for _, tc := range []struct {
+		ctx   TraceContext
+		legal bool
+	}{
+		{TraceContext{}, false},
+		{TraceContext{TraceID: 1}, true},
+		{TraceContext{TraceID: 1, Parent: 7, Hop: MaxTraceHops}, true},
+		{TraceContext{TraceID: 1, Hop: MaxTraceHops + 1}, false},
+	} {
+		m := NewMessage(0)
+		CallHeader{Flags: CallTraceCtx, Trace: tc.ctx}.Encode(m)
+		h, _, err := decodeHeader(m.Bytes())
+		if legal := err == nil; legal != tc.legal || legal && h.Trace != tc.ctx {
+			t.Errorf("%+v: decoded %+v, err %v; want legal=%v", tc.ctx, h.Trace, err, tc.legal)
+		}
 	}
 }
 
@@ -168,7 +176,7 @@ func checkCallHeader(t *testing.T, data []byte) {
 	if h.Flags&^callFlagsKnown != 0 {
 		t.Fatalf("decoder accepted unknown flag bits %#x", h.Flags&^callFlagsKnown)
 	}
-	if (h.Flags&CallTraceCtx != 0) != (h.Trace != TraceContext{}) || (h.Trace != TraceContext{} && !h.Trace.Valid()) {
+	if (h.Flags&CallTraceCtx != 0) != (h.Trace != TraceContext{}) || (h.Trace != TraceContext{} && (h.Trace.TraceID == 0 || h.Trace.Hop > MaxTraceHops)) {
 		t.Fatalf("decoder accepted flags %#x with wire-illegal context %+v", h.Flags, h.Trace)
 	}
 	m := Get()

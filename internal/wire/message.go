@@ -64,13 +64,6 @@ func (m *Message) Fail(err error) {
 	}
 }
 
-// Reset clears the message for reuse.
-func (m *Message) Reset() {
-	m.buf = m.buf[:0]
-	m.pos = 0
-	m.err = nil
-}
-
 // Rewind moves the read cursor back to the start of the payload.
 func (m *Message) Rewind() {
 	m.pos = 0

@@ -155,9 +155,9 @@ func TestResetAndRewind(t *testing.T) {
 	if m.ReadInt32() != 42 {
 		t.Fatal("rewind failed")
 	}
-	m.Reset()
+	m.ResetTo(m.Bytes()[:0])
 	if m.Len() != 0 || m.Remaining() != 0 {
-		t.Fatal("reset failed")
+		t.Fatal("ResetTo an empty buffer failed")
 	}
 }
 
@@ -166,7 +166,7 @@ func BenchmarkAppendFloat64Slice(b *testing.B) {
 	m := NewMessage(8 * 300)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.Reset()
+		m.ResetTo(m.Bytes()[:0])
 		m.AppendFloat64Slice(data)
 	}
 }
