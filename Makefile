@@ -1,7 +1,6 @@
 # Tier-1 verification gate: formatting and static checks, a full build,
-# a build and vet of the bench module (its own module, which the root's
-# ./... never compiles; vet, not test, because bench.TestQuickSmoke
-# stays red until ROADMAP item 1), the test suite under the race
+# a build, vet and test of the bench module (its own module, which the
+# root's ./... never compiles), the test suite under the race
 # detector (the fault-tolerance layer is concurrency-heavy; -race is
 # part of its acceptance criteria), and
 # end-to-end smokes of the observability endpoints and the optimizer
@@ -15,7 +14,7 @@ verify:
 	test -z "$$(gofmt -l .)"
 	go vet ./...
 	go build ./...
-	cd bench && go build ./... && go vet ./...
+	cd bench && go build ./... && go vet ./... && go test ./...
 	go test -race ./...
 	$(MAKE) obs-smoke
 	$(MAKE) explain-smoke
@@ -69,7 +68,7 @@ verify-matrix:
 	go test -count=1 -v -run 'TestModeMatrix' ./internal/harness
 
 # Attribution gate: always-on tail-latency attribution must keep the
-# traced hot path within its 2-alloc budget with exemplar capture
+# traced hot path within its 0-alloc budget with exemplar capture
 # armed but not firing (the threshold floor is set astronomically high,
 # so the armed comparison runs on every close and never trips); the
 # log2 histogram merge must stay exact under the commutativity /
@@ -83,7 +82,7 @@ verify-attrib:
 
 # Distributed-tracing gate (DESIGN.md §15): head sampling must be free
 # for the calls it does not pick (the armed untraced hot path holds the
-# same 2-alloc budget as verify-attrib) and cheap for those it does
+# same 0-alloc budget as verify-attrib) and cheap for those it does
 # (the sampled path's ceiling is pinned); and the 3-node harness
 # scenario must reconstruct every call of its depth-8 sync chains —
 # through the real HTTP /traces -> /traces/<id>?peers= pull path — as

@@ -247,8 +247,7 @@ func main() {
 			}
 		}
 		s := cluster.Counters.Snapshot()
-		fmt.Printf("%-22s %d RMIs over TCP  wire=%6d B  serCalls=%4d  cycleLookups=%4d  reused=%4d",
-			level, *sends, s.WireBytes, s.SerializerCalls, s.CycleLookups, s.ReusedObjs)
+		fmt.Print(summary(level, s))
 		if faultCfg.Enabled() {
 			fmt.Printf("  retries=%d dup-suppr=%d corrupt-drop=%d", s.Retries, s.DupSuppressed, s.CorruptDropped)
 		}
@@ -262,6 +261,21 @@ func main() {
 		}
 		fmt.Println("obs smoke OK: /healthz, /metrics, /callsites, /links, /buildinfo, /snapshot, /cluster, /slow, /traces and /traces/<id> served valid documents; /trace, /slow/trace and /traces/<id>?format=chrome valid Chrome traces")
 	}
+}
+
+// summary is a level's line of the run's report: its calls, labelled
+// by where they went (a one-node cluster makes every call local, cloned
+// and never framed), then the serializer counters.
+func summary(level rmi.OptLevel, s stats.Snapshot) string {
+	calls := fmt.Sprintf("%d RMIs over TCP", s.RemoteRPCs)
+	switch {
+	case s.RemoteRPCs == 0:
+		calls = fmt.Sprintf("%d local RMIs", s.LocalRPCs)
+	case s.LocalRPCs != 0:
+		calls += fmt.Sprintf(" + %d local", s.LocalRPCs)
+	}
+	return fmt.Sprintf("%-22s %s  wire=%6d B  serCalls=%4d  cycleLookups=%4d  reused=%4d",
+		level, calls, s.WireBytes, s.SerializerCalls, s.CycleLookups, s.ReusedObjs)
 }
 
 // smokeSlowCall is how long the smoke's last call sleeps in the callee:

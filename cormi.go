@@ -22,7 +22,10 @@
 //
 // Invoke's first argument is where the call comes from: a *Node for a
 // root call, or, inside a remote method, that method's *Call, so the
-// nested call joins the enclosing call's distributed trace.
+// nested call joins the enclosing call's distributed trace. A method
+// reached through a site the compiler judged a leaf (its sketch body
+// reaches no remote call) runs on the callee's receive loop, and may
+// issue no call at all (rmi.Method).
 //
 // See examples/ for runnable programs and internal/harness for the
 // regeneration of the paper's Tables 1–8.

@@ -38,6 +38,7 @@ func SpecOf(si *core.SiteInfo) rmi.SiteSpec {
 		RetPlans:  si.RetPlans,
 		NumRet:    si.NumRet,
 		IgnoreRet: si.IgnoreRet,
+		Leaf:      si.Leaf,
 	}
 }
 

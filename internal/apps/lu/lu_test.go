@@ -67,6 +67,15 @@ func TestCompiledSketchVerdicts(t *testing.T) {
 	if flush.MayCycle {
 		t.Fatal("flush argument misflagged cyclic")
 	}
+	// Every site is a leaf: no BlockStore method and no Barrier.await
+	// reaches a remote call. The barrier's body blocks all the same;
+	// its service keeps it off the receive loop
+	// (TestLUCorrectAtAllLevelsOverTCP, rmi's barrier test).
+	for _, si := range res.Sites {
+		if !si.Leaf {
+			t.Errorf("%s: not a leaf", si.Name)
+		}
+	}
 }
 
 func TestLUCorrectAtAllLevels(t *testing.T) {
@@ -80,6 +89,28 @@ func TestLUCorrectAtAllLevels(t *testing.T) {
 		}
 		if out.Stats.RemoteRPCs == 0 || out.Stats.LocalRPCs == 0 {
 			t.Fatalf("%v: rpc mix %d/%d", level, out.Stats.LocalRPCs, out.Stats.RemoteRPCs)
+		}
+	}
+}
+
+// TestLUCorrectAtAllLevelsOverTCP is TestLUCorrectAtAllLevels over
+// loopback TCP: fetches and flushes run as upcalls on the receive
+// loops, barrier calls on executors, at every level.
+func TestLUCorrectAtAllLevelsOverTCP(t *testing.T) {
+	for _, level := range rmi.AllLevels {
+		nw, err := transport.NewTCPNetworkLocal(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := Run(level, 64, 16, 2, rmi.WithNetwork(nw))
+		if err != nil {
+			t.Fatalf("%v: %v", level, err)
+		}
+		if out.MaxResidual > 1e-8 {
+			t.Fatalf("%v: residual %g", level, out.MaxResidual)
+		}
+		if out.Stats.RemoteRPCs == 0 {
+			t.Fatalf("%v: no remote calls", level)
 		}
 	}
 }

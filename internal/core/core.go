@@ -51,6 +51,10 @@ type SiteInfo struct {
 	IgnoreRet bool
 	// NumRet is 0 for void callees, 1 otherwise.
 	NumRet int
+	// Leaf marks call sites no method of which, by any dispatch the
+	// receiver allows, reaches a remote call (leaf.go): the runtime
+	// may run them on the callee's receive loop.
+	Leaf bool
 
 	// ArgPlans has one plan per serialized argument (the remote
 	// receiver is a reference, not an argument). RetPlans has one plan

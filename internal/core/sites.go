@@ -9,10 +9,11 @@ import (
 	"cormi/internal/model"
 )
 
-// buildSites derives SiteInfo (plans + cycle + reuse + ack verdicts)
+// buildSites derives SiteInfo (plans + cycle + reuse + ack + leaf verdicts)
 // for every remote call site in the program.
 func (r *Result) buildSites() error {
 	es := newEscapeState()
+	lp := leafPass{r: r}
 	seqPerFunc := map[*ir.Func]int{}
 	for siteID, in := range r.IR.RemoteSites {
 		si := &SiteInfo{SiteID: siteID}
@@ -30,6 +31,7 @@ func (r *Result) buildSites() error {
 		si.Callee = in.Callee
 		si.Site = in
 		si.IgnoreRet = ir.IgnoredReturn(in)
+		si.Leaf = lp.leaf(in)
 		if !lang.TypeEq(in.Callee.Ret, lang.VoidType) {
 			si.NumRet = 1
 		}

@@ -31,7 +31,9 @@ const (
 	// other: N round trips per chain.
 	ChainSync ChainMode = "sync"
 	// ChainParallel runs every chain on its own goroutine, each link a
-	// synchronous call: several calls of one site at the callee at once.
+	// synchronous call: several calls of one site in flight at once, and
+	// at the callee at once where the site runs on executors (a leaf
+	// site's calls the callee's receive loop runs one after the other).
 	ChainParallel ChainMode = "parallel"
 	// ChainLocal is ChainSync with the service on the caller's own node:
 	// no frame leaves it, arguments and results are cloned.

@@ -38,8 +38,10 @@ func matrixConditions() []Condition {
 func TestModeMatrix(t *testing.T) {
 	const depth, chains = 5, 6
 	start := time.Now()
-	workloads := append(chainWorkloads(intChain, AllChainModes, depth, chains),
-		chainWorkloads(listChain, AllChainModes, depth, chains)...)
+	workloads := chainWorkloads(intChain, AllChainModes, depth, chains)
+	for _, m := range AllChainModes {
+		workloads = append(workloads, chainWorkload(listChain(m == ChainParallel), m, depth, chains))
+	}
 	rep := &Report{Cols: []Column[Row]{appCol, levelCol,
 		{"condition", -12, "%s", func(r *Row) any { return r.Cond }},
 		{"mode", -10, "%s", func(r *Row) any { return r.Mode }},
@@ -132,25 +134,37 @@ func newL(l *model.Class, v int64, next *model.Object) *model.Object {
 }
 
 // listChain is Grower.step, its call site compiled from listChainSrc.
-var listChain = chainKind{
-	name:    "ListChain",
-	objects: true,
-	setup: func(c *rmi.Cluster, level rmi.OptLevel, node int, exec func(*rmi.Call)) (*rmi.CallSite, rmi.Ref, error) {
-		res, err := core.CompileInto(listChainSrc, c.Registry)
-		if err != nil {
-			return nil, rmi.Ref{}, err
-		}
-		si, err := appkit.SoleSite(res, "Grower.step")
-		if err != nil {
-			return nil, rmi.Ref{}, err
-		}
-		cs, err := appkit.Register(c, level, si)
-		return cs, export(c, node, "Grower", "step", exec, growList), err
-	},
-	seed: func(c *rmi.Cluster, it int) model.Value {
-		return model.Ref(newL(c.Registry.MustByName("L"), int64(it), nil))
-	},
-	step: growList,
+// The compiler judges the site a leaf, so the callee runs its calls one
+// after the other on its receive loop. executors clears that verdict:
+// the calls then run on executors, and in ChainParallel several decode
+// their arguments while earlier ones still hold theirs, which is where
+// a reused graph handed back before its method ran shows.
+func listChain(executors bool) chainKind {
+	return chainKind{
+		name:    "ListChain",
+		objects: true,
+		setup: func(c *rmi.Cluster, level rmi.OptLevel, node int, exec func(*rmi.Call)) (*rmi.CallSite, rmi.Ref, error) {
+			res, err := core.CompileInto(listChainSrc, c.Registry)
+			if err != nil {
+				return nil, rmi.Ref{}, err
+			}
+			si, err := appkit.SoleSite(res, "Grower.step")
+			if err != nil {
+				return nil, rmi.Ref{}, err
+			}
+			if executors {
+				onExecutors := *si
+				onExecutors.Leaf = false
+				si = &onExecutors
+			}
+			cs, err := appkit.Register(c, level, si)
+			return cs, export(c, node, "Grower", "step", exec, growList), err
+		},
+		seed: func(c *rmi.Cluster, it int) model.Value {
+			return model.Ref(newL(c.Registry.MustByName("L"), int64(it), nil))
+		},
+		step: growList,
+	}
 }
 
 // growList is Grower.step as the service runs it.

@@ -84,6 +84,36 @@ class Main {
 	}
 }
 
+// TestOverrideForwardsThroughChain runs a Fwd → Fwd → Base chain: the
+// call site in Fwd.work names Base.work, which is empty, but the runtime
+// dispatches on the receiver's class, and the first receiver is a Fwd
+// whose work calls on. The compiler must not judge that site a leaf:
+// an upcalled Fwd.work would fail its nested call.
+func TestOverrideForwardsThroughChain(t *testing.T) {
+	const src = `
+remote class Base {
+	int work(int d) { return 0; }
+}
+remote class Fwd extends Base {
+	int work(int d) {
+		Base next = new Base();
+		if (d > 1) { next = new Fwd(); }
+		return next.work(d - 1) + 1;
+	}
+}
+class Main {
+	static int main() {
+		Base b = new Fwd();
+		return b.work(2);
+	}
+}`
+	for _, level := range rmi.AllLevels {
+		if v, _ := run(t, src, "Main", level, 3); v.I != 2 {
+			t.Errorf("%v: main = %d, want 2", level, v.I)
+		}
+	}
+}
+
 func TestArithmeticAndControlFlow(t *testing.T) {
 	v, _ := run(t, `
 class Main {

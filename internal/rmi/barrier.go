@@ -18,6 +18,10 @@ const BarrierMethod = "await"
 // latest virtual arrival of its generation, so all waiters leave the
 // barrier at the same virtual instant without being charged CPU time.
 //
+// The service blocks by design, so its calls never run as upcalls on
+// the receive loop, even through a site the compiler judged a leaf
+// (the sketch of an await is an empty method).
+//
 // An early party also waits on cluster shutdown: if the cluster closes
 // before the generation completes (a peer timed out across a lossy
 // link, the run was abandoned), the waiter panics — surfaced to its
@@ -34,7 +38,8 @@ func NewBarrierService(parties int) *Service {
 	}
 	states := map[int]*genState{}
 	return &Service{
-		Name: "Barrier",
+		Name:     "Barrier",
+		blocking: true,
 		Methods: map[string]Method{
 			BarrierMethod: func(call *Call, args []model.Value) []model.Value {
 				mu.Lock()

@@ -32,6 +32,10 @@ type CallSite struct {
 	ignoreRet bool
 	// policy, when set, overrides the cluster's call policy.
 	policy *CallPolicy
+	// leaf is the compiler's verdict that no method this site may
+	// dispatch to reaches a remote call: the callee runs it as an
+	// upcall on its receive loop (handleCall).
+	leaf bool
 
 	// statShards accumulates this site's runtime counters, one shard
 	// per node. They are always on — each call does a handful of atomic
@@ -51,6 +55,7 @@ type SiteSpec struct {
 	RetPlans  []*serial.Plan // one per return value (site mode)
 	NumRet    int            // return value count (class mode needs it too)
 	IgnoreRet bool           // return value unused at this call site
+	Leaf      bool           // callee reaches no remote call (core.SiteInfo.Leaf)
 }
 
 // NewCallSite registers a call site on the cluster under the given
@@ -83,6 +88,7 @@ func (c *Cluster) NewCallSite(level OptLevel, spec SiteSpec) (*CallSite, error) 
 		cfg:        scfg,
 		numRet:     numRet,
 		ignoreRet:  spec.IgnoreRet,
+		leaf:       spec.Leaf,
 		statShards: make([]stats.SiteCounters, c.Size()),
 	}
 	cs.args.init(scfg, spec.ArgPlans, c.Size())
@@ -118,14 +124,20 @@ func (cs *CallSite) Stats() stats.SiteStat {
 
 // Caller is where a call is issued from: a *Node for a root call, or
 // the *Call of a running method for a nested one, which then joins
-// that method's distributed trace one hop down.
+// that method's distributed trace one hop down. A method running as an
+// upcall may issue none (ErrUpcallBlocked).
 type Caller interface {
 	issuer() (*Node, wire.TraceContext)
 }
 
 func (n *Node) issuer() (*Node, wire.TraceContext) { return n, wire.TraceContext{} }
 
-func (c *Call) issuer() (*Node, wire.TraceContext) { return c.Node, c.tctx }
+func (c *Call) issuer() (*Node, wire.TraceContext) {
+	if c.upcalled() {
+		panic(ErrUpcallBlocked)
+	}
+	return c.Node, c.tctx
+}
 
 // Invoke performs the RMI on the object ref from the caller's node,
 // under the site's call policy (the cluster default unless

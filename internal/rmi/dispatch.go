@@ -17,9 +17,12 @@ import (
 // sender's retransmit, never deserialized. Incoming calls are then
 // deserialized here — under the node's receive lock, reproducing the
 // paper's "only one thread can drain the network" rule — into one
-// invocation record, which a parked executor goroutine (a new one when
-// none is parked) takes to run the user method and reply. Replies are
-// routed to the pending invocation.
+// invocation record. A leaf call (DESIGN.md §8, "Dispatch") then runs
+// here, on the loop, after the lock is released: the method, its reply
+// and the reset of the node's reusable record. Any other call's record
+// goes to a parked executor goroutine (a new one when none is parked),
+// which runs the method and replies. Replies are routed to the pending
+// invocation.
 //
 // Frame ownership (DESIGN.md §8): the loop owns every received
 // payload. Call frames are fully deserialized inside handleCall (views
@@ -49,9 +52,13 @@ func (n *Node) recvLoop(wg *sync.WaitGroup) {
 		switch t := rd.ReadU8(); t {
 		case wire.MsgCall:
 			n.recvMu.Lock()
-			n.handleCall(p, rd)
+			up := n.handleCall(p, rd)
 			n.recvMu.Unlock()
 			wire.PutBuf(frame)
+			if up != nil {
+				n.executeAndReply(up)
+				*up = invocation{}
+			}
 		case wire.MsgReply:
 			n.routeReply(p, rd, frame)
 		default:
@@ -97,11 +104,14 @@ func (n *Node) routeReply(p transport.Packet, rd *wire.Message, frame []byte) {
 	}
 }
 
-// invocation is one incoming call from decode to reply, allocated by
-// handleCall and never reused: the *Call a method receives (&inv.call)
-// and its argument slice stay valid for as long as anyone holds them.
-// call carries the caller (From), the site, the virtual start (arrival
-// + dispatch + unmarshal) and the trace handle nested calls inherit.
+// invocation is one incoming call from decode to reply. An upcall (a
+// leaf site's call) uses the node's one record, Node.up, which the
+// receive loop zeroes once the reply is sent: its *Call (&inv.call) and
+// argument slice are valid until the method returns. Any other call's
+// record is allocated by handleCall and never reused: they stay valid
+// for as long as anyone holds them. call carries the caller (From), the
+// site, the virtual start (arrival + dispatch + unmarshal) and the
+// trace handle nested calls inherit.
 type invocation struct {
 	call   Call
 	method Method
@@ -117,10 +127,14 @@ type invocation struct {
 	inline [1]model.Value
 }
 
-// handleCall deserializes one incoming call into its invocation record
-// and dispatches it. It runs under the node receive lock on the node's
-// communication processor (the paper's GM poll thread).
-func (n *Node) handleCall(p transport.Packet, m *wire.Message) {
+// handleCall deserializes one incoming call into its invocation record.
+// It runs under the node receive lock on the node's communication
+// processor (the paper's GM poll thread). A call through a leaf site
+// to a service that does not block decodes into the node's reusable
+// record, which handleCall returns for the loop to run once it has
+// released the lock; any other call is dispatched to an executor, and
+// handleCall returns nil, as it does for a call it answered itself.
+func (n *Node) handleCall(p transport.Packet, m *wire.Message) *invocation {
 	c := n.cluster
 
 	// Message flight time + receiver upcall; the communication
@@ -138,7 +152,7 @@ func (n *Node) handleCall(p transport.Packet, m *wire.Message) {
 		// entry exists yet and the reply is best-effort.
 		n.noteMalformed(p.From)
 		n.sendFailure(p.From, h.Seq, start, wire.ReplyMalformed, fmt.Sprintf("bad call header: %v", err), false, nil)
-		return
+		return nil
 	}
 	// track decides whether this call needs dedup bookkeeping: the
 	// caller may retransmit it, or the interconnect itself can
@@ -167,34 +181,38 @@ func (n *Node) handleCall(p transport.Packet, m *wire.Message) {
 				copy(cp, e.payload)
 				_ = n.send(transport.Packet{To: p.From, TS: e.ts, Payload: cp})
 			}
-			return
+			return nil
 		}
-	}
-
-	inv := &invocation{
-		call: Call{Node: n, From: p.From, start: start},
-		seq:  h.Seq, track: track,
 	}
 
 	var lookupStart int64
 	if traced {
 		lookupStart = trace.Now()
 	}
+	unresolved := func(msg string) *invocation {
+		n.rejectCall(&invocation{call: Call{Node: n, From: p.From, start: start}, seq: h.Seq, track: track}, msg, false)
+		return nil
+	}
 	cs, ok := c.site(h.Site)
 	if !ok {
-		n.rejectCall(inv, fmt.Sprintf("unknown call site %d", h.Site), false)
-		return
+		return unresolved(fmt.Sprintf("unknown call site %d", h.Site))
 	}
-	inv.call.Site = cs
 	svc, ok := n.lookup(h.Obj)
 	if !ok {
-		n.rejectCall(inv, fmt.Sprintf("no object %d on node %d", h.Obj, n.ID), false)
-		return
+		return unresolved(fmt.Sprintf("no object %d on node %d", h.Obj, n.ID))
 	}
-	if inv.method, ok = svc.Methods[cs.Method]; !ok {
-		n.rejectCall(inv, fmt.Sprintf("%s has no method %q", svc.Name, cs.Method), false)
-		return
+	method, ok := svc.Methods[cs.Method]
+	if !ok {
+		return unresolved(fmt.Sprintf("%s has no method %q", svc.Name, cs.Method))
 	}
+	// The loop is idle between upcalls, so their record is free: the
+	// previous upcall's reply has been sent and the record zeroed.
+	inv := &n.up
+	if !cs.leaf || svc.blocking {
+		inv = new(invocation)
+	}
+	inv.call = Call{Node: n, From: p.From, Site: cs, start: start}
+	inv.method, inv.seq, inv.track = method, h.Seq, track
 
 	if traced {
 		// The span starts at the packet's receive timestamp so the
@@ -237,13 +255,18 @@ func (n *Node) handleCall(p transport.Packet, m *wire.Message) {
 	sp.EndPhase(trace.PhaseDeserialize)
 	if err != nil {
 		n.rejectCall(inv, fmt.Sprintf("unmarshal: %v", err), errors.Is(err, wire.ErrMalformedFrame))
-		return
+		*inv = invocation{}
+		return nil
 	}
 	inv.args, inv.roots = args, roots
 	inv.call.start += c.Cost.CostNS(ops)
 
+	if inv == &n.up {
+		return inv
+	}
 	sp.BeginPhase(trace.PhaseDispatch)
 	n.dispatch(inv)
+	return nil
 }
 
 // maxIdleExecutors caps the executors a node keeps parked between

@@ -24,6 +24,12 @@ var (
 	// (hostile or version-skewed input). Distinct from the transport
 	// faults above — retrying the same bytes cannot succeed.
 	ErrMalformedFrame = wire.ErrMalformedFrame
+	// ErrUpcallBlocked is the panic of a method running as an upcall on
+	// its node's receive loop (a leaf call site) that issued a call
+	// through its *Call. Its caller receives it as a remote exception:
+	// the compiler judged the method a leaf from its sketch, and the Go
+	// body disagrees.
+	ErrUpcallBlocked = errors.New("rmi: a leaf method running on the receive loop issued a call")
 )
 
 // CallPolicy bounds one remote invocation in real (wall-clock) time:

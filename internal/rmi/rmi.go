@@ -101,19 +101,32 @@ type Ref struct {
 
 // Method is the implementation of one remotely invokable method. It
 // receives deserialized argument copies and returns the values to ship
-// back. Each call runs on an executor goroutine of its own (the paper's
-// "new thread is created to invoke the user's code"), parked and reused
-// between calls. call is never reused, args only when every argument
-// is a §3.3 reusable reference.
+// back. A call through a leaf call site (SiteSpec.Leaf) runs as an
+// upcall on the callee's receive loop: call and args are then valid
+// only until the method returns, and the method must neither issue a
+// call through call (ErrUpcallBlocked) nor block on anything only
+// another call could release. Every other call
+// runs on an executor goroutine of its own (the paper's "new thread is
+// created to invoke the user's code"), parked and reused between
+// calls; there call is never reused, args only when every argument is
+// a §3.3 reusable reference. The argument objects keep §3.3 semantics
+// either way.
 type Method func(call *Call, args []model.Value) []model.Value
 
 // Service is a remotely invokable object: a named method table.
 type Service struct {
 	Name    string
 	Methods map[string]Method
+
+	// blocking marks the runtime's own services whose methods wait for
+	// other calls to arrive (NewBarrierService). Their calls always run
+	// on an executor, whatever the site's leaf verdict: the calls that
+	// release them arrive on the receive loop an upcall would hold.
+	blocking bool
 }
 
-// Call carries per-invocation context into a Method.
+// Call carries per-invocation context into a Method. A Method must not
+// keep it past its return when the call ran as an upcall (see Method).
 type Call struct {
 	// Node is the node executing the method.
 	Node *Node
@@ -135,6 +148,12 @@ type Call struct {
 	// call tree.
 	tctx wire.TraceContext
 }
+
+// upcalled reports whether c runs on its node's receive loop, in the
+// loop's reusable record: issuing a call through it then panics with
+// ErrUpcallBlocked. The record's address is the flag,
+// so executor records stay in their size class.
+func (c *Call) upcalled() bool { return c == &c.Node.up.call }
 
 // Compute advances the executing node's virtual clock by ns
 // nanoseconds, modeling the method's own CPU work.
@@ -523,6 +542,10 @@ type Node struct {
 	// idle how many are parked (see dispatch).
 	work chan *invocation
 	idle atomic.Int32
+
+	// up is the receive loop's one invocation record, reused by every
+	// call it runs as an upcall (see handleCall).
+	up invocation
 
 	// links holds the lazily negotiated per-peer wire state, one slot
 	// per cluster node (see negotiate.go). Each slot initializes at

@@ -87,8 +87,10 @@ func (s *side) write(c *Cluster, st *stats.SiteCounters, m *wire.Message, vals [
 // for recycle once the values are dead. On audited calls a donor whose
 // class differs from the plan's prediction refutes the §3.3 claim and
 // is dropped so the reader allocates fresh objects instead. buf, when
-// the cache supplies no scratch, backs the values if it has room for
-// them: the callee passes its invocation record's inline array.
+// the side does not recycle its value slice, backs the values if it
+// has room for them: the callee passes its invocation record's inline
+// array. A recycled slice outlives the call, and the receive loop's
+// record does not.
 func (s *side) read(c *Cluster, node int, st *stats.SiteCounters, m *wire.Message, n int, audit bool, buf []model.Value) ([]model.Value, []*model.Object, simtime.OpCount, error) {
 	cfg, plans := s.cfg, s.plans
 	cfg.Hint = &s.hint
@@ -106,11 +108,8 @@ func (s *side) read(c *Cluster, node int, st *stats.SiteCounters, m *wire.Messag
 				}
 			}
 		}
-		if !s.scratch {
-			scratch = nil
-		}
 	}
-	if scratch == nil {
+	if !s.scratch {
 		scratch = buf
 	}
 	return serial.ReadValuesScratch(m, c.Registry, n, plans, cfg, cached, scratch, c.Counters)
