@@ -120,22 +120,24 @@ verify-analysis:
 	go test -count=1 -run 'TestSingleFixpointAgrees|TestConvergedRegionsStopWalking|TestNodeSet|TestReachAllocations|TestCostDocument|TestBuildPlan|TestSharedStatic|TestSelfRecursion|TestGenerate|TestEdit|TestExtraCall' ./internal/heap ./internal/heap/sched ./internal/heap/gen
 	go test -count=1 -run 'TestCompileAllocsLinearInFunctions|TestCompileStageAllocs|TestParseDifferential' ./internal/core ./internal/lang
 
-# Short native-fuzzing pass over the adversarial decode surfaces:
-# the HELLO handshake decoder, the value/reference payload decoder,
-# and the call-header codec (fixed fields, trace context, promise
-# section). Each target always replays its checked-in seed corpus
-# (testdata/fuzz/) and then mutates for a few seconds. Properties: no
-# panics, typed ErrMalformedFrame on every
-# rejection, balanced pools. The last target is the MiniJP parser,
-# seeded from the compiled corpus: on ASCII source, the same AST or
-# the same error as the reference parser. Longer runs: FUZZTIME=10m
-# make fuzz.
+# Short native-fuzzing pass over every Fuzz* target of the module,
+# found by name in the test files, so a new fuzzer cannot be left out:
+# the adversarial decode surfaces (the HELLO handshake decoder, the
+# value/reference payload decoder, the call-header codec and its trace
+# context), the MiniJP parser and the histogram merge. Each target
+# always replays its checked-in seed corpus (testdata/fuzz/) and then
+# mutates for a few seconds. Properties: no panics, typed
+# ErrMalformedFrame on every rejection, balanced pools; on ASCII
+# source, the parser gives the same AST or the same error as the
+# reference parser. Longer runs: FUZZTIME=10m make fuzz.
 FUZZTIME ?= 5s
 fuzz:
-	go test -run '^$$' -fuzz FuzzDecodeHello -fuzztime $(FUZZTIME) ./internal/wire
-	go test -run '^$$' -fuzz FuzzCallHeader -fuzztime $(FUZZTIME) ./internal/wire
-	go test -run '^$$' -fuzz FuzzReadValues -fuzztime $(FUZZTIME) ./internal/serial
-	go test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/lang
+	@set -e; for f in $$(grep -rl --include='*_test.go' --exclude-dir=bench --exclude-dir=testdata '^func Fuzz' . | sort); do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "go test -run '^\$$' -fuzz '^$$t\$$' -fuzztime $(FUZZTIME) $$(dirname $$f)"; \
+			go test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) $$(dirname $$f); \
+		done; \
+	done
 
 # Every Go benchmark in the module. Informational, no gate.
 bench:

@@ -9,10 +9,6 @@
 //	rmibench -faults       # chaos mode: run the workloads over a lossy
 //	                       # network and verify exactly-once completion
 //	rmibench -faults -drop 0.1 -dup 0.05 -seed 7   # custom fault mix
-//	rmibench -skew         # mixed-version mode: one node advertises
-//	                       # skewed plan fingerprints; verify HELLO
-//	                       # negotiation demotes to the class-level
-//	                       # encoding with fully correct results
 //	rmibench -chain 8      # chained-dependency workload: virtual
 //	                       # chain latency and frames/op of sync
 //	                       # chains, then the same chains traced
@@ -44,7 +40,6 @@ func main() {
 	reorder := flag.Float64("reorder", -1, "chaos: packet reordering probability")
 	corrupt := flag.Float64("corrupt", -1, "chaos: payload corruption probability")
 	seed := flag.Int64("seed", 42, "chaos: fault injection seed")
-	skew := flag.Bool("skew", false, "mixed-version mode: run the workloads with one node's plan fingerprints skewed and verify negotiated fallback")
 	traceOut := flag.String("trace", "", "write a Perfetto-loadable Chrome trace to this file and print per-phase latency quantiles")
 	chain := flag.Int("chain", 0, "chained-dependency workload at this depth, then the same chains traced across three nodes")
 	chains := flag.Int("chains", 100, "number of chains for -chain")
@@ -79,24 +74,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Print(trow.Format())
-		return
-	}
-
-	if *skew {
-		report, err := harness.VersionSkew(scale, 1)
-		if report != nil {
-			fmt.Println(report.Format())
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rmibench: version-skew run failed: %v\n", err)
-			os.Exit(1)
-		}
-		neg, err := harness.NegotiationProbe()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rmibench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(harness.FormatNegotiation(neg))
 		return
 	}
 

@@ -114,30 +114,14 @@ func main() {
 		}
 		return out
 	}
-	// /links aggregates across the per-level clusters like /callsites:
-	// every cluster negotiates the same (from, to) links, so rows
-	// sharing a direction merge — fallbacks sum, the negotiated version
-	// and demotion set (identical across clusters by construction) come
-	// from the latest row. Merging keeps the labeled /metrics series
-	// unique per direction.
 	linkStats := func() []stats.LinkStat {
 		csMu.Lock()
 		defer csMu.Unlock()
-		idx := map[[2]int]int{}
-		var out []stats.LinkStat
-		for _, c := range clusters {
-			for _, l := range c.LinkStats() {
-				key := [2]int{l.From, l.To}
-				if i, ok := idx[key]; ok {
-					l.Fallbacks += out[i].Fallbacks
-					out[i] = l
-				} else {
-					idx[key] = len(out)
-					out = append(out, l)
-				}
-			}
+		perCluster := make([][]stats.LinkStat, len(clusters))
+		for i, c := range clusters {
+			perCluster[i] = c.LinkStats()
 		}
-		return out
+		return mergeLinks(perCluster)
 	}
 	// Backlog levels aggregate across the per-level clusters the same
 	// way /callsites does: field-wise sums of each cluster's snapshot.
@@ -263,6 +247,32 @@ func main() {
 	}
 }
 
+// mergeLinks aggregates /links across the per-level clusters like
+// /callsites: every cluster negotiates the same (from, to) links, so
+// rows sharing a direction merge — the refused calls and malformed
+// frames sum, the negotiated version, plan generation and capabilities
+// (identical across clusters by construction) come from the latest
+// row. Merging keeps the labeled /metrics series unique per direction.
+func mergeLinks(perCluster [][]stats.LinkStat) []stats.LinkStat {
+	idx := map[[2]int]int{}
+	var out []stats.LinkStat
+	for _, links := range perCluster {
+		for _, l := range links {
+			key := [2]int{l.From, l.To}
+			i, ok := idx[key]
+			if !ok {
+				idx[key] = len(out)
+				out = append(out, l)
+				continue
+			}
+			l.Refused += out[i].Refused
+			l.Malformed += out[i].Malformed
+			out[i] = l
+		}
+	}
+	return out
+}
+
 // summary is a level's line of the run's report: its calls, labelled
 // by where they went (a one-node cluster makes every call local, cloned
 // and never framed), then the serializer counters.
@@ -326,6 +336,7 @@ func smokeObs(base string, sends int64) error {
 		`cormi_site_calls{site="Main.main.1"}`,
 		`cormi_site_wire_bytes{site="Main.main.1"}`,
 		`cormi_link_negotiated_version{from="0",to="1"}`,
+		`cormi_link_refused_calls{from="0",to="1"}`,
 		`cormi_blame_wins_total{site="Main.main.1"`,
 	} {
 		if !strings.Contains(body, series) {
@@ -375,6 +386,9 @@ func smokeObs(base string, sends int64) error {
 	for _, l := range links {
 		if l.Version < 1 {
 			return fmt.Errorf("/links %d->%d negotiated version %d", l.From, l.To, l.Version)
+		}
+		if l.Refused != 0 {
+			return fmt.Errorf("/links %d->%d refused %d calls between nodes of one program", l.From, l.To, l.Refused)
 		}
 	}
 

@@ -132,6 +132,9 @@ var (
 	ErrTimeout = rmi.ErrTimeout
 	// ErrPartitioned: the deadline expired across a known partition.
 	ErrPartitioned = rmi.ErrPartitioned
+	// ErrPlanMismatch: the callee's node runs other plans (another
+	// program), so the link refuses the call.
+	ErrPlanMismatch = rmi.ErrPlanMismatch
 	// ErrClusterClosed: the cluster shut down while the call was pending.
 	ErrClusterClosed = rmi.ErrClusterClosed
 )

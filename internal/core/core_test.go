@@ -259,6 +259,72 @@ remote class Foo {
 	}
 }
 
+// overrideSrcs call put through the static type Base, whose put keeps
+// nothing, on a receiver that is a Keeper, whose override keeps its
+// argument: in a static, in a field of the remote object, or by
+// returning it. The call runs Keeper.put, so the argument escapes.
+var overrideSrcs = map[string]string{
+	RuleGlobalReachable: `
+class Box { int v; }
+remote class Base {
+	void put(Box b) { }
+}
+remote class Keeper extends Base {
+	static Box kept;
+	void put(Box b) { Keeper.kept = b; }
+}
+class Main {
+	static void main() {
+		Base k = new Keeper();
+		k.put(new Box());
+	}
+}`,
+	RuleReceiverReachable: `
+class Box { int v; }
+remote class Base {
+	void put(Box b) { }
+}
+remote class Keeper extends Base {
+	Box kept;
+	void put(Box b) { this.kept = b; }
+}
+class Main {
+	static void main() {
+		Base k = new Keeper();
+		k.put(new Box());
+	}
+}`,
+	RuleReturned: `
+class Box { int v; }
+remote class Base {
+	Box put(Box b) { return new Box(); }
+}
+remote class Keeper extends Base {
+	Box put(Box b) { return b; }
+}
+class Main {
+	static int main() {
+		Base k = new Keeper();
+		Box r = k.put(new Box());
+		return r.v;
+	}
+}`,
+}
+
+// TestEscapeThroughOverride: a remote call binds every override of its
+// callee, so an argument that only an override keeps is denied reuse,
+// named by the override's rule.
+func TestEscapeThroughOverride(t *testing.T) {
+	for rule, src := range overrideSrcs {
+		si := compile(t, src).SiteByName("Main.main.1")
+		if si.ArgReusable[0] {
+			t.Errorf("%s: argument kept by Keeper.put granted reuse", rule)
+		} else if w := si.ArgReuseDenied[0]; w.Rule != rule {
+			t.Errorf("%s: denied by %s, want %s", rule, w.Rule, rule)
+		}
+	}
+}
+
 func TestReturnValueReuseWebserverShape(t *testing.T) {
 	r := compile(t, `
 class Page { String body; }

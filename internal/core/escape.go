@@ -267,14 +267,17 @@ func leastCommon(graph, reach heap.NodeSet) (heap.NodeID, bool) {
 
 // argReuseDenial decides §3.3 for one serialized argument of a remote
 // call site: the callee-side clone graph of this argument must not
-// escape the callee. A nil result means the argument buffer is
-// reusable; otherwise the witness says why not.
+// escape any method the call may run (the callee or an override in a
+// subclass, each bound to the same clones). A nil result means the
+// argument buffer is reusable; otherwise the witness says why not.
 func (r *Result) argReuseDenial(es *escapeState, site *ir.Instr, argNodes heap.NodeSet) *EscapeWitness {
-	callee, ok := r.IR.FuncOf[site.Callee]
-	if !ok {
-		// No body: cannot prove anything.
-		return &EscapeWitness{Rule: RuleNoCalleeBody, Node: -1, Alloc: -1,
-			Detail: site.Callee.QualifiedName() + " has no analyzable body"}
+	targets := r.IR.DispatchTargets(site.Callee)
+	for _, md := range targets {
+		if _, ok := r.IR.FuncOf[md]; !ok {
+			// No body: cannot prove anything.
+			return &EscapeWitness{Rule: RuleNoCalleeBody, Node: -1, Alloc: -1,
+				Detail: md.QualifiedName() + " has no analyzable body"}
+		}
 	}
 	clones := r.Heap.CloneSetOf(heap.ArgCtx(site.Callee), argNodes)
 	if len(clones) == 0 && len(argNodes) > 0 {
@@ -286,15 +289,18 @@ func (r *Result) argReuseDenial(es *escapeState, site *ir.Instr, argNodes heap.N
 		return nil
 	}
 
-	// Lifetime roots beyond globals: the receiver instance (storing an
-	// argument into a field of the remote object keeps it alive across
-	// calls) and the callee's returned graph (a returned argument
+	// Lifetime roots beyond globals, per target: the receiver instance
+	// (storing an argument into a field of the remote object keeps it
+	// alive across calls) and the returned graph (a returned argument
 	// flows back to the caller).
-	extra := make([]lifetimeRoot, 0, 2)
-	if !site.Callee.Static && len(callee.Params) > 0 {
-		extra = append(extra, lifetimeRoot{RuleReceiverReachable, es.receiver(r, callee)})
+	extra := make([]lifetimeRoot, 0, 2) // grows only for overrides
+	for _, md := range targets {
+		callee := r.IR.FuncOf[md]
+		if !md.Static && len(callee.Params) > 0 {
+			extra = append(extra, lifetimeRoot{RuleReceiverReachable, es.receiver(r, callee)})
+		}
+		extra = append(extra, lifetimeRoot{RuleReturned, es.returned(r, callee)})
 	}
-	extra = append(extra, lifetimeRoot{RuleReturned, es.returned(r, callee)})
 
 	return r.graphEscapeWitness(es, graph, extra)
 }

@@ -126,10 +126,12 @@ func refReturned(r *core.Result, f *ir.Func) heap.NodeSet {
 }
 
 func refArgReuseDenial(r *core.Result, site *ir.Instr, argNodes heap.NodeSet, sortedKeys bool) *core.EscapeWitness {
-	callee, ok := r.IR.FuncOf[site.Callee]
-	if !ok {
-		return &core.EscapeWitness{Rule: core.RuleNoCalleeBody, Node: -1, Alloc: -1,
-			Detail: site.Callee.QualifiedName() + " has no analyzable body"}
+	targets := r.IR.DispatchTargets(site.Callee)
+	for _, md := range targets {
+		if _, ok := r.IR.FuncOf[md]; !ok {
+			return &core.EscapeWitness{Rule: core.RuleNoCalleeBody, Node: -1, Alloc: -1,
+				Detail: md.QualifiedName() + " has no analyzable body"}
+		}
 	}
 	clones := r.Heap.CloneSetOf(heap.ArgCtx(site.Callee), argNodes)
 	if len(clones) == 0 && len(argNodes) > 0 {
@@ -137,10 +139,13 @@ func refArgReuseDenial(r *core.Result, site *ir.Instr, argNodes heap.NodeSet, so
 			Detail: "no callee-side clone of the argument graph was analyzed"}
 	}
 	var extra []refRoot
-	if !site.Callee.Static && len(callee.Params) > 0 {
-		extra = append(extra, refRoot{core.RuleReceiverReachable, r.Heap.PointsTo(callee.Params[0])})
+	for _, md := range targets {
+		callee := r.IR.FuncOf[md]
+		if !md.Static && len(callee.Params) > 0 {
+			extra = append(extra, refRoot{core.RuleReceiverReachable, r.Heap.PointsTo(callee.Params[0])})
+		}
+		extra = append(extra, refRoot{core.RuleReturned, refReturned(r, callee)})
 	}
-	extra = append(extra, refRoot{core.RuleReturned, refReturned(r, callee)})
 	return refGraphEscapeWitness(r, r.Heap.Reach(clones), extra, sortedKeys)
 }
 

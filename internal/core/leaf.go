@@ -9,10 +9,10 @@ import "cormi/internal/ir"
 // wrong "leaf" would let a nested call wait on the loop that must
 // deliver its reply; every doubt therefore answers "not a leaf".
 //
-// A remote call dispatches on the receiver's runtime class, which may
-// be any subclass of the callee's declaring class, so every override
-// in the class hierarchy is a candidate. Local calls are direct (MiniJP
-// has no virtual dispatch outside RMI).
+// A remote call dispatches on the receiver's runtime class, so every
+// method it may run (ir.Program.DispatchTargets: the callee and each
+// override in a subclass) is a candidate. Local calls are direct
+// (MiniJP has no virtual dispatch outside RMI).
 type leafPass struct {
 	r *Result
 	// reach holds the functions that may reach a remote call, filled
@@ -25,14 +25,10 @@ func (p *leafPass) leaf(in *ir.Instr) bool {
 	if p.reach == nil {
 		p.reach = reachesRemote(p.r.IR)
 	}
-	md := in.Callee
-	for _, cd := range p.r.Lang.File.Classes {
-		if !cd.IsSubclassOf(md.Class) {
-			continue
-		}
+	for _, md := range p.r.IR.DispatchTargets(in.Callee) {
 		// A method without a lowered body is unknown, and so counts
 		// as reaching a remote call.
-		fn, ok := p.r.IR.FuncOf[cd.MethodByName(md.Name)]
+		fn, ok := p.r.IR.FuncOf[md]
 		if !ok || p.reach[fn] {
 			return false
 		}

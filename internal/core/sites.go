@@ -82,9 +82,11 @@ func (r *Result) buildSites() error {
 		// Return value.
 		var retNodes heap.NodeSet
 		if si.NumRet == 1 {
-			if callee, ok := r.IR.FuncOf[in.Callee]; ok {
-				for _, rv := range ir.ReturnValues(callee) {
-					retNodes.AddAll(r.Heap.PointsTo(rv))
+			for _, md := range r.IR.DispatchTargets(in.Callee) {
+				if callee, ok := r.IR.FuncOf[md]; ok {
+					for _, rv := range ir.ReturnValues(callee) {
+						retNodes.AddAll(r.Heap.PointsTo(rv))
+					}
 				}
 			}
 			plan, err := r.buildPlan(si.Name+".ret", retNodes, in.Callee.Ret)

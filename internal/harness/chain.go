@@ -44,11 +44,10 @@ const (
 // exports its service on node — the method runs exec, then answers step
 // of its argument, which step may write to — and seed starts chain it.
 type chainKind struct {
-	name    string
-	objects bool
-	setup   func(c *rmi.Cluster, level rmi.OptLevel, node int, exec func(*rmi.Call)) (cs *rmi.CallSite, ref rmi.Ref, err error)
-	seed    func(c *rmi.Cluster, it int) model.Value
-	step    func(x model.Value) model.Value
+	name  string
+	setup func(c *rmi.Cluster, level rmi.OptLevel, node int, exec func(*rmi.Call)) (cs *rmi.CallSite, ref rmi.Ref, err error)
+	seed  func(c *rmi.Cluster, it int) model.Value
+	step  func(x model.Value) model.Value
 }
 
 // stepSite registers the int → int call site of a step(x) = x+1 service.
@@ -150,7 +149,7 @@ func driveChains(cs *rmi.CallSite, caller *rmi.Node, ref rmi.Ref, mode ChainMode
 // sees them afterwards (the callee's writes to its argument must not
 // show) and the execution count.
 func chainWorkload(kind chainKind, mode ChainMode, depth, chains int) Workload {
-	return Workload{Name: kind.name, Mode: mode, Objects: kind.objects, Run: func(level rmi.OptLevel, _ Scale, opts []rmi.Option) (Outcome, error) {
+	return Workload{Name: kind.name, Mode: mode, Run: func(level rmi.OptLevel, _ Scale, opts []rmi.Option) (Outcome, error) {
 		c := rmi.New(2, opts...)
 		defer c.Close()
 		out := Outcome{Depth: depth, Chains: chains, overload: c.Overload}
@@ -185,6 +184,9 @@ func chainWorkload(kind chainKind, mode ChainMode, depth, chains int) Workload {
 		out.RunResult = appkit.Collect(c)
 		out.ChainLatencyNS = (c.MaxTime() - virt) / int64(chains)
 		out.FramesPerOp = float64(c.Counters.NetFrames.Load()-frames) / float64(chains*depth)
+		for _, l := range c.LinkStats() {
+			out.Refused += l.Refused
+		}
 		if err != nil {
 			return out, err
 		}

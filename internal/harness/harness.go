@@ -1,7 +1,7 @@
 // Package harness runs the repository's scenarios — the paper's
-// evaluation tables (§5, Tables 1–8), the chaos, version-skew and
-// call-mode runs, the tracing and attribution scenarios — as selections
-// of one table (DESIGN.md §7): a Workload runs at an optimization level
+// evaluation tables (§5, Tables 1–8), the chaos and call-mode runs,
+// the tracing and attribution scenarios — as selections of one table
+// (DESIGN.md §7): a Workload runs at an optimization level
 // under a link Condition, a chain workload additionally in a ChainMode,
 // and every cell yields one Row of one Report whose printed columns are
 // data.
@@ -66,6 +66,9 @@ type Outcome struct {
 	// cells: every cell of one workload must give the first cell's,
 	// whatever its level, condition and mode.
 	Answer string
+	// Refused is the calls the cell's links refused (rmi.ErrPlanMismatch),
+	// from Cluster.LinkStats; a refused cell has no answer.
+	Refused int64
 
 	// The chain workloads: Chains chains of Depth dependent calls each.
 	// ChainLatencyNS is the virtual-time cost of one chain —
@@ -104,6 +107,9 @@ func (r *Row) Cell() string {
 func (r *Row) result() string {
 	if r.Err != nil {
 		return "FAIL: " + r.Err.Error()
+	}
+	if r.Refused != 0 {
+		return "refused"
 	}
 	return "ok"
 }

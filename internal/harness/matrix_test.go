@@ -21,6 +21,14 @@ func matrixSpec() ChaosSpec {
 	return spec
 }
 
+// Skew makes node advertise another program's plans, so every link
+// that touches it refuses its calls.
+func Skew(node int) Condition {
+	return Condition{Name: "skew", Refuses: true, Options: func(int, Scale) ([]rmi.Option, error) {
+		return []rmi.Option{rmi.WithPlanSkew(node)}, nil
+	}}
+}
+
 // matrixConditions are the six link conditions of the mode matrix.
 func matrixConditions() []Condition {
 	faulty := Faulty(matrixSpec())
@@ -31,10 +39,11 @@ func matrixConditions() []Condition {
 // × transports compute the same answers; resources balanced at Close":
 // both chain workloads × six link conditions × five levels × three call
 // modes. runGrid holds every cell to the workload's own witness (chain
-// results, exactly-once execution), to the negotiation evidence of its
-// condition, to the answer of the
-// workload's first cell — {class, clean channel, sync} — and to the
-// Close-balance check.
+// results, exactly-once execution), to the link evidence of its
+// condition — under skew, a chain between the nodes must be refused
+// with rmi.ErrPlanMismatch and counted, a local chain must run — to
+// the answer of the workload's first cell — {class, clean channel,
+// sync} — and to the Close-balance check.
 func TestModeMatrix(t *testing.T) {
 	const depth, chains = 5, 6
 	start := time.Now()
@@ -47,15 +56,24 @@ func TestModeMatrix(t *testing.T) {
 		{"mode", -10, "%s", func(r *Row) any { return r.Mode }},
 		resultCol}}
 	_ = runGrid(rep, Scale{Nodes: 2}, workloads, matrixConditions(), rmi.AllLevels)
-	failed := 0
+	failed, refused := 0, 0
 	for i := range rep.Rows {
-		if r := &rep.Rows[i]; r.Err != nil {
+		r := &rep.Rows[i]
+		if r.Err != nil {
 			failed++
 			t.Errorf("%s: %v", r.Cell(), r.Err)
+		}
+		if r.Refused != 0 {
+			refused++
 		}
 	}
 	if want := 2 * 6 * len(rmi.AllLevels) * len(AllChainModes); len(rep.Rows) != want {
 		t.Errorf("ran %d cells, want %d", len(rep.Rows), want)
+	}
+	// Both skew conditions refuse the sync and parallel chains, which
+	// cross the link, at every level; the local chains run.
+	if want := 2 * 2 * len(rmi.AllLevels) * 2; refused != want {
+		t.Errorf("%d cells refused, want %d", refused, want)
 	}
 	t.Logf("mode matrix: %d cells, %d failed, %.1fs", len(rep.Rows), failed, time.Since(start).Seconds())
 }
@@ -72,7 +90,7 @@ var TCP = Condition{Name: "tcp", Options: func(_ int, s Scale) ([]rmi.Option, er
 // Both is the product of two conditions: b's options after a's, so a
 // fault injector wraps a TCP network.
 func Both(a, b Condition) Condition {
-	return Condition{Name: a.Name + "+" + b.Name, Skewed: a.Skewed || b.Skewed,
+	return Condition{Name: a.Name + "+" + b.Name, Refuses: a.Refuses || b.Refuses,
 		Options: func(row int, s Scale) ([]rmi.Option, error) {
 			ao, err := a.Options(row, s)
 			if err != nil {
@@ -141,8 +159,7 @@ func newL(l *model.Class, v int64, next *model.Object) *model.Object {
 // a reused graph handed back before its method ran shows.
 func listChain(executors bool) chainKind {
 	return chainKind{
-		name:    "ListChain",
-		objects: true,
+		name: "ListChain",
 		setup: func(c *rmi.Cluster, level rmi.OptLevel, node int, exec func(*rmi.Call)) (*rmi.CallSite, rmi.Ref, error) {
 			res, err := core.CompileInto(listChainSrc, c.Registry)
 			if err != nil {

@@ -3,10 +3,11 @@ package harness
 // The scenario table (DESIGN.md §7). A cell is a Workload run at an
 // optimization level under a link Condition (a chain workload also in a
 // ChainMode, chain.go). runGrid runs a selection of cells and ends each
-// the same way: the workload's witness, the negotiation evidence, the
-// answer against the workload's first cell, the Close-balance check.
+// the same way: the workload's witness, the link evidence, the answer
+// against the workload's first cell, the Close-balance check.
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -30,20 +31,17 @@ type Workload struct {
 	Name string
 	// Mode is the chain mode of a chain workload, empty otherwise.
 	Mode ChainMode
-	// Objects says the workload ships object graphs, so plan
-	// negotiation has something to demote; an int chain ships no class.
-	Objects bool
-	Run     func(level rmi.OptLevel, s Scale, opts []rmi.Option) (Outcome, error)
+	Run  func(level rmi.OptLevel, s Scale, opts []rmi.Option) (Outcome, error)
 }
 
 // Condition is what the interconnect does to a cell. Options turns it
-// into cluster options for the row-th cell of a run; Skewed says one
-// node advertises another program version's plan fingerprints, which
-// the finished row must show (checkNegotiation).
+// into cluster options for the row-th cell of a run; Refuses says a
+// node runs other plans, so its links refuse every call, which the
+// finished row must show (checkLinks).
 type Condition struct {
 	Name    string
 	Options func(row int, s Scale) ([]rmi.Option, error)
-	Skewed  bool
+	Refuses bool
 }
 
 // runGrid appends one row per (workload, condition, level), in that
@@ -56,9 +54,12 @@ func runGrid(rep *Report, s Scale, workloads []Workload, conds []Condition, leve
 			for _, level := range levels {
 				row := runCell(w, cond, level, s, len(rep.Rows))
 				ref, seen := first[w.Name]
-				if row.Err == nil && !seen {
+				switch {
+				case row.Err != nil || row.Refused != 0:
+					// Failed, or refused as its condition must be: no answer.
+				case !seen:
 					first[w.Name] = row.Answer
-				} else if row.Err == nil && row.Answer != ref {
+				case row.Answer != ref:
 					row.Err = fmt.Errorf("answer %q differs from the workload's first cell's %q", row.Answer, ref)
 				}
 				rep.Rows = append(rep.Rows, row)
@@ -78,8 +79,8 @@ func runCell(w *Workload, cond Condition, level rmi.OptLevel, s Scale, row int) 
 	if err == nil {
 		r.Outcome, err = w.Run(level, s, opts)
 	}
-	if err == nil {
-		err = checkNegotiation(w, cond, &r)
+	if err == nil || cond.Refuses {
+		err = checkLinks(cond, &r, err)
 	}
 	if err == nil {
 		err = mark.Settled(r.overload)
@@ -91,25 +92,25 @@ func runCell(w *Workload, cond Condition, level rmi.OptLevel, s Scale, row int) 
 // The paper's workloads. Each is a thin adapter over the app package,
 // adding the witness check the app leaves to its caller.
 var (
-	LinkedList = Workload{Name: "LinkedList", Objects: true, Run: func(level rmi.OptLevel, s Scale, opts []rmi.Option) (Outcome, error) {
+	LinkedList = Workload{Name: "LinkedList", Run: func(level rmi.OptLevel, s Scale, opts []rmi.Option) (Outcome, error) {
 		out, err := micro.RunLinkedList(level, s.ListElems, s.ListIters, opts...)
 		if err == nil && out.ElementsSeen != int64(s.ListElems) {
 			err = fmt.Errorf("receiver saw %d elements, want %d", out.ElementsSeen, s.ListElems)
 		}
 		return appOutcome(out.RunResult, out.Seconds, fmt.Sprintf("%d elements", out.ElementsSeen), err, out.Executions, s.ListIters)
 	}}
-	Array = Workload{Name: "Array", Objects: true, Run: func(level rmi.OptLevel, s Scale, opts []rmi.Option) (Outcome, error) {
+	Array = Workload{Name: "Array", Run: func(level rmi.OptLevel, s Scale, opts []rmi.Option) (Outcome, error) {
 		out, err := micro.RunArray(level, s.ArraySize, s.ArrayIters, opts...)
 		return appOutcome(out.RunResult, out.Seconds, fmt.Sprintf("sum %g", out.SumSeen), err, out.Executions, s.ArrayIters)
 	}}
-	LU = Workload{Name: "LU", Objects: true, Run: func(level rmi.OptLevel, s Scale, opts []rmi.Option) (Outcome, error) {
+	LU = Workload{Name: "LU", Run: func(level rmi.OptLevel, s Scale, opts []rmi.Option) (Outcome, error) {
 		out, err := lu.Run(level, s.LUN, s.LUBS, s.Nodes, opts...)
 		if err == nil && out.MaxResidual > 1e-6 {
 			err = fmt.Errorf("LU residual %g", out.MaxResidual)
 		}
 		return appOutcome(out.RunResult, out.Seconds, "", err, 0, 0)
 	}}
-	Superopt = Workload{Name: "Superopt", Objects: true, Run: func(level rmi.OptLevel, s Scale, opts []rmi.Option) (Outcome, error) {
+	Superopt = Workload{Name: "Superopt", Run: func(level rmi.OptLevel, s Scale, opts []rmi.Option) (Outcome, error) {
 		p := superopt.DefaultParams()
 		p.MaxLen, p.Nodes = s.SuperoptMaxLen, s.Nodes
 		if s.SuperoptThirdReg {
@@ -121,7 +122,7 @@ var (
 		}
 		return appOutcome(out.RunResult, out.Seconds, fmt.Sprintf("%d sequences tested, %d equivalences", out.Tested, len(out.Matches)), err, 0, 0)
 	}}
-	Webserver = Workload{Name: "Webserver", Objects: true, Run: func(level rmi.OptLevel, s Scale, opts []rmi.Option) (Outcome, error) {
+	Webserver = Workload{Name: "Webserver", Run: func(level rmi.OptLevel, s Scale, opts []rmi.Option) (Outcome, error) {
 		p := webserver.DefaultParams()
 		p.Requests, p.Pages, p.Nodes = s.WebRequests, s.WebPages, s.Nodes
 		out, err := webserver.Run(level, p, opts...)
@@ -139,25 +140,27 @@ func appOutcome(res appkit.RunResult, value float64, answer string, err error, e
 	return Outcome{RunResult: res, Value: value, Answer: answer}, err
 }
 
-// checkNegotiation looks for the negotiation evidence every row must
-// show. Under skew, levels that compile site plans must have demoted at
-// least one object that crossed a link (the skew was real and was
-// detected); class mode — already on the universal encoding — local
-// calls, classless traffic and every cell between nodes of one version
-// must count none. A malformed-frame rejection would mean a planned
-// frame leaked through negotiation (a corrupted one fails its checksum
-// first), so any count fails the row.
-func checkNegotiation(w *Workload, cond Condition, r *Row) error {
-	demotes := cond.Skewed && w.Objects && r.Level != rmi.LevelClass && r.Stats.RemoteRPCs > 0
-	switch fb := r.Stats.PlanFallbacks; {
+// checkLinks holds a row to the link evidence of its condition, given
+// what the workload returned. Under a refusing condition a call between
+// nodes must fail with rmi.ErrPlanMismatch, counted on its link, and
+// none may reach the wire; a cell whose calls stay node-local runs as
+// anywhere else. No other condition refuses a call. A malformed frame
+// fails every row: a corrupted one fails its checksum first.
+func checkLinks(cond Condition, r *Row, err error) error {
+	refused := errors.Is(err, rmi.ErrPlanMismatch)
+	switch {
 	case r.Stats.MalformedFrames != 0:
 		return fmt.Errorf("%d malformed frames", r.Stats.MalformedFrames)
-	case demotes && fb == 0:
-		return fmt.Errorf("no plan fallbacks: skewed link kept using compiled plans")
-	case !demotes && fb != 0:
-		return fmt.Errorf("%d plan fallbacks where no skewed link carried a compiled plan", fb)
+	case r.Refused != 0 && !cond.Refuses:
+		return fmt.Errorf("%d calls refused between nodes of one program", r.Refused)
+	case cond.Refuses && r.Stats.RemoteRPCs != 0:
+		return fmt.Errorf("%d calls crossed a link that refuses them", r.Stats.RemoteRPCs)
+	case refused && r.Refused == 0:
+		return fmt.Errorf("no link counted the refusal: %w", err)
+	case refused:
+		return nil
 	}
-	return nil
+	return err
 }
 
 // Clean is the fault-free in-process channel network between nodes of
@@ -218,16 +221,7 @@ func Faulty(spec ChaosSpec) Condition {
 	}}
 }
 
-// Skew makes node advertise plan fingerprints from a different program
-// version, so HELLO negotiation must demote the affected classes to the
-// self-describing encoding on every link that touches it.
-func Skew(node int) Condition {
-	return Condition{Name: "skew", Skewed: true, Options: func(int, Scale) ([]rmi.Option, error) {
-		return []rmi.Option{rmi.WithPlanSkew(node)}, nil
-	}}
-}
-
-// apps are the workloads of the chaos and version-skew runs.
+// apps are the workloads of the chaos run.
 var apps = []Workload{LinkedList, Array, LU}
 
 // Chaos runs the LU kernel and both micro benchmarks over a lossy,
@@ -255,20 +249,4 @@ func chaosReport(spec ChaosSpec) *Report {
 			{"violated", 8, "%d", func(r *Row) any { return r.Stats.ClaimViolations }},
 			resultCol},
 	}
-}
-
-// VersionSkew runs the same workloads at every level with skewNode
-// advertising version-skewed plan fingerprints, over a fault-free
-// interconnect: the mixed-version scenario of the versioned wire
-// protocol (DESIGN.md §12). Every result stays correct, nothing
-// mis-decodes, and the demotions show in the fallback counters.
-func VersionSkew(s Scale, skewNode int) (*Report, error) {
-	rep := &Report{
-		Title: fmt.Sprintf("Version-skew run: node %d advertises skewed plan fingerprints", skewNode),
-		Cols: []Column[Row]{appCol, levelCol, secondsCol,
-			{"planFallbacks", 14, "%d", func(r *Row) any { return r.Stats.PlanFallbacks }},
-			{"malformed", 10, "%d", func(r *Row) any { return r.Stats.MalformedFrames }},
-			resultCol},
-	}
-	return rep, runGrid(rep, s, apps, []Condition{Skew(skewNode)}, rmi.AllLevels)
 }

@@ -381,19 +381,61 @@ func (a *Analysis) retCtx(siteID int) string {
 // transferCall binds arguments to parameters and returns to the call
 // destination. Direct calls bind into the context the prepass assigned
 // to this call site (a dedicated per-site summary, or MergedCtx for
-// recursion/budget overflow); remote calls bind into the callee's
-// merged context and clone the argument and return graphs, reflecting
-// RMI's by-copy semantics. The receiver (Args[0] / `this`) of a remote
-// call is a remote reference and is NOT copied.
+// recursion/budget overflow). A remote call binds into the merged
+// context of every method it may run (ir.Program.DispatchTargets: the
+// static callee and each override in a subclass) and clones the
+// argument and return graphs, reflecting RMI's by-copy semantics; every
+// target's parameter takes the same clones, made in the static callee's
+// argument context. The receiver (Args[0] / `this`) of a remote call is
+// a remote reference and is NOT copied.
 func (a *Analysis) transferCall(in *ir.Instr, c Ctx, remote bool) {
-	callee, ok := a.Prog.FuncOf[in.Callee]
-	if !ok {
-		return // bodiless method: no summary
-	}
-	calleeCtx := MergedCtx
 	if !remote {
-		calleeCtx = a.ctxOfCall[in]
+		callee, ok := a.Prog.FuncOf[in.Callee]
+		if !ok {
+			return // bodiless method: no summary
+		}
+		calleeCtx := a.ctxOfCall[in]
+		a.bindArgs(in, c, callee, calleeCtx, false)
+		if in.Dst == nil || !lang.IsRef(in.Dst.Type) {
+			return
+		}
+		for _, rv := range ir.ReturnValues(callee) {
+			a.addSet(in.Dst, c, a.pts[valCtx{rv, calleeCtx}])
+		}
+		return
 	}
+	targets := a.Prog.DispatchTargets(in.Callee)
+	for _, md := range targets {
+		if callee, ok := a.Prog.FuncOf[md]; ok { // bodiless: no summary
+			a.bindArgs(in, c, callee, MergedCtx, true)
+		}
+	}
+	if in.Dst == nil || !lang.IsRef(in.Dst.Type) {
+		return
+	}
+	// After the bindings: they use idScratch too.
+	retSet := NodeSet(a.idScratch[:0])
+	for _, md := range targets {
+		if callee, ok := a.Prog.FuncOf[md]; ok {
+			for _, rv := range ir.ReturnValues(callee) {
+				retSet.AddAll(a.pts[valCtx{rv, MergedCtx}])
+			}
+		}
+	}
+	a.idScratch = retSet
+	if len(retSet) == 0 {
+		return
+	}
+	retCtx := a.retCtx(in.SiteID)
+	for _, n := range retSet {
+		a.addNode(in.Dst, c, a.cloneOf(retCtx, n))
+	}
+}
+
+// bindArgs binds the call's arguments in context c to callee's
+// parameters in calleeCtx; a remote call's non-receiver arguments bind
+// as clones.
+func (a *Analysis) bindArgs(in *ir.Instr, c Ctx, callee *ir.Func, calleeCtx Ctx, remote bool) {
 	for i, arg := range in.Args {
 		if i >= len(callee.Params) {
 			break
@@ -415,26 +457,5 @@ func (a *Analysis) transferCall(in *ir.Instr, c Ctx, remote bool) {
 		for _, n := range a.snapshot(src) {
 			a.addNode(param, calleeCtx, a.cloneOf(argCtx, n))
 		}
-	}
-	if in.Dst == nil || !lang.IsRef(in.Dst.Type) {
-		return
-	}
-	if !remote {
-		for _, rv := range ir.ReturnValues(callee) {
-			a.addSet(in.Dst, c, a.pts[valCtx{rv, calleeCtx}])
-		}
-		return
-	}
-	retSet := NodeSet(a.idScratch[:0])
-	for _, rv := range ir.ReturnValues(callee) {
-		retSet.AddAll(a.pts[valCtx{rv, calleeCtx}])
-	}
-	a.idScratch = retSet
-	if len(retSet) == 0 {
-		return
-	}
-	retCtx := a.retCtx(in.SiteID)
-	for _, n := range retSet {
-		a.addNode(in.Dst, c, a.cloneOf(retCtx, n))
 	}
 }

@@ -51,19 +51,22 @@ func (a *Analysis) buildContexts() {
 	for _, f := range a.funcs {
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
-				if in.Op != ir.OpCall && in.Op != ir.OpRemoteCall {
-					continue
+				switch in.Op {
+				case ir.OpCall:
+					callee, ok := prog.FuncOf[in.Callee]
+					if !ok {
+						continue // bodiless method: no summary to specialize
+					}
+					a.hasCaller[callee] = true
+					directSites[callee]++
+				case ir.OpRemoteCall:
+					for _, md := range prog.DispatchTargets(in.Callee) {
+						if callee, ok := prog.FuncOf[md]; ok {
+							a.hasCaller[callee] = true
+							remoteTarget[callee] = true
+						}
+					}
 				}
-				callee, ok := prog.FuncOf[in.Callee]
-				if !ok {
-					continue // bodiless method: no summary to specialize
-				}
-				a.hasCaller[callee] = true
-				if in.Op == ir.OpRemoteCall {
-					remoteTarget[callee] = true
-					continue
-				}
-				directSites[callee]++
 			}
 		}
 	}

@@ -83,17 +83,23 @@ func BuildPlan(prog *ir.Program) *Plan {
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
 				switch in.Op {
-				case ir.OpCall, ir.OpRemoteCall:
+				case ir.OpCall:
 					callee, ok := prog.FuncOf[in.Callee]
 					if !ok {
 						continue // bodiless method: no constraints
 					}
 					j := p.Index[callee]
 					combined[i] = append(combined[i], j)
-					if in.Op == ir.OpCall {
-						direct[i] = append(direct[i], j)
-						if i == j {
-							selfDirect[i] = true
+					direct[i] = append(direct[i], j)
+					if i == j {
+						selfDirect[i] = true
+					}
+				case ir.OpRemoteCall:
+					// Every method the call may run, as the heap
+					// analysis binds it.
+					for _, md := range prog.DispatchTargets(in.Callee) {
+						if callee, ok := prog.FuncOf[md]; ok {
+							combined[i] = append(combined[i], p.Index[callee])
 						}
 					}
 				case ir.OpLoadStatic, ir.OpStoreStatic:

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"strings"
 	"testing"
 
 	"cormi/internal/ir"
@@ -131,5 +132,47 @@ class A {
 	p := BuildPlan(compile(t, src))
 	if !p.Recursive[funcIdx(t, p, "A.f")] {
 		t.Error("direct self-call not flagged recursive")
+	}
+}
+
+// A remote call may run any override of its callee below the callee's
+// class, so its edges reach them too (and no method of a sibling or
+// base class).
+func TestRemoteCallEdgesReachOverrides(t *testing.T) {
+	src := `
+class Box { int v; }
+remote class Base {
+	void put(Box b) { }
+}
+remote class Keeper extends Base {
+	void put(Box b) { }
+}
+remote class Quiet extends Keeper {
+}
+remote class Other extends Base {
+	void get(Box b) { }
+}
+class Main {
+	static void main() {
+		Keeper k = new Keeper();
+		k.put(new Box());
+	}
+}
+`
+	p := BuildPlan(compile(t, src))
+	edges := map[int]bool{}
+	for _, j := range p.CallEdges[funcIdx(t, p, "Main.main")] {
+		edges[j] = true
+	}
+	if !edges[funcIdx(t, p, "Keeper.put")] || edges[funcIdx(t, p, "Base.put")] || len(edges) != 1 {
+		t.Errorf("Main.main's edges %v, want only Keeper.put (%d)", p.CallEdges[funcIdx(t, p, "Main.main")], funcIdx(t, p, "Keeper.put"))
+	}
+	p = BuildPlan(compile(t, strings.Replace(src, "Keeper k = new Keeper()", "Base k = new Keeper()", 1)))
+	edges = map[int]bool{}
+	for _, j := range p.CallEdges[funcIdx(t, p, "Main.main")] {
+		edges[j] = true
+	}
+	if !edges[funcIdx(t, p, "Base.put")] || !edges[funcIdx(t, p, "Keeper.put")] || len(edges) != 2 {
+		t.Errorf("through Base: Main.main's edges %v, want Base.put and Keeper.put", p.CallEdges[funcIdx(t, p, "Main.main")])
 	}
 }

@@ -114,6 +114,43 @@ class Main {
 	}
 }
 
+// TestOverrideKeepingArgumentRunsAtEveryLevel: put is called through
+// Base, whose put keeps nothing, but the receiver is a Keeper, whose
+// override keeps the first Box it is sent. Were the site granted
+// argument reuse, the second call would decode into the kept Box and
+// get would answer 2; every level must give the class level's 1.
+func TestOverrideKeepingArgumentRunsAtEveryLevel(t *testing.T) {
+	const src = `
+class Box { int v; }
+remote class Base {
+	void put(Box b) { }
+	int get() { return 0; }
+}
+remote class Keeper extends Base {
+	static Box kept;
+	void put(Box b) {
+		if (Keeper.kept == null) { Keeper.kept = b; }
+	}
+	int get() { return Keeper.kept.v; }
+}
+class Main {
+	static int main() {
+		Base k = new Keeper();
+		for (int i = 1; i <= 2; i = i + 1) {
+			Box b = new Box();
+			b.v = i;
+			k.put(b);
+		}
+		return k.get();
+	}
+}`
+	for _, level := range rmi.AllLevels {
+		if v, _ := run(t, src, "Main", level, 2); v.I != 1 {
+			t.Errorf("%v: main = %d, want 1", level, v.I)
+		}
+	}
+}
+
 func TestArithmeticAndControlFlow(t *testing.T) {
 	v, _ := run(t, `
 class Main {

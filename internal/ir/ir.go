@@ -191,6 +191,9 @@ type Program struct {
 	// AllocSites indexes OpNew/OpNewArray instructions by AllocID
 	// (entries may be nil for allocation sites in bodiless methods).
 	AllocSites []*Instr
+	// dispatch maps each remote callee to the methods its calls may
+	// run (DispatchTargets).
+	dispatch map[*lang.MethodDecl][]*lang.MethodDecl
 
 	// Every Func, Block, Value and Instr of the program, and the
 	// pointer slices that link them, are carved from these slabs: the

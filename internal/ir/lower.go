@@ -37,6 +37,7 @@ func Lower(p *lang.Program) (*Program, error) {
 			prog.FuncOf[m] = fn
 		}
 	}
+	prog.buildDispatch()
 	return prog, nil
 }
 

@@ -19,7 +19,7 @@ type graphWorld struct {
 
 func newGraphWorld() *graphWorld {
 	reg := NewRegistry()
-	node := reg.MustDefine("GNode", nil,
+	node := testkit.MustDefine(reg, "GNode", nil,
 		Field{Name: "i", Kind: FInt},
 		Field{Name: "d", Kind: FDouble},
 		Field{Name: "b", Kind: FBool},
@@ -157,7 +157,7 @@ func TestStringRenderings(t *testing.T) {
 
 func TestArrayGraphOps(t *testing.T) {
 	reg := NewRegistry()
-	leaf := reg.MustDefine("Leaf", nil, Field{Name: "x", Kind: FInt})
+	leaf := testkit.MustDefine(reg, "Leaf", nil, Field{Name: "x", Kind: FInt})
 	arr := NewArray(reg.ArrayOf(leaf), 3)
 	shared := New(leaf)
 	arr.Refs[0] = shared
@@ -208,7 +208,7 @@ func TestArrayGraphOps(t *testing.T) {
 
 func TestNewArrayPanicsOnObjectClass(t *testing.T) {
 	reg := NewRegistry()
-	leaf := reg.MustDefine("Leaf", nil)
+	leaf := testkit.MustDefine(reg, "Leaf", nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("NewArray on object class should panic")
@@ -219,7 +219,7 @@ func TestNewArrayPanicsOnObjectClass(t *testing.T) {
 
 func TestGetSetUnknownFieldPanics(t *testing.T) {
 	reg := NewRegistry()
-	leaf := reg.MustDefine("Leaf", nil, Field{Name: "x", Kind: FInt})
+	leaf := testkit.MustDefine(reg, "Leaf", nil, Field{Name: "x", Kind: FInt})
 	o := New(leaf)
 	for _, f := range []func(){
 		func() { o.Get("nope") },

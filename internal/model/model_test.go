@@ -10,8 +10,8 @@ import (
 func newTestRegistry(t testing.TB) (*Registry, *Class, *Class) {
 	t.Helper()
 	reg := NewRegistry()
-	bar := reg.MustDefine("Bar", nil, Field{Name: "x", Kind: FInt})
-	foo := reg.MustDefine("Foo", nil,
+	bar := testkit.MustDefine(reg, "Bar", nil, Field{Name: "x", Kind: FInt})
+	foo := testkit.MustDefine(reg, "Foo", nil,
 		Field{Name: "bar", Kind: FRef, Class: bar},
 		Field{Name: "d", Kind: FDouble},
 		Field{Name: "name", Kind: FString},
@@ -61,8 +61,8 @@ func TestRegistryBuiltinsAndArrayOf(t *testing.T) {
 
 func TestClassInheritanceLayout(t *testing.T) {
 	reg := NewRegistry()
-	base := reg.MustDefine("Base", nil, Field{Name: "a", Kind: FInt})
-	der := reg.MustDefine("Derived", base, Field{Name: "b", Kind: FDouble})
+	base := testkit.MustDefine(reg, "Base", nil, Field{Name: "a", Kind: FInt})
+	der := testkit.MustDefine(reg, "Derived", base, Field{Name: "b", Kind: FDouble})
 	all := der.AllFields()
 	if len(all) != 2 || all[0].Name != "a" || all[1].Name != "b" {
 		t.Fatalf("flattened layout = %v", all)
@@ -143,7 +143,7 @@ func buildList(reg *Registry, n int) *Object {
 
 func listRegistry() *Registry {
 	reg := NewRegistry()
-	node := reg.MustDefine("Node", nil, Field{Name: "v", Kind: FInt}, Field{Name: "next", Kind: FRef})
+	node := testkit.MustDefine(reg, "Node", nil, Field{Name: "v", Kind: FInt}, Field{Name: "next", Kind: FRef})
 	node.Fields[1].Class = node
 	return reg
 }
@@ -183,8 +183,8 @@ func TestDeepCloneSharingAndCycles(t *testing.T) {
 	// Shared diamond: two fields pointing to the same object must stay
 	// shared after cloning.
 	reg2 := NewRegistry()
-	leaf := reg2.MustDefine("Leaf", nil, Field{Name: "x", Kind: FInt})
-	pair := reg2.MustDefine("Pair", nil,
+	leaf := testkit.MustDefine(reg2, "Leaf", nil, Field{Name: "x", Kind: FInt})
+	pair := testkit.MustDefine(reg2, "Pair", nil,
 		Field{Name: "l", Kind: FRef, Class: leaf},
 		Field{Name: "r", Kind: FRef, Class: leaf},
 	)

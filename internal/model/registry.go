@@ -58,16 +58,6 @@ func (r *Registry) Define(name string, super *Class, fields ...Field) (*Class, e
 	return r.add(&Class{Name: name, Kind: KObject, Super: super, Fields: fields})
 }
 
-// MustDefine is Define but panics on duplicate registration; intended
-// for program start-up.
-func (r *Registry) MustDefine(name string, super *Class, fields ...Field) *Class {
-	c, err := r.Define(name, super, fields...)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // DoubleArray returns the built-in double[] class.
 func (r *Registry) DoubleArray() *Class { return r.MustByName("double[]") }
 

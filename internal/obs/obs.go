@@ -263,15 +263,13 @@ func registerPoolGauges(reg *metrics.Registry) {
 		func() float64 { return float64(wire.Stats().Outstanding) })
 }
 
-// registerRobustnessGauges exposes the wire-robustness counters under
-// the stable names the hardening design documents — aliases of the
-// reflective cormi_counter_* series, kept explicit so dashboards and
-// the version-skew runbook do not depend on field spelling.
+// registerRobustnessGauges exposes the wire-robustness counter under
+// the stable name the hardening design documents — an alias of the
+// reflective cormi_counter_* series, kept explicit so dashboards do
+// not depend on field spelling.
 func registerRobustnessGauges(reg *metrics.Registry, c *stats.Counters) {
-	reg.RegisterGauge("cormi_wire_malformed_total", "CRC-valid frames rejected as malformed (hostile or version-skewed)",
+	reg.RegisterGauge("cormi_wire_malformed_total", "CRC-valid frames rejected as malformed (hostile or from another protocol)",
 		func() float64 { return float64(c.MalformedFrames.Load()) })
-	reg.RegisterGauge("cormi_plan_fallback_total", "objects demoted from planned to class-level encoding by link negotiation",
-		func() float64 { return float64(c.PlanFallbacks.Load()) })
 }
 
 // registerCtxGauges exposes the serializer's read-context pool balance
@@ -287,10 +285,9 @@ func registerCtxGauges(reg *metrics.Registry) {
 }
 
 // registerLinkVecs exposes per-link negotiation state as labeled
-// series: the negotiated protocol version, the demoted-class count,
-// the running fallback total, the capability bits and the malformed
-// frames received, for every link that has completed its HELLO
-// exchange.
+// series: the negotiated protocol version, the capability bits, the
+// calls refused for a plan mismatch and the malformed frames received,
+// for every link that has completed its HELLO exchange.
 func registerLinkVecs(reg *metrics.Registry, links func() []stats.LinkStat) {
 	collect := func(value func(stats.LinkStat) float64) func() []metrics.LabeledValue {
 		return func() []metrics.LabeledValue {
@@ -307,12 +304,10 @@ func registerLinkVecs(reg *metrics.Registry, links func() []stats.LinkStat) {
 	}
 	reg.RegisterCounterVec("cormi_link_negotiated_version", "wire protocol version negotiated by the link's HELLO exchange",
 		collect(func(l stats.LinkStat) float64 { return float64(l.Version) }))
-	reg.RegisterCounterVec("cormi_link_demoted_classes", "classes demoted to class-level encoding on the link",
-		collect(func(l stats.LinkStat) float64 { return float64(l.DemotedClasses) }))
-	reg.RegisterCounterVec("cormi_link_plan_fallbacks", "objects written through the demoted encoding on the link",
-		collect(func(l stats.LinkStat) float64 { return float64(l.Fallbacks) }))
 	reg.RegisterCounterVec("cormi_link_caps", "capability bits negotiated by the link's HELLO exchange",
 		collect(func(l stats.LinkStat) float64 { return float64(l.Caps) }))
+	reg.RegisterCounterVec("cormi_link_refused_calls", "calls refused on the link because its peer runs other plans",
+		collect(func(l stats.LinkStat) float64 { return float64(l.Refused) }))
 	reg.RegisterCounterVec("cormi_link_malformed_frames", "malformed frames the link's node received from its peer",
 		collect(func(l stats.LinkStat) float64 { return float64(l.Malformed) }))
 }

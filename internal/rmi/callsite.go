@@ -236,7 +236,7 @@ func (cs *CallSite) clone(n *Node, s *side, vals []model.Value, audit bool) ([]m
 	}
 	st := &cs.statShards[n.ID]
 	m := wire.Get()
-	wops, err := s.write(c, st, m, vals, audit, nil)
+	wops, err := s.write(c, st, m, vals, audit)
 	if err != nil {
 		m.Release()
 		return nil, nil, err
@@ -313,6 +313,17 @@ func (pc *pendingCall) failSend(err error) error {
 // registers the pending reply slot. On return (nil error) the call is
 // on the wire; pc.await collects the outcome.
 func (cs *CallSite) startRemote(pc *pendingCall, n *Node, ref Ref, args []model.Value, pol CallPolicy, tctx wire.TraceContext) error {
+	// First use of the link performs the HELLO fingerprint exchange;
+	// afterwards this is a bounds check plus a sync.Once fast path. A
+	// refused link fails the call before anything is marshalled.
+	var linkCaps uint32
+	if l := n.linkTo(ref.Node); l != nil {
+		if l.refused {
+			l.refusals.Add(1)
+			return fmt.Errorf("rmi: %s: %w", cs.Name, ErrPlanMismatch)
+		}
+		linkCaps = l.caps
+	}
 	c := n.cluster
 	c.Counters.RemoteRPCs.Add(1)
 	st := &cs.statShards[n.ID]
@@ -327,14 +338,6 @@ func (cs *CallSite) startRemote(pc *pendingCall, n *Node, ref Ref, args []model.
 	attempts := pol.attempts()
 	if attempts > 1 {
 		h.Flags |= wire.CallRetryable
-	}
-	// First use of the link performs the HELLO fingerprint exchange;
-	// afterwards this is a bounds check plus a sync.Once fast path.
-	var lp *serial.LinkPlans
-	var linkCaps uint32
-	if l := n.linkTo(ref.Node); l != nil {
-		lp = l.lp
-		linkCaps = l.caps
 	}
 	// With tracing off this is the observability layer's entire cost on
 	// the caller: StartCaller on a nil tracer returns a nil span whose
@@ -370,7 +373,7 @@ func (cs *CallSite) startRemote(pc *pendingCall, n *Node, ref Ref, args []model.
 	sp.BeginPhase(trace.PhaseSerialize)
 	m := wire.Get()
 	h.Encode(m)
-	ops, err := cs.args.write(c, st, m, args, audit, lp)
+	ops, err := cs.args.write(c, st, m, args, audit)
 	if err != nil {
 		m.Release()
 		return pc.fail("marshal: "+err.Error(), err)

@@ -136,6 +136,13 @@ type invocation struct {
 // handleCall returns nil, as it does for a call it answered itself.
 func (n *Node) handleCall(p transport.Packet, m *wire.Message) *invocation {
 	c := n.cluster
+	// A call frame over a refused link is dropped undecoded and
+	// unanswered: its sender runs other plans, so none of it reads as
+	// this program's (and an honest sender never issues it).
+	if l := n.linkTo(p.From); l != nil && l.refused {
+		l.refusals.Add(1)
+		return nil
+	}
 
 	// Message flight time + receiver upcall; the communication
 	// processor handles dispatch and unmarshaling contention free, so
@@ -364,11 +371,7 @@ func (n *Node) executeAndReply(inv *invocation) {
 	} else {
 		wire.AppendReplyHeader(m, seq, wire.ReplyValues)
 		m.AppendInt32(int32(len(rets)))
-		var lp *serial.LinkPlans
-		if l := n.linkTo(from); l != nil {
-			lp = l.lp
-		}
-		ops, werr := cs.rets.write(c, st, m, rets, inv.audit, lp)
+		ops, werr := cs.rets.write(c, st, m, rets, inv.audit)
 		if werr != nil {
 			m.Release()
 			n.sendFailure(from, seq, done, wire.ReplyError, fmt.Sprintf("marshal return: %v", werr), track, sp)

@@ -1,6 +1,7 @@
 package rmi
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,13 +14,15 @@ import (
 // Link-level version negotiation.
 //
 // Every directed link performs a HELLO fingerprint exchange before its
-// first payload frame: each side states its wire protocol version and
-// one fingerprint per class (serial.ClassFingerprint of the layout its
-// compiled plans assume). Classes whose fingerprints disagree are
-// demoted to the self-describing class-level encoding for the life of
-// the link (serial.Negotiate), so a mixed-version cluster keeps
-// serving correct traffic at class-mode cost instead of failing or —
-// far worse — silently mis-decoding planned frames.
+// first payload frame: each side states its wire protocol version, its
+// plan generation and one fingerprint per class (serial.ClassFingerprint
+// of the layout its compiled plans assume). The paper compiles one
+// whole program for every node, so the two tables agree by
+// construction. A peer whose plan generation or any fingerprint
+// differs runs a different program: the link is refused for its life.
+// Every call over it fails with ErrPlanMismatch before anything is
+// marshalled, and a call frame that arrives over it is dropped
+// undecoded; both are counted on the link.
 //
 // The exchange is lazy (first use of the link) because applications
 // register classes and compile sites after the cluster is built, and
@@ -28,20 +31,19 @@ import (
 // transport additionally stamps each connection with a version
 // preamble (wire.Preamble). The HELLO bytes still round-trip through
 // wire.EncodeHello/DecodeHello so the hardened handshake decoder is on
-// the real path; an undecodable HELLO degrades the link to all-classes
-// demoted rather than trusting an unverifiable peer.
+// the real path; an undecodable HELLO refuses the link too.
 
 // skewSalt perturbs fingerprints under WithPlanSkew, simulating a peer
-// whose plans were compiled from a different program version.
+// whose plans were compiled from a different program.
 const skewSalt = 0x9e3779b97f4a7c15
 
 // nodeLink is one directed link's negotiated wire state, initialized
 // at most once on first use.
 type nodeLink struct {
 	once sync.Once
-	// lp is the negotiated plan table; nil when every fingerprint
-	// agreed (the homogeneous fast path — writers pay one nil check).
-	lp *serial.LinkPlans
+	// refused is set when the HELLO exchange found the peer running
+	// other plans, or could not decode a HELLO; immutable after once.
+	refused bool
 	// version is the link's negotiated protocol version,
 	// min(local, remote); peerPlans is the peer's plan generation.
 	version   int32
@@ -51,9 +53,12 @@ type nodeLink struct {
 	// today trace-context propagation — is used on this link only when
 	// its bit survived negotiation.
 	caps uint32
-	// malformed counts the malformed frames this node received from the
-	// peer; malformedDumped latches the one flight-recorder dump the
-	// link records on its first.
+	// refusals counts the calls this node refused on the link: the ones
+	// it would have issued to the peer and the call frames it dropped
+	// from it. malformed counts the malformed frames this node received
+	// from the peer; malformedDumped latches the one flight-recorder
+	// dump the link records on its first.
+	refusals        atomic.Int64
 	malformed       atomic.Int64
 	malformedDumped atomic.Bool
 	ready           atomic.Bool
@@ -77,21 +82,14 @@ func (n *Node) linkTo(peer int) *nodeLink {
 
 // helloBytes builds the encoded HELLO frame node would send: protocol
 // version, plan generation, and the fingerprint of every registered
-// class, with WithPlanSkew salts applied.
+// class, salted under WithPlanSkew.
 func (c *Cluster) helloBytes(node int) []byte {
 	c.fpOnce.Do(func() { c.fps = serial.RegistryFingerprints(c.Registry) })
 	fps := c.fps
 	h := &wire.Hello{Version: wire.ProtocolVersion, PlanVersion: 1, Node: int32(node), Caps: wire.LocalCaps &^ c.capsMask[node]}
-	skewClasses, skewed := c.skew[node]
-	var skewSet map[string]bool
-	if skewed {
-		h.PlanVersion = 2
-		if len(skewClasses) > 0 {
-			skewSet = make(map[string]bool, len(skewClasses))
-			for _, name := range skewClasses {
-				skewSet[name] = true
-			}
-		}
+	var salt uint64
+	if c.skew[node] {
+		h.PlanVersion, salt = 2, skewSalt
 	}
 	names := make([]string, 0, len(fps))
 	for name := range fps {
@@ -99,44 +97,35 @@ func (c *Cluster) helloBytes(node int) []byte {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		fp := fps[name]
-		if skewed && (skewSet == nil || skewSet[name]) {
-			fp ^= skewSalt
-		}
-		h.Entries = append(h.Entries, wire.HelloEntry{Name: name, FP: fp})
+		h.Entries = append(h.Entries, wire.HelloEntry{Name: name, FP: fps[name] ^ salt})
 	}
 	return wire.EncodeHello(h)
 }
 
 // negotiateLink performs the HELLO exchange for the link local→peer
 // and fills l. Both HELLOs pass through the hardened DecodeHello; a
-// HELLO that fails to decode demotes every class rather than trusting
-// the peer's plans.
+// HELLO that fails to decode refuses the link, as does a peer whose
+// plans differ.
 func (c *Cluster) negotiateLink(local, peer int, l *nodeLink) {
 	localHello, lerr := wire.DecodeHello(c.helloBytes(local))
 	peerHello, perr := wire.DecodeHello(c.helloBytes(peer))
 	if lerr != nil || perr != nil {
 		// An unverifiable peer gets no optional features either: caps
-		// stay zero, so trace propagation ends at this link.
-		l.version = wire.ProtocolVersion
-		l.lp = serial.DemoteAll(c.Registry)
+		// stay zero.
+		l.version, l.refused = wire.ProtocolVersion, true
 		return
 	}
-	l.version = localHello.Version
-	if peerHello.Version < l.version {
-		l.version = peerHello.Version
-	}
+	l.version = min(localHello.Version, peerHello.Version)
 	l.peerPlans = peerHello.PlanVersion
 	l.caps = localHello.Caps & peerHello.Caps
-	l.lp = serial.Negotiate(c.Registry, fpMap(localHello), fpMap(peerHello))
+	l.refused = !samePlans(localHello, peerHello)
 }
 
-func fpMap(h *wire.Hello) map[string]uint64 {
-	m := make(map[string]uint64, len(h.Entries))
-	for _, e := range h.Entries {
-		m[e.Name] = e.FP
-	}
-	return m
+// samePlans reports whether two HELLOs advertise one program: the same
+// plan generation and the same fingerprint table, entry for entry (an
+// honest peer sorts it by class name).
+func samePlans(a, b *wire.Hello) bool {
+	return a.PlanVersion == b.PlanVersion && slices.Equal(a.Entries, b.Entries)
 }
 
 // noteMalformed records a malformed frame received from peer: the
@@ -159,8 +148,7 @@ func (n *Node) noteMalformed(from int) {
 }
 
 // LinkStats snapshots every negotiated link in the cluster (links that
-// have never carried traffic are omitted). Surfaced on /links and in
-// the rmibench negotiation report.
+// have never carried traffic are omitted). Surfaced on /links.
 func (c *Cluster) LinkStats() []stats.LinkStat {
 	var out []stats.LinkStat
 	for _, n := range c.nodes {
@@ -170,14 +158,13 @@ func (c *Cluster) LinkStats() []stats.LinkStat {
 				continue
 			}
 			out = append(out, stats.LinkStat{
-				From:           n.ID,
-				To:             peer,
-				Version:        l.version,
-				PeerPlans:      l.peerPlans,
-				DemotedClasses: l.lp.DemotedCount(),
-				Fallbacks:      l.lp.Fallbacks(),
-				Caps:           l.caps,
-				Malformed:      l.malformed.Load(),
+				From:      n.ID,
+				To:        peer,
+				Version:   l.version,
+				PeerPlans: l.peerPlans,
+				Caps:      l.caps,
+				Refused:   l.refusals.Load(),
+				Malformed: l.malformed.Load(),
 			})
 		}
 	}

@@ -2,19 +2,22 @@ package rmi
 
 import (
 	"encoding/hex"
+	"errors"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"cormi/internal/balance"
 	"cormi/internal/model"
 	"cormi/internal/serial"
+	"cormi/internal/testkit"
 	"cormi/internal/transport"
 	"cormi/internal/wire"
 )
 
-// TestHomogeneousNegotiation: identical registries must negotiate to a
-// nil plan table (the one-nil-check hot path) and count zero fallbacks.
+// TestHomogeneousNegotiation: nodes of one program negotiate a link
+// that refuses nothing: the call runs, and every link's Refused stays 0.
 func TestHomogeneousNegotiation(t *testing.T) {
 	e := newEnv(t, 2)
 	ref := e.c.Node(1).Export(e.sumService())
@@ -30,53 +33,53 @@ func TestHomogeneousNegotiation(t *testing.T) {
 	if l == nil || !l.ready.Load() {
 		t.Fatal("link 0->1 not negotiated after a call")
 	}
-	if l.lp != nil {
-		t.Fatalf("homogeneous link negotiated %d demotions", l.lp.DemotedCount())
+	if l.refused {
+		t.Fatal("homogeneous link refused")
 	}
 	if l.version != wire.ProtocolVersion {
 		t.Fatalf("negotiated version %d", l.version)
 	}
-	if fb := e.c.Counters.PlanFallbacks.Load(); fb != 0 {
-		t.Fatalf("homogeneous cluster counted %d fallbacks", fb)
+	ls := e.c.LinkStats()
+	if len(ls) != 2 {
+		t.Fatalf("LinkStats = %+v, want both directions of the one link", ls)
+	}
+	for _, l := range ls {
+		if l.Refused != 0 {
+			t.Errorf("link %d->%d refused %d calls", l.From, l.To, l.Refused)
+		}
 	}
 }
 
-// TestSkewedClusterDemotesAndStaysCorrect: with node 1 skewed, site
-// calls still return correct results, fallbacks are counted, and
-// LinkStats reports the demotions.
-func TestSkewedClusterDemotesAndStaysCorrect(t *testing.T) {
+// TestSkewedClusterRefuses: with node 1 running other plans, every call
+// from node 0 to it fails with ErrPlanMismatch before anything is
+// marshalled or sent, the method never runs, and the link counts each
+// refusal. A call node 1 makes to itself stays local and runs.
+func TestSkewedClusterRefuses(t *testing.T) {
 	e := newEnv(t, 2, WithPlanSkew(1))
-	ref := e.c.Node(1).Export(e.sumService())
-	cs := e.c.MustNewCallSite(LevelSite, SiteSpec{
-		Name: "t.sum.1", Method: "sum",
-		ArgPlans: []*serial.Plan{e.listPlan("t.sum.1", true, false)},
-		RetPlans: []*serial.Plan{intPlan("t.sum.1")},
-	})
-	for i := 0; i < 4; i++ {
-		rets, err := cs.Invoke(e.c.Node(0), ref, []model.Value{model.Ref(e.makeList(10))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rets[0].I != 45 {
-			t.Fatalf("sum over skewed link = %d, want 45", rets[0].I)
+	var execs atomic.Int64
+	ref := e.c.Node(1).Export(countingService(&execs))
+	cs := bumpSite(t, e.c)
+	const calls = 4
+	for i := 0; i < calls; i++ {
+		vals, err := cs.Invoke(e.c.Node(0), ref, []model.Value{model.Int(1)})
+		if !errors.Is(err, ErrPlanMismatch) || vals != nil {
+			t.Fatalf("call %d over a skewed link: vals=%v err=%v, want ErrPlanMismatch", i, vals, err)
 		}
 	}
-	if fb := e.c.Counters.PlanFallbacks.Load(); fb == 0 {
-		t.Fatal("skewed link counted no plan fallbacks")
+	s := e.c.Counters.Snapshot()
+	if s.RemoteRPCs != 0 || s.Messages != 0 || s.WireBytes != 0 || execs.Load() != 0 {
+		t.Errorf("refused calls reached the wire: %d rpcs, %d messages, %d bytes, %d executions",
+			s.RemoteRPCs, s.Messages, s.WireBytes, execs.Load())
 	}
-	ls := e.c.LinkStats()
-	if len(ls) == 0 {
-		t.Fatal("no negotiated links reported")
+	if got := cs.Stats().Calls; got != 0 {
+		t.Errorf("site counted %d calls, want none issued", got)
 	}
 	var saw bool
-	for _, l := range ls {
+	for _, l := range e.c.LinkStats() {
 		if l.From == 0 && l.To == 1 {
 			saw = true
-			if l.DemotedClasses == 0 {
-				t.Error("link 0->1 reports no demoted classes")
-			}
-			if l.Fallbacks == 0 {
-				t.Error("link 0->1 reports no fallbacks")
+			if l.Refused != calls {
+				t.Errorf("link 0->1 Refused = %d, want %d", l.Refused, calls)
 			}
 			if l.PeerPlans != 2 {
 				t.Errorf("peer plan generation %d, want 2 (skewed)", l.PeerPlans)
@@ -84,7 +87,82 @@ func TestSkewedClusterDemotesAndStaysCorrect(t *testing.T) {
 		}
 	}
 	if !saw {
-		t.Fatalf("link 0->1 missing from %+v", ls)
+		t.Fatalf("link 0->1 missing from %+v", e.c.LinkStats())
+	}
+	if vals, err := cs.Invoke(e.c.Node(1), ref, []model.Value{model.Int(1)}); err != nil || vals[0].I != 2 {
+		t.Fatalf("node-local call on the skewed node: vals=%v err=%v", vals, err)
+	}
+}
+
+// TestUndecodableHelloRefuses: a HELLO that does not decode — here the
+// registry holds a class name past the HELLO's per-name cap — refuses
+// the link: a peer whose plans cannot be verified is not trusted.
+func TestUndecodableHelloRefuses(t *testing.T) {
+	e := newEnv(t, 2)
+	testkit.MustDefine(e.c.Registry, strings.Repeat("N", 300), nil, model.Field{Name: "v", Kind: model.FInt})
+	ref := e.c.Node(1).Export(e.sumService())
+	cs := e.c.MustNewCallSite(LevelSite, SiteSpec{
+		Name: "t.sum.1", Method: "sum",
+		ArgPlans: []*serial.Plan{e.listPlan("t.sum.1", true, false)},
+		RetPlans: []*serial.Plan{intPlan("t.sum.1")},
+	})
+	if _, err := cs.Invoke(e.c.Node(0), ref, []model.Value{model.Ref(e.makeList(5))}); !errors.Is(err, ErrPlanMismatch) {
+		t.Fatalf("call over a link whose HELLO does not decode: err=%v, want ErrPlanMismatch", err)
+	}
+	if l := e.c.Node(0).linkTo(1); !l.refused || l.caps != 0 {
+		t.Fatalf("link 0->1: refused=%v caps=%#x, want refused with no capabilities", l.refused, l.caps)
+	}
+}
+
+// TestCallFrameOverRefusedLinkDropped: a sealed call frame that arrives
+// over a refused link is counted on the receiver's link to its sender
+// and dropped unanswered, without decoding its arguments (its bad
+// reference marker counts no malformed frame) and without running the
+// method; every frame is back in the pool after Close.
+func TestCallFrameOverRefusedLinkDropped(t *testing.T) {
+	mark := balance.Take()
+	tap := &tapNetwork{Network: transport.NewChannelNetwork(2, 64)}
+	c := New(2, WithNetwork(tap), WithPlanSkew(1))
+	defer c.Close()
+	var execs atomic.Int64
+	ref := c.Node(1).Export(countingService(&execs))
+	cs := bumpSite(t, c)
+
+	m := wire.Get()
+	wire.CallHeader{Site: cs.ID, Obj: ref.Obj, Seq: 7, NArgs: 1}.Encode(m)
+	m.AppendByte(77) // no such reference marker
+	m.SealFrame()
+	if err := tap.Endpoint(0).Send(transport.Packet{To: 1, Payload: m.Detach()}); err != nil {
+		t.Fatal(err)
+	}
+	tap.take(t, 1) // the injected frame, and no reply
+	refused := func() int64 {
+		for _, l := range c.LinkStats() {
+			if l.From == 1 && l.To == 0 {
+				return l.Refused
+			}
+		}
+		return 0
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for refused() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := refused(); got != 1 {
+		t.Fatalf("link 1->0 Refused = %d, want 1", got)
+	}
+	if got := c.Counters.MalformedFrames.Load(); got != 0 || execs.Load() != 0 {
+		t.Errorf("dropped frame was decoded or run: %d malformed, %d executions", got, execs.Load())
+	}
+	tap.mu.Lock()
+	answered := len(tap.frames)
+	tap.mu.Unlock()
+	if answered != 0 {
+		t.Errorf("dropped frame drew %d frames in answer", answered)
+	}
+	c.Close()
+	if err := mark.Settled(c.Overload); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -207,13 +207,11 @@ type Cluster struct {
 	claimEvery int64
 	claimTick  atomic.Int64
 
-	// skew maps node ID → class names whose plan fingerprints that node
-	// advertises with a version-skew salt (empty slice = all classes).
-	// Test/chaos-harness knob (WithPlanSkew) simulating a mixed-version
-	// cluster: the skewed node's HELLO disagrees with its peers', so
-	// links to and from it negotiate those classes down to the
-	// class-level encoding. nil in production-shaped clusters.
-	skew map[int][]string
+	// skew holds the nodes that advertise another program's plans
+	// (the tests' WithPlanSkew): their HELLOs disagree with every
+	// peer's, so each link to or from them is refused. nil in
+	// production-shaped clusters.
+	skew map[int]bool
 
 	// capsMask maps node ID → capability bits stripped from that node's
 	// HELLO advertisement (the tests' WithoutCaps), simulating a peer
@@ -248,7 +246,7 @@ type clusterOpts struct {
 	dedupCap    int
 	tracer      *trace.Tracer
 	claimEvery  int64
-	skew        map[int][]string
+	skew        map[int]bool
 	capsMask    map[int]uint32
 	nodeTracers map[int]*trace.Tracer
 }
@@ -337,19 +335,17 @@ func WithClaimCheck(p ClaimCheckPolicy) Option {
 	return func(o *clusterOpts) { o.claimEvery = p.Every }
 }
 
-// WithPlanSkew makes node advertise version-skewed plan fingerprints
-// for the named classes (all classes when none are named), simulating
-// a cluster whose nodes were compiled from different program versions.
-// Links touching the skewed node negotiate the affected classes down
-// to the universal class-level encoding at HELLO time, so traffic
-// keeps flowing correctly — at class-mode cost — instead of
-// mis-decoding. This is the chaos harness's version-skew knob.
-func WithPlanSkew(node int, classes ...string) Option {
+// WithPlanSkew makes node advertise another plan generation and salted
+// fingerprints for every class, as a node compiled from a different
+// program would. Every link to or from it is refused at HELLO time:
+// its calls fail with ErrPlanMismatch. It is a test seam; production
+// clusters share one program.
+func WithPlanSkew(node int) Option {
 	return func(o *clusterOpts) {
 		if o.skew == nil {
-			o.skew = make(map[int][]string)
+			o.skew = make(map[int]bool)
 		}
-		o.skew[node] = classes
+		o.skew[node] = true
 	}
 }
 

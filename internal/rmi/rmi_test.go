@@ -7,6 +7,7 @@ import (
 
 	"cormi/internal/model"
 	"cormi/internal/serial"
+	"cormi/internal/testkit"
 	"cormi/internal/transport"
 )
 
@@ -20,7 +21,7 @@ func newEnv(t testing.TB, nodes int, opts ...Option) *testEnv {
 	t.Helper()
 	c := New(nodes, opts...)
 	t.Cleanup(c.Close)
-	node := c.Registry.MustDefine("Node", nil, model.Field{Name: "v", Kind: model.FInt})
+	node := testkit.MustDefine(c.Registry, "Node", nil, model.Field{Name: "v", Kind: model.FInt})
 	node.Fields = append(node.Fields, model.Field{Name: "next", Kind: model.FRef, Class: node})
 	return &testEnv{c: c, node: node}
 }

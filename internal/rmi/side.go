@@ -64,12 +64,9 @@ func (s *side) init(cfg serial.Config, plans []*serial.Plan, nodes int) {
 // serializing WITH the cycle table. The fallback is wire-compatible
 // (readers accept handle markers unconditionally), so a refuted claim
 // becomes a counted, dumped event instead of silent corruption or a
-// non-terminating writer. lp is the link's negotiated plan table (nil
-// for local calls and homogeneous links): fingerprint-mismatched
-// classes take the class-level encoding.
-func (s *side) write(c *Cluster, st *stats.SiteCounters, m *wire.Message, vals []model.Value, audit bool, lp *serial.LinkPlans) (simtime.OpCount, error) {
+// non-terminating writer.
+func (s *side) write(c *Cluster, st *stats.SiteCounters, m *wire.Message, vals []model.Value, audit bool) (simtime.OpCount, error) {
 	cfg, plans := s.cfg, s.plans
-	cfg.Link = lp
 	if audit && cfg.Mode == serial.ModeSite && cfg.CycleElim && serial.CheckAcyclic(vals, plans) != nil {
 		claimViolated(c, st)
 		cfg.CycleElim = false

@@ -13,7 +13,7 @@ import (
 // three never carve: a chain of eight Bags, each holding an int[3] and a
 // byte[5].
 func bagShape(reg *model.Registry) codecShape {
-	bag := reg.MustDefine("Bag", nil,
+	bag := testkit.MustDefine(reg, "Bag", nil,
 		model.Field{Name: "ints", Kind: model.FRef, Class: reg.IntArray()},
 		model.Field{Name: "bytes", Kind: model.FRef, Class: reg.MustByName("byte[]")})
 	bag.Fields = append(bag.Fields, model.Field{Name: "next", Kind: model.FRef, Class: bag})

@@ -5,6 +5,7 @@ import (
 
 	"cormi/internal/model"
 	"cormi/internal/stats"
+	"cormi/internal/testkit"
 	"cormi/internal/wire"
 )
 
@@ -24,9 +25,9 @@ type codecShape struct {
 // list, a 16x16 double[][] and a depth-6 binary tree.
 func codecShapes() (*model.Registry, []codecShape) {
 	reg := model.NewRegistry()
-	list := reg.MustDefine("LinkedList", nil)
+	list := testkit.MustDefine(reg, "LinkedList", nil)
 	list.Fields = append(list.Fields, model.Field{Name: "Next", Kind: model.FRef, Class: list})
-	tree := reg.MustDefine("Tree", nil, model.Field{Name: "v", Kind: model.FInt})
+	tree := testkit.MustDefine(reg, "Tree", nil, model.Field{Name: "v", Kind: model.FInt})
 	tree.Fields = append(tree.Fields,
 		model.Field{Name: "l", Kind: model.FRef, Class: tree},
 		model.Field{Name: "r", Kind: model.FRef, Class: tree})

@@ -56,14 +56,14 @@ func newDiffWorld() *diffWorld {
 			c.Fields = append(c.Fields, model.Field{Name: n, Kind: model.FRef, Class: c})
 		}
 	}
-	w.node = reg.MustDefine("Node", nil, model.Field{Name: "v", Kind: model.FInt})
+	w.node = testkit.MustDefine(reg, "Node", nil, model.Field{Name: "v", Kind: model.FInt})
 	self(w.node, "next")
-	w.rnode = reg.MustDefine("RNode", nil)
+	w.rnode = testkit.MustDefine(reg, "RNode", nil)
 	self(w.rnode, "next")
 	w.rnode.Fields = append(w.rnode.Fields, model.Field{Name: "v", Kind: model.FInt})
-	w.tree = reg.MustDefine("Tree", nil, model.Field{Name: "v", Kind: model.FInt})
+	w.tree = testkit.MustDefine(reg, "Tree", nil, model.Field{Name: "v", Kind: model.FInt})
 	self(w.tree, "l", "r")
-	w.g = reg.MustDefine("G", nil,
+	w.g = testkit.MustDefine(reg, "G", nil,
 		model.Field{Name: "i", Kind: model.FInt},
 		model.Field{Name: "d", Kind: model.FDouble},
 		model.Field{Name: "b", Kind: model.FBool},
@@ -72,13 +72,13 @@ func newDiffWorld() *diffWorld {
 	self(w.g, "l", "r")
 	w.gArr = reg.ArrayOf(w.g)
 	w.matrix = reg.ArrayOf(reg.DoubleArray())
-	w.base = reg.MustDefine("Base", nil)
-	w.derived = reg.MustDefine("Derived", w.base, model.Field{Name: "data", Kind: model.FInt})
-	w.holder = reg.MustDefine("Holder", nil,
+	w.base = testkit.MustDefine(reg, "Base", nil)
+	w.derived = testkit.MustDefine(reg, "Derived", w.base, model.Field{Name: "data", Kind: model.FInt})
+	w.holder = testkit.MustDefine(reg, "Holder", nil,
 		model.Field{Name: "id", Kind: model.FInt},
 		model.Field{Name: "b", Kind: model.FRef, Class: w.base},
 	)
-	w.box = reg.MustDefine("Box", nil,
+	w.box = testkit.MustDefine(reg, "Box", nil,
 		model.Field{Name: "ints", Kind: model.FRef, Class: reg.IntArray()},
 		model.Field{Name: "raw", Kind: model.FRef, Class: reg.MustByName("byte[]")},
 		model.Field{Name: "any", Kind: model.FRef, Class: w.base},
@@ -116,7 +116,6 @@ type diffShape struct {
 	name    string
 	root    *NodePlan
 	acyclic bool
-	link    *LinkPlans
 	gen     func(rng *rand.Rand) *model.Object
 }
 
@@ -184,10 +183,6 @@ func (w *diffWorld) shapes() []diffShape {
 		{Op: OpRefDynamic, Field: 2, FieldName: "any"},
 		{Op: OpRef, Field: 3, FieldName: "tail", Target: boxNP},
 	}
-	demoteNode := &LinkPlans{version: 1}
-	demoteNode.demote(w.node.ID)
-	demoteBase := &LinkPlans{version: 1}
-	demoteBase.demote(w.base.ID)
 
 	return []diffShape{
 		{name: "list/link-last", root: nodeNP, acyclic: true, gen: func(rng *rand.Rand) *model.Object {
@@ -266,14 +261,16 @@ func (w *diffWorld) shapes() []diffShape {
 			}
 			return h
 		}},
-		{name: "demoted/root", root: nodeNP, acyclic: true, link: demoteNode, gen: func(rng *rand.Rand) *model.Object {
-			head, _ := w.chain(w.node, "next", "v", 1+size(rng), rng)
-			return head
-		}},
-		{name: "demoted/trailing-link", root: holderNP, acyclic: true, link: demoteBase, gen: func(rng *rand.Rand) *model.Object {
-			h := model.New(w.holder)
-			h.Set("b", model.Ref(model.New(w.base)))
-			return h
+		// The plan predicts Base at the root; a Derived there is a plan
+		// miss on the root itself, and the whole message rides the
+		// dynamic path.
+		{name: "plan-miss/root", root: baseNP, acyclic: true, gen: func(rng *rand.Rand) *model.Object {
+			if rng.Intn(2) == 0 {
+				return model.New(w.base)
+			}
+			d := model.New(w.derived)
+			d.Set("data", model.Int(rng.Int63n(9)))
+			return d
 		}},
 	}
 }
@@ -294,7 +291,6 @@ type diffCase struct {
 
 func (s diffShape) message(rng *rand.Rand, cfg Config) diffCase {
 	needCycle := !s.acyclic || rng.Intn(2) == 0
-	cfg.Link = s.link
 	return diffCase{
 		vals: []model.Value{model.Int(rng.Int63()), model.Ref(s.gen(rng)), model.Str("tail")},
 		plans: []*Plan{

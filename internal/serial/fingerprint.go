@@ -20,9 +20,9 @@ import (
 //
 // The hash is FNV-1a over a tagged byte walk. It is not
 // collision-resistant against an adversary, but an adversary who
-// forges a fingerprint can at worst force the link onto the
-// self-describing class-level encoding or feed the hardened decoder
-// malformed frames — both safe outcomes by construction.
+// forges a fingerprint can at worst get its link refused or feed the
+// hardened decoder malformed frames — both safe outcomes by
+// construction.
 
 const (
 	fnvOffset64 = 14695981039346656037

@@ -163,7 +163,7 @@ func TestClassDecodeWithConcurrentDefines(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				c := w.reg.MustDefine(fmt.Sprintf("Defined%d_%d", d, i), nil, model.Field{Name: "x", Kind: model.FInt})
+				c := testkit.MustDefine(w.reg, fmt.Sprintf("Defined%d_%d", d, i), nil, model.Field{Name: "x", Kind: model.FInt})
 				w.reg.ArrayOf(c)
 				w.reg.ArrayOf(w.leaf) // registered once, then found
 			}

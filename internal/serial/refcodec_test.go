@@ -23,14 +23,11 @@ type refWriter struct {
 	st    stats.Snapshot
 	ops   simtime.OpCount
 	table map[*model.Object]int32 // nil when cycle detection is eliminated
-	link  *LinkPlans
 }
 
-// refWrite is the reference WriteValues. It never touches
-// LinkPlans.fallbacks (the link's own gauge), only reads the demotion
-// set.
+// refWrite is the reference WriteValues.
 func refWrite(vals []model.Value, plans []*Plan, cfg Config) ([]byte, stats.Snapshot, simtime.OpCount, error) {
-	w := &refWriter{m: wire.NewMessage(0), link: cfg.Link}
+	w := &refWriter{m: wire.NewMessage(0)}
 	if cfg.Mode == ModeSite && len(plans) != len(vals) {
 		return nil, w.st, w.ops, fmt.Errorf("serial: site mode with %d plans for %d values", len(plans), len(vals))
 	}
@@ -107,13 +104,10 @@ func (w *refWriter) ref(o *model.Object, np *NodePlan) {
 		w.table[o] = int32(len(w.table))
 	}
 	if np != nil && o.Class == np.Class {
-		if !w.link.Demoted(o.Class) {
-			w.m.AppendByte(refNew)
-			w.st.InlinedWrites++
-			w.planned(o, np)
-			return
-		}
-		w.st.PlanFallbacks++
+		w.m.AppendByte(refNew)
+		w.st.InlinedWrites++
+		w.planned(o, np)
+		return
 	}
 	w.m.AppendByte(refNewDynamic)
 	w.m.AppendInt32(o.Class.ID)

@@ -72,13 +72,11 @@ type writeCtx struct {
 	m     *wire.Message
 	c     *stats.Counters
 	ops   simtime.OpCount
-	table *ptrTable  // nil when cycle detection is eliminated
-	wt    ptrTable   // reusable backing storage for table
-	link  *LinkPlans // negotiated per-link demotions; nil = all plans agree
+	table *ptrTable // nil when cycle detection is eliminated
+	wt    ptrTable  // reusable backing storage for table
 
 	typeBytes     int64 // stats TypeBytes
 	inlinedWrites int64 // stats InlinedWrites (differs from ops.InlinedWrites)
-	planFallbacks int64 // stats PlanFallbacks
 }
 
 var writeCtxPool = sync.Pool{New: func() any { return new(writeCtx) }}
@@ -101,9 +99,6 @@ func putWriteCtx(w *writeCtx) {
 	flush(&c.IntrospectOps, w.ops.IntrospectOps)
 	flush(&c.CycleTables, w.ops.CycleTables)
 	flush(&c.CycleLookups, w.ops.CycleLookups)
-	if w.planFallbacks != 0 {
-		c.PlanFallbacks.Add(w.planFallbacks)
-	}
 	w.wt.release()
 	*w = writeCtx{wt: w.wt}
 	writeCtxPool.Put(w)

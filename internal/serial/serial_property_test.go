@@ -22,7 +22,7 @@ type richWorld struct {
 
 func newRichWorld() *richWorld {
 	reg := model.NewRegistry()
-	g := reg.MustDefine("G", nil,
+	g := testkit.MustDefine(reg, "G", nil,
 		model.Field{Name: "i", Kind: model.FInt},
 		model.Field{Name: "d", Kind: model.FDouble},
 		model.Field{Name: "b", Kind: model.FBool},

@@ -22,18 +22,18 @@ type testWorld struct {
 
 func newWorld() *testWorld {
 	w := &testWorld{reg: model.NewRegistry()}
-	w.node = w.reg.MustDefine("Node", nil, model.Field{Name: "v", Kind: model.FInt})
+	w.node = testkit.MustDefine(w.reg, "Node", nil, model.Field{Name: "v", Kind: model.FInt})
 	// Self-referential field added after definition (class object
 	// identity needed for the field's static type).
 	w.node.Fields = append(w.node.Fields, model.Field{Name: "next", Kind: model.FRef, Class: w.node})
-	w.leaf = w.reg.MustDefine("Leaf", nil, model.Field{Name: "x", Kind: model.FInt})
-	w.pair = w.reg.MustDefine("Pair", nil,
+	w.leaf = testkit.MustDefine(w.reg, "Leaf", nil, model.Field{Name: "x", Kind: model.FInt})
+	w.pair = testkit.MustDefine(w.reg, "Pair", nil,
 		model.Field{Name: "l", Kind: model.FRef, Class: w.leaf},
 		model.Field{Name: "r", Kind: model.FRef, Class: w.leaf},
 	)
-	w.base = w.reg.MustDefine("Base", nil)
-	w.derived1 = w.reg.MustDefine("Derived1", w.base, model.Field{Name: "data", Kind: model.FInt})
-	w.derived2 = w.reg.MustDefine("Derived2", w.base,
+	w.base = testkit.MustDefine(w.reg, "Base", nil)
+	w.derived1 = testkit.MustDefine(w.reg, "Derived1", w.base, model.Field{Name: "data", Kind: model.FInt})
+	w.derived2 = testkit.MustDefine(w.reg, "Derived2", w.base,
 		model.Field{Name: "p", Kind: model.FRef, Class: w.derived1})
 	return w
 }

@@ -21,12 +21,6 @@ type Config struct {
 	Mode      Mode
 	CycleElim bool // honor Plan.NeedCycle instead of always creating tables
 	Reuse     bool // honor Plan.Reusable (caller supplies the cache)
-	// Link carries the per-link plan table negotiated from the HELLO
-	// fingerprint exchange: classes whose compiled plans disagree with
-	// the peer's are written through the self-describing class-level
-	// encoding instead of the planned fast path. nil — the homogeneous
-	// cluster default — costs writers a single nil check per reference.
-	Link *LinkPlans
 	// Hint is the reading side's memory of how much its last decoded
 	// message carved; nil reads start every slab at its default size.
 	Hint *SlabHint
@@ -60,7 +54,6 @@ func WriteValues(m *wire.Message, vals []model.Value, plans []*Plan, cfg Config,
 		return simtime.OpCount{}, fmt.Errorf("serial: site mode with %d plans for %d values", len(plans), len(vals))
 	}
 	w := getWriteCtx(m, c)
-	w.link = cfg.Link
 	err := writeBody(w, vals, plans, cfg)
 	ops := w.ops
 	putWriteCtx(w)
@@ -147,16 +140,6 @@ func writeRef(w *writeCtx, o *model.Object, np *NodePlan) {
 		if np == nil || o.Class != np.Class {
 			break
 		}
-		if w.link != nil && w.link.Demoted(o.Class) {
-			// Negotiated fallback: the peer compiled a different plan for
-			// this class (fingerprint mismatch at HELLO), so the planned
-			// form would mis-decode there. Demote this object to the
-			// self-describing encoding below — the reader's marker
-			// dispatch handles refNewDynamic under any plan.
-			w.link.fallbacks.Add(1)
-			w.planFallbacks++
-			break
-		}
 		w.m.AppendByte(refNew)
 		w.inlinedWrites++
 		if np.Class.Kind != model.KObject {
@@ -172,9 +155,8 @@ func writeRef(w *writeCtx, o *model.Object, np *NodePlan) {
 		writeSteps(w, o, steps[:last])
 		o, np = o.Fields[steps[last].Field].O, steps[last].Target
 	}
-	// Dynamic path: class mode, polymorphic fallback, negotiated
-	// demotion, or a plan miss (the object's runtime class differs from
-	// the static prediction).
+	// Dynamic path: class mode, polymorphic fallback, or a plan miss
+	// (the object's runtime class differs from the static prediction).
 	w.m.AppendByte(refNewDynamic)
 	w.m.AppendInt32(o.Class.ID)
 	w.typeBytes += 4

@@ -1,19 +1,17 @@
 package stats
 
 // LinkStat describes the negotiated state of one directed link in a
-// cluster: which protocol version it runs at, how many classes the
-// HELLO fingerprint exchange demoted to the class-level encoding, how
-// many objects have actually taken the demoted path, and how many
-// malformed frames From received from To. Surfaced by
-// rmi.Cluster.LinkStats, the /metrics and /links endpoints, and the
-// rmibench negotiation report.
+// cluster: which protocol version it runs at, how many calls it refused
+// because the HELLO fingerprint exchange found the peer running other
+// plans (calls From issued to To, and call frames From received from
+// To), and how many malformed frames From received from To. Surfaced by
+// rmi.Cluster.LinkStats and the /metrics and /links endpoints.
 type LinkStat struct {
-	From           int    `json:"from"`
-	To             int    `json:"to"`
-	Version        int32  `json:"version"`         // negotiated wire protocol version
-	PeerPlans      int32  `json:"peer_plans"`      // peer's advertised plan generation
-	DemotedClasses int    `json:"demoted_classes"` // classes negotiated down to class-level encoding
-	Fallbacks      int64  `json:"fallbacks"`       // objects written through the demoted path
-	Caps           uint32 `json:"caps"`            // negotiated capability bits (wire.Cap*)
-	Malformed      int64  `json:"malformed"`       // malformed frames From received from To
+	From      int    `json:"from"`
+	To        int    `json:"to"`
+	Version   int32  `json:"version"`    // negotiated wire protocol version
+	PeerPlans int32  `json:"peer_plans"` // peer's advertised plan generation
+	Caps      uint32 `json:"caps"`       // negotiated capability bits (wire.Cap*)
+	Refused   int64  `json:"refused"`    // calls refused on the link (plan mismatch)
+	Malformed int64  `json:"malformed"`  // malformed frames From received from To
 }

@@ -24,8 +24,8 @@ type PaddedInt64 struct {
 // The counters bumped on every message are padded (PaddedInt64);
 // rarely-touched fault counters stay unpadded.
 //
-// The serializer's counters (TypeBytes through ReusedBytes, and
-// PlanFallbacks) are tallied per message in the serial package's pooled
+// The serializer's counters (TypeBytes through ReusedBytes) are
+// tallied per message in the serial package's pooled
 // contexts and added here once when the message's WriteValues or
 // ReadValues call returns, successfully or not: a snapshot taken while
 // a message is being walked does not include that message yet, and one
@@ -66,7 +66,6 @@ type Counters struct {
 
 	// Wire-robustness counters (versioned protocol).
 	MalformedFrames atomic.Int64 // CRC-valid frames rejected by the hardened decoder
-	PlanFallbacks   atomic.Int64 // objects demoted to class-level encoding by link negotiation
 
 	// NetFrames counts physical frames handed to the transport, so
 	// NetFrames/operations is the wire-efficiency "frames per op".
@@ -85,7 +84,7 @@ type Snapshot struct {
 	Retries, Timeouts, DupSuppressed              int64
 	CorruptDropped, StaleReplies                  int64
 	ClaimChecks, ClaimViolations                  int64
-	MalformedFrames, PlanFallbacks, NetFrames     int64
+	MalformedFrames, NetFrames                    int64
 }
 
 // Snapshot copies the current counter values.
@@ -115,7 +114,6 @@ func (c *Counters) Snapshot() Snapshot {
 		ClaimChecks:     c.ClaimChecks.Load(),
 		ClaimViolations: c.ClaimViolations.Load(),
 		MalformedFrames: c.MalformedFrames.Load(),
-		PlanFallbacks:   c.PlanFallbacks.Load(),
 		NetFrames:       c.NetFrames.Load(),
 	}
 }
@@ -148,7 +146,6 @@ func (s Snapshot) Sub(t Snapshot) Snapshot {
 		ClaimChecks:     s.ClaimChecks - t.ClaimChecks,
 		ClaimViolations: s.ClaimViolations - t.ClaimViolations,
 		MalformedFrames: s.MalformedFrames - t.MalformedFrames,
-		PlanFallbacks:   s.PlanFallbacks - t.PlanFallbacks,
 		NetFrames:       s.NetFrames - t.NetFrames,
 	}
 }
@@ -161,12 +158,11 @@ func (s Snapshot) String() string {
 	return fmt.Sprintf(
 		"rpcs(local=%d remote=%d) msgs=%d wire=%dB type=%dB serCalls=%d inlined=%d cycleTables=%d cycleLookups=%d alloc(%d objs, %.2f MB) reused=%d "+
 			"faults(retries=%d timeouts=%d dupSuppressed=%d corruptDropped=%d staleReplies=%d) claims(checks=%d violations=%d) "+
-			"wire(malformed=%d planFallbacks=%d) netFrames=%d",
+			"wire(malformed=%d) netFrames=%d",
 		s.LocalRPCs, s.RemoteRPCs, s.Messages, s.WireBytes, s.TypeBytes,
 		s.SerializerCalls, s.InlinedWrites, s.CycleTables, s.CycleLookups,
 		s.AllocObjects, s.NewMBytes(), s.ReusedObjs,
 		s.Retries, s.Timeouts, s.DupSuppressed, s.CorruptDropped, s.StaleReplies,
 		s.ClaimChecks, s.ClaimViolations,
-		s.MalformedFrames, s.PlanFallbacks,
-		s.NetFrames)
+		s.MalformedFrames, s.NetFrames)
 }

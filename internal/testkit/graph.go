@@ -2,6 +2,15 @@ package testkit
 
 import "cormi/internal/model"
 
+// MustDefine is reg.Define, panicking on a duplicate registration.
+func MustDefine(reg *model.Registry, name string, super *model.Class, fields ...model.Field) *model.Class {
+	c, err := reg.Define(name, super, fields...)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 // DeepEqual reports structural equality of two object graphs. Cyclic
 // and shared structure is compared by correspondence: the i-th distinct
 // object encountered on one side must pair with the i-th on the other.

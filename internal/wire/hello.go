@@ -8,17 +8,14 @@ import (
 // HELLO: the connection-scoped version handshake.
 //
 // The paper's model compiles both ends of every link from the same
-// whole program, so sender and receiver trivially agree on every
-// serialization plan. A rolling cluster breaks that assumption: two
-// nodes may run binaries compiled from different program versions
-// whose site plans lay fields out differently. The HELLO frame is how
-// a link discovers this before any payload is decoded with the wrong
-// plan: each side states its protocol version and a fingerprint per
-// class (a hash of the layout its compiled plans depend on, see
-// serial.ClassFingerprint). Classes whose fingerprints disagree are
-// demoted to the self-describing class-level encoding for the life of
-// the link (serial.Negotiate); everything else keeps the compiled
-// fast path.
+// whole program, so sender and receiver agree on every serialization
+// plan by construction. The HELLO frame checks that before any payload
+// is decoded with the wrong plan: each side states its protocol
+// version, its plan generation and a fingerprint per class (a hash of
+// the layout its compiled plans depend on, see
+// serial.ClassFingerprint). A peer whose plan generation or any
+// fingerprint differs runs a different program, and the link is
+// refused for its life (rmi.ErrPlanMismatch).
 //
 // HELLO is itself wire input from an untrusted peer, so DecodeHello is
 // written to the same standard as the payload decoder: every declared

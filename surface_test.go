@@ -85,6 +85,8 @@ const testkitPath = "cormi/internal/testkit"
 var surfaceAllow = map[string]string{
 	"cormi/internal/transport.FaultyNetwork.Partition": "public API: cormi.go's FaultyNetwork documents partitioning the links of Cluster.Network()",
 	"cormi/internal/transport.FaultyNetwork.Heal":      "public API: undoes Partition",
+	"cormi/internal/rmi.Cluster.Network":               "public API: cormi.go's FaultyNetwork documents reaching the cluster's instance through it",
+	"cormi/internal/rmi.WithPlanSkew":                  "test seam: the mode matrix's skew condition and rmi's refusal tests give a node another program's plans",
 }
 
 // byName are the methods fmt and encoding/json call by name.
