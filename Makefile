@@ -8,7 +8,7 @@
 # and allocations per op are judged by the repo benchmark, parent
 # against change in ten alternating pairs: bash bench/run.sh
 # (EXPERIMENTS.md). The bench* targets below are informational.
-.PHONY: verify test bench bench-transport bench-codec bench-compile obs-smoke explain-smoke verify-precision verify-matrix verify-attrib verify-dtrace verify-analysis fuzz
+.PHONY: verify test bench bench-transport bench-codec bench-compile obs-smoke explain-smoke verify-precision verify-matrix verify-attrib verify-dtrace verify-analysis verify-allocs fuzz
 
 verify:
 	test -z "$$(gofmt -l .)"
@@ -16,6 +16,7 @@ verify:
 	go build ./...
 	cd bench && go build ./... && go vet ./... && go test ./...
 	go test -race ./...
+	$(MAKE) verify-allocs
 	$(MAKE) obs-smoke
 	$(MAKE) explain-smoke
 	$(MAKE) verify-precision
@@ -119,6 +120,24 @@ verify-analysis:
 	go test -count=1 -run 'TestAnalysisCorpusGate' ./internal/harness
 	go test -count=1 -run 'TestSingleFixpointAgrees|TestConvergedRegionsStopWalking|TestNodeSet|TestReachAllocations|TestCostDocument|TestBuildPlan|TestSharedStatic|TestSelfRecursion|TestGenerate|TestEdit|TestExtraCall' ./internal/heap ./internal/heap/sched ./internal/heap/gen
 	go test -count=1 -run 'TestCompileAllocsLinearInFunctions|TestCompileStageAllocs|TestParseDifferential' ./internal/core ./internal/lang
+
+# Allocation-budget gate: a test that reads testkit.Enabled, itself or
+# through a helper of its package, skips or loosens its budget under
+# the race detector, so the -race run above never holds it. This runs
+# every such test without -race, found by name in the test files as
+# fuzz finds Fuzz*, so a new budget test cannot be left out: the rmi
+# echo and leaf echo budgets, micro's tiers, the TCP frame path,
+# serial's zero-alloc and slab-hint tests, the compiler's stage table,
+# the dtrace scenario's bounds and LU's allocations per RMI.
+verify-allocs:
+	@set -e; for d in $$(grep -rl --include='*_test.go' --exclude-dir=bench 'testkit\.Enabled' . | xargs -n1 dirname | sort -u); do \
+		tests=$$(awk '/^func /{f=$$2; sub(/\(.*/,"",f)} \
+			p==1 && /testkit\.Enabled/ {u[f]=1} \
+			p==2 && f~/^Test/ {if(f in u)t[f]=1; for(h in u)if(h!~/^Test/ && index($$0,h"("))t[f]=1} \
+			END{for(f in t)s=s (s?"|":"") f; print s}' p=1 $$d/*_test.go p=2 $$d/*_test.go); \
+		echo "go test -count=1 -run '^($$tests)\$$' $$d"; \
+		go test -count=1 -run "^($$tests)\$$" $$d; \
+	done
 
 # Short native-fuzzing pass over every Fuzz* target of the module,
 # found by name in the test files, so a new fuzzer cannot be left out:

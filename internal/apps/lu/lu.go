@@ -220,6 +220,7 @@ func Run(level rmi.OptLevel, n, bs, nodes int, clusterOpts ...rmi.Option) (Outco
 		full[i] = make([]float64, n)
 	}
 	node0 := cluster.Node(0)
+	getArgs, flushArgs := make([]model.Value, 1), make([]model.Value, 2)
 	for I := 0; I < B; I++ {
 		for J := 0; J < B; J++ {
 			w := owner(I, J)
@@ -227,15 +228,16 @@ func Run(level rmi.OptLevel, n, bs, nodes int, clusterOpts ...rmi.Option) (Outco
 			if w == 0 {
 				blk = stores[0].get(I*B + J)
 			} else {
-				rets, err := st.mainGet.Invoke(node0, refs[w], []model.Value{model.Int(int64(I*B + J))})
+				getArgs[0] = model.Int(int64(I*B + J))
+				rets, err := st.mainGet.Invoke(node0, refs[w], getArgs)
 				if err != nil {
 					return Outcome{}, err
 				}
 				blk = rets[0].O
 				// Flush a copy back into machine 0's store, as the
 				// paper's program does.
-				if _, err := st.flush.Invoke(node0, refs[0], []model.Value{
-					model.Int(int64(I*B + J)), model.Ref(blk)}); err != nil {
+				flushArgs[0], flushArgs[1] = model.Int(int64(I*B+J)), model.Ref(blk)
+				if _, err := st.flush.Invoke(node0, refs[0], flushArgs); err != nil {
 					return Outcome{}, err
 				}
 			}

@@ -2,12 +2,14 @@ package lu
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
 	"cormi/internal/balance"
 	"cormi/internal/core"
 	"cormi/internal/rmi"
+	"cormi/internal/testkit"
 	"cormi/internal/transport"
 )
 
@@ -218,5 +220,51 @@ func TestLUOverTCPLeavesPoolsBalanced(t *testing.T) {
 	// Read loops unwind on their own goroutines after Close returns.
 	if err := mark.Settled(nil); err != nil {
 		t.Fatalf("after 3 runs: %v", err)
+	}
+}
+
+// TestLUAllocsPerRMI pins what one RMI of the fully optimized LU run
+// allocates over channels, runtime and driver together: nothing. Two
+// matrix sizes run; the allocations the larger one adds, less its
+// extra storage (two per block array — the scattered blocks and the
+// copies the gather flushes into machine 0 — and the two n-row matrix
+// images), are divided by the RMIs it adds. What is left (0.05
+// measured) is the barrier's per-phase generation and the two-argument
+// flush each gathered block decodes, which grow as B and B² while the
+// fetches grow as B³; a row-header slice made per block access reads
+// over 1.
+func TestLUAllocsPerRMI(t *testing.T) {
+	if testkit.Enabled {
+		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
+	}
+	const bs, nodes = 16, 2
+	measure := func(n int) (allocs, rmis int64) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		out, err := Run(rmi.LevelSiteReuseCycle, n, bs, nodes)
+		runtime.ReadMemStats(&after)
+		if err != nil || out.MaxResidual > 1e-8 {
+			t.Fatalf("n=%d: residual %g, %v", n, out.MaxResidual, err)
+		}
+		B, arrays := n/bs, 0
+		for I := 0; I < B; I++ {
+			for J := 0; J < B; J++ {
+				arrays++
+				if (I+J)%nodes != 0 {
+					arrays++
+				}
+			}
+		}
+		storage := int64(2*arrays + 2*(n+1))
+		return int64(after.Mallocs-before.Mallocs) - storage, out.Stats.LocalRPCs + out.Stats.RemoteRPCs
+	}
+	measure(128) // first-run costs: compiler caches, pools
+	a0, r0 := measure(128)
+	a1, r1 := measure(256)
+	per := float64(a1-a0) / float64(r1-r0)
+	t.Logf("%d → %d allocations beyond storage over %d → %d RMIs: %.3f per RMI", a0, a1, r0, r1, per)
+	if per > 0.1 {
+		t.Fatalf("LU allocates %.3f per RMI, budget 0.1", per)
 	}
 }

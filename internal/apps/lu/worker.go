@@ -44,7 +44,10 @@ func (s *blockStore) service() *rmi.Service {
 				if blk == nil {
 					panic(fmt.Sprintf("lu: no block %d on node %d", args[0].I, call.Node.ID))
 				}
-				return []model.Value{model.Ref(blk)}
+				// The answer goes out in the argument slice: the runtime
+				// is done with the result before it reuses args.
+				args[0] = model.Ref(blk)
+				return args
 			},
 			"flush_block": func(call *rmi.Call, args []model.Value) []model.Value {
 				idx := int(args[0].I)
@@ -62,10 +65,10 @@ func (s *blockStore) service() *rmi.Service {
 	}
 }
 
-// view exposes a flattened bs²-double block as [][]float64 rows
-// sharing the same backing storage.
-func view(o *model.Object, bs int) [][]float64 {
-	rows := make([][]float64, bs)
+// view points rows, one header per row of a flattened block, at the
+// block's doubles and returns it: the rows share the block's storage.
+func view(rows [][]float64, o *model.Object) [][]float64 {
+	bs := len(rows)
 	for i := range rows {
 		rows[i] = o.Doubles[i*bs : (i+1)*bs]
 	}
@@ -78,13 +81,22 @@ func worker(cluster *rmi.Cluster, st sites, stores []*blockStore, refs []rmi.Ref
 
 	node := cluster.Node(w)
 	idx := func(I, J int) int { return I*B + J }
-	fetch := func(cs *rmi.CallSite, I, J int) ([][]float64, error) {
-		rets, err := cs.Invoke(node, refs[owner(I, J)], []model.Value{model.Int(int64(idx(I, J)))})
+	// The worker's calls are sequential and Invoke keeps no argument
+	// slice, so one serves every fetch; each block role — the diagonal,
+	// the A and B operands, the block being updated — reuses one set of
+	// row headers.
+	argv := make([]model.Value, 1)
+	rows := func() [][]float64 { return make([][]float64, bs) }
+	diagRows, aRows, bRows, dstRows := rows(), rows(), rows(), rows()
+	fetch := func(cs *rmi.CallSite, I, J int, into [][]float64) ([][]float64, error) {
+		argv[0] = model.Int(int64(idx(I, J)))
+		rets, err := cs.Invoke(node, refs[owner(I, J)], argv)
 		if err != nil {
 			return nil, err
 		}
-		return view(rets[0].O, bs), nil
+		return view(into, rets[0].O), nil
 	}
+	local := func(I, J int) [][]float64 { return view(dstRows, stores[w].get(idx(I, J))) }
 	barrier := func() error {
 		_, err := st.barrier.Invoke(node, barRef, nil)
 		return err
@@ -93,7 +105,7 @@ func worker(cluster *rmi.Cluster, st sites, stores []*blockStore, refs []rmi.Ref
 	for K := 0; K < B; K++ {
 		// Phase 1: factor the diagonal block.
 		if owner(K, K) == w {
-			factorDiag(view(stores[w].get(idx(K, K)), bs))
+			factorDiag(local(K, K))
 			node.Clock.Advance(int64(bs*bs*bs/3) * FlopNS)
 		}
 		if err := barrier(); err != nil {
@@ -105,22 +117,22 @@ func worker(cluster *rmi.Cluster, st sites, stores []*blockStore, refs []rmi.Ref
 			if owner(K, J) != w {
 				continue
 			}
-			diag, err := fetch(st.perimGet, K, K)
+			diag, err := fetch(st.perimGet, K, K, diagRows)
 			if err != nil {
 				return err
 			}
-			rowUpdate(view(stores[w].get(idx(K, J)), bs), diag)
+			rowUpdate(local(K, J), diag)
 			node.Clock.Advance(int64(bs*bs*bs/2) * FlopNS)
 		}
 		for I := K + 1; I < B; I++ {
 			if owner(I, K) != w {
 				continue
 			}
-			diag, err := fetch(st.perimGet, K, K)
+			diag, err := fetch(st.perimGet, K, K, diagRows)
 			if err != nil {
 				return err
 			}
-			colUpdate(view(stores[w].get(idx(I, K)), bs), diag)
+			colUpdate(local(I, K), diag)
 			node.Clock.Advance(int64(bs*bs*bs/2) * FlopNS)
 		}
 		if err := barrier(); err != nil {
@@ -135,15 +147,15 @@ func worker(cluster *rmi.Cluster, st sites, stores []*blockStore, refs []rmi.Ref
 				if owner(I, J) != w {
 					continue
 				}
-				a, err := fetch(st.intGetA, I, K)
+				a, err := fetch(st.intGetA, I, K, aRows)
 				if err != nil {
 					return err
 				}
-				b, err := fetch(st.intGetB, K, J)
+				b, err := fetch(st.intGetB, K, J, bRows)
 				if err != nil {
 					return err
 				}
-				matmulSub(view(stores[w].get(idx(I, J)), bs), a, b)
+				matmulSub(local(I, J), a, b)
 				node.Clock.Advance(int64(2*bs*bs*bs) * FlopNS)
 			}
 		}

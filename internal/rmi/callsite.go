@@ -200,11 +200,18 @@ func (cs *CallSite) invokeLocal(n *Node, ref Ref, args []model.Value) ([]model.V
 		return nil, fmt.Errorf("rmi: %s has no method %q", svc.Name, cs.Method)
 	}
 
-	cloned, roots, err := cs.clone(n, &cs.args, args, audit)
+	// The method runs in a record from the node's spare list, as an
+	// executor call does, and the arguments decode into it. The record
+	// goes back only after the result clone: a method may return its
+	// own args, which then live in the record.
+	inv := n.takeRecord()
+	defer n.putRecord(inv)
+	cloned, roots, err := cs.clone(n, &cs.args, args, audit, inv.inline[:])
 	if err != nil {
 		return nil, err
 	}
-	rets, err := runGuarded(method, &Call{Node: n, From: n.ID, Site: cs}, cloned)
+	inv.call = Call{Node: n, From: n.ID, Site: cs}
+	rets, err := runGuarded(method, &inv.call, cloned)
 	// As on the remote path, the argument graphs go back into the
 	// cache only once the method is done with them.
 	cs.args.recycle(n.ID, cloned, roots)
@@ -216,7 +223,7 @@ func (cs *CallSite) invokeLocal(n *Node, ref Ref, args []model.Value) ([]model.V
 		// the return value skips the result-cloning step.
 		return nil, nil
 	}
-	cloned, roots, err = cs.clone(n, &cs.rets, rets, audit)
+	cloned, roots, err = cs.clone(n, &cs.rets, rets, audit, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -227,9 +234,10 @@ func (cs *CallSite) invokeLocal(n *Node, ref Ref, args []model.Value) ([]model.V
 // clone deep-copies vals by a serialize/deserialize round trip on node
 // n through side s, honoring its plans and drawing donor graphs from
 // its cache; the caller recycles the returned roots once the values
-// are dead. The round trip runs through one pooled message: written
-// forward, rewound, read back.
-func (cs *CallSite) clone(n *Node, s *side, vals []model.Value, audit bool) ([]model.Value, []*model.Object, error) {
+// are dead. buf is side.read's: room the copies may decode into. The
+// round trip runs through one pooled message: written forward,
+// rewound, read back.
+func (cs *CallSite) clone(n *Node, s *side, vals []model.Value, audit bool, buf []model.Value) ([]model.Value, []*model.Object, error) {
 	c := n.cluster
 	if len(vals) == 0 {
 		return vals, nil, nil
@@ -242,7 +250,7 @@ func (cs *CallSite) clone(n *Node, s *side, vals []model.Value, audit bool) ([]m
 		return nil, nil, err
 	}
 	m.Rewind()
-	out, roots, rops, err := s.read(c, n.ID, st, m, len(vals), audit, nil)
+	out, roots, rops, err := s.read(c, n.ID, st, m, len(vals), audit, buf)
 	m.Release()
 	if err != nil {
 		return nil, nil, err

@@ -19,9 +19,10 @@ import (
 // paper's "only one thread can drain the network" rule — into one
 // invocation record. A leaf call (DESIGN.md §8, "Dispatch") then runs
 // here, on the loop, after the lock is released: the method, its reply
-// and the reset of the node's reusable record. Any other call's record
-// goes to a parked executor goroutine (a new one when none is parked),
-// which runs the method and replies. Replies are routed to the pending
+// and the reset of the node's reusable record. Any other call's record,
+// taken from the node's spare list, goes to a parked executor goroutine
+// (a new one when none is parked), which runs the method, replies and
+// returns the record to the list. Replies are routed to the pending
 // invocation.
 //
 // Frame ownership (DESIGN.md §8): the loop owns every received
@@ -104,14 +105,16 @@ func (n *Node) routeReply(p transport.Packet, rd *wire.Message, frame []byte) {
 	}
 }
 
-// invocation is one incoming call from decode to reply. An upcall (a
+// invocation is one call from decode to reply. Every record is
+// reused, so its *Call (&inv.call) and argument slice are valid until
+// the method returns (DESIGN.md §8, "Record lifetime"). An upcall (a
 // leaf site's call) uses the node's one record, Node.up, which the
-// receive loop zeroes once the reply is sent: its *Call (&inv.call) and
-// argument slice are valid until the method returns. Any other call's
-// record is allocated by handleCall and never reused: they stay valid
-// for as long as anyone holds them. call carries the caller (From), the
-// site, the virtual start (arrival + dispatch + unmarshal) and the
-// trace handle nested calls inherit.
+// receive loop zeroes once the reply is sent. An executor call takes a
+// record from the node's spare list, and its executor zeroes it and
+// puts it back once the reply is sent; a node-local call does the same
+// once its result is cloned. call carries the caller (From), the site,
+// the virtual start (arrival + dispatch + unmarshal) and the trace
+// handle nested calls inherit.
 type invocation struct {
 	call   Call
 	method Method
@@ -132,8 +135,9 @@ type invocation struct {
 // processor (the paper's GM poll thread). A call through a leaf site
 // to a service that does not block decodes into the node's reusable
 // record, which handleCall returns for the loop to run once it has
-// released the lock; any other call is dispatched to an executor, and
-// handleCall returns nil, as it does for a call it answered itself.
+// released the lock; any other call decodes into a record from the
+// node's spare list and is dispatched to an executor, and handleCall
+// returns nil, as it does for a call it answered itself.
 func (n *Node) handleCall(p transport.Packet, m *wire.Message) *invocation {
 	c := n.cluster
 	// A call frame over a refused link is dropped undecoded and
@@ -216,7 +220,7 @@ func (n *Node) handleCall(p transport.Packet, m *wire.Message) *invocation {
 	// previous upcall's reply has been sent and the record zeroed.
 	inv := &n.up
 	if !cs.leaf || svc.blocking {
-		inv = new(invocation)
+		inv = n.takeRecord()
 	}
 	inv.call = Call{Node: n, From: p.From, Site: cs, start: start}
 	inv.method, inv.seq, inv.track = method, h.Seq, track
@@ -262,7 +266,11 @@ func (n *Node) handleCall(p transport.Packet, m *wire.Message) *invocation {
 	sp.EndPhase(trace.PhaseDeserialize)
 	if err != nil {
 		n.rejectCall(inv, fmt.Sprintf("unmarshal: %v", err), errors.Is(err, wire.ErrMalformedFrame))
-		*inv = invocation{}
+		if inv == &n.up {
+			*inv = invocation{}
+		} else {
+			n.putRecord(inv)
+		}
 		return nil
 	}
 	inv.args, inv.roots = args, roots
@@ -277,8 +285,33 @@ func (n *Node) handleCall(p transport.Packet, m *wire.Message) *invocation {
 }
 
 // maxIdleExecutors caps the executors a node keeps parked between
-// calls; the ones a burst started beyond it exit when they finish.
+// calls, and the zeroed records on its spare list; the executors a
+// burst started beyond it exit when they finish, and the records it
+// took beyond it are left to the collector.
 const maxIdleExecutors = 8
+
+// takeRecord returns a zeroed invocation record from the node's spare
+// list, or a new one when the list is empty.
+func (n *Node) takeRecord() *invocation {
+	select {
+	case inv := <-n.spare:
+		return inv
+	default:
+		return new(invocation)
+	}
+}
+
+// putRecord zeroes inv, whose method has returned and whose reply or
+// result no longer reads it, and returns it to the spare list, or drops
+// it when the list is full. The list holds memory only: neither take
+// nor put blocks, and Close has nothing to balance.
+func (n *Node) putRecord(inv *invocation) {
+	*inv = invocation{}
+	select {
+	case n.spare <- inv:
+	default:
+	}
+}
 
 // dispatch hands inv to a parked executor, or starts one ("a new thread
 // is created to invoke the user's code", Figure 1) when none is parked.
@@ -294,13 +327,15 @@ func (n *Node) dispatch(inv *invocation) {
 }
 
 // executor runs invocations, parking between them, until the node
-// already holds maxIdleExecutors parked ones or the cluster closes. A
+// already holds maxIdleExecutors parked ones or the cluster closes.
+// Each record goes back to the spare list once its reply is sent. A
 // panicking method does not end it: runGuarded turns the panic into a
 // reply.
 func (n *Node) executor(inv *invocation) {
 	for {
 		inv.sp.EndPhase(trace.PhaseDispatch)
 		n.executeAndReply(inv)
+		n.putRecord(inv)
 		if n.idle.Add(1) > maxIdleExecutors {
 			n.idle.Add(-1)
 			return

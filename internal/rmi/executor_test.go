@@ -14,8 +14,12 @@ import (
 	"cormi/internal/testkit"
 )
 
-// Tests for the callee's launch path: one invocation record per call,
-// handed to a parked executor or to a new one (dispatch.go).
+// Tests for the callee's launch path and the record lifetime: an
+// executor call takes an invocation record from the node's spare list
+// and is handed to a parked executor or to a new one, which returns
+// the record once the reply is sent; a node-local call runs in a spare
+// record too, returned once the result is cloned (dispatch.go,
+// callsite.go's invokeLocal).
 
 // intSite registers a LevelSite call site of method with one int
 // argument and one int result.
@@ -40,20 +44,50 @@ func goroutinesAtMost(limit int) int {
 
 // TestEchoSteadyStateAllocs pins the primitive echo — one int out, the
 // same int back, the method returning its argument slice — at what is
-// left of a remote call's allocations: the callee's invocation record
-// and the caller's result slice (2.00 measured). Arguments decode into
-// the record, roots are made only for references, and executors are
-// reused, so none of those may allocate per call.
+// left of a remote call's allocations: the caller's result slice (1.00
+// measured; 2.00 when each call allocated its record). Records come
+// from the spare list, arguments decode into them, roots are made only
+// for references, and executors are reused, so none of those may
+// allocate per call.
 func TestEchoSteadyStateAllocs(t *testing.T) {
 	if testkit.Enabled {
 		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
 	}
 	e := newEnv(t, 2)
-	ref := e.c.Node(1).Export(&Service{Name: "Echo", Methods: map[string]Method{
+	ref := e.c.Node(1).Export(echoService())
+	avg := echoAllocs(t, intSite(e.c, "t.id.1", "id"), e.c.Node(0), ref)
+	t.Logf("echo: %.2f allocs per invocation", avg)
+	if avg > 1 {
+		t.Fatalf("echo allocates %.2f per call, budget 1", avg)
+	}
+}
+
+// TestLocalEchoSteadyStateAllocs is TestEchoSteadyStateAllocs on the
+// serving node: the node-local call runs in a spare record and clones
+// its argument into it, so all that is left is the cloned result.
+func TestLocalEchoSteadyStateAllocs(t *testing.T) {
+	if testkit.Enabled {
+		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
+	}
+	e := newEnv(t, 1)
+	ref := e.c.Node(0).Export(echoService())
+	avg := echoAllocs(t, intSite(e.c, "t.id.1", "id"), e.c.Node(0), ref)
+	t.Logf("local echo: %.2f allocs per invocation", avg)
+	if avg > 1 {
+		t.Fatalf("local echo allocates %.2f per call, budget 1", avg)
+	}
+}
+
+// echoService answers "id" with its own argument slice.
+func echoService() *Service {
+	return &Service{Name: "Echo", Methods: map[string]Method{
 		"id": func(_ *Call, args []model.Value) []model.Value { return args },
-	}})
-	cs := intSite(e.c, "t.id.1", "id")
-	caller := e.c.Node(0)
+	}}
+}
+
+// echoAllocs warms up the echo of 7 from caller through cs, then
+// returns what one call allocates.
+func echoAllocs(t *testing.T, cs *CallSite, caller *Node, ref Ref) float64 {
 	argv := []model.Value{model.Int(7)}
 	invoke := func() {
 		rets, err := cs.Invoke(caller, ref, argv)
@@ -64,17 +98,38 @@ func TestEchoSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		invoke()
 	}
-	avg := testing.AllocsPerRun(300, invoke)
-	t.Logf("echo: %.2f allocs per invocation", avg)
-	if avg > 2 {
-		t.Fatalf("echo allocates %.2f per call, budget 2", avg)
+	return testing.AllocsPerRun(300, invoke)
+}
+
+// TestLocalMethodReturnsItsArgs: a node-local method may answer in its
+// own argument slice, which lives in the call's record. At every level
+// the caller gets the argument back: the record is zeroed and reused
+// only after the result is cloned out of it.
+func TestLocalMethodReturnsItsArgs(t *testing.T) {
+	e := newEnv(t, 1)
+	ref := e.c.Node(0).Export(echoService())
+	for _, level := range AllLevels {
+		name := "t.id." + strconv.Itoa(int(level))
+		cs := e.c.MustNewCallSite(level, SiteSpec{
+			Name: name, Method: "id",
+			ArgPlans: []*serial.Plan{intPlan(name)},
+			RetPlans: []*serial.Plan{intPlan(name)},
+		})
+		for i := int64(1); i <= 3; i++ {
+			rets, err := cs.Invoke(e.c.Node(0), ref, []model.Value{model.Int(i)})
+			if err != nil || len(rets) != 1 || rets[0].I != i {
+				t.Fatalf("%v: local echo of %d answered %v, %v", level, i, rets, err)
+			}
+		}
 	}
 }
 
 // TestExecutorsParkUpToCap holds three times maxIdleExecutors calls in
-// their method at once, so that many executors run; once released, no
-// more than maxIdleExecutors of them stay parked, and after Close none
-// does.
+// their method at once, so that many executors run, each in a record of
+// its own: once all have entered, each method re-reads its argument and
+// still finds its own. Once released, no more than maxIdleExecutors of
+// them stay parked, and no more records than that wait on the spare
+// list; after Close no executor does.
 func TestExecutorsParkUpToCap(t *testing.T) {
 	mark := balance.Take()
 	c := New(2)
@@ -85,8 +140,12 @@ func TestExecutorsParkUpToCap(t *testing.T) {
 	gate := make(chan struct{})
 	ref := c.Node(1).Export(&Service{Name: "Gate", Methods: map[string]Method{
 		"hold": func(_ *Call, args []model.Value) []model.Value {
+			mine := args[0].I
 			entered.Done()
 			<-gate
+			if args[0].I != mine {
+				t.Errorf("held call's argument %d became %d: its record was reused", mine, args[0].I)
+			}
 			return args
 		},
 	}})
@@ -113,6 +172,9 @@ func TestExecutorsParkUpToCap(t *testing.T) {
 	}
 	if idle := c.Node(1).idle.Load(); idle > maxIdleExecutors {
 		t.Errorf("%d executors parked, cap %d", idle, maxIdleExecutors)
+	}
+	if spare := len(c.Node(1).spare); spare > maxIdleExecutors {
+		t.Errorf("%d records on the spare list, cap %d", spare, maxIdleExecutors)
 	}
 	c.Close()
 	if err := mark.Settled(c.Overload); err != nil {

@@ -101,16 +101,18 @@ type Ref struct {
 
 // Method is the implementation of one remotely invokable method. It
 // receives deserialized argument copies and returns the values to ship
-// back. A call through a leaf call site (SiteSpec.Leaf) runs as an
-// upcall on the callee's receive loop: call and args are then valid
-// only until the method returns, and the method must neither issue a
+// back. One rule holds on every path: call and the args slice live in
+// a record the runtime reuses, so they are valid until the method
+// returns. A method may return args itself (the runtime is done with
+// the result before it reuses the record), but may keep neither call
+// nor args past its return; the argument objects keep §3.3 semantics.
+// A call through a leaf call site (SiteSpec.Leaf) runs as an upcall on
+// the callee's receive loop, and the method must then neither issue a
 // call through call (ErrUpcallBlocked) nor block on anything only
-// another call could release. Every other call
-// runs on an executor goroutine of its own (the paper's "new thread is
-// created to invoke the user's code"), parked and reused between
-// calls; there call is never reused, args only when every argument is
-// a §3.3 reusable reference. The argument objects keep §3.3 semantics
-// either way.
+// another call could release. Every other remote call runs on an
+// executor goroutine of its own (the paper's "new thread is created to
+// invoke the user's code"), parked and reused between calls; a
+// node-local call runs on its caller's goroutine.
 type Method func(call *Call, args []model.Value) []model.Value
 
 // Service is a remotely invokable object: a named method table.
@@ -125,8 +127,9 @@ type Service struct {
 	blocking bool
 }
 
-// Call carries per-invocation context into a Method. A Method must not
-// keep it past its return when the call ran as an upcall (see Method).
+// Call carries per-invocation context into a Method. It lives in a
+// reused record, so a Method must not keep it past its return (see
+// Method).
 type Call struct {
 	// Node is the node executing the method.
 	Node *Node
@@ -538,6 +541,11 @@ type Node struct {
 	// idle how many are parked (see dispatch).
 	work chan *invocation
 	idle atomic.Int32
+	// spare holds zeroed invocation records for executor and node-local
+	// calls (takeRecord, putRecord). It holds as many as the node parks
+	// executors, each of which returns one per call; records beyond
+	// that, from a burst, are left to the collector.
+	spare chan *invocation
 
 	// up is the receive loop's one invocation record, reused by every
 	// call it runs as an upcall (see handleCall).
@@ -603,6 +611,7 @@ func newNode(c *Cluster, id int) *Node {
 		pending: make(map[int64]chan reply),
 		dedup:   make(map[dedupKey]*dedupEntry),
 		work:    make(chan *invocation),
+		spare:   make(chan *invocation, maxIdleExecutors),
 		links:   make([]nodeLink, len(c.nodes)),
 		tracer:  c.tracer,
 	}

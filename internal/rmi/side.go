@@ -85,9 +85,9 @@ func (s *side) write(c *Cluster, st *stats.SiteCounters, m *wire.Message, vals [
 // class differs from the plan's prediction refutes the §3.3 claim and
 // is dropped so the reader allocates fresh objects instead. buf, when
 // the side does not recycle its value slice, backs the values if it
-// has room for them: the callee passes its invocation record's inline
-// array. A recycled slice outlives the call, and the receive loop's
-// record does not.
+// has room for them: the callee and a node-local call pass their
+// invocation record's inline array. A recycled slice outlives the
+// call, and no invocation record does.
 func (s *side) read(c *Cluster, node int, st *stats.SiteCounters, m *wire.Message, n int, audit bool, buf []model.Value) ([]model.Value, []*model.Object, simtime.OpCount, error) {
 	cfg, plans := s.cfg, s.plans
 	cfg.Hint = &s.hint

@@ -27,29 +27,15 @@ func leafSite(c *Cluster, name, method string) *CallSite {
 }
 
 // TestLeafEchoSteadyStateAllocs is TestEchoSteadyStateAllocs through a
-// leaf site: the upcall reuses the node's record and starts no
+// leaf site: the upcall reuses the loop's record and starts no
 // executor, so all that is left is the caller's result slice.
 func TestLeafEchoSteadyStateAllocs(t *testing.T) {
 	if testkit.Enabled {
 		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
 	}
 	e := newEnv(t, 2)
-	ref := e.c.Node(1).Export(&Service{Name: "Echo", Methods: map[string]Method{
-		"id": func(_ *Call, args []model.Value) []model.Value { return args },
-	}})
-	cs := leafSite(e.c, "t.id.1", "id")
-	caller := e.c.Node(0)
-	argv := []model.Value{model.Int(7)}
-	invoke := func() {
-		rets, err := cs.Invoke(caller, ref, argv)
-		if err != nil || len(rets) != 1 || rets[0].I != 7 {
-			t.Fatalf("echo: %v %v", rets, err)
-		}
-	}
-	for i := 0; i < 50; i++ {
-		invoke()
-	}
-	avg := testing.AllocsPerRun(300, invoke)
+	ref := e.c.Node(1).Export(echoService())
+	avg := echoAllocs(t, leafSite(e.c, "t.id.1", "id"), e.c.Node(0), ref)
 	t.Logf("leaf echo: %.2f allocs per invocation", avg)
 	if avg > 1 {
 		t.Fatalf("leaf echo allocates %.2f per call, budget 1", avg)
