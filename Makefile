@@ -32,12 +32,12 @@ test:
 # End-to-end observability smoke: run a traced TCP cluster with the
 # introspection server on an ephemeral port and have the process probe
 # its own endpoints before exiting: /healthz, /metrics (the expected
-# series), /callsites, /links, /buildinfo, /snapshot, /cluster, /slow
-# (one exemplar: the run's last call sleeps on purpose), /traces and
-# /traces/<id>?merge=1; and the three Chrome-trace bodies, /trace,
-# /slow/trace and /traces/<id>?merge=1&format=chrome, each valid JSON
-# with at least one X event, a process_name for every pid and no
-# negative ts. No curl or fixed port needed.
+# series), /callsites, /links, /buildinfo, /snapshot and /cluster (a
+# top blame read from the phase histograms), /traces and
+# /traces/<id>?merge=1; and the two Chrome-trace bodies, /trace and
+# /traces/<id>?merge=1&format=chrome, each valid JSON with at least one
+# X event, a process_name for every pid and no negative ts. No curl or
+# fixed port needed.
 obs-smoke:
 	go run ./cmd/rminode -sends 5 -obs-smoke
 
@@ -69,17 +69,19 @@ verify-matrix:
 	go test -count=1 -v -run 'TestModeMatrix' ./internal/harness
 
 # Attribution gate: always-on tail-latency attribution must keep the
-# traced hot path within its 0-alloc budget with exemplar capture
-# armed but not firing (the threshold floor is set astronomically high,
-# so the armed comparison runs on every close and never trips); the
-# log2 histogram merge must stay exact under the commutativity /
-# associativity / quantile-preservation property tests; and the 3-node
-# cluster scenario must blame the slow executor's execute phase and
-# capture at least one slow-call exemplar through the real HTTP
-# /snapshot -> /cluster pull path.
+# traced hot path within its 0-alloc budget while recording the phase
+# histograms a top blame is read from; the log2 histogram merge must
+# stay exact under the commutativity / associativity /
+# quantile-preservation property tests; the top blame read from the
+# phase histograms' sums, on one tracer and merged, must equal the
+# per-phase self-time fold kept as its reference
+# (trace/attrib_ref_test.go), wait_reply excluded; and the 3-node
+# cluster scenario must blame the slow executor's execute phase, with
+# a share above one half, through the real HTTP /snapshot -> /cluster
+# pull path.
 verify-attrib:
 	go test -count=1 -run 'TestAttributionSteadyStateAllocs' ./internal/apps/micro
-	go test -count=1 -run 'TestMerge|TestRunAttribBlamesSlowExecutor' ./internal/metrics ./internal/harness
+	go test -count=1 -run 'TestMerge|TestTopBlameMatchesSelfTimeReference|TestBlameClassification|TestRunAttribBlamesSlowExecutor' ./internal/metrics ./internal/trace ./internal/harness
 
 # Distributed-tracing gate (DESIGN.md §15): head sampling must be free
 # for the calls it does not pick (the armed untraced hot path holds the

@@ -32,7 +32,6 @@ import (
 	"os"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cormi/internal/apps/appkit"
@@ -94,7 +93,6 @@ func main() {
 	// snapshots sharing a site id are summed).
 	var tracer *trace.Tracer
 	var server *obs.Server
-	var slowCall atomic.Bool
 	var csMu sync.Mutex
 	var clusters []*rmi.Cluster
 	siteStats := func() []stats.SiteStat {
@@ -138,13 +136,7 @@ func main() {
 		*obsAddr = "127.0.0.1:0"
 	}
 	if *obsAddr != "" {
-		cfg := trace.Config{RingSize: 4096, SampleEvery: int64(*sample)}
-		if *obsSmoke {
-			// Arm slow-call capture after the first call, so the
-			// smoke's deliberately slow last call is an exemplar.
-			cfg.ExemplarWarmup = 1
-		}
-		tracer = trace.New(cfg)
+		tracer = trace.New(trace.Config{RingSize: 4096, SampleEvery: int64(*sample)})
 		var err error
 		var peers []string
 		for _, p := range strings.Split(*obsPeers, ",") {
@@ -200,9 +192,6 @@ func main() {
 		vecClass, _ := res.ModelClass("Vector")
 		svc := &rmi.Service{Name: "Store", Methods: map[string]rmi.Method{
 			"put": func(call *rmi.Call, args []model.Value) []model.Value {
-				if slowCall.Load() {
-					time.Sleep(smokeSlowCall)
-				}
 				var s float64
 				for _, x := range args[0].O.Fields[0].O.Doubles {
 					s += x
@@ -221,7 +210,6 @@ func main() {
 
 		want := float64(255 * 256 / 2)
 		for i := 0; i < *sends; i++ {
-			slowCall.Store(*obsSmoke && level == rmi.AllLevels[len(rmi.AllLevels)-1] && i == *sends-1)
 			rets, err := cs.Invoke(cluster.Node(0), ref, []model.Value{model.Ref(vec)})
 			if err != nil {
 				fail(err)
@@ -243,7 +231,7 @@ func main() {
 		if err := smokeObs("http://"+server.Addr(), int64(*sends)); err != nil {
 			fail(fmt.Errorf("obs smoke: %w", err))
 		}
-		fmt.Println("obs smoke OK: /healthz, /metrics, /callsites, /links, /buildinfo, /snapshot, /cluster, /slow, /traces and /traces/<id> served valid documents; /trace, /slow/trace and /traces/<id>?format=chrome valid Chrome traces")
+		fmt.Println("obs smoke OK: /healthz, /metrics, /callsites, /links, /buildinfo, /snapshot, /cluster, /traces and /traces/<id> served valid documents; /trace and /traces/<id>?format=chrome valid Chrome traces")
 	}
 }
 
@@ -288,10 +276,6 @@ func summary(level rmi.OptLevel, s stats.Snapshot) string {
 		level, calls, s.WireBytes, s.SerializerCalls, s.CycleLookups, s.ReusedObjs)
 }
 
-// smokeSlowCall is how long the smoke's last call sleeps in the callee:
-// far past the exemplar threshold the first call armed.
-const smokeSlowCall = 50 * time.Millisecond
-
 // smokeObs validates the observability surface end to end: liveness,
 // Prometheus exposition with the expected series, live per-call-site
 // counters on /callsites, build provenance on /buildinfo, the
@@ -327,7 +311,6 @@ func smokeObs(base string, sends int64) error {
 	}
 	for _, series := range []string{
 		"cormi_trace_spans_started_total",
-		"cormi_trace_exemplars_total",
 		"cormi_wire_buf_outstanding",
 		"cormi_serial_readctx_outstanding",
 		"cormi_phase_latency_ns_bucket",
@@ -337,7 +320,6 @@ func smokeObs(base string, sends int64) error {
 		`cormi_site_wire_bytes{site="Main.main.1"}`,
 		`cormi_link_negotiated_version{from="0",to="1"}`,
 		`cormi_link_refused_calls{from="0",to="1"}`,
-		`cormi_blame_wins_total{site="Main.main.1"`,
 	} {
 		if !strings.Contains(body, series) {
 			return fmt.Errorf("/metrics missing series %s", series)
@@ -423,7 +405,7 @@ func smokeObs(base string, sends int64) error {
 	}
 	var attributed bool
 	for _, sa := range snap.Sites {
-		if sa.Site == "Main.main.1" && sa.Calls > 0 && len(sa.Blame) > 0 {
+		if phase, _ := sa.TopBlame(); sa.Site == "Main.main.1" && sa.Calls > 0 && phase != "" {
 			attributed = true
 		}
 	}
@@ -451,21 +433,6 @@ func smokeObs(base string, sends int64) error {
 	}
 	if !clustered {
 		return fmt.Errorf("/cluster missing a merged Main.main.1 row with quantiles and blame: %s", body)
-	}
-
-	body, err = get("/slow")
-	if err != nil {
-		return err
-	}
-	var exs []trace.Exemplar
-	if err := json.Unmarshal([]byte(body), &exs); err != nil {
-		return fmt.Errorf("/slow is not valid JSON: %w", err)
-	}
-	if len(exs) == 0 {
-		return fmt.Errorf("/slow empty after a %v call", smokeSlowCall)
-	}
-	if err := checkChrome(get, "/slow/trace"); err != nil {
-		return err
 	}
 
 	// Distributed tracing: head sampling is armed by default, so the

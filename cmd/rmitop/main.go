@@ -1,7 +1,7 @@
 // Command rmitop is a live terminal view of cluster-wide tail-latency
 // attribution: it polls one obs server's /cluster endpoint (which
 // merges every peer's /snapshot) and renders a top-style table of
-// sites × {call rate, p50, p99, dominant blame phase, exemplars}.
+// sites × {call rate, p50, p99, dominant blame phase and its share}.
 //
 // Usage:
 //
@@ -12,12 +12,12 @@
 //	                       # (scripting / smoke tests)
 //
 // The rate column derives from call-count deltas between polls, so the
-// first frame shows "-". Slow-call exemplars are counted per site; two
-// drill-down modes follow one into its distributed trace:
+// first frame shows "-". Two drill-down modes render a distributed
+// trace:
 //
-//	rmitop -cluster 127.0.0.1:9090 -slow Attrib.echo.1   # worst slow
-//	                       # exemplars for the site, then the full
-//	                       # cross-node call tree of the worst sampled one
+//	rmitop -cluster 127.0.0.1:9090 -slow Attrib.echo.1   # the site's
+//	                       # retained sampled traces, slowest first, then
+//	                       # the full cross-node call tree of the slowest
 //	rmitop -cluster 127.0.0.1:9090 -trace 0x1f3a…        # one trace's
 //	                       # reconstructed tree (/traces/<id>?peers=…)
 package main
@@ -51,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	once := fs.Bool("once", false, "render one frame and exit")
 	frames := fs.Int("frames", 0, "frames to render before exiting (0 = until interrupted)")
 	traceID := fs.String("trace", "", "drill into one trace: render its reconstructed cross-node call tree and exit")
-	slowSite := fs.String("slow", "", "drill into a site: list its worst slow-call exemplars, then the trace tree of the worst sampled one")
+	slowSite := fs.String("slow", "", "drill into a site: list its retained sampled traces, slowest first, then the trace tree of the slowest")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -108,8 +108,8 @@ func render(w io.Writer, cv *obs.ClusterView, prevCalls map[string]uint64, dt ti
 	for _, e := range cv.Errors {
 		fmt.Fprintf(w, "  peer error: %s\n", e)
 	}
-	fmt.Fprintf(w, "%-28s %10s %9s %10s %10s %-14s %6s %9s\n",
-		"site", "calls", "rate/s", "p50", "p99", "top_blame", "share", "exemplars")
+	fmt.Fprintf(w, "%-28s %10s %9s %10s %10s %-14s %6s\n",
+		"site", "calls", "rate/s", "p50", "p99", "top_blame", "share")
 	for _, s := range cv.Sites {
 		rate := "-"
 		if haveRate && dt > 0 {
@@ -121,55 +121,40 @@ func render(w io.Writer, cv *obs.ClusterView, prevCalls map[string]uint64, dt ti
 		if blame == "" {
 			blame = "-"
 		}
-		fmt.Fprintf(w, "%-28s %10d %9s %10s %10s %-14s %5.0f%% %9d\n",
+		fmt.Fprintf(w, "%-28s %10d %9s %10s %10s %-14s %5.0f%%\n",
 			s.Site, s.Calls, rate, fmtNS(s.P50NS), fmtNS(s.P99NS),
-			blame, 100*s.TopBlameShare, s.Exemplars)
+			blame, 100*s.TopBlameShare)
 	}
 }
 
-// drill renders the one-shot drill-down views: the slow-exemplar list
-// for a site (and the tree of its worst sampled exemplar), or the tree
-// of an explicitly named trace.
+// drill renders the one-shot drill-down views: the retained traces
+// rooted at a site, slowest first, and the tree of the slowest; or the
+// tree of an explicitly named trace.
 func drill(client *http.Client, base, peers, slowSite, traceID string, stdout, stderr io.Writer) int {
 	id := traceID
 	if slowSite != "" {
-		exs, err := obs.Get[[]trace.Exemplar](client, base, "/slow")
+		tl, err := obs.Get[obs.TraceList](client, base, "/traces")
 		if err != nil {
 			fmt.Fprintf(stderr, "rmitop: %v\n", err)
 			return 1
 		}
-		var rows []trace.Exemplar
-		for _, ex := range exs {
-			if ex.Site == slowSite {
-				rows = append(rows, ex)
+		var rows []trace.TraceSummary
+		for _, ts := range tl.Traces {
+			if ts.Root == slowSite {
+				rows = append(rows, ts)
 			}
 		}
 		if len(rows) == 0 {
-			fmt.Fprintf(stdout, "no slow-call exemplars for %s\n", slowSite)
+			fmt.Fprintf(stdout, "no retained traces rooted at %s\n", slowSite)
 			return 0
 		}
-		sort.Slice(rows, func(i, j int) bool { return rows[i].TotalNS > rows[j].TotalNS })
-		fmt.Fprintf(stdout, "%-28s %10s %10s %-14s %6s %18s\n",
-			"site", "total", "threshold", "blame", "retry", "trace_id")
-		for _, ex := range rows {
-			tid := "-"
-			if ex.TraceID != 0 {
-				tid = fmt.Sprintf("0x%x", ex.TraceID)
-			}
-			fmt.Fprintf(stdout, "%-28s %10s %10s %-14s %6d %18s\n",
-				ex.Site, fmtNS(ex.TotalNS), fmtNS(ex.ThresholdNS), ex.Blame, ex.Retries, tid)
+		dur := func(ts trace.TraceSummary) int64 { return ts.EndNS - ts.StartNS }
+		sort.SliceStable(rows, func(i, j int) bool { return dur(rows[i]) > dur(rows[j]) })
+		fmt.Fprintf(stdout, "%-18s %10s %6s\n", "trace_id", "duration", "spans")
+		for _, ts := range rows {
+			fmt.Fprintf(stdout, "%-18s %10s %6d\n", fmt.Sprintf("0x%x", ts.TraceID), fmtNS(dur(ts)), ts.Spans)
 		}
-		// Drill into the worst exemplar that was head-sampled.
-		for _, ex := range rows {
-			if ex.TraceID != 0 {
-				id = fmt.Sprintf("%d", ex.TraceID)
-				break
-			}
-		}
-		if id == "" {
-			fmt.Fprintf(stdout, "\nno exemplar was head-sampled; no trace to drill into\n")
-			return 0
-		}
+		id = fmt.Sprintf("%d", rows[0].TraceID)
 		fmt.Fprintln(stdout)
 	}
 	target := "/traces/" + url.PathEscape(id) + "?merge=1"

@@ -35,8 +35,6 @@ func fakeCluster(t *testing.T, step uint64) *httptest.Server {
 				P99NS:         9_500_000,
 				TopBlame:      "execute",
 				TopBlameShare: 0.85,
-				Blame:         []trace.BlamePhase{{Phase: "execute", Wins: 10, SelfNS: 1000}},
-				Exemplars:     3,
 			}},
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -60,7 +58,6 @@ func TestOnceRendersClusterTable(t *testing.T) {
 		"9.50ms",  // p99
 		"execute", // top blame
 		"85%",
-		"3", // exemplars
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
@@ -107,6 +104,9 @@ func TestVersionSkewRejected(t *testing.T) {
 		args     []string
 	}{
 		{"/cluster", obs.ClusterView{Version: obs.SnapshotVersion + 1}, []string{"-once"}},
+		// Version 1 carried per-site blame tables and exemplar counts.
+		{"/cluster v1", obs.ClusterView{Version: 1}, []string{"-once"}},
+		{"/traces", obs.TraceList{Version: obs.TracesVersion + 1}, []string{"-slow", "Attrib.echo.1"}},
 		{"/traces/<id>", obs.TraceView{Version: obs.TracesVersion + 1}, []string{"-trace", "0x1234"}},
 	} {
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -137,8 +137,9 @@ func TestFmtNS(t *testing.T) {
 	}
 }
 
-// fakeTraceServer serves /slow exemplars and a merged /traces/<id>
-// view, mimicking an obs node with the tracing endpoints.
+// fakeTraceServer serves a /traces list and a merged /traces/<id>
+// view, mimicking an obs node with the tracing endpoints. Only trace
+// 0x1234, the slowest rooted at Attrib.echo.1, has a tree.
 func fakeTraceServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	tree := trace.BuildTree(0x1234, []trace.NodeSpans{
@@ -155,19 +156,21 @@ func fakeTraceServer(t *testing.T) *httptest.Server {
 	})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {
-		case r.URL.Path == "/slow":
-			_ = json.NewEncoder(w).Encode([]trace.Exemplar{
-				{Site: "Attrib.echo.1", TotalNS: 5_000_000, ThresholdNS: 1_000_000,
-					Blame: "execute", TraceID: 0x1234},
-				{Site: "Attrib.echo.1", TotalNS: 2_000_000, ThresholdNS: 1_000_000,
-					Blame: "execute"},
-				{Site: "Other.site.1", TotalNS: 9_000_000, ThresholdNS: 1_000_000,
-					Blame: "serialize"},
+		case r.URL.Path == "/traces":
+			_ = json.NewEncoder(w).Encode(obs.TraceList{
+				Version: obs.TracesVersion, Node: "n0",
+				Traces: []trace.TraceSummary{
+					{TraceID: 0x99, Spans: 2, StartNS: 100, EndNS: 2_000_100, Root: "Attrib.echo.1"},
+					{TraceID: 0x77, Spans: 2, StartNS: 0, EndNS: 9_000_000, Root: "Other.site.1"},
+					{TraceID: 0x1234, Spans: 2, StartNS: 100, EndNS: 5_000_100, Root: "Attrib.echo.1"},
+				},
 			})
-		case strings.HasPrefix(r.URL.Path, "/traces/"):
+		case r.URL.Path == "/traces/4660" || r.URL.Path == "/traces/0x1234":
 			_ = json.NewEncoder(w).Encode(obs.TraceView{
 				Version: obs.TracesVersion, Nodes: []string{"n0", "n1"}, Tree: tree,
 			})
+		case strings.HasPrefix(r.URL.Path, "/traces/"):
+			_ = json.NewEncoder(w).Encode(obs.TraceView{Version: obs.TracesVersion, Nodes: []string{"n0"}})
 		default:
 			http.NotFound(w, r)
 		}
@@ -196,23 +199,34 @@ func TestTraceDrillDownRendersTree(t *testing.T) {
 	}
 }
 
-func TestSlowDrillDownFollowsWorstSampledExemplar(t *testing.T) {
+func TestSlowDrillDownFollowsSlowestTrace(t *testing.T) {
 	srv := fakeTraceServer(t)
 	var out, errb bytes.Buffer
 	if code := run([]string{"-cluster", srv.URL, "-slow", "Attrib.echo.1"}, &out, &errb); code != 0 {
 		t.Fatalf("run = %d, stderr: %s", code, errb.String())
 	}
 	got := out.String()
-	if strings.Contains(got, "Other.site.1") {
-		t.Error("exemplars of other sites leaked into the drill-down")
+	if strings.Contains(got, "0x77") {
+		t.Error("traces rooted at other sites leaked into the drill-down")
+	}
+	if i, j := strings.Index(got, "0x1234"), strings.Index(got, "0x99"); i < 0 || j < 0 || i > j {
+		t.Errorf("drill-down must list the site's traces slowest first (0x1234 before 0x99):\n%s", got)
 	}
 	for _, want := range []string{
-		"0x1234",       // the sampled exemplar's trace link
-		"trace 0x1234", // ...followed into the tree
+		"5.00ms",       // the slowest trace's duration
+		"trace 0x1234", // ...followed into its tree
 		"[callee] hop=1 @n1",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("drill-down missing %q:\n%s", want, got)
 		}
+	}
+
+	out.Reset()
+	if code := run([]string{"-cluster", srv.URL, "-slow", "No.such.1"}, &out, &errb); code != 0 {
+		t.Fatalf("run for a site with no traces = %d, stderr: %s", code, errb.String())
+	}
+	if !strings.Contains(out.String(), "no retained traces rooted at No.such.1") {
+		t.Errorf("site with no traces: %q", out.String())
 	}
 }

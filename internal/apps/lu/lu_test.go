@@ -228,11 +228,12 @@ func TestLUOverTCPLeavesPoolsBalanced(t *testing.T) {
 // matrix sizes run; the allocations the larger one adds, less its
 // extra storage (two per block array — the scattered blocks and the
 // copies the gather flushes into machine 0 — and the two n-row matrix
-// images), are divided by the RMIs it adds. What is left (0.05
-// measured) is the barrier's per-phase generation and the two-argument
-// flush each gathered block decodes, which grow as B and B² while the
-// fetches grow as B³; a row-header slice made per block access reads
-// over 1.
+// images), are divided by the RMIs it adds. What is left (0.009 to
+// 0.026 over ten runs) is mostly the barrier's per-phase generation,
+// which grows as B while the fetches grow as B³. The budget fails a
+// two-argument flush_block that decodes into a fresh slice instead of
+// its invocation record (0.05 to 0.07), and a row-header slice made
+// per block access reads over 1.
 func TestLUAllocsPerRMI(t *testing.T) {
 	if testkit.Enabled {
 		t.Skip("race instrumentation allocates on otherwise allocation-free paths")
@@ -264,7 +265,7 @@ func TestLUAllocsPerRMI(t *testing.T) {
 	a1, r1 := measure(256)
 	per := float64(a1-a0) / float64(r1-r0)
 	t.Logf("%d → %d allocations beyond storage over %d → %d RMIs: %.3f per RMI", a0, a1, r0, r1, per)
-	if per > 0.1 {
-		t.Fatalf("LU allocates %.3f per RMI, budget 0.1", per)
+	if per > 0.04 {
+		t.Fatalf("LU allocates %.3f per RMI, budget 0.04", per)
 	}
 }

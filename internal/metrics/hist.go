@@ -130,10 +130,6 @@ func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
 	return s
 }
 
-// Quantile is Snapshot().Quantile for one-off reads; take an explicit
-// Snapshot to derive several quantiles consistently.
-func (h *Histogram) Quantile(q float64) float64 { return h.Snapshot().Quantile(q) }
-
 // Mean returns the mean observation in nanoseconds (0 when empty).
 func (s HistSnapshot) Mean() float64 {
 	if s.Total == 0 {

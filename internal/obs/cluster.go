@@ -7,7 +7,7 @@ package obs
 // exactly. /cluster is the fold: it pulls peer snapshots (the
 // configured Options.Peers, or a ?peers=a,b,c override), merges them
 // with trace.MergeAttributions, and serves the derived per-site
-// quantiles and blame table. Any node can aggregate; there is no
+// quantiles and top blame. Any node can aggregate; there is no
 // coordinator role, only the pull.
 
 import (
@@ -21,10 +21,12 @@ import (
 	"cormi/internal/trace"
 )
 
-// SnapshotVersion is the /snapshot document version. A collector must
-// reject snapshots with a different version rather than merge
-// incompatible histograms.
-const SnapshotVersion = 1
+// SnapshotVersion is the /snapshot and /cluster document version. A
+// collector must reject snapshots with a different version rather than
+// merge incompatible histograms. Version 2: blame is derived from the
+// phase histograms; a site carries no blame table, slow-call threshold
+// or exemplar count.
+const SnapshotVersion = 2
 
 // NodeSnapshot is one node's attribution state: the /snapshot wire
 // document.
@@ -36,19 +38,17 @@ type NodeSnapshot struct {
 }
 
 // ClusterSite is one site's cluster-wide row: merged call count,
-// latency quantiles from the merged histogram, and the blame table
-// with its dominant phase. This is what rmitop renders.
+// latency quantiles from the merged histogram, and the dominant phase
+// with its share. This is what rmitop renders.
 type ClusterSite struct {
-	Site          string             `json:"site"`
-	Calls         uint64             `json:"calls"`
-	MeanNS        float64            `json:"mean_ns"`
-	P50NS         int64              `json:"p50_ns"`
-	P95NS         int64              `json:"p95_ns"`
-	P99NS         int64              `json:"p99_ns"`
-	TopBlame      string             `json:"top_blame,omitempty"`
-	TopBlameShare float64            `json:"top_blame_share,omitempty"`
-	Blame         []trace.BlamePhase `json:"blame,omitempty"`
-	Exemplars     int64              `json:"exemplars"`
+	Site          string  `json:"site"`
+	Calls         uint64  `json:"calls"`
+	MeanNS        float64 `json:"mean_ns"`
+	P50NS         int64   `json:"p50_ns"`
+	P95NS         int64   `json:"p95_ns"`
+	P99NS         int64   `json:"p99_ns"`
+	TopBlame      string  `json:"top_blame,omitempty"`
+	TopBlameShare float64 `json:"top_blame_share,omitempty"`
 }
 
 // ClusterView is the /cluster document: the merged view over the local
@@ -183,18 +183,13 @@ func buildClusterView(opts Options, peers []string) ClusterView {
 
 // clusterSites derives the rendered per-site rows from a merged
 // attribution snapshot: quantiles interpolate within the merged log2
-// buckets, the blame table carries over, and TopBlame picks the
-// dominant phase by accumulated self time.
+// buckets, and TopBlame picks the dominant phase by the merged phase
+// histograms' sums.
 func clusterSites(merged []trace.SiteAttribution) []ClusterSite {
 	out := make([]ClusterSite, 0, len(merged))
 	for i := range merged {
 		sa := &merged[i]
-		cs := ClusterSite{
-			Site:      sa.Site,
-			Calls:     sa.Calls,
-			Blame:     sa.Blame,
-			Exemplars: sa.Exemplars,
-		}
+		cs := ClusterSite{Site: sa.Site, Calls: sa.Calls}
 		if sa.Total.Total > 0 {
 			cs.MeanNS = float64(sa.Total.Sum) / float64(sa.Total.Total)
 			cs.P50NS = int64(sa.Total.Quantile(0.50))

@@ -31,7 +31,7 @@ import (
 // Options selects what the server exposes. Any field may be nil; the
 // corresponding metrics are simply absent.
 type Options struct {
-	// Tracer supplies /trace, /slow, /traces and the per-phase latency
+	// Tracer supplies /trace, /traces and the per-phase latency
 	// histograms on /metrics and /snapshot.
 	Tracer *trace.Tracer
 	// Counters supplies the cormi_* counter gauges on /metrics.
@@ -132,16 +132,6 @@ func newServer(opts Options) *Server {
 		}
 		return orEmpty(opts.Links()), http.StatusOK
 	})
-	serveJSON(s.mux, "/slow", traced(func(*http.Request) (any, int) {
-		return orEmpty(opts.Tracer.Slow()), http.StatusOK
-	}))
-	serveJSON(s.mux, "/slow/trace", traced(func(*http.Request) (any, int) {
-		var spans []trace.SpanRecord
-		for _, ex := range opts.Tracer.Slow() {
-			spans = append(spans, ex.Spans...)
-		}
-		return chromeDump{trace.Local(spans), map[string]any{"reason": "slow"}}, http.StatusOK
-	}))
 	serveJSON(s.mux, "/traces", traced(func(*http.Request) (any, int) {
 		return TraceList{Version: TracesVersion, Node: nodeName(opts), Traces: orEmpty(opts.Tracer.Traces())}, http.StatusOK
 	}))
@@ -377,39 +367,12 @@ func registerTracerGauges(reg *metrics.Registry, tr *trace.Tracer) {
 		func() float64 { return float64(tr.SpansStarted()) })
 	reg.RegisterGauge("cormi_trace_failures_total", "failed spans closed",
 		func() float64 { return float64(tr.Failures()) })
-	reg.RegisterGauge("cormi_trace_exemplars_total", "slow-call exemplars captured past the adaptive p99 threshold",
-		func() float64 { return float64(tr.Exemplars()) })
 	reg.RegisterGauge("cormi_trace_store_retained", "sampled traces currently retained by the bounded trace store",
 		func() float64 { r, _, _ := tr.TraceStoreStats(); return float64(r) })
 	reg.RegisterGauge("cormi_trace_store_evicted_total", "sampled traces evicted by the store's FIFO cap",
 		func() float64 { _, e, _ := tr.TraceStoreStats(); return float64(e) })
 	reg.RegisterGauge("cormi_trace_store_dropped_spans_total", "spans dropped by the per-trace span cap",
 		func() float64 { _, _, d := tr.TraceStoreStats(); return float64(d) })
-	registerBlameVecs(reg, tr)
-}
-
-// registerBlameVecs exposes the per-(site, phase) blame counters: how
-// many spans each phase dominated and its accumulated self time — the
-// always-on attribution the cluster blame table is built from.
-func registerBlameVecs(reg *metrics.Registry, tr *trace.Tracer) {
-	collect := func(value func(trace.BlamePhase) float64) func() []metrics.LabeledValue {
-		return func() []metrics.LabeledValue {
-			var out []metrics.LabeledValue
-			for _, sa := range tr.Attribution() {
-				for _, b := range sa.Blame {
-					out = append(out, metrics.LabeledValue{
-						Labels: fmt.Sprintf("site=%q,phase=%q", sa.Site, b.Phase),
-						Value:  value(b),
-					})
-				}
-			}
-			return out
-		}
-	}
-	reg.RegisterCounterVec("cormi_blame_wins_total", "spans whose critical path this phase dominated",
-		collect(func(b trace.BlamePhase) float64 { return float64(b.Wins) }))
-	reg.RegisterCounterVec("cormi_blame_self_ns_total", "accumulated blamable self time in the phase",
-		collect(func(b trace.BlamePhase) float64 { return float64(b.SelfNS) }))
 }
 
 // registerOverloadGauges walks stats.OverloadStats with reflection and

@@ -355,8 +355,8 @@ func TestSnapshotEndpoint(t *testing.T) {
 	if site.Calls != 3 {
 		t.Errorf("site calls = %d, want 3", site.Calls)
 	}
-	if len(site.Blame) == 0 {
-		t.Error("site snapshot has no blame rows")
+	if phase, _ := site.TopBlame(); phase == "" {
+		t.Errorf("site snapshot has no top blame: %+v", site.Phases)
 	}
 }
 
@@ -421,70 +421,26 @@ func TestClusterEndpointMergesPeers(t *testing.T) {
 	if len(cv.Nodes) != 1 {
 		t.Errorf("dead peer merged anyway: nodes = %v", cv.Nodes)
 	}
-}
 
-func TestSlowEndpointsServeExemplars(t *testing.T) {
-	// Warmup 1 arms the adaptive threshold after the first call; the
-	// huge refresh keeps it armed at that fast-call estimate, so a
-	// 5ms call must exceed it and be captured.
-	c, tr, s := startTracedNode(t, "n0", trace.Config{
-		RingSize: 64, ExemplarWarmup: 1, ExemplarRefresh: 1 << 40, ExemplarMinNS: 1,
-	})
-	invokeEcho(t, c, 2, 0)
-	invokeEcho(t, c, 1, 5*time.Millisecond)
-	if tr.Exemplars() == 0 {
-		t.Fatal("5ms call past a µs-scale threshold captured no exemplar")
-	}
-	base := "http://" + s.Addr()
-
-	code, body := get(t, base+"/slow")
+	// A peer serving the version 1 document, whose sites carry the blame
+	// table and exemplar count, is refused with a version error.
+	v1 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"version":1,"node":"old","sites":[{"site":"obs.echo.1","calls":4,`+
+			`"blame":[{"phase":"execute","wins":4,"self_ns":4000}],"threshold_ns":0,"exemplars":0}]}`)
+	}))
+	t.Cleanup(v1.Close)
+	code, body = get(t, "http://"+s0.Addr()+"/cluster?peers="+v1.Listener.Addr().String())
 	if code != http.StatusOK {
-		t.Fatalf("/slow status %d", code)
+		t.Fatalf("/cluster with a v1 peer status %d", code)
 	}
-	var exs []trace.Exemplar
-	if err := json.Unmarshal([]byte(body), &exs); err != nil {
-		t.Fatalf("/slow is not JSON: %v\n%s", err, body)
+	if err := json.Unmarshal([]byte(body), &cv); err != nil {
+		t.Fatal(err)
 	}
-	if len(exs) == 0 {
-		t.Fatal("/slow empty after a captured exemplar")
+	if len(cv.Errors) != 1 || !strings.Contains(cv.Errors[0], "document version 1, want 2") {
+		t.Errorf("v1 peer not refused for its version: errors = %v", cv.Errors)
 	}
-	ex := exs[0] // newest first: the slow call
-	if ex.Site != "obs.echo.1" || ex.Blame != "execute" {
-		t.Errorf("exemplar = site %q blame %q, want obs.echo.1/execute", ex.Site, ex.Blame)
-	}
-	if ex.TotalNS < int64(4*time.Millisecond) {
-		t.Errorf("exemplar total %dns, want >= 4ms", ex.TotalNS)
-	}
-	if ex.ThresholdNS <= 0 || ex.TotalNS <= ex.ThresholdNS {
-		t.Errorf("exemplar does not exceed its threshold: total=%d thr=%d", ex.TotalNS, ex.ThresholdNS)
-	}
-	if len(ex.Spans) != 2 || ex.Spans[0].Kind != trace.KindCaller || ex.Spans[1].Kind != trace.KindCallee ||
-		ex.Spans[1].PhaseDur[trace.PhaseExecute] == 0 {
-		t.Errorf("exemplar spans incomplete: want caller and callee records with the execute phase, got %+v", ex.Spans)
-	}
-
-	// The same exemplars render as a Perfetto-loadable trace.
-	code, body = get(t, base+"/slow/trace")
-	if code != http.StatusOK {
-		t.Fatalf("/slow/trace status %d", code)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatalf("/slow/trace is not Chrome-trace JSON: %v", err)
-	}
-	if len(doc.TraceEvents) == 0 {
-		t.Fatal("/slow/trace has no events")
-	}
-	if !strings.Contains(body, "execute") {
-		t.Error("/slow/trace missing the slow execute phase")
-	}
-
-	// The capture total is also a gauge.
-	_, mbody := get(t, base+"/metrics")
-	if !strings.Contains(mbody, "cormi_trace_exemplars_total") {
-		t.Error("/metrics missing cormi_trace_exemplars_total")
+	if len(cv.Nodes) != 1 || cv.Sites[0].Calls != 2 {
+		t.Errorf("v1 peer merged anyway: nodes = %v, sites = %+v", cv.Nodes, cv.Sites)
 	}
 }
 
@@ -521,15 +477,15 @@ func TestTraceViewRejectsSkewedPeer(t *testing.T) {
 	}
 }
 
-func TestSlowWithoutTracer(t *testing.T) {
+func TestSnapshotWithoutTracer(t *testing.T) {
 	var c stats.Counters
 	s, err := Serve("127.0.0.1:0", Options{Counters: &c})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	if code, _ := get(t, "http://"+s.Addr()+"/slow"); code != http.StatusNotFound {
-		t.Fatalf("/slow without tracer = %d, want 404", code)
+	if code, _ := get(t, "http://"+s.Addr()+"/traces"); code != http.StatusNotFound {
+		t.Fatalf("/traces without tracer = %d, want 404", code)
 	}
 	// /snapshot stays up (versioned protocol; a metrics-only node just
 	// contributes no sites), so /cluster never chokes on a mixed fleet.
@@ -566,20 +522,6 @@ func TestOverloadGaugesCoverEveryField(t *testing.T) {
 		want := fmt.Sprintf("cormi_%s %d", snakeCase(ot.Field(i).Name), 9100+i*7)
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing overload gauge %q", want)
-		}
-	}
-}
-
-func TestBlameVecsOnMetrics(t *testing.T) {
-	c, _, s := startTracedNode(t, "n0", trace.Config{RingSize: 64})
-	invokeEcho(t, c, 1, time.Millisecond)
-	_, body := get(t, "http://"+s.Addr()+"/metrics")
-	for _, want := range []string{
-		`cormi_blame_wins_total{site="obs.echo.1",phase="execute"} 1`,
-		`cormi_blame_self_ns_total{site="obs.echo.1",phase="execute"}`,
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %q", want)
 		}
 	}
 }

@@ -125,9 +125,12 @@ type invocation struct {
 	track  bool // dedup bookkeeping needed
 	audit  bool // claim-checking sampled on
 	// inline backs args when the reuse cache supplies no scratch and
-	// the call has few enough arguments. One value keeps the record in
-	// the 192-byte size class; a second would take it to 240.
-	inline [1]model.Value
+	// the call has at most two arguments, so a two-argument call such
+	// as LU's flush_block(int, double[]) decodes into the record, not
+	// into a fresh slice. Two values put the record in the 240-byte
+	// size class (192 with one); records are recycled, not allocated
+	// per call, so the size is paid once per record.
+	inline [2]model.Value
 }
 
 // handleCall deserializes one incoming call into its invocation record.

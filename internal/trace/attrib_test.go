@@ -25,20 +25,20 @@ func siteAttr(t *testing.T, tr *Tracer, site string) SiteAttribution {
 	return SiteAttribution{}
 }
 
-func blameOf(sa SiteAttribution, phase string) BlamePhase {
-	for _, b := range sa.Blame {
-		if b.Phase == phase {
-			return b
+func phaseSum(sa SiteAttribution, phase string) int64 {
+	for _, ph := range sa.Phases {
+		if ph.Phase == phase {
+			return ph.Hist.Sum
 		}
 	}
-	return BlamePhase{}
+	return 0
 }
 
 func TestBlameClassification(t *testing.T) {
 	tr := New(Config{RingSize: 16})
-	// Two spans dominated by execute, one by serialize. wait_reply is a
-	// container over the others and must never win nor contribute self
-	// time.
+	// Two spans of 5000ns execute, one of 3000ns serialize. wait_reply
+	// is a container over the others: its histogram is kept, but it
+	// must never be blamed.
 	for i := 0; i < 2; i++ {
 		sp := tr.StartCallee("S.x.1", "x", 0, 1, int64(i), 0)
 		sp.SetPhase(PhaseExecute, Now(), 5000)
@@ -47,113 +47,26 @@ func TestBlameClassification(t *testing.T) {
 	}
 	sp := backdated(tr, "S.x.1", 2, 10000)
 	sp.SetPhase(PhaseSerialize, Now(), 3000)
-	sp.SetPhase(PhaseWaitReply, Now(), 9000)
+	sp.SetPhase(PhaseWaitReply, Now(), 90000)
 	sp.End()
 
 	sa := siteAttr(t, tr, "S.x.1")
-	if b := blameOf(sa, "execute"); b.Wins != 2 || b.SelfNS != 10000 {
-		t.Errorf("execute blame = %+v, want wins 2 self 10000", b)
+	for phase, want := range map[string]int64{"execute": 10000, "serialize": 3000, "deserialize": 200, "wait_reply": 90000} {
+		if got := phaseSum(sa, phase); got != want {
+			t.Errorf("%s histogram sum = %d, want %d", phase, got, want)
+		}
 	}
-	if b := blameOf(sa, "serialize"); b.Wins != 1 || b.SelfNS != 3000 {
-		t.Errorf("serialize blame = %+v, want wins 1 self 3000", b)
-	}
-	if b := blameOf(sa, "wait_reply"); b.Wins != 0 || b.SelfNS != 0 {
-		t.Errorf("wait_reply blame = %+v, want excluded from blame", b)
-	}
-	if phase, share := sa.TopBlame(); phase != "execute" || share <= 0.5 {
-		t.Errorf("TopBlame = %q %.2f, want execute with majority share", phase, share)
+	phase, share := sa.TopBlame()
+	if phase != "execute" || share != 10000.0/13200 {
+		t.Errorf("TopBlame = %q %.4f, want execute at 10000/13200 (wait_reply excluded)", phase, share)
 	}
 	// Calls counts caller spans only.
 	if sa.Calls != 1 {
 		t.Errorf("Calls = %d, want 1 (caller spans only)", sa.Calls)
 	}
-}
-
-func TestExemplarCaptureAdaptiveThreshold(t *testing.T) {
-	tr := New(Config{RingSize: 64, ExemplarWarmup: 8, ExemplarRefresh: 8})
-	const site = "S.slow.1"
-	// Warmup: 8 fast calls (~1µs) arm the threshold at the site's p99.
-	for i := 0; i < 8; i++ {
-		backdated(tr, site, int64(i), 1000).End()
-	}
-	sa := siteAttr(t, tr, site)
-	if sa.ThresholdNS <= 0 {
-		t.Fatalf("threshold not armed after warmup: %+v", sa)
-	}
-	if tr.Exemplars() != 0 {
-		t.Fatalf("fast warmup calls captured %d exemplars", tr.Exemplars())
-	}
-
-	// The callee half closes first (same process): it lands in the ring
-	// and the slow caller's exemplar must pick it up by (from, seq).
-	callee := tr.StartCallee(site, "m", 0, 1, 99, 0)
-	callee.SetPhase(PhaseExecute, Now(), 4_500_000)
-	callee.End()
-	slow := backdated(tr, site, 99, 5_000_000)
-	slow.SetPhase(PhaseReplyDeserialize, Now(), 2000)
-	slow.End()
-
-	if tr.Exemplars() != 1 {
-		t.Fatalf("Exemplars = %d, want 1", tr.Exemplars())
-	}
-	exs := tr.Slow()
-	if len(exs) != 1 {
-		t.Fatalf("Slow() returned %d exemplars, want 1", len(exs))
-	}
-	ex := exs[0]
-	if ex.Site != site || ex.Seq != 99 || ex.TotalNS < 4_000_000 {
-		t.Errorf("exemplar = %+v, want the seq-99 slow call", ex)
-	}
-	if ex.ThresholdNS <= 0 || ex.TotalNS <= ex.ThresholdNS {
-		t.Errorf("exemplar total %d not past threshold %d", ex.TotalNS, ex.ThresholdNS)
-	}
-	if len(ex.Spans) < 2 || ex.Spans[1].Kind != KindCallee {
-		t.Fatalf("exemplar missing callee half: %+v", ex)
-	}
-	if ex.Blame != "execute" {
-		t.Errorf("exemplar blame = %q, want execute (the 4.5ms callee phase)", ex.Blame)
-	}
-	if len(ex.Spans) != 2 {
-		t.Errorf("exemplar retained %d spans, want caller+callee", len(ex.Spans))
-	}
-	if sa := siteAttr(t, tr, site); sa.Exemplars != 1 {
-		t.Errorf("site Exemplars = %d, want 1", sa.Exemplars)
-	}
-}
-
-func TestExemplarMinNSKeepsCaptureArmedButSilent(t *testing.T) {
-	tr := New(Config{ExemplarWarmup: 4, ExemplarRefresh: 4, ExemplarMinNS: 1 << 60})
-	const site = "S.fast.1"
-	for i := 0; i < 64; i++ {
-		backdated(tr, site, int64(i), 2_000_000).End()
-	}
-	sa := siteAttr(t, tr, site)
-	if sa.ThresholdNS != 1<<60 {
-		t.Errorf("threshold = %d, want the 1<<60 floor", sa.ThresholdNS)
-	}
-	if tr.Exemplars() != 0 || sa.Exemplars != 0 {
-		t.Errorf("floored threshold still captured %d exemplars", tr.Exemplars())
-	}
-}
-
-func TestExemplarRingBounds(t *testing.T) {
-	tr := New(Config{ExemplarRing: 2, ExemplarWarmup: 2, ExemplarRefresh: 1 << 40})
-	const site = "S.ring.1"
-	backdated(tr, site, 0, 1000).End()
-	backdated(tr, site, 1, 1000).End() // arms threshold at ~µs scale
-	for i := int64(2); i < 7; i++ {
-		backdated(tr, site, i, 10_000_000).End()
-	}
-	if tr.Exemplars() != 5 {
-		t.Fatalf("Exemplars = %d, want 5", tr.Exemplars())
-	}
-	exs := tr.Slow()
-	if len(exs) != 2 {
-		t.Fatalf("ring holds %d exemplars, want 2", len(exs))
-	}
-	// Newest first: the last two captures are seq 6 then seq 5.
-	if exs[0].Seq != 6 || exs[1].Seq != 5 {
-		t.Errorf("Slow() order = seq %d, %d; want 6, 5", exs[0].Seq, exs[1].Seq)
+	var empty SiteAttribution
+	if p, s := empty.TopBlame(); p != "" || s != 0 {
+		t.Errorf("TopBlame of an empty site = %q %v, want \"\", 0", p, s)
 	}
 }
 
@@ -187,14 +100,6 @@ func TestAttributionMergeMatchesSingleTracer(t *testing.T) {
 	}
 	merged := MergeAttributions(a.Attribution(), b.Attribution())
 	want := one.Attribution()
-	// Thresholds may differ (armed from different sub-streams): they
-	// merge by max, not sum, so zero them before the deep compare.
-	for i := range merged {
-		merged[i].ThresholdNS = 0
-	}
-	for i := range want {
-		want[i].ThresholdNS = 0
-	}
 	if !reflect.DeepEqual(merged, want) {
 		t.Fatalf("merged attribution != single-tracer attribution\nmerged: %+v\nwant:   %+v", merged, want)
 	}
@@ -206,12 +111,7 @@ func TestAttributionMergeMatchesSingleTracer(t *testing.T) {
 // zero value and fails the DeepEqual; a field added but not populated
 // here fails the IsZero sweep, forcing this test to keep pace.
 func TestMergeAttributionsCoversEveryField(t *testing.T) {
-	sa := SiteAttribution{
-		Site:        "S.full.1",
-		Calls:       7,
-		ThresholdNS: 12345,
-		Exemplars:   3,
-	}
+	sa := SiteAttribution{Site: "S.full.1", Calls: 7}
 	sa.Total.Buckets[10] = 7
 	sa.Total.Sum = 7000
 	sa.Total.Total = 7
@@ -220,7 +120,6 @@ func TestMergeAttributionsCoversEveryField(t *testing.T) {
 	ph.Hist.Sum = 3500
 	ph.Hist.Total = 7
 	sa.Phases = []PhaseHist{ph}
-	sa.Blame = []BlamePhase{{Phase: "execute", Wins: 7, SelfNS: 3500}}
 
 	v := reflect.ValueOf(sa)
 	for i := 0; i < v.NumField(); i++ {
@@ -234,22 +133,16 @@ func TestMergeAttributionsCoversEveryField(t *testing.T) {
 		t.Fatalf("identity merge dropped a field\nmerged: %+v\nwant:   %+v", merged, sa)
 	}
 
-	// Two copies double every summed field and keep the max'd ones.
+	// Two copies double every field.
 	doubled := MergeAttributions([]SiteAttribution{sa}, []SiteAttribution{sa})[0]
-	if doubled.Calls != 14 || doubled.Total.Total != 14 || doubled.Exemplars != 6 {
+	if doubled.Calls != 14 || doubled.Total.Total != 14 || doubled.Phases[0].Hist.Sum != 7000 {
 		t.Errorf("summed fields wrong after self-merge: %+v", doubled)
-	}
-	if doubled.ThresholdNS != 12345 {
-		t.Errorf("ThresholdNS = %d, want max semantics (12345)", doubled.ThresholdNS)
-	}
-	if doubled.Blame[0].Wins != 14 || doubled.Blame[0].SelfNS != 7000 {
-		t.Errorf("blame not summed: %+v", doubled.Blame)
 	}
 }
 
 func TestNilTracerAttributionSurface(t *testing.T) {
 	var tr *Tracer
-	if tr.Attribution() != nil || tr.Slow() != nil || tr.Exemplars() != 0 {
+	if tr.Attribution() != nil {
 		t.Fatal("nil tracer attribution surface must be empty")
 	}
 }

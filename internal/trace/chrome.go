@@ -9,7 +9,7 @@ import (
 // Chrome trace-event exporter: renders placed spans as a
 // Chrome/Perfetto-loadable JSON object ({"traceEvents": [...]}). Every
 // dump goes through WriteChrome: the flight recorder's failure dumps,
-// /trace, /slow/trace and rmibench -trace through Local, and the
+// /trace and rmibench -trace through Local, and the
 // merged cross-node tree of /traces/<id>?format=chrome as built. Open
 // chrome://tracing or https://ui.perfetto.dev and load the file.
 

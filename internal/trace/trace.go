@@ -237,22 +237,6 @@ type Config struct {
 	// MaxDumps bounds the auto-dumps per tracer (default 4) so a
 	// failure storm cannot flood the sink.
 	MaxDumps int
-	// ExemplarRing bounds the slow-call exemplar ring (default 64).
-	ExemplarRing int
-	// ExemplarWarmup is the per-site caller-span count before the
-	// adaptive slow-call threshold arms (default 64): exemplar capture
-	// needs a latency distribution to estimate p99 against.
-	ExemplarWarmup int64
-	// ExemplarRefresh re-derives a site's threshold from its total-
-	// latency histogram every this many caller spans (default 256), so
-	// the p99 estimate tracks workload shifts without per-call quantile
-	// math.
-	ExemplarRefresh int64
-	// ExemplarMinNS floors the slow-call threshold: calls faster than
-	// this never capture an exemplar regardless of the site's p99.
-	// Zero means no floor. Tests use a huge floor to keep capture armed
-	// but never firing.
-	ExemplarMinNS int64
 	// SampleEvery arms head-based trace sampling: every SampleEvery-th
 	// root call (a remote invocation with no inherited trace context)
 	// allocates a trace ID that then propagates on the wire through
@@ -264,28 +248,16 @@ type Config struct {
 }
 
 // siteState is everything the tracer tracks per call site: the
-// per-phase latency histograms, the caller-observed total-latency
-// histogram, the always-on blame counters, and the adaptive slow-call
-// threshold. Span close touches it with one lock-free map read plus
+// per-phase latency histograms, whose sums are also the site's blame
+// (SiteAttribution.TopBlame), and the caller-observed total-latency
+// histogram. Span close touches it with one lock-free map read plus
 // plain atomic adds — no allocation, no locks.
 type siteState struct {
 	hists [NumPhases]*metrics.Histogram
 	// total is the caller-observed end-to-end latency (full span wall
-	// time of KindCaller spans), the distribution cluster quantiles and
-	// the slow-call threshold derive from.
+	// time of KindCaller spans), the distribution cluster quantiles
+	// derive from.
 	total *metrics.Histogram
-	// wins[p] counts spans whose dominant (longest) leaf phase was p;
-	// self[p] accumulates every span's phase-p duration. Wins answer
-	// "what usually dominates", self answers "where the nanoseconds
-	// went" — the duration-weighted view is the one top-blame uses, so
-	// one 10ms execute outvotes a thousand 1µs serializes.
-	wins [NumPhases]atomic.Int64
-	self [NumPhases]atomic.Int64
-
-	callerSpans atomic.Int64
-	// threshold is the armed slow-call cutoff in ns; zero until warmup.
-	threshold atomic.Int64
-	exemplars atomic.Int64
 }
 
 // Tracer owns the span pool, the per-site histograms and the flight
@@ -306,15 +278,10 @@ type Tracer struct {
 	ring   []SpanRecord
 	ringN  uint64 // total records ever pushed
 
-	exMu sync.Mutex
-	exs  []Exemplar
-	exN  uint64 // total exemplars ever pushed
-
-	spansStarted   atomic.Int64
-	failures       atomic.Int64
-	exemplarsTotal atomic.Int64
-	dumpMu         sync.Mutex
-	dumps          int
+	spansStarted atomic.Int64
+	failures     atomic.Int64
+	dumpMu       sync.Mutex
+	dumps        int
 
 	// Distributed-tracing state: idBase makes this tracer's trace and
 	// span IDs disjoint from other tracers' (each obs node runs its
@@ -335,15 +302,6 @@ func New(cfg Config) *Tracer {
 	if cfg.MaxDumps <= 0 {
 		cfg.MaxDumps = 4
 	}
-	if cfg.ExemplarRing <= 0 {
-		cfg.ExemplarRing = 64
-	}
-	if cfg.ExemplarWarmup <= 0 {
-		cfg.ExemplarWarmup = 64
-	}
-	if cfg.ExemplarRefresh <= 0 {
-		cfg.ExemplarRefresh = 256
-	}
 	reg := metrics.NewRegistry()
 	t := &Tracer{
 		cfg:      cfg,
@@ -351,7 +309,6 @@ func New(cfg Config) *Tracer {
 		fam:      reg.Family("cormi_phase_latency_ns", "per call-site, per-phase RMI latency in nanoseconds"),
 		totalFam: reg.Family("cormi_call_latency_ns", "per call-site caller-observed end-to-end RMI latency in nanoseconds"),
 		ring:     make([]SpanRecord, cfg.RingSize),
-		exs:      make([]Exemplar, cfg.ExemplarRing),
 		idBase:   newIDBase(),
 		store:    newTraceStore(),
 	}
@@ -469,61 +426,26 @@ func (t *Tracer) site(name string) *siteState {
 // blamable reports whether a phase is a leaf of the call timeline for
 // attribution purposes. PhaseWaitReply is the caller's whole round
 // trip — a container over transit, dispatch, execute and the reply
-// legs — so counting it would blame "waiting" for every call. It is
-// excluded from dominant-phase classification and self-time sums; the
-// leaf phases partition the wait it covers.
+// legs — so counting it would blame "waiting" for every call. Its
+// histogram is kept, but TopBlame leaves it out; the leaf phases
+// partition the wait it covers.
 func blamable(p Phase) bool {
 	return p != PhaseWaitReply
 }
 
 func (t *Tracer) close(s *Span) {
 	st := t.site(s.Site)
-	var domPhase = -1
-	var domDur int64
-	for p := range s.PhaseDur {
-		d := s.PhaseDur[p]
-		if d <= 0 {
-			continue
+	for p, d := range s.PhaseDur {
+		if d > 0 {
+			st.hists[p].Observe(d)
 		}
-		st.hists[p].Observe(d)
-		if !blamable(Phase(p)) {
-			continue
-		}
-		st.self[p].Add(d)
-		if d > domDur {
-			domDur, domPhase = d, p
-		}
-	}
-	if domPhase >= 0 {
-		st.wins[domPhase].Add(1)
 	}
 	if s.Err != "" {
 		t.failures.Add(1)
 	}
-
-	// Caller spans carry the end-to-end latency the user saw; feed the
-	// total histogram and the adaptive threshold.
-	slow := false
-	var tot int64
+	// Caller spans carry the end-to-end latency the user saw.
 	if s.Kind == KindCaller {
-		tot = s.SpanRecord.End - s.SpanRecord.Start
-		if tot < 0 {
-			tot = 0
-		}
-		st.total.Observe(tot)
-		n := st.callerSpans.Add(1)
-		if n == t.cfg.ExemplarWarmup || (n > t.cfg.ExemplarWarmup && n%t.cfg.ExemplarRefresh == 0) {
-			thr := int64(st.total.Quantile(0.99))
-			if thr < t.cfg.ExemplarMinNS {
-				thr = t.cfg.ExemplarMinNS
-			}
-			if thr > 0 {
-				st.threshold.Store(thr)
-			}
-		}
-		if thr := st.threshold.Load(); thr > 0 && tot > thr {
-			slow = true
-		}
+		st.total.Observe(s.SpanRecord.End - s.SpanRecord.Start)
 	}
 
 	t.ringMu.Lock()
@@ -537,12 +459,6 @@ func (t *Tracer) close(s *Span) {
 	// decision at the root); buckets are recycled across evictions.
 	if s.TraceID != 0 {
 		t.store.insert(&s.SpanRecord)
-	}
-
-	if slow {
-		// Rare by construction (past the site's p99), so the capture
-		// path may allocate; the common path above does not.
-		t.captureExemplar(st, &s.SpanRecord, tot)
 	}
 
 	*s = Span{} // clear strings and stale phases before pooling

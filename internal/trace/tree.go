@@ -41,8 +41,8 @@ type TreeSpan struct {
 // AlignedStart is the span's start on the root node's clock.
 func (s *TreeSpan) AlignedStart() int64 { return s.Start - s.OffsetNS }
 
-// Local places the spans of one process's own stores — the flight
-// recorder, the exemplar ring — for WriteChrome: each span on the node
+// Local places the spans of one process's own flight recorder for
+// WriteChrome: each span on the node
 // that recorded it (the caller half's From, the callee half's To),
 // with no clock correction.
 func Local(recs []SpanRecord) []TreeSpan {

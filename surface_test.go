@@ -34,6 +34,14 @@ import (
 // internal/testkit when several packages' tests share them; testkit is
 // exempt, and no non-test file may import it.
 //
+// The same scan holds the option structs under internal/ (a struct
+// type named *Config, *Options, *Policy or *Spec) to the knobs a root
+// file turns: every exported field must be set by one, in a composite
+// literal, an assignment or by taking its address. A default filled in
+// under an if that tests the same field (`if c.N <= 0 { c.N = 64 }`)
+// is not a setting. A knob only tests set is deleted, or allowlisted
+// in unsetAllow with the ROADMAP item that decides it.
+//
 // The scan type-checks both modules from source with go/types (a name
 // alone would confuse a dead method with a live one of the same name)
 // and reads the standard library from `go list -deps -export` data.
@@ -44,6 +52,7 @@ func TestProductionSurface(t *testing.T) {
 		exports: map[string]string{},
 		pkgs:    map[string]*types.Package{},
 		used:    map[types.Object]bool{},
+		set:     map[types.Object]bool{},
 	}
 	s.std = importer.ForCompiler(s.fset, "gc", func(path string) (io.ReadCloser, error) {
 		f, ok := s.exports[path]
@@ -75,6 +84,26 @@ func TestProductionSurface(t *testing.T) {
 		t.Errorf("%d problems; delete the code, move it into the tests that use it, or allowlist it with a reason in surfaceAllow:\n\t%s",
 			len(problems), strings.Join(problems, "\n\t"))
 	}
+
+	var unset []string
+	knobs := map[string]bool{}
+	for _, k := range s.knobs {
+		knobs[k.key] = true
+		if _, ok := unsetAllow[k.key]; !ok && !s.set[k.field] {
+			pos := s.fset.Position(k.field.Pos())
+			unset = append(unset, fmt.Sprintf("unset: %s (%s:%d)", strings.TrimPrefix(k.key, "cormi/internal/"), s.rel(pos.Filename), pos.Line))
+		}
+	}
+	for key := range unsetAllow {
+		if !knobs[key] {
+			unset = append(unset, "unsetAllow names a field that is gone: "+key)
+		}
+	}
+	if len(unset) > 0 {
+		sort.Strings(unset)
+		t.Errorf("%d option fields no root file sets; delete the knob, or allowlist it in unsetAllow with the ROADMAP item that decides it:\n\t%s",
+			len(unset), strings.Join(unset, "\n\t"))
+	}
 }
 
 const testkitPath = "cormi/internal/testkit"
@@ -89,10 +118,29 @@ var surfaceAllow = map[string]string{
 	"cormi/internal/rmi.WithPlanSkew":                  "test seam: the mode matrix's skew condition and rmi's refusal tests give a node another program's plans",
 }
 
+// unsetAllow lists the option fields that stay although no root file
+// sets them, each with the item of ROADMAP.md that decides it. A key is
+// the package path, the struct type and the field.
+var unsetAllow = map[string]string{
+	"cormi/internal/core.Options.LinearListRefinement": "ROADMAP item 14: measured against executions, it becomes the default or goes",
+	"cormi/internal/core.Options.HeapOpts":             "ROADMAP item 14: the context-insensitive baseline that make verify-precision and core's differential test compare the default against",
+	"cormi/internal/heap/gen.Config.Edits":             "ROADMAP item 5: corpus variety for core's reuse-verdict differential test until generated programs run as matrix workloads",
+	"cormi/internal/heap/gen.Config.ExtraCalls":        "ROADMAP item 5: as Edits",
+	"cormi/internal/transport.FaultConfig.Pairs":       "ROADMAP item 18: one-way loss for rmi's retry, dedup and timeout tests (Partition cuts both directions); decided with rmibench's fault flags",
+}
+
 // byName are the methods fmt and encoding/json call by name.
 var byName = map[string]bool{
 	"String": true, "Error": true,
 	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
+}
+
+// knob is one exported field of an option struct, with its key: the
+// package path, the struct type and the field, as unsetAllow and the
+// report name it.
+type knob struct {
+	field *types.Var
+	key   string
 }
 
 type surface struct {
@@ -104,6 +152,8 @@ type surface struct {
 
 	declared       []types.Object        // exported objects and methods under internal/
 	used           map[types.Object]bool // what root files refer to
+	knobs          []knob                // exported fields of option structs under internal/
+	set            map[types.Object]bool // fields root files set
 	testkitImports []string
 }
 
@@ -209,12 +259,17 @@ func (s *surface) parse(dir string, names []string) []*ast.File {
 // typeCheck checks one package and records what its files use, but
 // not a declaration's uses of itself.
 func (s *surface) typeCheck(path string, files []*ast.File) *types.Package {
-	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+	}
 	pkg, err := (&types.Config{Importer: s}).Check(path, s.fset, files, info)
 	if err != nil {
 		s.t.Fatalf("type-checking %s: %v", path, err)
 	}
 	for _, f := range files {
+		s.recordSets(info, f)
 		for _, d := range f.Decls {
 			self := map[types.Object]bool{}
 			switch d := d.(type) {
@@ -257,8 +312,87 @@ func (s *surface) typeCheck(path string, files []*ast.File) *types.Package {
 	return pkg
 }
 
-// declare records pkg's exported top-level objects and the exported
-// methods of its named types, interfaces included.
+// recordSets records the struct fields f sets: the keys of its
+// composite literals (every field up to the last value of an unkeyed
+// one), the fields it assigns or increments unless an enclosing if
+// tests the same field, and the fields whose address it takes.
+func (s *surface) recordSets(info *types.Info, f *ast.File) {
+	var stack []ast.Node
+	field := func(e ast.Expr) *types.Var {
+		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+		if !ok {
+			return nil
+		}
+		v, ok := info.Uses[sel.Sel].(*types.Var)
+		if !ok || !v.IsField() {
+			return nil
+		}
+		return v.Origin()
+	}
+	assign := func(e ast.Expr) {
+		v := field(e)
+		if v == nil {
+			return
+		}
+		for _, n := range stack {
+			if is, ok := n.(*ast.IfStmt); ok && mentions(info, is.Cond, v) {
+				return // a default, not a setting
+			}
+		}
+		s.set[v] = true
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return false
+		}
+		stack = append(stack, n)
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			st, ok := info.TypeOf(n).Underlying().(*types.Struct)
+			for i, el := range n.Elts {
+				if kv, isKV := el.(*ast.KeyValueExpr); isKV {
+					if id, isID := kv.Key.(*ast.Ident); isID {
+						if v, isVar := info.Uses[id].(*types.Var); isVar && v.IsField() {
+							s.set[v.Origin()] = true
+						}
+					}
+				} else if ok {
+					s.set[st.Field(i).Origin()] = true
+				}
+			}
+		case *ast.AssignStmt:
+			for _, l := range n.Lhs {
+				assign(l)
+			}
+		case *ast.IncDecStmt:
+			assign(n.X)
+		case *ast.UnaryExpr:
+			if v := field(n.X); n.Op == token.AND && v != nil {
+				s.set[v] = true
+			}
+		}
+		return true
+	})
+}
+
+// mentions reports whether e refers to the field v.
+func mentions(info *types.Info, e ast.Expr, v *types.Var) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if u, ok := info.Uses[id].(*types.Var); ok && u.Origin() == v {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+// declare records pkg's exported top-level objects, the exported
+// methods of its named types, interfaces included, and the exported
+// fields of its option structs.
 func (s *surface) declare(pkg *types.Package) {
 	for _, name := range pkg.Scope().Names() {
 		obj := pkg.Scope().Lookup(name)
@@ -270,6 +404,13 @@ func (s *surface) declare(pkg *types.Package) {
 			continue
 		}
 		named := tn.Type().(*types.Named)
+		if st, ok := named.Underlying().(*types.Struct); ok && obj.Exported() && isOption(name) {
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					s.knobs = append(s.knobs, knob{f, pkg.Path() + "." + name + "." + f.Name()})
+				}
+			}
+		}
 		if it, ok := named.Underlying().(*types.Interface); ok {
 			for i := 0; i < it.NumExplicitMethods(); i++ {
 				if m := it.ExplicitMethod(i); m.Exported() {
@@ -319,6 +460,17 @@ func (s *surface) reached(obj types.Object) bool {
 			}
 		}
 		if iface != nil && types.Implements(recv, iface) {
+			return true
+		}
+	}
+	return false
+}
+
+// isOption reports whether a struct type's name makes it an option
+// struct, whose exported fields are knobs.
+func isOption(name string) bool {
+	for _, suf := range []string{"Config", "Options", "Policy", "Spec"} {
+		if strings.HasSuffix(name, suf) {
 			return true
 		}
 	}
