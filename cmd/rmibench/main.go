@@ -99,9 +99,9 @@ func main() {
 				os.Exit(1)
 			}
 			traceFile = f
-			// One dump max: several concatenated JSON documents would
-			// not load as a single Chrome trace.
-			spec.Tracer = trace.New(trace.Config{RingSize: 4096, FailureDump: f, MaxDumps: 1})
+			// A tracer writes at most one failure dump, so the file
+			// loads as a single Chrome trace.
+			spec.Tracer = trace.New(trace.Config{RingSize: 4096, FailureDump: f})
 		}
 		report, err := harness.Chaos(harness.TestScale(), spec)
 		if report != nil {

@@ -13,7 +13,7 @@
 //	  -dump-ssa      SSA dump of every function
 //	  -dump-class    class-specific (baseline) serializers per class
 //	  -sites         one-line analysis summary per call site
-//	  -fingerprints  per-class plan fingerprints (the HELLO advertisement)
+//	  -fingerprints  per-class plan fingerprints, then the digest the HELLO compares
 //	  -explain       per-call-site optimizer decision report (human text)
 //	  -explain-json  the same report, machine readable (cormi-explain/1)
 //	  -explain-smoke run the explain pipeline over every bundled example
@@ -78,7 +78,7 @@ func main() {
 	explain := flag.Bool("explain", false, "print per-call-site optimizer decisions with denial witnesses")
 	explainJSON := flag.Bool("explain-json", false, "print the decision report as JSON (schema "+core.ExplainSchema+")")
 	explainSmoke := flag.Bool("explain-smoke", false, "self-validate the explain reports of every bundled example")
-	fingerprints := flag.Bool("fingerprints", false, "print the per-class plan fingerprints the compiled program would advertise in its HELLO")
+	fingerprints := flag.Bool("fingerprints", false, "print the per-class plan fingerprints, then the registry digest the compiled program's HELLO states")
 	verdictMatrix := flag.String("verdict-matrix", "", "compile every *.jp under the directory and print the verdict matrix")
 	analysisStats := flag.Bool("analysis-stats", false, "print the analysis cost table (structure, precision effort, wall time)")
 	analysisStatsJSON := flag.Bool("analysis-stats-json", false, "print the analysis cost as JSON (schema "+heap.CostSchema+")")
@@ -187,6 +187,7 @@ func main() {
 		for _, n := range names {
 			fmt.Printf("%-24s %016x\n", n, fps[n])
 		}
+		fmt.Printf("%-24s %016x\n", "HELLO digest", serial.RegistryDigest(res.Registry))
 	}
 	if *analysisStats || *analysisStatsJSON {
 		any = true

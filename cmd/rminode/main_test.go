@@ -31,17 +31,17 @@ func TestSummaryLabelsWhereCallsWent(t *testing.T) {
 // malformed frame or refused call an earlier level saw stays visible.
 func TestMergeLinksSumsCounts(t *testing.T) {
 	first := []stats.LinkStat{
-		{From: 0, To: 1, Version: 1, Refused: 2, Malformed: 3},
-		{From: 1, To: 0, Version: 1, Malformed: 1},
+		{From: 0, To: 1, Refused: 2, Malformed: 3},
+		{From: 1, To: 0, Malformed: 1},
 	}
 	second := []stats.LinkStat{
-		{From: 0, To: 1, Version: 1, Refused: 5},
-		{From: 1, To: 0, Version: 1},
+		{From: 0, To: 1, Refused: 5},
+		{From: 1, To: 0},
 	}
 	got := mergeLinks([][]stats.LinkStat{first, second})
 	want := []stats.LinkStat{
-		{From: 0, To: 1, Version: 1, Refused: 7, Malformed: 3},
-		{From: 1, To: 0, Version: 1, Malformed: 1},
+		{From: 0, To: 1, Refused: 7, Malformed: 3},
+		{From: 1, To: 0, Malformed: 1},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("merged %d links, want %d: %+v", len(got), len(want), got)

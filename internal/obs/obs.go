@@ -40,7 +40,7 @@ type Options struct {
 	// the labeled cormi_site_* series on /metrics (typically
 	// Cluster.SiteStats, or an aggregation across clusters).
 	SiteStats func() []stats.SiteStat
-	// Links supplies the per-link negotiation state for /links and the
+	// Links supplies the per-link counts for /links and the
 	// labeled cormi_link_* series on /metrics (typically
 	// Cluster.LinkStats, or an aggregation across clusters). Only links
 	// that have completed their HELLO exchange appear.
@@ -274,8 +274,7 @@ func registerCtxGauges(reg *metrics.Registry) {
 		func() float64 { return float64(serial.ReadCtxStats().Outstanding) })
 }
 
-// registerLinkVecs exposes per-link negotiation state as labeled
-// series: the negotiated protocol version, the capability bits, the
+// registerLinkVecs exposes per-link counts as labeled series: the
 // calls refused for a plan mismatch and the malformed frames received,
 // for every link that has completed its HELLO exchange.
 func registerLinkVecs(reg *metrics.Registry, links func() []stats.LinkStat) {
@@ -292,10 +291,6 @@ func registerLinkVecs(reg *metrics.Registry, links func() []stats.LinkStat) {
 			return out
 		}
 	}
-	reg.RegisterCounterVec("cormi_link_negotiated_version", "wire protocol version negotiated by the link's HELLO exchange",
-		collect(func(l stats.LinkStat) float64 { return float64(l.Version) }))
-	reg.RegisterCounterVec("cormi_link_caps", "capability bits negotiated by the link's HELLO exchange",
-		collect(func(l stats.LinkStat) float64 { return float64(l.Caps) }))
 	reg.RegisterCounterVec("cormi_link_refused_calls", "calls refused on the link because its peer runs other plans",
 		collect(func(l stats.LinkStat) float64 { return float64(l.Refused) }))
 	reg.RegisterCounterVec("cormi_link_malformed_frames", "malformed frames the link's node received from its peer",

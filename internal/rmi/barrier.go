@@ -28,34 +28,32 @@ const BarrierMethod = "await"
 // caller as a remote exception — instead of blocking forever on
 // parties that will never arrive.
 func NewBarrierService(parties int) *Service {
-	var mu sync.Mutex
-	gen := 0
 	type genState struct {
 		release int64 // latest virtual arrival
 		arrived int
-		pending int           // parties that still need to read release
 		done    chan struct{} // closed when the generation releases
 	}
-	states := map[int]*genState{}
+	var mu sync.Mutex
+	// cur is the generation parties are arriving at; the releasing
+	// arrival sets it to nil, so the next arrival opens a new one, and
+	// every waiter keeps its own generation's pointer.
+	var cur *genState
 	return &Service{
 		Name:     "Barrier",
 		blocking: true,
 		Methods: map[string]Method{
 			BarrierMethod: func(call *Call, args []model.Value) []model.Value {
 				mu.Lock()
-				g := gen
-				st := states[g]
-				if st == nil {
-					st = &genState{done: make(chan struct{})}
-					states[g] = st
+				if cur == nil {
+					cur = &genState{done: make(chan struct{})}
 				}
+				st := cur
 				if call.Start() > st.release {
 					st.release = call.Start()
 				}
 				st.arrived++
-				st.pending++
 				if st.arrived == parties {
-					gen++
+					cur = nil
 					close(st.done)
 				}
 				mu.Unlock()
@@ -63,21 +61,11 @@ func NewBarrierService(parties int) *Service {
 				select {
 				case <-st.done:
 				case <-call.Node.Cluster().Done():
-					mu.Lock()
-					st.pending--
-					mu.Unlock()
 					panic("barrier: cluster closed before all parties arrived")
 				}
-
-				mu.Lock()
-				defer mu.Unlock()
 				// Every party leaves at the latest arrival: a condition
 				// wait, not CPU time. release is final once done closed.
 				call.WaitUntil(st.release)
-				st.pending--
-				if st.pending == 0 {
-					delete(states, g)
-				}
 				return nil
 			},
 		},

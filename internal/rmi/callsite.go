@@ -321,16 +321,12 @@ func (pc *pendingCall) failSend(err error) error {
 // registers the pending reply slot. On return (nil error) the call is
 // on the wire; pc.await collects the outcome.
 func (cs *CallSite) startRemote(pc *pendingCall, n *Node, ref Ref, args []model.Value, pol CallPolicy, tctx wire.TraceContext) error {
-	// First use of the link performs the HELLO fingerprint exchange;
+	// First use of the link performs the HELLO digest exchange;
 	// afterwards this is a bounds check plus a sync.Once fast path. A
 	// refused link fails the call before anything is marshalled.
-	var linkCaps uint32
-	if l := n.linkTo(ref.Node); l != nil {
-		if l.refused {
-			l.refusals.Add(1)
-			return fmt.Errorf("rmi: %s: %w", cs.Name, ErrPlanMismatch)
-		}
-		linkCaps = l.caps
+	if l := n.linkTo(ref.Node); l != nil && l.refused {
+		l.refusals.Add(1)
+		return fmt.Errorf("rmi: %s: %w", cs.Name, ErrPlanMismatch)
 	}
 	c := n.cluster
 	c.Counters.RemoteRPCs.Add(1)
@@ -369,11 +365,10 @@ func (cs *CallSite) startRemote(pc *pendingCall, n *Node, ref Ref, args []model.
 			spanID := n.tracer.NextSpanID()
 			sp.SetTraceIdentity(tctx.TraceID, spanID, tctx.Parent, tctx.Hop)
 			// The on-wire context parents the callee's span under this
-			// caller span, one hop deeper. Per-link demotion: a peer
-			// without CapTracing — or a chain past the hop cap — gets
-			// the frame without the context; the call still runs, the
-			// trace just ends at this link.
-			if linkCaps&wire.CapTracing != 0 && tctx.Hop < wire.MaxTraceHops {
+			// caller span, one hop deeper. A chain past the hop cap
+			// sends the frame without the context; the call still runs,
+			// the trace just ends at this link.
+			if tctx.Hop < wire.MaxTraceHops {
 				h.Trace = wire.TraceContext{TraceID: tctx.TraceID, Parent: spanID, Hop: tctx.Hop + 1}
 			}
 		}
@@ -418,9 +413,6 @@ func (cs *CallSite) startRemote(pc *pendingCall, n *Node, ref Ref, args []model.
 // sendAttempt puts one sealed attempt on the wire, consuming frame.
 func (pc *pendingCall) sendAttempt(frame []byte) error {
 	n := pc.n
-	c := n.cluster
-	c.Counters.Messages.Add(1)
-	c.Counters.WireBytes.Add(pc.wireLen)
 	pc.siteStats().WireBytes.Add(pc.wireLen)
 	pkt := transport.Packet{To: pc.ref.Node, TS: n.Clock.Now(), Payload: frame}
 	if pc.sp != nil {

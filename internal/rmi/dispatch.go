@@ -189,8 +189,6 @@ func (n *Node) handleCall(p transport.Packet, m *wire.Message) *invocation {
 				// The call already completed: answer from the reply
 				// cache with a fresh copy (the transport consumes the
 				// buffer it is handed; the cache keeps its own).
-				c.Counters.Messages.Add(1)
-				c.Counters.WireBytes.Add(int64(len(e.payload) - wire.ChecksumSize))
 				cp := wire.GetBuf(len(e.payload))
 				copy(cp, e.payload)
 				_ = n.send(transport.Packet{To: p.From, TS: e.ts, Payload: cp})
@@ -429,9 +427,6 @@ func (n *Node) executeAndReply(inv *invocation) {
 // store, so neither a test nor /traces/<id> can read the trace short
 // of it. Every sp handed in must have PhaseReplySerialize begun.
 func (n *Node) sendReply(to int, seq, ts int64, m *wire.Message, track bool, sp *trace.Span) {
-	c := n.cluster
-	c.Counters.Messages.Add(1)
-	c.Counters.WireBytes.Add(int64(m.Len()))
 	m.SealFrame()
 	sp.EndPhase(trace.PhaseReplySerialize)
 	frame := m.Detach()

@@ -6,23 +6,7 @@ import (
 	"cormi/internal/model"
 	"cormi/internal/serial"
 	"cormi/internal/trace"
-	"cormi/internal/wire"
 )
-
-// WithoutCaps strips capability bits from node's HELLO advertisement,
-// simulating a peer that does not implement an optional protocol
-// feature (trace-context propagation). Links touching the node
-// negotiate the masked features away and the calls run without them —
-// this package's capability-demotion
-// test knob.
-func WithoutCaps(node int, caps uint32) Option {
-	return func(o *clusterOpts) {
-		if o.capsMask == nil {
-			o.capsMask = make(map[int]uint32)
-		}
-		o.capsMask[node] |= caps
-	}
-}
 
 // dtraceSetup builds a traced 2-node cluster serving echo(x)=x+1 with
 // node 0 head-sampling every root call.
@@ -91,28 +75,5 @@ func TestTraceContextPropagatesSyncCall(t *testing.T) {
 	}
 	if traces[0].Root == "" {
 		t.Error("trace summary has no root site")
-	}
-}
-
-// TestTraceContextCapDemotion proves per-link capability demotion: a
-// peer whose HELLO does not advertise CapTracing receives no trace
-// context — the caller's root span still records and samples, the
-// callee executes correctly but contributes no span to the trace.
-func TestTraceContextCapDemotion(t *testing.T) {
-	c, tr, cs, ref := dtraceSetup(t, WithoutCaps(1, wire.CapTracing))
-	vals, err := cs.Invoke(c.Node(0), ref, []model.Value{model.Int(41)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vals[0].I != 42 {
-		t.Fatalf("echo over demoted link = %d, want 42", vals[0].I)
-	}
-	traces := tr.Traces()
-	if len(traces) != 1 {
-		t.Fatalf("%d traces retained, want the caller's root alone", len(traces))
-	}
-	spans := tr.TraceSpans(traces[0].TraceID)
-	if len(spans) != 1 || spans[0].Kind != trace.KindCaller {
-		t.Fatalf("demoted link leaked callee spans into the trace: %+v", spans)
 	}
 }

@@ -1,0 +1,11 @@
+package rmi
+
+// negotiateWithPeerHello settles node local's link to peer as if the
+// peer had sent the HELLO bytes hello: the path a HELLO read off a
+// socket would take, which no registry of this process can make
+// malformed. It has no effect on a link already negotiated.
+func (c *Cluster) negotiateWithPeerHello(local, peer int, hello []byte) {
+	n := c.nodes[local]
+	l := &n.links[peer]
+	l.once.Do(func() { n.negotiateLink(l, hello) })
+}

@@ -21,7 +21,7 @@ var (
 	ErrClusterClosed = errors.New("rmi: cluster closed")
 	// ErrPlanMismatch is returned for every call over a refused link:
 	// the HELLO exchange found the peer running other plans (another
-	// plan generation or class fingerprint), or a HELLO did not decode.
+	// registry digest), or a HELLO did not decode.
 	// The call fails before its arguments are marshalled.
 	ErrPlanMismatch = errors.New("rmi: peer runs other plans")
 	// ErrMalformedFrame is wire.ErrMalformedFrame re-exported at the

@@ -210,23 +210,17 @@ type Cluster struct {
 	claimEvery int64
 	claimTick  atomic.Int64
 
-	// skew holds the nodes that advertise another program's plans
-	// (the tests' WithPlanSkew): their HELLOs disagree with every
-	// peer's, so each link to or from them is refused. nil in
+	// skew holds the nodes that state another program's digest (the
+	// tests' WithPlanSkew): their HELLOs disagree with every peer's, so
+	// each link to or from them is refused. nil in
 	// production-shaped clusters.
 	skew map[int]bool
 
-	// capsMask maps node ID → capability bits stripped from that node's
-	// HELLO advertisement (the tests' WithoutCaps), simulating a peer
-	// that does not speak an optional protocol feature; links touching
-	// the node negotiate the feature away.
-	capsMask map[int]uint32
-
-	// fpOnce guards the one registry fingerprint pass shared by every
-	// link negotiation: model.Class.AllFields caches lazily, so the
+	// fpOnce guards the one registry digest pass shared by every link
+	// negotiation: model.Class.AllFields caches lazily, so the
 	// flattening must not race when several links negotiate at once.
 	fpOnce sync.Once
-	fps    map[string]uint64
+	digest uint64
 
 	siteMu sync.RWMutex
 	sites  []*CallSite
@@ -250,7 +244,6 @@ type clusterOpts struct {
 	tracer      *trace.Tracer
 	claimEvery  int64
 	skew        map[int]bool
-	capsMask    map[int]uint32
 	nodeTracers map[int]*trace.Tracer
 }
 
@@ -338,10 +331,9 @@ func WithClaimCheck(p ClaimCheckPolicy) Option {
 	return func(o *clusterOpts) { o.claimEvery = p.Every }
 }
 
-// WithPlanSkew makes node advertise another plan generation and salted
-// fingerprints for every class, as a node compiled from a different
-// program would. Every link to or from it is refused at HELLO time:
-// its calls fail with ErrPlanMismatch. It is a test seam; production
+// WithPlanSkew makes node state a salted registry digest in its HELLO,
+// as a node compiled from a different program would. Every link to or
+// from it is refused at HELLO time: its calls fail with ErrPlanMismatch. It is a test seam; production
 // clusters share one program.
 func WithPlanSkew(node int) Option {
 	return func(o *clusterOpts) {
@@ -385,7 +377,6 @@ func New(n int, opts ...Option) *Cluster {
 		tracer:     o.tracer,
 		claimEvery: o.claimEvery,
 		skew:       o.skew,
-		capsMask:   o.capsMask,
 		done:       make(chan struct{}),
 	}
 	c.nodes = make([]*Node, n)
@@ -642,9 +633,13 @@ func (n *Node) lookup(obj int64) (*Service, bool) {
 
 // send puts one sealed frame on the wire. This is the single choke
 // point every outbound frame passes (calls, replies, dedup-cache
-// resends), so stats.NetFrames counts physical frames exactly.
+// resends), so it counts each exactly once: one message, one physical
+// frame, and the frame's bytes short of its checksum as WireBytes.
 func (n *Node) send(pkt transport.Packet) error {
-	n.cluster.Counters.NetFrames.Add(1)
+	ctr := n.cluster.Counters
+	ctr.Messages.Add(1)
+	ctr.NetFrames.Add(1)
+	ctr.WireBytes.Add(int64(len(pkt.Payload) - wire.ChecksumSize))
 	return n.ep.Send(pkt)
 }
 

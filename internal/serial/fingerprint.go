@@ -72,8 +72,7 @@ func ClassFingerprint(c *model.Class) uint64 {
 }
 
 // RegistryFingerprints computes the fingerprint of every class in reg,
-// keyed by class name — the table a node advertises in its HELLO
-// frame.
+// keyed by class name (rmic -fingerprints prints the table).
 func RegistryFingerprints(reg *model.Registry) map[string]uint64 {
 	fps := make(map[string]uint64)
 	for _, name := range reg.Names() {
@@ -82,4 +81,24 @@ func RegistryFingerprints(reg *model.Registry) map[string]uint64 {
 		}
 	}
 	return fps
+}
+
+// RegistryDigest hashes the (class name, ClassFingerprint) pairs of reg,
+// sorted by name, into the one digest a node states in its HELLO frame.
+// Like the fingerprints it folds, it is independent of registration
+// order and changes with every layout change of any class.
+func RegistryDigest(reg *model.Registry) uint64 {
+	h := uint64(fnvOffset64)
+	for _, name := range reg.Names() {
+		c, ok := reg.ByName(name)
+		if !ok {
+			continue
+		}
+		h = fnvStr(h, name)
+		fp := ClassFingerprint(c)
+		for shift := 0; shift < 64; shift += 8 {
+			h = fnvByte(h, byte(fp>>shift))
+		}
+	}
+	return h
 }

@@ -27,8 +27,8 @@ func buildWorldReordered() *testWorld {
 
 // TestFingerprintRegistrationOrderIndependent: two nodes that define
 // the same class graph in different orders (so IDs differ) must
-// advertise identical fingerprints — IDs are registration artifacts,
-// not layout facts.
+// advertise identical fingerprints and the same registry digest — IDs
+// are registration artifacts, not layout facts.
 func TestFingerprintRegistrationOrderIndependent(t *testing.T) {
 	a, b := newWorld(), buildWorldReordered()
 	fa, fb := RegistryFingerprints(a.reg), RegistryFingerprints(b.reg)
@@ -39,51 +39,78 @@ func TestFingerprintRegistrationOrderIndependent(t *testing.T) {
 			t.Errorf("class %s: fingerprint %016x != %016x across registration orders", name, fp, got)
 		}
 	}
+	if da, db := RegistryDigest(a.reg), RegistryDigest(b.reg); da != db {
+		t.Errorf("registry digest %016x != %016x across registration orders", da, db)
+	}
 }
 
 // TestFingerprintDetectsLayoutChanges: every layout change between two
-// programs — field added, removed, reordered, retyped, superclass
-// changed — must flip the fingerprint.
+// programs — field added, removed, reordered, retyped, renamed,
+// superclass changed, class renamed — must flip the fingerprint of the
+// class and the digest of its registry.
 func TestFingerprintDetectsLayoutChanges(t *testing.T) {
-	base := func() *model.Registry { return model.NewRegistry() }
-	orig := testkit.MustDefine(base(), "C", nil,
+	define := func(fields ...model.Field) (*model.Registry, *model.Class) {
+		reg := model.NewRegistry()
+		return reg, testkit.MustDefine(reg, "C", nil, fields...)
+	}
+	origReg, orig := define(
 		model.Field{Name: "a", Kind: model.FInt},
 		model.Field{Name: "b", Kind: model.FDouble},
 	)
-	variants := map[string]*model.Class{
-		"field added": testkit.MustDefine(base(), "C", nil,
+	type variant struct {
+		reg *model.Registry
+		c   *model.Class
+	}
+	pair := func(reg *model.Registry, c *model.Class) variant { return variant{reg, c} }
+	variants := map[string]variant{
+		"field added": pair(define(
 			model.Field{Name: "a", Kind: model.FInt},
 			model.Field{Name: "b", Kind: model.FDouble},
 			model.Field{Name: "c", Kind: model.FBool},
-		),
-		"field removed": testkit.MustDefine(base(), "C", nil,
+		)),
+		"field removed": pair(define(
 			model.Field{Name: "a", Kind: model.FInt},
-		),
-		"fields reordered": testkit.MustDefine(base(), "C", nil,
+		)),
+		"fields reordered": pair(define(
 			model.Field{Name: "b", Kind: model.FDouble},
 			model.Field{Name: "a", Kind: model.FInt},
-		),
-		"field retyped": testkit.MustDefine(base(), "C", nil,
+		)),
+		"field retyped": pair(define(
 			model.Field{Name: "a", Kind: model.FDouble},
 			model.Field{Name: "b", Kind: model.FDouble},
-		),
-		"field renamed": testkit.MustDefine(base(), "C", nil,
+		)),
+		"field renamed": pair(define(
 			model.Field{Name: "a2", Kind: model.FInt},
 			model.Field{Name: "b", Kind: model.FDouble},
-		),
-	}
-	want := ClassFingerprint(orig)
-	for name, v := range variants {
-		if ClassFingerprint(v) == want {
-			t.Errorf("%s: fingerprint unchanged", name)
-		}
+		)),
 	}
 	// Superclass chain matters too: the same flat fields reached through
 	// a Super edge are a different planned layout origin.
-	reg := base()
+	reg := model.NewRegistry()
 	sup := testkit.MustDefine(reg, "S", nil, model.Field{Name: "a", Kind: model.FInt})
-	sub := testkit.MustDefine(reg, "C", sup, model.Field{Name: "b", Kind: model.FDouble})
-	if ClassFingerprint(sub) == want {
-		t.Error("superclass-split layout has the same fingerprint")
+	variants["superclass split"] = variant{reg, testkit.MustDefine(reg, "C", sup, model.Field{Name: "b", Kind: model.FDouble})}
+	// A renamed class changes the digest even where its own
+	// fingerprint is not compared (it has no counterpart by name).
+	reg = model.NewRegistry()
+	renamed := testkit.MustDefine(reg, "D", nil,
+		model.Field{Name: "a", Kind: model.FInt},
+		model.Field{Name: "b", Kind: model.FDouble},
+	)
+	variants["class renamed"] = variant{reg, renamed}
+
+	want, wantDigest := ClassFingerprint(orig), RegistryDigest(origReg)
+	for name, v := range variants {
+		if ClassFingerprint(v.c) == want {
+			t.Errorf("%s: fingerprint unchanged", name)
+		}
+		if RegistryDigest(v.reg) == wantDigest {
+			t.Errorf("%s: registry digest unchanged", name)
+		}
+	}
+	// A class added to an otherwise identical program changes the
+	// digest too.
+	testkit.MustDefine(origReg, "E", nil)
+	if RegistryDigest(origReg) == wantDigest {
+		t.Error("class added: registry digest unchanged")
 	}
 }

@@ -230,13 +230,12 @@ type Config struct {
 	// RingSize bounds the flight recorder (default 2048 spans).
 	RingSize int
 	// FailureDump, when non-nil, receives a Chrome-trace JSON dump of
-	// the flight recorder each time DumpFailure fires (timeouts,
+	// the flight recorder the first time DumpFailure fires (timeouts,
 	// partitions, panics), so a chaos failure always comes with its
-	// recent history. Writes are serialized by the tracer.
+	// recent history. A tracer writes at most one dump: one JSON
+	// document is what a Chrome-trace file loads, and a failure storm
+	// cannot flood the sink.
 	FailureDump io.Writer
-	// MaxDumps bounds the auto-dumps per tracer (default 4) so a
-	// failure storm cannot flood the sink.
-	MaxDumps int
 	// SampleEvery arms head-based trace sampling: every SampleEvery-th
 	// root call (a remote invocation with no inherited trace context)
 	// allocates a trace ID that then propagates on the wire through
@@ -280,8 +279,7 @@ type Tracer struct {
 
 	spansStarted atomic.Int64
 	failures     atomic.Int64
-	dumpMu       sync.Mutex
-	dumps        int
+	dumped       atomic.Bool
 
 	// Distributed-tracing state: idBase makes this tracer's trace and
 	// span IDs disjoint from other tracers' (each obs node runs its
@@ -298,9 +296,6 @@ type Tracer struct {
 func New(cfg Config) *Tracer {
 	if cfg.RingSize <= 0 {
 		cfg.RingSize = 2048
-	}
-	if cfg.MaxDumps <= 0 {
-		cfg.MaxDumps = 4
 	}
 	reg := metrics.NewRegistry()
 	t := &Tracer{
@@ -486,17 +481,12 @@ func (t *Tracer) Recent() []SpanRecord {
 // DumpFailure writes a Chrome-trace dump of the flight recorder to the
 // configured FailureDump sink, tagged with the failure reason. It is
 // called by the RMI runtime on ErrTimeout, ErrPartitioned and user
-// method panics; at most MaxDumps dumps are written per tracer.
+// method panics; only the first call writes, so a tracer writes at most
+// one dump.
 func (t *Tracer) DumpFailure(reason string) {
-	if t == nil || t.cfg.FailureDump == nil {
+	if t == nil || t.cfg.FailureDump == nil || !t.dumped.CompareAndSwap(false, true) {
 		return
 	}
-	t.dumpMu.Lock()
-	defer t.dumpMu.Unlock()
-	if t.dumps >= t.cfg.MaxDumps {
-		return
-	}
-	t.dumps++
 	_ = WriteChrome(t.cfg.FailureDump, Local(t.Recent()), map[string]any{"reason": reason})
 }
 

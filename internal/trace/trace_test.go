@@ -78,7 +78,7 @@ func TestFlightRecorderRingBounds(t *testing.T) {
 
 func TestFailureDump(t *testing.T) {
 	var buf bytes.Buffer
-	tr := New(Config{RingSize: 16, FailureDump: &buf, MaxDumps: 2})
+	tr := New(Config{RingSize: 16, FailureDump: &buf})
 	sp := tr.StartCaller("Work.go.1", "go", 0, 3, 42)
 	sp.AddRetry()
 	sp.Fail("rmi: call timed out")
@@ -105,14 +105,13 @@ func TestFailureDump(t *testing.T) {
 		}
 	}
 
-	// MaxDumps bounds the flood: the third dump is suppressed.
+	// One dump per tracer: every later failure is suppressed, so the
+	// sink holds one loadable Chrome-trace document.
 	buf.Reset()
 	tr.DumpFailure("timeout")
-	second := buf.Len()
-	buf.Reset()
-	tr.DumpFailure("timeout")
-	if second == 0 || buf.Len() != 0 {
-		t.Errorf("dump throttling wrong: second=%d third=%d", second, buf.Len())
+	tr.DumpFailure("panic")
+	if buf.Len() != 0 {
+		t.Errorf("a second dump wrote %d bytes, want none", buf.Len())
 	}
 }
 

@@ -40,10 +40,8 @@ const (
 	// malformed.
 	// CallTraceCtx marks a call carrying a TraceContext: the call
 	// belongs to a sampled trace and the callee's span joins the
-	// cross-node call tree. Sent only on links that negotiated
-	// CapTracing — a link to a peer without the bit drops the context
-	// (the call still runs untraced downstream) instead of sending a
-	// frame the peer would reject.
+	// cross-node call tree. A call past MaxTraceHops drops the context
+	// (the call still runs untraced downstream).
 	CallTraceCtx = 1 << 5
 
 	// callFlagsKnown is every bit a call header may carry.

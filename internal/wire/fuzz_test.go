@@ -1,42 +1,40 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 )
 
 // FuzzDecodeHello drives the handshake decoder with arbitrary bytes.
 // The properties under test are the hardening contract: no panic on any
-// input, every rejection is a typed ErrMalformedFrame, and every
-// accepted HELLO re-encodes to bytes that decode to the same value
-// (the decoder accepts nothing the encoder cannot produce).
+// input, every rejection is a typed ErrMalformedFrame, and the decoder
+// accepts exactly the frames the encoder produces — 16 bytes of magic,
+// ProtocolVersion and a digest — so every accepted input re-encodes to
+// itself.
 func FuzzDecodeHello(f *testing.F) {
-	f.Add(EncodeHello(&Hello{Version: ProtocolVersion, PlanVersion: 1, Node: 0}))
-	f.Add(EncodeHello(&Hello{
-		Version: ProtocolVersion, PlanVersion: 2, Node: 1,
-		Entries: []HelloEntry{{Name: "Node", FP: 0x1234}, {Name: "double[]", FP: 0x5678}},
-	}))
+	valid := EncodeHello(0x1234)
+	f.Add(valid)
+	wrongVersion := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint32(wrongVersion[4:], ProtocolVersion+1)
+	f.Add(wrongVersion)
+	badMagic := append([]byte(nil), valid...)
+	badMagic[0] ^= 0xff
+	f.Add(badMagic)
 	f.Add([]byte{})
 	f.Add([]byte{0x43, 0x4D, 0x48, 0x31})
-	corrupted := EncodeHello(&Hello{Version: 1, Entries: []HelloEntry{{Name: "x", FP: 9}}})
-	corrupted[len(corrupted)-3] ^= 0xff
-	f.Add(corrupted)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, err := DecodeHello(data)
+		d, err := DecodeHello(data)
 		if err != nil {
 			if !errors.Is(err, ErrMalformedFrame) {
 				t.Fatalf("rejection %v is not ErrMalformedFrame", err)
 			}
 			return
 		}
-		re, err := DecodeHello(EncodeHello(h))
-		if err != nil {
-			t.Fatalf("accepted hello does not re-decode: %v", err)
-		}
-		if re.Version != h.Version || re.PlanVersion != h.PlanVersion ||
-			re.Node != h.Node || len(re.Entries) != len(h.Entries) {
-			t.Fatalf("re-decode mismatch: %+v != %+v", re, h)
+		if re := EncodeHello(d); !bytes.Equal(re, data) {
+			t.Fatalf("accepted % x, which re-encodes to % x", data, re)
 		}
 	})
 }

@@ -3,124 +3,68 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-func sampleHello() *Hello {
-	return &Hello{
-		Version:     ProtocolVersion,
-		PlanVersion: 7,
-		Node:        3,
-		Caps:        LocalCaps,
-		Entries: []HelloEntry{
-			{Name: "Base", FP: 0xd10c6d4e7862dc7e},
-			{Name: "Derived1", FP: 0xfc2caa8666b72dcf},
-			{Name: "double[]", FP: 0x6314424c1538ffe1},
-		},
-	}
-}
+const sampleDigest = 0xd10c6d4e7862dc7e
 
+// TestHelloRoundTrip: a HELLO is 16 bytes, decodes to the digest it
+// was built from, and decoding it allocates nothing.
 func TestHelloRoundTrip(t *testing.T) {
-	h := sampleHello()
-	got, err := DecodeHello(EncodeHello(h))
+	b := EncodeHello(sampleDigest)
+	if len(b) != 16 {
+		t.Fatalf("hello is %d bytes, want 16", len(b))
+	}
+	got, err := DecodeHello(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Version != h.Version || got.PlanVersion != h.PlanVersion || got.Node != h.Node || got.Caps != h.Caps {
-		t.Fatalf("header round trip: %+v != %+v", got, h)
+	if got != sampleDigest {
+		t.Fatalf("digest %016x, want %016x", got, uint64(sampleDigest))
 	}
-	if len(got.Entries) != len(h.Entries) {
-		t.Fatalf("%d entries, want %d", len(got.Entries), len(h.Entries))
-	}
-	for i, e := range h.Entries {
-		if got.Entries[i] != e {
-			t.Fatalf("entry %d: %+v != %+v", i, got.Entries[i], e)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeHello(b); err != nil {
+			t.Fatal(err)
 		}
+	})
+	if allocs != 0 {
+		t.Fatalf("decoding a hello cost %.0f allocs, want 0", allocs)
 	}
 }
 
-// TestLocalCaps pins the advertised capability set to the literal
-// bits: 1<<0, 1<<1 and 1<<2 are retired (promise pipelining, one-way
-// calls, frame batching) and must never come back under a new meaning.
-func TestLocalCaps(t *testing.T) {
-	if LocalCaps != CapTracing {
-		t.Fatalf("LocalCaps = %#x, want CapTracing", LocalCaps)
-	}
-	if CapTracing != 1<<3 {
-		t.Fatalf("CapTracing = %#x, want 1<<3", CapTracing)
-	}
-}
-
-func TestHelloEmptyTableRoundTrips(t *testing.T) {
-	h := &Hello{Version: ProtocolVersion, PlanVersion: 1, Node: 0}
-	got, err := DecodeHello(EncodeHello(h))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Entries) != 0 {
-		t.Fatalf("entries = %+v, want none", got.Entries)
-	}
-}
-
-// TestHelloRejections drives DecodeHello with every malformation class
-// the hardening design enumerates; each must produce a typed
-// ErrMalformedFrame, never a panic, never a partial success.
+// TestHelloRejections: a HELLO of any other length, magic or version is
+// a typed ErrMalformedFrame, never a panic, never a partial success.
 func TestHelloRejections(t *testing.T) {
-	valid := EncodeHello(sampleHello())
+	valid := EncodeHello(sampleDigest)
 	le := binary.LittleEndian
-
+	with := func(edit func(b []byte)) []byte {
+		b := append([]byte(nil), valid...)
+		edit(b)
+		return b
+	}
 	cases := []struct {
 		name string
 		b    []byte
 	}{
 		{"empty", nil},
 		{"truncated magic", valid[:3]},
-		{"bad magic", func() []byte {
-			b := append([]byte(nil), valid...)
-			le.PutUint32(b, 0xdeadbeef)
-			return b
-		}()},
-		{"version zero", func() []byte {
-			b := append([]byte(nil), valid...)
-			le.PutUint32(b[4:], 0)
-			return b
-		}()},
-		{"negative version", func() []byte {
-			b := append([]byte(nil), valid...)
-			le.PutUint32(b[4:], 0x80000001)
-			return b
-		}()},
-		{"truncated header", valid[:10]},
-		{"negative count", func() []byte {
-			b := append([]byte(nil), valid...)
-			le.PutUint32(b[20:], 0xffffffff)
-			return b
-		}()},
-		{"count over cap", func() []byte {
-			b := append([]byte(nil), valid...)
-			le.PutUint32(b[20:], MaxHelloEntries+1)
-			return b
-		}()},
-		// The allocation attack: a header-only frame declaring a full
-		// table. The count×minBytes bound must reject it before the
-		// table is allocated.
-		{"count exceeds payload", func() []byte {
-			b := append([]byte(nil), valid[:24]...)
-			le.PutUint32(b[20:], MaxHelloEntries)
-			return b
-		}()},
-		{"truncated mid-entry", valid[:len(valid)-5]},
-		{"empty name", EncodeHello(&Hello{Version: 1, Entries: []HelloEntry{{Name: "", FP: 1}}})},
-		{"oversized name", EncodeHello(&Hello{Version: 1, Entries: []HelloEntry{
-			{Name: strings.Repeat("x", maxHelloName+1), FP: 1}}})},
+		{"truncated header", valid[:6]},
+		{"truncated digest", valid[:15]},
 		{"trailing garbage", append(append([]byte(nil), valid...), 0xcc)},
+		{"bad magic", with(func(b []byte) { le.PutUint32(b, 0xdeadbeef) })},
+		{"version zero", with(func(b []byte) { le.PutUint32(b[4:], 0) })},
+		{"version two", with(func(b []byte) { le.PutUint32(b[4:], 2) })},
+		{"negative version", with(func(b []byte) { le.PutUint32(b[4:], 0x80000001) })},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			h, err := DecodeHello(tc.b)
+			d, err := DecodeHello(tc.b)
 			if err == nil {
-				t.Fatalf("decoded %+v from malformed input", h)
+				t.Fatalf("decoded digest %016x from malformed input", d)
 			}
 			if !errors.Is(err, ErrMalformedFrame) {
 				t.Fatalf("error %v is not ErrMalformedFrame", err)
@@ -129,19 +73,38 @@ func TestHelloRejections(t *testing.T) {
 	}
 }
 
-// TestHelloAllocationBound pins the adversarial-allocation property: a
-// tiny frame declaring a huge table must be rejected with O(1)
-// allocations, not after materializing the declared size.
+// TestHelloAllocationBound: rejecting a frame of the wrong length
+// costs the same few allocations (the error) however large the frame:
+// nothing is decoded before the length is checked.
 func TestHelloAllocationBound(t *testing.T) {
-	b := EncodeHello(sampleHello())[:24]
-	binary.LittleEndian.PutUint32(b[20:], MaxHelloEntries)
+	b := append(EncodeHello(sampleDigest), make([]byte, 1<<16)...)
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := DecodeHello(b); err == nil {
-			t.Fatal("hostile hello decoded")
+			t.Fatal("oversized hello decoded")
 		}
 	})
 	if allocs > 8 {
-		t.Fatalf("rejecting a 20-byte hostile hello cost %.0f allocs", allocs)
+		t.Fatalf("rejecting a 64 KB hello cost %.0f allocs", allocs)
+	}
+}
+
+// TestOldHelloCorpusRejects: every HELLO of the per-class table format,
+// as kept in the fuzz corpus, is rejected by the 16-byte decoder.
+func TestOldHelloCorpusRejects(t *testing.T) {
+	for _, name := range []string{"bad_version", "count_overflow", "truncated", "valid_empty", "valid_two_entries"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeHello", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		lit := strings.TrimSuffix(strings.TrimPrefix(lines[len(lines)-1], "[]byte("), ")")
+		b, err := strconv.Unquote(lit)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := DecodeHello([]byte(b)); !errors.Is(err, ErrMalformedFrame) {
+			t.Errorf("%s: err = %v, want ErrMalformedFrame", name, err)
+		}
 	}
 }
 
@@ -155,6 +118,7 @@ func TestPreamble(t *testing.T) {
 		"long":      append(append([]byte(nil), p[:]...), 0),
 		"bad magic": {0, 1, 2, 3, 1, 0},
 		"version 0": {0x43, 0x4D, 0x48, 0x31, 0, 0},
+		"version 2": {0x43, 0x4D, 0x48, 0x31, 2, 0},
 	} {
 		if err := CheckPreamble(bad); !errors.Is(err, ErrMalformedFrame) {
 			t.Errorf("%s: err = %v, want ErrMalformedFrame", name, err)
