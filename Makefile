@@ -8,7 +8,7 @@
 # and allocations per op are judged by the repo benchmark, parent
 # against change in ten alternating pairs: bash bench/run.sh
 # (EXPERIMENTS.md). The bench* targets below are informational.
-.PHONY: verify test bench bench-transport bench-codec bench-compile obs-smoke explain-smoke verify-precision verify-matrix verify-attrib verify-dtrace verify-analysis verify-allocs fuzz
+.PHONY: verify test bench bench-transport bench-codec bench-compile cover-prod obs-smoke explain-smoke verify-precision verify-matrix verify-attrib verify-dtrace verify-analysis verify-allocs fuzz
 
 verify:
 	test -z "$$(gofmt -l .)"
@@ -159,6 +159,22 @@ fuzz:
 			go test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) $$(dirname $$f); \
 		done; \
 	done
+
+# Production coverage report (scripts/cover-prod.sh). Informational,
+# not a gate, and not part of verify. Builds the five binaries, the
+# examples and the bench with -cover -coverpkg=cormi/..., runs the
+# recipes README.md and EXPERIMENTS.md name and the smokes verify runs
+# (every rmic mode, rmirun on the demo and examples/minijp, every
+# rmibench mode at both scales, rminode plain, faulty and -obs-smoke,
+# rmitop against a serving rminode -obs, the bench's -quick pass),
+# then go test -coverpkg=cormi/... ./..., and prints each function
+# with a statement that no recipe entered, marked "test" when the test
+# pass entered it. A listed function is a failure path or an interface
+# obligation with a named test (CHANGES.md), or it goes. About two
+# minutes on a 2-CPU host with a warm build cache; exits 1 when a
+# recipe fails.
+cover-prod:
+	bash scripts/cover-prod.sh
 
 # Every Go benchmark in the module. Informational, no gate.
 bench:

@@ -11,15 +11,17 @@
 // not just the in-process transport.
 //
 // With -obs ADDR the node serves the introspection endpoints listed in
-// README's endpoint table while it runs. -obs-smoke probes them from
-// inside the process after the run and exits nonzero if any is broken
-// (the `make obs-smoke` gate, no curl needed).
+// README's endpoint table while it runs, and after the run until it is
+// interrupted (SIGINT or SIGTERM), so rmitop and curl can read the
+// finished run. -obs-smoke instead probes them from inside the process
+// after the run and exits nonzero if any is broken (the `make
+// obs-smoke` gate, no curl needed).
 //
 // Usage:
 //
 //	rminode [-nodes 2] [-sends 50]
 //	rminode -drop 0.1 -dup 0.05        # chaos over real TCP
-//	rminode -obs :9090                 # serve the endpoint table
+//	rminode -obs :9090                 # serve the endpoint table until ^C
 //	rminode -obs-smoke                 # self-check the obs endpoints
 package main
 
@@ -30,8 +32,10 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"os/signal"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"cormi/internal/apps/appkit"
@@ -60,23 +64,41 @@ class Main {
 }
 `
 
-func main() {
-	nodes := flag.Int("nodes", 2, "cluster size")
-	sends := flag.Int("sends", 50, "RMIs per optimization level")
-	drop := flag.Float64("drop", 0, "packet drop probability")
-	dup := flag.Float64("dup", 0, "packet duplication probability")
-	reorder := flag.Float64("reorder", 0, "packet reordering probability")
-	corrupt := flag.Float64("corrupt", 0, "payload corruption probability")
-	seed := flag.Int64("seed", 42, "fault injection seed")
-	obsAddr := flag.String("obs", "", "serve the observability endpoints (README's endpoint table) on this address, e.g. :9090")
-	obsSmoke := flag.Bool("obs-smoke", false, "probe the -obs endpoints after the run and exit nonzero on failure")
-	obsName := flag.String("obs-name", "rminode", "node name in /snapshot and /cluster documents")
-	obsPeers := flag.String("obs-peers", "", "comma-separated peer obs addresses that /cluster merges by default")
-	sample := flag.Int("sample", 64, "with -obs: head-sample every Nth root call into the distributed trace store (/traces; 0 disables)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], interrupted, os.Stdout, os.Stderr)) }
+
+// interrupted delivers the first SIGINT or SIGTERM that arrives after
+// it is called; until then a signal ends the process as usual.
+func interrupted() <-chan os.Signal {
+	c := make(chan os.Signal, 1)
+	signal.Notify(c, os.Interrupt, syscall.SIGTERM)
+	return c
+}
+
+// run is main minus the process exit, so tests can drive it: it
+// returns the exit code (0 clean, 1 failure, 2 usage). With -obs and
+// no -obs-smoke it keeps serving the endpoints after the run until the
+// channel stop returns delivers (main: SIGINT or SIGTERM).
+func run(args []string, stop func() <-chan os.Signal, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("rminode", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	nodes := fs.Int("nodes", 2, "cluster size")
+	sends := fs.Int("sends", 50, "RMIs per optimization level")
+	drop := fs.Float64("drop", 0, "packet drop probability")
+	dup := fs.Float64("dup", 0, "packet duplication probability")
+	reorder := fs.Float64("reorder", 0, "packet reordering probability")
+	corrupt := fs.Float64("corrupt", 0, "payload corruption probability")
+	seed := fs.Int64("seed", 42, "fault injection seed")
+	obsAddr := fs.String("obs", "", "serve the observability endpoints (README's endpoint table) on this address, e.g. :9090")
+	obsSmoke := fs.Bool("obs-smoke", false, "probe the -obs endpoints after the run and exit nonzero on failure")
+	obsName := fs.String("obs-name", "rminode", "node name in /snapshot and /cluster documents")
+	obsPeers := fs.String("obs-peers", "", "comma-separated peer obs addresses that /cluster merges by default")
+	sample := fs.Int("sample", 64, "with -obs: head-sample every Nth root call into the distributed trace store (/traces; 0 disables)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *nodes < 1 {
-		fmt.Fprintf(os.Stderr, "rminode: -nodes must be at least 1, got %d\n", *nodes)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "rminode: -nodes must be at least 1, got %d\n", *nodes)
+		return 2
 	}
 
 	faultCfg := transport.FaultConfig{
@@ -149,16 +171,16 @@ func main() {
 			NodeName: *obsName, Peers: peers, Overload: overload,
 		})
 		if err != nil {
-			fail(err)
+			return fail(stderr, err)
 		}
 		defer server.Close()
-		fmt.Printf("observability endpoints on http://%s (README's endpoint table)\n", server.Addr())
+		fmt.Fprintf(stdout, "observability endpoints on http://%s (README's endpoint table)\n", server.Addr())
 	}
 
 	for _, level := range rmi.AllLevels {
 		nw, err := transport.NewTCPNetworkLocal(*nodes)
 		if err != nil {
-			fail(err)
+			return fail(stderr, err)
 		}
 		opts := []rmi.Option{rmi.WithNetwork(nw)}
 		if tracer != nil {
@@ -178,15 +200,15 @@ func main() {
 		csMu.Unlock()
 		res, err := core.CompileInto(src, cluster.Registry)
 		if err != nil {
-			fail(err)
+			return fail(stderr, err)
 		}
 		si := res.SiteByName("Main.main.1")
 		if si == nil {
-			fail(fmt.Errorf("call site missing"))
+			return fail(stderr, fmt.Errorf("call site missing"))
 		}
 		cs, err := appkit.Register(cluster, level, si)
 		if err != nil {
-			fail(err)
+			return fail(stderr, err)
 		}
 
 		vecClass, _ := res.ModelClass("Vector")
@@ -212,27 +234,32 @@ func main() {
 		for i := 0; i < *sends; i++ {
 			rets, err := cs.Invoke(cluster.Node(0), ref, []model.Value{model.Ref(vec)})
 			if err != nil {
-				fail(err)
+				return fail(stderr, err)
 			}
 			if rets[0].D != want {
-				fail(fmt.Errorf("sum over TCP = %g, want %g", rets[0].D, want))
+				return fail(stderr, fmt.Errorf("sum over TCP = %g, want %g", rets[0].D, want))
 			}
 		}
 		s := cluster.Counters.Snapshot()
-		fmt.Print(summary(level, s))
+		fmt.Fprint(stdout, summary(level, s))
 		if faultCfg.Enabled() {
-			fmt.Printf("  retries=%d dup-suppr=%d corrupt-drop=%d", s.Retries, s.DupSuppressed, s.CorruptDropped)
+			fmt.Fprintf(stdout, "  retries=%d dup-suppr=%d corrupt-drop=%d", s.Retries, s.DupSuppressed, s.CorruptDropped)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		cluster.Close()
 	}
 
 	if *obsSmoke {
 		if err := smokeObs("http://"+server.Addr(), int64(*sends)); err != nil {
-			fail(fmt.Errorf("obs smoke: %w", err))
+			return fail(stderr, fmt.Errorf("obs smoke: %w", err))
 		}
-		fmt.Println("obs smoke OK: /healthz, /metrics, /callsites, /links, /buildinfo, /snapshot, /cluster, /traces and /traces/<id> served valid documents; /trace and /traces/<id>?format=chrome valid Chrome traces")
+		fmt.Fprintln(stdout, "obs smoke OK: /healthz, /metrics, /callsites, /links, /buildinfo, /snapshot, /cluster, /traces and /traces/<id> served valid documents; /trace and /traces/<id>?format=chrome valid Chrome traces")
+	} else if server != nil {
+		stopped := stop()
+		fmt.Fprintf(stdout, "serving http://%s until interrupted\n", server.Addr())
+		<-stopped
 	}
+	return 0
 }
 
 // mergeLinks aggregates /links across the per-level clusters like
@@ -510,7 +537,8 @@ func checkChrome(get func(string) (string, error), path string) error {
 // int64Len is len() as uint64 for call-count arithmetic.
 func int64Len[T any](s []T) uint64 { return uint64(len(s)) }
 
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "rminode: %v\n", err)
-	os.Exit(1)
+// fail reports err and returns the failure exit code.
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintf(stderr, "rminode: %v\n", err)
+	return 1
 }

@@ -13,33 +13,46 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"cormi/internal/core"
-	"cormi/internal/interp"
-	"cormi/internal/rmi"
+	"cormi"
 	"cormi/internal/simtime"
 )
 
 const exampleSrc = `
-// A distributed dot-product: two remote workers each own half of the
-// vectors and compute partial sums that main combines.
+/* A distributed dot-product: two remote workers each own half of the
+   vectors and compute partial sums that main combines. A third call
+   carries an int[] and a boolean: a tally of the string lengths. */
 remote class Worker {
 	double[] a;
 	double[] b;
+	int tallies;
 	void load(double[] x, double[] y) {
 		this.a = x;
 		this.b = y;
 	}
 	double dot() {
 		double s = 0.0;
-		for (int i = 0; i < this.a.length; i = i + 1) {
-			s = s + this.a[i] * this.b[i];
+		for (int i = 0; i < this.a.length; i++) {
+			s += this.a[i] * this.b[i];
 		}
 		return s;
 	}
+	int tally(int[] counts, boolean twice) {
+		int t;
+		for (int i = 0; i < counts.length; i++) {
+			t += counts[i];
+		}
+		if (twice) {
+			t = t * 2;
+		}
+		this.tallies++;
+		return t;
+	}
 }
 class Main {
+	static int salt;
 	static double[] ramp(int n, int off) {
 		double[] v = new double[n];
 		for (int i = 0; i < n; i = i + 1) {
@@ -52,72 +65,82 @@ class Main {
 		Worker w1 = new Worker();
 		w0.load(Main.ramp(100, 0), Main.ramp(100, 1));
 		w1.load(Main.ramp(100, 100), Main.ramp(100, 101));
-		return w0.dot() + w1.dot();
+		int[] counts = new int[2];
+		counts[0] = "dot".length();
+		counts[1] = "product".length() + Main.salt;
+		int n = w1.tally(counts, "dot".hashCode() != 0);
+		return w0.dot() + w1.dot() + n;
 	}
 }
 `
 
-func main() {
-	nodes := flag.Int("nodes", 2, "cluster size")
-	levelName := flag.String("level", "site + reuse + cycle", "optimization level")
-	mainClass := flag.String("main", "Main", "class whose static main() runs")
-	example := flag.Bool("example", false, "run the built-in demo")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	var level rmi.OptLevel
+// run is main minus the process exit, so tests can drive it. Exit
+// codes: 0 clean, 1 failure, 2 usage.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("rmirun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	nodes := fs.Int("nodes", 2, "cluster size")
+	levelName := fs.String("level", "site + reuse + cycle", "optimization level")
+	mainClass := fs.String("main", "Main", "class whose static main() runs")
+	example := fs.Bool("example", false, "run the built-in demo")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+
+	var level cormi.OptLevel
 	found := false
-	for _, l := range rmi.AllLevels {
+	for _, l := range cormi.AllLevels {
 		if l.String() == *levelName {
 			level = l
 			found = true
 		}
 	}
 	if !found {
-		fmt.Fprintf(os.Stderr, "rmirun: unknown level %q (try one of: class, site, site + cycle, site + reuse, site + reuse + cycle)\n", *levelName)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "rmirun: unknown level %q (try one of: class, site, site + cycle, site + reuse, site + reuse + cycle)\n", *levelName)
+		return 2
 	}
 	if *nodes < 1 {
-		fmt.Fprintf(os.Stderr, "rmirun: -nodes must be at least 1, got %d\n", *nodes)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "rmirun: -nodes must be at least 1, got %d\n", *nodes)
+		return 2
 	}
 
 	src := exampleSrc
 	switch {
 	case *example:
-	case flag.NArg() == 1:
-		b, err := os.ReadFile(flag.Arg(0))
+	case fs.NArg() == 1:
+		b, err := os.ReadFile(fs.Arg(0))
 		if err != nil {
-			fail(err)
+			return fail(stderr, err)
 		}
 		src = string(b)
 	default:
-		fmt.Fprintln(os.Stderr, "rmirun: need a source file or -example")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "rmirun: need a source file or -example")
+		return 2
 	}
 
-	cluster := rmi.New(*nodes)
+	prog, err := cormi.Compile(src)
+	if err != nil {
+		return fail(stderr, err)
+	}
+	cluster := cormi.NewCluster(*nodes, cormi.WithRegistry(prog.Registry()))
 	defer cluster.Close()
-	res, err := core.CompileInto(src, cluster.Registry)
+	v, err := prog.Run(cluster, level, *mainClass)
 	if err != nil {
-		fail(err)
+		return fail(stderr, err)
 	}
-	machine, err := interp.New(res, cluster, level)
-	if err != nil {
-		fail(err)
-	}
-	v, err := machine.RunMain(*mainClass)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("%s.main() = %v\n", *mainClass, v)
+	fmt.Fprintf(stdout, "%s.main() = %v\n", *mainClass, v)
 	s := cluster.Counters.Snapshot()
-	fmt.Printf("level: %s   rpcs: %d local / %d remote   virtual time: %.3f ms\n",
+	fmt.Fprintf(stdout, "level: %s   rpcs: %d local / %d remote   virtual time: %.3f ms\n",
 		level, s.LocalRPCs, s.RemoteRPCs, simtime.Seconds(cluster.MaxTime())*1e3)
-	fmt.Printf("serializer calls: %d   cycle lookups: %d   reused objects: %d   wire: %d B\n",
+	fmt.Fprintf(stdout, "serializer calls: %d   cycle lookups: %d   reused objects: %d   wire: %d B\n",
 		s.SerializerCalls, s.CycleLookups, s.ReusedObjs, s.WireBytes)
+	return 0
 }
 
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "rmirun: %v\n", err)
-	os.Exit(1)
+// fail reports err and returns the failure exit code.
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintf(stderr, "rmirun: %v\n", err)
+	return 1
 }

@@ -118,11 +118,9 @@ var (
 // Cluster options.
 var (
 	WithNetwork    = rmi.WithNetwork
-	WithCostModel  = rmi.WithCostModel
 	WithRegistry   = rmi.WithRegistry
 	WithCallPolicy = rmi.WithCallPolicy
 	WithFaults     = rmi.WithFaults
-	WithDedupCap   = rmi.WithDedupCap
 )
 
 // Failure sentinels of the fault-tolerant call path; test with
@@ -151,16 +149,6 @@ type Program struct {
 // Compile runs the optimizing compiler over MiniJP source.
 func Compile(src string) (*Program, error) {
 	res, err := core.Compile(src)
-	if err != nil {
-		return nil, err
-	}
-	return &Program{res: res}, nil
-}
-
-// CompileInto compiles, registering runtime classes into reg (use the
-// cluster's registry so both sides agree on wire IDs).
-func CompileInto(src string, reg *Registry) (*Program, error) {
-	res, err := core.CompileInto(src, reg)
 	if err != nil {
 		return nil, err
 	}
@@ -203,13 +191,6 @@ func (p *Program) DumpSite(siteName string) (string, error) {
 	}
 	return p.res.DumpSite(si), nil
 }
-
-// DumpAll renders analysis, heap graphs and generated code for every
-// call site.
-func (p *Program) DumpAll() string { return p.res.DumpAll() }
-
-// SSA renders the lowered SSA form of every function.
-func (p *Program) SSA() string { return p.res.SSA() }
 
 // Run interprets the program's `class.main()` on the cluster: remote
 // instances are placed round robin over the nodes and every remote

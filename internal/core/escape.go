@@ -148,20 +148,6 @@ type EscapeWitness struct {
 	Detail string
 }
 
-func (w *EscapeWitness) String() string {
-	if w == nil {
-		return "reusable"
-	}
-	s := w.Rule
-	if w.Node >= 0 {
-		s += fmt.Sprintf(" (allocation %d)", w.Alloc)
-	}
-	if w.Detail != "" {
-		s += ": " + w.Detail
-	}
-	return s
-}
-
 func (r *Result) nodeWitness(rule string, id heap.NodeID, detail string) *EscapeWitness {
 	return &EscapeWitness{Rule: rule, Node: id, Alloc: r.Heap.Nodes[id].Logical, Detail: detail}
 }

@@ -173,7 +173,7 @@ func chainWorkload(kind chainKind, mode ChainMode, depth, chains int) Workload {
 		seeds, folded := make([]model.Value, chains), make([]model.Value, chains)
 		for it := range seeds {
 			seeds[it] = kind.seed(c, it)
-			folded[it] = model.CloneValue(seeds[it])
+			folded[it] = kind.seed(c, it) // an independent copy for the fold
 			for d := 0; d < depth; d++ {
 				folded[it] = kind.step(folded[it])
 			}

@@ -330,8 +330,6 @@ func loadIdx(av, iv value) (value, error) {
 		return plain(model.Double(o.Doubles[i])), nil
 	case model.KIntArray:
 		return plain(model.Int(o.Ints[i])), nil
-	case model.KByteArray:
-		return plain(model.Int(int64(o.Bytes[i]))), nil
 	case model.KRefArray:
 		return plain(model.Ref(o.Refs[i])), nil
 	}
@@ -356,8 +354,6 @@ func storeIdx(av, iv, vv value) error {
 		}
 	case model.KIntArray:
 		o.Ints[i] = vv.v.I
-	case model.KByteArray:
-		o.Bytes[i] = byte(vv.v.I)
 	case model.KRefArray:
 		if vv.r != nil {
 			return fmt.Errorf("interp: cannot store remote reference into array")

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cormi/internal/core"
+	"cormi/internal/ir"
 	"cormi/internal/model"
 	"cormi/internal/rmi"
 	"cormi/internal/trace"
@@ -416,6 +417,7 @@ func TestRuntimeErrors(t *testing.T) {
 		{`class Main { static int main() { int x = 1; int y = 0; return x / y; } }`, "division by zero"},
 		{`class P { int x; } class Main { static int main() { P p = null; return p.x; } }`, "null dereference"},
 		{`class Main { static int main() { while (true) { int x = 1; } return 0; } }`, "step limit"},
+		{`remote class R { int f() { return 1; } } class Main { static int main() { R r = null; return r.f(); } }`, "remote call R.f on null"},
 	}
 	for _, tc := range cases {
 		cluster := rmi.New(1)
@@ -451,5 +453,42 @@ func TestNoMainError(t *testing.T) {
 	}
 	if _, err := m.RunMain("Nope"); err == nil {
 		t.Fatal("missing class accepted")
+	}
+}
+
+// TestPhiWithoutEdgeIsAnError: a phi that names no edge from the block
+// control came from is ill-formed SSA; the machine reports it, naming
+// that block, rather than reading a stale value. The IR of a loop is
+// corrupted after compilation so the loop header's phis forget the
+// entry edge.
+func TestPhiWithoutEdgeIsAnError(t *testing.T) {
+	cluster := rmi.New(1)
+	defer cluster.Close()
+	res, err := core.CompileInto(`class Main { static int main() { int s = 0; for (int i = 0; i < 3; i++) { s += i; } return s; } }`, cluster.Registry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phis := 0
+	for _, f := range res.IR.Funcs {
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				if in.Op == ir.OpPhi {
+					for i := range in.PhiPreds {
+						in.PhiPreds[i] = b
+					}
+					phis++
+				}
+			}
+		}
+	}
+	if phis == 0 {
+		t.Fatal("the loop lowered to no phi")
+	}
+	m, err := New(res, cluster, rmi.LevelSite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.RunMain("Main"); err == nil || !strings.Contains(err.Error(), "phi without edge from b0") {
+		t.Fatalf("RunMain = %v, want the phi-without-edge error", err)
 	}
 }

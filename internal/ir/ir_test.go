@@ -423,3 +423,78 @@ class A {
 		t.Fatalf("ReturnValues allocates %.0f times per call", n)
 	}
 }
+
+// TestUnassignedReadsLowerToTypedZero pins the two places lowering
+// invents a value: a local declared without an initializer holds its
+// type's zero (zeroConst), and a variable read in a block no edge
+// reaches — the join after an if whose branches both return — reads a
+// typed zero placed in that block (zeroValueIn), so the SSA still
+// validates.
+func TestUnassignedReadsLowerToTypedZero(t *testing.T) {
+	p := lower(t, `
+class A {
+	static int decl() {
+		int t;
+		double d;
+		A a;
+		return t;
+	}
+	static int dead(int x) {
+		int y = x;
+		if (x > 0) { return 1; } else { return 2; }
+		y = y + 1;
+		return y;
+	}
+}`)
+	decl := fn(t, p, "A.decl")
+	var ints, doubles, nulls int
+	for _, b := range decl.Blocks {
+		for _, in := range b.Instrs {
+			switch {
+			case in.Op != OpConst:
+			case in.ConstIsNull:
+				nulls++
+			case in.ConstKind == lang.PDouble:
+				doubles++
+			case in.ConstKind == lang.PInt:
+				ints++
+			}
+		}
+	}
+	if ints != 1 || doubles != 1 || nulls != 1 {
+		t.Fatalf("A.decl: %d int, %d double, %d null zero constants, want one each:\n%s", ints, doubles, nulls, dumpFuncs(p))
+	}
+	dead := fn(t, p, "A.dead")
+	for _, b := range dead.Blocks {
+		if len(b.Preds) == 0 && b != dead.Blocks[0] {
+			if in := findOp(&Func{Blocks: []*Block{b}}, OpConst); in != nil && in.ConstKind == lang.PInt {
+				return
+			}
+		}
+	}
+	t.Fatalf("A.dead: no typed zero in the unreachable join:\n%s", dumpFuncs(p))
+}
+
+// TestLowerReportsInternalErrors: a checked program that lowering
+// cannot handle — here a local renamed after the checker bound it —
+// comes back from Lower as an error naming the position, not a panic.
+func TestLowerReportsInternalErrors(t *testing.T) {
+	f, err := lang.Parse(`
+class A {
+	static int f(int x) {
+		return x;
+	}
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := lang.Check(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ret := cp.File.Classes[0].Methods[0].Body.Stmts[0].(*lang.Return)
+	ret.Value.(*lang.Ident).Name = "gone"
+	if _, err := Lower(cp); err == nil || !strings.Contains(err.Error(), "internal: unbound local gone") {
+		t.Fatalf("Lower = %v, want the unbound-local error", err)
+	}
+}

@@ -66,14 +66,6 @@ type TypeExpr struct {
 	Dims int    // trailing [] pairs
 }
 
-func (t TypeExpr) String() string {
-	s := t.Name
-	for i := 0; i < t.Dims; i++ {
-		s += "[]"
-	}
-	return s
-}
-
 // FieldDecl declares a field.
 type FieldDecl struct {
 	Pos    Pos

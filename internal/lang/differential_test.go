@@ -162,7 +162,9 @@ func digest(f *lang.File) string {
 	return b.String()
 }
 
-func typeX(t lang.TypeExpr) string { return fmt.Sprintf("%v:%s", t.Pos, t) }
+func typeX(t lang.TypeExpr) string {
+	return fmt.Sprintf("%v:%s%s", t.Pos, t.Name, strings.Repeat("[]", t.Dims))
+}
 
 func stmt(b *strings.Builder, s lang.Stmt) {
 	if s == nil {

@@ -8,7 +8,8 @@ package model
 
 import "fmt"
 
-// ClassKind discriminates the five layouts an Object can have.
+// ClassKind discriminates the four layouts an Object can have. The
+// values are fixed: plan fingerprints hash them.
 type ClassKind uint8
 
 const (
@@ -18,8 +19,7 @@ const (
 	KDoubleArray
 	// KIntArray is an int[] with an []int64 payload.
 	KIntArray
-	// KByteArray is a byte[] with a []byte payload.
-	KByteArray
+	_ // 3 was byte[], which no MiniJP program can build; retired, never reused
 	// KRefArray is a T[] whose elements are object references.
 	KRefArray
 )
@@ -32,8 +32,6 @@ func (k ClassKind) String() string {
 		return "double[]"
 	case KIntArray:
 		return "int[]"
-	case KByteArray:
-		return "byte[]"
 	case KRefArray:
 		return "ref[]"
 	default:

@@ -65,7 +65,7 @@ func TestDeepClonePropertyRandomGraphs(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(size%30) + 1
 		g := w.randomGraph(rng, n)
-		c := DeepClone(g)
+		c := testkit.DeepClone(g)
 		if !testkit.DeepEqual(g, c) {
 			return false
 		}
@@ -94,7 +94,7 @@ func TestDeepEqualIsEquivalenceOnRandomGraphs(t *testing.T) {
 		n := int(size%20) + 1
 		g := w.randomGraph(rng, n)
 		// Reflexive and symmetric with a clone.
-		c := DeepClone(g)
+		c := testkit.DeepClone(g)
 		return testkit.DeepEqual(g, g) && testkit.DeepEqual(g, c) && testkit.DeepEqual(c, g)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -103,15 +103,15 @@ func TestDeepEqualIsEquivalenceOnRandomGraphs(t *testing.T) {
 }
 
 func TestCloneValuePassthrough(t *testing.T) {
-	if CloneValue(Int(5)).I != 5 {
+	if testkit.CloneValue(Int(5)).I != 5 {
 		t.Fatal("primitive clone")
 	}
-	if !CloneValue(Null()).IsNull() {
+	if !testkit.CloneValue(Null()).IsNull() {
 		t.Fatal("null clone")
 	}
 	w := newGraphWorld()
 	o := New(w.node)
-	v := CloneValue(Ref(o))
+	v := testkit.CloneValue(Ref(o))
 	if n, _ := testkit.GraphSize(v.O); v.O == o || n != 1 {
 		t.Fatal("ref clone")
 	}
@@ -139,7 +139,7 @@ func TestStringRenderings(t *testing.T) {
 	if Ref(o).String() == "" {
 		t.Fatal("ref string")
 	}
-	for _, k := range []ClassKind{KObject, KDoubleArray, KIntArray, KByteArray, KRefArray, ClassKind(99)} {
+	for _, k := range []ClassKind{KObject, KDoubleArray, KIntArray, KRefArray, ClassKind(3), ClassKind(99)} {
 		if k.String() == "" {
 			t.Fatalf("ClassKind(%d) has no name", k)
 		}
@@ -162,7 +162,7 @@ func TestArrayGraphOps(t *testing.T) {
 	shared := New(leaf)
 	arr.Refs[0] = shared
 	arr.Refs[1] = shared
-	c := DeepClone(arr)
+	c := testkit.DeepClone(arr)
 	if c.Refs[0] != c.Refs[1] || c.Refs[0] == shared {
 		t.Fatal("array sharing clone")
 	}
@@ -189,16 +189,12 @@ func TestArrayGraphOps(t *testing.T) {
 	// Primitive arrays: clones copy payloads.
 	ia := NewArray(reg.IntArray(), 2)
 	ia.Ints[1] = 9
-	ba := NewArray(reg.MustByName("byte[]"), 2)
-	ba.Bytes[0] = 0xFF
-	ci := DeepClone(ia)
-	cb := DeepClone(ba)
+	ci := testkit.DeepClone(ia)
 	ci.Ints[1] = 0
-	cb.Bytes[0] = 0
-	if ia.Ints[1] != 9 || ba.Bytes[0] != 0xFF {
+	if ia.Ints[1] != 9 {
 		t.Fatal("primitive array clone aliases")
 	}
-	if !testkit.DeepEqual(ia, DeepClone(ia)) || !testkit.DeepEqual(ba, DeepClone(ba)) {
+	if !testkit.DeepEqual(ia, testkit.DeepClone(ia)) {
 		t.Fatal("primitive array DeepEqual")
 	}
 	if testkit.DeepEqual(ia, NewArray(reg.IntArray(), 3)) {

@@ -54,8 +54,33 @@ func TestRegistryBuiltinsAndArrayOf(t *testing.T) {
 	if again := reg.ArrayOf(da); again != dda {
 		t.Fatal("ArrayOf not idempotent")
 	}
-	if reg.IntArray().Kind != KIntArray || reg.MustByName("byte[]").Kind != KByteArray {
+	if reg.IntArray().Kind != KIntArray {
 		t.Fatal("builtin array kinds wrong")
+	}
+}
+
+// TestRetiredByteArrayKeepsWireIDs: byte[] is gone, but its class ID 3
+// stays unassigned, so every other class keeps the wire ID it had and a
+// class ID 3 resolves to nothing.
+func TestRetiredByteArrayKeepsWireIDs(t *testing.T) {
+	reg := NewRegistry()
+	if _, ok := reg.ByName("byte[]"); ok {
+		t.Fatal("byte[] is still registered")
+	}
+	if reg.DoubleArray().ID != 1 || reg.IntArray().ID != 2 {
+		t.Fatalf("built-in IDs %d, %d, want 1, 2", reg.DoubleArray().ID, reg.IntArray().ID)
+	}
+	c, err := reg.Define("P", nil)
+	if err != nil || c.ID != 4 {
+		t.Fatalf("first defined class: ID %d, err %v; want ID 4", c.ID, err)
+	}
+	for _, id := range []int32{0, 3, 5} {
+		if c, ok := ClassByID(reg.Classes(), id); ok || c != nil {
+			t.Fatalf("class ID %d resolved to %v", id, c)
+		}
+	}
+	if got, ok := ClassByID(reg.Classes(), 4); !ok || got != c {
+		t.Fatalf("class ID 4 resolved to %v, %v", got, ok)
 	}
 }
 
@@ -108,9 +133,8 @@ func TestArrays(t *testing.T) {
 		t.Fatal("nested array access failed")
 	}
 	ia := NewArray(reg.IntArray(), 3)
-	ba := NewArray(reg.MustByName("byte[]"), 5)
-	if ia.SizeBytes() != 16+24 || ba.SizeBytes() != 16+5 {
-		t.Fatalf("SizeBytes: %d %d", ia.SizeBytes(), ba.SizeBytes())
+	if ia.SizeBytes() != 16+24 {
+		t.Fatalf("SizeBytes: %d", ia.SizeBytes())
 	}
 }
 
@@ -121,10 +145,10 @@ func TestValues(t *testing.T) {
 	if !Null().IsNull() {
 		t.Fatal("Null not null")
 	}
-	if Int(3).Equal(Int(4)) || !Int(3).Equal(Int(3)) {
+	if testkit.DeepEqualValue(Int(3), Int(4)) || !testkit.DeepEqualValue(Int(3), Int(3)) {
 		t.Fatal("int Equal")
 	}
-	if Int(3).Equal(Double(3)) {
+	if testkit.DeepEqualValue(Int(3), Double(3)) {
 		t.Fatal("kind mismatch should be unequal")
 	}
 }
@@ -151,7 +175,7 @@ func listRegistry() *Registry {
 func TestDeepCloneList(t *testing.T) {
 	reg := listRegistry()
 	head := buildList(reg, 50)
-	c := DeepClone(head)
+	c := testkit.DeepClone(head)
 	if n, _ := testkit.GraphSize(c); n != 50 || c == head {
 		t.Fatalf("clone holds %d objects, want 50 fresh ones", n)
 	}
@@ -172,7 +196,7 @@ func TestDeepCloneSharingAndCycles(t *testing.T) {
 	b := New(node)
 	a.Set("next", Ref(b))
 	b.Set("next", Ref(a)) // cycle
-	c := DeepClone(a)
+	c := testkit.DeepClone(a)
 	if c.GetRef("next").GetRef("next") != c {
 		t.Fatal("cycle not preserved in clone")
 	}
@@ -192,7 +216,7 @@ func TestDeepCloneSharingAndCycles(t *testing.T) {
 	p := New(pair)
 	p.Set("l", Ref(shared))
 	p.Set("r", Ref(shared))
-	pc := DeepClone(p)
+	pc := testkit.DeepClone(p)
 	if pc.GetRef("l") != pc.GetRef("r") {
 		t.Fatal("sharing lost in clone")
 	}

@@ -12,7 +12,6 @@ type Object struct {
 	Fields  []Value   // KObject: one slot per flattened field
 	Doubles []float64 // KDoubleArray
 	Ints    []int64   // KIntArray
-	Bytes   []byte    // KByteArray
 	Refs    []*Object // KRefArray
 }
 
@@ -37,8 +36,6 @@ func NewArray(c *Class, n int) *Object {
 		o.Doubles = make([]float64, n)
 	case KIntArray:
 		o.Ints = make([]int64, n)
-	case KByteArray:
-		o.Bytes = make([]byte, n)
 	case KRefArray:
 		o.Refs = make([]*Object, n)
 	default:
@@ -54,8 +51,6 @@ func (o *Object) Len() int {
 		return len(o.Doubles)
 	case KIntArray:
 		return len(o.Ints)
-	case KByteArray:
-		return len(o.Bytes)
 	case KRefArray:
 		return len(o.Refs)
 	default:
@@ -73,8 +68,6 @@ func (o *Object) SizeBytes() int64 {
 		return header + int64(8*len(o.Doubles))
 	case KIntArray:
 		return header + int64(8*len(o.Ints))
-	case KByteArray:
-		return header + int64(len(o.Bytes))
 	case KRefArray:
 		return header + int64(8*len(o.Refs))
 	default:

@@ -12,8 +12,8 @@ import (
 // by construction; our runtime checks names on lookup).
 type Registry struct {
 	mu sync.RWMutex
-	// byID is indexed by class ID (slot 0 is never assigned) and only
-	// ever appended to: a slot, once written, never changes, so a slice
+	// byID is indexed by class ID (slots 0 and 3 are never assigned)
+	// and only ever appended to: a slot, once written, never changes, so a slice
 	// header read under the lock stays a valid table after it is
 	// released (see Classes).
 	byID   []*Class
@@ -21,7 +21,9 @@ type Registry struct {
 }
 
 // NewRegistry returns an empty registry with the built-in array classes
-// for double[], int[] and byte[] pre-registered.
+// double[] (ID 1) and int[] (ID 2) pre-registered. ID 3 belonged to the
+// retired byte[] class and stays unassigned, so every compiled class
+// keeps the wire ID it had; a frame that names it fails to resolve.
 func NewRegistry() *Registry {
 	r := &Registry{
 		byID:   make([]*Class, 1, 16), // no class has ID 0
@@ -29,7 +31,7 @@ func NewRegistry() *Registry {
 	}
 	r.mustDefine(&Class{Name: "double[]", Kind: KDoubleArray})
 	r.mustDefine(&Class{Name: "int[]", Kind: KIntArray})
-	r.mustDefine(&Class{Name: "byte[]", Kind: KByteArray})
+	r.byID = append(r.byID, nil)
 	return r
 }
 
@@ -84,7 +86,7 @@ func (r *Registry) ArrayOf(elem *Class) *Class {
 }
 
 // Classes returns the ID-indexed class table as it stands: entry i is
-// the class with ID i, entry 0 is nil. The table is a snapshot that
+// the class with ID i, entries 0 and 3 are nil. The table is a snapshot that
 // needs no lock to read — classes defined later are not in it — so a
 // decoder takes it once per message and resolves every class ID of the
 // message with a bounds check (ClassByID).
@@ -99,7 +101,7 @@ func ClassByID(table []*Class, id int32) (*Class, bool) {
 	if id <= 0 || int64(id) >= int64(len(table)) {
 		return nil, false
 	}
-	return table[id], true
+	return table[id], table[id] != nil
 }
 
 // ByName resolves a class name.

@@ -65,22 +65,3 @@ func (v Value) String() string {
 		return "<invalid>"
 	}
 }
-
-// Equal reports shallow equality: primitives by value, references by
-// identity.
-func (v Value) Equal(w Value) bool {
-	if v.Kind != w.Kind {
-		return false
-	}
-	switch v.Kind {
-	case FInt, FBool:
-		return v.I == w.I
-	case FDouble:
-		return v.D == w.D
-	case FString:
-		return v.S == w.S
-	case FRef:
-		return v.O == w.O
-	}
-	return false
-}

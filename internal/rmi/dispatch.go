@@ -15,10 +15,12 @@ import (
 // recvLoop drains the node's network endpoint. Every frame is checksum
 // verified first — corrupted frames are dropped and recovered by the
 // sender's retransmit, never deserialized. Incoming calls are then
-// deserialized here — under the node's receive lock, reproducing the
-// paper's "only one thread can drain the network" rule — into one
-// invocation record. A leaf call (DESIGN.md §8, "Dispatch") then runs
-// here, on the loop, after the lock is released: the method, its reply
+// deserialized here into one invocation record. The loop is the node's
+// only decoder, so the paper's "only one thread can drain the network"
+// rule holds by construction, with no lock: a node's reuse caches are
+// never read by two decoders at once (DESIGN.md §8). A leaf call
+// (DESIGN.md §8, "Dispatch") then runs here, on the loop, after its
+// decode: the method, its reply
 // and the reset of the node's reusable record. Any other call's record,
 // taken from the node's spare list, goes to a parked executor goroutine
 // (a new one when none is parked), which runs the method, replies and
@@ -52,9 +54,7 @@ func (n *Node) recvLoop(wg *sync.WaitGroup) {
 		rd.ResetTo(payload)
 		switch t := rd.ReadU8(); t {
 		case wire.MsgCall:
-			n.recvMu.Lock()
 			up := n.handleCall(p, rd)
-			n.recvMu.Unlock()
 			wire.PutBuf(frame)
 			if up != nil {
 				n.executeAndReply(up)
@@ -134,11 +134,10 @@ type invocation struct {
 }
 
 // handleCall deserializes one incoming call into its invocation record.
-// It runs under the node receive lock on the node's communication
-// processor (the paper's GM poll thread). A call through a leaf site
+// It runs on the node's receive loop, its communication processor (the
+// paper's GM poll thread) and only decoder. A call through a leaf site
 // to a service that does not block decodes into the node's reusable
-// record, which handleCall returns for the loop to run once it has
-// released the lock; any other call decodes into a record from the
+// record, which handleCall returns for the loop to run; any other call decodes into a record from the
 // node's spare list and is dispatched to an executor, and handleCall
 // returns nil, as it does for a call it answered itself.
 func (n *Node) handleCall(p transport.Packet, m *wire.Message) *invocation {

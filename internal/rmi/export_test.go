@@ -9,3 +9,10 @@ func (c *Cluster) negotiateWithPeerHello(local, peer int, hello []byte) {
 	l := &n.links[peer]
 	l.once.Do(func() { n.negotiateLink(l, hello) })
 }
+
+// WithDedupCap bounds the per-node reply cache that absorbs
+// retransmitted calls (default 4096 entries), so a test can watch
+// eviction without sending thousands of calls.
+func WithDedupCap(n int) Option {
+	return func(o *clusterOpts) { o.dedupCap = n }
+}

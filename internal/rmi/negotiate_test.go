@@ -14,6 +14,7 @@ import (
 	"cormi/internal/balance"
 	"cormi/internal/model"
 	"cormi/internal/serial"
+	"cormi/internal/stats"
 	"cormi/internal/testkit"
 	"cormi/internal/trace"
 	"cormi/internal/transport"
@@ -298,6 +299,64 @@ func TestMalformedCallFrameRejectedTyped(t *testing.T) {
 	}
 	if rets[0].I != 3 {
 		t.Fatalf("sum = %d, want 3", rets[0].I)
+	}
+}
+
+// TestRetiredClassIDCountsMalformed: class ID 3 belonged to byte[],
+// which no compiled program can build; the ID stays unassigned, so a
+// class-mode call frame whose argument names it is rejected undecoded
+// as malformed, counted on the link it arrived on (node 1's link to its
+// sender, node 0), never run, and the link keeps serving.
+func TestRetiredClassIDCountsMalformed(t *testing.T) {
+	e := newEnv(t, 2)
+	var runs atomic.Int64
+	sum := e.sumService()
+	inner := sum.Methods["sum"]
+	sum.Methods["sum"] = func(call *Call, args []model.Value) []model.Value {
+		runs.Add(1)
+		return inner(call, args)
+	}
+	ref := e.c.Node(1).Export(sum)
+	cs := e.c.MustNewCallSite(LevelClass, SiteSpec{
+		Name: "t.sum.1", Method: "sum",
+		ArgPlans: []*serial.Plan{e.listPlan("t.sum.1", true, false)},
+		RetPlans: []*serial.Plan{intPlan("t.sum.1")},
+	})
+	if _, err := cs.Invoke(e.c.Node(0), ref, []model.Value{model.Ref(e.makeList(3))}); err != nil {
+		t.Fatal(err)
+	}
+
+	m := wire.Get()
+	wire.CallHeader{Site: cs.ID, Obj: ref.Obj, Seq: 777, NArgs: 1}.Encode(m)
+	m.AppendByte(byte(model.FRef))
+	m.AppendByte(3) // a new object with its class ID on the wire
+	m.AppendInt32(3)
+	m.AppendInt32(0) // what was an empty byte[]'s length
+	m.SealFrame()
+	if err := e.c.Network().Endpoint(0).Send(transport.Packet{To: 1, Payload: m.Detach()}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); e.c.Counters.MalformedFrames.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("class ID 3 never counted malformed (method ran %d times)", runs.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var link stats.LinkStat
+	for _, l := range e.c.LinkStats() {
+		if l.From == 1 && l.To == 0 {
+			link = l
+		}
+	}
+	if link.Malformed != 1 {
+		t.Fatalf("link 1<-0 counted %d malformed frames, want 1: %+v", link.Malformed, e.c.LinkStats())
+	}
+	rets, err := cs.Invoke(e.c.Node(0), ref, []model.Value{model.Ref(e.makeList(3))})
+	if err != nil || rets[0].I != 3 {
+		t.Fatalf("honest call after the class-3 frame: %v, %v", rets, err)
+	}
+	if runs.Load() != 2 {
+		t.Fatalf("method ran %d times, want 2 (the class-3 frame must not run)", runs.Load())
 	}
 }
 

@@ -9,7 +9,8 @@
 //   - node-local calls deep-clone arguments and results so parameter
 //     passing semantics do not depend on object placement;
 //   - one receiver drains a node's network at a time (the paper's
-//     unmarshaler lock);
+//     unmarshaler lock): each node has one receive loop, its only
+//     decoder;
 //   - callee-side argument caches and caller-side return-value caches
 //     implement the object-reuse optimization with the take/put guard
 //     of Figure 13.
@@ -236,7 +237,6 @@ type Option func(*clusterOpts)
 type clusterOpts struct {
 	net         transport.Network
 	owns        bool
-	cost        simtime.CostModel
 	registry    *model.Registry
 	policy      CallPolicy
 	faults      *transport.FaultConfig
@@ -257,11 +257,6 @@ func WithNetwork(n transport.Network) Option {
 	return func(o *clusterOpts) { o.net = n; o.owns = true }
 }
 
-// WithCostModel overrides the default calibrated cost model.
-func WithCostModel(m simtime.CostModel) Option {
-	return func(o *clusterOpts) { o.cost = m }
-}
-
 // WithRegistry shares a class registry with the caller.
 func WithRegistry(r *model.Registry) Option {
 	return func(o *clusterOpts) { o.registry = r }
@@ -279,12 +274,6 @@ func WithCallPolicy(p CallPolicy) Option {
 // the given seeded fault configuration (chaos mode).
 func WithFaults(cfg transport.FaultConfig) Option {
 	return func(o *clusterOpts) { o.faults = &cfg }
-}
-
-// WithDedupCap bounds the per-node reply cache used to absorb
-// retransmitted calls (default 4096 entries).
-func WithDedupCap(n int) Option {
-	return func(o *clusterOpts) { o.dedupCap = n }
 }
 
 // WithTracer attaches an observability tracer: per-call spans, phase
@@ -350,7 +339,7 @@ func New(n int, opts ...Option) *Cluster {
 	if n < 1 {
 		panic(fmt.Sprintf("rmi: a cluster needs at least one node, got %d", n))
 	}
-	o := clusterOpts{cost: simtime.DefaultCostModel(), dedupCap: 4096}
+	o := clusterOpts{dedupCap: 4096}
 	for _, f := range opts {
 		f(&o)
 	}
@@ -368,7 +357,7 @@ func New(n int, opts ...Option) *Cluster {
 	c := &Cluster{
 		Registry:   o.registry,
 		Counters:   &stats.Counters{},
-		Cost:       o.cost,
+		Cost:       simtime.DefaultCostModel(),
 		net:        o.net,
 		owns:       o.owns,
 		policy:     o.policy,
@@ -523,10 +512,6 @@ type Node struct {
 	dedupMu sync.Mutex
 	dedup   map[dedupKey]*dedupEntry
 	dedupQ  []dedupKey // FIFO eviction order
-
-	// recvMu is the paper's per-node unmarshaler lock: only one thread
-	// drains the network and deserializes at a time.
-	recvMu sync.Mutex
 
 	// work is the unbuffered hand-off to this node's parked executors,
 	// idle how many are parked (see dispatch).

@@ -1,10 +1,6 @@
 package serial
 
-import (
-	"fmt"
-
-	"cormi/internal/model"
-)
+import "cormi/internal/model"
 
 // Claim checking (audit mode): re-verify at runtime, on sampled calls,
 // the two compile-time claims the optimizer acts on — §3.2 "this
@@ -21,14 +17,6 @@ type ClaimViolation struct {
 	Index int    // value index within the message
 	Claim string // "acyclic" or "reuse-shape"
 	Class string // runtime class of the offending object
-}
-
-func (v *ClaimViolation) String() string {
-	if v == nil {
-		return "claims hold"
-	}
-	return fmt.Sprintf("claim %q violated at %s value %d (runtime class %s)",
-		v.Claim, v.Site, v.Index, v.Class)
 }
 
 // CheckAcyclic walks the reference values whose plans claim the cycle

@@ -45,7 +45,7 @@ type diffWorld struct {
 	base    *model.Class
 	derived *model.Class // extends Base {data int}
 	holder  *model.Class // {id int; b Base}: planned link whose referent may be a Derived
-	box     *model.Class // {ints int[]; raw byte[]; any Base (dynamic); tail Box}
+	box     *model.Class // {ints int[]; any Base (dynamic); tail Box}
 }
 
 func newDiffWorld() *diffWorld {
@@ -80,7 +80,6 @@ func newDiffWorld() *diffWorld {
 	)
 	w.box = testkit.MustDefine(reg, "Box", nil,
 		model.Field{Name: "ints", Kind: model.FRef, Class: reg.IntArray()},
-		model.Field{Name: "raw", Kind: model.FRef, Class: reg.MustByName("byte[]")},
 		model.Field{Name: "any", Kind: model.FRef, Class: w.base},
 	)
 	self(w.box, "tail")
@@ -179,9 +178,8 @@ func (w *diffWorld) shapes() []diffShape {
 	boxNP := &NodePlan{Class: w.box}
 	boxNP.Steps = []Step{
 		{Op: OpRef, Field: 0, FieldName: "ints", Target: &NodePlan{Class: w.reg.IntArray()}},
-		{Op: OpRef, Field: 1, FieldName: "raw", Target: &NodePlan{Class: w.reg.MustByName("byte[]")}},
-		{Op: OpRefDynamic, Field: 2, FieldName: "any"},
-		{Op: OpRef, Field: 3, FieldName: "tail", Target: boxNP},
+		{Op: OpRefDynamic, Field: 1, FieldName: "any"},
+		{Op: OpRef, Field: 2, FieldName: "tail", Target: boxNP},
 	}
 
 	return []diffShape{
@@ -234,12 +232,9 @@ func (w *diffWorld) shapes() []diffShape {
 				for j := range ints.Ints {
 					ints.Ints[j] = rng.Int63()
 				}
-				raw := model.NewArray(w.reg.MustByName("byte[]"), rng.Intn(5))
-				rng.Read(raw.Bytes)
 				d := model.New(w.derived)
 				d.Set("data", model.Int(rng.Int63n(9)))
 				b.Set("ints", model.Ref(ints))
-				b.Set("raw", model.Ref(raw))
 				b.Set("any", model.Ref(d))
 				b.Set("tail", model.Ref(head))
 				head = b
@@ -366,7 +361,7 @@ func checkDecoded(t *testing.T, what string, in, out []model.Value) {
 	t.Helper()
 	for i := range in {
 		if in[i].Kind != model.FRef {
-			if !out[i].Equal(in[i]) {
+			if out[i] != in[i] {
 				t.Fatalf("%s: value %d = %v, want %v", what, i, out[i], in[i])
 			}
 			continue

@@ -42,6 +42,9 @@ func FuzzReadValues(f *testing.F) {
 	}
 	f.Add(append([]byte{2}, m.Bytes()...))
 	f.Add([]byte{1, byte(model.FRef), refNewDynamic})
+	// Class ID 3, the retired byte[], with what was an empty payload:
+	// rejected as an unknown class.
+	f.Add([]byte{0, byte(model.FRef), refNewDynamic, 3, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{0})
 	f.Add([]byte{})
 

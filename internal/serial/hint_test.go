@@ -24,10 +24,10 @@ func classFrame(t *testing.T, root *model.Object) []byte {
 	return m.Bytes()
 }
 
-// hintCounts reads h's six counts: objects, field values, doubles,
-// ints, bytes, refs.
-func hintCounts(h *SlabHint) [6]int64 {
-	return [6]int64{h.objs.Load(), h.fields.Load(), h.doubles.Load(), h.ints.Load(), h.bytes.Load(), h.refs.Load()}
+// hintCounts reads h's five counts: objects, field values, doubles,
+// ints, refs.
+func hintCounts(h *SlabHint) [5]int64 {
+	return [5]int64{h.objs.Load(), h.fields.Load(), h.doubles.Load(), h.ints.Load(), h.refs.Load()}
 }
 
 // TestHintedClassReadAllocs pins the class-level decode in steady
@@ -87,7 +87,7 @@ func TestHintBoundedByFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	large := hintCounts(h)
-	if large != [6]int64{250, 500, 0, 0, 0, 0} {
+	if large != [5]int64{250, 500, 0, 0, 0} {
 		t.Fatalf("hint after a 250-node list = %v, want 250 objects and 500 fields", large)
 	}
 
@@ -124,14 +124,14 @@ func TestHintBoundedByFrame(t *testing.T) {
 	if err := decode(small); err != nil {
 		t.Fatal(err)
 	}
-	if got := hintCounts(h); got != [6]int64{2, 4, 0, 0, 0, 0} {
+	if got := hintCounts(h); got != [5]int64{2, 4, 0, 0, 0} {
 		t.Fatalf("hint after a 2-node list = %v, want 2 objects and 4 fields", got)
 	}
 	big := classFrame(t, w.makeList(100))
 	if err := decode(big[:len(big)-5]); !errors.Is(err, wire.ErrMalformedFrame) {
 		t.Fatalf("truncated list: err = %v, want ErrMalformedFrame", err)
 	}
-	if got := hintCounts(h); got != [6]int64{2, 4, 0, 0, 0, 0} {
+	if got := hintCounts(h); got != [5]int64{2, 4, 0, 0, 0} {
 		t.Fatalf("a rejected frame moved the hint to %v", got)
 	}
 }

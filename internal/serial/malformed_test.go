@@ -171,7 +171,7 @@ func committedPerRun(runs int, f func()) uint64 {
 
 // TestLengthBombAllocationBound pins the headline hardening property:
 // a tiny hostile frame declaring a 2-billion-element array of each kind
-// — double[], int[], byte[] and a reference array, at a class position
+// — double[], int[] and a reference array, at a class position
 // and at a planned one — is rejected with the typed error in O(1)
 // allocations and O(1) bytes. The length is checked against the
 // remaining payload before anything is carved from the message's slabs,
@@ -185,7 +185,6 @@ func TestLengthBombAllocationBound(t *testing.T) {
 	}{
 		{w.reg.DoubleArray(), nil},
 		{w.reg.IntArray(), nil},
-		{w.reg.MustByName("byte[]"), nil},
 		{w.reg.ArrayOf(w.leaf), leafNP},
 	}
 	for _, a := range arrays {
@@ -443,7 +442,7 @@ func TestLoopRejectionsTypedBalancedAndCounted(t *testing.T) {
 // reuse of a donor it did not have (nil dereference on a 5-byte frame).
 func TestEmptyPlannedArrayWithoutDonor(t *testing.T) {
 	w := newWorld()
-	for _, class := range []*model.Class{w.reg.DoubleArray(), w.reg.IntArray(), w.reg.MustByName("byte[]")} {
+	for _, class := range []*model.Class{w.reg.DoubleArray(), w.reg.IntArray()} {
 		plans := []*Plan{{Site: "E.m.1", Kind: model.FRef, Root: &NodePlan{Class: class}, Reusable: true}}
 		frame := func() []byte {
 			m := wire.NewMessage(8)

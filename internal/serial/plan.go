@@ -211,8 +211,6 @@ func emitNode(b *strings.Builder, np *NodePlan, expr string, depth int, emitted 
 			fmt.Fprintf(b, "%sm.append_int(%s.length);\n%sm.append_double_array(%s); // bulk copy, no type info\n", ind, expr, ind, expr)
 		case model.KIntArray:
 			fmt.Fprintf(b, "%sm.append_int(%s.length);\n%sm.append_int_array(%s);\n", ind, expr, ind, expr)
-		case model.KByteArray:
-			fmt.Fprintf(b, "%sm.append_int(%s.length);\n%sm.append_byte_array(%s);\n", ind, expr, ind, expr)
 		case model.KRefArray:
 			fmt.Fprintf(b, "%sm.append_int(%s.length);\n", ind, expr)
 			fmt.Fprintf(b, "%sfor (int i = 0; i < %s.length; i++) {\n", ind, expr)

@@ -242,14 +242,6 @@ func (rc *readCtx) newArray(c *model.Class) *model.Object {
 	return o
 }
 
-// carveBytes copies a byte[] payload out of the frame into the
-// message's slab; view's length was already checked against the frame.
-func (rc *readCtx) carveBytes(view []byte) []byte {
-	bs := rc.bytes.Slice(len(view))
-	copy(bs, view)
-	return bs
-}
-
 // dynString accounts for deserializing a string through the dynamic
 // path: two allocations (String + char[]), two dynamic deserializer
 // invocations, two type descriptors to resolve.
@@ -327,15 +319,6 @@ func readDynamicBody(rc *readCtx) (*model.Object, error) {
 		rc.register(o)
 		rc.allocated(o)
 		rc.ops.Elems += int64(len(vs))
-		return o, nil
-	case model.KByteArray:
-		bs := rc.carveBytes(rc.m.ReadBytesView())
-		rc.dynArrayIntrospect(len(bs))
-		o := rc.newArray(class)
-		o.Bytes = bs
-		rc.register(o)
-		rc.allocated(o)
-		rc.ops.Elems += int64(len(bs))
 		return o, nil
 	case model.KRefArray:
 		n := int(rc.m.ReadInt32())
@@ -446,24 +429,6 @@ func readPlannedArray(rc *readCtx, np *NodePlan, old *model.Object) (*model.Obje
 		}
 		o := rc.newArray(np.Class)
 		o.Ints = vs
-		rc.allocated(o)
-		rc.register(o)
-		return o, nil
-	case model.KByteArray:
-		// Zero-copy view into the frame: the reuse path copies straight
-		// from the frame into the donor's array (one copy instead of
-		// two); only the allocation path materializes a private slice.
-		bs := rc.m.ReadBytesView()
-		rc.ops.Elems += int64(len(bs))
-		rc.ops.InlinedWrites++
-		if rc.takeDonor(old, np.Class) && len(old.Bytes) == len(bs) {
-			copy(old.Bytes, bs)
-			rc.reused(old)
-			rc.register(old)
-			return old, nil
-		}
-		o := rc.newArray(np.Class)
-		o.Bytes = rc.carveBytes(bs)
 		rc.allocated(o)
 		rc.register(o)
 		return o, nil

@@ -148,10 +148,6 @@ func (w *refWriter) dynamic(o *model.Object) {
 		w.introspectArray(len(o.Ints))
 		w.m.AppendInt64Slice(o.Ints)
 		w.ops.Elems += int64(len(o.Ints))
-	case model.KByteArray:
-		w.introspectArray(len(o.Bytes))
-		w.m.AppendBytes(o.Bytes)
-		w.ops.Elems += int64(len(o.Bytes))
 	case model.KRefArray:
 		w.introspectArray(len(o.Refs))
 		w.m.AppendInt32(int32(len(o.Refs)))
@@ -192,10 +188,6 @@ func (w *refWriter) planned(o *model.Object, np *NodePlan) {
 	case model.KIntArray:
 		w.m.AppendInt64Slice(o.Ints)
 		w.ops.Elems += int64(len(o.Ints))
-		w.ops.InlinedWrites++
-	case model.KByteArray:
-		w.m.AppendBytes(o.Bytes)
-		w.ops.Elems += int64(len(o.Bytes))
 		w.ops.InlinedWrites++
 	case model.KRefArray:
 		w.m.AppendInt32(int32(len(o.Refs)))
@@ -417,11 +409,6 @@ func (r *refReader) dynamic() (*model.Object, error) {
 		introspect(len(vs))
 		o = &model.Object{Class: class, Ints: vs}
 		r.ops.Elems += int64(len(vs))
-	case model.KByteArray:
-		bs := append([]byte(nil), r.m.ReadBytesView()...)
-		introspect(len(bs))
-		o = &model.Object{Class: class, Bytes: bs}
-		r.ops.Elems += int64(len(bs))
 	case model.KRefArray:
 		n, err := r.refArrayLen()
 		if err != nil {
@@ -525,14 +512,6 @@ func (r *refReader) planned(np *NodePlan, old *model.Object) (*model.Object, err
 			old.Ints = vs
 		}
 		return finish(&model.Object{Class: np.Class, Ints: vs}, inPlace)
-	case model.KByteArray:
-		bs := r.m.ReadBytesView()
-		r.ops.Elems += int64(len(bs))
-		if donor && len(old.Bytes) == len(bs) {
-			copy(old.Bytes, bs)
-			return finish(nil, true)
-		}
-		return finish(&model.Object{Class: np.Class, Bytes: append([]byte(nil), bs...)}, false)
 	case model.KRefArray:
 		n, err := r.refArrayLen()
 		if err != nil {

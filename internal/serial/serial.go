@@ -41,13 +41,6 @@ const (
 	ModeSite
 )
 
-func (m Mode) String() string {
-	if m == ModeClass {
-		return "class"
-	}
-	return "site"
-}
-
 // Reference markers on the wire.
 const (
 	refNull       = 0 // null reference
@@ -130,7 +123,6 @@ type readCtx struct {
 	fields  slab.Of[model.Value]
 	doubles slab.Of[float64]
 	ints    slab.Of[int64]
-	bytes   slab.Of[byte]
 	refs    slab.Of[*model.Object]
 
 	m       *wire.Message
@@ -208,14 +200,13 @@ func getReadCtx(m *wire.Message, reg *model.Registry, c *stats.Counters, h *Slab
 		rc.fields.Hint(&h.fields, payload)
 		rc.doubles.Hint(&h.doubles, payload)
 		rc.ints.Hint(&h.ints, payload)
-		rc.bytes.Hint(&h.bytes, payload)
 		rc.refs.Hint(&h.refs, payload)
 	}
 	return rc
 }
 
 // SlabHint is one reading side's memory of how many objects, field
-// values, doubles, ints, bytes and refs its last successfully decoded
+// values, doubles, ints and refs its last successfully decoded
 // message carved. The next message on the side sizes each slab's first
 // chunk from it, clamped to its own payload and the slab's chunk cap,
 // so a side whose messages keep their shape pays one chunk per slab
@@ -223,7 +214,7 @@ func getReadCtx(m *wire.Message, reg *model.Registry, c *stats.Counters, h *Slab
 // and writes none of it. The zero value is ready to use and safe for
 // concurrent decoders.
 type SlabHint struct {
-	objs, fields, doubles, ints, bytes, refs atomic.Int64
+	objs, fields, doubles, ints, refs atomic.Int64
 }
 
 // remember records what rc carved, if anything. Stores are skipped
@@ -231,11 +222,11 @@ type SlabHint struct {
 // messages keep their shape share the hint's cache line read-only.
 func (h *SlabHint) remember(rc *readCtx) {
 	n := [...]int{rc.objs.Carved(), rc.fields.Carved(), rc.doubles.Carved(),
-		rc.ints.Carved(), rc.bytes.Carved(), rc.refs.Carved()}
+		rc.ints.Carved(), rc.refs.Carved()}
 	if n == [len(n)]int{} {
 		return
 	}
-	for i, a := range [...]*atomic.Int64{&h.objs, &h.fields, &h.doubles, &h.ints, &h.bytes, &h.refs} {
+	for i, a := range [...]*atomic.Int64{&h.objs, &h.fields, &h.doubles, &h.ints, &h.refs} {
 		if int64(n[i]) != a.Load() {
 			a.Store(int64(n[i]))
 		}

@@ -14,10 +14,10 @@ import (
 // richWorld adds a class covering every field kind plus primitive and
 // reference arrays.
 type richWorld struct {
-	reg    *model.Registry
-	g      *model.Class
-	ia, ba *model.Class
-	gArr   *model.Class
+	reg  *model.Registry
+	g    *model.Class
+	ia   *model.Class
+	gArr *model.Class
 }
 
 func newRichWorld() *richWorld {
@@ -32,7 +32,7 @@ func newRichWorld() *richWorld {
 		model.Field{Name: "l", Kind: model.FRef, Class: g},
 		model.Field{Name: "r", Kind: model.FRef, Class: g},
 	)
-	return &richWorld{reg: reg, g: g, ia: reg.IntArray(), ba: reg.MustByName("byte[]"), gArr: reg.ArrayOf(g)}
+	return &richWorld{reg: reg, g: g, ia: reg.IntArray(), gArr: reg.ArrayOf(g)}
 }
 
 func (w *richWorld) randomGraph(rng *rand.Rand, n int) *model.Object {
@@ -138,32 +138,32 @@ func TestPrimitiveArrayRoundTrips(t *testing.T) {
 
 	ia := model.NewArray(w.ia, 4)
 	copy(ia.Ints, []int64{1, -2, 3, 1 << 40})
-	ba := model.NewArray(w.ba, 3)
-	copy(ba.Bytes, []byte{7, 8, 9})
+	da := model.NewArray(w.reg.DoubleArray(), 3)
+	copy(da.Doubles, []float64{7, 8, 9})
 
 	// Dynamic (class) mode.
 	m := wire.NewMessage(0)
-	if _, err := WriteValues(m, []model.Value{model.Ref(ia), model.Ref(ba)}, nil, Config{Mode: ModeClass}, &c); err != nil {
+	if _, err := WriteValues(m, []model.Value{model.Ref(ia), model.Ref(da)}, nil, Config{Mode: ModeClass}, &c); err != nil {
 		t.Fatal(err)
 	}
 	got, _, _, err := ReadValuesScratch(wire.FromBytes(m.Bytes()), w.reg, 2, nil, Config{Mode: ModeClass}, nil, nil, &c)
-	if err != nil || !testkit.DeepEqual(ia, got[0].O) || !testkit.DeepEqual(ba, got[1].O) {
+	if err != nil || !testkit.DeepEqual(ia, got[0].O) || !testkit.DeepEqual(da, got[1].O) {
 		t.Fatalf("class-mode primitive arrays: %v", err)
 	}
 
 	// Planned with reuse: int array payload reused in place.
 	planI := &Plan{Site: "pi", Kind: model.FRef, Root: &NodePlan{Class: w.ia}, Reusable: true}
-	planB := &Plan{Site: "pb", Kind: model.FRef, Root: &NodePlan{Class: w.ba}, Reusable: true}
+	planD := &Plan{Site: "pd", Kind: model.FRef, Root: &NodePlan{Class: w.reg.DoubleArray()}, Reusable: true}
 	cfg := Config{Mode: ModeSite, CycleElim: true, Reuse: true}
 	m2 := wire.NewMessage(0)
-	if _, err := WriteValues(m2, []model.Value{model.Ref(ia), model.Ref(ba)}, []*Plan{planI, planB}, cfg, &c); err != nil {
+	if _, err := WriteValues(m2, []model.Value{model.Ref(ia), model.Ref(da)}, []*Plan{planI, planD}, cfg, &c); err != nil {
 		t.Fatal(err)
 	}
-	got2, roots, _, err := ReadValuesScratch(wire.FromBytes(m2.Bytes()), w.reg, 2, []*Plan{planI, planB}, cfg, nil, nil, &c)
-	if err != nil || !testkit.DeepEqual(ia, got2[0].O) || !testkit.DeepEqual(ba, got2[1].O) {
+	got2, roots, _, err := ReadValuesScratch(wire.FromBytes(m2.Bytes()), w.reg, 2, []*Plan{planI, planD}, cfg, nil, nil, &c)
+	if err != nil || !testkit.DeepEqual(ia, got2[0].O) || !testkit.DeepEqual(da, got2[1].O) {
 		t.Fatalf("planned primitive arrays: %v", err)
 	}
-	got3, _, _, err := ReadValuesScratch(wire.FromBytes(m2.Bytes()), w.reg, 2, []*Plan{planI, planB}, cfg, roots, nil, &c)
+	got3, _, _, err := ReadValuesScratch(wire.FromBytes(m2.Bytes()), w.reg, 2, []*Plan{planI, planD}, cfg, roots, nil, &c)
 	if err != nil {
 		t.Fatal(err)
 	}

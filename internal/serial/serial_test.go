@@ -95,7 +95,7 @@ func TestPrimitiveRoundTripBothModes(t *testing.T) {
 		}
 		got, _, _ := roundTrip(t, w, vals, plans, cfg, nil)
 		for i := range vals {
-			if !got[i].Equal(vals[i]) {
+			if got[i] != vals[i] {
 				t.Fatalf("mode %v: val %d = %v, want %v", cfg.Mode, i, got[i], vals[i])
 			}
 		}

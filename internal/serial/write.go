@@ -214,10 +214,6 @@ func writeDynamicBody(w *writeCtx, o *model.Object) {
 		w.dynArrayIntrospect(len(o.Ints))
 		w.m.AppendInt64Slice(o.Ints)
 		w.ops.Elems += int64(len(o.Ints))
-	case model.KByteArray:
-		w.dynArrayIntrospect(len(o.Bytes))
-		w.m.AppendBytes(o.Bytes)
-		w.ops.Elems += int64(len(o.Bytes))
 	case model.KRefArray:
 		w.dynArrayIntrospect(len(o.Refs))
 		w.m.AppendInt32(int32(len(o.Refs)))
@@ -266,9 +262,6 @@ func writePlannedArray(w *writeCtx, o *model.Object, np *NodePlan) {
 	case model.KIntArray:
 		w.m.AppendInt64Slice(o.Ints)
 		w.ops.Elems += int64(len(o.Ints))
-	case model.KByteArray:
-		w.m.AppendBytes(o.Bytes)
-		w.ops.Elems += int64(len(o.Bytes))
 	case model.KRefArray:
 		w.m.AppendInt32(int32(len(o.Refs)))
 		for _, e := range o.Refs {

@@ -57,15 +57,6 @@ func deepEqual(a, b *model.Object, pairs map[*model.Object]*model.Object) bool {
 				return false
 			}
 		}
-	case model.KByteArray:
-		if len(a.Bytes) != len(b.Bytes) {
-			return false
-		}
-		for i := range a.Bytes {
-			if a.Bytes[i] != b.Bytes[i] {
-				return false
-			}
-		}
 	case model.KRefArray:
 		if len(a.Refs) != len(b.Refs) {
 			return false
@@ -86,7 +77,7 @@ func deepEqualValue(a, b model.Value, pairs map[*model.Object]*model.Object) boo
 	if a.Kind == model.FRef {
 		return deepEqual(a.O, b.O, pairs)
 	}
-	return a.Equal(b)
+	return a == b
 }
 
 // DeepEqualValue is DeepEqual lifted to values.

@@ -280,3 +280,15 @@ func TestFaultyDupAndReorderTogetherBalance(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFaultyNetworkSize: the decorator is a Network like the one it
+// wraps, so it reports that network's node count.
+func TestFaultyNetworkSize(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		var nw Network = NewFaultyNetwork(NewChannelNetwork(n, 4), FaultConfig{Seed: 1})
+		if got := nw.Size(); got != n {
+			t.Errorf("Size() = %d over a %d-node network", got, n)
+		}
+		nw.Close()
+	}
+}

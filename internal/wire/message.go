@@ -141,12 +141,6 @@ func (m *Message) AppendString(s string) {
 	m.buf = append(m.buf, s...)
 }
 
-// AppendBytes appends a length-prefixed byte slice.
-func (m *Message) AppendBytes(b []byte) {
-	m.AppendInt32(int32(len(b)))
-	m.buf = append(m.buf, b...)
-}
-
 // AppendFloat64Slice appends a length-prefixed double array, the bulk
 // transfer primitive of the paper's array marshaler
 // (append_double_array in Figure 13). The buffer grows at most once —
@@ -241,26 +235,6 @@ func (m *Message) ReadString() string {
 	s := string(m.buf[m.pos : m.pos+n])
 	m.pos += n
 	return s
-}
-
-// ReadBytesView reads a length-prefixed byte slice as a zero-copy view
-// into the message buffer. The view is valid only while the frame is
-// alive: on pooled receive paths the buffer is recycled once the
-// message has been dispatched, so callers must either finish with the
-// view before then or copy it out. The length is checked against the
-// payload before the view is taken, so a copy sized by len(view) is
-// bounded by the frame.
-func (m *Message) ReadBytesView() []byte {
-	n := int(m.ReadInt32())
-	if n < 0 || !m.need(n) {
-		if m.err == nil {
-			m.err = fmt.Errorf("%w: negative bytes length %d", ErrShortMessage, n)
-		}
-		return nil
-	}
-	v := m.buf[m.pos : m.pos+n : m.pos+n]
-	m.pos += n
-	return v
 }
 
 // ReadFloat64SliceInto reads a length-prefixed double array into dst if

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -17,7 +16,6 @@ func TestScalarRoundTrip(t *testing.T) {
 	m.AppendInt64(1 << 40)
 	m.AppendFloat64(3.14159)
 	m.AppendString("hello, RMI")
-	m.AppendBytes([]byte{1, 2, 3})
 
 	r := FromBytes(m.Bytes())
 	if r.ReadU8() != 0xAB || !r.ReadBool() || r.ReadBool() {
@@ -31,9 +29,6 @@ func TestScalarRoundTrip(t *testing.T) {
 	}
 	if r.ReadString() != "hello, RMI" {
 		t.Fatal("string round trip")
-	}
-	if !bytes.Equal(r.ReadBytesView(), []byte{1, 2, 3}) {
-		t.Fatal("bytes round trip")
 	}
 	if r.Err() != nil || r.Remaining() != 0 {
 		t.Fatalf("err=%v remaining=%d", r.Err(), r.Remaining())
@@ -118,10 +113,6 @@ func TestLyingLengthNeverCarved(t *testing.T) {
 	if vs, _ := r.ReadInt64SliceInto(nil, carvedI); vs != nil || !errors.Is(r.Err(), ErrMalformedFrame) {
 		t.Fatalf("int[] length bomb: vs=%v err=%v", vs, r.Err())
 	}
-	r = FromBytes(m.Bytes())
-	if v := r.ReadBytesView(); v != nil || !errors.Is(r.Err(), ErrMalformedFrame) {
-		t.Fatalf("byte[] length bomb: view=%d bytes err=%v", len(v), r.Err())
-	}
 }
 
 func TestShortReadsAreSticky(t *testing.T) {
@@ -131,7 +122,7 @@ func TestShortReadsAreSticky(t *testing.T) {
 		t.Fatalf("want ErrShortMessage, got %v", r.Err())
 	}
 	// Subsequent reads return zero values without panicking.
-	if r.ReadInt32() != 0 || r.ReadString() != "" || r.ReadBytesView() != nil {
+	if r.ReadInt32() != 0 || r.ReadString() != "" {
 		t.Fatal("reads after error not zero")
 	}
 }

@@ -24,7 +24,10 @@ import (
 // root file: a non-test file of this module or of the bench module,
 // or any file under bench/, its tests included (the benchmark is
 // frozen with them). A use inside the declaration itself (recursion,
-// a method's receiver) does not count. A method also counts as
+// a method's receiver) does not count, and neither does a re-export in
+// the root package (`X = pkg.Y`, a var, const or alias) unless the root
+// name X itself has a use outside its declaration: a facade entry
+// nothing names reaches nothing. A method also counts as
 // reached when it implements a reached method of an interface (one a
 // root file calls through a module interface, or any method of a
 // standard interface a root file names), or when fmt or encoding/json
@@ -47,12 +50,13 @@ import (
 // and reads the standard library from `go list -deps -export` data.
 func TestProductionSurface(t *testing.T) {
 	s := &surface{
-		t:       t,
-		fset:    token.NewFileSet(),
-		exports: map[string]string{},
-		pkgs:    map[string]*types.Package{},
-		used:    map[types.Object]bool{},
-		set:     map[types.Object]bool{},
+		t:         t,
+		fset:      token.NewFileSet(),
+		exports:   map[string]string{},
+		pkgs:      map[string]*types.Package{},
+		used:      map[types.Object]bool{},
+		set:       map[types.Object]bool{},
+		reexports: map[types.Object]types.Object{},
 	}
 	s.std = importer.ForCompiler(s.fset, "gc", func(path string) (io.ReadCloser, error) {
 		f, ok := s.exports[path]
@@ -63,6 +67,11 @@ func TestProductionSurface(t *testing.T) {
 	})
 	s.load(".", false)
 	s.load("bench", true)
+	for root, target := range s.reexports {
+		if s.used[root] {
+			s.used[target] = true
+		}
+	}
 
 	problems := s.testkitImports
 	declared := map[string]bool{}
@@ -150,10 +159,11 @@ type surface struct {
 	std     types.Importer
 	pkgs    map[string]*types.Package // module packages, checked from source
 
-	declared       []types.Object        // exported objects and methods under internal/
-	used           map[types.Object]bool // what root files refer to
-	knobs          []knob                // exported fields of option structs under internal/
-	set            map[types.Object]bool // fields root files set
+	declared       []types.Object                // exported objects and methods under internal/
+	used           map[types.Object]bool         // what root files refer to
+	reexports      map[types.Object]types.Object // root X of `X = pkg.Y` -> Y, used once X is
+	knobs          []knob                        // exported fields of option structs under internal/
+	set            map[types.Object]bool         // fields root files set
 	testkitImports []string
 }
 
@@ -271,6 +281,10 @@ func (s *surface) typeCheck(path string, files []*ast.File) *types.Package {
 	for _, f := range files {
 		s.recordSets(info, f)
 		for _, d := range f.Decls {
+			deferred := map[*ast.Ident]bool{}
+			if path == "cormi" {
+				s.recordReexports(info, d, deferred)
+			}
 			self := map[types.Object]bool{}
 			switch d := d.(type) {
 			case *ast.FuncDecl:
@@ -292,7 +306,7 @@ func (s *surface) typeCheck(path string, files []*ast.File) *types.Package {
 			}
 			ast.Inspect(d, func(n ast.Node) bool {
 				id, ok := n.(*ast.Ident)
-				if !ok || info.Uses[id] == nil {
+				if !ok || info.Uses[id] == nil || deferred[id] {
 					return true
 				}
 				obj := info.Uses[id]
@@ -310,6 +324,42 @@ func (s *surface) typeCheck(path string, files []*ast.File) *types.Package {
 		}
 	}
 	return pkg
+}
+
+// recordReexports records the re-exports d declares (`X = pkg.Y` with
+// Y under internal/) in s.reexports and marks the selector identifiers
+// in deferred, so the declaration alone does not count as a use of Y.
+func (s *surface) recordReexports(info *types.Info, d ast.Decl, deferred map[*ast.Ident]bool) {
+	gd, ok := d.(*ast.GenDecl)
+	if !ok {
+		return
+	}
+	note := func(name *ast.Ident, e ast.Expr) {
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok {
+			return
+		}
+		target := info.Uses[sel.Sel]
+		if target == nil || target.Pkg() == nil || !strings.HasPrefix(target.Pkg().Path(), "cormi/internal/") {
+			return
+		}
+		s.reexports[info.Defs[name]] = target
+		deferred[sel.Sel] = true
+	}
+	for _, sp := range gd.Specs {
+		switch sp := sp.(type) {
+		case *ast.ValueSpec:
+			if len(sp.Values) == len(sp.Names) {
+				for i, v := range sp.Values {
+					note(sp.Names[i], v)
+				}
+			}
+		case *ast.TypeSpec:
+			if sp.Assign.IsValid() {
+				note(sp.Name, sp.Type)
+			}
+		}
+	}
 }
 
 // recordSets records the struct fields f sets: the keys of its
