@@ -8,7 +8,7 @@
 # and allocations per op are judged by the repo benchmark, parent
 # against change in ten alternating pairs: bash bench/run.sh
 # (EXPERIMENTS.md). The bench* targets below are informational.
-.PHONY: verify test bench bench-transport bench-codec bench-compile cover-prod obs-smoke explain-smoke verify-precision verify-matrix verify-attrib verify-dtrace verify-analysis verify-allocs fuzz
+.PHONY: verify test bench bench-transport bench-codec bench-compile cover-prod obs-smoke explain-smoke verify-precision verify-matrix verify-attrib verify-dtrace verify-analysis verify-allocs verify-close fuzz
 
 verify:
 	test -z "$$(gofmt -l .)"
@@ -17,6 +17,7 @@ verify:
 	cd bench && go build ./... && go vet ./... && go test ./...
 	go test -race ./...
 	$(MAKE) verify-allocs
+	$(MAKE) verify-close
 	$(MAKE) obs-smoke
 	$(MAKE) explain-smoke
 	$(MAKE) verify-precision
@@ -140,6 +141,18 @@ verify-allocs:
 		echo "go test -count=1 -run '^($$tests)\$$' $$d"; \
 		go test -count=1 -run "^($$tests)\$$" $$d; \
 	done
+
+# Shutdown stress gate: a lost wake-up shows only as a rare hang, so
+# the Close and shutdown tests of the rmi and transport packages run
+# twenty times under the race detector. Each wait on the call path is
+# one channel operation that Close answers directly: a call registered
+# after Close must fail (TestInvokeOnSilentLinkAroundClose), parked
+# executors must exit (TestExecutorsParkUpToCap), and every inbox must
+# drain, then wake its parked receiver, even across a racing Send's
+# post-Close drain (the *ConcurrentClose tests). A few seconds on
+# 2 CPUs.
+verify-close:
+	go test -race -count=20 -failfast -run 'Close|TestExecutorsParkUpToCap' ./internal/rmi ./internal/transport
 
 # Short native-fuzzing pass over every Fuzz* target of the module,
 # found by name in the test files, so a new fuzzer cannot be left out:

@@ -64,7 +64,7 @@ func (m Mark) off(overload func() stats.OverloadStats) []string {
 	}
 	if overload != nil {
 		if o := overload(); o != (stats.OverloadStats{}) {
-			off = append(off, o.String())
+			off = append(off, fmt.Sprintf("overload %+v", o))
 		}
 	}
 	return off

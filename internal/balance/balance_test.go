@@ -45,7 +45,7 @@ func TestSettledNamesWhatIsOff(t *testing.T) {
 	wants(m.Settled(nil), " goroutines")
 	close(park)
 
-	wants(m.Settled(func() stats.OverloadStats { return stats.OverloadStats{PendingCalls: 2} }), "pending=2")
+	wants(m.Settled(func() stats.OverloadStats { return stats.OverloadStats{PendingCalls: 2} }), "PendingCalls:2")
 
 	settlePolls = full
 	if err := m.Settled(nil); err != nil {

@@ -397,10 +397,21 @@ func (cs *CallSite) startRemote(pc *pendingCall, n *Node, ref Ref, args []model.
 	frame := m.Detach()
 	sp.EndPhase(trace.PhaseSerialize)
 
-	pc.ch = n.getReplyCh()
+	ch := n.getReplyCh()
+	// closed is read under the lock failPending takes: a call registered
+	// after it would wait for a reply that nothing sends.
 	n.pendMu.Lock()
-	n.pending[h.Seq] = pc.ch
+	closed := c.closed.Load()
+	if !closed {
+		n.pending[h.Seq] = ch
+	}
 	n.pendMu.Unlock()
+	if closed {
+		n.putReplyCh(ch)
+		wire.PutBuf(frame)
+		return pc.failClosed()
+	}
+	pc.ch = ch
 	if err := pc.sendAttempt(frame); err != nil {
 		return pc.failSend(err)
 	}
@@ -430,30 +441,22 @@ func (pc *pendingCall) await() ([]model.Value, error) {
 	cs, n, pol, sp, ch := pc.cs, pc.n, pc.pol, pc.sp, pc.ch
 	c := n.cluster
 
+	// The reply wait is on ch alone: Close answers each registered call
+	// through it (failPending), so a call without a deadline waits with
+	// one receive.
 	var rep reply
 wait:
 	for {
-		// Without a deadline expired stays nil and its case never fires:
-		// the wait ends with the reply or cluster shutdown — it never
-		// blocks unconditionally.
-		var timer *time.Timer
-		var expired <-chan time.Time
-		if pol.Timeout > 0 {
-			timer = time.NewTimer(pol.Timeout)
-			expired = timer.C
+		if pol.Timeout <= 0 {
+			rep = <-ch
+			break
 		}
+		timer := time.NewTimer(pol.Timeout)
 		select {
 		case rep = <-ch:
-			if timer != nil {
-				timer.Stop()
-			}
+			timer.Stop()
 			break wait
-		case <-c.done:
-			if timer != nil {
-				timer.Stop()
-			}
-			return nil, pc.failClosed()
-		case <-expired:
+		case <-timer.C:
 		}
 		if pc.attempt >= pc.attempts {
 			c.Counters.Timeouts.Add(1)

@@ -327,7 +327,7 @@ func (n *Node) dispatch(inv *invocation) {
 }
 
 // executor runs invocations, parking between them, until the node
-// already holds maxIdleExecutors parked ones or the cluster closes.
+// already holds maxIdleExecutors parked ones or Close closes work.
 // Each record goes back to the spare list once its reply is sent. A
 // panicking method does not end it: runGuarded turns the panic into a
 // reply.
@@ -340,11 +340,9 @@ func (n *Node) executor(inv *invocation) {
 			n.idle.Add(-1)
 			return
 		}
-		select {
-		case inv = <-n.work:
-			n.idle.Add(-1)
-		case <-n.cluster.done:
-			n.idle.Add(-1)
+		inv = <-n.work // nil once Close has closed work
+		n.idle.Add(-1)
+		if inv == nil {
 			return
 		}
 	}

@@ -127,9 +127,9 @@ func TestLocalMethodReturnsItsArgs(t *testing.T) {
 // TestExecutorsParkUpToCap holds three times maxIdleExecutors calls in
 // their method at once, so that many executors run, each in a record of
 // its own: once all have entered, each method re-reads its argument and
-// still finds its own. Once released, no more than maxIdleExecutors of
-// them stay parked, and no more records than that wait on the spare
-// list; after Close no executor does.
+// still finds its own. Once released, exactly maxIdleExecutors of them
+// stay parked, and no more records than that wait on the spare list;
+// Close wakes the parked ones, and after it no executor runs.
 func TestExecutorsParkUpToCap(t *testing.T) {
 	mark := balance.Take()
 	c := New(2)
@@ -170,8 +170,15 @@ func TestExecutorsParkUpToCap(t *testing.T) {
 	if g := goroutinesAtMost(limit); g > limit {
 		t.Errorf("%d goroutines after the burst, want at most %d (baseline %d + %d parked)", g, limit, base, maxIdleExecutors)
 	}
-	if idle := c.Node(1).idle.Load(); idle > maxIdleExecutors {
-		t.Errorf("%d executors parked, cap %d", idle, maxIdleExecutors)
+	// Exactly the cap park: the burst's first maxIdleExecutors to finish
+	// stay, the rest exit. Close must then wake every one of them.
+	idle := c.Node(1).idle.Load()
+	for i := 0; i < 10_000 && idle < maxIdleExecutors; i++ {
+		time.Sleep(time.Millisecond)
+		idle = c.Node(1).idle.Load()
+	}
+	if idle != maxIdleExecutors {
+		t.Errorf("%d executors parked, want the cap %d", idle, maxIdleExecutors)
 	}
 	if spare := len(c.Node(1).spare); spare > maxIdleExecutors {
 		t.Errorf("%d records on the spare list, cap %d", spare, maxIdleExecutors)

@@ -22,7 +22,7 @@ func waitOverload(t *testing.T, c *Cluster, what string, cond func(stats.Overloa
 			return o
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("overload condition %q never held; last %s", what, o)
+			t.Fatalf("overload condition %q never held; last %+v", what, o)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -34,7 +34,7 @@ func waitOverload(t *testing.T, c *Cluster, what string, cond func(stats.Overloa
 func TestOverloadTracksPendingCalls(t *testing.T) {
 	e := newEnv(t, 2)
 	if o := e.c.Overload(); o != (stats.OverloadStats{}) {
-		t.Fatalf("idle cluster overload = %s, want zero", o)
+		t.Fatalf("idle cluster overload = %+v, want zero", o)
 	}
 
 	gate := make(chan struct{})

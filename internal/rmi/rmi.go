@@ -227,7 +227,7 @@ type Cluster struct {
 	sites  []*CallSite
 
 	closed atomic.Bool
-	done   chan struct{} // closed by Close; unblocks pending invokers
+	done   chan struct{} // closed by Close; unblocks blocking services
 	wg     sync.WaitGroup
 }
 
@@ -401,11 +401,11 @@ func (c *Cluster) CallPolicy() CallPolicy { return c.policy }
 // method goroutine — or a local caller — waiting forever.
 func (c *Cluster) Done() <-chan struct{} { return c.done }
 
-// Close shuts the cluster down. Every pending invocation fails with
-// ErrClusterClosed: the done channel unblocks callers waiting on
-// replies, the network close stops the receive loops, and failPending
-// mops up entries whose reply will now never arrive; the reply cache is
-// emptied once no receive loop can admit to it.
+// Close shuts the cluster down, answering each waiter on the channel it
+// waits on. Once the network close has stopped the receive loops (the
+// only senders on work), failPending sends ErrClusterClosed to every
+// registered call (startRemote registers none after it), work is
+// closed under the parked executors and the reply cache is emptied.
 func (c *Cluster) Close() {
 	if !c.closed.CompareAndSwap(false, true) {
 		return
@@ -415,6 +415,7 @@ func (c *Cluster) Close() {
 	c.wg.Wait()
 	for _, n := range c.nodes {
 		n.failPending()
+		close(n.work)
 		n.dropDedup()
 	}
 }
@@ -514,7 +515,7 @@ type Node struct {
 	dedupQ  []dedupKey // FIFO eviction order
 
 	// work is the unbuffered hand-off to this node's parked executors,
-	// idle how many are parked (see dispatch).
+	// idle how many are parked (see dispatch). Close closes it.
 	work chan *invocation
 	idle atomic.Int32
 	// spare holds zeroed invocation records for executor and node-local

@@ -1,6 +1,9 @@
 package rmi
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,6 +12,7 @@ import (
 	"cormi/internal/balance"
 	"cormi/internal/model"
 	"cormi/internal/serial"
+	"cormi/internal/transport"
 )
 
 // TestCloseReturnsReplyCache: every tracked call leaves a pooled copy
@@ -43,18 +47,41 @@ func TestInvokeAfterCloseErrors(t *testing.T) {
 		ArgPlans: []*serial.Plan{e.listPlan("t.sum", true, false)},
 	})
 	e.c.Close()
-	if _, err := cs.Invoke(e.c.Node(0), ref, []model.Value{model.Ref(e.makeList(2))}); err == nil {
-		t.Fatal("invoke after close succeeded")
+	if _, err := cs.Invoke(e.c.Node(0), ref, []model.Value{model.Ref(e.makeList(2))}); !errors.Is(err, ErrClusterClosed) {
+		t.Fatalf("invoke after close: err = %v, want ErrClusterClosed", err)
 	}
 	// Idempotent close.
 	e.c.Close()
 }
 
+// TestInvokeSendFailureReclaimsCall: a call whose first send fails (here
+// to a node the network does not have) returns the send error, and its
+// pending entry, reply channel and frame are reclaimed.
+func TestInvokeSendFailureReclaimsCall(t *testing.T) {
+	mark := balance.Take()
+	c := New(2)
+	cs := intSite(c, "t.lost", "lost")
+	_, err := cs.Invoke(c.Node(0), Ref{Node: 5, Obj: 1}, []model.Value{model.Int(1)})
+	if err == nil || !strings.Contains(err.Error(), "rmi: send: transport: no node 5") {
+		t.Fatalf("err = %v, want the send error", err)
+	}
+	if o := c.Overload(); o.PendingCalls != 0 {
+		t.Errorf("%d calls still pending after the send failed", o.PendingCalls)
+	}
+	c.Close()
+	if err := mark.Settled(c.Overload); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCloseUnblocksPendingCallers(t *testing.T) {
 	e := newEnv(t, 2)
 	block := make(chan struct{})
+	var entered sync.WaitGroup
+	entered.Add(4)
 	svc := &Service{Name: "Slow", Methods: map[string]Method{
 		"wait": func(call *Call, args []model.Value) []model.Value {
+			entered.Done()
 			<-block
 			return nil
 		},
@@ -72,17 +99,77 @@ func TestCloseUnblocksPendingCallers(t *testing.T) {
 			errs <- err
 		}()
 	}
-	// Give the calls time to be in flight, then tear the cluster down;
-	// every caller must unblock with an error rather than hang.
-	for e.c.Counters.Snapshot().RemoteRPCs < 4 {
-	}
+	// Once every call is in its method, all four callers wait on their
+	// replies: Close must answer each with ErrClusterClosed.
+	entered.Wait()
 	e.c.Close()
 	close(block)
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		if err == nil {
-			t.Fatal("pending invoke returned success after close")
+		if !errors.Is(err, ErrClusterClosed) {
+			t.Fatalf("pending invoke after close: err = %v, want ErrClusterClosed", err)
+		}
+	}
+}
+
+// TestInvokeOnSilentLinkAroundClose: a call with the zero policy (no
+// deadline, no retries) over a link that swallows its packet — a Drop: 1
+// link, or a partition, whose Send reports success — ends only through
+// Close. Issued after Close or racing it, every such call must fail
+// with ErrClusterClosed: one that registered after Close answered the
+// pending calls would wait for a reply nothing sends.
+func TestInvokeOnSilentLinkAroundClose(t *testing.T) {
+	links := map[string]func() *Cluster{
+		"drop": func() *Cluster {
+			return New(2, WithFaults(transport.FaultConfig{
+				Pairs: map[[2]int]transport.FaultRates{{0, 1}: {Drop: 1}},
+			}))
+		},
+		"partition": func() *Cluster {
+			c := New(2, WithFaults(transport.FaultConfig{}))
+			c.Network().(*transport.FaultyNetwork).Partition(0, 1)
+			return c
+		},
+	}
+	for name, mk := range links {
+		for _, racing := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/racing=%v", name, racing), func(t *testing.T) {
+				mark := balance.Take()
+				c := mk()
+				var execs atomic.Int64
+				ref := c.Node(1).Export(countingService(&execs))
+				cs := bumpSite(t, c)
+				if !racing {
+					c.Close()
+				}
+				const callers = 8
+				errs := make(chan error, callers)
+				for i := 0; i < callers; i++ {
+					go func() {
+						_, err := cs.Invoke(c.Node(0), ref, []model.Value{model.Int(1)})
+						errs <- err
+					}()
+				}
+				c.Close() // a no-op when already closed
+				deadline := time.After(10 * time.Second)
+				for i := 0; i < callers; i++ {
+					select {
+					case err := <-errs:
+						if !errors.Is(err, ErrClusterClosed) {
+							t.Errorf("err = %v, want ErrClusterClosed", err)
+						}
+					case <-deadline:
+						t.Fatalf("%d of %d calls still waiting 10 s after Close", callers-i, callers)
+					}
+				}
+				if n := execs.Load(); n != 0 {
+					t.Errorf("%d executions over a link that delivers nothing", n)
+				}
+				if err := mark.Settled(c.Overload); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
 	}
 }

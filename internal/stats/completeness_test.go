@@ -1,9 +1,7 @@
 package stats
 
 import (
-	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -75,57 +73,6 @@ func TestSubCoversEverySnapshotField(t *testing.T) {
 		if got := dv.Field(i).Int(); got != want {
 			t.Errorf("Sub().%s = %d, want %d (field not subtracted)",
 				dv.Type().Field(i).Name, got, want)
-		}
-	}
-}
-
-func TestStringRendersFaultCounters(t *testing.T) {
-	var c Counters
-	c.Retries.Store(4)
-	c.Timeouts.Store(1)
-	c.DupSuppressed.Store(3)
-	c.CorruptDropped.Store(2)
-	c.StaleReplies.Store(5)
-	out := c.Snapshot().String()
-	for _, frag := range []string{
-		"retries=4", "timeouts=1", "dupSuppressed=3",
-		"corruptDropped=2", "staleReplies=5",
-	} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("String() missing %q: %s", frag, out)
-		}
-	}
-}
-
-func TestStringMentionsEveryCounterValue(t *testing.T) {
-	// Weaker than a format check, strong enough to catch a dropped
-	// field: give every counter a unique sentinel value and require each
-	// sentinel to appear somewhere in the rendering. AllocBytes renders
-	// as megabytes, so it is asserted via its MB form instead.
-	var c Counters
-	cv := reflect.ValueOf(&c).Elem()
-	for i := 0; i < cv.NumField(); i++ {
-		storeCounter(cv.Field(i), int64(900001+i*7))
-	}
-	c.AllocBytes.Store(3 << 20)
-	out := c.Snapshot().String()
-	for i := 0; i < cv.NumField(); i++ {
-		name := cv.Type().Field(i).Name
-		if name == "AllocBytes" {
-			if !strings.Contains(out, "3.00 MB") {
-				t.Errorf("String() missing AllocBytes as %q: %s", "3.00 MB", out)
-			}
-			continue
-		}
-		if name == "TypeOps" || name == "IntrospectOps" ||
-			name == "ReusedBytes" || name == "AcksOnly" {
-			// Not part of the paper-style summary line; tracked but
-			// reported through other tables.
-			continue
-		}
-		sentinel := fmt.Sprintf("%d", 900001+i*7)
-		if !strings.Contains(out, sentinel) {
-			t.Errorf("String() missing %s (sentinel %s): %s", name, sentinel, out)
 		}
 	}
 }

@@ -1,7 +1,5 @@
 package stats
 
-import "fmt"
-
 // OverloadStats is a point-in-time snapshot of the runtime's backlog
 // signals — the queues that grow when a node takes on more work than
 // it retires. These are the inputs an overload answer (ROADMAP item
@@ -20,8 +18,4 @@ type OverloadStats struct {
 func (o OverloadStats) Add(p OverloadStats) OverloadStats {
 	o.PendingCalls += p.PendingCalls
 	return o
-}
-
-func (o OverloadStats) String() string {
-	return fmt.Sprintf("overload: pending=%d", o.PendingCalls)
 }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"encoding/json"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -30,22 +29,6 @@ func TestOverloadAddCoversEveryField(t *testing.T) {
 		if got := sv.Field(i).Int(); got != want {
 			t.Errorf("Add().%s = %d, want %d (field not summed)",
 				sv.Type().Field(i).Name, got, want)
-		}
-	}
-}
-
-func TestOverloadStringMentionsEveryField(t *testing.T) {
-	var o OverloadStats
-	ov := reflect.ValueOf(&o).Elem()
-	for i := 0; i < ov.NumField(); i++ {
-		ov.Field(i).SetInt(int64(700001 + i*7))
-	}
-	out := o.String()
-	for i := 0; i < ov.NumField(); i++ {
-		sentinel := fmt.Sprintf("%d", 700001+i*7)
-		if !strings.Contains(out, sentinel) {
-			t.Errorf("String() missing %s (sentinel %s): %s",
-				ov.Type().Field(i).Name, sentinel, out)
 		}
 	}
 }

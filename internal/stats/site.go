@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // SiteCounters accumulates runtime events for ONE call site, keyed by
 // the compiler's Plan.Site id. All fields are atomic: the hot path
@@ -64,10 +61,4 @@ func (s SiteStat) Add(o SiteStat) SiteStat {
 	s.ClaimChecks += o.ClaimChecks
 	s.ClaimViolations += o.ClaimViolations
 	return s
-}
-
-func (s SiteStat) String() string {
-	return fmt.Sprintf("%s: calls=%d (local=%d) wire=%dB reuse(hit=%d miss=%d) tablesAvoided=%d claims(checks=%d violations=%d)",
-		s.Site, s.Calls, s.LocalCalls, s.WireBytes, s.ReuseHits, s.ReuseMisses,
-		s.CycleTablesAvoided, s.ClaimChecks, s.ClaimViolations)
 }

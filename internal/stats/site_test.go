@@ -1,9 +1,7 @@
 package stats
 
 import (
-	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -49,25 +47,6 @@ func TestSiteStatCoversEverySiteCounter(t *testing.T) {
 		name := ct.Field(i).Name
 		if got := sv.FieldByName(name).Int(); got != int64(2000+i) {
 			t.Errorf("Snapshot().%s = %d, want %d (field not copied)", name, got, 2000+i)
-		}
-	}
-}
-
-func TestSiteStatStringMentionsEveryValue(t *testing.T) {
-	var c SiteCounters
-	cv := reflect.ValueOf(&c).Elem()
-	for i := 0; i < cv.NumField(); i++ {
-		storeCounter(cv.Field(i), int64(700001+i*3))
-	}
-	out := c.Snapshot("Main.main.1").String()
-	if !strings.Contains(out, "Main.main.1") {
-		t.Errorf("String() missing site name: %s", out)
-	}
-	for i := 0; i < cv.NumField(); i++ {
-		sentinel := fmt.Sprintf("%d", 700001+i*3)
-		if !strings.Contains(out, sentinel) {
-			t.Errorf("String() missing %s (sentinel %s): %s",
-				cv.Type().Field(i).Name, sentinel, out)
 		}
 	}
 }

@@ -5,10 +5,7 @@
 // the virtual-time cost model.
 package stats
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // PaddedInt64 is an atomic.Int64 padded out to a full cache line, so
 // two hot counters updated from different nodes' goroutines never
@@ -153,16 +150,3 @@ func (s Snapshot) Sub(t Snapshot) Snapshot {
 // NewMBytes reports deserialization-allocated megabytes, the paper's
 // "new (MBytes)" column.
 func (s Snapshot) NewMBytes() float64 { return float64(s.AllocBytes) / (1 << 20) }
-
-func (s Snapshot) String() string {
-	return fmt.Sprintf(
-		"rpcs(local=%d remote=%d) msgs=%d wire=%dB type=%dB serCalls=%d inlined=%d cycleTables=%d cycleLookups=%d alloc(%d objs, %.2f MB) reused=%d "+
-			"faults(retries=%d timeouts=%d dupSuppressed=%d corruptDropped=%d staleReplies=%d) claims(checks=%d violations=%d) "+
-			"wire(malformed=%d) netFrames=%d",
-		s.LocalRPCs, s.RemoteRPCs, s.Messages, s.WireBytes, s.TypeBytes,
-		s.SerializerCalls, s.InlinedWrites, s.CycleTables, s.CycleLookups,
-		s.AllocObjects, s.NewMBytes(), s.ReusedObjs,
-		s.Retries, s.Timeouts, s.DupSuppressed, s.CorruptDropped, s.StaleReplies,
-		s.ClaimChecks, s.ClaimViolations,
-		s.MalformedFrames, s.NetFrames)
-}

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"sync"
 
 	"cormi/internal/wire"
 )
@@ -17,19 +16,11 @@ import (
 // done; a Send that fails releases it itself. Packets still queued when
 // the last receiver leaves simply fall to the garbage collector.
 //
-// Shutdown protocol: Close never closes the inbox channels (a send
-// blocked on a full inbox would race with the close); instead it
-// closes a broadcast `done` channel that every blocked Send and Recv
-// selects on. Packets already queued still drain after Close; a Send
-// that enqueues after Close releases what is queued for its receiver,
-// which may already have drained and left.
+// Shutdown protocol: Close closes every inbox, which wakes its parked
+// receiver on the inbox channel itself; queued packets still drain.
 type ChannelNetwork struct {
-	inboxes []chan Packet
+	inboxes []inbox
 	eps     []*channelEndpoint
-	done    chan struct{}
-
-	mu     sync.Mutex
-	closed bool
 }
 
 // NewChannelNetwork creates a network of n nodes with the given
@@ -40,12 +31,11 @@ func NewChannelNetwork(n, depth int) *ChannelNetwork {
 		depth = 256
 	}
 	cn := &ChannelNetwork{
-		inboxes: make([]chan Packet, n),
+		inboxes: make([]inbox, n),
 		eps:     make([]*channelEndpoint, n),
-		done:    make(chan struct{}),
 	}
 	for i := range cn.inboxes {
-		cn.inboxes[i] = make(chan Packet, depth)
+		cn.inboxes[i] = newInbox(depth)
 		cn.eps[i] = &channelEndpoint{net: cn, id: i}
 	}
 	return cn
@@ -60,13 +50,9 @@ func (cn *ChannelNetwork) Endpoint(node int) Endpoint { return cn.eps[node] }
 // Close shuts the network down; blocked senders fail with ErrClosed
 // and receivers drain queued packets before reporting closure.
 func (cn *ChannelNetwork) Close() error {
-	cn.mu.Lock()
-	defer cn.mu.Unlock()
-	if cn.closed {
-		return nil
+	for i := range cn.inboxes {
+		cn.inboxes[i].close()
 	}
-	cn.closed = true
-	close(cn.done)
 	return nil
 }
 
@@ -89,49 +75,10 @@ func (e *channelEndpoint) send(p Packet) error {
 		return fmt.Errorf("transport: no node %d", p.To)
 	}
 	p.From = e.id
-	select {
-	case <-e.net.done:
-		return ErrClosed
-	default:
-	}
-	select {
-	case e.net.inboxes[p.To] <- p:
-		select {
-		case <-e.net.done:
-			// Close raced this send: the receiver may already have
-			// drained and left, so reclaim what it would never read.
-			e.net.drain(p.To)
-		default:
-		}
-		return nil
-	case <-e.net.done:
-		return ErrClosed
-	}
-}
-
-// drain releases every packet queued for node.
-func (cn *ChannelNetwork) drain(node int) {
-	for {
-		select {
-		case p := <-cn.inboxes[node]:
-			wire.PutBuf(p.Payload)
-		default:
-			return
-		}
-	}
+	return e.net.inboxes[p.To].put(p)
 }
 
 func (e *channelEndpoint) Recv() (Packet, bool) {
-	select {
-	case p := <-e.net.inboxes[e.id]:
-		return stampRecv(p), true
-	case <-e.net.done:
-		// Drain anything already queued before reporting closure.
-		select {
-		case p := <-e.net.inboxes[e.id]:
-			return stampRecv(p), true
-		default:
-			return Packet{}, false
-		}
-	}
+	p, ok := e.net.inboxes[e.id].get()
+	return stampRecv(p), ok
 }

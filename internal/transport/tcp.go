@@ -59,8 +59,7 @@ func NewTCPNetworkLocal(n int) (*TCPNetwork, error) {
 		ep := &tcpEndpoint{
 			net:   tn,
 			id:    i,
-			inbox: make(chan Packet, 256),
-			done:  make(chan struct{}),
+			in:    newInbox(256),
 			conns: make(map[int]*tcpConn),
 		}
 		tn.eps[i] = ep
@@ -100,19 +99,17 @@ func (tn *TCPNetwork) Close() error {
 type tcpEndpoint struct {
 	net *TCPNetwork
 	id  int
-	// inbox is never closed — concurrent readLoops may be mid-send.
-	// done signals shutdown instead; Recv drains what is buffered and
-	// then reports closure.
-	inbox chan Packet
-	done  chan struct{}
+	// in is the inbox every readLoop delivers into; close answers a
+	// parked Recv through it once what is buffered has drained.
+	in inbox
 
-	// mu guards the connection tables and closed, nothing else: frame
-	// writes run under their connection's own lock, so a peer that
-	// stops reading stalls only the senders addressing it.
+	// mu guards the connection tables, nothing else: frame writes run
+	// under their connection's own lock, so a peer that stops reading
+	// stalls only the senders addressing it. close marks in closed
+	// under mu, so no connection joins a table after close swept it.
 	mu     sync.Mutex
 	conns  map[int]*tcpConn // outgoing, keyed by destination
 	accept []net.Conn       // incoming
-	closed bool
 }
 
 // tcpConn is one outgoing connection. mu serializes frame writes and
@@ -179,7 +176,7 @@ func (e *tcpEndpoint) acceptLoop(l net.Listener) {
 			return
 		}
 		e.mu.Lock()
-		if e.closed {
+		if e.in.closed.Load() {
 			e.mu.Unlock()
 			c.Close()
 			return
@@ -240,9 +237,7 @@ func (e *tcpEndpoint) readLoop(c net.Conn) {
 			To:      e.id,
 			Payload: payload,
 		})
-		select {
-		case e.inbox <- p:
-		case <-e.done:
+		if e.in.put(p) != nil {
 			wire.PutBuf(payload)
 			return
 		}
@@ -270,13 +265,11 @@ func (e *tcpEndpoint) send(p Packet) error {
 		return err
 	}
 	if err := tc.writeFrame(e.id, p); err != nil {
-		select {
-		case <-e.done:
+		if e.in.closed.Load() {
 			// close shut the socket under the write.
 			return ErrClosed
-		default:
-			return err
 		}
+		return err
 	}
 	return nil
 }
@@ -284,13 +277,12 @@ func (e *tcpEndpoint) send(p Packet) error {
 // conn returns the cached connection to node to, dialing it on first
 // use.
 func (e *tcpEndpoint) conn(to int) (*tcpConn, error) {
-	e.mu.Lock()
-	tc, ok := e.conns[to]
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
+	if e.in.closed.Load() {
 		return nil, ErrClosed
 	}
+	e.mu.Lock()
+	tc, ok := e.conns[to]
+	e.mu.Unlock()
 	if ok {
 		return tc, nil
 	}
@@ -309,7 +301,7 @@ func (e *tcpEndpoint) conn(to int) (*tcpConn, error) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
+	if e.in.closed.Load() {
 		c.Close()
 		return nil, ErrClosed
 	}
@@ -343,32 +335,14 @@ func (tc *tcpConn) writeFrame(from int, p Packet) error {
 	return err
 }
 
-func (e *tcpEndpoint) Recv() (Packet, bool) {
-	select {
-	case p := <-e.inbox:
-		return p, true
-	case <-e.done:
-		// Shutdown: hand out whatever is still buffered, then report
-		// closure.
-		select {
-		case p := <-e.inbox:
-			return p, true
-		default:
-			return Packet{}, false
-		}
-	}
-}
+func (e *tcpEndpoint) Recv() (Packet, bool) { return e.in.get() }
 
 func (e *tcpEndpoint) close() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
-		return
-	}
-	e.closed = true
-	// done first, so a Send whose write the socket close below fails
-	// (it may be blocked on a stalled peer) reports ErrClosed.
-	close(e.done)
+	// The inbox first, so a Send whose write the socket close below
+	// fails (it may be blocked on a stalled peer) reports ErrClosed.
+	e.in.close()
 	for _, tc := range e.conns {
 		tc.c.Close()
 	}

@@ -53,7 +53,7 @@ func newReadLoopRig(t *testing.T) *readLoopRig {
 	r, w := net.Pipe()
 	rig := &readLoopRig{
 		t:      t,
-		e:      &tcpEndpoint{id: 7, inbox: make(chan Packet, 256), done: make(chan struct{})},
+		e:      &tcpEndpoint{id: 7, in: newInbox(256)},
 		w:      w,
 		exited: make(chan struct{}),
 		base:   balance.Take(),
@@ -83,7 +83,7 @@ func (r *readLoopRig) write(chunks ...[]byte) {
 func (r *readLoopRig) expect(from int, ts, wall int64, payload []byte) {
 	r.t.Helper()
 	select {
-	case p := <-r.e.inbox:
+	case p := <-r.e.in.ch:
 		if p.From != from || p.To != r.e.id || p.TS != ts || p.Wall != wall {
 			r.t.Fatalf("got from=%d to=%d ts=%d wall=%d, want from=%d to=%d ts=%d wall=%d",
 				p.From, p.To, p.TS, p.Wall, from, r.e.id, ts, wall)
@@ -113,7 +113,7 @@ func (r *readLoopRig) dropped() {
 		r.t.Error("write succeeded on a connection the read loop should have closed")
 	}
 	select {
-	case p := <-r.e.inbox:
+	case p := <-r.e.in.ch:
 		r.t.Errorf("delivered a packet of %d bytes", len(p.Payload))
 	default:
 	}

@@ -57,10 +57,11 @@ type Endpoint interface {
 	// release it to the frame pool (TCPNetwork); a Send that fails, or
 	// that a FaultyNetwork drops, releases it too.
 	Send(p Packet) error
-	// Recv blocks for the next packet; ok is false once the network
-	// is closed and the endpoint drained. The receiver owns p.Payload and should
-	// return it with wire.PutBuf once nothing references it; data that
-	// must outlive the frame is copied out, never aliased.
+	// Recv blocks for the next packet; Close wakes one parked on an
+	// empty endpoint. After Close it returns the packets queued before
+	// it, then ok is false on every later call. The receiver owns
+	// p.Payload and should return it with wire.PutBuf once nothing
+	// references it; data that must outlive the frame is copied out.
 	Recv() (p Packet, ok bool)
 }
 
