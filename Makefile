@@ -32,9 +32,10 @@ test:
 
 # End-to-end observability smoke: run a traced TCP cluster with the
 # introspection server on an ephemeral port and have the process probe
-# its own endpoints before exiting: /healthz, /metrics (the expected
-# series), /callsites, /links, /buildinfo, /snapshot and /cluster (a
-# top blame read from the phase histograms), /traces and
+# its own endpoints before exiting: /metrics (the expected series, the
+# run's calls as cormi_site_calls and cormi_counter_remote_rpcs, no
+# refused call on any link), /snapshot and /cluster (a top blame read
+# from the phase histograms), /traces and
 # /traces/<id>?merge=1; and the two Chrome-trace bodies, /trace and
 # /traces/<id>?merge=1&format=chrome, each valid JSON with at least one
 # X event, a process_name for every pid and no negative ts. No curl or

@@ -33,8 +33,8 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -108,58 +108,35 @@ func run(args []string, stop func() <-chan os.Signal, stdout, stderr io.Writer) 
 		},
 	}
 
-	// The tracer and the HTTP surface outlive the per-level clusters:
-	// one flight recorder accumulates spans across the whole run, and
-	// /callsites aggregates the per-site counters across clusters
-	// (every level registers the same textual call site, so the
-	// snapshots sharing a site id are summed).
+	// One node set, one cluster for the whole run: the five levels are
+	// five call sites on it, and each level's line is the counters'
+	// delta over that level's calls.
+	nw, err := transport.NewTCPNetworkLocal(*nodes)
+	if err != nil {
+		return fail(stderr, err)
+	}
+	opts := []rmi.Option{rmi.WithNetwork(nw)}
 	var tracer *trace.Tracer
-	var server *obs.Server
-	var csMu sync.Mutex
-	var clusters []*rmi.Cluster
-	siteStats := func() []stats.SiteStat {
-		csMu.Lock()
-		defer csMu.Unlock()
-		idx := map[string]int{}
-		var out []stats.SiteStat
-		for _, c := range clusters {
-			for _, s := range c.SiteStats() {
-				if i, ok := idx[s.Site]; ok {
-					out[i] = out[i].Add(s)
-				} else {
-					idx[s.Site] = len(out)
-					out = append(out, s)
-				}
-			}
-		}
-		return out
-	}
-	linkStats := func() []stats.LinkStat {
-		csMu.Lock()
-		defer csMu.Unlock()
-		perCluster := make([][]stats.LinkStat, len(clusters))
-		for i, c := range clusters {
-			perCluster[i] = c.LinkStats()
-		}
-		return mergeLinks(perCluster)
-	}
-	// Backlog levels aggregate across the per-level clusters the same
-	// way /callsites does: field-wise sums of each cluster's snapshot.
-	overload := func() stats.OverloadStats {
-		csMu.Lock()
-		defer csMu.Unlock()
-		var o stats.OverloadStats
-		for _, c := range clusters {
-			o = o.Add(c.Overload())
-		}
-		return o
-	}
 	if *obsSmoke && *obsAddr == "" {
 		*obsAddr = "127.0.0.1:0"
 	}
 	if *obsAddr != "" {
 		tracer = trace.New(trace.Config{RingSize: 4096, SampleEvery: int64(*sample)})
-		var err error
+		opts = append(opts, rmi.WithTracer(tracer))
+	}
+	if faultCfg.Enabled() {
+		opts = append(opts,
+			rmi.WithFaults(faultCfg),
+			rmi.WithCallPolicy(rmi.CallPolicy{
+				Timeout: 200 * time.Millisecond, Retries: 12,
+				Backoff: 2 * time.Millisecond, MaxBackoff: 20 * time.Millisecond,
+			}))
+	}
+	cluster := rmi.New(*nodes, opts...)
+	defer cluster.Close()
+
+	var server *obs.Server
+	if *obsAddr != "" {
 		var peers []string
 		for _, p := range strings.Split(*obsPeers, ",") {
 			if p = strings.TrimSpace(p); p != "" {
@@ -167,8 +144,7 @@ func run(args []string, stop func() <-chan os.Signal, stdout, stderr io.Writer) 
 			}
 		}
 		server, err = obs.Serve(*obsAddr, obs.Options{
-			Tracer: tracer, SiteStats: siteStats, Links: linkStats,
-			NodeName: *obsName, Peers: peers, Overload: overload,
+			Tracer: tracer, Cluster: cluster, NodeName: *obsName, Peers: peers,
 		})
 		if err != nil {
 			return fail(stderr, err)
@@ -177,60 +153,40 @@ func run(args []string, stop func() <-chan os.Signal, stdout, stderr io.Writer) 
 		fmt.Fprintf(stdout, "observability endpoints on http://%s (README's endpoint table)\n", server.Addr())
 	}
 
+	res, err := core.CompileInto(src, cluster.Registry)
+	if err != nil {
+		return fail(stderr, err)
+	}
+	si := res.SiteByName("Main.main.1")
+	if si == nil {
+		return fail(stderr, fmt.Errorf("call site missing"))
+	}
+	vecClass, _ := res.ModelClass("Vector")
+	svc := &rmi.Service{Name: "Store", Methods: map[string]rmi.Method{
+		"put": func(call *rmi.Call, args []model.Value) []model.Value {
+			var s float64
+			for _, x := range args[0].O.Fields[0].O.Doubles {
+				s += x
+			}
+			return []model.Value{model.Double(s)}
+		},
+	}}
+	ref := cluster.Node(*nodes - 1).Export(svc)
+
+	vec := model.New(vecClass)
+	arr := model.NewArray(cluster.Registry.DoubleArray(), 256)
+	for i := range arr.Doubles {
+		arr.Doubles[i] = float64(i)
+	}
+	vec.Fields[0] = model.Ref(arr)
+	want := float64(255 * 256 / 2)
+
+	prev := cluster.Counters.Snapshot()
 	for _, level := range rmi.AllLevels {
-		nw, err := transport.NewTCPNetworkLocal(*nodes)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		opts := []rmi.Option{rmi.WithNetwork(nw)}
-		if tracer != nil {
-			opts = append(opts, rmi.WithTracer(tracer))
-		}
-		if faultCfg.Enabled() {
-			opts = append(opts,
-				rmi.WithFaults(faultCfg),
-				rmi.WithCallPolicy(rmi.CallPolicy{
-					Timeout: 200 * time.Millisecond, Retries: 12,
-					Backoff: 2 * time.Millisecond, MaxBackoff: 20 * time.Millisecond,
-				}))
-		}
-		cluster := rmi.New(*nodes, opts...)
-		csMu.Lock()
-		clusters = append(clusters, cluster)
-		csMu.Unlock()
-		res, err := core.CompileInto(src, cluster.Registry)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		si := res.SiteByName("Main.main.1")
-		if si == nil {
-			return fail(stderr, fmt.Errorf("call site missing"))
-		}
 		cs, err := appkit.Register(cluster, level, si)
 		if err != nil {
 			return fail(stderr, err)
 		}
-
-		vecClass, _ := res.ModelClass("Vector")
-		svc := &rmi.Service{Name: "Store", Methods: map[string]rmi.Method{
-			"put": func(call *rmi.Call, args []model.Value) []model.Value {
-				var s float64
-				for _, x := range args[0].O.Fields[0].O.Doubles {
-					s += x
-				}
-				return []model.Value{model.Double(s)}
-			},
-		}}
-		ref := cluster.Node(*nodes - 1).Export(svc)
-
-		vec := model.New(vecClass)
-		arr := model.NewArray(cluster.Registry.DoubleArray(), 256)
-		for i := range arr.Doubles {
-			arr.Doubles[i] = float64(i)
-		}
-		vec.Fields[0] = model.Ref(arr)
-
-		want := float64(255 * 256 / 2)
 		for i := 0; i < *sends; i++ {
 			rets, err := cs.Invoke(cluster.Node(0), ref, []model.Value{model.Ref(vec)})
 			if err != nil {
@@ -240,50 +196,27 @@ func run(args []string, stop func() <-chan os.Signal, stdout, stderr io.Writer) 
 				return fail(stderr, fmt.Errorf("sum over TCP = %g, want %g", rets[0].D, want))
 			}
 		}
-		s := cluster.Counters.Snapshot()
+		now := cluster.Counters.Snapshot()
+		s := now.Sub(prev)
+		prev = now
 		fmt.Fprint(stdout, summary(level, s))
 		if faultCfg.Enabled() {
 			fmt.Fprintf(stdout, "  retries=%d dup-suppr=%d corrupt-drop=%d", s.Retries, s.DupSuppressed, s.CorruptDropped)
 		}
 		fmt.Fprintln(stdout)
-		cluster.Close()
 	}
 
 	if *obsSmoke {
 		if err := smokeObs("http://"+server.Addr(), int64(*sends)); err != nil {
 			return fail(stderr, fmt.Errorf("obs smoke: %w", err))
 		}
-		fmt.Fprintln(stdout, "obs smoke OK: /healthz, /metrics, /callsites, /links, /buildinfo, /snapshot, /cluster, /traces and /traces/<id> served valid documents; /trace and /traces/<id>?format=chrome valid Chrome traces")
+		fmt.Fprintln(stdout, "obs smoke OK: /metrics, /snapshot, /cluster, /traces and /traces/<id> served valid documents; /trace and /traces/<id>?format=chrome valid Chrome traces")
 	} else if server != nil {
 		stopped := stop()
 		fmt.Fprintf(stdout, "serving http://%s until interrupted\n", server.Addr())
 		<-stopped
 	}
 	return 0
-}
-
-// mergeLinks aggregates /links across the per-level clusters like
-// /callsites: every cluster negotiates the same (from, to) links, so
-// rows sharing a direction merge by summing their refused calls and
-// malformed frames. Merging keeps the labeled /metrics series unique
-// per direction.
-func mergeLinks(perCluster [][]stats.LinkStat) []stats.LinkStat {
-	idx := map[[2]int]int{}
-	var out []stats.LinkStat
-	for _, links := range perCluster {
-		for _, l := range links {
-			key := [2]int{l.From, l.To}
-			i, ok := idx[key]
-			if !ok {
-				idx[key] = len(out)
-				out = append(out, l)
-				continue
-			}
-			out[i].Refused += l.Refused
-			out[i].Malformed += l.Malformed
-		}
-	}
-	return out
 }
 
 // summary is a level's line of the run's report: its calls, labelled
@@ -301,10 +234,10 @@ func summary(level rmi.OptLevel, s stats.Snapshot) string {
 		level, calls, s.WireBytes, s.SerializerCalls, s.CycleLookups, s.ReusedObjs)
 }
 
-// smokeObs validates the observability surface end to end: liveness,
-// Prometheus exposition with the expected series, live per-call-site
-// counters on /callsites, build provenance on /buildinfo, the
-// attribution and trace documents, and every Chrome-trace body.
+// smokeObs validates the observability surface end to end: the
+// Prometheus exposition with the expected series and the run's numbers
+// on it, the attribution and trace documents, and every Chrome-trace
+// body.
 func smokeObs(base string, sends int64) error {
 	get := func(path string) (string, error) {
 		resp, err := http.Get(base + path)
@@ -322,15 +255,7 @@ func smokeObs(base string, sends int64) error {
 		return string(body), nil
 	}
 
-	body, err := get("/healthz")
-	if err != nil {
-		return err
-	}
-	if !strings.Contains(body, "ok") {
-		return fmt.Errorf("/healthz said %q", body)
-	}
-
-	body, err = get("/metrics")
+	body, err := get("/metrics")
 	if err != nil {
 		return err
 	}
@@ -341,72 +266,30 @@ func smokeObs(base string, sends int64) error {
 		"cormi_phase_latency_ns_bucket",
 		"cormi_pending_calls",
 		"cormi_trace_store_retained",
-		`cormi_site_calls{site="Main.main.1"}`,
-		`cormi_site_wire_bytes{site="Main.main.1"}`,
 		`cormi_link_refused_calls{from="0",to="1"}`,
 	} {
 		if !strings.Contains(body, series) {
 			return fmt.Errorf("/metrics missing series %s", series)
 		}
 	}
-
-	body, err = get("/callsites")
-	if err != nil {
-		return err
-	}
-	var sites []stats.SiteStat
-	if err := json.Unmarshal([]byte(body), &sites); err != nil {
-		return fmt.Errorf("/callsites is not valid JSON: %w", err)
-	}
-	if len(sites) == 0 {
-		return fmt.Errorf("/callsites empty after the run")
-	}
-	var main *stats.SiteStat
-	for i := range sites {
-		if sites[i].Site == "Main.main.1" {
-			main = &sites[i]
+	// All five optimization levels drove the same textual site, and
+	// every call of the run was remote.
+	calls := float64(sends * int64(len(rmi.AllLevels)))
+	for _, c := range []struct{ family, labels string }{
+		{"cormi_site_calls", `site="Main.main.1"`},
+		{"cormi_counter_remote_rpcs", ""},
+	} {
+		if got, ok := samples(body, c.family)[c.labels]; !ok || got != calls {
+			return fmt.Errorf("/metrics %s{%s} = %g (present %v), want %g", c.family, c.labels, got, ok, calls)
 		}
 	}
-	if main == nil {
-		return fmt.Errorf("/callsites missing Main.main.1: %s", body)
+	if got := samples(body, "cormi_site_wire_bytes")[`site="Main.main.1"`]; got <= 0 {
+		return fmt.Errorf(`/metrics cormi_site_wire_bytes{site="Main.main.1"} = %g, want > 0`, got)
 	}
-	// All five optimization levels drove the same textual site.
-	if want := sends * int64(len(rmi.AllLevels)); main.Calls != want {
-		return fmt.Errorf("/callsites Main.main.1 calls = %d, want %d", main.Calls, want)
-	}
-	if main.WireBytes <= 0 {
-		return fmt.Errorf("/callsites Main.main.1 wire_bytes = %d, want > 0", main.WireBytes)
-	}
-
-	body, err = get("/links")
-	if err != nil {
-		return err
-	}
-	var links []stats.LinkStat
-	if err := json.Unmarshal([]byte(body), &links); err != nil {
-		return fmt.Errorf("/links is not valid JSON: %w", err)
-	}
-	if len(links) == 0 {
-		return fmt.Errorf("/links empty after the run")
-	}
-	for _, l := range links {
-		if l.Refused != 0 {
-			return fmt.Errorf("/links %d->%d refused %d calls between nodes of one program", l.From, l.To, l.Refused)
+	for labels, refused := range samples(body, "cormi_link_refused_calls") {
+		if refused != 0 {
+			return fmt.Errorf("/metrics cormi_link_refused_calls{%s} = %g between nodes of one program", labels, refused)
 		}
-	}
-
-	body, err = get("/buildinfo")
-	if err != nil {
-		return err
-	}
-	var bi struct {
-		GoVersion string `json:"go_version"`
-	}
-	if err := json.Unmarshal([]byte(body), &bi); err != nil {
-		return fmt.Errorf("/buildinfo is not valid JSON: %w", err)
-	}
-	if bi.GoVersion == "" {
-		return fmt.Errorf("/buildinfo missing go_version: %s", body)
 	}
 
 	if err := checkChrome(get, "/trace"); err != nil {
@@ -532,6 +415,30 @@ func checkChrome(get func(string) (string, error), path string) error {
 		return fmt.Errorf("%s has no complete (X) events", path)
 	}
 	return nil
+}
+
+// samples returns the values of one family's samples in a Prometheus
+// text body, keyed by label set ("" for a sample without labels).
+func samples(body, family string) map[string]float64 {
+	out := map[string]float64{}
+	for _, line := range strings.Split(body, "\n") {
+		rest, ok := strings.CutPrefix(line, family)
+		if !ok {
+			continue
+		}
+		var labels string
+		if l, r, ok := strings.Cut(rest, "} "); ok && strings.HasPrefix(l, "{") {
+			labels, rest = l[1:], r
+		} else if r, ok := strings.CutPrefix(rest, " "); ok {
+			rest = r
+		} else {
+			continue // another family sharing the prefix
+		}
+		if v, err := strconv.ParseFloat(rest, 64); err == nil {
+			out[labels] = v
+		}
+	}
+	return out
 }
 
 // int64Len is len() as uint64 for call-count arithmetic.

@@ -25,30 +25,3 @@ func TestSummaryLabelsWhereCallsWent(t *testing.T) {
 		}
 	}
 }
-
-// TestMergeLinksSumsCounts: /links merges the per-level clusters' rows
-// for one direction by summing what each cluster counted, so a
-// malformed frame or refused call an earlier level saw stays visible.
-func TestMergeLinksSumsCounts(t *testing.T) {
-	first := []stats.LinkStat{
-		{From: 0, To: 1, Refused: 2, Malformed: 3},
-		{From: 1, To: 0, Malformed: 1},
-	}
-	second := []stats.LinkStat{
-		{From: 0, To: 1, Refused: 5},
-		{From: 1, To: 0},
-	}
-	got := mergeLinks([][]stats.LinkStat{first, second})
-	want := []stats.LinkStat{
-		{From: 0, To: 1, Refused: 7, Malformed: 3},
-		{From: 1, To: 0, Malformed: 1},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("merged %d links, want %d: %+v", len(got), len(want), got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("link %d->%d = %+v, want %+v", want[i].From, want[i].To, got[i], want[i])
-		}
-	}
-}

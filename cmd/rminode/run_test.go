@@ -32,7 +32,7 @@ func (s *syncBuffer) String() string {
 
 // TestObsServesUntilStopped: with -obs and no -obs-smoke, rminode
 // finishes its run and then keeps serving the endpoints, with the
-// run's calls on /callsites, until the stop channel delivers; then it
+// run's calls on /metrics, until the stop channel delivers; then it
 // returns 0.
 func TestObsServesUntilStopped(t *testing.T) {
 	var out syncBuffer
@@ -57,14 +57,14 @@ func TestObsServesUntilStopped(t *testing.T) {
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
-	resp, err := http.Get("http://" + addr + "/callsites")
+	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"Main.main.1"`) {
-		t.Fatalf("/callsites after the run: status %d, %s", resp.StatusCode, body)
+	if got := samples(string(body), "cormi_site_calls")[`site="Main.main.1"`]; resp.StatusCode != http.StatusOK || got != 10 {
+		t.Fatalf("/metrics after the run: status %d, Main.main.1 calls %g, want 10", resp.StatusCode, got)
 	}
 	select {
 	case code := <-done:
@@ -80,7 +80,7 @@ func TestObsServesUntilStopped(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("run still serving 10 s after stop")
 	}
-	if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
+	if _, err := http.Get("http://" + addr + "/metrics"); err == nil {
 		t.Fatal("endpoints still served after run returned")
 	}
 }

@@ -88,7 +88,7 @@ func runAttrib(spec attribSpec) ([]obs.ClusterSite, error) {
 		tr := trace.New(trace.Config{RingSize: 256})
 		c := rmi.New(2, rmi.WithTracer(tr))
 		defer c.Close()
-		clusters[i], nodes[i] = c, obs.Options{Tracer: tr, Counters: c.Counters, Overload: c.Overload}
+		clusters[i], nodes[i] = c, obs.Options{Tracer: tr, Cluster: c}
 	}
 	addrs, stop, err := serveNodes(nodes)
 	if err != nil {

@@ -118,7 +118,7 @@ func runDTrace(spec DTraceSpec) (Outcome, error) {
 	out.overload = c.Overload
 	var nodes []obs.Options
 	for _, tr := range tracers {
-		nodes = append(nodes, obs.Options{Tracer: tr, Counters: c.Counters})
+		nodes = append(nodes, obs.Options{Tracer: tr, Cluster: c})
 	}
 	addrs, stop, err := serveNodes(nodes)
 	if err != nil {

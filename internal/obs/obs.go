@@ -1,7 +1,7 @@
 // Package obs is the RMI runtime's live introspection surface: one
-// HTTP mux serving metrics, per-site counters, Chrome-trace dumps,
-// attribution snapshots and distributed traces. README's endpoint
-// table lists every path with its document, version and consumer.
+// HTTP mux serving metrics, Chrome-trace dumps, attribution snapshots
+// and distributed traces. README's endpoint table lists every path with
+// its document, version and consumer.
 //
 // The server is strictly a reader: it snapshots counters, histograms
 // and the span ring on each request and never touches the RMI hot
@@ -16,12 +16,11 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"reflect"
-	"runtime"
-	"runtime/debug"
 	"strings"
 	"time"
 
 	"cormi/internal/metrics"
+	"cormi/internal/rmi"
 	"cormi/internal/serial"
 	"cormi/internal/stats"
 	"cormi/internal/trace"
@@ -34,17 +33,10 @@ type Options struct {
 	// Tracer supplies /trace, /traces and the per-phase latency
 	// histograms on /metrics and /snapshot.
 	Tracer *trace.Tracer
-	// Counters supplies the cormi_* counter gauges on /metrics.
-	Counters *stats.Counters
-	// SiteStats supplies the per-call-site counters for /callsites and
-	// the labeled cormi_site_* series on /metrics (typically
-	// Cluster.SiteStats, or an aggregation across clusters).
-	SiteStats func() []stats.SiteStat
-	// Links supplies the per-link counts for /links and the
-	// labeled cormi_link_* series on /metrics (typically
-	// Cluster.LinkStats, or an aggregation across clusters). Only links
-	// that have completed their HELLO exchange appear.
-	Links func() []stats.LinkStat
+	// Cluster supplies the cormi_counter_* gauges, the labeled
+	// cormi_site_* and cormi_link_* series and the backlog gauge
+	// (cormi_pending_calls) on /metrics.
+	Cluster *rmi.Cluster
 	// NodeName identifies this node in /snapshot and /cluster documents
 	// ("local" when empty).
 	NodeName string
@@ -53,10 +45,6 @@ type Options struct {
 	// ?peers=a,b,c query overrides the list. Must not include this
 	// node's own address (the local state is always merged in).
 	Peers []string
-	// Overload supplies the backlog levels exposed as gauges
-	// (cormi_pending_calls; typically Cluster.Overload, or an
-	// aggregation across clusters).
-	Overload func() stats.OverloadStats
 }
 
 // Server is a running introspection endpoint.
@@ -81,29 +69,18 @@ func newServer(opts Options) *Server {
 	}
 	s := &Server{reg: reg, mux: http.NewServeMux()}
 
-	if opts.Counters != nil {
-		registerCounterGauges(reg, opts.Counters)
-		registerRobustnessGauges(reg, opts.Counters)
+	if c := opts.Cluster; c != nil {
+		registerCounterGauges(reg, c.Counters)
+		registerSiteVecs(reg, c.SiteStats)
+		registerLinkVecs(reg, c.LinkStats)
+		registerOverloadGauges(reg, c.Overload)
 	}
 	registerPoolGauges(reg)
 	registerCtxGauges(reg)
 	if opts.Tracer != nil {
 		registerTracerGauges(reg, opts.Tracer)
 	}
-	if opts.SiteStats != nil {
-		registerSiteVecs(reg, opts.SiteStats)
-	}
-	if opts.Links != nil {
-		registerLinkVecs(reg, opts.Links)
-	}
-	if opts.Overload != nil {
-		registerOverloadGauges(reg, opts.Overload)
-	}
 
-	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
 	s.mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = s.reg.WritePrometheus(w)
@@ -120,18 +97,6 @@ func newServer(opts Options) *Server {
 	serveJSON(s.mux, "/trace", traced(func(*http.Request) (any, int) {
 		return chromeDump{trace.Local(opts.Tracer.Recent()), map[string]any{"reason": "live"}}, http.StatusOK
 	}))
-	serveJSON(s.mux, "/callsites", func(*http.Request) (any, int) {
-		if opts.SiteStats == nil {
-			return "no call-site stats source attached", http.StatusNotFound
-		}
-		return orEmpty(opts.SiteStats()), http.StatusOK
-	})
-	serveJSON(s.mux, "/links", func(*http.Request) (any, int) {
-		if opts.Links == nil {
-			return "no link stats source attached", http.StatusNotFound
-		}
-		return orEmpty(opts.Links()), http.StatusOK
-	})
 	serveJSON(s.mux, "/traces", traced(func(*http.Request) (any, int) {
 		return TraceList{Version: TracesVersion, Node: nodeName(opts), Traces: orEmpty(opts.Tracer.Traces())}, http.StatusOK
 	}))
@@ -144,7 +109,6 @@ func newServer(opts Options) *Server {
 		}
 		return buildClusterView(opts, peers), http.StatusOK
 	})
-	serveJSON(s.mux, "/buildinfo", func(*http.Request) (any, int) { return readBuildInfo(), http.StatusOK })
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -253,15 +217,6 @@ func registerPoolGauges(reg *metrics.Registry) {
 		func() float64 { return float64(wire.Stats().Outstanding) })
 }
 
-// registerRobustnessGauges exposes the wire-robustness counter under
-// the stable name the hardening design documents — an alias of the
-// reflective cormi_counter_* series, kept explicit so dashboards do
-// not depend on field spelling.
-func registerRobustnessGauges(reg *metrics.Registry, c *stats.Counters) {
-	reg.RegisterGauge("cormi_wire_malformed_total", "CRC-valid frames rejected as malformed (hostile or from another protocol)",
-		func() float64 { return float64(c.MalformedFrames.Load()) })
-}
-
 // registerCtxGauges exposes the serializer's read-context pool balance
 // — the leak witness proving every decode, including every rejected
 // malformed frame, released its pooled context.
@@ -323,38 +278,6 @@ func registerSiteVecs(reg *metrics.Registry, sites func() []stats.SiteStat) {
 				return out
 			})
 	}
-}
-
-// buildInfo is the /buildinfo JSON shape: enough provenance to match
-// a running server to a source revision.
-type buildInfo struct {
-	GoVersion   string `json:"go_version"`
-	Module      string `json:"module"`
-	Version     string `json:"version"`
-	VCSRevision string `json:"vcs_revision,omitempty"`
-	VCSTime     string `json:"vcs_time,omitempty"`
-	VCSModified bool   `json:"vcs_modified,omitempty"`
-}
-
-func readBuildInfo() buildInfo {
-	bi := buildInfo{GoVersion: runtime.Version()}
-	info, ok := debug.ReadBuildInfo()
-	if !ok {
-		return bi
-	}
-	bi.Module = info.Main.Path
-	bi.Version = info.Main.Version
-	for _, s := range info.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			bi.VCSRevision = s.Value
-		case "vcs.time":
-			bi.VCSTime = s.Value
-		case "vcs.modified":
-			bi.VCSModified = s.Value == "true"
-		}
-	}
-	return bi
 }
 
 func registerTracerGauges(reg *metrics.Registry, tr *trace.Tracer) {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"cormi/internal/metrics"
 	"cormi/internal/model"
 	"cormi/internal/rmi"
 	"cormi/internal/serial"
@@ -61,25 +62,20 @@ func startTracedCluster(t *testing.T) (*rmi.Cluster, *trace.Tracer) {
 
 func TestServeEndpoints(t *testing.T) {
 	c, tr := startTracedCluster(t)
-	s, err := Serve("127.0.0.1:0", Options{Tracer: tr, Counters: c.Counters})
+	s, err := Serve("127.0.0.1:0", Options{Tracer: tr, Cluster: c})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
 	base := "http://" + s.Addr()
 
-	code, body := get(t, base+"/healthz")
-	if code != http.StatusOK || !strings.Contains(body, "ok") {
-		t.Fatalf("/healthz = %d %q", code, body)
-	}
-
-	code, body = get(t, base+"/metrics")
+	code, body := get(t, base+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics status %d", code)
 	}
 	for _, want := range []string{
 		"cormi_counter_remote_rpcs 1",
-		"cormi_counter_messages",
+		"cormi_counter_net_frames 2",
 		"cormi_counter_retries",
 		"cormi_counter_timeouts",
 		"cormi_counter_dup_suppressed",
@@ -137,9 +133,10 @@ func TestServeEndpoints(t *testing.T) {
 }
 
 func TestServeWithoutTracer(t *testing.T) {
-	var c stats.Counters
-	c.RemoteRPCs.Add(3)
-	s, err := Serve("127.0.0.1:0", Options{Counters: &c})
+	c := rmi.New(1)
+	t.Cleanup(c.Close)
+	c.Counters.RemoteRPCs.Add(3)
+	s, err := Serve("127.0.0.1:0", Options{Cluster: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,15 +173,16 @@ func TestCounterGaugesCoverEveryField(t *testing.T) {
 	// field; pair with the stats completeness tests, this keeps the
 	// whole pipeline (counter → snapshot → /metrics) closed under
 	// field additions.
-	var c stats.Counters
-	s, err := Serve("127.0.0.1:0", Options{Counters: &c})
+	c := rmi.New(1)
+	t.Cleanup(c.Close)
+	s, err := Serve("127.0.0.1:0", Options{Cluster: c})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
 	_, body := get(t, "http://"+s.Addr()+"/metrics")
 	for _, name := range []string{
-		"remote_rpcs", "local_rpcs", "messages", "wire_bytes", "type_bytes",
+		"remote_rpcs", "local_rpcs", "net_frames", "wire_bytes", "type_bytes",
 		"type_ops", "serializer_calls", "inlined_writes", "introspect_ops",
 		"cycle_tables", "cycle_lookups", "alloc_objects", "alloc_bytes",
 		"reused_objs", "reused_bytes", "acks_only", "retries", "timeouts",
@@ -196,84 +194,32 @@ func TestCounterGaugesCoverEveryField(t *testing.T) {
 	}
 }
 
-func TestCallsitesEndpoint(t *testing.T) {
+// TestSiteSeries: the cluster's per-site counters are labeled series
+// on /metrics, one cormi_site_* family per SiteStat counter field, and
+// one textual site registered twice is one label set carrying both
+// sites' calls.
+func TestSiteSeries(t *testing.T) {
 	c, tr := startTracedCluster(t)
-	s, err := Serve("127.0.0.1:0", Options{Tracer: tr, Counters: c.Counters, SiteStats: c.SiteStats})
+	invokeEcho(t, c, 2, 0)
+	s, err := Serve("127.0.0.1:0", Options{Tracer: tr, Cluster: c})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	base := "http://" + s.Addr()
 
-	code, body := get(t, base+"/callsites")
-	if code != http.StatusOK {
-		t.Fatalf("/callsites status %d", code)
-	}
-	var sites []stats.SiteStat
-	if err := json.Unmarshal([]byte(body), &sites); err != nil {
-		t.Fatalf("/callsites is not JSON: %v\n%s", err, body)
-	}
-	if len(sites) != 1 || sites[0].Site != "obs.echo.1" {
-		t.Fatalf("/callsites = %+v, want one obs.echo.1 entry", sites)
-	}
-	if sites[0].Calls != 1 || sites[0].WireBytes <= 0 {
-		t.Errorf("live counters not served: %+v", sites[0])
-	}
-	if !strings.Contains(body, `"wire_bytes"`) {
-		t.Errorf("/callsites keys not snake_case: %s", body)
-	}
-
-	// The same counters appear as labeled series on /metrics, one
-	// cormi_site_* family per SiteStat counter field.
-	_, mbody := get(t, base+"/metrics")
+	_, body := get(t, "http://"+s.Addr()+"/metrics")
 	for _, want := range []string{
-		`cormi_site_calls{site="obs.echo.1"} 1`,
+		`cormi_site_calls{site="obs.echo.1"} 3`,
 		`cormi_site_wire_bytes{site="obs.echo.1"}`,
 		`cormi_site_reuse_hits{site="obs.echo.1"}`,
 		`cormi_site_claim_violations{site="obs.echo.1"} 0`,
 	} {
-		if !strings.Contains(mbody, want) {
+		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-}
-
-func TestCallsitesWithoutSource(t *testing.T) {
-	var c stats.Counters
-	s, err := Serve("127.0.0.1:0", Options{Counters: &c})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	if code, _ := get(t, "http://"+s.Addr()+"/callsites"); code != http.StatusNotFound {
-		t.Fatalf("/callsites without source = %d, want 404", code)
-	}
-}
-
-func TestBuildinfoEndpoint(t *testing.T) {
-	var c stats.Counters
-	s, err := Serve("127.0.0.1:0", Options{Counters: &c})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-
-	code, body := get(t, "http://"+s.Addr()+"/buildinfo")
-	if code != http.StatusOK {
-		t.Fatalf("/buildinfo status %d", code)
-	}
-	var bi struct {
-		GoVersion string `json:"go_version"`
-		Module    string `json:"module"`
-	}
-	if err := json.Unmarshal([]byte(body), &bi); err != nil {
-		t.Fatalf("/buildinfo is not JSON: %v\n%s", err, body)
-	}
-	if bi.GoVersion == "" {
-		t.Error("/buildinfo missing go_version")
-	}
-	if bi.Module != "cormi" {
-		t.Errorf("/buildinfo module = %q, want cormi", bi.Module)
+	if n := strings.Count(body, `cormi_site_calls{site="obs.echo.1"}`); n != 1 {
+		t.Errorf("/metrics has %d cormi_site_calls samples for obs.echo.1, want 1:\n%s", n, body)
 	}
 }
 
@@ -285,9 +231,7 @@ func startTracedNode(t *testing.T, name string, tcfg trace.Config) (*rmi.Cluster
 	tr := trace.New(tcfg)
 	c := rmi.New(2, rmi.WithTracer(tr))
 	t.Cleanup(c.Close)
-	s, err := Serve("127.0.0.1:0", Options{
-		Tracer: tr, Counters: c.Counters, NodeName: name, Overload: c.Overload,
-	})
+	s, err := Serve("127.0.0.1:0", Options{Tracer: tr, Cluster: c, NodeName: name})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,8 +422,7 @@ func TestTraceViewRejectsSkewedPeer(t *testing.T) {
 }
 
 func TestSnapshotWithoutTracer(t *testing.T) {
-	var c stats.Counters
-	s, err := Serve("127.0.0.1:0", Options{Counters: &c})
+	s, err := Serve("127.0.0.1:0", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,12 +454,13 @@ func TestOverloadGaugesCoverEveryField(t *testing.T) {
 	for i := 0; i < ov.NumField(); i++ {
 		ov.Field(i).SetInt(int64(9100 + i*7))
 	}
-	s, err := Serve("127.0.0.1:0", Options{Overload: func() stats.OverloadStats { return o }})
-	if err != nil {
+	reg := metrics.NewRegistry()
+	registerOverloadGauges(reg, func() stats.OverloadStats { return o })
+	var buf strings.Builder
+	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.Close() })
-	_, body := get(t, "http://"+s.Addr()+"/metrics")
+	body := buf.String()
 	ot := ov.Type()
 	for i := 0; i < ot.NumField(); i++ {
 		want := fmt.Sprintf("cormi_%s %d", snakeCase(ot.Field(i).Name), 9100+i*7)
@@ -527,9 +471,8 @@ func TestOverloadGaugesCoverEveryField(t *testing.T) {
 }
 
 // TestLinkMalformedFrames: a hostile frame node 0 receives from peer 1
-// raises the malformed count of that one link — in Cluster.LinkStats,
-// on /links and as its cormi_link_malformed_frames series — and no
-// other link's.
+// raises the malformed count of that one link — in Cluster.LinkStats
+// and as its cormi_link_malformed_frames series — and no other link's.
 func TestLinkMalformedFrames(t *testing.T) {
 	c := rmi.New(3)
 	t.Cleanup(c.Close)
@@ -546,18 +489,14 @@ func TestLinkMalformedFrames(t *testing.T) {
 		}
 	}
 
-	s, err := Serve("127.0.0.1:0", Options{Counters: c.Counters, Links: c.LinkStats})
+	s, err := Serve("127.0.0.1:0", Options{Cluster: c})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	_, body := get(t, "http://"+s.Addr()+"/links")
-	var links []stats.LinkStat
-	if err := json.Unmarshal([]byte(body), &links); err != nil {
-		t.Fatalf("/links is not a link list: %v\n%s", err, body)
-	}
+	links := c.LinkStats()
 	if len(links) < 2 {
-		t.Fatalf("/links lists %d links, want both directions of 0-1: %s", len(links), body)
+		t.Fatalf("LinkStats lists %d links, want both directions of 0-1: %+v", len(links), links)
 	}
 	_, metrics := get(t, "http://"+s.Addr()+"/metrics")
 	for _, l := range links {

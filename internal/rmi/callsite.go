@@ -39,8 +39,8 @@ type CallSite struct {
 
 	// statShards accumulates this site's runtime counters, one shard
 	// per node. They are always on — each call does a handful of atomic
-	// adds and no allocations — and are served (summed) by the obs
-	// /callsites endpoint through Cluster.SiteStats. Sharding by the
+	// adds and no allocations — and are summed by Cluster.SiteStats,
+	// which the obs cormi_site_* series read. Sharding by the
 	// acting node keeps the atomics uncontended (a SiteCounters block
 	// is exactly one cache line) and keeps the writes off the cache
 	// lines holding the read-only plan data above.
@@ -313,7 +313,13 @@ func (pc *pendingCall) failClosed() error {
 	return pc.fail("cluster closed", fmt.Errorf("rmi: %s: %w", pc.cs.Name, ErrClusterClosed))
 }
 
+// failSend ends a call whose attempt the transport refused. A refusal
+// because Close shut the network under the send is the shutdown, and
+// reads as ErrClusterClosed like every other call Close ends.
 func (pc *pendingCall) failSend(err error) error {
+	if pc.n.cluster.closed.Load() {
+		return pc.failClosed()
+	}
 	return pc.fail("send: "+err.Error(), fmt.Errorf("rmi: send: %w", err))
 }
 

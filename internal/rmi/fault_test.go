@@ -12,6 +12,7 @@ import (
 	"cormi/internal/model"
 	"cormi/internal/serial"
 	"cormi/internal/transport"
+	"cormi/internal/wire"
 )
 
 // countingService returns arg+1 and counts how many times the method
@@ -28,6 +29,41 @@ func countingService(execs *atomic.Int64) *Service {
 	}
 }
 
+// lossyNetwork is the in-process channel network with one directed
+// link that loses every packet: one-way loss, which a partition (both
+// directions cut) cannot express.
+type lossyNetwork struct {
+	transport.Network
+	from, to int
+}
+
+type lossyEndpoint struct {
+	transport.Endpoint
+	to int
+}
+
+// withOneWayLoss runs an n-node cluster on a network where every
+// packet from node from to node to is lost.
+func withOneWayLoss(n, from, to int) Option {
+	return WithNetwork(&lossyNetwork{transport.NewChannelNetwork(n, channelDepth), from, to})
+}
+
+func (l *lossyNetwork) Endpoint(node int) transport.Endpoint {
+	ep := l.Network.Endpoint(node)
+	if node != l.from {
+		return ep
+	}
+	return lossyEndpoint{ep, l.to}
+}
+
+func (e lossyEndpoint) Send(p transport.Packet) error {
+	if p.To == e.to {
+		wire.PutBuf(p.Payload)
+		return nil
+	}
+	return e.Endpoint.Send(p)
+}
+
 func bumpSite(t *testing.T, c *Cluster) *CallSite {
 	t.Helper()
 	return c.MustNewCallSite(LevelSite, SiteSpec{
@@ -42,10 +78,7 @@ func TestLostReplyReturnsErrTimeout(t *testing.T) {
 	// caller must surface ErrTimeout once its retry budget is spent —
 	// not hang — and the callee-side dedup must keep the method body at
 	// one execution despite every retransmit being delivered.
-	e := newEnv(t, 2, WithFaults(transport.FaultConfig{
-		Seed:  1,
-		Pairs: map[[2]int]transport.FaultRates{{1, 0}: {Drop: 1}},
-	}))
+	e := newEnv(t, 2, withOneWayLoss(2, 1, 0))
 	var execs atomic.Int64
 	ref := e.c.Node(1).Export(countingService(&execs))
 	cs := bumpSite(t, e.c)
@@ -237,10 +270,7 @@ func TestDedupCacheEviction(t *testing.T) {
 func TestCloseFailsPendingWithPolicy(t *testing.T) {
 	// A caller inside its retry loop must be unblocked by Close with
 	// ErrClusterClosed, not left to burn through its full retry budget.
-	e := newEnv(t, 2, WithFaults(transport.FaultConfig{
-		Seed:  5,
-		Pairs: map[[2]int]transport.FaultRates{{1, 0}: {Drop: 1}},
-	}))
+	e := newEnv(t, 2, withOneWayLoss(2, 1, 0))
 	var execs atomic.Int64
 	ref := e.c.Node(1).Export(countingService(&execs))
 	cs := bumpSite(t, e.c)

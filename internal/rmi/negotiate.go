@@ -88,7 +88,8 @@ func (n *Node) negotiateLink(l *nodeLink, peerHello []byte) {
 }
 
 // noteMalformed records a malformed frame received from peer: the
-// cluster-wide counter, the link's own count (so /links names the peer
+// cluster-wide counter, the link's own count (so its cormi_link_* series
+// names the peer
 // that sent it), and a flight-recorder dump, which the tracer writes
 // at most once, so the first hostile frame leaves forensics without
 // letting an attacker flood the recorder. A From outside the cluster
@@ -105,7 +106,8 @@ func (n *Node) noteMalformed(from int) {
 }
 
 // LinkStats snapshots every negotiated link in the cluster (links that
-// have never carried traffic are omitted). Surfaced on /links.
+// have never carried traffic are omitted), read by the obs cormi_link_*
+// series on /metrics.
 func (c *Cluster) LinkStats() []stats.LinkStat {
 	var out []stats.LinkStat
 	for _, n := range c.nodes {

@@ -441,15 +441,24 @@ func (c *Cluster) auditCall() bool {
 	return c.claimTick.Add(1)%c.claimEvery == 0
 }
 
-// SiteStats snapshots the per-call-site runtime counters of every
-// registered site, in registration (site-ID) order. This is what the
-// obs /callsites endpoint serves.
+// SiteStats snapshots the per-call-site runtime counters, one row per
+// site name in the order the names were first registered. Sites that
+// share a name (one textual call site registered at several levels)
+// are summed into one row, so each name is one label set of the obs
+// cormi_site_* series on /metrics.
 func (c *Cluster) SiteStats() []stats.SiteStat {
 	c.siteMu.RLock()
 	defer c.siteMu.RUnlock()
 	out := make([]stats.SiteStat, 0, len(c.sites))
+	row := make(map[string]int, len(c.sites))
 	for _, cs := range c.sites {
-		out = append(out, cs.Stats())
+		s := cs.Stats()
+		if i, ok := row[s.Site]; ok {
+			out[i] = out[i].Add(s)
+			continue
+		}
+		row[s.Site] = len(out)
+		out = append(out, s)
 	}
 	return out
 }
@@ -619,11 +628,10 @@ func (n *Node) lookup(obj int64) (*Service, bool) {
 
 // send puts one sealed frame on the wire. This is the single choke
 // point every outbound frame passes (calls, replies, dedup-cache
-// resends), so it counts each exactly once: one message, one physical
-// frame, and the frame's bytes short of its checksum as WireBytes.
+// resends), so it counts each exactly once: one physical frame, and the
+// frame's bytes short of its checksum as WireBytes.
 func (n *Node) send(pkt transport.Packet) error {
 	ctr := n.cluster.Counters
-	ctr.Messages.Add(1)
 	ctr.NetFrames.Add(1)
 	ctr.WireBytes.Add(int64(len(pkt.Payload) - wire.ChecksumSize))
 	return n.ep.Send(pkt)

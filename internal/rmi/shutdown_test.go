@@ -13,6 +13,7 @@ import (
 	"cormi/internal/model"
 	"cormi/internal/serial"
 	"cormi/internal/transport"
+	"cormi/internal/wire"
 )
 
 // TestCloseReturnsReplyCache: every tracked call leaves a pooled copy
@@ -74,7 +75,11 @@ func TestInvokeSendFailureReclaimsCall(t *testing.T) {
 	}
 }
 
+// TestCloseUnblocksPendingCallers also waits for the released
+// executors to finish their replies, so no frame they hold is returned
+// inside the next test's balance window.
 func TestCloseUnblocksPendingCallers(t *testing.T) {
+	mark := balance.Take()
 	e := newEnv(t, 2)
 	block := make(chan struct{})
 	var entered sync.WaitGroup
@@ -111,6 +116,9 @@ func TestCloseUnblocksPendingCallers(t *testing.T) {
 			t.Fatalf("pending invoke after close: err = %v, want ErrClusterClosed", err)
 		}
 	}
+	if err := mark.Settled(e.c.Overload); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestInvokeOnSilentLinkAroundClose: a call with the zero policy (no
@@ -122,9 +130,7 @@ func TestCloseUnblocksPendingCallers(t *testing.T) {
 func TestInvokeOnSilentLinkAroundClose(t *testing.T) {
 	links := map[string]func() *Cluster{
 		"drop": func() *Cluster {
-			return New(2, WithFaults(transport.FaultConfig{
-				Pairs: map[[2]int]transport.FaultRates{{0, 1}: {Drop: 1}},
-			}))
+			return New(2, withOneWayLoss(2, 0, 1))
 		},
 		"partition": func() *Cluster {
 			c := New(2, WithFaults(transport.FaultConfig{}))
@@ -188,5 +194,72 @@ func TestLocalInvokeClassModeReturnsCloned(t *testing.T) {
 	}
 	if head.Get("v").I == -1 || rets[0].O == head {
 		t.Fatal("class-mode local call broke cloning semantics")
+	}
+}
+
+// closingNetwork is the channel network whose send number closeAt
+// closes the cluster and then delegates; the sends before it are lost.
+// It puts Close between a call's registration and its frame reaching
+// the transport, on the first attempt (closeAt 1) or on a retransmit.
+type closingNetwork struct {
+	transport.Network
+	c       *Cluster
+	closeAt int64
+	sends   atomic.Int64
+}
+
+type closingEndpoint struct {
+	transport.Endpoint
+	net *closingNetwork
+}
+
+func (n *closingNetwork) Endpoint(node int) transport.Endpoint {
+	return closingEndpoint{n.Network.Endpoint(node), n}
+}
+
+func (e closingEndpoint) Send(p transport.Packet) error {
+	switch i := e.net.sends.Add(1); {
+	case i < e.net.closeAt:
+		wire.PutBuf(p.Payload)
+		return nil
+	case i == e.net.closeAt:
+		e.net.c.Close()
+	}
+	return e.Endpoint.Send(p)
+}
+
+// TestSendAcrossCloseFailsClosed: a call that passed startRemote's
+// closed check and whose send then meets a network Close shut is ended
+// by the shutdown, so it fails with ErrClusterClosed — not with the
+// transport's "network closed" — whether the send is its first attempt
+// or a retransmit. Close still balances the frame pool and the pending
+// table.
+func TestSendAcrossCloseFailsClosed(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		closeAt int64
+		pol     CallPolicy
+	}{
+		{"first", 1, CallPolicy{}},
+		{"retransmit", 2, CallPolicy{Timeout: 5 * time.Millisecond, Retries: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mark := balance.Take()
+			nw := &closingNetwork{Network: transport.NewChannelNetwork(2, channelDepth), closeAt: tc.closeAt}
+			c := New(2, WithNetwork(nw), WithCallPolicy(tc.pol))
+			nw.c = c
+			var execs atomic.Int64
+			ref := c.Node(1).Export(countingService(&execs))
+			_, err := bumpSite(t, c).Invoke(c.Node(0), ref, []model.Value{model.Int(1)})
+			if !errors.Is(err, ErrClusterClosed) {
+				t.Errorf("err = %v, want ErrClusterClosed", err)
+			}
+			if n := nw.sends.Load(); n != tc.closeAt {
+				t.Errorf("%d sends, want %d", n, tc.closeAt)
+			}
+			if err := mark.Settled(c.Overload); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

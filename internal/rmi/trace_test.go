@@ -168,10 +168,7 @@ func TestTimeoutDumpsFlightRecorder(t *testing.T) {
 	tr := trace.New(trace.Config{RingSize: 64, FailureDump: &dump})
 	e := newEnv(t, 2,
 		WithTracer(tr),
-		WithFaults(transport.FaultConfig{
-			Seed:  3,
-			Pairs: map[[2]int]transport.FaultRates{{1, 0}: {Drop: 1}},
-		}))
+		withOneWayLoss(2, 1, 0))
 	var execs atomic.Int64
 	ref := e.c.Node(1).Export(countingService(&execs))
 	cs := bumpSite(t, e.c)

@@ -36,6 +36,9 @@ func TestSnapshotCoversEveryCounterField(t *testing.T) {
 	}
 	for i := 0; i < st.NumField(); i++ {
 		name := st.Field(i).Name
+		if name == "Messages" {
+			continue // NetFrames under its old name, checked below
+		}
 		if _, ok := ct.FieldByName(name); !ok {
 			t.Errorf("Snapshot.%s has no Counters field", name)
 		}
@@ -55,6 +58,9 @@ func TestSnapshotCoversEveryCounterField(t *testing.T) {
 		if got != int64(1000+i) {
 			t.Errorf("Snapshot().%s = %d, want %d (field not copied)", name, got, 1000+i)
 		}
+	}
+	if s := c.Snapshot(); s.Messages != s.NetFrames {
+		t.Errorf("Snapshot().Messages = %d, want NetFrames %d", s.Messages, s.NetFrames)
 	}
 }
 

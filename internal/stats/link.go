@@ -4,7 +4,7 @@ package stats
 // refused because the HELLO exchange found the peer running another
 // program (calls From issued to To, and call frames From received from
 // To), and how many malformed frames From received from To. Surfaced
-// by rmi.Cluster.LinkStats and the /metrics and /links endpoints.
+// by rmi.Cluster.LinkStats and the obs cormi_link_* series on /metrics.
 type LinkStat struct {
 	From      int   `json:"from"`
 	To        int   `json:"to"`

@@ -12,10 +12,3 @@ type OverloadStats struct {
 	// awaiting their reply (the pending-table size, summed over nodes).
 	PendingCalls int64 `json:"pending_calls"`
 }
-
-// Add returns the field-wise sum of two snapshots (aggregating several
-// clusters behind one obs server).
-func (o OverloadStats) Add(p OverloadStats) OverloadStats {
-	o.PendingCalls += p.PendingCalls
-	return o
-}

@@ -18,8 +18,8 @@ type SiteCounters struct {
 	ClaimViolations    atomic.Int64 // compile-time claims found violated at this site
 }
 
-// SiteStat is an immutable snapshot of one site's counters, in the
-// JSON shape served by the obs /callsites endpoint.
+// SiteStat is an immutable snapshot of one site's counters. Its JSON
+// keys are the snake_case names of its obs cormi_site_* series.
 type SiteStat struct {
 	Site               string `json:"site"`
 	Calls              int64  `json:"calls"`
@@ -48,9 +48,9 @@ func (c *SiteCounters) Snapshot(site string) SiteStat {
 }
 
 // Add returns the field-wise sum of two snapshots, keeping the
-// receiver's site name. It aggregates one textual call site that is
-// registered on several clusters (e.g. one cluster per optimization
-// level in the demo binaries).
+// receiver's site name. It sums a site's per-node shards, and the
+// sites of one cluster that share a name (one textual call site
+// registered at several optimization levels).
 func (s SiteStat) Add(o SiteStat) SiteStat {
 	s.Calls += o.Calls
 	s.LocalCalls += o.LocalCalls

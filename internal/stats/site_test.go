@@ -52,7 +52,8 @@ func TestSiteStatCoversEverySiteCounter(t *testing.T) {
 }
 
 func TestSiteStatJSONTags(t *testing.T) {
-	// The /callsites endpoint promises snake_case JSON keys; pin them.
+	// SiteStat's JSON keys are snake_case, the words of its cormi_site_*
+	// series; pin them.
 	st := reflect.TypeOf(SiteStat{})
 	for i := 0; i < st.NumField(); i++ {
 		tag := st.Field(i).Tag.Get("json")

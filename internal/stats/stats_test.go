@@ -23,12 +23,12 @@ func TestSnapshot(t *testing.T) {
 
 func TestSub(t *testing.T) {
 	var c Counters
-	c.Messages.Add(10)
+	c.NetFrames.Add(10)
 	before := c.Snapshot()
-	c.Messages.Add(5)
+	c.NetFrames.Add(5)
 	c.WireBytes.Add(100)
 	d := c.Snapshot().Sub(before)
-	if d.Messages != 5 || d.WireBytes != 100 {
+	if d.NetFrames != 5 || d.Messages != 5 || d.WireBytes != 100 {
 		t.Fatalf("delta: %+v", d)
 	}
 }

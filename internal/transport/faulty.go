@@ -8,9 +8,9 @@ import (
 	"cormi/internal/wire"
 )
 
-// FaultRates configures the per-packet fault probabilities of one
-// directed node pair (or, as FaultConfig's embedded default, of every
-// pair). Probabilities are in [0, 1]; zero means the fault never fires.
+// FaultRates configures the per-packet fault probabilities of every
+// directed node pair. Probabilities are in [0, 1]; zero means the
+// fault never fires.
 type FaultRates struct {
 	Drop    float64 // packet silently discarded
 	Dup     float64 // packet delivered twice
@@ -20,32 +20,18 @@ type FaultRates struct {
 }
 
 // FaultConfig seeds and configures a FaultyNetwork. The embedded
-// FaultRates apply to every directed node pair unless overridden in
-// Pairs. All fault decisions derive from Seed and a per-pair packet
-// counter, so a given traffic pattern sees a reproducible fault
-// sequence.
+// FaultRates apply to every directed node pair. All fault decisions
+// derive from Seed and a per-pair packet counter, so a given traffic
+// pattern sees a reproducible fault sequence.
 type FaultConfig struct {
 	Seed int64
 	FaultRates
-	// Pairs overrides the default rates for specific directed pairs,
-	// keyed [from, to].
-	Pairs map[[2]int]FaultRates
 }
 
 // Enabled reports whether any fault can ever fire.
 func (c FaultConfig) Enabled() bool {
-	on := func(r FaultRates) bool {
-		return r.Drop > 0 || r.Dup > 0 || r.Reorder > 0 || r.Corrupt > 0 || r.DelayNS > 0
-	}
-	if on(c.FaultRates) {
-		return true
-	}
-	for _, r := range c.Pairs {
-		if on(r) {
-			return true
-		}
-	}
-	return false
+	r := c.FaultRates
+	return r.Drop > 0 || r.Dup > 0 || r.Reorder > 0 || r.Corrupt > 0 || r.DelayNS > 0
 }
 
 // FaultStats counts the faults a FaultyNetwork injected.
@@ -147,13 +133,6 @@ func (f *FaultyNetwork) Partitioned(from, to int) bool {
 	return f.part[[2]int{from, to}]
 }
 
-func (f *FaultyNetwork) rates(from, to int) FaultRates {
-	if r, ok := f.cfg.Pairs[[2]int{from, to}]; ok {
-		return r
-	}
-	return f.cfg.FaultRates
-}
-
 // holdFlushDelay bounds how long a reordered packet can be held when no
 // successor traffic arrives on its link to release it.
 const holdFlushDelay = 2 * time.Millisecond
@@ -209,7 +188,7 @@ func (e *faultyEndpoint) Send(p Packet) error {
 		wire.PutBuf(p.Payload)
 		return nil
 	}
-	r := f.rates(e.id, p.To)
+	r := f.cfg.FaultRates
 	n := e.seq[p.To].Add(1)
 	s := rng{state: uint64(f.cfg.Seed) ^ uint64(e.id)<<40 ^ uint64(p.To)<<24 ^ n}
 

@@ -165,28 +165,6 @@ func TestFaultyNetworkPartition(t *testing.T) {
 	}
 }
 
-// TestFaultyNetworkPerPairRates checks that Pairs overrides confine
-// faults to the configured directed link.
-func TestFaultyNetworkPerPairRates(t *testing.T) {
-	f := NewFaultyNetwork(NewChannelNetwork(2, 64), FaultConfig{
-		Seed:  9,
-		Pairs: map[[2]int]FaultRates{{0, 1}: {Drop: 1}},
-	})
-	rx := drain(f.Endpoint(0))
-	rx1 := drain(f.Endpoint(1))
-	for i := 0; i < 20; i++ {
-		f.Endpoint(0).Send(Packet{To: 1, Payload: []byte("fwd")})
-		f.Endpoint(1).Send(Packet{To: 0, Payload: []byte("rev")})
-	}
-	f.Close()
-	if got := <-rx1; len(got) != 0 {
-		t.Errorf("0→1 has Drop=1 but %d packets got through", len(got))
-	}
-	if got := <-rx; len(got) != 20 {
-		t.Errorf("1→0 is fault-free but delivered %d of 20", len(got))
-	}
-}
-
 // concurrentCloseTest exercises a network with racing senders and
 // receivers while Close lands mid-traffic: no deadlock, no panic, and
 // Recv eventually reports closure to every receiver.

@@ -135,7 +135,6 @@ var unsetAllow = map[string]string{
 	"cormi/internal/core.Options.HeapOpts":             "ROADMAP item 14: the context-insensitive baseline that make verify-precision and core's differential test compare the default against",
 	"cormi/internal/heap/gen.Config.Edits":             "ROADMAP item 5: corpus variety for core's reuse-verdict differential test until generated programs run as matrix workloads",
 	"cormi/internal/heap/gen.Config.ExtraCalls":        "ROADMAP item 5: as Edits",
-	"cormi/internal/transport.FaultConfig.Pairs":       "ROADMAP item 18: one-way loss for rmi's retry, dedup and timeout tests (Partition cuts both directions); decided with rmibench's fault flags",
 }
 
 // byName are the methods fmt and encoding/json call by name.
