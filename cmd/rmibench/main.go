@@ -101,7 +101,7 @@ func main() {
 			traceFile = f
 			// A tracer writes at most one failure dump, so the file
 			// loads as a single Chrome trace.
-			spec.Tracer = trace.New(trace.Config{RingSize: 4096, FailureDump: f})
+			spec.Tracer = trace.New(trace.Config{FailureDump: f})
 		}
 		report, err := harness.Chaos(harness.TestScale(), spec)
 		if report != nil {

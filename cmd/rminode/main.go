@@ -100,6 +100,10 @@ func run(args []string, stop func() <-chan os.Signal, stdout, stderr io.Writer) 
 		fmt.Fprintf(stderr, "rminode: -nodes must be at least 1, got %d\n", *nodes)
 		return 2
 	}
+	if *obsSmoke && *nodes < 2 {
+		fmt.Fprintf(stderr, "rminode: -obs-smoke needs -nodes 2 or more, got %d: one node's calls are all local, so no phase histogram, link series or trace exists to probe\n", *nodes)
+		return 2
+	}
 
 	faultCfg := transport.FaultConfig{
 		Seed: *seed,
@@ -121,7 +125,7 @@ func run(args []string, stop func() <-chan os.Signal, stdout, stderr io.Writer) 
 		*obsAddr = "127.0.0.1:0"
 	}
 	if *obsAddr != "" {
-		tracer = trace.New(trace.Config{RingSize: 4096, SampleEvery: int64(*sample)})
+		tracer = trace.New(trace.Config{SampleEvery: int64(*sample)})
 		opts = append(opts, rmi.WithTracer(tracer))
 	}
 	if faultCfg.Enabled() {

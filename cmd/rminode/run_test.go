@@ -85,13 +85,18 @@ func TestObsServesUntilStopped(t *testing.T) {
 	}
 }
 
-// TestRunFailureExitCodes drives run's failure paths: a bad -nodes is a
-// usage error (2); an -obs address that cannot be listened on goes
-// through fail and exits 1 with the error on stderr.
+// TestRunFailureExitCodes drives run's failure paths: a bad -nodes, and
+// -obs-smoke on one node, whose local calls leave nothing remote to
+// probe, are usage errors (2); an -obs address that cannot be listened
+// on goes through fail and exits 1 with the error on stderr.
 func TestRunFailureExitCodes(t *testing.T) {
 	var stderr bytes.Buffer
 	if code := run([]string{"-nodes", "0"}, nil, io.Discard, &stderr); code != 2 || !strings.Contains(stderr.String(), "-nodes must be at least 1") {
 		t.Fatalf("-nodes 0: exit %d, stderr %q", code, stderr.String())
+	}
+	stderr.Reset()
+	if code := run([]string{"-nodes", "1", "-obs-smoke"}, nil, io.Discard, &stderr); code != 2 || !strings.Contains(stderr.String(), "-obs-smoke needs -nodes 2 or more") {
+		t.Fatalf("-nodes 1 -obs-smoke: exit %d, stderr %q", code, stderr.String())
 	}
 	stderr.Reset()
 	if code := run([]string{"-obs", "127.0.0.1:-1"}, nil, io.Discard, &stderr); code != 1 || !strings.HasPrefix(stderr.String(), "rminode: ") {

@@ -146,12 +146,12 @@ func fakeTraceServer(t *testing.T) *httptest.Server {
 		{Node: "n0", Spans: []trace.SpanRecord{{
 			Site: "Attrib.echo.1", Method: "echo", Kind: trace.KindCaller,
 			Seq: 9, Start: 100, End: 5_000_100,
-			TraceID: 0x1234, SpanID: 1, Hop: 0,
+			TraceID: 0x1234, Hop: 0,
 		}}},
 		{Node: "n1", Spans: []trace.SpanRecord{{
 			Site: "Attrib.echo.1", Method: "echo", Kind: trace.KindCallee,
 			Seq: 9, Start: 1_000, End: 4_900_000,
-			TraceID: 0x1234, SpanID: 2, ParentID: 1, Hop: 1,
+			TraceID: 0x1234, Hop: 1,
 		}}},
 	})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -56,7 +56,7 @@ var allocTiers = map[string]allocTier{
 	// budget. `make verify-attrib` gates on it.
 	"attribution": {
 		level:  rmi.LevelSiteReuseCycle,
-		tracer: &trace.Config{RingSize: 1024},
+		tracer: &trace.Config{},
 		warmup: 50, budget: 0,
 		after: func(t *testing.T, tr *trace.Tracer) {
 			var site *trace.SiteAttribution
@@ -87,7 +87,7 @@ var allocTiers = map[string]allocTier{
 	// on it.
 	"armed": {
 		level:  rmi.LevelSiteReuseCycle,
-		tracer: &trace.Config{RingSize: 1024, SampleEvery: 1 << 40},
+		tracer: &trace.Config{SampleEvery: 1 << 40},
 		warmup: 50, budget: 0,
 		after: func(t *testing.T, tr *trace.Tracer) {
 			if retained, _, _ := tr.TraceStoreStats(); retained != 1 {
@@ -106,7 +106,7 @@ var allocTiers = map[string]allocTier{
 	// buffer).
 	"sampled": {
 		level:  rmi.LevelSiteReuseCycle,
-		tracer: &trace.Config{RingSize: 1024, SampleEvery: 1},
+		tracer: &trace.Config{SampleEvery: 1},
 		warmup: 300, budget: 1.0,
 		after: func(t *testing.T, tr *trace.Tracer) {
 			retained, evicted, dropped := tr.TraceStoreStats()

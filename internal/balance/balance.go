@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"cormi/internal/serial"
-	"cormi/internal/stats"
 	"cormi/internal/wire"
 )
 
@@ -34,14 +33,14 @@ func Take() Mark {
 var settlePolls = 10_000
 
 // Settled waits until frames and read contexts are back at the mark,
-// no more goroutines run than did then, and — when overload is given,
-// typically a closed Cluster.Overload — every backlog gauge reads zero.
+// no more goroutines run than did then, and — when pending is given,
+// typically a closed Cluster.PendingCalls — it reads zero.
 // It returns nil as soon as all of that holds, and otherwise an error
 // naming each quantity that is still off after the last poll.
-func (m Mark) Settled(overload func() stats.OverloadStats) error {
+func (m Mark) Settled(pending func() int64) error {
 	var off []string
 	for i := 0; i < settlePolls; i++ {
-		off = m.off(overload)
+		off = m.off(pending)
 		if len(off) == 0 {
 			return nil
 		}
@@ -50,7 +49,7 @@ func (m Mark) Settled(overload func() stats.OverloadStats) error {
 	return fmt.Errorf("unbalanced after Close: %s", strings.Join(off, ", "))
 }
 
-func (m Mark) off(overload func() stats.OverloadStats) []string {
+func (m Mark) off(pending func() int64) []string {
 	var off []string
 	now := Take()
 	if d := now.frames - m.frames; d != 0 {
@@ -62,9 +61,9 @@ func (m Mark) off(overload func() stats.OverloadStats) []string {
 	if d := now.goroutines - m.goroutines; d > 0 {
 		off = append(off, fmt.Sprintf("%+d goroutines", d))
 	}
-	if overload != nil {
-		if o := overload(); o != (stats.OverloadStats{}) {
-			off = append(off, fmt.Sprintf("overload %+v", o))
+	if pending != nil {
+		if n := pending(); n != 0 {
+			off = append(off, fmt.Sprintf("%d pending calls", n))
 		}
 	}
 	return off

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"cormi/internal/stats"
 	"cormi/internal/wire"
 )
 
@@ -16,7 +15,7 @@ func TestSettledNamesWhatIsOff(t *testing.T) {
 	settlePolls = 3
 
 	m := Take()
-	if err := m.Settled(func() stats.OverloadStats { return stats.OverloadStats{} }); err != nil {
+	if err := m.Settled(func() int64 { return 0 }); err != nil {
 		t.Fatalf("nothing leaked: %v", err)
 	}
 	wants := func(err error, want string) {
@@ -45,7 +44,7 @@ func TestSettledNamesWhatIsOff(t *testing.T) {
 	wants(m.Settled(nil), " goroutines")
 	close(park)
 
-	wants(m.Settled(func() stats.OverloadStats { return stats.OverloadStats{PendingCalls: 2} }), "PendingCalls:2")
+	wants(m.Settled(func() int64 { return 2 }), "2 pending calls")
 
 	settlePolls = full
 	if err := m.Settled(nil); err != nil {

@@ -85,7 +85,7 @@ func runAttrib(spec attribSpec) ([]obs.ClusterSite, error) {
 	clusters := make([]*rmi.Cluster, spec.Nodes)
 	nodes := make([]obs.Options, spec.Nodes)
 	for i := range clusters {
-		tr := trace.New(trace.Config{RingSize: 256})
+		tr := trace.New(trace.Config{})
 		c := rmi.New(2, rmi.WithTracer(tr))
 		defer c.Close()
 		clusters[i], nodes[i] = c, obs.Options{Tracer: tr, Cluster: c}

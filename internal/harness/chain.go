@@ -152,7 +152,7 @@ func chainWorkload(kind chainKind, mode ChainMode, depth, chains int) Workload {
 	return Workload{Name: kind.name, Mode: mode, Run: func(level rmi.OptLevel, _ Scale, opts []rmi.Option) (Outcome, error) {
 		c := rmi.New(2, opts...)
 		defer c.Close()
-		out := Outcome{Depth: depth, Chains: chains, overload: c.Overload}
+		out := Outcome{Depth: depth, Chains: chains, pending: c.PendingCalls}
 		callee := 1
 		if mode == ChainLocal {
 			callee = 0

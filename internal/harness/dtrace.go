@@ -106,7 +106,7 @@ func runDTrace(spec DTraceSpec) (Outcome, error) {
 	var tracers [3]*trace.Tracer
 	var copts []rmi.Option
 	for i := range tracers {
-		cfg := trace.Config{RingSize: 1024}
+		var cfg trace.Config
 		if i == 0 {
 			cfg.SampleEvery = 1
 		}
@@ -115,7 +115,7 @@ func runDTrace(spec DTraceSpec) (Outcome, error) {
 	}
 	c := rmi.New(3, copts...)
 	defer c.Close()
-	out.overload = c.Overload
+	out.pending = c.PendingCalls
 	var nodes []obs.Options
 	for _, tr := range tracers {
 		nodes = append(nodes, obs.Options{Tracer: tr, Cluster: c})

@@ -13,7 +13,6 @@ import (
 
 	"cormi/internal/apps/appkit"
 	"cormi/internal/rmi"
-	"cormi/internal/stats"
 )
 
 // Scale sizes the workloads. The paper's sizes (1024 matrix, millions
@@ -82,9 +81,9 @@ type Outcome struct {
 	// TreeFacts is filled by the distributed-tracing scenario.
 	TreeFacts
 
-	// overload reads the cell's (closed) cluster's backlog gauges for
+	// pending reads the cell's (closed) cluster's pending calls for
 	// the balance check; nil when the workload keeps its cluster.
-	overload func() stats.OverloadStats
+	pending func() int64
 }
 
 // Row is one cell of the scenario table: which cell it is, what came

@@ -83,7 +83,7 @@ func runCell(w *Workload, cond Condition, level rmi.OptLevel, s Scale, row int) 
 		err = checkLinks(cond, &r, err)
 	}
 	if err == nil {
-		err = mark.Settled(r.overload)
+		err = mark.Settled(r.pending)
 	}
 	r.Err = err
 	return r

@@ -114,7 +114,7 @@ func LUScaling(n, bs int, nodeCounts []int) (*Report, error) {
 // phase, so traced latencies are reported, never compared against
 // untraced ones.
 func RunTraced(iters int) ([]trace.SiteAttribution, []trace.SpanRecord, error) {
-	tr := trace.New(trace.Config{RingSize: 4096})
+	tr := trace.New(trace.Config{})
 	traced := Condition{Name: "traced", Options: func(int, Scale) ([]rmi.Option, error) {
 		return []rmi.Option{rmi.WithTracer(tr)}, nil
 	}}

@@ -39,7 +39,7 @@ func run(t *testing.T, src, class string, level rmi.OptLevel, nodes int) (model.
 // placed round robin over the three nodes: the unused Leaf lands on
 // node 0, Mid on node 1 and the Leaf that Mid.step creates on node 2.
 func TestNestedRemoteCallJoinsTrace(t *testing.T) {
-	tr := trace.New(trace.Config{RingSize: 64, SampleEvery: 1})
+	tr := trace.New(trace.Config{SampleEvery: 1})
 	cluster := rmi.New(3, rmi.WithTracer(tr))
 	t.Cleanup(cluster.Close)
 	res, err := core.CompileInto(`

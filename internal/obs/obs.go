@@ -73,7 +73,8 @@ func newServer(opts Options) *Server {
 		registerCounterGauges(reg, c.Counters)
 		registerSiteVecs(reg, c.SiteStats)
 		registerLinkVecs(reg, c.LinkStats)
-		registerOverloadGauges(reg, c.Overload)
+		reg.RegisterGauge("cormi_pending_calls", "issued remote invocations awaiting their reply",
+			func() float64 { return float64(c.PendingCalls()) })
 	}
 	registerPoolGauges(reg)
 	registerCtxGauges(reg)
@@ -291,24 +292,6 @@ func registerTracerGauges(reg *metrics.Registry, tr *trace.Tracer) {
 		func() float64 { _, e, _ := tr.TraceStoreStats(); return float64(e) })
 	reg.RegisterGauge("cormi_trace_store_dropped_spans_total", "spans dropped by the per-trace span cap",
 		func() float64 { _, _, d := tr.TraceStoreStats(); return float64(d) })
-}
-
-// registerOverloadGauges walks stats.OverloadStats with reflection and
-// registers one gauge per backlog level, named cormi_<snake_case_field>
-// (cormi_pending_calls).
-// As with registerCounterGauges, a field added to the struct shows up
-// on /metrics automatically.
-func registerOverloadGauges(reg *metrics.Registry, overload func() stats.OverloadStats) {
-	ot := reflect.TypeOf(stats.OverloadStats{})
-	for i := 0; i < ot.NumField(); i++ {
-		f := ot.Field(i)
-		if f.Type.Kind() != reflect.Int64 {
-			continue
-		}
-		idx := i
-		reg.RegisterGauge("cormi_"+snakeCase(f.Name), "backlog level "+f.Name,
-			func() float64 { return float64(reflect.ValueOf(overload()).Field(idx).Int()) })
-	}
 }
 
 // snakeCase converts a Go exported field name to snake_case, starting

@@ -6,16 +6,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"cormi/internal/metrics"
 	"cormi/internal/model"
 	"cormi/internal/rmi"
 	"cormi/internal/serial"
-	"cormi/internal/stats"
 	"cormi/internal/trace"
 	"cormi/internal/transport"
 	"cormi/internal/wire"
@@ -38,7 +36,7 @@ func get(t *testing.T, url string) (int, string) {
 // startTracedCluster runs one traced RMI so every endpoint has data.
 func startTracedCluster(t *testing.T) (*rmi.Cluster, *trace.Tracer) {
 	t.Helper()
-	tr := trace.New(trace.Config{RingSize: 64})
+	tr := trace.New(trace.Config{})
 	c := rmi.New(2, rmi.WithTracer(tr))
 	t.Cleanup(c.Close)
 	ref := c.Node(1).Export(&rmi.Service{
@@ -267,7 +265,7 @@ func invokeEcho(t *testing.T, c *rmi.Cluster, count int, delay time.Duration) {
 }
 
 func TestSnapshotEndpoint(t *testing.T) {
-	c, _, s := startTracedNode(t, "n0", trace.Config{RingSize: 64})
+	c, _, s := startTracedNode(t, "n0", trace.Config{})
 	invokeEcho(t, c, 3, 0)
 
 	code, body := get(t, "http://"+s.Addr()+"/snapshot")
@@ -307,9 +305,9 @@ func TestSnapshotEndpoint(t *testing.T) {
 func TestClusterEndpointMergesPeers(t *testing.T) {
 	// Three independent nodes, each with its own obs server and the
 	// same call site; one node aggregates the other two over HTTP.
-	c0, _, s0 := startTracedNode(t, "n0", trace.Config{RingSize: 64})
-	c1, _, s1 := startTracedNode(t, "n1", trace.Config{RingSize: 64})
-	c2, _, s2 := startTracedNode(t, "n2", trace.Config{RingSize: 64})
+	c0, _, s0 := startTracedNode(t, "n0", trace.Config{})
+	c1, _, s1 := startTracedNode(t, "n1", trace.Config{})
+	c2, _, s2 := startTracedNode(t, "n2", trace.Config{})
 	invokeEcho(t, c0, 2, 0)
 	invokeEcho(t, c1, 3, 0)
 	invokeEcho(t, c2, 5, 0)
@@ -398,12 +396,12 @@ func TestTraceViewRejectsSkewedPeer(t *testing.T) {
 			Version: TracesVersion + 1, Node: "skewed", TraceID: id,
 			Spans: []trace.SpanRecord{{
 				Site: "obs.echo.1", Kind: trace.KindCaller, Start: 100, End: 200,
-				TraceID: id, SpanID: 1,
+				TraceID: id,
 			}},
 		})
 	}))
 	t.Cleanup(peer.Close)
-	_, _, s := startTracedNode(t, "n0", trace.Config{RingSize: 8})
+	_, _, s := startTracedNode(t, "n0", trace.Config{})
 
 	code, body := get(t, fmt.Sprintf("http://%s/traces/%d?peers=%s", s.Addr(), id, peer.Listener.Addr()))
 	if code != http.StatusOK {
@@ -445,29 +443,47 @@ func TestSnapshotWithoutTracer(t *testing.T) {
 	}
 }
 
-func TestOverloadGaugesCoverEveryField(t *testing.T) {
-	// Mirror of TestCounterGaugesCoverEveryField for the backlog levels:
-	// every OverloadStats field must surface as a cormi_* gauge with its
-	// live value, automatically as fields are added.
-	var o stats.OverloadStats
-	ov := reflect.ValueOf(&o).Elem()
-	for i := 0; i < ov.NumField(); i++ {
-		ov.Field(i).SetInt(int64(9100 + i*7))
-	}
-	reg := metrics.NewRegistry()
-	registerOverloadGauges(reg, func() stats.OverloadStats { return o })
-	var buf strings.Builder
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	body := buf.String()
-	ot := ov.Type()
-	for i := 0; i < ot.NumField(); i++ {
-		want := fmt.Sprintf("cormi_%s %d", snakeCase(ot.Field(i).Name), 9100+i*7)
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing overload gauge %q", want)
+// TestPendingCallsGauge: cormi_pending_calls on /metrics is the
+// cluster's live PendingCalls — one while a caller waits on a gated
+// method, zero once the reply lands.
+func TestPendingCallsGauge(t *testing.T) {
+	c, _, s := startTracedNode(t, "n0", trace.Config{})
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
+	ref := c.Node(1).Export(&rmi.Service{Name: "Gated", Methods: map[string]rmi.Method{
+		"wait": func(_ *rmi.Call, args []model.Value) []model.Value { <-gate; return args },
+	}})
+	cs := c.MustNewCallSite(rmi.LevelSite, rmi.SiteSpec{
+		Name: "obs.wait.1", Method: "wait",
+		ArgPlans: []*serial.Plan{serial.PrimitivePlan("obs.wait.1", model.FInt)},
+		RetPlans: []*serial.Plan{serial.PrimitivePlan("obs.wait.1", model.FInt)},
+	})
+	errc := make(chan error, 1)
+	go func() {
+		_, err := cs.Invoke(c.Node(0), ref, []model.Value{model.Int(1)})
+		errc <- err
+	}()
+	waitGauge := func(want string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			_, body := get(t, "http://"+s.Addr()+"/metrics")
+			if strings.Contains(body, want+"\n") {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("/metrics never showed %q", want)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
+	waitGauge("cormi_pending_calls 1")
+	release()
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	waitGauge("cormi_pending_calls 0")
 }
 
 // TestLinkMalformedFrames: a hostile frame node 0 receives from peer 1

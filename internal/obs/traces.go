@@ -23,9 +23,10 @@ import (
 
 // TracesVersion is the /traces and /traces/<id> document version. A
 // collector must reject documents with a different version rather than
-// merge spans whose field semantics may have changed. Version 2: a
-// tree span embeds the record its node served (trace.TreeSpan).
-const TracesVersion = 2
+// merge spans whose field semantics may have changed. Version 3: a
+// span is named by its call, (kind, from, seq); a nested caller span
+// names its parent call, and spans carry no span or parent span ID.
+const TracesVersion = 3
 
 // TraceList is the /traces document: the traces this node retains.
 type TraceList struct {

@@ -127,16 +127,16 @@ func (cs *CallSite) Stats() stats.SiteStat {
 // that method's distributed trace one hop down. A method running as an
 // upcall may issue none (ErrUpcallBlocked).
 type Caller interface {
-	issuer() (*Node, wire.TraceContext)
+	issuer() (*Node, *Call)
 }
 
-func (n *Node) issuer() (*Node, wire.TraceContext) { return n, wire.TraceContext{} }
+func (n *Node) issuer() (*Node, *Call) { return n, nil }
 
-func (c *Call) issuer() (*Node, wire.TraceContext) {
+func (c *Call) issuer() (*Node, *Call) {
 	if c.upcalled() {
 		panic(ErrUpcallBlocked)
 	}
-	return c.Node, c.tctx
+	return c.Node, c
 }
 
 // Invoke performs the RMI on the object ref from the caller's node,
@@ -145,7 +145,7 @@ func (c *Call) issuer() (*Node, wire.TraceContext) {
 // and results instead of going over the wire (Figure 1's cloning
 // rule).
 func (cs *CallSite) Invoke(from Caller, ref Ref, args []model.Value) ([]model.Value, error) {
-	n, tctx := from.issuer()
+	n, parent := from.issuer()
 	if ref.Node == n.ID {
 		return cs.invokeLocal(n, ref, args)
 	}
@@ -153,7 +153,7 @@ func (cs *CallSite) Invoke(from Caller, ref Ref, args []model.Value) ([]model.Va
 	if cs.policy != nil {
 		pol = *cs.policy
 	}
-	return cs.invokeRemote(n, ref, args, pol, tctx)
+	return cs.invokeRemote(n, ref, args, pol, parent)
 }
 
 // SetCallPolicy overrides the cluster's default deadline/retry policy
@@ -261,14 +261,13 @@ func (cs *CallSite) clone(n *Node, s *side, vals []model.Value, audit bool, buf 
 }
 
 // invokeRemote is the remote path: issue the call, then block for its
-// reply. The pendingCall lives on this goroutine's stack. tctx, when
-// non-zero, makes the call a child of an existing sampled trace:
-// {TraceID, Parent: the parent span's ID, Hop: the depth this caller
-// span records}. Zero-valued, the call is a trace root candidate and
-// head sampling decides.
-func (cs *CallSite) invokeRemote(n *Node, ref Ref, args []model.Value, pol CallPolicy, tctx wire.TraceContext) ([]model.Value, error) {
+// reply. The pendingCall lives on this goroutine's stack. parent, when
+// its invocation belongs to a sampled trace, makes the call a child of
+// that invocation in the trace; otherwise (nil for a root call) the
+// call is a trace root candidate and head sampling decides.
+func (cs *CallSite) invokeRemote(n *Node, ref Ref, args []model.Value, pol CallPolicy, parent *Call) ([]model.Value, error) {
 	var pc pendingCall
-	if err := cs.startRemote(&pc, n, ref, args, pol, tctx); err != nil {
+	if err := cs.startRemote(&pc, n, ref, args, pol, parent); err != nil {
 		return nil, err
 	}
 	return pc.await()
@@ -326,7 +325,7 @@ func (pc *pendingCall) failSend(err error) error {
 // startRemote marshals, seals and sends the call's first attempt and
 // registers the pending reply slot. On return (nil error) the call is
 // on the wire; pc.await collects the outcome.
-func (cs *CallSite) startRemote(pc *pendingCall, n *Node, ref Ref, args []model.Value, pol CallPolicy, tctx wire.TraceContext) error {
+func (cs *CallSite) startRemote(pc *pendingCall, n *Node, ref Ref, args []model.Value, pol CallPolicy, parent *Call) error {
 	// First use of the link performs the HELLO digest exchange;
 	// afterwards this is a bounds check plus a sync.Once fast path. A
 	// refused link fails the call before anything is marshalled.
@@ -359,23 +358,26 @@ func (cs *CallSite) startRemote(pc *pendingCall, n *Node, ref Ref, args []model.
 	pc.cs, pc.n, pc.ref, pc.pol, pc.seq = cs, n, ref, pol, h.Seq
 	pc.sp, pc.audit, pc.attempts, pc.attempt = sp, audit, attempts, 1
 	if sp != nil {
-		h.Flags |= wire.CallTraced
-		// Distributed-trace identity: an inherited context (a nested
-		// call) continues its trace; a root call asks the head sampler.
-		// The unsampled path costs one atomic tick at roots and nothing
-		// anywhere else.
-		if tctx.TraceID == 0 {
+		// Distributed-trace identity: a call issued by a sampled
+		// invocation continues its trace under that invocation's call;
+		// any other call asks the head sampler. The unsampled path costs
+		// one atomic tick at roots and nothing anywhere else.
+		var tctx wire.TraceContext
+		var parentCall trace.CallID
+		if parent != nil && parent.tctx.TraceID != 0 {
+			tctx, parentCall = parent.tctx, trace.CallID{From: parent.From, Seq: parent.seq}
+		} else {
 			tctx.TraceID = n.tracer.SampleTrace()
 		}
 		if tctx.TraceID != 0 {
-			spanID := n.tracer.NextSpanID()
-			sp.SetTraceIdentity(tctx.TraceID, spanID, tctx.Parent, tctx.Hop)
-			// The on-wire context parents the callee's span under this
-			// caller span, one hop deeper. A chain past the hop cap
-			// sends the frame without the context; the call still runs,
-			// the trace just ends at this link.
+			sp.SetTraceIdentity(tctx.TraceID, parentCall, tctx.Hop)
+			// The on-wire context puts the callee's span in the trace,
+			// one hop deeper; the call's (from, seq) parents it under
+			// this caller span. A chain past the hop cap sends the frame
+			// without the context; the call still runs, the trace just
+			// ends at this link.
 			if tctx.Hop < wire.MaxTraceHops {
-				h.Trace = wire.TraceContext{TraceID: tctx.TraceID, Parent: spanID, Hop: tctx.Hop + 1}
+				h.Trace = wire.TraceContext{TraceID: tctx.TraceID, Hop: tctx.Hop + 1}
 			}
 		}
 	}

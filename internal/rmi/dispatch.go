@@ -112,14 +112,13 @@ func (n *Node) routeReply(p transport.Packet, rd *wire.Message, frame []byte) {
 // receive loop zeroes once the reply is sent. An executor call takes a
 // record from the node's spare list, and its executor zeroes it and
 // puts it back once the reply is sent; a node-local call does the same
-// once its result is cloned. call carries the caller (From), the site,
-// the virtual start (arrival + dispatch + unmarshal) and the trace
-// handle nested calls inherit.
+// once its result is cloned. call carries the caller (From) and its
+// seq, the site, the virtual start (arrival + dispatch + unmarshal) and
+// the trace handle nested calls inherit.
 type invocation struct {
 	call   Call
 	method Method
 	sp     *trace.Span
-	seq    int64
 	args   []model.Value
 	roots  []*model.Object
 	track  bool // dedup bookkeeping needed
@@ -173,9 +172,11 @@ func (n *Node) handleCall(p transport.Packet, m *wire.Message) *invocation {
 	// duplicate is impossible, so the map insert, entry and reply-copy
 	// costs are skipped entirely.
 	track := h.Flags&wire.CallRetryable != 0 || c.faulty
-	// traced mirrors the caller's span with a callee-side one; header
-	// and lookup errors reply before a span exists (nil span = no-op).
-	traced := n.tracer != nil && h.Flags&wire.CallTraced != 0
+	// traced mirrors the caller's span with a callee-side one: a caller
+	// that opened a span stamps the packet's wall clock, and nothing
+	// else does. Header and lookup errors reply before a span exists
+	// (nil span = no-op).
+	traced := n.tracer != nil && p.Wall != 0
 
 	// Redelivery check before anything touches user state or the §3.3
 	// reuse caches: a retransmitted or duplicated call must not
@@ -201,7 +202,7 @@ func (n *Node) handleCall(p transport.Packet, m *wire.Message) *invocation {
 		lookupStart = trace.Now()
 	}
 	unresolved := func(msg string) *invocation {
-		n.rejectCall(&invocation{call: Call{Node: n, From: p.From, start: start}, seq: h.Seq, track: track}, msg, false)
+		n.rejectCall(&invocation{call: Call{Node: n, From: p.From, seq: h.Seq, start: start}, track: track}, msg, false)
 		return nil
 	}
 	cs, ok := c.site(h.Site)
@@ -222,8 +223,8 @@ func (n *Node) handleCall(p transport.Packet, m *wire.Message) *invocation {
 	if !cs.leaf || svc.blocking {
 		inv = n.takeRecord()
 	}
-	inv.call = Call{Node: n, From: p.From, Site: cs, start: start}
-	inv.method, inv.seq, inv.track = method, h.Seq, track
+	inv.call = Call{Node: n, From: p.From, Site: cs, seq: h.Seq, start: start}
+	inv.method, inv.track = method, track
 
 	if traced {
 		// The span starts at the packet's receive timestamp so the
@@ -232,18 +233,15 @@ func (n *Node) handleCall(p transport.Packet, m *wire.Message) *invocation {
 		sp := n.tracer.StartCallee(cs.Name, cs.Method, p.From, n.ID, h.Seq, p.RecvWall)
 		inv.sp = sp
 		sp.SetPhase(trace.PhasePlanLookup, lookupStart, trace.Now()-lookupStart)
-		if p.Wall != 0 {
-			sp.SetPhase(trace.PhaseTransit, p.Wall, p.RecvWall-p.Wall)
-		}
+		sp.SetPhase(trace.PhaseTransit, p.Wall, p.RecvWall-p.Wall)
 		sp.SetVirtualTransit(arrival - p.TS)
 		if tctx := h.Trace; tctx.TraceID != 0 {
 			// Join the caller's sampled trace: this callee span hangs
-			// under the caller span named by the wire context, and
-			// everything the method does (via Call.TraceContext) hangs
-			// under this span at the same hop depth.
-			calleeSpan := n.tracer.NextSpanID()
-			sp.SetTraceIdentity(tctx.TraceID, calleeSpan, tctx.Parent, tctx.Hop)
-			inv.call.tctx = wire.TraceContext{TraceID: tctx.TraceID, Parent: calleeSpan, Hop: tctx.Hop}
+			// under the caller span of the same (from, seq) call, and
+			// the calls the method issues hang under this call at the
+			// same hop depth.
+			sp.SetTraceIdentity(tctx.TraceID, trace.CallID{}, tctx.Hop)
+			inv.call.tctx = tctx
 		}
 	}
 	sp := inv.sp
@@ -356,7 +354,7 @@ func (n *Node) executor(inv *invocation) {
 // cached would let a forged frame swallow an honest retransmit stream.
 func (n *Node) rejectCall(inv *invocation, msg string, malformed bool) {
 	from, floor, sp := inv.call.From, inv.call.start, inv.sp
-	key := dedupKey{from: from, seq: inv.seq}
+	key := dedupKey{from: from, seq: inv.call.seq}
 	kind, track := byte(wire.ReplyError), inv.track
 	if malformed {
 		n.noteMalformed(from)
@@ -365,7 +363,7 @@ func (n *Node) rejectCall(inv *invocation, msg string, malformed bool) {
 		}
 		kind, track = wire.ReplyMalformed, false
 	}
-	n.sendFailure(from, inv.seq, floor, kind, msg, track, sp)
+	n.sendFailure(from, inv.call.seq, floor, kind, msg, track, sp)
 }
 
 // executeAndReply runs the user method, returns the cached argument
@@ -374,7 +372,7 @@ func (n *Node) rejectCall(inv *invocation, msg string, malformed bool) {
 func (n *Node) executeAndReply(inv *invocation) {
 	c := n.cluster
 	call, cs, sp := &inv.call, inv.call.Site, inv.sp
-	from, seq, track := call.From, inv.seq, inv.track
+	from, seq, track := call.From, call.seq, inv.track
 	sp.BeginPhase(trace.PhaseExecute)
 	rets, err := runGuarded(inv.method, call, inv.args)
 	sp.EndPhase(trace.PhaseExecute)

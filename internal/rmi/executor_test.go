@@ -184,7 +184,7 @@ func TestExecutorsParkUpToCap(t *testing.T) {
 		t.Errorf("%d records on the spare list, cap %d", spare, maxIdleExecutors)
 	}
 	c.Close()
-	if err := mark.Settled(c.Overload); err != nil {
+	if err := mark.Settled(c.PendingCalls); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -246,7 +246,7 @@ func TestReentrantChainsExceedCap(t *testing.T) {
 	close(gate)
 	finished.Wait()
 	c.Close()
-	if err := mark.Settled(c.Overload); err != nil {
+	if err := mark.Settled(c.PendingCalls); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -366,7 +366,7 @@ func TestAbandonedTimeoutsDoNotLeakBuffers(t *testing.T) {
 	// expire and the frames to be drained as stale or dropped by the
 	// closed network.
 	e.c.Close()
-	if err := mark.Settled(e.c.Overload); err != nil {
+	if err := mark.Settled(e.c.PendingCalls); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -153,21 +153,20 @@ func TestFramesOnTheWire(t *testing.T) {
 		hexString("bad call header: wire: malformed frame: read past end of message: need 1 bytes at offset 1 of 1"))
 }
 
-// TestTracedFrameOnTheWire pins a traced call carrying a trace context.
-// The context's parent is the caller span's ID, drawn from the tracer's
-// random base, so those eight bytes are masked.
+// TestTracedFrameOnTheWire pins a traced call carrying a trace context,
+// whole: the context is the trace ID and the hop, and nothing in the
+// frame depends on the tracer. Only the packet's nonzero wall stamp,
+// outside the frame, says the caller traced it.
 func TestTracedFrameOnTheWire(t *testing.T) {
-	fx := newFrameFixture(t, WithNodeTracer(0, trace.New(trace.Config{RingSize: 64})))
+	fx := newFrameFixture(t, WithNodeTracer(0, trace.New(trace.Config{})))
 	tap, n0, inc, ref := fx.tap, fx.n0, fx.inc, fx.ref
 	// A nested call from inside a sampled invocation at hop 2.
-	call := &Call{Node: n0, From: n0.ID, tctx: wire.TraceContext{TraceID: 0x1122334455667788, Parent: 9, Hop: 2}}
+	call := &Call{Node: n0, From: n0.ID, seq: 9, tctx: wire.TraceContext{TraceID: 0x1122334455667788, Hop: 2}}
 	if _, err := inc.Invoke(call, ref, []model.Value{model.Int(5)}); err != nil {
 		t.Fatal(err)
 	}
 	fr := tap.take(t, 2)
-	const parentAt = 2 * (26 + 8)
-	masked := fr[0][:parentAt] + "----------------" + fr[0][parentAt+16:]
-	checkFrame(t, "traced call + ctx", masked, "0022"+"00000000"+"0000000000000000"+"0100000000000000"+"01000000"+
-		"8877665544332211"+"----------------"+"03"+"0500000000000000")
+	checkFrame(t, "traced call + ctx", fr[0], "0020"+"00000000"+"0000000000000000"+"0100000000000000"+"01000000"+
+		"8877665544332211"+"03"+"0500000000000000")
 	checkFrame(t, "values reply", fr[1], "01"+"0100000000000000"+"01"+"01000000"+"0600000000000000")
 }

@@ -94,24 +94,30 @@ func TestSkewedClusterRefuses(t *testing.T) {
 }
 
 // TestUndecodableHelloRefuses: a peer HELLO that does not decode —
-// here cut short, as one read off a socket could be — refuses the
-// link: a peer whose program cannot be verified is not trusted. Every
-// call over the link fails with ErrPlanMismatch and is counted on it.
+// cut short, as one read off a socket could be, or a protocol 1 peer's
+// — refuses the link: a peer whose program cannot be verified is not
+// trusted. Every call over the link fails with ErrPlanMismatch and is
+// counted on it, and none runs; the node's other links keep working.
 func TestUndecodableHelloRefuses(t *testing.T) {
-	e := newEnv(t, 2)
-	ref := e.c.Node(1).Export(e.sumService())
-	cs := e.c.MustNewCallSite(LevelSite, SiteSpec{
-		Name: "t.sum.1", Method: "sum",
-		ArgPlans: []*serial.Plan{e.listPlan("t.sum.1", true, false)},
-		RetPlans: []*serial.Plan{intPlan("t.sum.1")},
-	})
-	e.c.negotiateWithPeerHello(0, 1, e.c.hello(1)[:wire.HelloSize-1])
-	if _, err := cs.Invoke(e.c.Node(0), ref, []model.Value{model.Ref(e.makeList(5))}); !errors.Is(err, ErrPlanMismatch) {
-		t.Fatalf("call over a link whose peer HELLO does not decode: err=%v, want ErrPlanMismatch", err)
-	}
-	for _, l := range e.c.LinkStats() {
-		if l.From == 0 && l.To == 1 && l.Refused != 1 {
-			t.Errorf("link 0->1 Refused = %d, want 1", l.Refused)
+	for name, bad := range map[string]func([]byte) []byte{
+		"truncated":  func(h []byte) []byte { return h[:wire.HelloSize-1] },
+		"protocol 1": func(h []byte) []byte { binary.LittleEndian.PutUint32(h[4:], 1); return h },
+	} {
+		e := newEnv(t, 3)
+		var execs atomic.Int64
+		cs := bumpSite(t, e.c)
+		e.c.negotiateWithPeerHello(0, 1, bad(e.c.hello(1)))
+		if _, err := cs.Invoke(e.c.Node(0), e.c.Node(1).Export(countingService(&execs)), []model.Value{model.Int(1)}); !errors.Is(err, ErrPlanMismatch) {
+			t.Fatalf("%s: call over a link whose peer HELLO does not decode: err=%v, want ErrPlanMismatch", name, err)
+		}
+		for _, l := range e.c.LinkStats() {
+			if l.From == 0 && l.To == 1 && l.Refused != 1 {
+				t.Errorf("%s: link 0->1 Refused = %d, want 1", name, l.Refused)
+			}
+		}
+		vals, err := cs.Invoke(e.c.Node(0), e.c.Node(2).Export(countingService(&execs)), []model.Value{model.Int(1)})
+		if err != nil || vals[0].I != 2 || execs.Load() != 1 {
+			t.Fatalf("%s: call over the other link: vals=%v err=%v, %d executions, want 2, nil, 1", name, vals, err, execs.Load())
 		}
 	}
 	// The whole HELLO of the same peer is accepted.
@@ -153,7 +159,7 @@ func TestLongClassNameLinks(t *testing.T) {
 // single loadable Chrome-trace document.
 func TestMalformedFramesDumpOnce(t *testing.T) {
 	var dump syncBuffer
-	tr := trace.New(trace.Config{RingSize: 64, FailureDump: &dump})
+	tr := trace.New(trace.Config{FailureDump: &dump})
 	c := New(3, WithTracer(tr))
 	t.Cleanup(c.Close)
 	for from := 1; from <= 2; from++ {
@@ -233,7 +239,7 @@ func TestCallFrameOverRefusedLinkDropped(t *testing.T) {
 		t.Errorf("dropped frame drew %d frames in answer", answered)
 	}
 	c.Close()
-	if err := mark.Settled(c.Overload); err != nil {
+	if err := mark.Settled(c.PendingCalls); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -385,8 +391,9 @@ func TestUnknownMessageTagCountsMalformed(t *testing.T) {
 // TestRetiredWireValuesCountMalformed sends what a peer built with
 // one-way calls, frame batching or promise pipelining could still put
 // on the wire: a CRC-valid frame under the retired batch tag 2, and
-// calls whose header sets a retired flag bit — 2 (one-way), 3 (promised)
-// and 4 (pipelined, with its promise section). Each is a malformed
+// calls whose header sets a retired flag bit — 1 (traced, protocol 1),
+// 2 (one-way), 3 (promised) and 4 (pipelined, with its promise
+// section). Each is a malformed
 // frame (not corruption) counted once, each call is answered
 // ReplyMalformed under its own seq, none executes, and the node keeps
 // answering.
@@ -406,7 +413,7 @@ func TestRetiredWireValuesCountMalformed(t *testing.T) {
 	batch.AppendByte(2)
 	batch.AppendInt32(1)
 	frames := []*wire.Message{batch}
-	for i, flag := range []byte{1 << 2, 1 << 3, 1 << 4} {
+	for i, flag := range []byte{1 << 1, 1 << 2, 1 << 3, 1 << 4} {
 		m := wire.Get()
 		wire.CallHeader{Flags: flag, Site: cs.ID, Obj: ref.Obj, Seq: int64(900 + i), NArgs: 1}.Encode(m)
 		if flag == 1<<4 {

@@ -8,33 +8,32 @@ import (
 
 	"cormi/internal/model"
 	"cormi/internal/serial"
-	"cormi/internal/stats"
 )
 
-// waitOverload polls Cluster.Overload until cond accepts the snapshot
-// (these are live levels fed by background goroutines).
-func waitOverload(t *testing.T, c *Cluster, what string, cond func(stats.OverloadStats) bool) stats.OverloadStats {
+// waitPending polls Cluster.PendingCalls until it reads want (a live
+// level fed by background goroutines).
+func waitPending(t *testing.T, c *Cluster, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		o := c.Overload()
-		if cond(o) {
-			return o
+		got := c.PendingCalls()
+		if got == want {
+			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("overload condition %q never held; last %+v", what, o)
+			t.Fatalf("PendingCalls never read %d; last %d", want, got)
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
 // TestOverloadTracksPendingCalls: a caller blocked on a gated method
-// owes one reply, which Overload reports until the gate opens and the
-// reply lands.
+// owes one reply, which PendingCalls reports until the gate opens and
+// the reply lands.
 func TestOverloadTracksPendingCalls(t *testing.T) {
 	e := newEnv(t, 2)
-	if o := e.c.Overload(); o != (stats.OverloadStats{}) {
-		t.Fatalf("idle cluster overload = %+v, want zero", o)
+	if n := e.c.PendingCalls(); n != 0 {
+		t.Fatalf("idle cluster has %d pending calls, want 0", n)
 	}
 
 	gate := make(chan struct{})
@@ -62,16 +61,12 @@ func TestOverloadTracksPendingCalls(t *testing.T) {
 		}
 		errc <- err
 	}()
-	waitOverload(t, e.c, "one pending call", func(o stats.OverloadStats) bool {
-		return o.PendingCalls == 1
-	})
+	waitPending(t, e.c, 1)
 
 	release()
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
 	// The level drains back: no reply stays owed.
-	waitOverload(t, e.c, "drained", func(o stats.OverloadStats) bool {
-		return o.PendingCalls == 0
-	})
+	waitPending(t, e.c, 0)
 }

@@ -138,6 +138,10 @@ type Call struct {
 	From int
 	// Site is the call site that produced this invocation.
 	Site *CallSite
+	// seq is the invoking node's sequence number for this call: with
+	// From, the call's id, which the calls the method issues name as
+	// their trace parent.
+	seq int64
 
 	// start is the invocation's virtual start time (arrival +
 	// dispatch + unmarshal) and computed the CPU/wait time the method
@@ -146,10 +150,9 @@ type Call struct {
 	computed int64
 
 	// tctx is the invocation's distributed-trace inheritance handle
-	// (zero when the call was not sampled): the trace ID, this callee
-	// span's ID as the parent for descendants, and this hop's depth.
-	// Nested calls issued from this Call join the caller's cross-node
-	// call tree.
+	// (zero when the call was not sampled): the trace ID and this hop's
+	// depth. Nested calls issued from this Call join the caller's
+	// cross-node call tree under (From, seq).
 	tctx wire.TraceContext
 }
 
@@ -463,19 +466,26 @@ func (c *Cluster) SiteStats() []stats.SiteStat {
 	return out
 }
 
-// Overload snapshots the cluster's backlog levels — the pending-call
-// tables — the overload signals the obs server exposes as gauges and
-// admission control will consume. Each node's table is read under its
-// own short-lived lock; the snapshot is consistent per node, not across
-// nodes, which is all a monitoring signal needs.
-func (c *Cluster) Overload() stats.OverloadStats {
-	var o stats.OverloadStats
+// PendingCalls is the cluster's backlog, the obs gauge
+// cormi_pending_calls: the issued remote invocations still awaiting
+// their reply, summed over the nodes' pending tables. Each table is
+// read under its own short-lived lock; the sum is consistent per node,
+// not across nodes, which is all a monitoring signal needs.
+func (c *Cluster) PendingCalls() int64 {
+	var pending int64
 	for _, n := range c.nodes {
 		n.pendMu.Lock()
-		o.PendingCalls += int64(len(n.pending))
+		pending += int64(len(n.pending))
 		n.pendMu.Unlock()
 	}
-	return o
+	return pending
+}
+
+// Overload is PendingCalls in the shape the bench module reads
+// (Overload().PendingCalls); it goes once that module reads
+// PendingCalls.
+func (c *Cluster) Overload() struct{ PendingCalls int64 } {
+	return struct{ PendingCalls int64 }{c.PendingCalls()}
 }
 
 func (c *Cluster) site(id int32) (*CallSite, bool) {

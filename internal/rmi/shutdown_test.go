@@ -35,7 +35,7 @@ func TestCloseReturnsReplyCache(t *testing.T) {
 		t.Fatalf("%d executions, want %d", n, calls)
 	}
 	c.Close()
-	if err := mark.Settled(c.Overload); err != nil {
+	if err := mark.Settled(c.PendingCalls); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -66,11 +66,11 @@ func TestInvokeSendFailureReclaimsCall(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "rmi: send: transport: no node 5") {
 		t.Fatalf("err = %v, want the send error", err)
 	}
-	if o := c.Overload(); o.PendingCalls != 0 {
-		t.Errorf("%d calls still pending after the send failed", o.PendingCalls)
+	if n := c.PendingCalls(); n != 0 {
+		t.Errorf("%d calls still pending after the send failed", n)
 	}
 	c.Close()
-	if err := mark.Settled(c.Overload); err != nil {
+	if err := mark.Settled(c.PendingCalls); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -116,7 +116,7 @@ func TestCloseUnblocksPendingCallers(t *testing.T) {
 			t.Fatalf("pending invoke after close: err = %v, want ErrClusterClosed", err)
 		}
 	}
-	if err := mark.Settled(e.c.Overload); err != nil {
+	if err := mark.Settled(e.c.PendingCalls); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -172,7 +172,7 @@ func TestInvokeOnSilentLinkAroundClose(t *testing.T) {
 				if n := execs.Load(); n != 0 {
 					t.Errorf("%d executions over a link that delivers nothing", n)
 				}
-				if err := mark.Settled(c.Overload); err != nil {
+				if err := mark.Settled(c.PendingCalls); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -257,7 +257,7 @@ func TestSendAcrossCloseFailsClosed(t *testing.T) {
 			if n := nw.sends.Load(); n != tc.closeAt {
 				t.Errorf("%d sends, want %d", n, tc.closeAt)
 			}
-			if err := mark.Settled(c.Overload); err != nil {
+			if err := mark.Settled(c.PendingCalls); err != nil {
 				t.Fatal(err)
 			}
 		})

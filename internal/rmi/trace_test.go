@@ -66,7 +66,7 @@ func spansFor(recs []trace.SpanRecord, seq int64) (caller, callee *trace.SpanRec
 }
 
 func TestTracedCallProducesBothSpans(t *testing.T) {
-	tr := trace.New(trace.Config{RingSize: 64})
+	tr := trace.New(trace.Config{})
 	e := newEnv(t, 2, WithTracer(tr))
 	var execs atomic.Int64
 	ref := e.c.Node(1).Export(countingService(&execs))
@@ -148,6 +148,32 @@ func TestTracedCallProducesBothSpans(t *testing.T) {
 	}
 }
 
+// TestWallStampMarksTracedCall: a callee opens its span exactly when
+// the call's packet carries a wall stamp, which only a caller with a
+// tracer sets. A traced callee under an untraced caller records nothing.
+func TestWallStampMarksTracedCall(t *testing.T) {
+	for _, callerTraced := range []bool{false, true} {
+		callee := trace.New(trace.Config{})
+		opts := []Option{WithNodeTracer(1, callee)}
+		if callerTraced {
+			opts = append(opts, WithNodeTracer(0, trace.New(trace.Config{})))
+		}
+		e := newEnv(t, 2, opts...)
+		var execs atomic.Int64
+		ref := e.c.Node(1).Export(countingService(&execs))
+		if _, err := bumpSite(t, e.c).Invoke(e.c.Node(0), ref, []model.Value{model.Int(1)}); err != nil {
+			t.Fatal(err)
+		}
+		want := int64(0)
+		if callerTraced {
+			want = 1
+		}
+		if got := callee.SpansStarted(); got != want {
+			t.Errorf("caller traced %v: callee opened %d spans, want %d", callerTraced, got, want)
+		}
+	}
+}
+
 func TestUntracedClusterRecordsNothing(t *testing.T) {
 	e := newEnv(t, 2)
 	var execs atomic.Int64
@@ -165,7 +191,7 @@ func TestTimeoutDumpsFlightRecorder(t *testing.T) {
 	// Drop every reply 1→0: the call times out, and the tracer must
 	// auto-dump a Chrome trace containing the failing call's spans.
 	var dump syncBuffer
-	tr := trace.New(trace.Config{RingSize: 64, FailureDump: &dump})
+	tr := trace.New(trace.Config{FailureDump: &dump})
 	e := newEnv(t, 2,
 		WithTracer(tr),
 		withOneWayLoss(2, 1, 0))
@@ -220,7 +246,7 @@ func TestTimeoutDumpsFlightRecorder(t *testing.T) {
 
 func TestPanicDumpsFlightRecorder(t *testing.T) {
 	var dump syncBuffer
-	tr := trace.New(trace.Config{RingSize: 64, FailureDump: &dump})
+	tr := trace.New(trace.Config{FailureDump: &dump})
 	e := newEnv(t, 2, WithTracer(tr))
 	ref := e.c.Node(1).Export(&Service{
 		Name: "Boom",
@@ -242,7 +268,7 @@ func TestPanicDumpsFlightRecorder(t *testing.T) {
 }
 
 func TestTracedRemoteErrorFailsBothSpans(t *testing.T) {
-	tr := trace.New(trace.Config{RingSize: 16})
+	tr := trace.New(trace.Config{})
 	e := newEnv(t, 2, WithTracer(tr))
 	// No object exported: lookup fails on the callee, which replies
 	// with a remote error before a callee span exists.
@@ -263,7 +289,7 @@ func TestTracedRemoteErrorFailsBothSpans(t *testing.T) {
 func TestTracedCallOverTCP(t *testing.T) {
 	// Wall timestamps must survive the real network stack: transit and
 	// reply-transit phases come from the TCP frame header.
-	tr := trace.New(trace.Config{RingSize: 16})
+	tr := trace.New(trace.Config{})
 	tn, err := transport.NewTCPNetworkLocal(2)
 	if err != nil {
 		t.Fatal(err)

@@ -110,7 +110,7 @@ func TestUpcallThatBlocksFailsLoudly(t *testing.T) {
 		t.Errorf("leaf call after the failed upcall: %v %v", rets, err)
 	}
 	c.Close()
-	if err := mark.Settled(c.Overload); err != nil {
+	if err := mark.Settled(c.PendingCalls); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -137,7 +137,7 @@ func TestBarrierLeafSiteRunsOnExecutor(t *testing.T) {
 	}
 	wg.Wait()
 	c.Close()
-	if err := mark.Settled(c.Overload); err != nil {
+	if err := mark.Settled(c.PendingCalls); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -6,8 +6,8 @@ package stats
 // To), and how many malformed frames From received from To. Surfaced
 // by rmi.Cluster.LinkStats and the obs cormi_link_* series on /metrics.
 type LinkStat struct {
-	From      int   `json:"from"`
-	To        int   `json:"to"`
-	Refused   int64 `json:"refused"`   // calls refused on the link (plan mismatch)
-	Malformed int64 `json:"malformed"` // malformed frames From received from To
+	From      int
+	To        int
+	Refused   int64 // calls refused on the link (plan mismatch)
+	Malformed int64 // malformed frames From received from To
 }

@@ -18,18 +18,19 @@ type SiteCounters struct {
 	ClaimViolations    atomic.Int64 // compile-time claims found violated at this site
 }
 
-// SiteStat is an immutable snapshot of one site's counters. Its JSON
-// keys are the snake_case names of its obs cormi_site_* series.
+// SiteStat is an immutable snapshot of one site's counters. The obs
+// server exports each counter field as a cormi_site_<snake_case name>
+// series.
 type SiteStat struct {
-	Site               string `json:"site"`
-	Calls              int64  `json:"calls"`
-	LocalCalls         int64  `json:"local_calls"`
-	WireBytes          int64  `json:"wire_bytes"`
-	ReuseHits          int64  `json:"reuse_hits"`
-	ReuseMisses        int64  `json:"reuse_misses"`
-	CycleTablesAvoided int64  `json:"cycle_tables_avoided"`
-	ClaimChecks        int64  `json:"claim_checks"`
-	ClaimViolations    int64  `json:"claim_violations"`
+	Site               string
+	Calls              int64
+	LocalCalls         int64
+	WireBytes          int64
+	ReuseHits          int64
+	ReuseMisses        int64
+	CycleTablesAvoided int64
+	ClaimChecks        int64
+	ClaimViolations    int64
 }
 
 // Snapshot copies the current values under the given site name.

@@ -51,25 +51,6 @@ func TestSiteStatCoversEverySiteCounter(t *testing.T) {
 	}
 }
 
-func TestSiteStatJSONTags(t *testing.T) {
-	// SiteStat's JSON keys are snake_case, the words of its cormi_site_*
-	// series; pin them.
-	st := reflect.TypeOf(SiteStat{})
-	for i := 0; i < st.NumField(); i++ {
-		tag := st.Field(i).Tag.Get("json")
-		if tag == "" {
-			t.Errorf("SiteStat.%s has no json tag", st.Field(i).Name)
-			continue
-		}
-		for _, r := range tag {
-			if (r < 'a' || r > 'z') && r != '_' {
-				t.Errorf("SiteStat.%s json tag %q not snake_case", st.Field(i).Name, tag)
-				break
-			}
-		}
-	}
-}
-
 func TestSiteStatAddSumsEveryField(t *testing.T) {
 	st := reflect.TypeOf(SiteStat{})
 	a := SiteStat{Site: "x"}

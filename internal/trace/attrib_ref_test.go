@@ -82,8 +82,8 @@ func TestTopBlameMatchesSelfTimeReference(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ref := refBlame{}
-		one := New(Config{RingSize: 16})
-		halves := [2]*Tracer{New(Config{RingSize: 16}), New(Config{RingSize: 16})}
+		one := New(Config{})
+		halves := [2]*Tracer{New(Config{}), New(Config{})}
 		for i := int64(0); i < 500; i++ {
 			rec := refSpan(rng, i)
 			ref.close(&rec)

@@ -35,7 +35,7 @@ func phaseSum(sa SiteAttribution, phase string) int64 {
 }
 
 func TestBlameClassification(t *testing.T) {
-	tr := New(Config{RingSize: 16})
+	tr := New(Config{})
 	// Two spans of 5000ns execute, one of 3000ns serialize. wait_reply
 	// is a container over the others: its histogram is kept, but it
 	// must never be blamed.
@@ -87,9 +87,9 @@ func TestAttributionMergeMatchesSingleTracer(t *testing.T) {
 		s.SetPhase(PhaseSerialize, 1000, 100)
 		tr.close(s)
 	}
-	one := New(Config{RingSize: 32})
-	a := New(Config{RingSize: 32})
-	b := New(Config{RingSize: 32})
+	one := New(Config{})
+	a := New(Config{})
+	b := New(Config{})
 	for i := int64(0); i < 40; i++ {
 		dst := a
 		if i%2 == 1 {

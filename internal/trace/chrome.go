@@ -157,8 +157,7 @@ func spanArgs(s *TreeSpan) map[string]any {
 	set("retries", s.Retries, s.Retries != 0)
 	set("virtual_transit_ns", s.VirtualTransitNS, s.VirtualTransitNS != 0)
 	set("trace_id", s.TraceID, s.TraceID != 0)
-	set("span_id", s.SpanID, s.SpanID != 0)
-	set("parent_id", s.ParentID, s.ParentID != 0)
+	set("parent", s.Parent, s.Parent != CallID{})
 	set("hop", s.Hop, s.Hop != 0)
 	set("offset_ns", s.OffsetNS, s.OffsetNS != 0)
 	set("orphan", true, s.Orphan)

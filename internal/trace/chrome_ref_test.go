@@ -123,7 +123,7 @@ func refWriteChromeMerged(w io.Writer, tr *Tree) error {
 			tid = tidCallee
 		}
 		args := map[string]any{
-			"span_id": s.SpanID, "parent_id": s.ParentID, "hop": s.Hop,
+			"parent": s.Parent, "hop": s.Hop,
 			"site": s.Site, "method": s.Method, "seq": s.Seq,
 		}
 		if s.Err != "" {
@@ -255,15 +255,15 @@ func TestWriteChromeMatchesReference(t *testing.T) {
 // ending in an abandoned call.
 func referenceTrees() []*Tree {
 	aligned := skewedPair(7, 1_000_000)
-	root := mkSpan(9, 1, 0, 0, KindCaller, 0, 1, 1, 100, 500)
-	orphan := mkSpan(9, 3, 50, 1, KindCallee, 0, 1, 2, 200, 400)
-	grand := mkSpan(9, 4, 3, 1, KindCaller, 1, 2, 3, 250, 350)
-	dupRoot := mkSpan(11, 1, 0, 0, KindCaller, 0, 1, 1, 100, 500)
-	dupCallee := mkSpan(11, 2, 1, 1, KindCallee, 0, 1, 1, 200, 300)
-	reexec := mkSpan(11, 6, 1, 1, KindCallee, 0, 1, 1, 350, 450)
-	abandoned := mkSpan(13, 1, 0, 0, KindCaller, 0, 1, 1, 100, 300)
+	root := mkSpan(9, CallID{}, 0, KindCaller, 0, 1, 1, 100, 500)
+	orphan := mkSpan(9, CallID{}, 1, KindCallee, 0, 1, 2, 200, 400)
+	grand := mkSpan(9, CallID{From: 0, Seq: 2}, 1, KindCaller, 1, 2, 3, 250, 350)
+	dupRoot := mkSpan(11, CallID{}, 0, KindCaller, 0, 1, 1, 100, 500)
+	dupCallee := mkSpan(11, CallID{}, 1, KindCallee, 0, 1, 1, 200, 300)
+	reexec := mkSpan(11, CallID{}, 1, KindCallee, 0, 1, 1, 350, 450)
+	abandoned := mkSpan(13, CallID{}, 0, KindCaller, 0, 1, 1, 100, 300)
 	abandoned.Err = "call timed out"
-	late := mkSpan(13, 2, 1, 1, KindCallee, 0, 1, 1, 400, 900)
+	late := mkSpan(13, CallID{}, 1, KindCallee, 0, 1, 1, 400, 900)
 	late.PhaseDur[PhaseTransit] = 150
 	return []*Tree{
 		BuildTree(7, []NodeSpans{{Node: "a", Spans: aligned[:1]}, {Node: "b", Spans: aligned[1:]}}),

@@ -12,8 +12,8 @@ import (
 // and the callee receives at 1200 (+off); the callee replies at 1400
 // (+off) and the caller receives at 1500.
 func skewedPair(traceID uint64, off int64) []SpanRecord {
-	caller := mkSpan(traceID, 1, 0, 0, KindCaller, 0, 1, 10, 1000, 1600)
-	callee := mkSpan(traceID, 2, 1, 1, KindCallee, 0, 1, 10, 1200+off, 1400+off)
+	caller := mkSpan(traceID, CallID{}, 0, KindCaller, 0, 1, 10, 1000, 1600)
+	callee := mkSpan(traceID, CallID{}, 1, KindCallee, 0, 1, 10, 1200+off, 1400+off)
 	set := func(r *SpanRecord, p Phase, start, dur int64) { r.PhaseStart[p], r.PhaseDur[p] = start, dur }
 	set(&caller, PhaseSerialize, 1010, 60)
 	set(&caller, PhaseSend, 1070, 30)
@@ -82,7 +82,7 @@ func checkPlacement(t *testing.T, what string, dump []byte) {
 // its span.
 func TestChromeDumpPhasesInsideSpans(t *testing.T) {
 	var buf bytes.Buffer
-	tr := New(Config{RingSize: 8, FailureDump: &buf})
+	tr := New(Config{FailureDump: &buf})
 	recv := Now() - 100_000
 	sp := tr.StartCallee("A.b.1", "b", 2, 5, 9, recv)
 	sp.SetPhase(PhaseTransit, recv-5_000, 5_000)

@@ -102,9 +102,17 @@ func (k Kind) String() string {
 // nanoseconds since the Unix epoch.
 func Now() int64 { return time.Now().UnixNano() }
 
+// CallID names one remote invocation: the node that issued it and
+// that node's sequence number for it (never zero on a real call).
+type CallID struct {
+	From int   `json:"from"`
+	Seq  int64 `json:"seq"`
+}
+
 // SpanRecord is the immutable value copy of a closed span that the
 // flight recorder retains and the exporters read. Both halves of one
-// call share (From, Seq) — the RMI runtime's call id. The JSON tags
+// call share (From, Seq) — the RMI runtime's call id — so (Kind, From,
+// Seq) names a span, in a trace and across nodes. The JSON tags
 // are the /traces/<id> wire shape, which peers decode verbatim during
 // cross-node tree reconstruction.
 type SpanRecord struct {
@@ -124,14 +132,14 @@ type SpanRecord struct {
 	// call message (callee span only).
 	VirtualTransitNS int64 `json:"virtual_transit_ns,omitempty"`
 	// TraceID names the cross-node trace this span belongs to; zero on
-	// unsampled calls (the common case). SpanID is this span's own
-	// identity within the trace, ParentID the span that caused it (zero
-	// for the root), and Hop the wire-hop distance from the root node.
-	// See DESIGN.md §15.
-	TraceID  uint64 `json:"trace_id,omitempty"`
-	SpanID   uint64 `json:"span_id,omitempty"`
-	ParentID uint64 `json:"parent_id,omitempty"`
-	Hop      uint8  `json:"hop,omitempty"`
+	// unsampled calls (the common case). Parent is, on a caller span
+	// issued by a running method, the call that method serves (zero on
+	// a root); a callee span's parent is its own call's caller half, so
+	// it leaves Parent zero. Hop is the wire-hop distance from the root
+	// node. See DESIGN.md §15.
+	TraceID uint64 `json:"trace_id,omitempty"`
+	Parent  CallID `json:"parent"`
+	Hop     uint8  `json:"hop,omitempty"`
 	// PhaseStart/PhaseDur hold each phase's wall start and duration;
 	// a zero duration means the phase was not recorded by this half.
 	PhaseStart [NumPhases]int64 `json:"phase_start"`
@@ -194,14 +202,14 @@ func (s *Span) SetVirtualTransit(ns int64) {
 }
 
 // SetTraceIdentity stamps the span's distributed-tracing identity: the
-// trace it belongs to, its own span ID, the parent span that caused it
-// and its wire-hop distance from the root. A span with a trace ID is
-// retained in the tracer's per-trace store on close.
-func (s *Span) SetTraceIdentity(traceID, spanID, parentID uint64, hop uint8) {
+// trace it belongs to, the call whose method issued it (zero for a root
+// or a callee span) and its wire-hop distance from the root. A span
+// with a trace ID is retained in the tracer's per-trace store on close.
+func (s *Span) SetTraceIdentity(traceID uint64, parent CallID, hop uint8) {
 	if s == nil {
 		return
 	}
-	s.TraceID, s.SpanID, s.ParentID, s.Hop = traceID, spanID, parentID, hop
+	s.TraceID, s.Parent, s.Hop = traceID, parent, hop
 }
 
 // Fail marks the span failed. The failure classes the flight recorder
@@ -225,10 +233,12 @@ func (s *Span) End() {
 	s.t.close(s)
 }
 
+// ringSize bounds the flight recorder: the most recent spans a tracer
+// keeps for /trace and the failure dump.
+const ringSize = 4096
+
 // Config configures a Tracer.
 type Config struct {
-	// RingSize bounds the flight recorder (default 2048 spans).
-	RingSize int
 	// FailureDump, when non-nil, receives a Chrome-trace JSON dump of
 	// the flight recorder the first time DumpFailure fires (timeouts,
 	// partitions, panics), so a chaos failure always comes with its
@@ -281,29 +291,25 @@ type Tracer struct {
 	failures     atomic.Int64
 	dumped       atomic.Bool
 
-	// Distributed-tracing state: idBase makes this tracer's trace and
-	// span IDs disjoint from other tracers' (each obs node runs its
-	// own), sampleTick drives the deterministic head-sampling decision,
-	// and store retains the sampled spans per trace ID.
+	// Distributed-tracing state: idBase makes this tracer's trace IDs
+	// disjoint from other tracers' (each obs node runs its own),
+	// sampleTick drives the deterministic head-sampling decision, and
+	// store retains the sampled spans per trace ID.
 	idBase     uint64
 	sampleTick atomic.Int64
 	traceSeq   atomic.Uint64
-	spanSeq    atomic.Uint64
 	store      *traceStore
 }
 
 // New creates a tracer.
 func New(cfg Config) *Tracer {
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = 2048
-	}
 	reg := metrics.NewRegistry()
 	t := &Tracer{
 		cfg:      cfg,
 		reg:      reg,
 		fam:      reg.Family("cormi_phase_latency_ns", "per call-site, per-phase RMI latency in nanoseconds"),
 		totalFam: reg.Family("cormi_call_latency_ns", "per call-site caller-observed end-to-end RMI latency in nanoseconds"),
-		ring:     make([]SpanRecord, cfg.RingSize),
+		ring:     make([]SpanRecord, ringSize),
 		idBase:   newIDBase(),
 		store:    newTraceStore(),
 	}
@@ -315,10 +321,10 @@ func New(cfg Config) *Tracer {
 // so their ID bases never coincide even in one process.
 var tracerSeq atomic.Uint64
 
-// newIDBase derives a well-mixed per-tracer 64-bit base for trace and
-// span IDs. Uniqueness across tracers (and across nodes of a real
-// deployment) is probabilistic — the tree assembler tolerates
-// collisions — so a mixed timestamp is enough; no RNG dependency.
+// newIDBase derives a well-mixed per-tracer 64-bit base for trace IDs.
+// Uniqueness across tracers (and across nodes of a real deployment) is
+// probabilistic — the tree assembler tolerates collisions — so a mixed
+// timestamp is enough; no RNG dependency.
 func newIDBase() uint64 {
 	return mix64(uint64(time.Now().UnixNano()) + tracerSeq.Add(1)*0x9E3779B97F4A7C15)
 }
@@ -345,20 +351,6 @@ func (t *Tracer) SampleTrace() uint64 {
 		return 0
 	}
 	id := mix64(t.idBase ^ t.traceSeq.Add(1))
-	if id == 0 {
-		id = 1
-	}
-	return id
-}
-
-// NextSpanID allocates a span ID unique within this tracer and — by
-// the mixed per-tracer base — disjoint from other tracers' with
-// overwhelming probability. Called only on sampled spans.
-func (t *Tracer) NextSpanID() uint64 {
-	if t == nil {
-		return 0
-	}
-	id := mix64(t.idBase + t.spanSeq.Add(1))
 	if id == 0 {
 		id = 1
 	}

@@ -28,7 +28,7 @@ func TestNilTracerAndSpanAreNoOps(t *testing.T) {
 }
 
 func TestSpanLifecycleAndHistograms(t *testing.T) {
-	tr := New(Config{RingSize: 8})
+	tr := New(Config{})
 	for i := 0; i < 5; i++ {
 		sp := tr.StartCaller("Foo.send.1", "send", 0, 1, int64(i))
 		sp.BeginPhase(PhaseSerialize)
@@ -59,26 +59,28 @@ func TestSpanLifecycleAndHistograms(t *testing.T) {
 }
 
 func TestFlightRecorderRingBounds(t *testing.T) {
-	tr := New(Config{RingSize: 4})
-	for i := 0; i < 10; i++ {
+	tr := New(Config{})
+	const pushed = ringSize + 6
+	for i := 0; i < pushed; i++ {
 		sp := tr.StartCallee("S", "m", 0, 1, int64(i), 0)
 		sp.End()
 	}
 	rec := tr.Recent()
-	if len(rec) != 4 {
-		t.Fatalf("ring holds %d records, want 4", len(rec))
+	if len(rec) != ringSize {
+		t.Fatalf("ring holds %d records, want %d", len(rec), ringSize)
 	}
-	// Oldest-first: the ring retains the last 4 of seq 0..9.
+	// Oldest-first: the ring retains the last ringSize of seq
+	// 0..pushed-1.
 	for i, r := range rec {
-		if want := int64(6 + i); r.Seq != want {
-			t.Errorf("rec[%d].Seq = %d, want %d", i, r.Seq, want)
+		if want := int64(pushed - ringSize + i); r.Seq != want {
+			t.Fatalf("rec[%d].Seq = %d, want %d", i, r.Seq, want)
 		}
 	}
 }
 
 func TestFailureDump(t *testing.T) {
 	var buf bytes.Buffer
-	tr := New(Config{RingSize: 16, FailureDump: &buf})
+	tr := New(Config{FailureDump: &buf})
 	sp := tr.StartCaller("Work.go.1", "go", 0, 3, 42)
 	sp.AddRetry()
 	sp.Fail("rmi: call timed out")
@@ -116,7 +118,7 @@ func TestFailureDump(t *testing.T) {
 }
 
 func TestWriteChromeParses(t *testing.T) {
-	tr := New(Config{RingSize: 8})
+	tr := New(Config{})
 	sp := tr.StartCallee("A.b.1", "b", 2, 5, 9, Now())
 	sp.BeginPhase(PhaseExecute)
 	sp.EndPhase(PhaseExecute)
@@ -175,7 +177,7 @@ func TestWriteChromeParses(t *testing.T) {
 // guarantee: steady-state span open/close allocates nothing beyond the
 // ring copy.
 func TestSpanPoolRecycles(t *testing.T) {
-	tr := New(Config{RingSize: 32})
+	tr := New(Config{})
 	for i := 0; i < 100; i++ { // reach pool steady state
 		tr.StartCaller("S", "m", 0, 1, int64(i)).End()
 	}

@@ -60,36 +60,48 @@ func Local(recs []SpanRecord) []TreeSpan {
 // Tree is one reconstructed cross-node trace.
 type Tree struct {
 	TraceID uint64 `json:"trace_id"`
-	// Spans is sorted by aligned start time then span ID; Roots indexes
-	// the parentless spans (one entry = a fully connected trace).
+	// Spans is sorted by aligned start time; Roots indexes the
+	// parentless spans (one entry = a fully connected trace).
 	Spans []TreeSpan `json:"spans"`
 	Roots []int      `json:"roots"`
 	// Orphans counts spans whose parent could not be found; Duplicates
-	// counts spans discarded as redeliveries (same span ID, or the same
-	// call half re-executed after a retry).
+	// counts spans discarded as redeliveries (the same call half fetched
+	// twice, or re-executed after a retry).
 	Orphans    int `json:"orphans"`
 	Duplicates int `json:"duplicates"`
 	MaxHop     int `json:"max_hop"`
 	// EndToEndNS is the aligned wall time from the primary root's start
 	// to the latest span end in the tree.
 	EndToEndNS int64 `json:"end_to_end_ns"`
-	// CriticalPathNS sums the credited segments along CriticalPath:
-	// walking from the latest-ending span back to its root, each span
-	// is credited only the interval not covered by its on-path child —
-	// so a parent blocked on a child is not double-charged for the
-	// child's time.
-	CriticalPathNS int64    `json:"critical_path_ns"`
-	CriticalPath   []uint64 `json:"critical_path,omitempty"` // root → leaf
+	// CriticalPathNS sums the credited segments along the critical path
+	// (the spans marked Critical): walking from the latest-ending span
+	// back to its root, each span is credited only the interval not
+	// covered by its on-path child — so a parent blocked on a child is
+	// not double-charged for the child's time.
+	CriticalPathNS int64 `json:"critical_path_ns"`
 }
 
-// spanKey identifies one call half for retry deduplication: sequence
-// numbers are unique per invoking node, so a second span with the same
-// key is a re-execution (dedup-cache eviction under retries), not a
-// distinct call.
+// spanKey names one span: a call half. Sequence numbers are unique per
+// invoking node, so a second span with the same key is a redelivery
+// (the same record fetched twice, or the call re-executed after a
+// dedup-cache eviction under retries), not a distinct call.
 type spanKey struct {
 	kind Kind
-	from int
-	seq  int64
+	call CallID
+}
+
+func (s *SpanRecord) key() spanKey {
+	return spanKey{kind: s.Kind, call: CallID{From: s.From, Seq: s.Seq}}
+}
+
+// parentKey names the span s hangs under, and reports false for a
+// root: a callee span hangs under its own call's caller half, a nested
+// caller span under the callee half of the call whose method issued it.
+func (s *SpanRecord) parentKey() (spanKey, bool) {
+	if s.Kind == KindCallee {
+		return spanKey{kind: KindCaller, call: CallID{From: s.From, Seq: s.Seq}}, true
+	}
+	return spanKey{kind: KindCallee, call: s.Parent}, s.Parent != CallID{}
 }
 
 // BuildTree assembles the spans of traceID from every node's
@@ -99,25 +111,19 @@ type spanKey struct {
 // to zero offset.
 func BuildTree(traceID uint64, nodes []NodeSpans) *Tree {
 	tr := &Tree{TraceID: traceID}
-	seenID := make(map[uint64]bool)
-	seenKey := make(map[spanKey]bool)
+	// byKey indexes tr.Spans by span, which also finds the duplicates.
+	byKey := make(map[spanKey]int)
 	for _, ns := range nodes {
 		for i := range ns.Spans {
 			s := &ns.Spans[i]
-			if s.TraceID != traceID || s.SpanID == 0 {
+			if s.TraceID != traceID {
 				continue
 			}
-			if seenID[s.SpanID] {
+			if _, dup := byKey[s.key()]; dup {
 				tr.Duplicates++
 				continue
 			}
-			k := spanKey{kind: s.Kind, from: s.From, seq: s.Seq}
-			if seenKey[k] {
-				tr.Duplicates++
-				continue
-			}
-			seenID[s.SpanID] = true
-			seenKey[k] = true
+			byKey[s.key()] = len(tr.Spans)
 			tr.Spans = append(tr.Spans, TreeSpan{SpanRecord: *s, Node: ns.Node})
 		}
 	}
@@ -143,30 +149,27 @@ func BuildTree(traceID uint64, nodes []NodeSpans) *Tree {
 	}
 
 	// Place the spans on the root node's clock.
-	offsets := alignClocks(tr.Spans[rootIdx].Node, tr.Spans)
+	offsets := alignClocks(tr.Spans[rootIdx].Node, tr.Spans, byKey)
 	for i := range tr.Spans {
 		tr.Spans[i].OffsetNS = offsets[tr.Spans[i].Node]
 	}
-	sort.Slice(tr.Spans, func(i, j int) bool {
-		if a, b := tr.Spans[i].AlignedStart(), tr.Spans[j].AlignedStart(); a != b {
-			return a < b
-		}
-		return tr.Spans[i].SpanID < tr.Spans[j].SpanID
+	sort.SliceStable(tr.Spans, func(i, j int) bool {
+		return tr.Spans[i].AlignedStart() < tr.Spans[j].AlignedStart()
 	})
-	byID := make(map[uint64]int, len(tr.Spans))
 	for i := range tr.Spans {
-		byID[tr.Spans[i].SpanID] = i
+		byKey[tr.Spans[i].key()] = i
 	}
 	for i := range tr.Spans {
 		s := &tr.Spans[i]
 		if int(s.Hop) > tr.MaxHop {
 			tr.MaxHop = int(s.Hop)
 		}
-		if s.ParentID == 0 {
+		pk, ok := s.parentKey()
+		if !ok {
 			tr.Roots = append(tr.Roots, i)
 			continue
 		}
-		if pi, ok := byID[s.ParentID]; ok {
+		if pi, ok := byKey[pk]; ok {
 			tr.Spans[pi].Children = append(tr.Spans[pi].Children, i)
 		} else {
 			s.Orphan = true
@@ -180,7 +183,7 @@ func BuildTree(traceID uint64, nodes []NodeSpans) *Tree {
 	// fall back to the first root.
 	if len(tr.Roots) == 0 {
 		// Degenerate: every span claims a present parent, which a cycle
-		// of forged parent IDs could produce. No tree to walk.
+		// of forged parent calls could produce. No tree to walk.
 		return tr
 	}
 	primary := tr.Roots[0]
@@ -207,21 +210,8 @@ func BuildTree(traceID uint64, nodes []NodeSpans) *Tree {
 	// full duration, each ancestor only the stretch before the child
 	// started. A wait is thus charged once, to the span doing the
 	// work.
-	var path []int
-	for i, hops := leaf, 0; hops <= len(tr.Spans); hops++ {
-		path = append(path, i)
-		p := tr.Spans[i].ParentID
-		if p == 0 {
-			break
-		}
-		pi, ok := byID[p]
-		if !ok || pi == i {
-			break
-		}
-		i = pi
-	}
 	bound := latest
-	for _, i := range path {
+	for i, hops := leaf, 0; hops <= len(tr.Spans); hops++ {
 		s := &tr.Spans[i]
 		s.Critical = true
 		start := s.AlignedStart()
@@ -231,9 +221,15 @@ func BuildTree(traceID uint64, nodes []NodeSpans) *Tree {
 		if start < bound {
 			bound = start
 		}
-	}
-	for i := len(path) - 1; i >= 0; i-- {
-		tr.CriticalPath = append(tr.CriticalPath, tr.Spans[path[i]].SpanID)
+		pk, ok := s.parentKey()
+		if !ok {
+			break
+		}
+		pi, ok := byKey[pk]
+		if !ok {
+			break
+		}
+		i = pi
 	}
 	return tr
 }
@@ -256,11 +252,8 @@ func BuildTree(traceID uint64, nodes []NodeSpans) *Tree {
 // intermediary. A call that timed out or was abandoned has no reply
 // leg; its one-sided sample (t2-t1, biased by the transit time) is used
 // only when a link has no two-sided sample. Unreachable nodes keep offset zero.
-func alignClocks(rootNode string, spans []TreeSpan) map[string]int64 {
-	byID := make(map[uint64]*TreeSpan, len(spans))
-	for i := range spans {
-		byID[spans[i].SpanID] = &spans[i]
-	}
+// byKey indexes spans by span key.
+func alignClocks(rootNode string, spans []TreeSpan, byKey map[spanKey]int) map[string]int64 {
 	type pair struct{ a, b string } // offset of b relative to a
 	sums := make(map[pair]int64)
 	counts := make(map[pair]int64)
@@ -271,10 +264,12 @@ func alignClocks(rootNode string, spans []TreeSpan) map[string]int64 {
 		if s.Kind != KindCallee || s.PhaseDur[PhaseTransit] == 0 {
 			continue
 		}
-		caller, ok := byID[s.ParentID]
+		pk, _ := s.parentKey()
+		ci, ok := byKey[pk]
 		if !ok {
 			continue
 		}
+		caller := &spans[ci]
 		if caller.Node == s.Node {
 			continue
 		}

@@ -8,12 +8,23 @@ import (
 )
 
 // mkSpan builds one span record for reconstruction tests.
-func mkSpan(traceID, spanID, parentID uint64, hop uint8, kind Kind, from, to int, seq, start, end int64) SpanRecord {
+func mkSpan(traceID uint64, parent CallID, hop uint8, kind Kind, from, to int, seq, start, end int64) SpanRecord {
 	return SpanRecord{
 		Site: "T.m.1", Method: "m", From: from, To: to, Seq: seq,
 		Kind: kind, Start: start, End: end,
-		TraceID: traceID, SpanID: spanID, ParentID: parentID, Hop: hop,
+		TraceID: traceID, Parent: parent, Hop: hop,
 	}
+}
+
+// spanOf returns the tree's span of the given half of call (from, seq),
+// or nil.
+func spanOf(tree *Tree, kind Kind, from int, seq int64) *TreeSpan {
+	for i := range tree.Spans {
+		if s := &tree.Spans[i]; s.Kind == kind && s.From == from && s.Seq == seq {
+			return s
+		}
+	}
+	return nil
 }
 
 // TestBuildTreeAlignsOffsetsLargerThanSpans reconstructs a two-node
@@ -24,8 +35,8 @@ func mkSpan(traceID, spanID, parentID uint64, hop uint8, kind Kind, from, to int
 // its caller's window.
 func TestBuildTreeAlignsOffsetsLargerThanSpans(t *testing.T) {
 	const off = int64(1_000_000) // callee clock = caller clock + 1ms
-	caller := mkSpan(7, 1, 0, 0, KindCaller, 0, 1, 10, 1000, 1600)
-	callee := mkSpan(7, 2, 1, 1, KindCallee, 0, 1, 10, 1200+off, 1400+off)
+	caller := mkSpan(7, CallID{}, 0, KindCaller, 0, 1, 10, 1000, 1600)
+	callee := mkSpan(7, CallID{}, 1, KindCallee, 0, 1, 10, 1200+off, 1400+off)
 	// True transit 100ns each way: t1=1100 (caller clock), t2 on the
 	// callee clock; reply t3 on the callee clock, t4=1500 (caller).
 	callee.PhaseDur[PhaseTransit] = (1200 + off) - 1100      // t2 - t1
@@ -68,11 +79,12 @@ func TestBuildTreeAlignsOffsetsLargerThanSpans(t *testing.T) {
 // (unsampled parent, unreachable node, evicted bucket) in as extra
 // roots instead of dropping their subtrees.
 func TestBuildTreeOrphanSpans(t *testing.T) {
-	root := mkSpan(9, 1, 0, 0, KindCaller, 0, 1, 1, 100, 500)
-	// Parent span 50 was never retained; its callee child and that
-	// child's own child must still render, connected to each other.
-	orphan := mkSpan(9, 3, 50, 1, KindCallee, 0, 1, 2, 200, 400)
-	grand := mkSpan(9, 4, 3, 1, KindCaller, 1, 2, 3, 250, 350)
+	root := mkSpan(9, CallID{}, 0, KindCaller, 0, 1, 1, 100, 500)
+	// The caller half of call (0, 2) was never retained; its callee half
+	// and the call that callee's method issued must still render,
+	// connected to each other.
+	orphan := mkSpan(9, CallID{}, 1, KindCallee, 0, 1, 2, 200, 400)
+	grand := mkSpan(9, CallID{From: 0, Seq: 2}, 1, KindCaller, 1, 2, 3, 250, 350)
 	tree := BuildTree(9, []NodeSpans{{Node: "a", Spans: []SpanRecord{root, orphan, grand}}})
 	if tree.Orphans != 1 {
 		t.Fatalf("Orphans = %d, want 1", tree.Orphans)
@@ -80,21 +92,16 @@ func TestBuildTreeOrphanSpans(t *testing.T) {
 	if len(tree.Roots) != 2 {
 		t.Fatalf("%d roots, want 2 (true root + grafted orphan)", len(tree.Roots))
 	}
-	var o *TreeSpan
-	for i := range tree.Spans {
-		if tree.Spans[i].SpanID == 3 {
-			o = &tree.Spans[i]
-		}
-	}
+	o := spanOf(tree, KindCallee, 0, 2)
 	if o == nil || !o.Orphan {
-		t.Fatal("span 3 not flagged orphan")
+		t.Fatal("callee of call (0, 2) not flagged orphan")
 	}
-	if len(o.Children) != 1 || tree.Spans[o.Children[0]].SpanID != 4 {
+	if len(o.Children) != 1 || tree.Spans[o.Children[0]].Seq != 3 {
 		t.Errorf("orphan subtree lost its child: %+v", o.Children)
 	}
 	// The primary root for the end-to-end window must be the real
 	// (non-orphan) root.
-	if tree.Spans[tree.Roots[0]].SpanID != 1 && tree.Spans[tree.Roots[1]].SpanID != 1 {
+	if tree.Spans[tree.Roots[0]].Seq != 1 && tree.Spans[tree.Roots[1]].Seq != 1 {
 		t.Error("true root missing from roots")
 	}
 	if tree.EndToEndNS != 400 {
@@ -103,29 +110,27 @@ func TestBuildTreeOrphanSpans(t *testing.T) {
 }
 
 // TestBuildTreeDuplicateSpans discards redeliveries both ways a retry
-// can produce them: the exact same span ID fetched from two stores,
-// and the same call half re-executed under a fresh span ID after a
-// dedup-cache eviction (same kind/from/seq).
+// can produce them: the same span fetched from two stores, and the same
+// call half re-executed after a dedup-cache eviction (same
+// kind/from/seq, a later start).
 func TestBuildTreeDuplicateSpans(t *testing.T) {
-	root := mkSpan(11, 1, 0, 0, KindCaller, 0, 1, 1, 100, 500)
-	callee := mkSpan(11, 2, 1, 1, KindCallee, 0, 1, 1, 200, 300)
+	root := mkSpan(11, CallID{}, 0, KindCaller, 0, 1, 1, 100, 500)
+	callee := mkSpan(11, CallID{}, 1, KindCallee, 0, 1, 1, 200, 300)
 	sameID := callee
-	reexec := mkSpan(11, 6, 1, 1, KindCallee, 0, 1, 1, 350, 450)
+	reexec := mkSpan(11, CallID{}, 1, KindCallee, 0, 1, 1, 350, 450)
 	tree := BuildTree(11, []NodeSpans{
 		{Node: "a", Spans: []SpanRecord{root}},
 		{Node: "b", Spans: []SpanRecord{callee, reexec}},
 		{Node: "b2", Spans: []SpanRecord{sameID}},
 	})
 	if tree.Duplicates != 2 {
-		t.Fatalf("Duplicates = %d, want 2 (same-ID copy + re-executed half)", tree.Duplicates)
+		t.Fatalf("Duplicates = %d, want 2 (second copy + re-executed half)", tree.Duplicates)
 	}
 	if len(tree.Spans) != 2 {
 		t.Fatalf("%d spans retained, want 2", len(tree.Spans))
 	}
-	for i := range tree.Spans {
-		if tree.Spans[i].SpanID == 6 {
-			t.Error("re-executed span 6 retained; the first execution should win")
-		}
+	if s := spanOf(tree, KindCallee, 0, 1); s == nil || s.Start != 200 {
+		t.Errorf("callee retained %+v; the first execution (start 200) should win", s)
 	}
 	if len(tree.Roots) != 1 || tree.Orphans != 0 {
 		t.Errorf("roots=%d orphans=%d, want a single clean root", len(tree.Roots), tree.Orphans)
@@ -139,20 +144,15 @@ func TestBuildTreeDuplicateSpans(t *testing.T) {
 // after its caller gave up, is a leaf that carries the critical path's
 // tail.
 func TestBuildTreeAbandonedCallLeaf(t *testing.T) {
-	root := mkSpan(13, 1, 0, 0, KindCaller, 0, 1, 1, 100, 300)
+	root := mkSpan(13, CallID{}, 0, KindCaller, 0, 1, 1, 100, 300)
 	root.Err = "call timed out" // caller half ends without a reply leg
-	callee := mkSpan(13, 2, 1, 1, KindCallee, 0, 1, 1, 400, 900)
+	callee := mkSpan(13, CallID{}, 1, KindCallee, 0, 1, 1, 400, 900)
 	callee.PhaseDur[PhaseTransit] = 150 // one-sided sample only
 	tree := BuildTree(13, []NodeSpans{
 		{Node: "a", Spans: []SpanRecord{root}},
 		{Node: "b", Spans: []SpanRecord{callee}},
 	})
-	var leaf *TreeSpan
-	for i := range tree.Spans {
-		if tree.Spans[i].SpanID == 2 {
-			leaf = &tree.Spans[i]
-		}
-	}
+	leaf := spanOf(tree, KindCallee, 0, 1)
 	if leaf == nil {
 		t.Fatal("abandoned callee missing from tree")
 	}
@@ -165,19 +165,20 @@ func TestBuildTreeAbandonedCallLeaf(t *testing.T) {
 		t.Errorf("one-sided alignment: offset=%d start=%d, want 150 and 250", leaf.OffsetNS, leaf.AlignedStart())
 	}
 	// The callee outlives the caller that abandoned it: it is the
-	// latest-ending span and must terminate the critical path.
-	if n := len(tree.CriticalPath); n == 0 || tree.CriticalPath[n-1] != 2 {
-		t.Errorf("critical path %v should end at the abandoned leaf", tree.CriticalPath)
+	// latest-ending span and must terminate the critical path, which
+	// credits it [250, 750] and the root the 150 ns before it.
+	if !leaf.Critical || !spanOf(tree, KindCaller, 0, 1).Critical {
+		t.Error("abandoned leaf or its root not marked critical")
 	}
-	if !leaf.Critical {
-		t.Error("abandoned leaf not marked critical")
+	if tree.CriticalPathNS != 650 {
+		t.Errorf("critical path %d ns, want 650 (root 100 to leaf end 750)", tree.CriticalPathNS)
 	}
 }
 
 // TestBuildTreeEmptyAndForeign ignores spans of other traces and
 // returns an empty tree rather than failing when nothing matches.
 func TestBuildTreeEmptyAndForeign(t *testing.T) {
-	other := mkSpan(99, 1, 0, 0, KindCaller, 0, 1, 1, 100, 200)
+	other := mkSpan(99, CallID{}, 0, KindCaller, 0, 1, 1, 100, 200)
 	tree := BuildTree(5, []NodeSpans{{Node: "a", Spans: []SpanRecord{other}}})
 	if len(tree.Spans) != 0 || len(tree.Roots) != 0 || tree.EndToEndNS != 0 {
 		t.Fatalf("foreign spans leaked into the tree: %+v", tree)
@@ -189,8 +190,8 @@ func TestBuildTreeEmptyAndForeign(t *testing.T) {
 // critical-path spans.
 func TestWriteChromeMerged(t *testing.T) {
 	const off = int64(1_000_000)
-	caller := mkSpan(7, 1, 0, 0, KindCaller, 0, 1, 10, 1000, 1600)
-	callee := mkSpan(7, 2, 1, 1, KindCallee, 0, 1, 10, 1200+off, 1400+off)
+	caller := mkSpan(7, CallID{}, 0, KindCaller, 0, 1, 10, 1000, 1600)
+	callee := mkSpan(7, CallID{}, 1, KindCallee, 0, 1, 10, 1200+off, 1400+off)
 	callee.PhaseDur[PhaseTransit] = (1200 + off) - 1100
 	caller.PhaseDur[PhaseReplyTransit] = 1500 - (1400 + off)
 	tree := BuildTree(7, []NodeSpans{

@@ -223,6 +223,40 @@ func TestReadLoopDropsBadPreamble(t *testing.T) {
 	rig.dropped()
 }
 
+// TestTCPDropsV1Preamble: a connection that opens with a protocol 1
+// preamble is closed before any of its frames is delivered, and the
+// network's own links, which speak this build's protocol, keep working.
+func TestTCPDropsV1Preamble(t *testing.T) {
+	nw, err := NewTCPNetworkLocal(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	c, err := net.Dial("tcp", nw.addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	v1 := preamble()
+	binary.LittleEndian.PutUint16(v1[4:], 1)
+	if _, err := c.Write(append(v1, rawFrame(0, 1, 0, []byte("v1 frame"))...)); err != nil {
+		t.Fatal(err)
+	}
+	c.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := c.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read on the protocol 1 connection: %v, want it closed by the receiver", err)
+	}
+
+	if err := nw.Endpoint(0).Send(Packet{To: 1, Payload: payload("v2 frame")}); err != nil {
+		t.Fatal(err)
+	}
+	p, ok := nw.Endpoint(1).Recv()
+	if !ok || p.From != 0 || string(p.Payload) != "v2 frame" {
+		t.Fatalf("first delivery after the protocol 1 peer: %q from %d (ok %v), want the v2 frame from 0", p.Payload, p.From, ok)
+	}
+	wire.PutBuf(p.Payload)
+}
+
 // TestFrameHeaderRoundTrip: parseFrameHeader inverts putFrameHeader for
 // every field value, and the layout is the documented one — length
 // prefix, sender id, virtual timestamp, wall timestamp, little endian —

@@ -5,7 +5,7 @@ import "fmt"
 // RMI frame headers: the one place that knows how a call or reply
 // frame starts. Layout (little-endian, DESIGN.md §12):
 //
-//	call:  tag flags site obj seq nargs [trace ctx 17 B] args
+//	call:  tag flags site obj seq nargs [trace ctx 9 B] args
 //	reply: tag seq kind [nvals values | message]
 //
 // The trace context is present iff CallTraceCtx is set; it sits before
@@ -28,16 +28,12 @@ const (
 	// these calls need a cached reply for duplicate suppression on a
 	// fault-free interconnect.
 	CallRetryable = 1 << 0
-	// CallTraced marks a call whose invoker opened a trace span. The
-	// callee mirrors it with a callee-side span, and both call and reply
-	// packets carry wall-clock timestamps so each transit leg is
-	// measured end to end.
-	CallTraced = 1 << 1
-	// Bits 2–4 are retired and never reused: bit 2 marked a one-way
-	// call, bit 3 a call whose result a later call could name as a
-	// promise, bit 4 a call carrying such promise handles in place of
-	// arguments. Decode rejects them, and the unassigned bits 6–7, as
-	// malformed.
+	// Bits 1–4 are retired and never reused: bit 1 marked a call whose
+	// invoker opened a trace span (protocol 1; the packet's nonzero
+	// wall stamp says so now), bit 2 a one-way call, bit 3 a call whose
+	// result a later call could name as a promise, bit 4 a call carrying
+	// such promise handles in place of arguments. Decode rejects them,
+	// and the unassigned bits 6–7, as malformed.
 	// CallTraceCtx marks a call carrying a TraceContext: the call
 	// belongs to a sampled trace and the callee's span joins the
 	// cross-node call tree. A call past MaxTraceHops drops the context
@@ -45,7 +41,7 @@ const (
 	CallTraceCtx = 1 << 5
 
 	// callFlagsKnown is every bit a call header may carry.
-	callFlagsKnown = CallRetryable | CallTraced | CallTraceCtx
+	callFlagsKnown = CallRetryable | CallTraceCtx
 )
 
 // Reply kinds (the byte following the reply's seq).
@@ -74,20 +70,17 @@ const (
 )
 
 // TraceContext is the per-request identity propagated hop to hop:
-// which trace the call belongs to, which span caused it, and how many
-// wire hops the trace has taken so far. It is 17 bytes on the wire
-// (trace ID 8, parent span ID 8, hop 1). The sampling decision is
-// carried implicitly — an unsampled call simply has no context on the
-// wire — so there is no separate sampling bit to keep consistent.
+// which trace the call belongs to and how many wire hops the trace has
+// taken so far. It is 9 bytes on the wire (trace ID 8, hop 1). The
+// call's own (sender, seq) id names the caller span the callee's span
+// hangs off, so the context carries no span ID. The sampling decision
+// is carried implicitly — an unsampled call simply has no context on
+// the wire — so there is no separate sampling bit to keep consistent.
 type TraceContext struct {
 	// TraceID names the whole cross-node tree. Allocated once at the
 	// root call site; never zero on the wire (zero is the in-memory
 	// "not sampled" value).
 	TraceID uint64
-	// Parent is the span ID of the caller-side span that issued this
-	// call — the edge the callee's span hangs off when the tree is
-	// reassembled. Zero only for a root span's own context.
-	Parent uint64
 	// Hop counts wire hops from the root (root's first call is hop 0).
 	// Bounded by MaxTraceHops.
 	Hop uint8
@@ -126,7 +119,6 @@ func (h CallHeader) Encode(m *Message) {
 	m.AppendInt32(h.NArgs)
 	if flags&CallTraceCtx != 0 {
 		m.AppendInt64(int64(h.Trace.TraceID))
-		m.AppendInt64(int64(h.Trace.Parent))
 		m.AppendByte(h.Trace.Hop)
 	}
 }
@@ -155,7 +147,7 @@ func (h *CallHeader) Decode(m *Message) error {
 // failing m on truncated bytes, a zero trace ID or an over-limit hop
 // count.
 func readTraceContext(m *Message) TraceContext {
-	c := TraceContext{TraceID: uint64(m.ReadInt64()), Parent: uint64(m.ReadInt64()), Hop: m.ReadU8()}
+	c := TraceContext{TraceID: uint64(m.ReadInt64()), Hop: m.ReadU8()}
 	switch {
 	case m.Err() != nil:
 	case c.TraceID == 0:

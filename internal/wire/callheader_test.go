@@ -24,9 +24,20 @@ func rawHeader(flags byte, nargs int32, sections ...[]byte) []byte {
 	return b
 }
 
+// ctxBytes writes a trace context's 9 wire bytes, whatever its values.
 func ctxBytes(c TraceContext) []byte {
-	m := NewMessage(17)
-	refAppendTraceContext(m, c)
+	m := NewMessage(9)
+	m.AppendInt64(int64(c.TraceID))
+	m.AppendByte(c.Hop)
+	return m.Bytes()
+}
+
+// v1TracedHeader is a protocol 1 traced call header, retryable: bit 1
+// and a 17-byte context with a parent span ID. Decode rejects it.
+func v1TracedHeader() []byte {
+	m := NewMessage(64)
+	refEncodeCall(m, refCall{retryable: true, traced: true, site: 1, obj: 2, seq: 3, nargs: 1,
+		wireCtx: refTraceContext{TraceID: 0x1122334455667788, Parent: 0x99aabbccddeeff00, Hop: 1}})
 	return m.Bytes()
 }
 
@@ -66,7 +77,7 @@ func retiredFrames() [][]byte {
 	three := []retiredHandle{{arg: 0, seq: 42}, {arg: 2, seq: 7, ret: 3}, {arg: 3, seq: 1 << 40, ret: 1}}
 	return [][]byte{
 		rawHeader(retiredPromised|retiredPipelined, 4, promiseBytes(3, three...)),
-		rawHeader(retiredPipelined|CallTraceCtx, 4, ctxBytes(TraceContext{TraceID: 8, Parent: 3, Hop: 1}), promiseBytes(1, three[0])),
+		rawHeader(retiredPipelined|CallTraceCtx, 4, ctxBytes(TraceContext{TraceID: 8, Hop: 1}), promiseBytes(1, three[0])),
 		rawHeader(retiredPipelined, 4, promiseBytes(0)),
 		rawHeader(retiredPipelined, 100, promiseBytes(65)),
 		rawHeader(retiredPipelined, 4, promiseBytes(2, retiredHandle{arg: 1}, retiredHandle{arg: 1})),
@@ -78,9 +89,9 @@ func retiredFrames() [][]byte {
 
 func TestTraceContextRoundTrip(t *testing.T) {
 	cases := []TraceContext{
-		{TraceID: 1, Parent: 0, Hop: 0},
-		{TraceID: 0xdeadbeefcafef00d, Parent: 7, Hop: 3},
-		{TraceID: ^uint64(0), Parent: ^uint64(0), Hop: MaxTraceHops},
+		{TraceID: 1, Hop: 0},
+		{TraceID: 0xdeadbeefcafef00d, Hop: 3},
+		{TraceID: ^uint64(0), Hop: MaxTraceHops},
 	}
 	for _, c := range cases {
 		b := encodeHeader(CallHeader{Trace: c})
@@ -98,13 +109,13 @@ func TestTraceContextRoundTrip(t *testing.T) {
 }
 
 func TestTraceContextRejections(t *testing.T) {
-	valid := ctxBytes(TraceContext{TraceID: 42, Parent: 9, Hop: 1})
+	valid := ctxBytes(TraceContext{TraceID: 42, Hop: 1})
 	cases := map[string][]byte{
 		"empty":     {},
 		"truncated": valid[:len(valid)-1],
 		"short id":  valid[:7],
-		"zero id":   ctxBytes(TraceContext{TraceID: 0, Parent: 9, Hop: 1}),
-		"hop cap":   ctxBytes(TraceContext{TraceID: 42, Parent: 9, Hop: MaxTraceHops + 1}),
+		"zero id":   ctxBytes(TraceContext{TraceID: 0, Hop: 1}),
+		"hop cap":   ctxBytes(TraceContext{TraceID: 42, Hop: MaxTraceHops + 1}),
 	}
 	for name, b := range cases {
 		m := FromBytes(rawHeader(CallTraceCtx, 1, b)[1:])
@@ -131,7 +142,7 @@ func TestTraceContextValid(t *testing.T) {
 	}{
 		{TraceContext{}, false},
 		{TraceContext{TraceID: 1}, true},
-		{TraceContext{TraceID: 1, Parent: 7, Hop: MaxTraceHops}, true},
+		{TraceContext{TraceID: 1, Hop: MaxTraceHops}, true},
 		{TraceContext{TraceID: 1, Hop: MaxTraceHops + 1}, false},
 	} {
 		m := NewMessage(0)
@@ -194,32 +205,39 @@ func checkCallHeader(t *testing.T, data []byte) {
 // fields and trace context — with arbitrary bytes.
 func FuzzCallHeader(f *testing.F) {
 	f.Add(encodeHeader(CallHeader{Site: 3, Obj: 5, Seq: 9, NArgs: 2}))
-	f.Add(encodeHeader(CallHeader{Flags: CallRetryable | CallTraced, Seq: 1, NArgs: 1, Trace: TraceContext{TraceID: 1}}))
-	f.Add(encodeHeader(CallHeader{Trace: TraceContext{TraceID: 0x1122334455667788, Parent: 0x99aabbccddeeff00, Hop: MaxTraceHops}}))
+	f.Add(encodeHeader(CallHeader{Flags: CallRetryable, Seq: 1, NArgs: 1, Trace: TraceContext{TraceID: 1}}))
+	f.Add(encodeHeader(CallHeader{Trace: TraceContext{TraceID: 0x1122334455667788, Hop: MaxTraceHops}}))
 	// Hostile hop count, one past the cap.
-	f.Add(rawHeader(CallTraceCtx, 1, ctxBytes(TraceContext{TraceID: 5, Parent: 6, Hop: MaxTraceHops + 1})))
-	// Colliding IDs: trace ID == parent span ID (legal on the wire; the
-	// tree assembler must cope, the decoder must not conflate them).
-	f.Add(encodeHeader(CallHeader{Trace: TraceContext{TraceID: 77, Parent: 77, Hop: 2}}))
+	f.Add(rawHeader(CallTraceCtx, 1, ctxBytes(TraceContext{TraceID: 5, Hop: MaxTraceHops + 1})))
+	// Colliding IDs: trace ID == the call's seq (legal on the wire; the
+	// tree assembler names spans by call, the decoder must not conflate
+	// them).
+	f.Add(encodeHeader(CallHeader{Seq: 77, Trace: TraceContext{TraceID: 77, Hop: 2}}))
 	// Zero trace ID (the in-memory "unsampled" sentinel must never
 	// decode).
-	f.Add(rawHeader(CallTraceCtx, 1, make([]byte, 17)))
+	f.Add(rawHeader(CallTraceCtx, 1, make([]byte, 9)))
 	// Truncated context, truncated header, nothing.
-	f.Add(rawHeader(CallTraceCtx, 1, ctxBytes(TraceContext{TraceID: 9, Parent: 1, Hop: 1})[:12]))
+	f.Add(rawHeader(CallTraceCtx, 1, ctxBytes(TraceContext{TraceID: 9, Hop: 1})[:5]))
 	f.Add(rawHeader(0, 1)[:11])
 	f.Add([]byte{})
 	// Promise sections of the retired pipelining protocol: rejected.
 	for _, b := range retiredFrames() {
 		f.Add(b)
 	}
-	// Retired bit 2 (one-way) and unassigned bits 6–7, alone and beside
-	// live flags (retired bits 3–4 are the promise seeds above).
+	// Retired bits 1 (traced) and 2 (one-way) and unassigned bits 6–7,
+	// alone and beside live flags (retired bits 3–4 are the promise
+	// seeds above).
 	f.Add(rawHeader(1<<2, 1))
-	f.Add(rawHeader(CallRetryable|CallTraced|1<<2, 1))
+	f.Add(rawHeader(CallRetryable|1<<1|1<<2, 1))
 	f.Add(rawHeader(1<<6, 1))
 	f.Add(rawHeader(1<<7|CallTraceCtx, 1, ctxBytes(TraceContext{TraceID: 4, Hop: 1})))
 	// A reply frame is not a call.
 	f.Add([]byte{MsgReply, 0, 0, 0, 0, 0, 0, 0, 0, ReplyAck})
+	// Bit 1 alone, beside a context, and a whole protocol 1 traced
+	// header.
+	f.Add(rawHeader(1<<1, 1))
+	f.Add(rawHeader(CallRetryable|1<<1|CallTraceCtx, 1, ctxBytes(TraceContext{TraceID: 4, Hop: 1})))
+	f.Add(v1TracedHeader())
 
 	f.Fuzz(checkCallHeader)
 }
@@ -229,12 +247,12 @@ func FuzzCallHeader(f *testing.F) {
 // `make fuzz` mutates; this one replays the context corpus collected
 // before the header had a codec of its own.
 func FuzzTraceContext(f *testing.F) {
-	f.Add(ctxBytes(TraceContext{TraceID: 1, Parent: 0, Hop: 0}))
-	f.Add(ctxBytes(TraceContext{TraceID: 0x1122334455667788, Parent: 0x99aabbccddeeff00, Hop: MaxTraceHops}))
-	f.Add(ctxBytes(TraceContext{TraceID: 5, Parent: 6, Hop: MaxTraceHops + 1}))
-	f.Add(ctxBytes(TraceContext{TraceID: 77, Parent: 77, Hop: 2}))
-	f.Add(make([]byte, 17))
-	f.Add(ctxBytes(TraceContext{TraceID: 9, Parent: 1, Hop: 1})[:12])
+	f.Add(ctxBytes(TraceContext{TraceID: 1, Hop: 0}))
+	f.Add(ctxBytes(TraceContext{TraceID: 0x1122334455667788, Hop: MaxTraceHops}))
+	f.Add(ctxBytes(TraceContext{TraceID: 5, Hop: MaxTraceHops + 1}))
+	f.Add(ctxBytes(TraceContext{TraceID: 77, Hop: 2}))
+	f.Add(make([]byte, 9))
+	f.Add(ctxBytes(TraceContext{TraceID: 9, Hop: 1})[:5])
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

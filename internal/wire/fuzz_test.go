@@ -19,6 +19,9 @@ func FuzzDecodeHello(f *testing.F) {
 	wrongVersion := append([]byte(nil), valid...)
 	binary.LittleEndian.PutUint32(wrongVersion[4:], ProtocolVersion+1)
 	f.Add(wrongVersion)
+	v1 := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint32(v1[4:], 1)
+	f.Add(v1)
 	badMagic := append([]byte(nil), valid...)
 	badMagic[0] ^= 0xff
 	f.Add(badMagic)

@@ -23,8 +23,9 @@ import (
 const (
 	// ProtocolVersion is the wire protocol generation this build
 	// speaks. A peer that states any other version is rejected, never
-	// negotiated with.
-	ProtocolVersion = 1
+	// negotiated with. Version 2 retired call flag bit 1 and the trace
+	// context's parent span ID (DESIGN.md §12).
+	ProtocolVersion = 2
 
 	// helloMagic guards against decoding a non-HELLO frame as a
 	// handshake ("CMH1" little-endian).

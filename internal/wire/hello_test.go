@@ -36,8 +36,9 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHelloRejections: a HELLO of any other length, magic or version is
-// a typed ErrMalformedFrame, never a panic, never a partial success.
+// TestHelloRejections: a HELLO of any other length, magic or version —
+// a protocol 1 peer's among them — is a typed ErrMalformedFrame, never
+// a panic, never a partial success.
 func TestHelloRejections(t *testing.T) {
 	valid := EncodeHello(sampleDigest)
 	le := binary.LittleEndian
@@ -57,7 +58,8 @@ func TestHelloRejections(t *testing.T) {
 		{"trailing garbage", append(append([]byte(nil), valid...), 0xcc)},
 		{"bad magic", with(func(b []byte) { le.PutUint32(b, 0xdeadbeef) })},
 		{"version zero", with(func(b []byte) { le.PutUint32(b[4:], 0) })},
-		{"version two", with(func(b []byte) { le.PutUint32(b[4:], 2) })},
+		{"version one", with(func(b []byte) { le.PutUint32(b[4:], 1) })},
+		{"version three", with(func(b []byte) { le.PutUint32(b[4:], 3) })},
 		{"negative version", with(func(b []byte) { le.PutUint32(b[4:], 0x80000001) })},
 	}
 	for _, tc := range cases {
@@ -118,7 +120,8 @@ func TestPreamble(t *testing.T) {
 		"long":      append(append([]byte(nil), p[:]...), 0),
 		"bad magic": {0, 1, 2, 3, 1, 0},
 		"version 0": {0x43, 0x4D, 0x48, 0x31, 0, 0},
-		"version 2": {0x43, 0x4D, 0x48, 0x31, 2, 0},
+		"version 1": {0x43, 0x4D, 0x48, 0x31, 1, 0},
+		"version 3": {0x43, 0x4D, 0x48, 0x31, 3, 0},
 	} {
 		if err := CheckPreamble(bad); !errors.Is(err, ErrMalformedFrame) {
 			t.Errorf("%s: err = %v, want ErrMalformedFrame", name, err)
